@@ -34,12 +34,12 @@ print("t    x        shared statistic         u1       u2       step cost")
 total = 0.0
 for t in range(1, plant.T + 1):
     y = plant.stacked_c(t) @ x + prims.wy[t - 1][0]
-    m = mp.memory_sel(t) @ carrier
+    m = mp.m_sel @ carrier
     y_local = [y[plant.y_slice(i)] for i in range(2)]
     m_local = [m[mp.m_slice(i)] for i in range(2)]
     actions = dq.act(st, ss, y_local, m_local)
     u = np.concatenate(actions)
-    z = mp.p_zc(t) @ carrier + mp.p_zy(t) @ y + mp.p_zu(t) @ u
+    z = mp.zc @ carrier + mp.zy @ y + mp.zu @ u
     cost = plant.step_cost(x, u)
     total += cost
     shown = np.array2string(st.stat, precision=3)
@@ -48,7 +48,7 @@ for t in range(1, plant.T + 1):
         u_tilde = ss.Lgain[t - 1] @ st.stat
         st = dq.step_statistic(st, ss, z, u_tilde)
         x = plant.A_at(t) @ x + plant.B_at(t) @ u + prims.w0[t - 1][0]
-        carrier = mp.p_cc(t) @ carrier + mp.p_cy(t) @ y + mp.p_cu(t) @ u
+        carrier = mp.cc @ carrier + mp.cy @ y + mp.cu @ u
 print(f"realized total cost {total:.3f} (expected {ss.J:.3f})")
 
 # -- the delayed-sharing shortcut ------------------------------------------

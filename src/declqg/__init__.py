@@ -10,9 +10,9 @@ the local gains.
 """
 
 from .core import (DEFAULT_RTOL, DimMismatch, GaussianSpec, InvalidDelay,
-                   InvalidMatrix, NumericalBreakdown, SelectionMat,
-                   TimeOutOfRange, UnsupportedProtocol, WrongControllerCount,
-                   pinv, seeded_stream)
+                   InvalidMatrix, NumericalBreakdown, TimeOutOfRange,
+                   UnsupportedProtocol, WrongControllerCount, pinv,
+                   seeded_stream)
 from .plant import PlantModel
 from .infostructure import (DelayGraph, MemoryProtocol, ValidationReport,
                             build_asymmetric_delay, build_control_sharing,

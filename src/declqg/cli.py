@@ -2,7 +2,8 @@
 
 Scenarios are JSON documents (see README for the schema); constant matrices
 broadcast over t.  Exit codes: 0 success, 1 validation violations, 2 bad
-config (with field diagnostics), 3 numerical breakdown (with step index).
+config or strategy file (with field diagnostics), 3 numerical breakdown (with
+step index).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_RTOL, DimMismatch, InvalidDelay, InvalidMatrix,
-                   NumericalBreakdown, WrongControllerCount, eig_bounds)
+                   NumericalBreakdown, WrongControllerCount, as_matrix,
+                   eig_bounds)
 from .coordination import LocalGains, build
 from .infostructure import (DelayGraph, MemoryProtocol,
                             build_asymmetric_delay, build_control_sharing,
@@ -203,19 +205,41 @@ def strategy_to_doc(ss: SolvedStrategy, dump_matrices=False) -> dict:
     return doc
 
 
+def _matrix_sequence(doc, key, count, rows, cols) -> tuple:
+    """``count`` finite rows x cols matrices from the list ``doc[key]``."""
+    seq = _get(doc, key)
+    if not isinstance(seq, list) or len(seq) != count:
+        raise ConfigError(key, f"expected a list of {count} matrices")
+    out = []
+    for t, m in enumerate(seq, 1):
+        field = f"{key}[t={t}]"
+        try:
+            out.append(as_matrix(m, rows, cols, field))
+        except (ValueError, TypeError) as e:
+            raise ConfigError(field, str(e).removeprefix(f"{field}: "))
+    return tuple(out)
+
+
 def strategy_from_doc(doc: dict, plant: PlantModel, mp: MemoryProtocol
                       ) -> SolvedStrategy:
-    if doc.get("format") != "declqg-strategy/1":
+    if not isinstance(doc, dict) or doc.get("format") != "declqg-strategy/1":
         raise ConfigError("format", "not a declqg strategy file")
-    gains = LocalGains.create(plant, mp, doc["gains"]["G"], doc["gains"]["H"])
+    try:
+        gains = LocalGains.create(plant, mp, _get(doc, "gains.G"),
+                                  _get(doc, "gains.H"))
+    except (ValueError, TypeError) as e:
+        msg = str(e)
+        raise ConfigError("gains." + msg[0] if msg[:1] in ("G", "H")
+                          else "gains", msg)
     cs = build(plant, mp, gains)
-    K = tuple(np.asarray(m, dtype=float) for m in doc["K"])
-    L = tuple(np.asarray(m, dtype=float) for m in doc["L"])
-    F = tuple(np.asarray(m, dtype=float) for m in doc["filter_gain"])
-    if len(K) != plant.T or len(F) != plant.T - 1:
-        raise ConfigError("K", "gain sequence length does not match horizon")
-    return SolvedStrategy(cs=cs, Kgain=K, Lgain=L, filter_gain=F,
-                          J=float(doc["J"]))
+    K = _matrix_sequence(doc, "K", plant.T, cs.d_u, cs.d_state)
+    L = _matrix_sequence(doc, "L", plant.T, cs.d_u, cs.d_x + cs.d_c)
+    F = _matrix_sequence(doc, "filter_gain", plant.T - 1, cs.d_state, cs.d_z)
+    try:
+        J = float(_get(doc, "J"))
+    except (ValueError, TypeError):
+        raise ConfigError("J", "must be a number")
+    return SolvedStrategy(cs=cs, Kgain=K, Lgain=L, filter_gain=F, J=J)
 
 
 # --------------------------------------------------------------------------

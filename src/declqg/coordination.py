@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimMismatch, as_matrix, blkdiag, sym
+from .core import DimMismatch, as_matrix, as_vector, blkdiag, sym
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
 
@@ -30,12 +30,32 @@ from .plant import PlantModel
 class LocalGains:
     """Per-controller local gains G^i_t (on Y^i_t) and H^i_t (on M^i_t).
 
-    The stacked G_t, H_t are block diagonal by construction: only the
-    per-controller blocks are stored, so off-diagonal blocks are exactly zero.
+    Stored once, as the read-only flat vector ``theta``: for each t, for each
+    controller i, G^i_t row-major and then H^i_t.  ``G[t-1][i]`` and
+    ``H[t-1][i]`` are reshaped views of it.  The stacked G_t, H_t are block
+    diagonal by construction: only the per-controller blocks are stored, so
+    off-diagonal blocks are exactly zero.
     """
 
+    theta: np.ndarray
     G: tuple[tuple[np.ndarray, ...], ...]   # G[t-1][i]: d_u[i] x d_y[i]
     H: tuple[tuple[np.ndarray, ...], ...]   # H[t-1][i]: d_u[i] x d_m[i]
+
+    @staticmethod
+    def from_vector(plant: PlantModel, mp: MemoryProtocol, theta
+                    ) -> "LocalGains":
+        """Gains from a copy of a flat vector in the ``theta`` layout."""
+        shapes = [(plant.d_u[i], cols) for i in range(plant.n)
+                  for cols in (plant.d_y[i], mp.d_m[i])] * plant.T
+        ends = np.cumsum([r * c for r, c in shapes])
+        theta = as_vector(theta, int(ends[-1]), "theta").copy()
+        theta.flags.writeable = False
+        blocks = [theta[e - r * c:e].reshape(r, c)
+                  for (r, c), e in zip(shapes, ends)]
+        steps = [blocks[k:k + 2 * plant.n]
+                 for k in range(0, len(blocks), 2 * plant.n)]
+        return LocalGains(theta, tuple(tuple(s[0::2]) for s in steps),
+                          tuple(tuple(s[1::2]) for s in steps))
 
     @staticmethod
     def create(plant: PlantModel, mp: MemoryProtocol, G, H) -> "LocalGains":
@@ -53,7 +73,10 @@ class LocalGains:
                               f"{name}[t={t + 1}][{i}]")
                     for i in range(plant.n)))
             return tuple(rows)
-        return LocalGains(norm(G, plant.d_y, "G"), norm(H, mp.d_m, "H"))
+        G, H = norm(G, plant.d_y, "G"), norm(H, mp.d_m, "H")
+        return LocalGains.from_vector(plant, mp, np.concatenate([
+            blk.ravel() for g_row, h_row in zip(G, H)
+            for g, h in zip(g_row, h_row) for blk in (g, h)]))
 
     @staticmethod
     def zeros(plant: PlantModel, mp: MemoryProtocol) -> "LocalGains":
@@ -64,6 +87,7 @@ class LocalGains:
     @staticmethod
     def random(plant: PlantModel, mp: MemoryProtocol, rng, scale=1.0
                ) -> "LocalGains":
+        """Entries ``scale * N(0, 1)``, drawn for all G blocks, then all H."""
         G = [[scale * rng.standard_normal((plant.d_u[i], plant.d_y[i]))
               for i in range(plant.n)] for _ in range(plant.T)]
         H = [[scale * rng.standard_normal((plant.d_u[i], mp.d_m[i]))
@@ -85,6 +109,8 @@ class CoordinatedSystem:
     t = T entries use a zero next-step observation map and are only ever
     multiplied into the zero terminal value matrix.  ``Cobs[t-2]``/
     ``Dobs[t-2]`` produce the observation received at time t (t = 2..T).
+    The control weight is the plant's R at every step, so ``R_at`` reads it
+    from ``plant``.
     """
 
     plant: PlantModel
@@ -102,7 +128,6 @@ class CoordinatedSystem:
     Dobs: tuple[np.ndarray, ...]
     Qm: tuple[np.ndarray, ...]
     Nm: tuple[np.ndarray, ...]
-    Rm: tuple[np.ndarray, ...]
     init_cov: np.ndarray
 
     @property
@@ -136,7 +161,7 @@ class CoordinatedSystem:
         return self.Nm[t - 1]
 
     def R_at(self, t):
-        return self.Rm[t - 1]
+        return self.plant.R
 
     def proj(self) -> np.ndarray:
         """Selects (X, carrier) out of the augmented state."""
@@ -153,10 +178,6 @@ class CoordinatedSystem:
         out[self.d_x + self.d_y:, self.d_x:] = np.eye(self.d_c)
         return out
 
-    def carrier_gain(self, t: int) -> np.ndarray:
-        """H_t lifted to act on the memory carrier."""
-        return self.gains.H_at(t) @ self.protocol.memory_sel(t)
-
 
 def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
           ) -> CoordinatedSystem:
@@ -168,12 +189,13 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
     d_x, d_y, d_u = plant.d_x, plant.d_y_total, plant.d_u_total
     d_c, d_z = mp.d_carrier, mp.d_z
     sigma_w = plant.stacked_sigma_w()
-    A_seq, B_seq, W_seq, Q_seq, N_seq, R_seq = [], [], [], [], [], []
+    sigma_noise = blkdiag([plant.sigma_w0, sigma_w])
+    A_seq, B_seq, W_seq, Q_seq, N_seq = [], [], [], [], []
     C_seq, D_seq = [], []
     for t in range(1, plant.T + 1):
         A_t, B_t = plant.A_at(t), plant.B_at(t)
         G_t = gains.G_at(t)
-        Hc_t = gains.H_at(t) @ mp.memory_sel(t)
+        Hc_t = gains.H_at(t) @ mp.m_sel
         C_next = plant.stacked_c(t + 1) if t < plant.T else np.zeros((d_y, d_x))
         BG, BH = B_t @ G_t, B_t @ Hc_t
         At = np.zeros((d_x + d_y + d_c,) * 2)
@@ -183,15 +205,15 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
         At[d_x:d_x + d_y, :d_x] = C_next @ A_t
         At[d_x:d_x + d_y, d_x:d_x + d_y] = C_next @ BG
         At[d_x:d_x + d_y, d_x + d_y:] = C_next @ BH
-        At[d_x + d_y:, d_x:d_x + d_y] = mp.p_cy(t) + mp.p_cu(t) @ G_t
-        At[d_x + d_y:, d_x + d_y:] = mp.p_cc(t) + mp.p_cu(t) @ Hc_t
-        Bt = np.vstack([B_t, C_next @ B_t, mp.p_cu(t)])
+        At[d_x + d_y:, d_x:d_x + d_y] = mp.cy + mp.cu @ G_t
+        At[d_x + d_y:, d_x + d_y:] = mp.cc + mp.cu @ Hc_t
+        Bt = np.vstack([B_t, C_next @ B_t, mp.cu])
         # noise into (X_{t+1}, Y_{t+1}, carrier): (W0_t, C_{t+1} W0_t + W_{t+1}, 0)
         F = np.zeros((d_x + d_y + d_c, d_x + d_y))
         F[:d_x, :d_x] = np.eye(d_x)
         F[d_x:d_x + d_y, :d_x] = C_next
         F[d_x:d_x + d_y, d_x:] = np.eye(d_y)
-        Wt = sym(F @ blkdiag([plant.sigma_w0, sigma_w]) @ F.T)
+        Wt = sym(F @ sigma_noise @ F.T)
         Qt = np.zeros((d_x + d_y + d_c,) * 2)
         Qt[:d_x, :d_x] = plant.Q
         loc = np.hstack([G_t, Hc_t])           # U_t = Ut~ + loc @ (Y_t, c_t)
@@ -202,16 +224,13 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
         W_seq.append(Wt)
         Q_seq.append(sym(Qt))
         N_seq.append(Nt)
-        R_seq.append(plant.R)
-        if t >= 2:
-            # observation received at t: Z_{t-1}, generated by step t-1 maps
-            G_p = gains.G_at(t - 1)
-            Hc_p = gains.H_at(t - 1) @ mp.memory_sel(t - 1)
+        if t < plant.T:
+            # observation received at t+1: Z_t, generated by this step's maps
             Ct = np.zeros((d_z, d_x + d_y + d_c))
-            Ct[:, d_x:d_x + d_y] = mp.p_zy(t - 1) + mp.p_zu(t - 1) @ G_p
-            Ct[:, d_x + d_y:] = mp.p_zc(t - 1) + mp.p_zu(t - 1) @ Hc_p
+            Ct[:, d_x:d_x + d_y] = mp.zy + mp.zu @ G_t
+            Ct[:, d_x + d_y:] = mp.zc + mp.zu @ Hc_t
             C_seq.append(Ct)
-            D_seq.append(mp.p_zu(t - 1))
+            D_seq.append(mp.zu)
     C1 = plant.stacked_c(1)
     init = np.zeros((d_x + d_y + d_c,) * 2)
     init[:d_x, :d_x] = plant.sigma_x
@@ -222,25 +241,22 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
         plant=plant, protocol=mp, gains=gains, d_x=d_x, d_y=d_y, d_c=d_c,
         d_u=d_u, d_z=d_z, A=tuple(A_seq), Bm=tuple(B_seq), SigW=tuple(W_seq),
         Cobs=tuple(C_seq), Dobs=tuple(D_seq), Qm=tuple(Q_seq),
-        Nm=tuple(N_seq), Rm=tuple(R_seq), init_cov=sym(init))
+        Nm=tuple(N_seq), init_cov=sym(init))
 
 
 def closed_loop_cost_exact(cs: CoordinatedSystem, k_seq,
-                           filter_gains=None) -> float:
+                           filter_gains) -> float:
     """Exact expected total cost of Ut~ = Kt~ (state estimate) under the filter.
 
     Propagates the joint second moment of (state, estimate) through the linear
-    closed loop; no sampling error.  ``filter_gains`` defaults to the forward
-    Riccati gains (they define the estimator the strategy runs).
+    closed loop; no sampling error.  ``filter_gains`` are the forward Riccati
+    gains of the estimator the strategy runs.
     """
     T, d = cs.T, cs.d_state
     if len(k_seq) != T:
         raise DimMismatch(f"need {T} gain matrices, got {len(k_seq)}")
     for t in range(1, T + 1):
         as_matrix(k_seq[t - 1], cs.d_u, d, f"K[t={t}]")
-    if filter_gains is None:
-        from .solver import forward_riccati
-        _, filter_gains = forward_riccati(cs)
     cov = np.zeros((2 * d, 2 * d))
     cov[:d, :d] = cs.init_cov
     total = 0.0

@@ -106,15 +106,6 @@ def blkdiag(blocks) -> np.ndarray:
     return out
 
 
-def hstack_blocks(blocks) -> np.ndarray:
-    """Horizontal stack that tolerates zero-column blocks."""
-    blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
-    rows = max((b.shape[0] for b in blocks), default=0)
-    blocks = [b if b.size or b.shape[0] == rows else b.reshape(rows, 0)
-              for b in blocks]
-    return np.hstack(blocks) if blocks else np.zeros((0, 0))
-
-
 def pinv(m, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
 
@@ -206,34 +197,3 @@ class GaussianSpec:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-
-@dataclass(frozen=True)
-class SelectionMat:
-    """Row-stochastic binary matrix: picks components out of a stacked vector."""
-
-    base: np.ndarray
-
-    def __init__(self, base):
-        m = as_matrix(base, name="selection matrix")
-        if m.size:
-            binary = np.isin(m, (0.0, 1.0)).all()
-            if not binary:
-                raise InvalidMatrix("selection matrix entries must be 0 or 1")
-            if not np.all(m.sum(axis=1) == 1.0):
-                raise InvalidMatrix("each selection row must sum to exactly 1")
-        object.__setattr__(self, "base", m)
-
-    def apply(self, v) -> np.ndarray:
-        v = as_vector(v, dim=self.base.shape[1], name="selection input")
-        return self.base @ v
-
-
-def selection_from_indices(indices, width: int) -> np.ndarray:
-    """0/1 matrix whose row r selects component ``indices[r]`` of a vector."""
-    out = np.zeros((len(indices), width))
-    for r, j in enumerate(indices):
-        if not 0 <= j < width:
-            raise DimMismatch(f"selection index {j} out of range [0, {width})")
-        out[r, j] = 1.0
-    return out

@@ -101,8 +101,8 @@ class ValidationReport:
 class MemoryProtocol:
     """Compiled information structure; see module docstring.
 
-    Stacked maps are stored once (all builders are time invariant); the
-    per-step accessors validate the time index against the horizon.
+    Stacked maps are stored once, because all builders are time invariant;
+    callers read the fields directly for every step.
     """
 
     kind: str
@@ -148,39 +148,6 @@ class MemoryProtocol:
         if not 1 <= t <= self.T:
             raise TimeOutOfRange(f"t={t} outside 1..{self.T}")
         return t
-
-    # -- stacked per-step maps (1-based t) ----------------------------------
-    def p_cc(self, t: int) -> np.ndarray:
-        self._check_t(t)
-        return self.cc
-
-    def p_cy(self, t: int) -> np.ndarray:
-        self._check_t(t)
-        return self.cy
-
-    def p_cu(self, t: int) -> np.ndarray:
-        self._check_t(t)
-        return self.cu
-
-    def p_zc(self, t: int) -> np.ndarray:
-        self._check_t(t)
-        return self.zc
-
-    def p_zy(self, t: int) -> np.ndarray:
-        self._check_t(t)
-        return self.zy
-
-    def p_zu(self, t: int) -> np.ndarray:
-        self._check_t(t)
-        return self.zu
-
-    def memory_sel(self, t: int) -> np.ndarray:
-        self._check_t(t)
-        return self.m_sel
-
-    def d_z_at(self, t: int) -> int:
-        self._check_t(t)
-        return self.d_z
 
     def memory_view(self, t: int) -> dict:
         """Stacked update matrices in VVEC(M^1..M^n) coordinates.
@@ -548,11 +515,11 @@ def token_trace(mp: MemoryProtocol) -> TokenTrace:
     """
     carrier = {1: [None] * mp.d_carrier}
     z = {}
+    cmat = np.hstack([mp.cc, mp.cy, mp.cu])
+    zmat = np.hstack([mp.zc, mp.zy, mp.zu])
     for t in range(1, mp.T + 1):
         sources = (carrier[t] + _signal_tokens("y", mp.d_y, t)
                    + _signal_tokens("u", mp.d_u, t))
-        cmat = np.hstack([mp.p_cc(t), mp.p_cy(t), mp.p_cu(t)])
-        zmat = np.hstack([mp.p_zc(t), mp.p_zy(t), mp.p_zu(t)])
         carrier[t + 1] = _apply_selection(cmat, sources)
         z[t] = _apply_selection(zmat, sources)
     return TokenTrace(carrier=carrier, z=z, protocol=mp)

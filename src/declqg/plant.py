@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DimMismatch, GaussianSpec, TimeOutOfRange, as_matrix,
-                   as_vector, eig_bounds)
+                   as_vector, blkdiag, eig_bounds)
 
 
 def _per_step(value, T, rows, cols, name):
@@ -126,7 +126,6 @@ class PlantModel:
         return np.vstack([self.C[i][t - 1] for i in range(self.n)])
 
     def stacked_sigma_w(self) -> np.ndarray:
-        from .core import blkdiag
         return blkdiag(self.sigma_w)
 
     def step_cost(self, x, u) -> float:
@@ -134,11 +133,3 @@ class PlantModel:
         x = as_vector(x, self.d_x, "x")
         u = as_vector(u, self.d_u_total, "u")
         return float(x @ self.Q @ x + u @ self.R @ u)
-
-
-def stacked_C(p: PlantModel, t: int) -> np.ndarray:
-    return p.stacked_c(t)
-
-
-def step_cost(p: PlantModel, x, u) -> float:
-    return p.step_cost(x, u)

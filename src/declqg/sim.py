@@ -197,10 +197,10 @@ def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     for t in range(1, plant.T + 1):
         C_t = plant.stacked_c(t)
         y = x @ C_t.T + prims.wy[t - 1]
-        m = c @ mp.memory_sel(t).T
+        m = c @ mp.m_sel.T
         utilde = policy.utilde(state, t)
         u = utilde + y @ gains.G_at(t).T + m @ gains.H_at(t).T
-        z = c @ mp.p_zc(t).T + y @ mp.p_zy(t).T + u @ mp.p_zu(t).T
+        z = c @ mp.zc.T + y @ mp.zy.T + u @ mp.zu.T
         sc = np.einsum("ri,ij,rj->r", x, plant.Q, x) \
             + np.einsum("ri,ij,rj->r", u, plant.R, u)
         costs += sc
@@ -217,7 +217,7 @@ def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
                 rec["bv"].append(policy.statistic(state)[:keep].copy())
         if t < plant.T:
             x = x @ plant.A_at(t).T + u @ plant.B_at(t).T + prims.w0[t - 1]
-            c = c @ mp.p_cc(t).T + y @ mp.p_cy(t).T + u @ mp.p_cu(t).T
+            c = c @ mp.cc.T + y @ mp.cy.T + u @ mp.cu.T
             state = policy.update(state, t, z, utilde)
     samples = []
     for r in range(keep):

@@ -2,19 +2,18 @@
 
 For fixed local gains the inner problem is solved exactly by the Riccati
 machinery; the outer problem is in general non-convex, so this module runs a
-deterministic compass (pattern) search: perturb one block entry at a time by
-+-step, accept strict improvements, halve the step after a sweep with no
-improvement.  Restarts draw zero-mean unit-scale initial gains from dedicated
-random streams; the all-zero start always runs first.  The evaluation budget
-is global and consumed sequentially, so identical (seed, budget, restarts)
-give bitwise identical results.
+deterministic compass (pattern) search: perturb one entry of the flat gains
+vector ``LocalGains.theta`` at a time by +-step, accept strict improvements,
+halve the step after a sweep with no improvement.  Restarts draw zero-mean
+unit-scale initial gains from dedicated random streams; the all-zero start
+always runs first.  The evaluation budget is global and consumed
+sequentially, so identical (seed, budget, restarts) give bitwise identical
+results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import DEFAULT_RTOL, seeded_stream
 from .coordination import LocalGains
@@ -32,30 +31,6 @@ class TuneResult:
     log: tuple[tuple[int, int, float], ...]   # (restart, eval, J_incumbent)
 
 
-def _param_count(plant: PlantModel, mp: MemoryProtocol) -> int:
-    per_step = sum(plant.d_u[i] * (plant.d_y[i] + mp.d_m[i])
-                   for i in range(plant.n))
-    return plant.T * per_step
-
-
-def _gains_from_vector(plant: PlantModel, mp: MemoryProtocol,
-                       vec: np.ndarray) -> LocalGains:
-    G, H = [], []
-    off = 0
-    for _ in range(plant.T):
-        g_row, h_row = [], []
-        for i in range(plant.n):
-            gn = plant.d_u[i] * plant.d_y[i]
-            g_row.append(vec[off:off + gn].reshape(plant.d_u[i], plant.d_y[i]))
-            off += gn
-            hn = plant.d_u[i] * mp.d_m[i]
-            h_row.append(vec[off:off + hn].reshape(plant.d_u[i], mp.d_m[i]))
-            off += hn
-        G.append(g_row)
-        H.append(h_row)
-    return LocalGains.create(plant, mp, G, H)
-
-
 def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
          restarts: int = 0, step_init: float = 0.5, step_min: float = 1e-6,
          rtol: float = DEFAULT_RTOL) -> TuneResult:
@@ -67,42 +42,42 @@ def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    n_par = _param_count(plant, mp)
     evals = 0
     log = []
-    best = None    # (J, vec, eval index)
+    best = None    # (J, gains, eval index)
 
-    def evaluate(vec):
+    def evaluate(theta):
         nonlocal evals, best
-        J = solve(plant, mp, _gains_from_vector(plant, mp, vec), rtol).J
+        gains = LocalGains.from_vector(plant, mp, theta)
+        J = solve(plant, mp, gains, rtol).J
         evals += 1
         if best is None or J < best[0]:
-            best = (J, vec.copy(), evals)
+            best = (J, gains, evals)
         return J
 
-    starts = [np.zeros(n_par)]
+    zero = LocalGains.zeros(plant, mp).theta
+    starts = [zero]
     for ridx in range(restarts):
-        starts.append(seeded_stream(seed, ridx).standard_normal(n_par))
-    for restart_idx, vec in enumerate(starts):
+        starts.append(seeded_stream(seed, ridx).standard_normal(zero.size))
+    for restart_idx, theta in enumerate(starts):
         if evals >= budget:
             break
-        vec = vec.copy()
-        J_cur = evaluate(vec)
+        J_cur = evaluate(theta)
         log.append((restart_idx, evals, best[0]))
         step = step_init
         while step >= step_min and evals < budget:
             improved = False
-            for p in range(n_par):
+            for p in range(zero.size):
                 accepted = False
                 for delta in (step, -step):
                     if evals >= budget:
                         break
-                    cand = vec.copy()
+                    cand = theta.copy()
                     cand[p] += delta
                     J_c = evaluate(cand)
                     log.append((restart_idx, evals, best[0]))
                     if J_c < J_cur:
-                        vec, J_cur = cand, J_c
+                        theta, J_cur = cand, J_c
                         improved = True
                         accepted = True
                         break
@@ -112,7 +87,7 @@ def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
                     break
             if not improved:
                 step /= 2.0
-    gains = _gains_from_vector(plant, mp, best[1])
+    gains = best[1]
     strategy = solve(plant, mp, gains, rtol)
     return TuneResult(gains=gains, strategy=strategy, J=best[0],
                       evaluations=evals, log=tuple(log))

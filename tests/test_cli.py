@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from declqg.cli import DEMOS, load_scenario, main
+from declqg.cli import DEMOS, load_scenario, main, strategy_to_doc
 from declqg.core import NumericalBreakdown
+from declqg.solver import solve
 
 
 @pytest.fixture
@@ -140,3 +141,55 @@ def test_explicit_info_structure(tmp_path):
         ]}}
     sc = load_scenario(doc)
     assert sc.protocol.d_z == 2
+
+
+@pytest.fixture(scope="module")
+def k2_strategy():
+    sc = load_scenario(DEMOS["symmetric-k2"]["config"])
+    return json.dumps(strategy_to_doc(solve(sc.plant, sc.protocol, sc.gains)))
+
+
+def _nan_in_K(doc):
+    doc["K"][0][0][0] = float("nan")
+
+
+def _short_K_row(doc):
+    doc["K"][1] = [[1.0]]
+
+
+def _bad_G_block(doc):
+    doc["gains"]["G"][0][0] = [[1.0, 2.0]]
+
+
+def _no_K(doc):
+    del doc["K"]
+
+
+def _few_filter_gains(doc):
+    doc["filter_gain"] = doc["filter_gain"][:-1]
+
+
+def _inf_in_L(doc):
+    doc["L"][2][0][0] = float("inf")
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (_nan_in_K, "K[t=1]"),
+    (_short_K_row, "K[t=2]"),
+    (_bad_G_block, "gains.G"),
+    (_no_K, "at K:"),
+    (_few_filter_gains, "filter_gain"),
+    (_inf_in_L, "L[t=3]"),
+])
+def test_malformed_strategy_rejected_with_field(mutate, field, k2_config,
+                                                k2_strategy, tmp_path,
+                                                capsys):
+    doc = json.loads(k2_strategy)
+    mutate(doc)
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--out", str(tmp_path), "simulate", k2_config,
+                 "--strategy", str(path), "--rollouts", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at ")
+    assert field in err

@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from declqg import (LocalGains, PlantModel, ZHistoryPolicy,
                     build, build_symmetric_delay, closed_loop_cost_exact,
-                    draw_primitives, random_theta_maps, rollout_coordinated,
-                    rollout_plant, solve)
+                    draw_primitives, forward_riccati, random_theta_maps,
+                    rollout_coordinated, rollout_plant, solve)
 from declqg.core import DimMismatch, blkdiag, eig_bounds
 
 from conftest import random_plant
@@ -20,8 +20,8 @@ def test_zero_gains_structure(scalar2):
     assert_allclose(A[:d_x, :d_x], scalar2.A_at(t))
     # with G = H = 0 nothing flows from Y into X except through P_my
     assert_allclose(A[:d_x, d_x:], 0.0)
-    assert_allclose(A[d_x + d_y:, d_x:d_x + d_y], mp.p_cy(t))
-    assert_allclose(A[d_x + d_y:, d_x + d_y:], mp.p_cc(t))
+    assert_allclose(A[d_x + d_y:, d_x:d_x + d_y], mp.cy)
+    assert_allclose(A[d_x + d_y:, d_x + d_y:], mp.cc)
     assert_allclose(cs.N_at(t), 0.0)
     Q = cs.Q_at(t)
     assert_allclose(Q[:d_x, :d_x], scalar2.Q)
@@ -144,7 +144,8 @@ def test_closed_loop_cost_zero_noise():
     mp = build_symmetric_delay(p, 1)
     cs = build(p, mp, LocalGains.zeros(p, mp))
     k_seq = [np.zeros((1, 2))] * 4
-    assert closed_loop_cost_exact(cs, k_seq) == pytest.approx(0.0, abs=1e-15)
+    assert closed_loop_cost_exact(cs, k_seq, forward_riccati(cs)[1]) == \
+        pytest.approx(0.0, abs=1e-15)
 
 
 def test_closed_loop_cost_random_walk():
@@ -156,7 +157,8 @@ def test_closed_loop_cost_random_walk():
     mp = build_symmetric_delay(p, 1)
     cs = build(p, mp, LocalGains.zeros(p, mp))
     k_seq = [np.zeros((1, 2))] * 3
-    assert closed_loop_cost_exact(cs, k_seq) == pytest.approx(6.0, abs=1e-12)
+    assert closed_loop_cost_exact(cs, k_seq, forward_riccati(cs)[1]) == \
+        pytest.approx(6.0, abs=1e-12)
 
 
 def test_closed_loop_cost_matches_performance(scalar2):
@@ -180,3 +182,78 @@ def test_control_sharing_observation_reads_only_actions():
         assert_allclose(C[:, :cs.d_x], 0.0)
         assert_allclose(C[:, cs.d_x:cs.d_x + cs.d_y], lg.G_at(t - 1))
         assert_allclose(cs.D_at(t), np.eye(cs.d_u))
+
+
+def _layout_positions(p, mp):
+    """(t, i, kind, row, col) of every theta entry, in the documented order."""
+    return [(t, i, kind, r, c)
+            for t in range(p.T) for i in range(p.n)
+            for kind, cols in (("G", p.d_y[i]), ("H", mp.d_m[i]))
+            for r in range(p.d_u[i]) for c in range(cols)]
+
+
+def _layout_instance():
+    rng = np.random.default_rng(51)
+    p = random_plant(rng, n=3, d_y=(2, 1, 1), d_u=(1, 2, 1), T=3)
+    return rng, p, build_symmetric_delay(p, 2)
+
+
+def test_gains_theta_unit_vector_moves_one_named_entry():
+    rng, p, mp = _layout_instance()
+    base = LocalGains.random(p, mp, rng, 1.0)
+    positions = _layout_positions(p, mp)
+    assert base.theta.size == len(positions)
+    for idx, (t, i, kind, r, c) in enumerate(positions):
+        theta = base.theta.copy()
+        theta[idx] += 1.0
+        moved = LocalGains.from_vector(p, mp, theta)
+        changed = [(s, j, name, *map(int, rc))
+                   for name in ("G", "H") for s in range(p.T)
+                   for j in range(p.n)
+                   for rc in zip(*np.nonzero(getattr(moved, name)[s][j]
+                                             != getattr(base, name)[s][j]))]
+        assert changed == [(t, i, kind, r, c)]
+        blk = getattr(moved, kind)[t][i]
+        assert blk[r, c] == getattr(base, kind)[t][i][r, c] + 1.0
+
+
+def test_gains_create_reads_back_blocks_exactly():
+    rng, p, mp = _layout_instance()
+    G = [[rng.standard_normal((p.d_u[i], p.d_y[i])) for i in range(p.n)]
+         for _ in range(p.T)]
+    H = [[rng.standard_normal((p.d_u[i], mp.d_m[i])) for i in range(p.n)]
+         for _ in range(p.T)]
+    lg = LocalGains.create(p, mp, G, H)
+    for t in range(p.T):
+        for i in range(p.n):
+            assert np.array_equal(lg.G[t][i], G[t][i])
+            assert np.array_equal(lg.H[t][i], H[t][i])
+    again = LocalGains.from_vector(p, mp, lg.theta)
+    assert np.array_equal(again.theta, lg.theta)
+
+
+def test_gains_random_draws_all_G_then_all_H():
+    _, p, mp = _layout_instance()
+    lg = LocalGains.random(p, mp, np.random.default_rng(77), 0.3)
+    rng = np.random.default_rng(77)
+    G = [[0.3 * rng.standard_normal((p.d_u[i], p.d_y[i])) for i in range(p.n)]
+         for _ in range(p.T)]
+    H = [[0.3 * rng.standard_normal((p.d_u[i], mp.d_m[i])) for i in range(p.n)]
+         for _ in range(p.T)]
+    for t in range(p.T):
+        for i in range(p.n):
+            assert np.array_equal(lg.G[t][i], G[t][i])
+            assert np.array_equal(lg.H[t][i], H[t][i])
+
+
+def test_gains_views_are_read_only():
+    rng, p, mp = _layout_instance()
+    source = rng.standard_normal(LocalGains.zeros(p, mp).theta.size)
+    lg = LocalGains.from_vector(p, mp, source)
+    source[0] += 1.0                      # the input is copied, not aliased
+    assert lg.theta[0] != source[0]
+    assert not lg.theta.flags.writeable
+    for blk in (lg.G[0][0], lg.H[2][1]):
+        assert np.shares_memory(blk, lg.theta)
+        with pytest.raises(ValueError):
+            blk[0, 0] = 1.0

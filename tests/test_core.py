@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from declqg.core import (GaussianSpec, InvalidMatrix, SelectionMat, as_matrix,
-                         blkdiag, eig_bounds, pinv, psd_sqrt, seeded_stream,
-                         selection_from_indices, sym)
+from declqg.core import (GaussianSpec, InvalidMatrix, as_matrix, blkdiag,
+                         eig_bounds, pinv, psd_sqrt, seeded_stream, sym)
 
 
 def penrose_residual(m, mi):
@@ -106,28 +105,6 @@ def test_gaussian_spec_rejects_indefinite():
 
 def test_gaussian_spec_accepts_zero_covariance():
     GaussianSpec(np.zeros(2), np.zeros((2, 2)))
-
-
-def test_selection_mat_validation():
-    SelectionMat([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(InvalidMatrix):
-        SelectionMat([[2.0, 0.0]])
-    with pytest.raises(InvalidMatrix):
-        SelectionMat([[1.0, 1.0]])
-    with pytest.raises(InvalidMatrix):
-        SelectionMat([[0.0, 0.0]])
-
-
-def test_selection_applies_exactly():
-    # exhaustive over widths <= 8 with random index patterns
-    rng = np.random.default_rng(3)
-    for width in range(1, 9):
-        for _ in range(10):
-            rows = rng.integers(1, width + 1)
-            idx = rng.integers(0, width, size=rows)
-            sel = SelectionMat(selection_from_indices(idx, width))
-            v = rng.standard_normal(width)
-            assert np.array_equal(sel.apply(v), v[idx])
 
 
 def test_blkdiag_handles_zero_dims():

@@ -157,7 +157,7 @@ def test_innovation_orthogonal_to_estimate(scalar2):
         y = x @ scalar2.stacked_c(t).T + prims.wy[t - 1]
         utilde = pol.utilde(state, t)
         u = utilde + y @ ss.gains.G_at(t).T
-        z = c @ mp.p_zc(t).T + y @ mp.p_zy(t).T + u @ mp.p_zu(t).T
+        z = c @ mp.zc.T + y @ mp.zy.T + u @ mp.zu.T
         xb_full = (cs.lift(t) @ state.T).T
         innov = z - xb_full @ cs.C_at(t + 1).T - utilde @ cs.D_at(t + 1).T
         if t >= 2:   # estimate is degenerate-zero at t = 1
@@ -169,7 +169,7 @@ def test_innovation_orthogonal_to_estimate(scalar2):
                     rho = np.corrcoef(ia, xb_col)[0, 1]
                     assert abs(rho) < 0.02, (t, a, b, rho)
         x = x @ scalar2.A_at(t).T + u @ scalar2.B_at(t).T + prims.w0[t - 1]
-        c = c @ mp.p_cc(t).T + y @ mp.p_cy(t).T + u @ mp.p_cu(t).T
+        c = c @ mp.cc.T + y @ mp.cy.T + u @ mp.cu.T
         state = pol.update(state, t, z, utilde)
 
 

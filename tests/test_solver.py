@@ -188,7 +188,8 @@ def test_information_monotonicity_single_instance(scalar2):
 def test_backward_riccati_raises_on_non_pd_bracket(scalar2):
     mp = build_symmetric_delay(scalar2, 1)
     cs = build(scalar2, mp, LocalGains.zeros(scalar2, mp))
-    bad = dataclasses.replace(cs, Rm=tuple(-np.eye(2) for _ in range(cs.T)))
+    bad = dataclasses.replace(
+        cs, plant=dataclasses.replace(cs.plant, R=-np.eye(2)))
     with pytest.raises(NumericalBreakdown) as exc:
         backward_riccati(bad)
     assert exc.value.t == cs.T
