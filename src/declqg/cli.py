@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import sys
@@ -51,6 +52,18 @@ def _get(doc, path, required=True, default=None):
     return node
 
 
+def _as_int(value, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(field, f"must be an integer, got {value!r}") from None
+
+
+def _get_int(doc, path: str, default: int) -> int:
+    """Optional integer field ``path`` (``default`` when absent)."""
+    return _as_int(_get(doc, path, required=False, default=default), path)
+
+
 @dataclass
 class Scenario:
     plant: PlantModel
@@ -67,6 +80,8 @@ def _load_gains(doc, plant, mp) -> LocalGains:
     g_doc = _get(doc, "gains", required=False)
     if not g_doc:
         return LocalGains.zeros(plant, mp)
+    if not isinstance(g_doc, dict):
+        raise ConfigError("gains", "must be an object")
     per_step = bool(g_doc.get("per_step", False))
     try:
         G = g_doc.get("G")
@@ -89,11 +104,13 @@ def load_scenario(doc: dict) -> Scenario:
     T = _get(doc, "horizon")
     if not isinstance(T, int) or T < 1:
         raise ConfigError("horizon", "must be a positive integer")
-    d_x = _get(doc, "dims.d_x")
+    d_x = _as_int(_get(doc, "dims.d_x"), "dims.d_x")
     d_u = _get(doc, "dims.d_u")
     d_y = _get(doc, "dims.d_y")
     if not isinstance(d_u, list) or not isinstance(d_y, list):
         raise ConfigError("dims", "d_u and d_y must be per-controller lists")
+    d_u = [_as_int(d, "dims.d_u") for d in d_u]
+    d_y = [_as_int(d, "dims.d_y") for d in d_y]
     n = len(d_u)
     if len(d_y) != n:
         raise ConfigError("dims.d_y", f"expected {n} entries to match d_u")
@@ -134,9 +151,12 @@ def load_scenario(doc: dict) -> Scenario:
 
     kind = _get(doc, "info_structure.kind")
     params = _get(doc, "info_structure.params", required=False, default={})
+    if not isinstance(params, dict):
+        raise ConfigError("info_structure.params", "must be an object")
     try:
         if kind == "symmetric_delay":
-            mp = build_symmetric_delay(plant, params.get("k", 1))
+            mp = build_symmetric_delay(
+                plant, _as_int(params.get("k", 1), "info_structure.params.k"))
         elif kind == "asymmetric_delay":
             delays = params.get("delays")
             if delays is None:
@@ -160,14 +180,11 @@ def load_scenario(doc: dict) -> Scenario:
     gains = _load_gains(doc, plant, mp)
     return Scenario(
         plant=plant, protocol=mp, gains=gains,
-        sim_seed=int(_get(doc, "sim.seed", required=False, default=0)),
-        sim_rollouts=int(_get(doc, "sim.rollouts", required=False,
-                              default=10000)),
-        tune_budget=int(_get(doc, "tune.budget", required=False,
-                             default=1000)),
-        tune_restarts=int(_get(doc, "tune.restarts", required=False,
-                               default=1)),
-        tune_seed=int(_get(doc, "tune.seed", required=False, default=0)))
+        sim_seed=_get_int(doc, "sim.seed", 0),
+        sim_rollouts=_get_int(doc, "sim.rollouts", 10000),
+        tune_budget=_get_int(doc, "tune.budget", 1000),
+        tune_restarts=_get_int(doc, "tune.restarts", 1),
+        tune_seed=_get_int(doc, "tune.seed", 0))
 
 
 def _read_config(path: str) -> dict:
@@ -185,10 +202,26 @@ def _read_config(path: str) -> dict:
 # strategy files
 
 
+def _fingerprint(plant: PlantModel, mp: MemoryProtocol) -> str:
+    """sha256 over the plant's dimensions and matrices and the protocol's
+    stacked maps, in a fixed order."""
+    h = hashlib.sha256(json.dumps(
+        [plant.n, plant.T, plant.d_x, plant.d_u, plant.d_y]).encode())
+    mats = (*plant.A, *plant.B, *(c for per_t in plant.C for c in per_t),
+            plant.Q, plant.R, plant.sigma_x, plant.sigma_w0, *plant.sigma_w,
+            mp.cc, mp.cy, mp.cu, mp.zc, mp.zy, mp.zu, mp.m_sel, mp.l_from_m)
+    for m in mats:
+        m = np.ascontiguousarray(m, dtype=float)
+        h.update(repr(m.shape).encode())
+        h.update(m.tobytes())
+    return h.hexdigest()
+
+
 def strategy_to_doc(ss: SolvedStrategy, dump_matrices=False) -> dict:
     gains = ss.gains
     doc = {
         "format": "declqg-strategy/1",
+        "fingerprint": _fingerprint(ss.cs.plant, ss.cs.protocol),
         "J": ss.J,
         "K": [k.tolist() for k in ss.Kgain],
         "L": [m.tolist() for m in ss.Lgain],
@@ -224,6 +257,9 @@ def strategy_from_doc(doc: dict, plant: PlantModel, mp: MemoryProtocol
                       ) -> SolvedStrategy:
     if not isinstance(doc, dict) or doc.get("format") != "declqg-strategy/1":
         raise ConfigError("format", "not a declqg strategy file")
+    if doc.get("fingerprint") != _fingerprint(plant, mp):
+        raise ConfigError("fingerprint", "missing, or the strategy was solved "
+                                         "for another plant or protocol")
     try:
         gains = LocalGains.create(plant, mp, _get(doc, "gains.G"),
                                   _get(doc, "gains.H"))

@@ -16,6 +16,7 @@ Three statistics appear here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -232,16 +233,8 @@ class DelayedStatTracker:
             u_tilde_window=ut_win, y_window=y_win, u_window=u_win)
 
 
-def delayed_stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
-    """Matrix taking the delayed statistic S_t to stat at time t.
-
-    Built constructively: rebuild the augmented-state estimate at time
-    t - k + 1 out of S_t (the X part from xhat, the Y part through C, the
-    carrier slots matched to window entries by symbolic tokens), then
-    propagate the coordinated dynamics with the windowed coordinator actions
-    and zero-mean noise, and project back to (X, carrier).
-    """
-    mp = cs.protocol
+def _check_stat_delay(mp, k: int) -> None:
+    """Raise unless the delayed statistic with window delay k fits ``mp``."""
     if mp.kind not in ("symmetric_delay", "asymmetric_delay"):
         raise UnsupportedProtocol(
             f"delayed-statistic map needs a delayed-sharing protocol, got {mp.kind!r}")
@@ -258,9 +251,18 @@ def delayed_stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
     if k != effective_delay(mp):
         raise UnsupportedProtocol(
             f"window delay {k} does not match the protocol's {effective_delay(mp)}")
+
+
+def _signal_offsets(plant: PlantModel) -> dict:
+    """Controller i's first entry in the stacked Y ("y") and U ("u") vectors."""
+    return {"y": tuple(accumulate(plant.d_y, initial=0)),
+            "u": tuple(accumulate(plant.d_u, initial=0))}
+
+
+def _stat_map(cs: CoordinatedSystem, k: int, t: int, trace,
+              offsets: dict) -> np.ndarray:
+    """``delayed_stat_map`` for a checked (k, t), from the protocol's trace."""
     plant = cs.plant
-    if not 1 <= t <= plant.T:
-        raise TimeOutOfRange(f"t={t} outside 1..{plant.T}")
     d_x, d_u, d_y = plant.d_x, plant.d_u_total, plant.d_y_total
     dim_s = delay_stat_dim(plant, k)
     tau = t - k + 1
@@ -270,26 +272,19 @@ def delayed_stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
         return d_x + (s - tau) * d_u
 
     y0 = d_x + (k - 1) * d_u
-
-    def y_col(s):         # shared observation at time s, s = t-2k+2..t-k
-        return y0 + (s - (t - 2 * k + 2)) * d_y
-
     u0 = y0 + (k - 1) * d_y
-
-    def u_col(s):
-        return u0 + (s - (t - 2 * k + 2)) * d_u
+    # shared pairs at times s = t-2k+2..t-k, per signal kind
+    window = {"y": (y0, d_y), "u": (u0, d_u)}
 
     if tau >= 1:
-        trace = token_trace(mp)
         reorder = np.zeros((cs.d_c, dim_s))
         for r, tok in enumerate(trace.carrier[tau]):
             if tok is None:
                 continue
             kind, i, s, comp = tok
-            if kind == "y":
-                reorder[r, y_col(s) + sum(plant.d_y[:i]) + comp] = 1.0
-            else:
-                reorder[r, u_col(s) + sum(plant.d_u[:i]) + comp] = 1.0
+            first, width = window[kind]
+            col = first + (s - (t - 2 * k + 2)) * width
+            reorder[r, col + offsets[kind][i] + comp] = 1.0
         base = np.zeros((d_x + cs.d_c, dim_s))
         base[:d_x, :d_x] = np.eye(d_x)
         base[d_x:, :] = reorder
@@ -306,7 +301,30 @@ def delayed_stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
     return cs.proj() @ emap
 
 
+def delayed_stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
+    """Matrix taking the delayed statistic S_t to stat at time t.
+
+    Built constructively: rebuild the augmented-state estimate at time
+    t - k + 1 out of S_t (the X part from xhat, the Y part through C, the
+    carrier slots matched to window entries by symbolic tokens), then
+    propagate the coordinated dynamics with the windowed coordinator actions
+    and zero-mean noise, and project back to (X, carrier).
+    """
+    _check_stat_delay(cs.protocol, k)
+    if not 1 <= t <= cs.T:
+        raise TimeOutOfRange(f"t={t} outside 1..{cs.T}")
+    return _stat_map(cs, k, t, token_trace(cs.protocol),
+                     _signal_offsets(cs.plant))
+
+
 def delayed_stat_gains(ss: SolvedStrategy, k: int):
-    """Gains acting directly on S_t: L_t = L~_t M_map(t)."""
-    return tuple(ss.Lgain[t - 1] @ delayed_stat_map(ss.cs, k, t)
-                 for t in range(1, ss.cs.T + 1))
+    """Gains acting directly on S_t: L_t = L~_t M_map(t).
+
+    The protocol is checked and its tokens traced once for all T maps.
+    """
+    cs = ss.cs
+    _check_stat_delay(cs.protocol, k)
+    trace = token_trace(cs.protocol)
+    offsets = _signal_offsets(cs.plant)
+    return tuple(ss.Lgain[t - 1] @ _stat_map(cs, k, t, trace, offsets)
+                 for t in range(1, cs.T + 1))

@@ -485,23 +485,27 @@ class TokenTrace:
     def memory_tokens(self, i: int, t: int) -> list:
         """Tokens of controller i's local memory M^i_t."""
         mp = self.protocol
-        rows = mp.m_sel[mp.m_slice(i), :]
-        return _apply_selection(rows, self.carrier[t])
+        return _pick(_selected_sources(mp.m_sel[mp.m_slice(i), :]),
+                     self.carrier[t])
 
 
-def _apply_selection(mat: np.ndarray, sources: list) -> list:
+def _selected_sources(mat: np.ndarray) -> list:
+    """Per row of ``mat``, the source index it selects, or None for a zero row."""
     out = []
-    for r in range(mat.shape[0]):
-        row = mat[r]
+    for row in mat:
         nz = np.nonzero(row)[0]
         if len(nz) == 0:
             out.append(None)
         elif len(nz) == 1 and row[nz[0]] == 1.0:
-            out.append(sources[nz[0]])
+            out.append(int(nz[0]))
         else:
             raise UnsupportedProtocol(
                 "token simulation needs 0/1 rows selecting at most one source")
     return out
+
+
+def _pick(rows: list, sources: list) -> list:
+    return [None if j is None else sources[j] for j in rows]
 
 
 def _signal_tokens(kind: str, dims, t: int) -> list:
@@ -512,14 +516,16 @@ def token_trace(mp: MemoryProtocol) -> TokenTrace:
     """Simulate the update equations on symbolic tokens.
 
     Requires every update row to be a 0/1 selection (all builders qualify).
+    The update matrices are time invariant, so each row is resolved to its
+    source index once and every step only indexes that step's sources.
     """
     carrier = {1: [None] * mp.d_carrier}
     z = {}
-    cmat = np.hstack([mp.cc, mp.cy, mp.cu])
-    zmat = np.hstack([mp.zc, mp.zy, mp.zu])
+    c_rows = _selected_sources(np.hstack([mp.cc, mp.cy, mp.cu]))
+    z_rows = _selected_sources(np.hstack([mp.zc, mp.zy, mp.zu]))
     for t in range(1, mp.T + 1):
         sources = (carrier[t] + _signal_tokens("y", mp.d_y, t)
                    + _signal_tokens("u", mp.d_u, t))
-        carrier[t + 1] = _apply_selection(cmat, sources)
-        z[t] = _apply_selection(zmat, sources)
+        carrier[t + 1] = _pick(c_rows, sources)
+        z[t] = _pick(z_rows, sources)
     return TokenTrace(carrier=carrier, z=z, protocol=mp)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (DEFAULT_RTOL, DimMismatch, blkdiag, pinv, psd_sqrt,
                    seeded_stream)
-from .coordination import CoordinatedSystem, LocalGains, build
+from .coordination import CoordinatedSystem, LocalGains
 from .estimator import statistic_transition
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
@@ -291,9 +291,17 @@ def simulate(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
 
 def exact_cost(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
                ss: SolvedStrategy) -> float:
-    """Exact expected cost via second-moment propagation (no sampling)."""
+    """Exact expected cost via second-moment propagation (no sampling).
+
+    Reads the coordinated system ``ss`` was solved on, which must be built
+    from these very ``plant`` and ``mp`` objects and equal ``gains``.
+    """
     from .coordination import closed_loop_cost_exact
-    cs = build(plant, mp, gains)
+    cs = ss.cs
+    if (cs.plant is not plant or cs.protocol is not mp
+            or not np.array_equal(cs.gains.theta, gains.theta)):
+        raise ValueError("strategy was solved for another plant, protocol "
+                         "or local gains")
     return closed_loop_cost_exact(cs, ss.Kgain, ss.filter_gain)
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -165,6 +166,10 @@ def _no_K(doc):
     del doc["K"]
 
 
+def _no_fingerprint(doc):
+    del doc["fingerprint"]
+
+
 def _few_filter_gains(doc):
     doc["filter_gain"] = doc["filter_gain"][:-1]
 
@@ -180,6 +185,7 @@ def _inf_in_L(doc):
     (_no_K, "at K:"),
     (_few_filter_gains, "filter_gain"),
     (_inf_in_L, "L[t=3]"),
+    (_no_fingerprint, "at fingerprint:"),
 ])
 def test_malformed_strategy_rejected_with_field(mutate, field, k2_config,
                                                 k2_strategy, tmp_path,
@@ -193,3 +199,79 @@ def test_malformed_strategy_rejected_with_field(mutate, field, k2_config,
     err = capsys.readouterr().err
     assert err.startswith("config error at ")
     assert field in err
+
+
+def test_strategy_for_another_plant_rejected(tmp_path, capsys):
+    doc = json.loads(json.dumps(DEMOS["symmetric-k2"]["config"]))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["--out", str(tmp_path), "solve", str(config)]) == 0
+    doc["dynamics"]["A"] = (0.5 * np.asarray(doc["dynamics"]["A"])).tolist()
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path), "simulate", str(scaled),
+                 "--strategy", str(tmp_path / "strategy.json"),
+                 "--rollouts", "100"]) == 2
+    assert "config error at fingerprint:" in capsys.readouterr().err
+
+
+def _params_k_text(doc):
+    doc["info_structure"]["params"]["k"] = "x"
+
+
+def _sim_seed_text(doc):
+    doc["sim"]["seed"] = "abc"
+
+
+def _d_u_text(doc):
+    doc["dims"]["d_u"] = ["a", "b"]
+
+
+def _params_list(doc):
+    doc["info_structure"]["params"] = [1]
+
+
+def _gains_list(doc):
+    doc["gains"] = [1]
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (_params_k_text, "info_structure.params.k"),
+    (_sim_seed_text, "sim.seed"),
+    (_d_u_text, "dims.d_u"),
+    (_params_list, "info_structure.params"),
+    (_gains_list, "gains"),
+])
+def test_malformed_config_value_rejected_with_field(mutate, field, tmp_path,
+                                                    capsys):
+    doc = json.loads(json.dumps(DEMOS["symmetric-k2"]["config"]))
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--rollouts", "100"]) == 2
+    assert f"config error at {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("use_strategy", [False, True])
+def test_simulate_builds_coordinated_system_once(use_strategy, k2_config,
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
+    import declqg.coordination as coordination
+    argv = ["--out", str(tmp_path), "simulate", k2_config,
+            "--rollouts", "100"]
+    if use_strategy:
+        assert main(["--out", str(tmp_path), "solve", k2_config]) == 0
+        argv += ["--strategy", str(tmp_path / "strategy.json")]
+    build, calls = coordination.build, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("declqg")
+                and getattr(mod, "build", None) is build):
+            monkeypatch.setattr(mod, "build", counted)
+    assert main(argv) == 0
+    assert len(calls) == 1

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from declqg import (StatisticPolicy, DelayedStatTracker, LocalGains, PlantModel,
-                    UnsupportedProtocol, act, delayed_stat_map, build,
-                    build_control_sharing, build_symmetric_delay,
+import declqg.estimator
+
+from declqg import (StatisticPolicy, DelayGraph, DelayedStatTracker, LocalGains,
+                    PlantModel, UnsupportedProtocol, act, delayed_stat_map,
+                    build, build_asymmetric_delay, build_control_sharing,
+                    build_symmetric_delay,
                     delayed_stat_gains, draw_primitives, initial_state,
                     plant_kalman_covariances, plant_kalman_init,
                     plant_kalman_step, rollout_plant, solve, step_statistic)
@@ -263,17 +267,20 @@ def test_corollary_controller_equivalence(scalar2):
                                       ro.u_tilde[t - 1])
 
 
-def test_asymmetric_reduced_stat_heterogeneous_delays():
-    """Figure-1 graph: the assembly at k* exists, but the exact statistic is
-    not a linear function of it (controller 2's data goes common faster than
-    the windows extend), so the map is refused."""
-    from declqg import DelayGraph, build_asymmetric_delay
-    p = PlantModel.create(
+def _three_controller_plant():
+    return PlantModel.create(
         n=3, T=7, d_x=2, d_u=(1, 1, 1), d_y=(1, 1, 1),
         A=[[0.9, 0.1], [0.0, 0.8]], B=[[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]],
         C=[[[1.0, 0.0]], [[0.5, 0.5]], [[0.0, 1.0]]], Q=np.eye(2),
         R=np.eye(3), sigma_x=np.eye(2), sigma_w0=0.2 * np.eye(2),
         sigma_w=[[[0.1]], [[0.1]], [[0.1]]])
+
+
+def test_asymmetric_reduced_stat_heterogeneous_delays():
+    """Figure-1 graph: the assembly at k* exists, but the exact statistic is
+    not a linear function of it (controller 2's data goes common faster than
+    the windows extend), so the map is refused."""
+    p = _three_controller_plant()
     g = DelayGraph.create([[1, 1, 2], [1, 1, 1], [2, 1, 1]])
     mp = build_asymmetric_delay(p, g)
     assert effective_delay(mp) == 2
@@ -286,13 +293,7 @@ def test_asymmetric_reduced_stat_heterogeneous_delays():
 
 def test_asymmetric_reduced_stat_uniform_worst_case_delay():
     # equal k*_j: the common history matches the windows and the map is exact
-    from declqg import DelayGraph, build_asymmetric_delay
-    p = PlantModel.create(
-        n=3, T=7, d_x=2, d_u=(1, 1, 1), d_y=(1, 1, 1),
-        A=[[0.9, 0.1], [0.0, 0.8]], B=[[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]],
-        C=[[[1.0, 0.0]], [[0.5, 0.5]], [[0.0, 1.0]]], Q=np.eye(2),
-        R=np.eye(3), sigma_x=np.eye(2), sigma_w0=0.2 * np.eye(2),
-        sigma_w=[[[0.1]], [[0.1]], [[0.1]]])
+    p = _three_controller_plant()
     g = DelayGraph.create([[1, 2, 2], [2, 1, 2], [2, 2, 1]])
     mp = build_asymmetric_delay(p, g)
     assert effective_delay(mp) == 2
@@ -308,5 +309,80 @@ def test_asymmetric_reduced_stat_uniform_worst_case_delay():
             gap = np.abs(ro.stat[t - 1]
                          - maps[t - 1] @ tracker.stat().vector()).max()
             assert gap < 1e-8, (r, t, gap)
+            tracker = tracker.advance(ro.y[t - 1], ro.u[t - 1],
+                                      ro.u_tilde[t - 1])
+
+
+@pytest.mark.parametrize("protocol", ["sym-1", "sym-2", "sym-3", "asym-equal"])
+def test_delayed_stat_gains_equal_per_step_maps(protocol):
+    if protocol == "asym-equal":
+        p = _three_controller_plant()
+        mp = build_asymmetric_delay(
+            p, DelayGraph.create([[1, 2, 2], [2, 1, 2], [2, 2, 1]]))
+        k = 2
+    else:
+        p = scalar_two_controller(T=7)
+        k = int(protocol[-1])
+        mp = build_symmetric_delay(p, k)
+    ss = solve(p, mp, LocalGains.random(p, mp, np.random.default_rng(50), 0.3))
+    gains = delayed_stat_gains(ss, k)
+    assert len(gains) == p.T
+    for t in range(1, p.T + 1):
+        assert np.array_equal(gains[t - 1],
+                              ss.Lgain[t - 1] @ delayed_stat_map(ss.cs, k, t))
+
+
+def test_delayed_stat_gains_traces_once(scalar2, monkeypatch):
+    mp = build_symmetric_delay(scalar2, 2)
+    ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
+    trace, calls = declqg.estimator.token_trace, []
+
+    def counted(mp):
+        calls.append(mp)
+        return trace(mp)
+
+    monkeypatch.setattr(declqg.estimator, "token_trace", counted)
+    delayed_stat_gains(ss, 2)
+    assert len(calls) == 1
+
+
+@st.composite
+def _delayed_sharing_cases(draw):
+    """(plant, protocol, k, seed): symmetric, or asymmetric with equal k*_j."""
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.sampled_from([1, 2, 3]))
+    T = draw(st.integers(k, 8))
+    d_x = draw(st.sampled_from([2, 3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    p = random_plant(rng, n=n, d_x=d_x, T=T)
+    if draw(st.booleans()):
+        return p, build_symmetric_delay(p, k), k, seed
+    # off-diagonal delays in 1..k, each column reaching k somewhere
+    delays = np.ones((n, n), dtype=int)
+    for j in range(n):
+        others = [i for i in range(n) if i != j]
+        for i in others:
+            delays[i, j] = draw(st.integers(1, k))
+        delays[draw(st.sampled_from(others)), j] = k
+    return p, build_asymmetric_delay(p, DelayGraph.create(delays)), k, seed
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_delayed_sharing_cases())
+def test_delayed_stat_gains_reproduce_solver_actions(case):
+    p, mp, k, seed = case
+    rng = np.random.default_rng([seed, 1])
+    ss = solve(p, mp, LocalGains.random(p, mp, rng, 0.3))
+    gains_on_stat = delayed_stat_gains(ss, k)
+    prims = draw_primitives(p, seed=seed, count=3)
+    rb = rollout_plant(p, mp, ss.gains, StatisticPolicy(ss), prims, keep=3)
+    for ro in rb.samples:
+        tracker = DelayedStatTracker.create(p, mp)
+        for t in range(1, p.T + 1):
+            via_stat = gains_on_stat[t - 1] @ tracker.stat().vector()
+            via_solver = ss.Lgain[t - 1] @ ro.stat[t - 1]
+            scale = max(1.0, np.abs(via_solver).max())
+            assert np.abs(via_stat - via_solver).max() <= 1e-8 * scale, t
             tracker = tracker.advance(ro.y[t - 1], ro.u[t - 1],
                                       ro.u_tilde[t - 1])

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from declqg import (StatisticPolicy, LocalGains, PlantModel, ZHistoryPolicy,
@@ -6,6 +7,8 @@ from declqg import (StatisticPolicy, LocalGains, PlantModel, ZHistoryPolicy,
                     gaussian_conditioning, random_theta_maps, rollout_plant,
                     simulate, solve, strategy_theta_maps)
 from declqg.sim import closed_loop_maps
+
+from conftest import scalar_two_controller
 
 
 
@@ -51,6 +54,20 @@ def test_exact_cost_matches_J_and_monte_carlo(scalar2):
     assert abs(exact - ss.J) < 1e-8
     mc = simulate(scalar2, mp, lg, ss, seed=3, count=20_000)
     assert abs(mc.mean - exact) < 3 * mc.stderr
+
+
+def test_exact_cost_rejects_mismatched_strategy(scalar2):
+    mp = build_symmetric_delay(scalar2, 2)
+    lg = LocalGains.random(scalar2, mp, np.random.default_rng(35), 0.3)
+    ss = solve(scalar2, mp, lg)
+    # an equal copy passes; other gains, another plant or protocol object fail
+    assert exact_cost(scalar2, mp, LocalGains.from_vector(scalar2, mp, lg.theta),
+                      ss) == exact_cost(scalar2, mp, lg, ss)
+    for args in ((scalar2, mp, LocalGains.zeros(scalar2, mp)),
+                 (scalar_two_controller(), mp, lg),
+                 (scalar2, build_symmetric_delay(scalar2, 2), lg)):
+        with pytest.raises(ValueError, match="another plant"):
+            exact_cost(*args, ss)
 
 
 def test_stderr_scales_like_inverse_sqrt_count(scalar2):
