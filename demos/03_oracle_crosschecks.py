@@ -49,9 +49,9 @@ for t in range(1, plant.T + 1):
         oracle = dq.gaussian_conditioning(cs, thetas, t) @ ro.z[:t - 1].ravel()
         worst = max(worst, np.abs(xb - oracle).max())
     if t < plant.T:
-        innovation = (ro.z[t - 1] - cs.C_at(t + 1) @ xb
-                      - cs.D_at(t + 1) @ ro.u_tilde[t - 1])
-        xb = (cs.A_at(t) @ xb + cs.B_at(t) @ ro.u_tilde[t - 1]
+        innovation = (ro.z[t - 1] - cs.C[t - 1] @ xb
+                      - cs.protocol.zu @ ro.u_tilde[t - 1])
+        xb = (cs.A[t - 1] @ xb + cs.B[t - 1] @ ro.u_tilde[t - 1]
               + fgains[t - 1] @ innovation)
 print(f"recursive estimate vs brute-force conditioning: max gap {worst:.2e}")
 
@@ -70,7 +70,7 @@ print(f"|J - exact| = {abs(ss.J - exact):.2e},  "
 # a tolerant pseudoinverse.
 P, _ = dq.forward_riccati(cs)
 t = 3
-innov_cov = cs.C_at(t + 1) @ P[t - 1] @ cs.C_at(t + 1).T
+innov_cov = cs.C[t - 1] @ P[t - 1] @ cs.C[t - 1].T
 eigs = np.linalg.eigvalsh(innov_cov)
 print(f"\ninnovation covariance eigenvalues at t={t}: "
       + np.array2string(eigs, precision=6))

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_RTOL, DimMismatch, InvalidDelay, InvalidMatrix,
-                   NumericalBreakdown, WrongControllerCount, as_matrix,
-                   eig_bounds)
+from .core import DEFAULT_RTOL, NumericalBreakdown, as_matrix, eig_bounds
 from .coordination import LocalGains, build
 from .infostructure import (DelayGraph, MemoryProtocol,
                             build_asymmetric_delay, build_control_sharing,
@@ -53,10 +51,14 @@ def _get(doc, path, required=True, default=None):
 
 
 def _as_int(value, field: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(field, f"must be an integer, got {value!r}") from None
+    """Integer config value; bools and non-integral floats are rejected."""
+    if not isinstance(value, bool) and (not isinstance(value, float)
+                                        or value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(field, f"must be an integer, got {value!r}")
 
 
 def _get_int(doc, path: str, default: int) -> int:
@@ -95,14 +97,14 @@ def _load_gains(doc, plant, mp) -> LocalGains:
             G = [G] * plant.T
             H = [H] * plant.T
         return LocalGains.create(plant, mp, G, H)
-    except (DimMismatch, InvalidMatrix, ValueError) as e:
+    except (ValueError, TypeError) as e:
         raise ConfigError("gains", str(e))
 
 
 def load_scenario(doc: dict) -> Scenario:
     """Parse and semantically validate a config document."""
-    T = _get(doc, "horizon")
-    if not isinstance(T, int) or T < 1:
+    T = _as_int(_get(doc, "horizon"), "horizon")
+    if T < 1:
         raise ConfigError("horizon", "must be a positive integer")
     d_x = _as_int(_get(doc, "dims.d_x"), "dims.d_x")
     d_u = _get(doc, "dims.d_u")
@@ -138,7 +140,7 @@ def load_scenario(doc: dict) -> Scenario:
             sigma_x=_get(doc, "noise.sigma_x"),
             sigma_w0=_get(doc, "noise.sigma_w0"),
             sigma_w=_get(doc, "noise.sigma_w"))
-    except (DimMismatch, InvalidMatrix) as e:
+    except (ValueError, TypeError) as e:
         msg = str(e)
         field = "plant"
         for prefix, name in (("A", "dynamics.A"), ("B", "dynamics.B"),
@@ -173,8 +175,7 @@ def load_scenario(doc: dict) -> Scenario:
         else:
             raise ConfigError("info_structure.kind",
                               f"unknown kind {kind!r}")
-    except (InvalidDelay, WrongControllerCount, DimMismatch,
-            InvalidMatrix) as e:
+    except (ValueError, TypeError) as e:
         raise ConfigError("info_structure", str(e))
 
     gains = _load_gains(doc, plant, mp)

@@ -103,14 +103,15 @@ class LocalGains:
 
 @dataclass(frozen=True)
 class CoordinatedSystem:
-    """Augmented system matrices, one entry per step (1-based accessors).
+    """Augmented system matrices; every sequence is stored at offset ``t-1``.
 
-    ``A[t-1]``/``Bm[t-1]``/``SigW[t-1]`` propagate Xt~ into step t+1; the
+    ``A[t-1]``/``B[t-1]``/``SigW[t-1]`` propagate Xt~ into step t+1; the
     t = T entries use a zero next-step observation map and are only ever
-    multiplied into the zero terminal value matrix.  ``Cobs[t-2]``/
-    ``Dobs[t-2]`` produce the observation received at time t (t = 2..T).
-    The control weight is the plant's R at every step, so ``R_at`` reads it
-    from ``plant``.
+    multiplied into the zero terminal value matrix.  ``Q[t-1]``/``N[t-1]``
+    weight step t.  ``C[t-1]`` (t = 1..T-1) maps Xt~_t to Z_t, the
+    observation received at t+1.  The step-invariant maps are read where
+    they are stored: Ut~'s share of Z_t is ``protocol.zu`` and the control
+    weight is ``plant.R``.
     """
 
     plant: PlantModel
@@ -122,12 +123,11 @@ class CoordinatedSystem:
     d_u: int
     d_z: int
     A: tuple[np.ndarray, ...]
-    Bm: tuple[np.ndarray, ...]
+    B: tuple[np.ndarray, ...]
     SigW: tuple[np.ndarray, ...]
-    Cobs: tuple[np.ndarray, ...]
-    Dobs: tuple[np.ndarray, ...]
-    Qm: tuple[np.ndarray, ...]
-    Nm: tuple[np.ndarray, ...]
+    C: tuple[np.ndarray, ...]
+    Q: tuple[np.ndarray, ...]
+    N: tuple[np.ndarray, ...]
     init_cov: np.ndarray
 
     @property
@@ -137,31 +137,6 @@ class CoordinatedSystem:
     @property
     def T(self) -> int:
         return self.plant.T
-
-    def A_at(self, t):
-        return self.A[t - 1]
-
-    def B_at(self, t):
-        return self.Bm[t - 1]
-
-    def SigW_at(self, t):
-        return self.SigW[t - 1]
-
-    def C_at(self, t):
-        """Observation map producing Yt~ (= Z_{t-1}), t = 2..T."""
-        return self.Cobs[t - 2]
-
-    def D_at(self, t):
-        return self.Dobs[t - 2]
-
-    def Q_at(self, t):
-        return self.Qm[t - 1]
-
-    def N_at(self, t):
-        return self.Nm[t - 1]
-
-    def R_at(self, t):
-        return self.plant.R
 
     def proj(self) -> np.ndarray:
         """Selects (X, carrier) out of the augmented state."""
@@ -191,7 +166,7 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
     sigma_w = plant.stacked_sigma_w()
     sigma_noise = blkdiag([plant.sigma_w0, sigma_w])
     A_seq, B_seq, W_seq, Q_seq, N_seq = [], [], [], [], []
-    C_seq, D_seq = [], []
+    C_seq = []
     for t in range(1, plant.T + 1):
         A_t, B_t = plant.A_at(t), plant.B_at(t)
         G_t = gains.G_at(t)
@@ -230,7 +205,6 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
             Ct[:, d_x:d_x + d_y] = mp.zy + mp.zu @ G_t
             Ct[:, d_x + d_y:] = mp.zc + mp.zu @ Hc_t
             C_seq.append(Ct)
-            D_seq.append(mp.zu)
     C1 = plant.stacked_c(1)
     init = np.zeros((d_x + d_y + d_c,) * 2)
     init[:d_x, :d_x] = plant.sigma_x
@@ -239,9 +213,8 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
     init[d_x:d_x + d_y, d_x:d_x + d_y] = C1 @ plant.sigma_x @ C1.T + sigma_w
     return CoordinatedSystem(
         plant=plant, protocol=mp, gains=gains, d_x=d_x, d_y=d_y, d_c=d_c,
-        d_u=d_u, d_z=d_z, A=tuple(A_seq), Bm=tuple(B_seq), SigW=tuple(W_seq),
-        Cobs=tuple(C_seq), Dobs=tuple(D_seq), Qm=tuple(Q_seq),
-        Nm=tuple(N_seq), init_cov=sym(init))
+        d_u=d_u, d_z=d_z, A=tuple(A_seq), B=tuple(B_seq), SigW=tuple(W_seq),
+        C=tuple(C_seq), Q=tuple(Q_seq), N=tuple(N_seq), init_cov=sym(init))
 
 
 def closed_loop_cost_exact(cs: CoordinatedSystem, k_seq,
@@ -263,21 +236,22 @@ def closed_loop_cost_exact(cs: CoordinatedSystem, k_seq,
     for t in range(1, T + 1):
         K = np.asarray(k_seq[t - 1], dtype=float)
         W = np.zeros((2 * d, 2 * d))
-        W[:d, :d] = cs.Q_at(t)
-        W[:d, d:] = cs.N_at(t) @ K
+        W[:d, :d] = cs.Q[t - 1]
+        W[:d, d:] = cs.N[t - 1] @ K
         W[d:, :d] = W[:d, d:].T
-        W[d:, d:] = K.T @ cs.R_at(t) @ K
+        W[d:, d:] = K.T @ cs.plant.R @ K
         total += float(np.sum(W * cov))
         if t == T:
             break
         gain = filter_gains[t - 1]
-        GC = gain @ cs.C_at(t + 1)
+        A, B = cs.A[t - 1], cs.B[t - 1]
+        GC = gain @ cs.C[t - 1]
         M = np.zeros((2 * d, 2 * d))
-        M[:d, :d] = cs.A_at(t)
-        M[:d, d:] = cs.B_at(t) @ K
+        M[:d, :d] = A
+        M[:d, d:] = B @ K
         M[d:, :d] = GC
-        M[d:, d:] = cs.A_at(t) + cs.B_at(t) @ K - GC
+        M[d:, d:] = A + B @ K - GC
         cov = M @ cov @ M.T
-        cov[:d, :d] += cs.SigW_at(t)
+        cov[:d, :d] += cs.SigW[t - 1]
         cov = sym(cov)
     return total

@@ -60,7 +60,10 @@ def as_matrix(value, rows: int | None = None, cols: int | None = None,
     Scalars become 1x1.  If ``rows``/``cols`` are given, the shape is checked
     and a :class:`DimMismatch` raised on disagreement.
     """
-    m = np.asarray(value, dtype=float)
+    try:
+        m = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise InvalidMatrix(f"{name}: not a numeric matrix ({e})") from None
     if m.ndim == 0:
         m = m.reshape(1, 1)
     if m.ndim == 1:

@@ -51,8 +51,8 @@ def statistic_transition(ss: SolvedStrategy, t: int):
         raise TimeOutOfRange(f"no transition out of t={t} (T={cs.T})")
     lift, proj = cs.lift(t), cs.proj()
     gain = ss.filter_gain[t - 1]
-    Ts = proj @ (cs.A_at(t) - gain @ cs.C_at(t + 1)) @ lift
-    Tu = proj @ (cs.B_at(t) - gain @ cs.D_at(t + 1))
+    Ts = proj @ (cs.A[t - 1] - gain @ cs.C[t - 1]) @ lift
+    Tu = proj @ (cs.B[t - 1] - gain @ cs.protocol.zu)
     Tz = proj @ gain
     return Ts, Tu, Tz
 
@@ -297,7 +297,7 @@ def _stat_map(cs: CoordinatedSystem, k: int, t: int, trace,
     for s in range(start, t):
         sel = np.zeros((d_u, dim_s))
         sel[:, ut_col(s):ut_col(s) + d_u] = np.eye(d_u)
-        emap = cs.A_at(s) @ emap + cs.B_at(s) @ sel
+        emap = cs.A[s - 1] @ emap + cs.B[s - 1] @ sel
     return cs.proj() @ emap
 
 

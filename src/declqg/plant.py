@@ -66,7 +66,7 @@ class PlantModel:
         du = sum(d_u)
         A_seq = _per_step(A, T, d_x, d_x, "A")
         B_seq = _per_step(B, T, d_x, du, "B")
-        if len(C) != n:
+        if not isinstance(C, (list, tuple, np.ndarray)) or len(C) != n:
             raise DimMismatch("C must list one observation map per controller")
         C_seq = tuple(_per_step(C[i], T, d_y[i], d_x, f"C[{i}]")
                       for i in range(n))

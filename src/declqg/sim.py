@@ -134,8 +134,8 @@ def strategy_theta_maps(ss: SolvedStrategy):
             break
         K = ss.Kgain[t - 1]
         gain = ss.filter_gain[t - 1]
-        M = (cs.A_at(t) + cs.B_at(t) @ K
-             - gain @ (cs.C_at(t + 1) + cs.D_at(t + 1) @ K))
+        M = (cs.A[t - 1] + cs.B[t - 1] @ K
+             - gain @ (cs.C[t - 1] + cs.protocol.zu @ K))
         xmap = np.hstack([M @ xmap, gain])
     return thetas
 
@@ -192,8 +192,7 @@ def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     state = policy.init(count)
     has_stat = hasattr(policy, "statistic")
     costs = np.zeros(count)
-    rec: dict[str, list] = {k: [] for k in
-                            ("x", "y", "m", "carrier", "z", "u", "ut", "sc", "bv")}
+    rec = []     # per step: kept rows of x, y, m, c, z, u, Ut~, cost[, stat]
     for t in range(1, plant.T + 1):
         C_t = plant.stacked_c(t)
         y = x @ C_t.T + prims.wy[t - 1]
@@ -205,33 +204,23 @@ def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
             + np.einsum("ri,ij,rj->r", u, plant.R, u)
         costs += sc
         if keep:
-            rec["x"].append(x[:keep].copy())
-            rec["y"].append(y[:keep].copy())
-            rec["m"].append(m[:keep].copy())
-            rec["carrier"].append(c[:keep].copy())
-            rec["z"].append(z[:keep].copy())
-            rec["u"].append(u[:keep].copy())
-            rec["ut"].append(utilde[:keep].copy())
-            rec["sc"].append(sc[:keep].copy())
+            step = (x, y, m, c, z, u, utilde, sc)
             if has_stat:
-                rec["bv"].append(policy.statistic(state)[:keep].copy())
+                step += (policy.statistic(state),)
+            rec.append([v[:keep].copy() for v in step])
         if t < plant.T:
             x = x @ plant.A_at(t).T + u @ plant.B_at(t).T + prims.w0[t - 1]
             c = c @ mp.cc.T + y @ mp.cy.T + u @ mp.cu.T
             state = policy.update(state, t, z, utilde)
     samples = []
-    for r in range(keep):
-        samples.append(Rollout(
-            x=np.array([rec["x"][t][r] for t in range(plant.T)]),
-            y=np.array([rec["y"][t][r] for t in range(plant.T)]),
-            m=np.array([rec["m"][t][r] for t in range(plant.T)]),
-            carrier=np.array([rec["carrier"][t][r] for t in range(plant.T)]),
-            z=np.array([rec["z"][t][r] for t in range(plant.T)]),
-            u=np.array([rec["u"][t][r] for t in range(plant.T)]),
-            u_tilde=np.array([rec["ut"][t][r] for t in range(plant.T)]),
-            stat=(np.array([rec["bv"][t][r] for t in range(plant.T)])
-                     if has_stat else None),
-            step_costs=np.array([rec["sc"][t][r] for t in range(plant.T)])))
+    if keep:
+        # (keep, T, dim) per signal; rollout r reads row r
+        xs, ys, ms, carriers, zs, us, uts, scs, *stat = (
+            np.stack(seq, axis=1) for seq in zip(*rec))
+        samples = [Rollout(x=xs[r], y=ys[r], m=ms[r], carrier=carriers[r],
+                           z=zs[r], u=us[r], u_tilde=uts[r],
+                           stat=stat[0][r] if has_stat else None,
+                           step_costs=scs[r]) for r in range(keep)]
     return RolloutBatch(costs=costs, samples=tuple(samples))
 
 
@@ -258,20 +247,20 @@ def rollout_coordinated(cs: CoordinatedSystem, policy, prims: Primitives
     costs = np.zeros(count)
     for t in range(1, plant.T + 1):
         utilde = policy.utilde(state, t)
-        sc = np.einsum("ri,ij,rj->r", xt, cs.Q_at(t), xt) \
-            + 2 * np.einsum("ri,ij,rj->r", xt, cs.N_at(t), utilde) \
-            + np.einsum("ri,ij,rj->r", utilde, cs.R_at(t), utilde)
+        sc = np.einsum("ri,ij,rj->r", xt, cs.Q[t - 1], xt) \
+            + 2 * np.einsum("ri,ij,rj->r", xt, cs.N[t - 1], utilde) \
+            + np.einsum("ri,ij,rj->r", utilde, plant.R, utilde)
         costs += sc
         xs.append(xt.copy())
         us.append(utilde.copy())
         scs.append(sc.copy())
         if t < plant.T:
-            ynext = xt @ cs.C_at(t + 1).T + utilde @ cs.D_at(t + 1).T
+            ynext = xt @ cs.C[t - 1].T + utilde @ cs.protocol.zu.T
             noise = np.hstack([
                 prims.w0[t - 1],
                 prims.w0[t - 1] @ plant.stacked_c(t + 1).T + prims.wy[t],
                 np.zeros((count, cs.d_c))])
-            xt = xt @ cs.A_at(t).T + utilde @ cs.B_at(t).T + noise
+            xt = xt @ cs.A[t - 1].T + utilde @ cs.B[t - 1].T + noise
             ys.append(ynext.copy())
             state = policy.update(state, t, ynext, utilde)
     stack = lambda seq: np.stack(seq, axis=1)
@@ -358,13 +347,13 @@ def closed_loop_maps(cs: CoordinatedSystem, thetas, t_max: int
         umaps.append(umap)
         if s == t_max:
             break
-        ymap = cs.C_at(s + 1) @ xmaps[-1] + cs.D_at(s + 1) @ umap
+        ymap = cs.C[s - 1] @ xmaps[-1] + cs.protocol.zu @ umap
         ymaps.append(ymap)
         hist = np.vstack([hist, ymap])
         noise = np.vstack([w0_sel(s),
                            plant.stacked_c(s + 1) @ w0_sel(s) + wy_sel(s + 1),
                            np.zeros((cs.d_c, d_prim))])
-        xmaps.append(cs.A_at(s) @ xmaps[-1] + cs.B_at(s) @ umap + noise)
+        xmaps.append(cs.A[s - 1] @ xmaps[-1] + cs.B[s - 1] @ umap + noise)
     cov_prim = blkdiag([plant.sigma_x]
                        + [plant.sigma_w0] * T
                        + [plant.stacked_sigma_w()] * T)

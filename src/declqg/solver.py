@@ -66,12 +66,11 @@ def forward_riccati(cs: CoordinatedSystem, rtol: float = DEFAULT_RTOL):
     P = [sym(cs.init_cov)]
     gains = []
     for t in range(1, cs.T):
-        A = cs.A_at(t)
-        C = cs.C_at(t + 1)
+        A, C = cs.A[t - 1], cs.C[t - 1]
         Pt = P[-1]
         innov = sym(C @ Pt @ C.T)
         gain = A @ Pt @ C.T @ pinv(innov, rtol)
-        Pn = sym(A @ Pt @ A.T + cs.SigW_at(t) - gain @ (C @ Pt @ A.T))
+        Pn = sym(A @ Pt @ A.T + cs.SigW[t - 1] - gain @ (C @ Pt @ A.T))
         check_psd(Pn, rel=1e-8, name="filter covariance", t=t + 1)
         P.append(Pn)
         gains.append(gain)
@@ -87,11 +86,11 @@ def backward_riccati(cs: CoordinatedSystem):
     S_next = np.zeros((cs.d_state, cs.d_state))
     S_rev, L_rev, K_rev = [], [], []
     for t in range(cs.T, 0, -1):
-        A, B = cs.A_at(t), cs.B_at(t)
-        bracket = sym(cs.R_at(t) + B.T @ S_next @ B)
-        lam = cs.N_at(t).T + B.T @ S_next @ A
+        A, B = cs.A[t - 1], cs.B[t - 1]
+        bracket = sym(cs.plant.R + B.T @ S_next @ B)
+        lam = cs.N[t - 1].T + B.T @ S_next @ A
         K = -solve_pd(bracket, lam, t=t)
-        S_t = sym(A.T @ S_next @ A + cs.Q_at(t) + lam.T @ K)
+        S_t = sym(A.T @ S_next @ A + cs.Q[t - 1] + lam.T @ K)
         S_rev.append(S_t)
         L_rev.append(lam)
         K_rev.append(K)
@@ -107,10 +106,10 @@ def performance(cs: CoordinatedSystem, ptilde, s_seq) -> float:
     """
     total = 0.0
     for t in range(1, cs.T + 1):
-        total += float(np.trace(ptilde[t - 1] @ cs.Q_at(t)))
+        total += float(np.trace(ptilde[t - 1] @ cs.Q[t - 1]))
         if t < cs.T:
-            A = cs.A_at(t)
-            gamma = cs.SigW_at(t) + A @ ptilde[t - 1] @ A.T - ptilde[t]
+            A = cs.A[t - 1]
+            gamma = cs.SigW[t - 1] + A @ ptilde[t - 1] @ A.T - ptilde[t]
             total += float(np.sum(gamma * s_seq[t]))
     return total
 
@@ -131,11 +130,6 @@ def solve(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
           rtol: float = DEFAULT_RTOL) -> SolvedStrategy:
     """Best coordinator response to the given local gains."""
     cs = build(plant, mp, gains)
-    return solve_cs(cs, rtol)
-
-
-def solve_cs(cs: CoordinatedSystem, rtol: float = DEFAULT_RTOL
-             ) -> SolvedStrategy:
     ptilde, fgains = forward_riccati(cs, rtol)
     s_seq, lam_seq, k_seq = backward_riccati(cs)
     J = performance(cs, ptilde, s_seq)

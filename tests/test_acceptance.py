@@ -199,10 +199,10 @@ def test_criterion_4_filter_matches_bruteforce():
                         else np.zeros(cs.d_state)
                     worst = max(worst, np.abs(xb - oracle).max())
                     if t < p.T:
-                        innov = (ro.z[t - 1] - cs.C_at(t + 1) @ xb
-                                 - cs.D_at(t + 1) @ ro.u_tilde[t - 1])
-                        xb = (cs.A_at(t) @ xb
-                              + cs.B_at(t) @ ro.u_tilde[t - 1]
+                        innov = (ro.z[t - 1] - cs.C[t - 1] @ xb
+                                 - cs.protocol.zu @ ro.u_tilde[t - 1])
+                        xb = (cs.A[t - 1] @ xb
+                              + cs.B[t - 1] @ ro.u_tilde[t - 1]
                               + fgains[t - 1] @ innov)
     assert worst < 1e-8, worst
     report(4, f"recursive estimate vs joint-Gaussian conditioning: "
@@ -311,9 +311,9 @@ def test_criterion_7_reduced_statistic_equivalence():
                 via_full = ss.Kgain[t - 1] @ xb
                 worst = max(worst, np.abs(via_stat - via_full).max())
                 if t < p.T:
-                    innov = (ro.z[t - 1] - cs.C_at(t + 1) @ xb
-                             - cs.D_at(t + 1) @ ro.u_tilde[t - 1])
-                    xb = (cs.A_at(t) @ xb + cs.B_at(t) @ ro.u_tilde[t - 1]
+                    innov = (ro.z[t - 1] - cs.C[t - 1] @ xb
+                             - cs.protocol.zu @ ro.u_tilde[t - 1])
+                    xb = (cs.A[t - 1] @ xb + cs.B[t - 1] @ ro.u_tilde[t - 1]
                           + ss.filter_gain[t - 1] @ innov)
     assert worst < 1e-10, worst
     report(7, f"reduced-gain vs full-gain actions: max gap {worst:.2e}")

@@ -236,12 +236,69 @@ def _gains_list(doc):
     doc["gains"] = [1]
 
 
+def _A_text(doc):
+    doc["dynamics"]["A"] = "x"
+
+
+def _sigma_w0_text(doc):
+    doc["noise"]["sigma_w0"] = "ab"
+
+
+def _sigma_w_text_entry(doc):
+    doc["noise"]["sigma_w"][0] = [["a"]]
+
+
+def _C_scalar(doc):
+    doc["observations"]["C"] = 5
+
+
+def _delays_text(doc):
+    doc["info_structure"] = {"kind": "asymmetric_delay",
+                             "params": {"delays": [["a", "b"], ["c", "d"]]}}
+
+
+def _delays_ragged(doc):
+    doc["info_structure"] = {"kind": "asymmetric_delay",
+                             "params": {"delays": [[1, 1], [1]]}}
+
+
+def _blocks_scalar(doc):
+    doc["info_structure"] = {"kind": "explicit", "params": {"blocks": 5}}
+
+
+def _rollouts_fraction(doc):
+    doc["sim"]["rollouts"] = 2.9
+
+
+def _budget_bool(doc):
+    doc["tune"]["budget"] = True
+
+
+def _params_k_fraction(doc):
+    doc["info_structure"]["params"]["k"] = 2.5
+
+
+def _horizon_bool(doc):
+    doc["horizon"] = True
+
+
 @pytest.mark.parametrize("mutate, field", [
     (_params_k_text, "info_structure.params.k"),
     (_sim_seed_text, "sim.seed"),
     (_d_u_text, "dims.d_u"),
     (_params_list, "info_structure.params"),
     (_gains_list, "gains"),
+    (_A_text, "dynamics.A"),
+    (_sigma_w0_text, "noise"),
+    (_sigma_w_text_entry, "noise"),
+    (_C_scalar, "observations.C"),
+    (_delays_text, "info_structure"),
+    (_delays_ragged, "info_structure"),
+    (_blocks_scalar, "info_structure"),
+    (_rollouts_fraction, "sim.rollouts"),
+    (_budget_bool, "tune.budget"),
+    (_params_k_fraction, "info_structure.params.k"),
+    (_horizon_bool, "horizon"),
 ])
 def test_malformed_config_value_rejected_with_field(mutate, field, tmp_path,
                                                     capsys):

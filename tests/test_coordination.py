@@ -16,14 +16,14 @@ def test_zero_gains_structure(scalar2):
     cs = build(scalar2, mp, LocalGains.zeros(scalar2, mp))
     d_x, d_y = cs.d_x, cs.d_y
     t = 2
-    A = cs.A_at(t)
+    A = cs.A[t - 1]
     assert_allclose(A[:d_x, :d_x], scalar2.A_at(t))
     # with G = H = 0 nothing flows from Y into X except through P_my
     assert_allclose(A[:d_x, d_x:], 0.0)
     assert_allclose(A[d_x + d_y:, d_x:d_x + d_y], mp.cy)
     assert_allclose(A[d_x + d_y:, d_x + d_y:], mp.cc)
-    assert_allclose(cs.N_at(t), 0.0)
-    Q = cs.Q_at(t)
+    assert_allclose(cs.N[t - 1], 0.0)
+    Q = cs.Q[t - 1]
     assert_allclose(Q[:d_x, :d_x], scalar2.Q)
     assert_allclose(Q[d_x:, :], 0.0)
 
@@ -40,14 +40,14 @@ def test_scalar_single_controller_hand_expansion():
                            [[np.zeros((1, 0))]] * 3)
     cs = build(p, mp, lg)
     assert cs.d_state == 2
-    assert_allclose(cs.A_at(1), [[a, b * g], [c * a, c * b * g]])
-    assert_allclose(cs.B_at(1), [[b], [c * b]])
+    assert_allclose(cs.A[0], [[a, b * g], [c * a, c * b * g]])
+    assert_allclose(cs.B[0], [[b], [c * b]])
     # Z_t = (Y_t, U_t) observed at t+1; U_t = Ut~ + g Y_t
-    assert_allclose(cs.C_at(2), [[0.0, 1.0], [0.0, g]])
-    assert_allclose(cs.D_at(2), [[0.0], [1.0]])
-    assert_allclose(cs.SigW_at(1), [[0.5, 0.5 * c], [0.5 * c, 0.5 * c * c + 0.2]])
-    assert_allclose(cs.Q_at(1), [[1.0, 0.0], [0.0, g * g]])
-    assert_allclose(cs.N_at(1), [[0.0], [g]])
+    assert_allclose(cs.C[0], [[0.0, 1.0], [0.0, g]])
+    assert_allclose(cs.protocol.zu, [[0.0], [1.0]])
+    assert_allclose(cs.SigW[0], [[0.5, 0.5 * c], [0.5 * c, 0.5 * c * c + 0.2]])
+    assert_allclose(cs.Q[0], [[1.0, 0.0], [0.0, g * g]])
+    assert_allclose(cs.N[0], [[0.0], [g]])
     assert_allclose(cs.init_cov, [[1.0, c], [c, c * c + 0.2]])
 
 
@@ -91,8 +91,8 @@ def test_compound_cost_matrix_psd():
     lg = LocalGains.random(p, mp, rng, 0.8)
     cs = build(p, mp, lg)
     for t in range(1, p.T + 1):
-        comp = np.block([[cs.Q_at(t), cs.N_at(t)],
-                         [cs.N_at(t).T, cs.R_at(t)]])
+        comp = np.block([[cs.Q[t - 1], cs.N[t - 1]],
+                         [cs.N[t - 1].T, cs.plant.R]])
         lo, hi = eig_bounds(comp)
         assert lo >= -1e-10 * max(hi, 1.0)
 
@@ -109,7 +109,7 @@ def test_sigw_matches_noise_map_rebuild():
         F[cs.d_x:cs.d_x + cs.d_y, :cs.d_x] = C_next
         F[cs.d_x:cs.d_x + cs.d_y, cs.d_x:] = np.eye(cs.d_y)
         sig = F @ blkdiag([p.sigma_w0, p.stacked_sigma_w()]) @ F.T
-        assert_allclose(cs.SigW_at(t), sig, atol=1e-14)
+        assert_allclose(cs.SigW[t - 1], sig, atol=1e-14)
 
 
 def test_local_gains_block_diagonal():
@@ -178,10 +178,10 @@ def test_control_sharing_observation_reads_only_actions():
     lg = LocalGains.random(p, mp, rng, 0.5)
     cs = build(p, mp, lg)
     for t in range(2, p.T + 1):
-        C = cs.C_at(t)
+        C = cs.C[t - 2]
         assert_allclose(C[:, :cs.d_x], 0.0)
         assert_allclose(C[:, cs.d_x:cs.d_x + cs.d_y], lg.G_at(t - 1))
-        assert_allclose(cs.D_at(t), np.eye(cs.d_u))
+        assert_allclose(cs.protocol.zu, np.eye(cs.d_u))
 
 
 def _layout_positions(p, mp):

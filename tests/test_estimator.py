@@ -41,7 +41,7 @@ def test_step_statistic_prediction_only_when_nothing_shared(scalar2):
         u = rng.standard_normal(cs.d_u)
         nxt = step_statistic(st, ss, np.zeros(0), u)
         proj, lift = cs.proj(), cs.lift(t)
-        expect = proj @ (cs.A_at(t) @ lift @ st.stat + cs.B_at(t) @ u)
+        expect = proj @ (cs.A[t - 1] @ lift @ st.stat + cs.B[t - 1] @ u)
         assert_allclose(nxt.stat, expect, atol=1e-12)
         st = nxt
 
@@ -64,9 +64,9 @@ def test_projection_lifting_consistency(scalar2):
             assert np.abs(cs.lift(t) @ ro.stat[t - 1] - xb).max() < 1e-10
             if t < scalar2.T:
                 gain = ss.filter_gain[t - 1]
-                innov = (ro.z[t - 1] - cs.C_at(t + 1) @ xb
-                         - cs.D_at(t + 1) @ ro.u_tilde[t - 1])
-                xb = (cs.A_at(t) @ xb + cs.B_at(t) @ ro.u_tilde[t - 1]
+                innov = (ro.z[t - 1] - cs.C[t - 1] @ xb
+                         - cs.protocol.zu @ ro.u_tilde[t - 1])
+                xb = (cs.A[t - 1] @ xb + cs.B[t - 1] @ ro.u_tilde[t - 1]
                       + gain @ innov)
 
 

@@ -128,9 +128,9 @@ def run_filter_vs_oracle(p, mp, lg, thetas, seed, tol):
                 else np.zeros(cs.d_state)
             worst = max(worst, np.abs(xb - oracle).max())
             if t < p.T:
-                innov = (ro.z[t - 1] - cs.C_at(t + 1) @ xb
-                         - cs.D_at(t + 1) @ ro.u_tilde[t - 1])
-                xb = (cs.A_at(t) @ xb + cs.B_at(t) @ ro.u_tilde[t - 1]
+                innov = (ro.z[t - 1] - cs.C[t - 1] @ xb
+                         - cs.protocol.zu @ ro.u_tilde[t - 1])
+                xb = (cs.A[t - 1] @ xb + cs.B[t - 1] @ ro.u_tilde[t - 1]
                       + fgains[t - 1] @ innov)
     assert worst < tol, worst
 
@@ -176,7 +176,7 @@ def test_innovation_orthogonal_to_estimate(scalar2):
         u = utilde + y @ ss.gains.G_at(t).T
         z = c @ mp.zc.T + y @ mp.zy.T + u @ mp.zu.T
         xb_full = (cs.lift(t) @ state.T).T
-        innov = z - xb_full @ cs.C_at(t + 1).T - utilde @ cs.D_at(t + 1).T
+        innov = z - xb_full @ cs.C[t - 1].T - utilde @ cs.protocol.zu.T
         if t >= 2:   # estimate is degenerate-zero at t = 1
             for a in range(innov.shape[1]):
                 for b in range(xb_full.shape[1]):

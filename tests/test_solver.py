@@ -49,7 +49,7 @@ def test_forward_riccati_open_loop_when_nothing_shared():
     expect = cs.init_cov
     for t in range(1, p.T):
         assert_allclose(P[t - 1], expect, atol=1e-12)
-        expect = cs.A_at(t) @ expect @ cs.A_at(t).T + cs.SigW_at(t)
+        expect = cs.A[t - 1] @ expect @ cs.A[t - 1].T + cs.SigW[t - 1]
     assert_allclose(P[p.T - 1], expect, atol=1e-12)
 
 
@@ -81,7 +81,7 @@ def test_terminal_step_gain_is_static_cross_term():
     lg = LocalGains.random(p, mp, rng, 0.5)
     cs = build(p, mp, lg)
     _, _, K = backward_riccati(cs)
-    assert_allclose(K[0], -np.linalg.solve(cs.R_at(1), cs.N_at(1).T))
+    assert_allclose(K[0], -np.linalg.solve(cs.plant.R, cs.N[0].T))
 
 
 def test_performance_zero_cases():
