@@ -44,7 +44,7 @@ print(f"  Z    = ({names})")
 
 # The update matrices in memory coordinates are not block diagonal across
 # controllers: controller 2's next memory reads the others' windows.
-view = mp.memory_view(t)
+view = mp.memory_view()
 print("\nstacked P_my in memory coordinates (note the off-diagonal reads):")
 print(view["my"].astype(int))
 

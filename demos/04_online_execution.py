@@ -33,7 +33,7 @@ st = dq.initial_state(cs)
 print("t    x        shared statistic         u1       u2       step cost")
 total = 0.0
 for t in range(1, plant.T + 1):
-    y = plant.stacked_c(t) @ x + prims.wy[t - 1][0]
+    y = plant.C[t - 1] @ x + prims.wy[t - 1][0]
     m = mp.m_sel @ carrier
     y_local = [y[plant.y_slice(i)] for i in range(2)]
     m_local = [m[mp.m_slice(i)] for i in range(2)]
@@ -47,7 +47,7 @@ for t in range(1, plant.T + 1):
     if t < plant.T:
         u_tilde = ss.Lgain[t - 1] @ st.stat
         st = dq.step_statistic(st, ss, z, u_tilde)
-        x = plant.A_at(t) @ x + plant.B_at(t) @ u + prims.w0[t - 1][0]
+        x = plant.A[t - 1] @ x + plant.B[t - 1] @ u + prims.w0[t - 1][0]
         carrier = mp.cc @ carrier + mp.cy @ y + mp.cu @ u
 print(f"realized total cost {total:.3f} (expected {ss.J:.3f})")
 

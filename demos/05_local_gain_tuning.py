@@ -28,7 +28,7 @@ mp = dq.build_symmetric_delay(plant, 1)
 S = np.zeros((2, 2))
 K_lqr = [None] * plant.T
 for t in range(plant.T, 0, -1):
-    A, B = plant.A_at(t), plant.B_at(t)
+    A, B = plant.A[t - 1], plant.B[t - 1]
     lam = B.T @ S @ A
     br = plant.R + B.T @ S @ B
     K_lqr[t - 1] = -np.linalg.solve(br, lam)
@@ -36,10 +36,10 @@ for t in range(plant.T, 0, -1):
 P = plant.sigma_x
 K_f = [None] * plant.T
 for t in range(1, plant.T + 1):
-    C = plant.stacked_c(t)
-    V = C @ P @ C.T + plant.sigma_w[0]
+    C = plant.C[t - 1]
+    V = C @ P @ C.T + plant.sigma_w
     K_f[t - 1] = P @ C.T @ np.linalg.inv(V)
-    P = plant.A_at(t) @ (P - K_f[t - 1] @ C @ P) @ plant.A_at(t).T \
+    P = plant.A[t - 1] @ (P - K_f[t - 1] @ C @ P) @ plant.A[t - 1].T \
         + plant.sigma_w0
 
 composed = dq.LocalGains.create(

@@ -9,10 +9,9 @@ number against brute-force Gaussian oracles; :mod:`declqg.tune` searches over
 the local gains.
 """
 
-from .core import (DEFAULT_RTOL, DimMismatch, GaussianSpec, InvalidDelay,
-                   InvalidMatrix, NumericalBreakdown, TimeOutOfRange,
-                   UnsupportedProtocol, WrongControllerCount, pinv,
-                   seeded_stream)
+from .core import (DEFAULT_RTOL, DimMismatch, InvalidDelay, InvalidMatrix,
+                   NumericalBreakdown, TimeOutOfRange, UnsupportedProtocol,
+                   WrongControllerCount, pinv, seeded_stream)
 from .plant import PlantModel
 from .infostructure import (DelayGraph, MemoryProtocol, ValidationReport,
                             build_asymmetric_delay, build_control_sharing,

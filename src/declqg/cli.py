@@ -205,11 +205,15 @@ def _read_config(path: str) -> dict:
 
 def _fingerprint(plant: PlantModel, mp: MemoryProtocol) -> str:
     """sha256 over the plant's dimensions and matrices and the protocol's
-    stacked maps, in a fixed order."""
+    stacked maps, in a fixed order.  C and sigma_w are hashed block by
+    block, controller-major, so the digest matches the per-controller
+    storage older strategy files were written with."""
     h = hashlib.sha256(json.dumps(
         [plant.n, plant.T, plant.d_x, plant.d_u, plant.d_y]).encode())
-    mats = (*plant.A, *plant.B, *(c for per_t in plant.C for c in per_t),
-            plant.Q, plant.R, plant.sigma_x, plant.sigma_w0, *plant.sigma_w,
+    ys = [plant.y_slice(i) for i in range(plant.n)]
+    mats = (*plant.A, *plant.B, *(c[y] for y in ys for c in plant.C),
+            plant.Q, plant.R, plant.sigma_x, plant.sigma_w0,
+            *(plant.sigma_w[y, y] for y in ys),
             mp.cc, mp.cy, mp.cu, mp.zc, mp.zy, mp.zu, mp.m_sel, mp.l_from_m)
     for m in mats:
         m = np.ascontiguousarray(m, dtype=float)
@@ -219,18 +223,20 @@ def _fingerprint(plant: PlantModel, mp: MemoryProtocol) -> str:
 
 
 def strategy_to_doc(ss: SolvedStrategy, dump_matrices=False) -> dict:
-    gains = ss.gains
+    gains, p, mp = ss.gains, ss.cs.plant, ss.cs.protocol
     doc = {
         "format": "declqg-strategy/1",
-        "fingerprint": _fingerprint(ss.cs.plant, ss.cs.protocol),
+        "fingerprint": _fingerprint(p, mp),
         "J": ss.J,
         "K": [k.tolist() for k in ss.Kgain],
         "L": [m.tolist() for m in ss.Lgain],
         "filter_gain": [g.tolist() for g in ss.filter_gain],
         "gains": {
             "per_step": True,
-            "G": [[b.tolist() for b in row] for row in gains.G],
-            "H": [[b.tolist() for b in row] for row in gains.H],
+            "G": [[G_t[p.u_slice(i), p.y_slice(i)].tolist()
+                   for i in range(p.n)] for G_t in gains.G],
+            "H": [[H_t[p.u_slice(i), mp.m_slice(i)].tolist()
+                   for i in range(p.n)] for H_t in gains.H],
         },
     }
     if dump_matrices and ss.Ptilde is not None:

@@ -18,44 +18,59 @@ certified by the paired-noise equivalence oracle in :mod:`declqg.sim`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import DimMismatch, as_matrix, as_vector, blkdiag, sym
+from .core import (DimMismatch, TimeOutOfRange, as_matrix, as_vector,
+                   blkdiag, read_only, sym)
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
+
+
+@lru_cache(maxsize=16)
+def _gain_layout(T, d_u, d_y, d_m):
+    """Masks that scatter ``theta`` into the stacked G and H, once per dims.
+
+    ``in_g`` marks theta's G entries.  Read row-major, a block-diagonal mask
+    visits each step's blocks in controller order, each block row-major,
+    which is the ``theta`` order, so ``G[g_mask] = theta[in_g]``.
+    """
+    sizes = [s for u, y, m in zip(d_u, d_y, d_m) for s in (u * y, u * m)]
+    in_g = np.tile(np.repeat([True, False] * len(d_u), sizes), T)
+    g_mask, h_mask = (np.broadcast_to(
+        blkdiag([np.ones((u, c)) for u, c in zip(d_u, cols)]) > 0,
+        (T, sum(d_u), sum(cols))) for cols in (d_y, d_m))
+    return read_only(in_g), g_mask, h_mask
 
 
 @dataclass(frozen=True)
 class LocalGains:
     """Per-controller local gains G^i_t (on Y^i_t) and H^i_t (on M^i_t).
 
-    Stored once, as the read-only flat vector ``theta``: for each t, for each
-    controller i, G^i_t row-major and then H^i_t.  ``G[t-1][i]`` and
-    ``H[t-1][i]`` are reshaped views of it.  The stacked G_t, H_t are block
-    diagonal by construction: only the per-controller blocks are stored, so
-    off-diagonal blocks are exactly zero.
+    The search vector is the read-only flat ``theta``: for each t, for each
+    controller i, G^i_t row-major and then H^i_t.  ``G[t-1]`` and ``H[t-1]``
+    are the stacked, block-diagonal G_t and H_t, filled from ``theta`` once;
+    controller i's blocks are ``G[t-1][u_slice(i), y_slice(i)]`` and
+    ``H[t-1][u_slice(i), m_slice(i)]``, and off-diagonal blocks are exactly
+    zero.
     """
 
     theta: np.ndarray
-    G: tuple[tuple[np.ndarray, ...], ...]   # G[t-1][i]: d_u[i] x d_y[i]
-    H: tuple[tuple[np.ndarray, ...], ...]   # H[t-1][i]: d_u[i] x d_m[i]
+    G: np.ndarray   # (T, sum d_u, sum d_y), read only
+    H: np.ndarray   # (T, sum d_u, sum d_m), read only
 
     @staticmethod
     def from_vector(plant: PlantModel, mp: MemoryProtocol, theta
                     ) -> "LocalGains":
         """Gains from a copy of a flat vector in the ``theta`` layout."""
-        shapes = [(plant.d_u[i], cols) for i in range(plant.n)
-                  for cols in (plant.d_y[i], mp.d_m[i])] * plant.T
-        ends = np.cumsum([r * c for r, c in shapes])
-        theta = as_vector(theta, int(ends[-1]), "theta").copy()
-        theta.flags.writeable = False
-        blocks = [theta[e - r * c:e].reshape(r, c)
-                  for (r, c), e in zip(shapes, ends)]
-        steps = [blocks[k:k + 2 * plant.n]
-                 for k in range(0, len(blocks), 2 * plant.n)]
-        return LocalGains(theta, tuple(tuple(s[0::2]) for s in steps),
-                          tuple(tuple(s[1::2]) for s in steps))
+        in_g, g_mask, h_mask = _gain_layout(plant.T, plant.d_u, plant.d_y,
+                                            mp.d_m)
+        theta = read_only(as_vector(theta, in_g.size, "theta").copy())
+        G, H = np.zeros(g_mask.shape), np.zeros(h_mask.shape)
+        G[g_mask] = theta[in_g]
+        H[h_mask] = theta[~in_g]
+        return LocalGains(theta, read_only(G), read_only(H))
 
     @staticmethod
     def create(plant: PlantModel, mp: MemoryProtocol, G, H) -> "LocalGains":
@@ -93,12 +108,6 @@ class LocalGains:
         H = [[scale * rng.standard_normal((plant.d_u[i], mp.d_m[i]))
               for i in range(plant.n)] for _ in range(plant.T)]
         return LocalGains.create(plant, mp, G, H)
-
-    def G_at(self, t: int) -> np.ndarray:
-        return blkdiag(self.G[t - 1])
-
-    def H_at(self, t: int) -> np.ndarray:
-        return blkdiag(self.H[t - 1])
 
 
 @dataclass(frozen=True)
@@ -147,9 +156,11 @@ class CoordinatedSystem:
 
     def lift(self, t: int) -> np.ndarray:
         """Rebuilds the augmented state from (X, carrier) via Y-hat = C_t X-hat."""
+        if not 1 <= t <= self.T:
+            raise TimeOutOfRange(f"t={t} outside 1..{self.T}")
         out = np.zeros((self.d_state, self.d_x + self.d_c))
         out[:self.d_x, :self.d_x] = np.eye(self.d_x)
-        out[self.d_x:self.d_x + self.d_y, :self.d_x] = self.plant.stacked_c(t)
+        out[self.d_x:self.d_x + self.d_y, :self.d_x] = self.plant.C[t - 1]
         out[self.d_x + self.d_y:, self.d_x:] = np.eye(self.d_c)
         return out
 
@@ -163,15 +174,14 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
         raise DimMismatch("protocol and plant disagree on signal dims")
     d_x, d_y, d_u = plant.d_x, plant.d_y_total, plant.d_u_total
     d_c, d_z = mp.d_carrier, mp.d_z
-    sigma_w = plant.stacked_sigma_w()
-    sigma_noise = blkdiag([plant.sigma_w0, sigma_w])
+    sigma_noise = blkdiag([plant.sigma_w0, plant.sigma_w])
     A_seq, B_seq, W_seq, Q_seq, N_seq = [], [], [], [], []
     C_seq = []
     for t in range(1, plant.T + 1):
-        A_t, B_t = plant.A_at(t), plant.B_at(t)
-        G_t = gains.G_at(t)
-        Hc_t = gains.H_at(t) @ mp.m_sel
-        C_next = plant.stacked_c(t + 1) if t < plant.T else np.zeros((d_y, d_x))
+        A_t, B_t = plant.A[t - 1], plant.B[t - 1]
+        G_t = gains.G[t - 1]
+        Hc_t = gains.H[t - 1] @ mp.m_sel
+        C_next = plant.C[t] if t < plant.T else np.zeros((d_y, d_x))
         BG, BH = B_t @ G_t, B_t @ Hc_t
         At = np.zeros((d_x + d_y + d_c,) * 2)
         At[:d_x, :d_x] = A_t
@@ -205,12 +215,12 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
             Ct[:, d_x:d_x + d_y] = mp.zy + mp.zu @ G_t
             Ct[:, d_x + d_y:] = mp.zc + mp.zu @ Hc_t
             C_seq.append(Ct)
-    C1 = plant.stacked_c(1)
+    C1 = plant.C[0]
     init = np.zeros((d_x + d_y + d_c,) * 2)
     init[:d_x, :d_x] = plant.sigma_x
     init[:d_x, d_x:d_x + d_y] = plant.sigma_x @ C1.T
     init[d_x:d_x + d_y, :d_x] = C1 @ plant.sigma_x
-    init[d_x:d_x + d_y, d_x:d_x + d_y] = C1 @ plant.sigma_x @ C1.T + sigma_w
+    init[d_x:d_x + d_y, d_x:d_x + d_y] = C1 @ plant.sigma_x @ C1.T + plant.sigma_w
     return CoordinatedSystem(
         plant=plant, protocol=mp, gains=gains, d_x=d_x, d_y=d_y, d_c=d_c,
         d_u=d_u, d_z=d_z, A=tuple(A_seq), B=tuple(B_seq), SigW=tuple(W_seq),

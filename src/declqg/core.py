@@ -8,8 +8,6 @@ pure function or an immutable value, safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 #: Relative singular-value cutoff used for pseudoinverses.  Shared-memory
@@ -76,7 +74,11 @@ def as_matrix(value, rows: int | None = None, cols: int | None = None,
         raise DimMismatch(f"{name}: expected {rows} rows, got {m.shape[0]}")
     if cols is not None and m.shape[1] != cols:
         raise DimMismatch(f"{name}: expected {cols} cols, got {m.shape[1]}")
-    m = m.copy()
+    return read_only(m.copy())
+
+
+def read_only(m: np.ndarray) -> np.ndarray:
+    """Mark ``m`` read only and return it."""
     m.flags.writeable = False
     return m
 
@@ -175,28 +177,20 @@ def seeded_stream(seed: int, stream_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream_index])
 
 
-@dataclass(frozen=True)
-class GaussianSpec:
-    """Zero-checked Gaussian: mean vector plus validated covariance."""
+def as_covariance(value, dim: int, name: str = "covariance") -> np.ndarray:
+    """Coerce ``value`` to a read-only ``dim`` x ``dim`` covariance.
 
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __init__(self, mean, covariance, name: str = "covariance"):
-        cov = as_matrix(covariance, name=name)
-        if cov.shape[0] != cov.shape[1]:
-            raise InvalidMatrix(f"{name}: covariance must be square")
-        mu = as_vector(mean, dim=cov.shape[0], name=f"{name} mean")
-        scale = np.abs(cov).max() if cov.size else 0.0
-        if cov.size and np.abs(cov - cov.T).max() > 1e-12 * max(scale, 1.0):
-            raise InvalidMatrix(f"{name}: covariance is not symmetric")
-        lo, hi = eig_bounds(cov)
-        if lo < -1e-10 * max(hi, 0.0) - 1e-300:
-            raise InvalidMatrix(
-                f"{name}: covariance is not PSD (min eig {lo:.3e})")
-        object.__setattr__(self, "mean", mu)
-        object.__setattr__(self, "covariance", cov)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
+    The matrix must be square, of the given size, symmetric and PSD.
+    """
+    cov = as_matrix(value, name=name)
+    if cov.shape[0] != cov.shape[1]:
+        raise InvalidMatrix(f"{name}: covariance must be square")
+    if cov.shape[0] != dim:
+        raise DimMismatch(f"{name}: expected dim {dim}, got {cov.shape[0]}")
+    scale = np.abs(cov).max() if cov.size else 0.0
+    if cov.size and np.abs(cov - cov.T).max() > 1e-12 * max(scale, 1.0):
+        raise InvalidMatrix(f"{name}: covariance is not symmetric")
+    lo, hi = eig_bounds(cov)
+    if lo < -1e-10 * max(hi, 0.0) - 1e-300:
+        raise InvalidMatrix(f"{name}: covariance is not PSD (min eig {lo:.3e})")
+    return cov

@@ -92,13 +92,12 @@ def plant_kalman_covariances(plant: PlantModel, rtol: float = DEFAULT_RTOL):
     P_1 = sigma_x; the innovation covariance C P C' + sigma_w is inverted
     tolerantly so singular observation noise is handled.
     """
-    sigma_w = plant.stacked_sigma_w()
     P = [plant.sigma_x]
     gains = []
     for t in range(1, plant.T + 1):
-        A, C = plant.A_at(t), plant.stacked_c(t)
+        A, C = plant.A[t - 1], plant.C[t - 1]
         Pt = P[-1]
-        gain = A @ Pt @ C.T @ pinv(sym(C @ Pt @ C.T + sigma_w), rtol)
+        gain = A @ Pt @ C.T @ pinv(sym(C @ Pt @ C.T + plant.sigma_w), rtol)
         P.append(sym(A @ Pt @ A.T + plant.sigma_w0 - gain @ (C @ Pt @ A.T)))
         gains.append(gain)
     return tuple(P), tuple(gains)
@@ -124,7 +123,7 @@ def plant_kalman_step(plant: PlantModel, state: PlantKalmanState, y, u,
         raise TimeOutOfRange(f"t={t} outside 1..{plant.T}")
     y = as_vector(y, plant.d_y_total, "y")
     u = as_vector(u, plant.d_u_total, "u")
-    A, B, C = plant.A_at(t), plant.B_at(t), plant.stacked_c(t)
+    A, B, C = plant.A[t - 1], plant.B[t - 1], plant.C[t - 1]
     xhat = A @ state.xhat + B @ u + gains[t - 1] @ (y - C @ state.xhat)
     return PlantKalmanState(t + 1, xhat)
 

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DimMismatch, InvalidDelay, TimeOutOfRange,
-                   UnsupportedProtocol, WrongControllerCount, as_matrix,
-                   blkdiag)
+from .core import (DimMismatch, InvalidDelay, UnsupportedProtocol,
+                   WrongControllerCount, as_matrix, blkdiag)
 from .plant import PlantModel
 
 BLOCK_NAMES = ("mm", "my", "mu", "zm", "zy", "zu")
@@ -144,20 +143,15 @@ class MemoryProtocol:
         off = sum(self.d_m[:i])
         return slice(off, off + self.d_m[i])
 
-    def _check_t(self, t: int) -> int:
-        if not 1 <= t <= self.T:
-            raise TimeOutOfRange(f"t={t} outside 1..{self.T}")
-        return t
-
-    def memory_view(self, t: int) -> dict:
+    def memory_view(self) -> dict:
         """Stacked update matrices in VVEC(M^1..M^n) coordinates.
 
         For strict protocols these are the block-diagonal stacks of the
         per-controller blocks; for carrier-based protocols they are derived
         through the carrier/memory selection maps and need not be block
-        diagonal.
+        diagonal.  The protocol is time invariant, so one view serves every
+        step.
         """
-        self._check_t(t)
         return {
             "mm": self.m_sel @ self.cc @ self.l_from_m,
             "my": self.m_sel @ self.cy,

@@ -53,7 +53,7 @@ def draw_primitives(plant: PlantModel, seed: int, count: int) -> Primitives:
         raw[r] = seeded_stream(seed, r).standard_normal(total)
     Lx = psd_sqrt(plant.sigma_x)
     L0 = psd_sqrt(plant.sigma_w0)
-    Lw = psd_sqrt(plant.stacked_sigma_w())
+    Lw = psd_sqrt(plant.sigma_w)
     x1 = raw[:, :d_x] @ Lx.T
     w0, wy = [], []
     off = d_x
@@ -194,11 +194,10 @@ def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     costs = np.zeros(count)
     rec = []     # per step: kept rows of x, y, m, c, z, u, Ut~, cost[, stat]
     for t in range(1, plant.T + 1):
-        C_t = plant.stacked_c(t)
-        y = x @ C_t.T + prims.wy[t - 1]
+        y = x @ plant.C[t - 1].T + prims.wy[t - 1]
         m = c @ mp.m_sel.T
         utilde = policy.utilde(state, t)
-        u = utilde + y @ gains.G_at(t).T + m @ gains.H_at(t).T
+        u = utilde + y @ gains.G[t - 1].T + m @ gains.H[t - 1].T
         z = c @ mp.zc.T + y @ mp.zy.T + u @ mp.zu.T
         sc = np.einsum("ri,ij,rj->r", x, plant.Q, x) \
             + np.einsum("ri,ij,rj->r", u, plant.R, u)
@@ -209,7 +208,7 @@ def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
                 step += (policy.statistic(state),)
             rec.append([v[:keep].copy() for v in step])
         if t < plant.T:
-            x = x @ plant.A_at(t).T + u @ plant.B_at(t).T + prims.w0[t - 1]
+            x = x @ plant.A[t - 1].T + u @ plant.B[t - 1].T + prims.w0[t - 1]
             c = c @ mp.cc.T + y @ mp.cy.T + u @ mp.cu.T
             state = policy.update(state, t, z, utilde)
     samples = []
@@ -240,7 +239,7 @@ def rollout_coordinated(cs: CoordinatedSystem, policy, prims: Primitives
     """Propagate the coordinated recursion with explicit primitive noise."""
     plant = cs.plant
     count = prims.count
-    y1 = prims.x1 @ plant.stacked_c(1).T + prims.wy[0]
+    y1 = prims.x1 @ plant.C[0].T + prims.wy[0]
     xt = np.hstack([prims.x1, y1, np.zeros((count, cs.d_c))])
     state = policy.init(count)
     xs, ys, us, scs = [], [np.zeros((count, cs.d_z))], [], []
@@ -258,7 +257,7 @@ def rollout_coordinated(cs: CoordinatedSystem, policy, prims: Primitives
             ynext = xt @ cs.C[t - 1].T + utilde @ cs.protocol.zu.T
             noise = np.hstack([
                 prims.w0[t - 1],
-                prims.w0[t - 1] @ plant.stacked_c(t + 1).T + prims.wy[t],
+                prims.w0[t - 1] @ plant.C[t].T + prims.wy[t],
                 np.zeros((count, cs.d_c))])
             xt = xt @ cs.A[t - 1].T + utilde @ cs.B[t - 1].T + noise
             ys.append(ynext.copy())
@@ -338,7 +337,7 @@ def closed_loop_maps(cs: CoordinatedSystem, thetas, t_max: int
     x1_sel = np.zeros((d_x, d_prim))
     x1_sel[:, :d_x] = np.eye(d_x)
     xmap = np.vstack([x1_sel,
-                      plant.stacked_c(1) @ x1_sel + wy_sel(1),
+                      plant.C[0] @ x1_sel + wy_sel(1),
                       np.zeros((cs.d_c, d_prim))])
     xmaps, ymaps, umaps = [xmap], [], []
     hist = np.zeros((0, d_prim))
@@ -351,12 +350,12 @@ def closed_loop_maps(cs: CoordinatedSystem, thetas, t_max: int
         ymaps.append(ymap)
         hist = np.vstack([hist, ymap])
         noise = np.vstack([w0_sel(s),
-                           plant.stacked_c(s + 1) @ w0_sel(s) + wy_sel(s + 1),
+                           plant.C[s] @ w0_sel(s) + wy_sel(s + 1),
                            np.zeros((cs.d_c, d_prim))])
         xmaps.append(cs.A[s - 1] @ xmaps[-1] + cs.B[s - 1] @ umap + noise)
     cov_prim = blkdiag([plant.sigma_x]
                        + [plant.sigma_w0] * T
-                       + [plant.stacked_sigma_w()] * T)
+                       + [plant.sigma_w] * T)
     return JointGaussian(cov_prim=cov_prim, xtilde=tuple(xmaps),
                          ytilde=tuple(ymaps), utilde=tuple(umaps))
 

@@ -47,12 +47,12 @@ class SolvedStrategy:
 
     def local_action(self, i: int, t: int, stat, y_i, m_i) -> np.ndarray:
         """Controller i's action U^i_t = L~^i_t stat + G^i_t Y^i_t + H^i_t M^i_t."""
-        p = self.cs.plant
+        p, mp = self.cs.plant, self.cs.protocol
         sl = p.u_slice(i)
         out = self.Lgain[t - 1][sl, :] @ stat
-        out = out + self.gains.G[t - 1][i] @ y_i
-        if self.gains.H[t - 1][i].shape[1]:
-            out = out + self.gains.H[t - 1][i] @ m_i
+        out = out + self.gains.G[t - 1][sl, p.y_slice(i)] @ y_i
+        if mp.d_m[i]:
+            out = out + self.gains.H[t - 1][sl, mp.m_slice(i)] @ m_i
         return out
 
 

@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from declqg.cli import DEMOS, load_scenario, main, strategy_to_doc
+from declqg.cli import (DEMOS, _fingerprint, load_scenario, main,
+                        strategy_to_doc)
 from declqg.core import NumericalBreakdown
 from declqg.solver import solve
 
@@ -124,7 +125,7 @@ def test_gains_in_config(tmp_path):
     doc = json.loads(json.dumps(DEMOS["scalar-2ctrl-k1"]["config"]))
     doc["gains"] = {"G": [[[0.2]], [[0.1]]], "H": [[[]], [[]]]}
     sc = load_scenario(doc)
-    assert sc.gains.G[0][0][0, 0] == 0.2
+    assert sc.gains.G[0][0, 0] == 0.2
 
 
 def test_explicit_info_structure(tmp_path):
@@ -201,6 +202,19 @@ def test_malformed_strategy_rejected_with_field(mutate, field, k2_config,
     assert field in err
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("symmetric-k2",
+     "4532fb44ccaea796f7a3d94ae48798d6f8ba03198c96ec4c9401b15df1ff9643"),
+    ("figure1-asymmetric",
+     "6adba2d141f40cbe8ad6cef30d1929a02da7134fdb201acd70642f9c69bd02e3"),
+])
+def test_fingerprint_is_stable(name, digest):
+    # strategy files store this digest, so a change would stop saved
+    # strategies from loading
+    sc = load_scenario(json.loads(json.dumps(DEMOS[name]["config"])))
+    assert _fingerprint(sc.plant, sc.protocol) == digest
+
+
 def test_strategy_for_another_plant_rejected(tmp_path, capsys):
     doc = json.loads(json.dumps(DEMOS["symmetric-k2"]["config"]))
     config = tmp_path / "config.json"
@@ -252,6 +266,18 @@ def _C_scalar(doc):
     doc["observations"]["C"] = 5
 
 
+def _A_nested_text(doc):
+    doc["dynamics"]["A"] = [["x", 1], [0, 1]]
+
+
+def _C_nested_text(doc):
+    doc["observations"]["C"][0] = [["x", 0.0]]
+
+
+def _sigma_w_scalar(doc):
+    doc["noise"]["sigma_w"] = 5
+
+
 def _delays_text(doc):
     doc["info_structure"] = {"kind": "asymmetric_delay",
                              "params": {"delays": [["a", "b"], ["c", "d"]]}}
@@ -292,6 +318,9 @@ def _horizon_bool(doc):
     (_sigma_w0_text, "noise"),
     (_sigma_w_text_entry, "noise"),
     (_C_scalar, "observations.C"),
+    (_A_nested_text, "dynamics.A"),
+    (_C_nested_text, "observations.C"),
+    (_sigma_w_scalar, "noise"),
     (_delays_text, "info_structure"),
     (_delays_ragged, "info_structure"),
     (_blocks_scalar, "info_structure"),

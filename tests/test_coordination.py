@@ -6,7 +6,7 @@ from declqg import (LocalGains, PlantModel, ZHistoryPolicy,
                     build, build_symmetric_delay, closed_loop_cost_exact,
                     draw_primitives, forward_riccati, random_theta_maps,
                     rollout_coordinated, rollout_plant, solve)
-from declqg.core import DimMismatch, blkdiag, eig_bounds
+from declqg.core import DimMismatch, TimeOutOfRange, blkdiag, eig_bounds
 
 from conftest import random_plant
 
@@ -17,7 +17,7 @@ def test_zero_gains_structure(scalar2):
     d_x, d_y = cs.d_x, cs.d_y
     t = 2
     A = cs.A[t - 1]
-    assert_allclose(A[:d_x, :d_x], scalar2.A_at(t))
+    assert_allclose(A[:d_x, :d_x], scalar2.A[t - 1])
     # with G = H = 0 nothing flows from Y into X except through P_my
     assert_allclose(A[:d_x, d_x:], 0.0)
     assert_allclose(A[d_x + d_y:, d_x:d_x + d_y], mp.cy)
@@ -103,12 +103,12 @@ def test_sigw_matches_noise_map_rebuild():
     mp = build_symmetric_delay(p, 2)
     cs = build(p, mp, LocalGains.zeros(p, mp))
     for t in range(1, p.T):
-        C_next = p.stacked_c(t + 1)
+        C_next = p.C[t]
         F = np.zeros((cs.d_state, cs.d_x + cs.d_y))
         F[:cs.d_x, :cs.d_x] = np.eye(cs.d_x)
         F[cs.d_x:cs.d_x + cs.d_y, :cs.d_x] = C_next
         F[cs.d_x:cs.d_x + cs.d_y, cs.d_x:] = np.eye(cs.d_y)
-        sig = F @ blkdiag([p.sigma_w0, p.stacked_sigma_w()]) @ F.T
+        sig = F @ blkdiag([p.sigma_w0, p.sigma_w]) @ F.T
         assert_allclose(cs.SigW[t - 1], sig, atol=1e-14)
 
 
@@ -117,14 +117,23 @@ def test_local_gains_block_diagonal():
     p = random_plant(rng, n=3, d_y=(2, 1, 1), d_u=(1, 2, 1))
     mp = build_symmetric_delay(p, 2)
     lg = LocalGains.random(p, mp, rng, 1.0)
-    G = lg.G_at(2)
+    G = lg.G[1]
     for i in range(p.n):
         for j in range(p.n):
             blk = G[p.u_slice(i), p.y_slice(j)]
             if i == j:
-                assert_allclose(blk, lg.G[1][i])
+                assert_allclose(blk, lg.theta[_block_positions(p, mp, 1, i)])
             else:
                 assert_allclose(blk, 0.0)
+
+
+def test_lift_time_out_of_range(scalar2):
+    # plant.C is indexed at t-1, so without the check t = 0 would read C_T
+    mp = build_symmetric_delay(scalar2, 1)
+    cs = build(scalar2, mp, LocalGains.zeros(scalar2, mp))
+    for t in (0, scalar2.T + 1):
+        with pytest.raises(TimeOutOfRange):
+            cs.lift(t)
 
 
 def test_build_rejects_mismatched_protocol():
@@ -180,7 +189,7 @@ def test_control_sharing_observation_reads_only_actions():
     for t in range(2, p.T + 1):
         C = cs.C[t - 2]
         assert_allclose(C[:, :cs.d_x], 0.0)
-        assert_allclose(C[:, cs.d_x:cs.d_x + cs.d_y], lg.G_at(t - 1))
+        assert_allclose(C[:, cs.d_x:cs.d_x + cs.d_y], lg.G[t - 2])
         assert_allclose(cs.protocol.zu, np.eye(cs.d_u))
 
 
@@ -190,6 +199,22 @@ def _layout_positions(p, mp):
             for t in range(p.T) for i in range(p.n)
             for kind, cols in (("G", p.d_y[i]), ("H", mp.d_m[i]))
             for r in range(p.d_u[i]) for c in range(cols)]
+
+
+def _cols(p, mp, kind, i):
+    return p.y_slice(i) if kind == "G" else mp.m_slice(i)
+
+
+def _block(p, mp, lg, kind, t, i):
+    """Controller i's block of the stacked G[t] or H[t]."""
+    return getattr(lg, kind)[t][p.u_slice(i), _cols(p, mp, kind, i)]
+
+
+def _block_positions(p, mp, t, i):
+    """theta indices of controller i's G block at offset t, row-major."""
+    first = _layout_positions(p, mp).index((t, i, "G", 0, 0))
+    size = p.d_u[i] * p.d_y[i]
+    return np.arange(first, first + size).reshape(p.d_u[i], p.d_y[i])
 
 
 def _layout_instance():
@@ -207,14 +232,12 @@ def test_gains_theta_unit_vector_moves_one_named_entry():
         theta = base.theta.copy()
         theta[idx] += 1.0
         moved = LocalGains.from_vector(p, mp, theta)
-        changed = [(s, j, name, *map(int, rc))
-                   for name in ("G", "H") for s in range(p.T)
-                   for j in range(p.n)
-                   for rc in zip(*np.nonzero(getattr(moved, name)[s][j]
-                                             != getattr(base, name)[s][j]))]
-        assert changed == [(t, i, kind, r, c)]
-        blk = getattr(moved, kind)[t][i]
-        assert blk[r, c] == getattr(base, kind)[t][i][r, c] + 1.0
+        changed = [(name, *map(int, at)) for name in ("G", "H")
+                   for at in zip(*np.nonzero(getattr(moved, name)
+                                             != getattr(base, name)))]
+        at = (t, p.u_slice(i).start + r, _cols(p, mp, kind, i).start + c)
+        assert changed == [(kind, *at)]
+        assert getattr(moved, kind)[at] == getattr(base, kind)[at] + 1.0
 
 
 def test_gains_create_reads_back_blocks_exactly():
@@ -226,8 +249,8 @@ def test_gains_create_reads_back_blocks_exactly():
     lg = LocalGains.create(p, mp, G, H)
     for t in range(p.T):
         for i in range(p.n):
-            assert np.array_equal(lg.G[t][i], G[t][i])
-            assert np.array_equal(lg.H[t][i], H[t][i])
+            assert np.array_equal(_block(p, mp, lg, "G", t, i), G[t][i])
+            assert np.array_equal(_block(p, mp, lg, "H", t, i), H[t][i])
     again = LocalGains.from_vector(p, mp, lg.theta)
     assert np.array_equal(again.theta, lg.theta)
 
@@ -242,8 +265,8 @@ def test_gains_random_draws_all_G_then_all_H():
          for _ in range(p.T)]
     for t in range(p.T):
         for i in range(p.n):
-            assert np.array_equal(lg.G[t][i], G[t][i])
-            assert np.array_equal(lg.H[t][i], H[t][i])
+            assert np.array_equal(_block(p, mp, lg, "G", t, i), G[t][i])
+            assert np.array_equal(_block(p, mp, lg, "H", t, i), H[t][i])
 
 
 def test_gains_views_are_read_only():
@@ -253,7 +276,11 @@ def test_gains_views_are_read_only():
     source[0] += 1.0                      # the input is copied, not aliased
     assert lg.theta[0] != source[0]
     assert not lg.theta.flags.writeable
-    for blk in (lg.G[0][0], lg.H[2][1]):
-        assert np.shares_memory(blk, lg.theta)
+    # stacked results of vstack, blkdiag and zeros are writeable unless
+    # frozen: every array on the plant and the gains must refuse writes
+    arrays = [lg.theta, lg.G, lg.H, _block(p, mp, lg, "G", 0, 0),
+              _block(p, mp, lg, "H", 2, 1), p.Q, p.R, p.sigma_x, p.sigma_w0,
+              p.sigma_w, *p.A, *p.B, *p.C]
+    for arr in arrays:
         with pytest.raises(ValueError):
-            blk[0, 0] = 1.0
+            arr[(0,) * arr.ndim] = 1.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from declqg.core import (GaussianSpec, InvalidMatrix, as_matrix, blkdiag,
+from declqg.core import (InvalidMatrix, as_covariance, as_matrix, blkdiag,
                          eig_bounds, pinv, psd_sqrt, seeded_stream, sym)
 
 
@@ -89,22 +89,22 @@ def test_seeded_stream_rejects_negative():
 
 
 def test_gaussian_spec_accepts_psd():
-    g = GaussianSpec(np.zeros(2), [[2.0, 1.0], [1.0, 2.0]])
-    assert g.dim == 2
+    cov = as_covariance([[2.0, 1.0], [1.0, 2.0]], 2)
+    assert cov.shape == (2, 2)
 
 
 def test_gaussian_spec_rejects_asymmetric():
     with pytest.raises(InvalidMatrix):
-        GaussianSpec(np.zeros(2), [[1.0, 0.5], [0.0, 1.0]])
+        as_covariance([[1.0, 0.5], [0.0, 1.0]], 2)
 
 
 def test_gaussian_spec_rejects_indefinite():
     with pytest.raises(InvalidMatrix):
-        GaussianSpec(np.zeros(2), [[1.0, 2.0], [2.0, 1.0]])
+        as_covariance([[1.0, 2.0], [2.0, 1.0]], 2)
 
 
 def test_gaussian_spec_accepts_zero_covariance():
-    GaussianSpec(np.zeros(2), np.zeros((2, 2)))
+    as_covariance(np.zeros((2, 2)), 2)
 
 
 def test_blkdiag_handles_zero_dims():

@@ -88,8 +88,8 @@ def test_act_matches_full_gain_path(scalar2):
             assert np.abs(np.concatenate(actions) - ro.u[t - 1]).max() < 1e-10
             # full-estimate path: K~ (lifted stat) + G Y + H M
             xb = cs.lift(t) @ ro.stat[t - 1]
-            u2 = (ss.Kgain[t - 1] @ xb + ss.gains.G_at(t) @ ro.y[t - 1]
-                  + ss.gains.H_at(t) @ ro.m[t - 1])
+            u2 = (ss.Kgain[t - 1] @ xb + ss.gains.G[t - 1] @ ro.y[t - 1]
+                  + ss.gains.H[t - 1] @ ro.m[t - 1])
             assert np.abs(np.concatenate(actions) - u2).max() < 1e-10
 
 
@@ -107,7 +107,8 @@ def test_act_zero_cases(scalar2):
     y = [rng.standard_normal(1), rng.standard_normal(1)]
     acts = act(initial_state(ss2.cs), ss2, y, [np.zeros(0), np.zeros(0)])
     for i in range(2):
-        assert_allclose(acts[i], lg.G[0][i] @ y[i])
+        assert_allclose(acts[i], lg.G[0][scalar2.u_slice(i),
+                                        scalar2.y_slice(i)] @ y[i])
 
 
 def test_plant_kalman_tracks_deterministic_state():
@@ -123,9 +124,9 @@ def test_plant_kalman_tracks_deterministic_state():
     for t in range(1, p.T):
         assert_allclose(st.xhat, x, atol=1e-12)
         u = rng.standard_normal(1)
-        y = p.stacked_c(t) @ x
+        y = p.C[t - 1] @ x
         st = plant_kalman_step(p, st, y, u, gains)
-        x = p.A_at(t) @ x + p.B_at(t) @ u
+        x = p.A[t - 1] @ x + p.B[t - 1] @ u
 
 
 def test_plant_kalman_pure_prediction_when_unobservable():

@@ -244,7 +244,7 @@ def test_protocol_document_is_json_ready(scalar2):
 
 def test_memory_view_equals_blocks_for_strict(scalar2):
     mp = build_symmetric_delay(scalar2, 2)
-    view = mp.memory_view(1)
+    view = mp.memory_view()
     from declqg.core import blkdiag
     assert_allclose(view["my"], blkdiag([b["my"] for b in mp.blocks]))
     assert_allclose(view["zm"], blkdiag([b["zm"] for b in mp.blocks]))

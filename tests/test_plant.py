@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from declqg import PlantModel
-from declqg.core import DimMismatch, TimeOutOfRange
+from declqg.core import DimMismatch
 
-from conftest import random_plant
+from conftest import random_plant, random_psd
 
 
 def small_plant(**over):
@@ -23,7 +23,7 @@ def test_stacked_c_stacks_rows():
         n=2, T=2, d_x=1, d_u=(1, 1), d_y=(1, 1), A=[[1.0]], B=[[1.0, 1.0]],
         C=[[[1.0]], [[1.0]]], Q=[[1.0]], R=np.eye(2), sigma_x=[[1.0]],
         sigma_w0=[[1.0]], sigma_w=[[[1.0]], [[1.0]]])
-    assert_allclose(p.stacked_c(1), [[1.0], [1.0]])
+    assert_allclose(p.C[0], [[1.0], [1.0]])
 
 
 def test_stacked_c_single_controller_unchanged():
@@ -31,28 +31,31 @@ def test_stacked_c_single_controller_unchanged():
         n=1, T=2, d_x=2, d_u=(1,), d_y=(2,), A=np.eye(2), B=[[1.0], [0.0]],
         C=[np.array([[1.0, 2.0], [3.0, 4.0]])], Q=np.eye(2), R=[[1.0]],
         sigma_x=np.eye(2), sigma_w0=np.eye(2), sigma_w=[np.eye(2)])
-    assert_allclose(p.stacked_c(1), [[1.0, 2.0], [3.0, 4.0]])
+    assert_allclose(p.C[0], [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_stacked_c_complementary_rows_identity():
     p = small_plant()
-    assert_allclose(p.stacked_c(2), np.eye(2))
+    assert_allclose(p.C[1], np.eye(2))
 
 
 def test_stacked_c_blocks_reconstruct():
-    p = random_plant(np.random.default_rng(0), n=3, d_y=(2, 1, 3))
-    for t in (1, p.T):
-        stacked = p.stacked_c(t)
-        for i in range(p.n):
-            assert_allclose(stacked[p.y_slice(i)], p.C_at(i, t))
-
-
-def test_stacked_c_time_out_of_range():
-    p = small_plant()
-    with pytest.raises(TimeOutOfRange):
-        p.stacked_c(0)
-    with pytest.raises(TimeOutOfRange):
-        p.stacked_c(p.T + 1)
+    rng = np.random.default_rng(0)
+    d_y, T = (2, 1, 3), 4
+    C = [[rng.standard_normal((d, 2)) for _ in range(T)] for d in d_y]
+    S = [random_psd(rng, d) for d in d_y]
+    p = small_plant(n=3, T=T, d_u=(1, 1, 1), d_y=d_y, B=np.ones((2, 3)),
+                    R=np.eye(3), C=C, sigma_w=S)
+    assert len(p.C) == T
+    for i in range(p.n):
+        ys = p.y_slice(i)
+        for t in range(1, T + 1):
+            assert p.C[t - 1].shape == (sum(d_y), 2)
+            assert np.array_equal(p.C[t - 1][ys], C[i][t - 1])
+        assert np.array_equal(p.sigma_w[ys, ys], S[i])
+        off = np.ones(sum(d_y), dtype=bool)
+        off[ys] = False
+        assert np.all(p.sigma_w[ys][:, off] == 0.0)
 
 
 def test_step_cost_zero():
@@ -101,7 +104,7 @@ def test_rejects_indefinite_Q():
 def test_time_varying_sequences():
     A = [np.eye(2) * (1 + 0.1 * t) for t in range(3)]
     p = small_plant(A=A)
-    assert_allclose(p.A_at(3), np.eye(2) * 1.2)
+    assert_allclose(p.A[2], np.eye(2) * 1.2)
     with pytest.raises(DimMismatch):
         small_plant(A=A[:2])
 
@@ -109,4 +112,4 @@ def test_time_varying_sequences():
 def test_constant_broadcast():
     p = small_plant()
     for t in range(1, p.T + 1):
-        assert_allclose(p.A_at(t), np.eye(2))
+        assert_allclose(p.A[t - 1], np.eye(2))

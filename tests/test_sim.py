@@ -171,9 +171,9 @@ def test_innovation_orthogonal_to_estimate(scalar2):
     c = np.zeros((n, mp.d_carrier))
     state = pol.init(n)
     for t in range(1, scalar2.T):
-        y = x @ scalar2.stacked_c(t).T + prims.wy[t - 1]
+        y = x @ scalar2.C[t - 1].T + prims.wy[t - 1]
         utilde = pol.utilde(state, t)
-        u = utilde + y @ ss.gains.G_at(t).T
+        u = utilde + y @ ss.gains.G[t - 1].T
         z = c @ mp.zc.T + y @ mp.zy.T + u @ mp.zu.T
         xb_full = (cs.lift(t) @ state.T).T
         innov = z - xb_full @ cs.C[t - 1].T - utilde @ cs.protocol.zu.T
@@ -185,7 +185,7 @@ def test_innovation_orthogonal_to_estimate(scalar2):
                         continue
                     rho = np.corrcoef(ia, xb_col)[0, 1]
                     assert abs(rho) < 0.02, (t, a, b, rho)
-        x = x @ scalar2.A_at(t).T + u @ scalar2.B_at(t).T + prims.w0[t - 1]
+        x = x @ scalar2.A[t - 1].T + u @ scalar2.B[t - 1].T + prims.w0[t - 1]
         c = c @ mp.cc.T + y @ mp.cy.T + u @ mp.cu.T
         state = pol.update(state, t, z, utilde)
 

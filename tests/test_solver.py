@@ -56,8 +56,8 @@ def test_forward_riccati_open_loop_when_nothing_shared():
 def test_initial_covariance_is_exact_augmented_covariance(scalar2):
     mp = build_symmetric_delay(scalar2, 1)
     cs = build(scalar2, mp, LocalGains.zeros(scalar2, mp))
-    C1 = scalar2.stacked_c(1)
-    sw = scalar2.stacked_sigma_w()
+    C1 = scalar2.C[0]
+    sw = scalar2.sigma_w
     assert_allclose(cs.init_cov[:1, :1], scalar2.sigma_x)
     assert_allclose(cs.init_cov[:1, 1:], scalar2.sigma_x @ C1.T)
     assert_allclose(cs.init_cov[1:, 1:], C1 @ scalar2.sigma_x @ C1.T + sw)
@@ -108,7 +108,7 @@ def test_uncontrollable_input_gives_zero_gain_and_open_loop_cost():
     expect = 0.0
     for t in range(1, p.T + 1):
         expect += float(np.trace(p.Q @ cov))
-        cov = p.A_at(t) @ cov @ p.A_at(t).T + p.sigma_w0
+        cov = p.A[t - 1] @ cov @ p.A[t - 1].T + p.sigma_w0
     assert ss.J == pytest.approx(expect, abs=1e-10)
 
 
@@ -123,7 +123,7 @@ def test_reduce_gains_block_formula():
     for t in range(1, p.T + 1):
         K = k_seq[t - 1]
         kx, ky, km = K[:, :d_x], K[:, d_x:d_x + d_y], K[:, d_x + d_y:]
-        assert_allclose(L[t - 1], np.hstack([kx + ky @ p.stacked_c(t), km]))
+        assert_allclose(L[t - 1], np.hstack([kx + ky @ p.C[t - 1], km]))
 
 
 def test_reduce_gains_zero_observation_map_drops_y_block():
