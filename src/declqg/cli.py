@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_RTOL, NumericalBreakdown, as_matrix, eig_bounds
+from .core import DEFAULT_RTOL, NumericalBreakdown, as_matrix
 from .coordination import LocalGains, build
 from .infostructure import (DelayGraph, MemoryProtocol,
                             build_asymmetric_delay, build_control_sharing,
@@ -117,26 +117,12 @@ def load_scenario(doc: dict) -> Scenario:
     if len(d_y) != n:
         raise ConfigError("dims.d_y", f"expected {n} entries to match d_u")
 
-    Q = _get(doc, "cost.Q")
-    R = _get(doc, "cost.R")
-    try:
-        q_lo, _ = eig_bounds(np.asarray(Q, dtype=float))
-    except Exception as e:
-        raise ConfigError("cost.Q", str(e))
-    if q_lo < -1e-10:
-        raise ConfigError("cost.Q", "must be positive semi-definite")
-    try:
-        r_lo, _ = eig_bounds(np.asarray(R, dtype=float))
-    except Exception as e:
-        raise ConfigError("cost.R", str(e))
-    if r_lo <= 0:
-        raise ConfigError("cost.R", "must be positive definite")
-
     try:
         plant = PlantModel.create(
             n=n, T=T, d_x=d_x, d_u=d_u, d_y=d_y,
             A=_get(doc, "dynamics.A"), B=_get(doc, "dynamics.B"),
-            C=_get(doc, "observations.C"), Q=Q, R=R,
+            C=_get(doc, "observations.C"), Q=_get(doc, "cost.Q"),
+            R=_get(doc, "cost.R"),
             sigma_x=_get(doc, "noise.sigma_x"),
             sigma_w0=_get(doc, "noise.sigma_w0"),
             sigma_w=_get(doc, "noise.sigma_w"))

@@ -112,7 +112,8 @@ class LocalGains:
 
 @dataclass(frozen=True)
 class CoordinatedSystem:
-    """Augmented system matrices; every sequence is stored at offset ``t-1``.
+    """Augmented system matrices; every sequence is one read-only
+    (T, ·, ·) array indexed at offset ``t-1``.
 
     ``A[t-1]``/``B[t-1]``/``SigW[t-1]`` propagate Xt~ into step t+1; the
     t = T entries use a zero next-step observation map and are only ever
@@ -131,12 +132,12 @@ class CoordinatedSystem:
     d_c: int
     d_u: int
     d_z: int
-    A: tuple[np.ndarray, ...]
-    B: tuple[np.ndarray, ...]
-    SigW: tuple[np.ndarray, ...]
-    C: tuple[np.ndarray, ...]
-    Q: tuple[np.ndarray, ...]
-    N: tuple[np.ndarray, ...]
+    A: np.ndarray      # (T, d_state, d_state)
+    B: np.ndarray      # (T, d_state, d_u)
+    SigW: np.ndarray   # (T, d_state, d_state)
+    C: np.ndarray      # (T-1, d_z, d_state)
+    Q: np.ndarray      # (T, d_state, d_state)
+    N: np.ndarray      # (T, d_state, d_u)
     init_cov: np.ndarray
 
     @property
@@ -167,64 +168,58 @@ class CoordinatedSystem:
 
 def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
           ) -> CoordinatedSystem:
-    """Assemble the coordinated system for fixed local gains."""
+    """Assemble the coordinated system for fixed local gains, all t at once."""
     if mp.n != plant.n or mp.T != plant.T:
         raise DimMismatch("protocol and plant disagree on n or T")
     if tuple(mp.d_y) != tuple(plant.d_y) or tuple(mp.d_u) != tuple(plant.d_u):
         raise DimMismatch("protocol and plant disagree on signal dims")
-    d_x, d_y, d_u = plant.d_x, plant.d_y_total, plant.d_u_total
+    T, d_x, d_y, d_u = plant.T, plant.d_x, plant.d_y_total, plant.d_u_total
     d_c, d_z = mp.d_carrier, mp.d_z
+    d = d_x + d_y + d_c
+    X, Y, M = slice(0, d_x), slice(d_x, d_x + d_y), slice(d_x + d_y, d)
+    G, Hc = gains.G, gains.H @ mp.m_sel
+    # C_{t+1}; the step after the horizon has a zero map
+    C_next = np.concatenate([plant.C[1:], np.zeros((1, d_y, d_x))])
+    BG, BH = plant.B @ G, plant.B @ Hc
+    A = np.zeros((T, d, d))
+    A[:, X, X] = plant.A
+    A[:, X, Y] = BG
+    A[:, X, M] = BH
+    A[:, Y, X] = C_next @ plant.A
+    A[:, Y, Y] = C_next @ BG
+    A[:, Y, M] = C_next @ BH
+    A[:, M, Y] = mp.cy + mp.cu @ G
+    A[:, M, M] = mp.cc + mp.cu @ Hc
+    B = np.concatenate([plant.B, C_next @ plant.B,
+                        np.broadcast_to(mp.cu, (T, d_c, d_u))], axis=1)
+    # noise into (X_{t+1}, Y_{t+1}, carrier): (W0_t, C_{t+1} W0_t + W_{t+1}, 0)
+    F = np.zeros((T, d, d_x + d_y))
+    F[:, X, :d_x] = np.eye(d_x)
+    F[:, Y, :d_x] = C_next
+    F[:, Y, d_x:] = np.eye(d_y)
     sigma_noise = blkdiag([plant.sigma_w0, plant.sigma_w])
-    A_seq, B_seq, W_seq, Q_seq, N_seq = [], [], [], [], []
-    C_seq = []
-    for t in range(1, plant.T + 1):
-        A_t, B_t = plant.A[t - 1], plant.B[t - 1]
-        G_t = gains.G[t - 1]
-        Hc_t = gains.H[t - 1] @ mp.m_sel
-        C_next = plant.C[t] if t < plant.T else np.zeros((d_y, d_x))
-        BG, BH = B_t @ G_t, B_t @ Hc_t
-        At = np.zeros((d_x + d_y + d_c,) * 2)
-        At[:d_x, :d_x] = A_t
-        At[:d_x, d_x:d_x + d_y] = BG
-        At[:d_x, d_x + d_y:] = BH
-        At[d_x:d_x + d_y, :d_x] = C_next @ A_t
-        At[d_x:d_x + d_y, d_x:d_x + d_y] = C_next @ BG
-        At[d_x:d_x + d_y, d_x + d_y:] = C_next @ BH
-        At[d_x + d_y:, d_x:d_x + d_y] = mp.cy + mp.cu @ G_t
-        At[d_x + d_y:, d_x + d_y:] = mp.cc + mp.cu @ Hc_t
-        Bt = np.vstack([B_t, C_next @ B_t, mp.cu])
-        # noise into (X_{t+1}, Y_{t+1}, carrier): (W0_t, C_{t+1} W0_t + W_{t+1}, 0)
-        F = np.zeros((d_x + d_y + d_c, d_x + d_y))
-        F[:d_x, :d_x] = np.eye(d_x)
-        F[d_x:d_x + d_y, :d_x] = C_next
-        F[d_x:d_x + d_y, d_x:] = np.eye(d_y)
-        Wt = sym(F @ sigma_noise @ F.T)
-        Qt = np.zeros((d_x + d_y + d_c,) * 2)
-        Qt[:d_x, :d_x] = plant.Q
-        loc = np.hstack([G_t, Hc_t])           # U_t = Ut~ + loc @ (Y_t, c_t)
-        Qt[d_x:, d_x:] = loc.T @ plant.R @ loc
-        Nt = np.vstack([np.zeros((d_x, d_u)), loc.T @ plant.R])
-        A_seq.append(At)
-        B_seq.append(Bt)
-        W_seq.append(Wt)
-        Q_seq.append(sym(Qt))
-        N_seq.append(Nt)
-        if t < plant.T:
-            # observation received at t+1: Z_t, generated by this step's maps
-            Ct = np.zeros((d_z, d_x + d_y + d_c))
-            Ct[:, d_x:d_x + d_y] = mp.zy + mp.zu @ G_t
-            Ct[:, d_x + d_y:] = mp.zc + mp.zu @ Hc_t
-            C_seq.append(Ct)
+    SigW = sym(F @ sigma_noise @ F.swapaxes(1, 2))
+    loc = np.concatenate([G, Hc], axis=2)   # U_t = Ut~ + loc_t @ (Y_t, c_t)
+    locR = loc.swapaxes(1, 2) @ plant.R
+    Q = np.zeros((T, d, d))
+    Q[:, X, X] = plant.Q
+    Q[:, d_x:, d_x:] = locR @ loc
+    N = np.concatenate([np.zeros((T, d_x, d_u)), locR], axis=1)
+    # observation received at t+1 (t < T): Z_t, generated by this step's maps
+    C = np.zeros((T - 1, d_z, d))
+    C[:, :, Y] = mp.zy + mp.zu @ G[:-1]
+    C[:, :, M] = mp.zc + mp.zu @ Hc[:-1]
     C1 = plant.C[0]
-    init = np.zeros((d_x + d_y + d_c,) * 2)
-    init[:d_x, :d_x] = plant.sigma_x
-    init[:d_x, d_x:d_x + d_y] = plant.sigma_x @ C1.T
-    init[d_x:d_x + d_y, :d_x] = C1 @ plant.sigma_x
-    init[d_x:d_x + d_y, d_x:d_x + d_y] = C1 @ plant.sigma_x @ C1.T + plant.sigma_w
+    init = np.zeros((d, d))
+    init[X, X] = plant.sigma_x
+    init[X, Y] = plant.sigma_x @ C1.T
+    init[Y, X] = C1 @ plant.sigma_x
+    init[Y, Y] = C1 @ plant.sigma_x @ C1.T + plant.sigma_w
     return CoordinatedSystem(
         plant=plant, protocol=mp, gains=gains, d_x=d_x, d_y=d_y, d_c=d_c,
-        d_u=d_u, d_z=d_z, A=tuple(A_seq), B=tuple(B_seq), SigW=tuple(W_seq),
-        C=tuple(C_seq), Q=tuple(Q_seq), N=tuple(N_seq), init_cov=sym(init))
+        d_u=d_u, d_z=d_z, A=read_only(A), B=read_only(B),
+        SigW=read_only(SigW), C=read_only(C), Q=read_only(sym(Q)),
+        N=read_only(N), init_cov=read_only(sym(init)))
 
 
 def closed_loop_cost_exact(cs: CoordinatedSystem, k_seq,

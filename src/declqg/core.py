@@ -93,8 +93,9 @@ def as_vector(value, dim: int | None = None, name: str = "vector") -> np.ndarray
 
 
 def sym(m: np.ndarray) -> np.ndarray:
-    """Symmetrize, suppressing round-off drift after Riccati steps."""
-    return (m + m.T) / 2.0
+    """Symmetrize a matrix, or each matrix of a stack, suppressing round-off
+    drift after Riccati steps."""
+    return (m + m.swapaxes(-1, -2)) / 2.0
 
 
 def blkdiag(blocks) -> np.ndarray:

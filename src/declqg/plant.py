@@ -19,30 +19,40 @@ from .core import (DimMismatch, InvalidMatrix, as_covariance, as_matrix,
 
 
 def _per_step(value, T, rows, cols, name):
-    """Broadcast a single matrix over t or validate a length-T sequence."""
+    """One read-only (T, rows, cols) array: a single matrix is validated and
+    stored once (stride 0 over t), a length-T sequence is stacked."""
     if isinstance(value, np.ndarray):
-        seq = list(value) if value.ndim == 3 else [value] * T
+        nested = value.ndim == 3
     else:
         try:
             nested = isinstance(value, (list, tuple)) and len(value) and \
                 np.asarray(value[0], dtype=float).ndim >= 2
         except (TypeError, ValueError) as e:
             raise InvalidMatrix(f"{name}: not a numeric matrix ({e})") from None
-        seq = list(value) if nested else [value] * T
-    if len(seq) != T:
-        raise DimMismatch(f"{name}: expected {T} per-step matrices, got {len(seq)}")
-    return tuple(as_matrix(m, rows, cols, f"{name}[t={t + 1}]")
-                 for t, m in enumerate(seq))
+    if not nested:
+        return np.broadcast_to(as_matrix(value, rows, cols, f"{name}[t=1]"),
+                               (T, rows, cols))
+    if len(value) != T:
+        raise DimMismatch(f"{name}: expected {T} per-step matrices, got {len(value)}")
+    return read_only(np.stack([as_matrix(m, rows, cols, f"{name}[t={t + 1}]")
+                               for t, m in enumerate(value)]))
+
+
+def _lists(value, n):
+    """True when ``value`` is a list, tuple or array of ``n`` entries."""
+    return isinstance(value, (list, tuple, np.ndarray)) and \
+        getattr(value, "ndim", 1) > 0 and len(value) == n
 
 
 @dataclass(frozen=True)
 class PlantModel:
     """Immutable container for the plant data; see module docstring.
 
-    Every array is read only.  Per-step maps are stored at offset ``t-1``;
-    ``C[t-1]`` stacks all controllers' observation maps (controller i owns
-    rows ``y_slice(i)``) and ``sigma_w`` is the block-diagonal covariance of
-    the stacked observation noise.
+    Every array is read only.  ``A``, ``B`` and ``C`` are (T, rows, cols)
+    arrays read at offset ``t-1``; a constant map is stored once, with
+    stride 0 over t.  ``C[t-1]`` stacks all controllers' observation maps
+    (controller i owns rows ``y_slice(i)``) and ``sigma_w`` is the
+    block-diagonal covariance of the stacked observation noise.
     """
 
     n: int
@@ -50,9 +60,9 @@ class PlantModel:
     d_x: int
     d_u: tuple[int, ...]
     d_y: tuple[int, ...]
-    A: tuple[np.ndarray, ...]
-    B: tuple[np.ndarray, ...]
-    C: tuple[np.ndarray, ...]
+    A: np.ndarray   # (T, d_x, d_x)
+    B: np.ndarray   # (T, d_x, sum d_u)
+    C: np.ndarray   # (T, sum d_y, d_x)
     Q: np.ndarray
     R: np.ndarray
     sigma_x: np.ndarray
@@ -75,11 +85,11 @@ class PlantModel:
         du = sum(d_u)
         A_seq = _per_step(A, T, d_x, d_x, "A")
         B_seq = _per_step(B, T, d_x, du, "B")
-        if not isinstance(C, (list, tuple, np.ndarray)) or len(C) != n:
+        if not _lists(C, n):
             raise DimMismatch("C must list one observation map per controller")
-        C_per = [_per_step(C[i], T, d_y[i], d_x, f"C[{i}]") for i in range(n)]
-        C_seq = tuple(read_only(np.vstack([c[t] for c in C_per]))
-                      for t in range(T))
+        C_seq = read_only(np.concatenate(
+            [_per_step(C[i], T, d_y[i], d_x, f"C[{i}]") for i in range(n)],
+            axis=1))
         Q = as_matrix(Q, d_x, d_x, "Q")
         R = as_matrix(R, du, du, "R")
         q_lo, _ = eig_bounds(Q)
@@ -90,8 +100,7 @@ class PlantModel:
             raise DimMismatch("R must be positive definite")
         sigma_x = as_covariance(sigma_x, d_x, "sigma_x")
         sigma_w0 = as_covariance(sigma_w0, d_x, "sigma_w0")
-        if not isinstance(sigma_w, (list, tuple, np.ndarray)) or \
-                len(sigma_w) != n:
+        if not _lists(sigma_w, n):
             raise DimMismatch("sigma_w must list one covariance per controller")
         sigma_w = read_only(blkdiag([
             as_covariance(sigma_w[i], d_y[i], f"sigma_w[{i}]")

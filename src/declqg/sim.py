@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import (DEFAULT_RTOL, DimMismatch, blkdiag, pinv, psd_sqrt,
                    seeded_stream)
+from . import coordination
 from .coordination import CoordinatedSystem, LocalGains
 from .estimator import statistic_transition
 from .infostructure import MemoryProtocol
@@ -284,13 +285,12 @@ def exact_cost(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     Reads the coordinated system ``ss`` was solved on, which must be built
     from these very ``plant`` and ``mp`` objects and equal ``gains``.
     """
-    from .coordination import closed_loop_cost_exact
     cs = ss.cs
     if (cs.plant is not plant or cs.protocol is not mp
             or not np.array_equal(cs.gains.theta, gains.theta)):
         raise ValueError("strategy was solved for another plant, protocol "
                          "or local gains")
-    return closed_loop_cost_exact(cs, ss.Kgain, ss.filter_gain)
+    return coordination.closed_loop_cost_exact(cs, ss.Kgain, ss.filter_gain)
 
 
 # --------------------------------------------------------------------------

@@ -13,8 +13,12 @@ def random_psd(rng, d, scale=1.0, rank=None):
 
 
 def random_plant(rng, n=2, d_x=2, d_y=None, d_u=None, T=5,
-                 time_varying=False, rho=0.9):
-    """Random desk-scale instance with spectral radius about rho."""
+                 time_varying=False, rho=0.9, singular_w=False):
+    """Random desk-scale instance with spectral radius about rho.
+
+    ``singular_w`` draws each controller's observation noise covariance
+    with rank d_y - 1 (zero for scalar observations).
+    """
     d_y = tuple(d_y if d_y is not None else [1] * n)
     d_u = tuple(d_u if d_u is not None else [1] * n)
     du = sum(d_u)
@@ -37,7 +41,8 @@ def random_plant(rng, n=2, d_x=2, d_y=None, d_u=None, T=5,
         R=random_psd(rng, du, 0.5) + 0.5 * np.eye(du),
         sigma_x=random_psd(rng, d_x, 1.0) + 0.1 * np.eye(d_x),
         sigma_w0=random_psd(rng, d_x, 0.3) + 0.05 * np.eye(d_x),
-        sigma_w=[random_psd(rng, d_y[i], 0.2) + 0.05 * np.eye(d_y[i])
+        sigma_w=[random_psd(rng, d_y[i], 0.2, rank=d_y[i] - 1) if singular_w
+                 else random_psd(rng, d_y[i], 0.2) + 0.05 * np.eye(d_y[i])
                  for i in range(n)])
 
 

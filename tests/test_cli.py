@@ -278,6 +278,18 @@ def _sigma_w_scalar(doc):
     doc["noise"]["sigma_w"] = 5
 
 
+def _Q_not_psd(doc):
+    doc["cost"]["Q"] = [[1.0, 2.0], [2.0, 1.0]]
+
+
+def _Q_text(doc):
+    doc["cost"]["Q"] = [["x", 0.0], [0.0, 1.0]]
+
+
+def _R_text(doc):
+    doc["cost"]["R"] = "x"
+
+
 def _delays_text(doc):
     doc["info_structure"] = {"kind": "asymmetric_delay",
                              "params": {"delays": [["a", "b"], ["c", "d"]]}}
@@ -321,6 +333,9 @@ def _horizon_bool(doc):
     (_A_nested_text, "dynamics.A"),
     (_C_nested_text, "observations.C"),
     (_sigma_w_scalar, "noise"),
+    (_Q_not_psd, "cost.Q"),
+    (_Q_text, "cost.Q"),
+    (_R_text, "cost.R"),
     (_delays_text, "info_structure"),
     (_delays_ragged, "info_structure"),
     (_blocks_scalar, "info_structure"),

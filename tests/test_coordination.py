@@ -3,10 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from declqg import (LocalGains, PlantModel, ZHistoryPolicy,
-                    build, build_symmetric_delay, closed_loop_cost_exact,
+                    build, build_control_sharing, build_symmetric_delay,
+                    closed_loop_cost_exact,
                     draw_primitives, forward_riccati, random_theta_maps,
                     rollout_coordinated, rollout_plant, solve)
-from declqg.core import DimMismatch, TimeOutOfRange, blkdiag, eig_bounds
+from declqg.core import (DimMismatch, TimeOutOfRange, blkdiag, eig_bounds,
+                         sym)
 
 from conftest import random_plant
 
@@ -134,6 +136,58 @@ def test_lift_time_out_of_range(scalar2):
     for t in (0, scalar2.T + 1):
         with pytest.raises(TimeOutOfRange):
             cs.lift(t)
+
+
+def _build_per_step(p, mp, lg):
+    """The per-step assembly ``build`` batches over t, one step at a time."""
+    d_x, d_y, d_c = p.d_x, p.d_y_total, mp.d_carrier
+    d, X, Y = d_x + d_y + d_c, slice(0, d_x), slice(d_x, d_x + d_y)
+    M = slice(d_x + d_y, d)
+    noise = blkdiag([p.sigma_w0, p.sigma_w])
+    out = {k: [] for k in ("A", "B", "SigW", "Q", "N", "C")}
+    for t in range(1, p.T + 1):
+        A_t, B_t, G = p.A[t - 1], p.B[t - 1], lg.G[t - 1]
+        Hc = lg.H[t - 1] @ mp.m_sel
+        C_next = p.C[t] if t < p.T else np.zeros((d_y, d_x))
+        BG, BH = B_t @ G, B_t @ Hc
+        A = np.zeros((d, d))
+        A[X, X], A[X, Y], A[X, M] = A_t, BG, BH
+        A[Y, X], A[Y, Y], A[Y, M] = C_next @ A_t, C_next @ BG, C_next @ BH
+        A[M, Y], A[M, M] = mp.cy + mp.cu @ G, mp.cc + mp.cu @ Hc
+        F = np.zeros((d, d_x + d_y))
+        F[X, :d_x], F[Y, :d_x], F[Y, d_x:] = np.eye(d_x), C_next, np.eye(d_y)
+        loc = np.hstack([G, Hc])
+        Q = np.zeros((d, d))
+        Q[X, X], Q[d_x:, d_x:] = p.Q, loc.T @ p.R @ loc
+        out["A"].append(A)
+        out["B"].append(np.vstack([B_t, C_next @ B_t, mp.cu]))
+        out["SigW"].append(sym(F @ noise @ F.T))
+        out["Q"].append(sym(Q))
+        out["N"].append(np.vstack([np.zeros((d_x, p.d_u_total)),
+                                   loc.T @ p.R]))
+        if t < p.T:
+            C = np.zeros((mp.d_z, d))
+            C[:, Y], C[:, M] = mp.zy + mp.zu @ G, mp.zc + mp.zu @ Hc
+            out["C"].append(C)
+    return out
+
+
+@pytest.mark.parametrize("T, time_varying, kind", [
+    (5, False, "delay"), (4, True, "delay"), (1, True, "delay"),
+    (3, True, "control_sharing")])
+def test_build_bitwise_equals_per_step_assembly(T, time_varying, kind):
+    rng = np.random.default_rng(T)
+    p = random_plant(rng, n=3, d_y=(2, 1, 1), d_u=(1, 2, 1), T=T,
+                     time_varying=time_varying)
+    mp = build_symmetric_delay(p, min(T, 2)) if kind == "delay" \
+        else build_control_sharing(p)
+    lg = LocalGains.random(p, mp, rng, 0.5)
+    cs = build(p, mp, lg)
+    for name, seq in _build_per_step(p, mp, lg).items():
+        batched = getattr(cs, name)
+        assert batched.shape[0] == len(seq)
+        for t, ref in enumerate(seq):
+            assert np.array_equal(batched[t], ref), (name, t + 1)
 
 
 def test_build_rejects_mismatched_protocol():
@@ -277,10 +331,15 @@ def test_gains_views_are_read_only():
     assert lg.theta[0] != source[0]
     assert not lg.theta.flags.writeable
     # stacked results of vstack, blkdiag and zeros are writeable unless
-    # frozen: every array on the plant and the gains must refuse writes
+    # frozen: every array on the plant, the gains and the coordinated
+    # system must refuse writes, and so must each per-step view
+    cs = build(p, mp, lg)
     arrays = [lg.theta, lg.G, lg.H, _block(p, mp, lg, "G", 0, 0),
               _block(p, mp, lg, "H", 2, 1), p.Q, p.R, p.sigma_x, p.sigma_w0,
-              p.sigma_w, *p.A, *p.B, *p.C]
+              p.sigma_w, p.A, p.B, p.C, *p.A, *p.B, *p.C, cs.init_cov]
+    for seq in (cs.A, cs.B, cs.SigW, cs.C, cs.Q, cs.N):
+        assert seq.shape[0] == (p.T - 1 if seq is cs.C else p.T)
+        arrays += [seq, *seq]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0

@@ -113,3 +113,13 @@ def test_constant_broadcast():
     p = small_plant()
     for t in range(1, p.T + 1):
         assert_allclose(p.A[t - 1], np.eye(2))
+    # a constant map is stored once; a time-varying one is stacked
+    assert p.A.shape == (p.T, 2, 2) and p.A.strides[0] == 0
+    assert small_plant(A=[np.eye(2)] * 3).A.strides[0] > 0
+
+
+@pytest.mark.parametrize("field, message", [("C", "C must list"),
+                                            ("sigma_w", "sigma_w must list")])
+def test_zero_d_array_rejected(field, message):
+    with pytest.raises(DimMismatch, match=message):
+        small_plant(**{field: np.array(5.0)})

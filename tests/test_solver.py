@@ -98,7 +98,7 @@ def test_performance_zero_cases():
 
 def test_uncontrollable_input_gives_zero_gain_and_open_loop_cost():
     p = scalar_two_controller()
-    p = dataclasses.replace(p, B=tuple(np.zeros((1, 2)) for _ in range(p.T)))
+    p = dataclasses.replace(p, B=np.zeros((p.T, 1, 2)))
     mp = build_symmetric_delay(p, 2)
     ss = solve(p, mp, LocalGains.zeros(p, mp))
     for K in ss.Kgain:

@@ -11,7 +11,7 @@ from conftest import scalar_two_controller
 
 def test_uncontrollable_plant_keeps_zero_gains():
     p = scalar_two_controller(T=4)
-    p = dataclasses.replace(p, B=tuple(np.zeros((1, 2)) for _ in range(4)))
+    p = dataclasses.replace(p, B=np.zeros((4, 1, 2)))
     mp = build_symmetric_delay(p, 2)
     at_zero = solve(p, mp, LocalGains.zeros(p, mp)).J
     result = tune(p, mp, budget=100, seed=0, restarts=1)
