@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_RTOL, NumericalBreakdown, as_matrix
+from .core import (DEFAULT_RTOL, NumericalBreakdown, UnsupportedProtocol,
+                   as_matrix, read_only)
 from .coordination import LocalGains, build
 from .infostructure import (DelayGraph, MemoryProtocol,
                             build_asymmetric_delay, build_control_sharing,
@@ -26,7 +27,7 @@ from .infostructure import (DelayGraph, MemoryProtocol,
                             explicit_protocol, token_trace, validate)
 from .plant import PlantModel
 from .sim import exact_cost, simulate
-from .solver import SolvedStrategy, solve
+from .solver import SolvedStrategy, reduce_gains, solve
 from .tune import tune
 
 
@@ -214,9 +215,9 @@ def strategy_to_doc(ss: SolvedStrategy, dump_matrices=False) -> dict:
         "format": "declqg-strategy/1",
         "fingerprint": _fingerprint(p, mp),
         "J": ss.J,
-        "K": [k.tolist() for k in ss.Kgain],
-        "L": [m.tolist() for m in ss.Lgain],
-        "filter_gain": [g.tolist() for g in ss.filter_gain],
+        "K": ss.Kgain.tolist(),
+        "L": ss.Lgain.tolist(),
+        "filter_gain": ss.filter_gain.tolist(),
         "gains": {
             "per_step": True,
             "G": [[G_t[p.u_slice(i), p.y_slice(i)].tolist()
@@ -226,24 +227,25 @@ def strategy_to_doc(ss: SolvedStrategy, dump_matrices=False) -> dict:
         },
     }
     if dump_matrices and ss.Ptilde is not None:
-        doc["Ptilde"] = [m.tolist() for m in ss.Ptilde]
-        doc["S"] = [m.tolist() for m in ss.S]
+        doc["Ptilde"] = ss.Ptilde.tolist()
+        doc["S"] = ss.S.tolist()
     return doc
 
 
-def _matrix_sequence(doc, key, count, rows, cols) -> tuple:
-    """``count`` finite rows x cols matrices from the list ``doc[key]``."""
+def _matrix_sequence(doc, key, count, rows, cols) -> np.ndarray:
+    """The list ``doc[key]`` of ``count`` finite rows x cols matrices, as
+    one read-only (count, rows, cols) array."""
     seq = _get(doc, key)
     if not isinstance(seq, list) or len(seq) != count:
         raise ConfigError(key, f"expected a list of {count} matrices")
-    out = []
+    out = np.empty((count, rows, cols))
     for t, m in enumerate(seq, 1):
         field = f"{key}[t={t}]"
         try:
-            out.append(as_matrix(m, rows, cols, field))
+            out[t - 1] = as_matrix(m, rows, cols, field)
         except (ValueError, TypeError) as e:
             raise ConfigError(field, str(e).removeprefix(f"{field}: "))
-    return tuple(out)
+    return read_only(out)
 
 
 def strategy_from_doc(doc: dict, plant: PlantModel, mp: MemoryProtocol
@@ -262,7 +264,12 @@ def strategy_from_doc(doc: dict, plant: PlantModel, mp: MemoryProtocol
                           else "gains", msg)
     cs = build(plant, mp, gains)
     K = _matrix_sequence(doc, "K", plant.T, cs.d_u, cs.d_state)
-    L = _matrix_sequence(doc, "L", plant.T, cs.d_u, cs.d_x + cs.d_c)
+    L = reduce_gains(cs, K)
+    gap = np.abs(_matrix_sequence(doc, "L", plant.T, cs.d_u, cs.d_x + cs.d_c)
+                 - L).max(initial=0.0)
+    if gap > 1e-9 * max(1.0, np.abs(L).max(initial=0.0)):
+        raise ConfigError("L", f"differs from K times the lift map by "
+                               f"{gap:.3e}")
     F = _matrix_sequence(doc, "filter_gain", plant.T - 1, cs.d_state, cs.d_z)
     try:
         J = float(_get(doc, "J"))
@@ -328,7 +335,7 @@ def cmd_validate(args) -> int:
             oldest = min((tok[2] for tok in toks), default=None)
             print(f"  M^{i + 1}_{t}: {len(toks)} live entries"
                   + (f", oldest from t={oldest}" if oldest else ""))
-    except Exception as e:
+    except UnsupportedProtocol as e:
         print(f"token simulation unavailable: {e}")
     if args.out:
         _write_json(os.path.join(_outdir(args), "protocol.json"),

@@ -22,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (DimMismatch, TimeOutOfRange, as_matrix, as_vector,
-                   blkdiag, read_only, sym)
+from .core import (DimMismatch, as_matrix, as_vector, blkdiag, read_only,
+                   sym)
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
 
@@ -119,9 +119,11 @@ class CoordinatedSystem:
     t = T entries use a zero next-step observation map and are only ever
     multiplied into the zero terminal value matrix.  ``Q[t-1]``/``N[t-1]``
     weight step t.  ``C[t-1]`` (t = 1..T-1) maps Xt~_t to Z_t, the
-    observation received at t+1.  The step-invariant maps are read where
-    they are stored: Ut~'s share of Z_t is ``protocol.zu`` and the control
-    weight is ``plant.R``.
+    observation received at t+1.  ``proj`` selects (X, carrier) out of the
+    augmented state, and ``lift[t-1]`` rebuilds the augmented state from
+    (X, carrier) through Y-hat = C_t X-hat.  The step-invariant maps are
+    read where they are stored: Ut~'s share of Z_t is ``protocol.zu`` and
+    the control weight is ``plant.R``.
     """
 
     plant: PlantModel
@@ -138,6 +140,8 @@ class CoordinatedSystem:
     C: np.ndarray      # (T-1, d_z, d_state)
     Q: np.ndarray      # (T, d_state, d_state)
     N: np.ndarray      # (T, d_state, d_u)
+    lift: np.ndarray   # (T, d_state, d_x + d_c)
+    proj: np.ndarray   # (d_x + d_c, d_state)
     init_cov: np.ndarray
 
     @property
@@ -147,23 +151,6 @@ class CoordinatedSystem:
     @property
     def T(self) -> int:
         return self.plant.T
-
-    def proj(self) -> np.ndarray:
-        """Selects (X, carrier) out of the augmented state."""
-        out = np.zeros((self.d_x + self.d_c, self.d_state))
-        out[:self.d_x, :self.d_x] = np.eye(self.d_x)
-        out[self.d_x:, self.d_x + self.d_y:] = np.eye(self.d_c)
-        return out
-
-    def lift(self, t: int) -> np.ndarray:
-        """Rebuilds the augmented state from (X, carrier) via Y-hat = C_t X-hat."""
-        if not 1 <= t <= self.T:
-            raise TimeOutOfRange(f"t={t} outside 1..{self.T}")
-        out = np.zeros((self.d_state, self.d_x + self.d_c))
-        out[:self.d_x, :self.d_x] = np.eye(self.d_x)
-        out[self.d_x:self.d_x + self.d_y, :self.d_x] = self.plant.C[t - 1]
-        out[self.d_x + self.d_y:, self.d_x:] = np.eye(self.d_c)
-        return out
 
 
 def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
@@ -209,6 +196,13 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
     C = np.zeros((T - 1, d_z, d))
     C[:, :, Y] = mp.zy + mp.zu @ G[:-1]
     C[:, :, M] = mp.zc + mp.zu @ Hc[:-1]
+    lift = np.zeros((T, d, d_x + d_c))
+    lift[:, X, :d_x] = np.eye(d_x)
+    lift[:, Y, :d_x] = plant.C
+    lift[:, M, d_x:] = np.eye(d_c)
+    proj = np.zeros((d_x + d_c, d))
+    proj[:d_x, X] = np.eye(d_x)
+    proj[d_x:, M] = np.eye(d_c)
     C1 = plant.C[0]
     init = np.zeros((d, d))
     init[X, X] = plant.sigma_x
@@ -219,7 +213,8 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
         plant=plant, protocol=mp, gains=gains, d_x=d_x, d_y=d_y, d_c=d_c,
         d_u=d_u, d_z=d_z, A=read_only(A), B=read_only(B),
         SigW=read_only(SigW), C=read_only(C), Q=read_only(sym(Q)),
-        N=read_only(N), init_cov=read_only(sym(init)))
+        N=read_only(N), lift=read_only(lift), proj=read_only(proj),
+        init_cov=read_only(sym(init)))
 
 
 def closed_loop_cost_exact(cs: CoordinatedSystem, k_seq,

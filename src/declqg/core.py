@@ -157,11 +157,13 @@ def check_psd(m: np.ndarray, rel: float = 1e-10, name: str = "matrix",
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Factor ``F`` with ``F F^T = m`` for PSD ``m`` (eigen based)."""
+    """Factor ``F`` with ``F F^T = m`` for PSD ``m`` (eigen based).  Round-off
+    eigenvalues, at most ``matrix_rank``'s ``max eig * dim * eps``, count as
+    zero, so ``F`` adds no noise along the null directions of ``m``."""
     if m.size == 0:
         return np.zeros_like(m)
     w, v = np.linalg.eigh(sym(m))
-    w = np.clip(w, 0.0, None)
+    w = np.where(w > w.max() * len(w) * np.finfo(float).eps, w, 0.0)
     return v * np.sqrt(w)
 
 

@@ -16,14 +16,12 @@ Three statistics appear here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .core import (DEFAULT_RTOL, DimMismatch, TimeOutOfRange,
                    UnsupportedProtocol, as_vector, pinv, sym)
 from .coordination import CoordinatedSystem
-from .infostructure import token_trace
 from .plant import PlantModel
 from .solver import SolvedStrategy
 
@@ -49,11 +47,10 @@ def statistic_transition(ss: SolvedStrategy, t: int):
     cs = ss.cs
     if not 1 <= t < cs.T:
         raise TimeOutOfRange(f"no transition out of t={t} (T={cs.T})")
-    lift, proj = cs.lift(t), cs.proj()
     gain = ss.filter_gain[t - 1]
-    Ts = proj @ (cs.A[t - 1] - gain @ cs.C[t - 1]) @ lift
-    Tu = proj @ (cs.B[t - 1] - gain @ cs.protocol.zu)
-    Tz = proj @ gain
+    Ts = cs.proj @ (cs.A[t - 1] - gain @ cs.C[t - 1]) @ cs.lift[t - 1]
+    Tu = cs.proj @ (cs.B[t - 1] - gain @ cs.protocol.zu)
+    Tz = cs.proj @ gain
     return Ts, Tu, Tz
 
 
@@ -252,42 +249,48 @@ def _check_stat_delay(mp, k: int) -> None:
             f"window delay {k} does not match the protocol's {effective_delay(mp)}")
 
 
-def _signal_offsets(plant: PlantModel) -> dict:
-    """Controller i's first entry in the stacked Y ("y") and U ("u") vectors."""
-    return {"y": tuple(accumulate(plant.d_y, initial=0)),
-            "u": tuple(accumulate(plant.d_u, initial=0))}
+def _window_map(cs: CoordinatedSystem, k: int) -> np.ndarray:
+    """Map from S_t to (xhat, carrier) at t - k + 1, every window pair live.
+
+    The carrier at tau = t - k + 1 is sum_j cc^j (cy Y + cu U) over the pairs
+    shared at tau - 1 - j, j = 0..k-2, which are S_t's window entries
+    k - 2 - j (oldest first); cc^(k-1) = 0 for delayed sharing.  The map
+    does not depend on t.
+    """
+    plant, mp = cs.plant, cs.protocol
+    d_x, d_u, d_y = plant.d_x, plant.d_u_total, plant.d_y_total
+    y0 = d_x + (k - 1) * d_u
+    u0 = y0 + (k - 1) * d_y
+    base = np.zeros((d_x + cs.d_c, delay_stat_dim(plant, k)))
+    base[:d_x, :d_x] = np.eye(d_x)
+    power = np.eye(cs.d_c)      # cc^j
+    for w in range(k - 2, -1, -1):
+        base[d_x:, y0 + w * d_y:y0 + (w + 1) * d_y] = power @ mp.cy
+        base[d_x:, u0 + w * d_u:u0 + (w + 1) * d_u] = power @ mp.cu
+        power = power @ mp.cc
+    return base
 
 
-def _stat_map(cs: CoordinatedSystem, k: int, t: int, trace,
-              offsets: dict) -> np.ndarray:
-    """``delayed_stat_map`` for a checked (k, t), from the protocol's trace."""
+def _stat_map(cs: CoordinatedSystem, k: int, t: int,
+              window: np.ndarray) -> np.ndarray:
+    """``delayed_stat_map`` for a checked (k, t), from ``_window_map``."""
     plant = cs.plant
     d_x, d_u, d_y = plant.d_x, plant.d_u_total, plant.d_y_total
-    dim_s = delay_stat_dim(plant, k)
+    dim_s = window.shape[1]
     tau = t - k + 1
 
-    # column offsets inside S_t
     def ut_col(s):        # coordinator action at time s, s = tau..t-1
         return d_x + (s - tau) * d_u
 
-    y0 = d_x + (k - 1) * d_u
-    u0 = y0 + (k - 1) * d_y
-    # shared pairs at times s = t-2k+2..t-k, per signal kind
-    window = {"y": (y0, d_y), "u": (u0, d_u)}
-
     if tau >= 1:
-        reorder = np.zeros((cs.d_c, dim_s))
-        for r, tok in enumerate(trace.carrier[tau]):
-            if tok is None:
-                continue
-            kind, i, s, comp = tok
-            first, width = window[kind]
-            col = first + (s - (t - 2 * k + 2)) * width
-            reorder[r, col + offsets[kind][i] + comp] = 1.0
-        base = np.zeros((d_x + cs.d_c, dim_s))
-        base[:d_x, :d_x] = np.eye(d_x)
-        base[d_x:, :] = reorder
-        emap = cs.lift(tau) @ base
+        if tau < k:
+            # window entries w < k - tau hold pairs from before t = 1
+            y0 = d_x + (k - 1) * d_u
+            u0 = y0 + (k - 1) * d_y
+            window = window.copy()
+            window[d_x:, y0:y0 + (k - tau) * d_y] = 0.0
+            window[d_x:, u0:u0 + (k - tau) * d_u] = 0.0
+        emap = cs.lift[tau - 1] @ window
         start = tau
     else:
         # before the pipeline fills the delayed estimate is zero
@@ -297,7 +300,7 @@ def _stat_map(cs: CoordinatedSystem, k: int, t: int, trace,
         sel = np.zeros((d_u, dim_s))
         sel[:, ut_col(s):ut_col(s) + d_u] = np.eye(d_u)
         emap = cs.A[s - 1] @ emap + cs.B[s - 1] @ sel
-    return cs.proj() @ emap
+    return cs.proj @ emap
 
 
 def delayed_stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
@@ -305,25 +308,23 @@ def delayed_stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
 
     Built constructively: rebuild the augmented-state estimate at time
     t - k + 1 out of S_t (the X part from xhat, the Y part through C, the
-    carrier slots matched to window entries by symbolic tokens), then
-    propagate the coordinated dynamics with the windowed coordinator actions
-    and zero-mean noise, and project back to (X, carrier).
+    carrier as the protocol's linear image of the shared window pairs),
+    then propagate the coordinated dynamics with the windowed coordinator
+    actions and zero-mean noise, and project back to (X, carrier).
     """
     _check_stat_delay(cs.protocol, k)
     if not 1 <= t <= cs.T:
         raise TimeOutOfRange(f"t={t} outside 1..{cs.T}")
-    return _stat_map(cs, k, t, token_trace(cs.protocol),
-                     _signal_offsets(cs.plant))
+    return _stat_map(cs, k, t, _window_map(cs, k))
 
 
 def delayed_stat_gains(ss: SolvedStrategy, k: int):
     """Gains acting directly on S_t: L_t = L~_t M_map(t).
 
-    The protocol is checked and its tokens traced once for all T maps.
+    The protocol is checked and the window map built once for all T maps.
     """
     cs = ss.cs
     _check_stat_delay(cs.protocol, k)
-    trace = token_trace(cs.protocol)
-    offsets = _signal_offsets(cs.plant)
-    return tuple(ss.Lgain[t - 1] @ _stat_map(cs, k, t, trace, offsets)
+    window = _window_map(cs, k)
+    return tuple(ss.Lgain[t - 1] @ _stat_map(cs, k, t, window)
                  for t in range(1, cs.T + 1))

@@ -190,22 +190,11 @@ class MemoryProtocol:
 def _assemble(plant: PlantModel, blocks, *, kind: str, strict: bool,
               d_m=None, m_sel=None, l_from_m=None, delay_graph=None,
               delay=None, notes=()) -> MemoryProtocol:
-    """Common constructor: stack per-controller carrier blocks."""
+    """Common constructor: stack per-controller carrier blocks, which the
+    builders construct and ``explicit_protocol`` coerces to exact shape."""
     n = plant.n
     d_c_per = tuple(blocks[i]["mm"].shape[0] for i in range(n))
     d_z_per = tuple(blocks[i]["zy"].shape[0] for i in range(n))
-    for i in range(n):
-        b = blocks[i]
-        c_i, z_i = d_c_per[i], d_z_per[i]
-        shapes = {
-            "mm": (c_i, c_i), "my": (c_i, plant.d_y[i]), "mu": (c_i, plant.d_u[i]),
-            "zm": (z_i, c_i), "zy": (z_i, plant.d_y[i]), "zu": (z_i, plant.d_u[i]),
-        }
-        for name, shape in shapes.items():
-            if b[name].shape != shape:
-                raise DimMismatch(
-                    f"controller {i} block {name}: expected {shape}, "
-                    f"got {b[name].shape}")
     cc = blkdiag([blocks[i]["mm"] for i in range(n)])
     cy = blkdiag([blocks[i]["my"] for i in range(n)])
     cu = blkdiag([blocks[i]["mu"] for i in range(n)])

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_RTOL, DimMismatch, check_psd, pinv, solve_pd, sym)
+from .core import (DEFAULT_RTOL, DimMismatch, check_psd, pinv, read_only,
+                   solve_pd, sym)
 from .coordination import CoordinatedSystem, LocalGains, build
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
@@ -25,21 +26,21 @@ from .plant import PlantModel
 class SolvedStrategy:
     """Gains, covariances, value matrices, and predicted cost.
 
-    All sequences are indexed by python offset ``t - 1`` for step t:
-    ``Ptilde`` has T entries, ``filter_gain`` T - 1 (the update into step
-    t + 1 uses ``filter_gain[t - 1]``), ``S``/``Lambda``/``Kgain``/``Lgain``
-    T entries each.  Strategies reloaded from disk carry only the gains;
-    the covariance/value sequences are then ``None``.
+    Every sequence is one read-only (T, ·, ·) array indexed at offset
+    ``t - 1`` for step t, except ``filter_gain``, which has T - 1 entries
+    (the update into step t + 1 uses ``filter_gain[t - 1]``).  Strategies
+    reloaded from disk carry only the gains; the covariance/value sequences
+    are then ``None``.
     """
 
     cs: CoordinatedSystem
-    Kgain: tuple[np.ndarray, ...]
-    Lgain: tuple[np.ndarray, ...]
-    filter_gain: tuple[np.ndarray, ...]
+    Kgain: np.ndarray         # (T, d_u, d_state)
+    Lgain: np.ndarray         # (T, d_u, d_x + d_c)
+    filter_gain: np.ndarray   # (T-1, d_state, d_z)
     J: float
-    Ptilde: tuple[np.ndarray, ...] | None = None
-    S: tuple[np.ndarray, ...] | None = None
-    Lambda: tuple[np.ndarray, ...] | None = None
+    Ptilde: np.ndarray | None = None   # (T, d_state, d_state)
+    S: np.ndarray | None = None        # (T, d_state, d_state)
+    Lambda: np.ndarray | None = None   # (T, d_u, d_state)
 
     @property
     def gains(self) -> LocalGains:
@@ -63,18 +64,17 @@ def forward_riccati(cs: CoordinatedSystem, rtol: float = DEFAULT_RTOL):
     t + 1 conditions on the new observation Z_t through its (possibly
     singular) innovation covariance.
     """
-    P = [sym(cs.init_cov)]
-    gains = []
+    P = np.empty((cs.T, cs.d_state, cs.d_state))
+    gains = np.empty((cs.T - 1, cs.d_state, cs.d_z))
+    P[0] = sym(cs.init_cov)
     for t in range(1, cs.T):
-        A, C = cs.A[t - 1], cs.C[t - 1]
-        Pt = P[-1]
+        A, C, Pt = cs.A[t - 1], cs.C[t - 1], P[t - 1]
         innov = sym(C @ Pt @ C.T)
-        gain = A @ Pt @ C.T @ pinv(innov, rtol)
-        Pn = sym(A @ Pt @ A.T + cs.SigW[t - 1] - gain @ (C @ Pt @ A.T))
-        check_psd(Pn, rel=1e-8, name="filter covariance", t=t + 1)
-        P.append(Pn)
-        gains.append(gain)
-    return tuple(P), tuple(gains)
+        gains[t - 1] = A @ Pt @ C.T @ pinv(innov, rtol)
+        P[t] = sym(A @ Pt @ A.T + cs.SigW[t - 1]
+                   - gains[t - 1] @ (C @ Pt @ A.T))
+        check_psd(P[t], rel=1e-8, name="filter covariance", t=t + 1)
+    return read_only(P), read_only(gains)
 
 
 def backward_riccati(cs: CoordinatedSystem):
@@ -83,19 +83,19 @@ def backward_riccati(cs: CoordinatedSystem):
     Runs from S_{T+1} = 0; the control bracket R~ + B~' S B~ is positive
     definite (R is PD) so a true solve is used.
     """
-    S_next = np.zeros((cs.d_state, cs.d_state))
-    S_rev, L_rev, K_rev = [], [], []
-    for t in range(cs.T, 0, -1):
+    T, d = cs.T, cs.d_state
+    S = np.empty((T, d, d))
+    lam, K = np.empty((T, cs.d_u, d)), np.empty((T, cs.d_u, d))
+    S_next = np.zeros((d, d))
+    for t in range(T, 0, -1):
         A, B = cs.A[t - 1], cs.B[t - 1]
         bracket = sym(cs.plant.R + B.T @ S_next @ B)
-        lam = cs.N[t - 1].T + B.T @ S_next @ A
-        K = -solve_pd(bracket, lam, t=t)
-        S_t = sym(A.T @ S_next @ A + cs.Q[t - 1] + lam.T @ K)
-        S_rev.append(S_t)
-        L_rev.append(lam)
-        K_rev.append(K)
-        S_next = S_t
-    return tuple(S_rev[::-1]), tuple(L_rev[::-1]), tuple(K_rev[::-1])
+        lam[t - 1] = cs.N[t - 1].T + B.T @ S_next @ A
+        K[t - 1] = -solve_pd(bracket, lam[t - 1], t=t)
+        S[t - 1] = sym(A.T @ S_next @ A + cs.Q[t - 1]
+                       + lam[t - 1].T @ K[t - 1])
+        S_next = S[t - 1]
+    return read_only(S), read_only(lam), read_only(K)
 
 
 def performance(cs: CoordinatedSystem, ptilde, s_seq) -> float:
@@ -122,8 +122,7 @@ def reduce_gains(cs: CoordinatedSystem, k_seq):
     """
     if len(k_seq) != cs.T:
         raise DimMismatch(f"need {cs.T} gain matrices, got {len(k_seq)}")
-    return tuple(np.asarray(k_seq[t - 1], dtype=float) @ cs.lift(t)
-                 for t in range(1, cs.T + 1))
+    return read_only(np.asarray(k_seq, dtype=float) @ cs.lift)
 
 
 def solve(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,

@@ -21,6 +21,9 @@ from .infostructure import MemoryProtocol
 from .plant import PlantModel
 from .solver import SolvedStrategy, solve
 
+STEP_INIT = 0.5     # first compass step on every gain entry
+STEP_MIN = 1e-6     # a restart ends once its step halves below this
+
 
 @dataclass(frozen=True)
 class TuneResult:
@@ -32,8 +35,7 @@ class TuneResult:
 
 
 def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
-         restarts: int = 0, step_init: float = 0.5, step_min: float = 1e-6,
-         rtol: float = DEFAULT_RTOL) -> TuneResult:
+         restarts: int = 0, rtol: float = DEFAULT_RTOL) -> TuneResult:
     """Compass search over all local-gain entries; inner solves are exact.
 
     Returns the incumbent with smallest J (ties keep the earliest
@@ -64,8 +66,8 @@ def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
             break
         J_cur = evaluate(theta)
         log.append((restart_idx, evals, best[0]))
-        step = step_init
-        while step >= step_min and evals < budget:
+        step = STEP_INIT
+        while step >= STEP_MIN and evals < budget:
             improved = False
             for p in range(zero.size):
                 accepted = False

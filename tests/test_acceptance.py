@@ -249,7 +249,7 @@ def test_criterion_5_control_optimality():
                            [[np.zeros((1, 0))]] * 3)
     ss = solve(p, mp, lg)
     t_last = p.T - 1
-    proj = ss.cs.proj()
+    proj = ss.cs.proj
     assert ss.Lgain[t_last].shape == (1, 1)   # genuinely scalar search
 
     def cost_with_LT(ell):

@@ -48,6 +48,31 @@ def test_solve_then_simulate_round_trip(k2_config, tmp_path, capsys):
     assert header.endswith("cost_step")
 
 
+def test_solve_then_simulate_round_trip_one_step(tmp_path, capsys):
+    # T = 1: the strategy file holds no filter gains
+    doc = json.loads(json.dumps(DEMOS["scalar-2ctrl-k1"]["config"]))
+    doc["horizon"] = 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "art"
+    assert main(["--out", str(out), "solve", str(config)]) == 0
+    assert json.loads((out / "strategy.json").read_text())["filter_gain"] == []
+    assert main(["--out", str(out), "simulate", str(config), "--strategy",
+                 str(out / "strategy.json"), "--rollouts", "200"]) == 0
+
+
+def test_validate_reports_non_selection_protocol(tmp_path, capsys):
+    doc = json.loads(json.dumps(DEMOS["scalar-2ctrl-k1"]["config"]))
+    share = {"mm": [], "my": [], "mu": [], "zm": [], "zy": [[1.0]],
+             "zu": [[0.5]]}
+    doc["info_structure"] = {"kind": "explicit",
+                             "params": {"blocks": [share, share]}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["validate", str(config)]) == 0
+    assert "token simulation unavailable" in capsys.readouterr().out
+
+
 def test_simulate_deterministic(k2_config, tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -179,6 +204,11 @@ def _inf_in_L(doc):
     doc["L"][2][0][0] = float("inf")
 
 
+def _zero_L(doc):
+    # finite and well shaped, but no longer K times the lift map
+    doc["L"] = np.zeros(np.shape(doc["L"])).tolist()
+
+
 @pytest.mark.parametrize("mutate, field", [
     (_nan_in_K, "K[t=1]"),
     (_short_K_row, "K[t=2]"),
@@ -186,6 +216,7 @@ def _inf_in_L(doc):
     (_no_K, "at K:"),
     (_few_filter_gains, "filter_gain"),
     (_inf_in_L, "L[t=3]"),
+    (_zero_L, "at L:"),
     (_no_fingerprint, "at fingerprint:"),
 ])
 def test_malformed_strategy_rejected_with_field(mutate, field, k2_config,

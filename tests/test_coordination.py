@@ -7,8 +7,7 @@ from declqg import (LocalGains, PlantModel, ZHistoryPolicy,
                     closed_loop_cost_exact,
                     draw_primitives, forward_riccati, random_theta_maps,
                     rollout_coordinated, rollout_plant, solve)
-from declqg.core import (DimMismatch, TimeOutOfRange, blkdiag, eig_bounds,
-                         sym)
+from declqg.core import DimMismatch, blkdiag, eig_bounds, sym
 
 from conftest import random_plant
 
@@ -129,22 +128,13 @@ def test_local_gains_block_diagonal():
                 assert_allclose(blk, 0.0)
 
 
-def test_lift_time_out_of_range(scalar2):
-    # plant.C is indexed at t-1, so without the check t = 0 would read C_T
-    mp = build_symmetric_delay(scalar2, 1)
-    cs = build(scalar2, mp, LocalGains.zeros(scalar2, mp))
-    for t in (0, scalar2.T + 1):
-        with pytest.raises(TimeOutOfRange):
-            cs.lift(t)
-
-
 def _build_per_step(p, mp, lg):
     """The per-step assembly ``build`` batches over t, one step at a time."""
     d_x, d_y, d_c = p.d_x, p.d_y_total, mp.d_carrier
     d, X, Y = d_x + d_y + d_c, slice(0, d_x), slice(d_x, d_x + d_y)
     M = slice(d_x + d_y, d)
     noise = blkdiag([p.sigma_w0, p.sigma_w])
-    out = {k: [] for k in ("A", "B", "SigW", "Q", "N", "C")}
+    out = {k: [] for k in ("A", "B", "SigW", "Q", "N", "C", "lift")}
     for t in range(1, p.T + 1):
         A_t, B_t, G = p.A[t - 1], p.B[t - 1], lg.G[t - 1]
         Hc = lg.H[t - 1] @ mp.m_sel
@@ -165,6 +155,11 @@ def _build_per_step(p, mp, lg):
         out["Q"].append(sym(Q))
         out["N"].append(np.vstack([np.zeros((d_x, p.d_u_total)),
                                    loc.T @ p.R]))
+        lift = np.zeros((d, d_x + d_c))
+        lift[:d_x, :d_x] = np.eye(d_x)
+        lift[Y, :d_x] = p.C[t - 1]
+        lift[M, d_x:] = np.eye(d_c)
+        out["lift"].append(lift)
         if t < p.T:
             C = np.zeros((mp.d_z, d))
             C[:, Y], C[:, M] = mp.zy + mp.zu @ G, mp.zc + mp.zu @ Hc
@@ -336,8 +331,9 @@ def test_gains_views_are_read_only():
     cs = build(p, mp, lg)
     arrays = [lg.theta, lg.G, lg.H, _block(p, mp, lg, "G", 0, 0),
               _block(p, mp, lg, "H", 2, 1), p.Q, p.R, p.sigma_x, p.sigma_w0,
-              p.sigma_w, p.A, p.B, p.C, *p.A, *p.B, *p.C, cs.init_cov]
-    for seq in (cs.A, cs.B, cs.SigW, cs.C, cs.Q, cs.N):
+              p.sigma_w, p.A, p.B, p.C, *p.A, *p.B, *p.C, cs.init_cov,
+              cs.proj]
+    for seq in (cs.A, cs.B, cs.SigW, cs.C, cs.Q, cs.N, cs.lift):
         assert seq.shape[0] == (p.T - 1 if seq is cs.C else p.T)
         arrays += [seq, *seq]
     for arr in arrays:

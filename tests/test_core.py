@@ -121,6 +121,15 @@ def test_psd_sqrt_roundtrip():
     assert_allclose(root @ root.T, m, atol=1e-12)
 
 
+def test_psd_sqrt_has_no_component_along_null_space():
+    # eigh returns round-off eigenvalues (about 1e-16 here) for the null
+    # directions of a rank-1 matrix; they must not become noise
+    f = np.array([[1.0], [-2.0], [0.5]])
+    null = np.linalg.svd(f.T)[2][1:]
+    root = psd_sqrt(f @ f.T)
+    assert np.abs(null @ root).max() <= 1e-15
+
+
 def test_sym_and_eig_bounds():
     m = np.array([[1.0, 2.0], [0.0, 1.0]])
     s = sym(m)

@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-import declqg.estimator
-
 from declqg import (StatisticPolicy, DelayGraph, DelayedStatTracker, LocalGains,
                     PlantModel, UnsupportedProtocol, act, delayed_stat_map,
                     build, build_asymmetric_delay, build_control_sharing,
                     build_symmetric_delay,
                     delayed_stat_gains, draw_primitives, initial_state,
                     plant_kalman_covariances, plant_kalman_init,
-                    plant_kalman_step, rollout_plant, solve, step_statistic)
-from declqg.estimator import statistic_transition, effective_delay
+                    plant_kalman_step, rollout_plant, solve, step_statistic,
+                    token_trace)
+from declqg.estimator import (delay_stat_dim, effective_delay,
+                              statistic_transition)
 
 from conftest import random_plant, scalar_two_controller
 
@@ -40,7 +40,7 @@ def test_step_statistic_prediction_only_when_nothing_shared(scalar2):
     for t in range(1, scalar2.T):
         u = rng.standard_normal(cs.d_u)
         nxt = step_statistic(st, ss, np.zeros(0), u)
-        proj, lift = cs.proj(), cs.lift(t)
+        proj, lift = cs.proj, cs.lift[t - 1]
         expect = proj @ (cs.A[t - 1] @ lift @ st.stat + cs.B[t - 1] @ u)
         assert_allclose(nxt.stat, expect, atol=1e-12)
         st = nxt
@@ -52,7 +52,7 @@ def test_projection_lifting_consistency(scalar2):
         scalar2, mp, np.random.default_rng(20), 0.4))
     cs = ss.cs
     for t in (1, 3):
-        assert_allclose(cs.proj() @ cs.lift(t),
+        assert_allclose(cs.proj @ cs.lift[t - 1],
                         np.eye(cs.d_x + cs.d_c), atol=1e-15)
     # lift(proj(x)) = x on recursion outputs: run the full filter alongside
     prims = draw_primitives(scalar2, seed=21, count=4)
@@ -61,7 +61,7 @@ def test_projection_lifting_consistency(scalar2):
         ro = rb.samples[r]
         xb = np.zeros(cs.d_state)
         for t in range(1, scalar2.T + 1):
-            assert np.abs(cs.lift(t) @ ro.stat[t - 1] - xb).max() < 1e-10
+            assert np.abs(cs.lift[t - 1] @ ro.stat[t - 1] - xb).max() < 1e-10
             if t < scalar2.T:
                 gain = ss.filter_gain[t - 1]
                 innov = (ro.z[t - 1] - cs.C[t - 1] @ xb
@@ -87,7 +87,7 @@ def test_act_matches_full_gain_path(scalar2):
             actions = act(st_t, ss, y_loc, m_loc)
             assert np.abs(np.concatenate(actions) - ro.u[t - 1]).max() < 1e-10
             # full-estimate path: K~ (lifted stat) + G Y + H M
-            xb = cs.lift(t) @ ro.stat[t - 1]
+            xb = cs.lift[t - 1] @ ro.stat[t - 1]
             u2 = (ss.Kgain[t - 1] @ xb + ss.gains.G[t - 1] @ ro.y[t - 1]
                   + ss.gains.H[t - 1] @ ro.m[t - 1])
             assert np.abs(np.concatenate(actions) - u2).max() < 1e-10
@@ -314,37 +314,59 @@ def test_asymmetric_reduced_stat_uniform_worst_case_delay():
                                       ro.u_tilde[t - 1])
 
 
-@pytest.mark.parametrize("protocol", ["sym-1", "sym-2", "sym-3", "asym-equal"])
+def _token_stat_map(cs, k, t):
+    """Reference for ``delayed_stat_map``: the carrier slots at t - k + 1 are
+    matched to S_t's window entries through the protocol's symbolic tokens."""
+    plant = cs.plant
+    d_x, d_u, d_y = plant.d_x, plant.d_u_total, plant.d_y_total
+    dim_s = delay_stat_dim(plant, k)
+    tau = t - k + 1
+    offsets = {"y": np.cumsum((0,) + plant.d_y), "u": np.cumsum((0,) + plant.d_u)}
+    y0 = d_x + (k - 1) * d_u
+    window = {"y": (y0, d_y), "u": (y0 + (k - 1) * d_y, d_u)}
+    if tau >= 1:
+        base = np.zeros((d_x + cs.d_c, dim_s))
+        base[:d_x, :d_x] = np.eye(d_x)
+        for r, tok in enumerate(token_trace(cs.protocol).carrier[tau]):
+            if tok is not None:
+                kind, i, s, comp = tok
+                first, width = window[kind]
+                col = first + (s - (t - 2 * k + 2)) * width
+                base[d_x + r, col + offsets[kind][i] + comp] = 1.0
+        emap = cs.lift[tau - 1] @ base
+        start = tau
+    else:
+        emap = np.zeros((cs.d_state, dim_s))
+        start = 1
+    for s in range(start, t):
+        sel = np.zeros((d_u, dim_s))
+        sel[:, d_x + (s - tau) * d_u:d_x + (s - tau + 1) * d_u] = np.eye(d_u)
+        emap = cs.A[s - 1] @ emap + cs.B[s - 1] @ sel
+    return cs.proj @ emap
+
+
+@pytest.mark.parametrize("protocol", ["sym-1", "sym-2", "sym-3", "sym-4",
+                                      "wide-3", "asym-equal"])
 def test_delayed_stat_gains_equal_per_step_maps(protocol):
+    # both must equal, bit for bit, the token-based reference map
     if protocol == "asym-equal":
         p = _three_controller_plant()
         mp = build_asymmetric_delay(
             p, DelayGraph.create([[1, 2, 2], [2, 1, 2], [2, 2, 1]]))
         k = 2
     else:
-        p = scalar_two_controller(T=7)
         k = int(protocol[-1])
+        p = (random_plant(np.random.default_rng(51), n=2, d_y=(2, 1),
+                          d_u=(1, 2), T=7) if protocol.startswith("wide")
+             else scalar_two_controller(T=7))
         mp = build_symmetric_delay(p, k)
     ss = solve(p, mp, LocalGains.random(p, mp, np.random.default_rng(50), 0.3))
     gains = delayed_stat_gains(ss, k)
     assert len(gains) == p.T
     for t in range(1, p.T + 1):
-        assert np.array_equal(gains[t - 1],
-                              ss.Lgain[t - 1] @ delayed_stat_map(ss.cs, k, t))
-
-
-def test_delayed_stat_gains_traces_once(scalar2, monkeypatch):
-    mp = build_symmetric_delay(scalar2, 2)
-    ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
-    trace, calls = declqg.estimator.token_trace, []
-
-    def counted(mp):
-        calls.append(mp)
-        return trace(mp)
-
-    monkeypatch.setattr(declqg.estimator, "token_trace", counted)
-    delayed_stat_gains(ss, 2)
-    assert len(calls) == 1
+        ref = _token_stat_map(ss.cs, k, t)
+        assert np.array_equal(delayed_stat_map(ss.cs, k, t), ref), t
+        assert np.array_equal(gains[t - 1], ss.Lgain[t - 1] @ ref), t
 
 
 @st.composite

@@ -184,7 +184,7 @@ def test_innovation_orthogonal_to_estimate(scalar2):
         utilde = pol.utilde(state, t)
         u = utilde + y @ ss.gains.G[t - 1].T
         z = c @ mp.zc.T + y @ mp.zy.T + u @ mp.zu.T
-        xb_full = (cs.lift(t) @ state.T).T
+        xb_full = (cs.lift[t - 1] @ state.T).T
         innov = z - xb_full @ cs.C[t - 1].T - utilde @ cs.protocol.zu.T
         if t >= 2:   # estimate is degenerate-zero at t = 1
             for a in range(innov.shape[1]):
