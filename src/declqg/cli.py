@@ -62,9 +62,16 @@ def _as_int(value, field: str) -> int:
     raise ConfigError(field, f"must be an integer, got {value!r}")
 
 
-def _get_int(doc, path: str, default: int) -> int:
-    """Optional integer field ``path`` (``default`` when absent)."""
-    return _as_int(_get(doc, path, required=False, default=default), path)
+def _get_int(doc, path: str, default: int, lo: int) -> int:
+    """Optional integer field ``path`` (``default`` when absent), >= ``lo``."""
+    return _at_least(_as_int(_get(doc, path, False, default), path), lo, path)
+
+
+def _at_least(value, lo: int, field: str, default: int = 0) -> int:
+    """A count or seed of at least ``lo``; ``default`` for an absent flag."""
+    if value is not None and value < lo:
+        raise ConfigError(field, f"must be >= {lo}, got {value}")
+    return default if value is None else value
 
 
 @dataclass
@@ -168,11 +175,11 @@ def load_scenario(doc: dict) -> Scenario:
     gains = _load_gains(doc, plant, mp)
     return Scenario(
         plant=plant, protocol=mp, gains=gains,
-        sim_seed=_get_int(doc, "sim.seed", 0),
-        sim_rollouts=_get_int(doc, "sim.rollouts", 10000),
-        tune_budget=_get_int(doc, "tune.budget", 1000),
-        tune_restarts=_get_int(doc, "tune.restarts", 1),
-        tune_seed=_get_int(doc, "tune.seed", 0))
+        sim_seed=_get_int(doc, "sim.seed", 0, 0),
+        sim_rollouts=_get_int(doc, "sim.rollouts", 10000, 1),
+        tune_budget=_get_int(doc, "tune.budget", 1000, 1),
+        tune_restarts=_get_int(doc, "tune.restarts", 1, 0),
+        tune_seed=_get_int(doc, "tune.seed", 0, 0))
 
 
 def _read_config(path: str) -> dict:
@@ -365,8 +372,9 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     sc = load_scenario(_read_config(args.config))
-    seed = sc.sim_seed if args.seed is None else args.seed
-    rollouts = sc.sim_rollouts if args.rollouts is None else args.rollouts
+    seed = _at_least(args.seed, 0, "--seed", sc.sim_seed)
+    rollouts = _at_least(args.rollouts, 1, "--rollouts", sc.sim_rollouts)
+    _at_least(args.samples, 0, "--samples")
     if args.strategy:
         ss = strategy_from_doc(_read_config(args.strategy), sc.plant,
                                sc.protocol)
@@ -399,9 +407,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_tune(args) -> int:
     sc = load_scenario(_read_config(args.config))
-    budget = sc.tune_budget if args.budget is None else args.budget
-    restarts = sc.tune_restarts if args.restarts is None else args.restarts
-    seed = sc.tune_seed if args.seed is None else args.seed
+    budget = _at_least(args.budget, 1, "--budget", sc.tune_budget)
+    restarts = _at_least(args.restarts, 0, "--restarts", sc.tune_restarts)
+    seed = _at_least(args.seed, 0, "--seed", sc.tune_seed)
     result = tune(sc.plant, sc.protocol, budget=budget, seed=seed,
                   restarts=restarts, rtol=args.tolerance)
     print(f"incumbent J = {result.J:.10g} after {result.evaluations} "

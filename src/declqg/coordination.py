@@ -53,23 +53,25 @@ class LocalGains:
     are the stacked, block-diagonal G_t and H_t, filled from ``theta`` once;
     controller i's blocks are ``G[t-1][u_slice(i), y_slice(i)]`` and
     ``H[t-1][u_slice(i), m_slice(i)]``, and off-diagonal blocks are exactly
-    zero.
+    zero.  A stack of gains has leading axes on ``theta``, ``G`` and ``H``.
     """
 
     theta: np.ndarray
-    G: np.ndarray   # (T, sum d_u, sum d_y), read only
-    H: np.ndarray   # (T, sum d_u, sum d_m), read only
+    G: np.ndarray   # (…, T, sum d_u, sum d_y), read only
+    H: np.ndarray   # (…, T, sum d_u, sum d_m), read only
 
     @staticmethod
     def from_vector(plant: PlantModel, mp: MemoryProtocol, theta
                     ) -> "LocalGains":
-        """Gains from a copy of a flat vector in the ``theta`` layout."""
+        """Gains from a copy of a ``theta`` vector or stack (…, |theta|)."""
         in_g, g_mask, h_mask = _gain_layout(plant.T, plant.d_u, plant.d_y,
                                             mp.d_m)
-        theta = read_only(as_vector(theta, in_g.size, "theta").copy())
-        G, H = np.zeros(g_mask.shape), np.zeros(h_mask.shape)
-        G[g_mask] = theta[in_g]
-        H[h_mask] = theta[~in_g]
+        batch = np.shape(theta)[:-1]
+        theta = read_only(as_vector(theta, in_g.size * int(np.prod(batch)),
+                                    "theta").reshape(batch + (-1,)).copy())
+        G, H = np.zeros(batch + g_mask.shape), np.zeros(batch + h_mask.shape)
+        G[..., g_mask] = theta[..., in_g]
+        H[..., h_mask] = theta[..., ~in_g]
         return LocalGains(theta, read_only(G), read_only(H))
 
     @staticmethod
@@ -95,9 +97,8 @@ class LocalGains:
 
     @staticmethod
     def zeros(plant: PlantModel, mp: MemoryProtocol) -> "LocalGains":
-        G = [[np.zeros((plant.d_u[i], plant.d_y[i])) for i in range(plant.n)]]
-        H = [[np.zeros((plant.d_u[i], mp.d_m[i])) for i in range(plant.n)]]
-        return LocalGains.create(plant, mp, G * plant.T, H * plant.T)
+        in_g = _gain_layout(plant.T, plant.d_u, plant.d_y, mp.d_m)[0]
+        return LocalGains.from_vector(plant, mp, np.zeros(in_g.size))
 
     @staticmethod
     def random(plant: PlantModel, mp: MemoryProtocol, rng, scale=1.0
@@ -123,7 +124,8 @@ class CoordinatedSystem:
     augmented state, and ``lift[t-1]`` rebuilds the augmented state from
     (X, carrier) through Y-hat = C_t X-hat.  The step-invariant maps are
     read where they are stored: Ut~'s share of Z_t is ``protocol.zu`` and
-    the control weight is ``plant.R``.
+    the control weight is ``plant.R``.  For a stack of gains, A, Q, N and C
+    carry its leading axes; the gain-free rest is shared by the stack.
     """
 
     plant: PlantModel
@@ -164,19 +166,19 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
     d_c, d_z = mp.d_carrier, mp.d_z
     d = d_x + d_y + d_c
     X, Y, M = slice(0, d_x), slice(d_x, d_x + d_y), slice(d_x + d_y, d)
-    G, Hc = gains.G, gains.H @ mp.m_sel
+    G, Hc, batch = gains.G, gains.H @ mp.m_sel, gains.theta.shape[:-1]
     # C_{t+1}; the step after the horizon has a zero map
     C_next = np.concatenate([plant.C[1:], np.zeros((1, d_y, d_x))])
     BG, BH = plant.B @ G, plant.B @ Hc
-    A = np.zeros((T, d, d))
-    A[:, X, X] = plant.A
-    A[:, X, Y] = BG
-    A[:, X, M] = BH
-    A[:, Y, X] = C_next @ plant.A
-    A[:, Y, Y] = C_next @ BG
-    A[:, Y, M] = C_next @ BH
-    A[:, M, Y] = mp.cy + mp.cu @ G
-    A[:, M, M] = mp.cc + mp.cu @ Hc
+    A = np.zeros(batch + (T, d, d))
+    A[..., X, X] = plant.A
+    A[..., X, Y] = BG
+    A[..., X, M] = BH
+    A[..., Y, X] = C_next @ plant.A
+    A[..., Y, Y] = C_next @ BG
+    A[..., Y, M] = C_next @ BH
+    A[..., M, Y] = mp.cy + mp.cu @ G
+    A[..., M, M] = mp.cc + mp.cu @ Hc
     B = np.concatenate([plant.B, C_next @ plant.B,
                         np.broadcast_to(mp.cu, (T, d_c, d_u))], axis=1)
     # noise into (X_{t+1}, Y_{t+1}, carrier): (W0_t, C_{t+1} W0_t + W_{t+1}, 0)
@@ -186,16 +188,16 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
     F[:, Y, d_x:] = np.eye(d_y)
     sigma_noise = blkdiag([plant.sigma_w0, plant.sigma_w])
     SigW = sym(F @ sigma_noise @ F.swapaxes(1, 2))
-    loc = np.concatenate([G, Hc], axis=2)   # U_t = Ut~ + loc_t @ (Y_t, c_t)
-    locR = loc.swapaxes(1, 2) @ plant.R
-    Q = np.zeros((T, d, d))
-    Q[:, X, X] = plant.Q
-    Q[:, d_x:, d_x:] = locR @ loc
-    N = np.concatenate([np.zeros((T, d_x, d_u)), locR], axis=1)
+    loc = np.concatenate([G, Hc], axis=-1)   # U_t = Ut~ + loc_t @ (Y_t, c_t)
+    locR = loc.swapaxes(-1, -2) @ plant.R
+    Q = np.zeros(batch + (T, d, d))
+    Q[..., X, X] = plant.Q
+    Q[..., d_x:, d_x:] = locR @ loc
+    N = np.concatenate([np.zeros(batch + (T, d_x, d_u)), locR], axis=-2)
     # observation received at t+1 (t < T): Z_t, generated by this step's maps
-    C = np.zeros((T - 1, d_z, d))
-    C[:, :, Y] = mp.zy + mp.zu @ G[:-1]
-    C[:, :, M] = mp.zc + mp.zu @ Hc[:-1]
+    C = np.zeros(batch + (T - 1, d_z, d))
+    C[..., Y] = mp.zy + mp.zu @ G[..., :-1, :, :]
+    C[..., M] = mp.zc + mp.zu @ Hc[..., :-1, :, :]
     lift = np.zeros((T, d, d_x + d_c))
     lift[:, X, :d_x] = np.eye(d_x)
     lift[:, Y, :d_x] = plant.C

@@ -52,11 +52,11 @@ class NumericalBreakdown(ArithmeticError):
 
 
 def as_matrix(value, rows: int | None = None, cols: int | None = None,
-              name: str = "matrix") -> np.ndarray:
+              name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Coerce ``value`` to a finite, read-only float64 2-d array.
 
     Scalars become 1x1.  If ``rows``/``cols`` are given, the shape is checked
-    and a :class:`DimMismatch` raised on disagreement.
+    and a :class:`DimMismatch` raised on disagreement; ``stack`` admits stacks.
     """
     try:
         m = np.asarray(value, dtype=float)
@@ -66,7 +66,7 @@ def as_matrix(value, rows: int | None = None, cols: int | None = None,
         m = m.reshape(1, 1)
     if m.ndim == 1:
         m = m.reshape(-1, 1) if cols == 1 else m.reshape(1, -1)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim > 2):
         raise InvalidMatrix(f"{name}: expected 2-d data, got ndim={m.ndim}")
     if m.size and not np.isfinite(m).all():
         raise InvalidMatrix(f"{name}: contains non-finite entries")
@@ -115,44 +115,46 @@ def blkdiag(blocks) -> np.ndarray:
 def pinv(m, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
 
-    Singular values below ``rtol * sigma_max`` are treated as exactly zero.
+    Singular values below ``rtol * sigma_max`` of their matrix count as zero.
     """
     if not rtol > 0:
         raise ValueError("rtol must be positive")
-    m = as_matrix(m, name="pinv operand")
+    m = as_matrix(m, name="pinv operand", stack=True)
     if m.size == 0:
-        return np.zeros((m.shape[1], m.shape[0]))
+        return np.zeros(m.shape[:-2] + (m.shape[-1], m.shape[-2]))
     return np.linalg.pinv(m, rcond=rtol)
 
 
 def solve_pd(m: np.ndarray, rhs: np.ndarray, t: int | None = None) -> np.ndarray:
-    """Solve ``m x = rhs`` for symmetric positive definite ``m``.
+    """Solve ``m x = rhs`` for symmetric positive definite ``m`` (or stacks).
 
-    Raises :class:`NumericalBreakdown` when the Cholesky factorization fails.
+    Raises :class:`NumericalBreakdown` when a Cholesky factorization fails.
     """
     if m.size == 0:
-        return np.zeros((m.shape[1],) + rhs.shape[1:])
+        return np.zeros(rhs.shape)
     try:
         c = np.linalg.cholesky(sym(m))
     except np.linalg.LinAlgError:
         raise NumericalBreakdown("control bracket is not positive definite", t)
     y = np.linalg.solve(c, rhs)
-    return np.linalg.solve(c.T, y)
+    return np.linalg.solve(c.swapaxes(-1, -2), y)
 
 
-def eig_bounds(m: np.ndarray) -> tuple[float, float]:
-    """(min, max) eigenvalue of a symmetric matrix; (0, 0) for empty."""
+def eig_bounds(m: np.ndarray):
+    """Min and max eigenvalue of a symmetric matrix or stack; 0, 0 if empty."""
     if m.size == 0:
         return 0.0, 0.0
     w = np.linalg.eigvalsh(sym(m))
-    return float(w[0]), float(w[-1])
+    return w[..., 0][()], w[..., -1][()]     # scalars for one matrix
 
 
 def check_psd(m: np.ndarray, rel: float = 1e-10, name: str = "matrix",
               t: int | None = None) -> None:
-    """Require min eigenvalue >= -rel * max(eig_max, 1)."""
+    """Require min eigenvalue >= -rel * max(eig_max, 1) (per matrix)."""
     lo, hi = eig_bounds(m)
-    if lo < -rel * max(hi, 1.0):
+    bad = lo < -rel * np.maximum(hi, 1.0)
+    if bad.any():
+        lo = np.min(lo, where=bad, initial=0.0)
         raise NumericalBreakdown(f"{name} is not PSD (min eig {lo:.3e})", t)
 
 

@@ -369,6 +369,9 @@ def explicit_protocol(plant: PlantModel, blocks, strict: bool = False,
     entries (empty memory or empty share) may be given as empty lists; their
     shapes are inferred from the row counts of "my" and "zy".
     """
+    if kind in ("symmetric_delay", "asymmetric_delay", "control_sharing",
+                "one_sided"):    # code keyed on these reads their delays
+        raise UnsupportedProtocol(f"kind {kind!r} is reserved for its builder")
 
     def coerce(raw, rows, cols, name):
         arr = np.asarray(raw, dtype=float)

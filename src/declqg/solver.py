@@ -30,7 +30,7 @@ class SolvedStrategy:
     ``t - 1`` for step t, except ``filter_gain``, which has T - 1 entries
     (the update into step t + 1 uses ``filter_gain[t - 1]``).  Strategies
     reloaded from disk carry only the gains; the covariance/value sequences
-    are then ``None``.
+    are then ``None``.  A stack of gains gives arrays and J its leading axes.
     """
 
     cs: CoordinatedSystem
@@ -62,18 +62,18 @@ def forward_riccati(cs: CoordinatedSystem, rtol: float = DEFAULT_RTOL):
 
     P~_1 is the exact covariance of (X_1, Y_1, carrier_1); the update into
     t + 1 conditions on the new observation Z_t through its (possibly
-    singular) innovation covariance.
+    singular) innovation covariance.  Every sweep runs over (…, T, ·, ·).
     """
-    P = np.empty((cs.T, cs.d_state, cs.d_state))
-    gains = np.empty((cs.T - 1, cs.d_state, cs.d_z))
-    P[0] = sym(cs.init_cov)
+    P = np.empty(cs.A.shape[:-3] + (cs.T, cs.d_state, cs.d_state))
+    gains = np.empty(P.shape[:-3] + (cs.T - 1, cs.d_state, cs.d_z))
+    P[..., 0, :, :] = sym(cs.init_cov)
     for t in range(1, cs.T):
-        A, C, Pt = cs.A[t - 1], cs.C[t - 1], P[t - 1]
-        innov = sym(C @ Pt @ C.T)
-        gains[t - 1] = A @ Pt @ C.T @ pinv(innov, rtol)
-        P[t] = sym(A @ Pt @ A.T + cs.SigW[t - 1]
-                   - gains[t - 1] @ (C @ Pt @ A.T))
-        check_psd(P[t], rel=1e-8, name="filter covariance", t=t + 1)
+        A, C, Pt, K = (a[..., t - 1, :, :] for a in (cs.A, cs.C, P, gains))
+        AT, CT = A.swapaxes(-1, -2), C.swapaxes(-1, -2)
+        K[...] = A @ Pt @ CT @ pinv(sym(C @ Pt @ CT), rtol)
+        P[..., t, :, :] = sym(A @ Pt @ AT + cs.SigW[t - 1]
+                              - K @ (C @ Pt @ AT))
+        check_psd(P[..., t, :, :], 1e-8, "filter covariance", t + 1)
     return read_only(P), read_only(gains)
 
 
@@ -83,35 +83,40 @@ def backward_riccati(cs: CoordinatedSystem):
     Runs from S_{T+1} = 0; the control bracket R~ + B~' S B~ is positive
     definite (R is PD) so a true solve is used.
     """
-    T, d = cs.T, cs.d_state
-    S = np.empty((T, d, d))
-    lam, K = np.empty((T, cs.d_u, d)), np.empty((T, cs.d_u, d))
+    T, d, batch = cs.T, cs.d_state, cs.A.shape[:-3]
+    S = np.empty(batch + (T, d, d))
+    lam, K = (np.empty(batch + (T, cs.d_u, d)) for _ in range(2))
     S_next = np.zeros((d, d))
     for t in range(T, 0, -1):
-        A, B = cs.A[t - 1], cs.B[t - 1]
+        A, B, N, Q, S_t, lam_t, K_t = (a[..., t - 1, :, :] for a in (
+            cs.A, cs.B, cs.N, cs.Q, S, lam, K))
         bracket = sym(cs.plant.R + B.T @ S_next @ B)
-        lam[t - 1] = cs.N[t - 1].T + B.T @ S_next @ A
-        K[t - 1] = -solve_pd(bracket, lam[t - 1], t=t)
-        S[t - 1] = sym(A.T @ S_next @ A + cs.Q[t - 1]
-                       + lam[t - 1].T @ K[t - 1])
-        S_next = S[t - 1]
+        lam_t[...] = N.swapaxes(-1, -2) + B.T @ S_next @ A
+        K_t[...] = -solve_pd(bracket, lam_t, t=t)
+        S_t[...] = sym(A.swapaxes(-1, -2) @ S_next @ A + Q
+                       + lam_t.swapaxes(-1, -2) @ K_t)
+        S_next = S_t
     return read_only(S), read_only(lam), read_only(K)
 
 
-def performance(cs: CoordinatedSystem, ptilde, s_seq) -> float:
+def performance(cs: CoordinatedSystem, ptilde, s_seq):
     """Predicted expected total cost of the optimal coordinator strategy.
 
     J = sum_t tr[P~_t Q~_t + (SigW_t + A~_t P~_t A~_t' - P~_{t+1}) S_{t+1}]
-    with S_{T+1} = 0, so the final noise term vanishes.
+    with S_{T+1} = 0, so the final noise term vanishes; one J per system.
     """
-    total = 0.0
-    for t in range(1, cs.T + 1):
-        total += float(np.trace(ptilde[t - 1] @ cs.Q[t - 1]))
-        if t < cs.T:
-            A = cs.A[t - 1]
-            gamma = cs.SigW[t - 1] + A @ ptilde[t - 1] @ A.T - ptilde[t]
-            total += float(np.sum(gamma * s_seq[t]))
-    return total
+    terms = np.zeros(ptilde.shape[:-3] + (2 * cs.T,))   # 0, tr_1, noise_1, ..
+    for s in range(0, cs.T, 8):     # 8 steps at a time keep temporaries small
+        e, m = min(s + 8, cs.T), min(s + 8, cs.T - 1)
+        P, A = ptilde[..., s:e, :, :], cs.A[..., s:m, :, :]
+        terms[..., 2 * s + 1:2 * e:2] = np.trace(P @ cs.Q[..., s:e, :, :],
+                                                 axis1=-2, axis2=-1)
+        gamma = (cs.SigW[s:m] + A @ P[..., :m - s, :, :] @ A.swapaxes(-1, -2)
+                 - ptilde[..., s + 1:m + 1, :, :])
+        terms[..., 2 * s + 2:2 * m + 1:2] = np.sum(
+            gamma * s_seq[..., s + 1:m + 1, :, :], axis=(-2, -1))
+    total = np.add.accumulate(terms, axis=-1)[..., -1]   # in that order
+    return total if total.ndim else float(total)
 
 
 def reduce_gains(cs: CoordinatedSystem, k_seq):
@@ -120,14 +125,14 @@ def reduce_gains(cs: CoordinatedSystem, k_seq):
     Valid because the Y-block of the estimate is C_t times its X-block
     (primitive random variables are mutually independent).
     """
-    if len(k_seq) != cs.T:
-        raise DimMismatch(f"need {cs.T} gain matrices, got {len(k_seq)}")
+    if np.shape(k_seq)[-3] != cs.T:
+        raise DimMismatch(f"need {cs.T} gains, got {np.shape(k_seq)[-3]}")
     return read_only(np.asarray(k_seq, dtype=float) @ cs.lift)
 
 
 def solve(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
           rtol: float = DEFAULT_RTOL) -> SolvedStrategy:
-    """Best coordinator response to the given local gains."""
+    """Best coordinator response to the given local gains (or stack)."""
     cs = build(plant, mp, gains)
     ptilde, fgains = forward_riccati(cs, rtol)
     s_seq, lam_seq, k_seq = backward_riccati(cs)
@@ -135,3 +140,4 @@ def solve(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     l_seq = reduce_gains(cs, k_seq)
     return SolvedStrategy(cs=cs, Kgain=k_seq, Lgain=l_seq, filter_gain=fgains,
                           J=J, Ptilde=ptilde, S=s_seq, Lambda=lam_seq)
+

@@ -8,12 +8,18 @@ halve the step after a sweep with no improvement.  Restarts draw zero-mean
 unit-scale initial gains from dedicated random streams; the all-zero start
 always runs first.  The evaluation budget is global and consumed
 sequentially, so identical (seed, budget, restarts) give bitwise identical
-results.
+results.  Polls are solved speculatively, ``WINDOW`` at a time as one stack,
+and charged in poll order up to the first improvement; the rest are dropped,
+so the result is bitwise that of the one-at-a-time search.  A stack that
+fails, or meets a floating-point error, is solved again one candidate at a
+time, so an error is raised exactly where the sequential search raises it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import DEFAULT_RTOL, seeded_stream
 from .coordination import LocalGains
@@ -23,6 +29,8 @@ from .solver import SolvedStrategy, solve
 
 STEP_INIT = 0.5     # first compass step on every gain entry
 STEP_MIN = 1e-6     # a restart ends once its step halves below this
+WINDOW = 12         # poll candidates solved together
+_RAISE = dict(over="raise", divide="raise", invalid="raise")
 
 
 @dataclass(frozen=True)
@@ -42,54 +50,55 @@ def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
     evaluation).  The accepted-J sequence is non-increasing by construction;
     block-diagonality of (G, H) is structural, off-blocks are never touched.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    if budget < 1 or restarts < 0:
+        raise ValueError("need budget >= 1 and restarts >= 0")
     evals = 0
     log = []
-    best = None    # (J, gains, eval index)
+    best = None    # (J, theta)
 
-    def evaluate(theta):
+    def charge(restart_idx, theta, J):
         nonlocal evals, best
-        gains = LocalGains.from_vector(plant, mp, theta)
-        J = solve(plant, mp, gains, rtol).J
         evals += 1
         if best is None or J < best[0]:
-            best = (J, gains, evals)
+            best = (J, theta)
+        log.append((restart_idx, evals, best[0]))
         return J
 
+    def cost(thetas):
+        gains = LocalGains.from_vector(plant, mp, thetas)
+        return solve(plant, mp, gains, rtol).J
+
     zero = LocalGains.zeros(plant, mp).theta
-    starts = [zero]
-    for ridx in range(restarts):
-        starts.append(seeded_stream(seed, ridx).standard_normal(zero.size))
+    polls = 2 * zero.size           # (p, +step) then (p, -step), p in order
+    starts = [zero] + [seeded_stream(seed, ridx).standard_normal(zero.size)
+                       for ridx in range(restarts)]
     for restart_idx, theta in enumerate(starts):
         if evals >= budget:
             break
-        J_cur = evaluate(theta)
-        log.append((restart_idx, evals, best[0]))
+        J_cur = charge(restart_idx, theta, cost(theta))
         step = STEP_INIT
         while step >= STEP_MIN and evals < budget:
-            improved = False
-            for p in range(zero.size):
-                accepted = False
-                for delta in (step, -step):
-                    if evals >= budget:
-                        break
-                    cand = theta.copy()
-                    cand[p] += delta
-                    J_c = evaluate(cand)
-                    log.append((restart_idx, evals, best[0]))
+            improved, k = False, 0
+            while k < polls and evals < budget:
+                ks = np.arange(k, min(k + WINDOW, polls, k + budget - evals))
+                cands = np.repeat(theta[None], ks.size, axis=0)
+                cands[np.arange(ks.size), ks // 2] += np.where(ks % 2, -step,
+                                                               step)
+                k = ks[-1] + 1
+                try:
+                    with np.errstate(**_RAISE):
+                        Js = cost(cands).tolist()
+                except (ArithmeticError, ValueError):
+                    Js = [None] * ks.size
+                for cand, kc, J_c in zip(cands, ks, Js):
+                    J_c = cost(cand) if J_c is None else J_c
+                    charge(restart_idx, cand, J_c)
                     if J_c < J_cur:
-                        theta, J_cur = cand, J_c
-                        improved = True
-                        accepted = True
+                        theta, J_cur, improved = cand, J_c, True
+                        k = 2 * (kc // 2 + 1)
                         break
-                if accepted:
-                    continue
-                if evals >= budget:
-                    break
             if not improved:
                 step /= 2.0
-    gains = best[1]
-    strategy = solve(plant, mp, gains, rtol)
-    return TuneResult(gains=gains, strategy=strategy, J=best[0],
-                      evaluations=evals, log=tuple(log))
+    gains = LocalGains.from_vector(plant, mp, best[1])
+    return TuneResult(gains=gains, strategy=solve(plant, mp, gains, rtol),
+                      J=best[0], evaluations=evals, log=tuple(log))

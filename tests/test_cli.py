@@ -351,7 +351,32 @@ def _horizon_bool(doc):
     doc["horizon"] = True
 
 
+def _budget_zero(doc):
+    doc["tune"]["budget"] = 0
+
+
+def _restarts_negative(doc):
+    doc["tune"]["restarts"] = -3
+
+
+def _tune_seed_negative(doc):
+    doc["tune"]["seed"] = -1
+
+
+def _rollouts_zero(doc):
+    doc["sim"]["rollouts"] = 0
+
+
+def _sim_seed_negative(doc):
+    doc["sim"]["seed"] = -1
+
+
 @pytest.mark.parametrize("mutate, field", [
+    (_budget_zero, "tune.budget"),
+    (_restarts_negative, "tune.restarts"),
+    (_tune_seed_negative, "tune.seed"),
+    (_rollouts_zero, "sim.rollouts"),
+    (_sim_seed_negative, "sim.seed"),
     (_params_k_text, "info_structure.params.k"),
     (_sim_seed_text, "sim.seed"),
     (_d_u_text, "dims.d_u"),
@@ -407,3 +432,27 @@ def test_simulate_builds_coordinated_system_once(use_strategy, k2_config,
             monkeypatch.setattr(mod, "build", counted)
     assert main(argv) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["tune", "--budget", "0"], "--budget"),
+    (["tune", "--restarts", "-1"], "--restarts"),
+    (["tune", "--seed", "-2"], "--seed"),
+    (["simulate", "--rollouts", "0"], "--rollouts"),
+    (["simulate", "--seed", "-1"], "--seed"),
+    (["simulate", "--samples", "-1"], "--samples"),
+])
+def test_out_of_range_count_or_seed_flag_rejected(argv, flag, k2_config,
+                                                  tmp_path, capsys):
+    argv = ["--out", str(tmp_path), argv[0], k2_config, *argv[1:]]
+    assert main(argv) == 2
+    assert f"config error at {flag}: must be >= " in capsys.readouterr().err
+
+
+def test_zero_is_a_valid_seed_restart_count_and_sample_count(k2_config,
+                                                             tmp_path):
+    out = str(tmp_path)
+    assert main(["--out", out, "tune", k2_config, "--budget", "3",
+                 "--restarts", "0", "--seed", "0"]) == 0
+    assert main(["--out", out, "simulate", k2_config, "--rollouts", "1",
+                 "--seed", "0", "--samples", "0"]) == 0

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from declqg.core import (InvalidMatrix, as_covariance, as_matrix, blkdiag,
-                         eig_bounds, pinv, psd_sqrt, seeded_stream, sym)
+from declqg.core import (InvalidMatrix, NumericalBreakdown, as_covariance,
+                         as_matrix, blkdiag, check_psd, eig_bounds, pinv,
+                         psd_sqrt, seeded_stream, solve_pd, sym)
 
 
 def penrose_residual(m, mi):
@@ -142,3 +143,44 @@ def test_as_matrix_is_readonly():
     m = as_matrix([[1.0, 2.0]])
     with pytest.raises(ValueError):
         m[0, 0] = 5.0
+
+
+def test_pinv_of_a_stack_cuts_each_matrix_at_its_own_scale():
+    # 1e-12 is dropped beside 1 but kept when it is the largest value
+    stack = np.array([np.diag([1.0, 1e-12]), np.diag([1e-12, 1e-12])])
+    out = pinv(stack, rtol=1e-9)
+    assert out.shape == (2, 2, 2)
+    assert_allclose(out[0], np.diag([1.0, 0.0]))
+    assert_allclose(out[1], np.diag([1e12, 1e12]))
+
+
+def test_pinv_of_a_stack_is_bitwise_each_matrix():
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((3, 2, 4, 3))
+    out = pinv(stack)
+    for idx in np.ndindex(3, 2):
+        assert np.array_equal(out[idx], pinv(stack[idx]))
+    assert pinv(np.zeros((5, 0, 2))).shape == (5, 2, 0)
+    with pytest.raises(InvalidMatrix):
+        pinv(np.where(np.arange(24).reshape(2, 3, 4) == 7, np.nan, 1.0))
+
+
+def test_solve_pd_and_check_psd_on_stacks():
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal((4, 3, 3))
+    m = f @ f.swapaxes(-1, -2) + np.eye(3)
+    rhs = rng.standard_normal((4, 3, 2))
+    x = solve_pd(m, rhs)
+    for i in range(4):
+        assert np.array_equal(x[i], solve_pd(m[i], rhs[i]))
+    check_psd(m)
+    bad = m.copy()
+    bad[2] = -np.eye(3)
+    with pytest.raises(NumericalBreakdown, match="min eig -1.000e"):
+        check_psd(bad, t=4)
+    with pytest.raises(NumericalBreakdown) as err:
+        solve_pd(bad, rhs, t=7)
+    assert err.value.t == 7
+    lo, hi = eig_bounds(m)
+    assert lo.shape == hi.shape == (4,)
+    assert isinstance(eig_bounds(m[0])[0], float)

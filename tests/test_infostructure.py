@@ -248,3 +248,18 @@ def test_memory_view_equals_blocks_for_strict(scalar2):
     from declqg.core import blkdiag
     assert_allclose(view["my"], blkdiag([b["my"] for b in mp.blocks]))
     assert_allclose(view["zm"], blkdiag([b["zm"] for b in mp.blocks]))
+
+
+@pytest.mark.parametrize("kind", ["symmetric_delay", "asymmetric_delay",
+                                  "control_sharing", "one_sided"])
+def test_explicit_protocol_refuses_builder_kinds(scalar2, kind):
+    # a builder kind promises parameters (the delay) raw blocks do not carry
+    blocks = build_symmetric_delay(scalar2, 1).blocks
+    with pytest.raises(UnsupportedProtocol, match=kind):
+        explicit_protocol(scalar2, blocks, kind=kind)
+
+
+def test_explicit_protocol_keeps_free_form_kinds(scalar2):
+    blocks = build_symmetric_delay(scalar2, 1).blocks
+    for kind in ("explicit", "nothing_shared", "duplicate_share"):
+        assert explicit_protocol(scalar2, blocks, kind=kind).kind == kind

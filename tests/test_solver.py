@@ -8,6 +8,7 @@ from declqg import (LocalGains, NumericalBreakdown, PlantModel,
                     build, build_symmetric_delay, closed_loop_cost_exact,
                     explicit_protocol, exact_cost, forward_riccati,
                     backward_riccati, performance, reduce_gains, solve)
+from declqg.cli import DEMOS, load_scenario
 
 from conftest import random_plant, scalar_two_controller
 
@@ -207,3 +208,79 @@ def test_solved_strategy_fields_consistent(scalar2):
         assert lo > -1e-10
         lo_s = np.linalg.eigvalsh(ss.S[t - 1]).min()
         assert lo_s > -1e-10
+
+
+def _batch_cases():
+    for name in sorted(DEMOS):
+        sc = load_scenario(DEMOS[name]["config"])
+        yield name, sc.plant, sc.protocol
+    # the solve-large benchmark's shape at its tiny size
+    p = random_plant(np.random.default_rng(2), n=2, d_x=3, d_y=(1, 1),
+                     d_u=(1, 1), T=8)
+    yield "solve-large-tiny", p, build_symmetric_delay(p, 2)
+
+
+BATCH_CASES = list(_batch_cases())
+
+
+@pytest.mark.parametrize("name, p, mp", BATCH_CASES,
+                         ids=[case[0] for case in BATCH_CASES])
+def test_stacked_solve_gives_each_candidates_J_bitwise(name, p, mp):
+    size = LocalGains.zeros(p, mp).theta.size
+    thetas = 0.3 * np.random.default_rng(len(name)).standard_normal(
+        (2, 5, size))
+    thetas[0, 0] = 0.0
+    stacked = solve(p, mp, LocalGains.from_vector(p, mp, thetas))
+    assert stacked.J.shape == (2, 5)
+    for idx in np.ndindex(2, 5):
+        one = solve(p, mp, LocalGains.from_vector(p, mp, thetas[idx]))
+        assert stacked.J[idx] == one.J
+        for seq in ("Kgain", "Lgain", "filter_gain", "Ptilde", "S",
+                    "Lambda"):
+            assert np.array_equal(getattr(stacked, seq)[idx],
+                                  getattr(one, seq))
+
+
+def test_solve_is_the_batch_of_one(rng):
+    p = random_plant(rng, n=2, d_x=2, T=5)
+    mp = build_symmetric_delay(p, 2)
+    gains = LocalGains.random(p, mp, rng, scale=0.3)
+    ss = solve(p, mp, gains)
+    one = solve(p, mp, LocalGains.from_vector(p, mp, gains.theta[None]))
+    assert isinstance(ss.J, float) and one.J.shape == (1,)
+    assert one.J[0] == ss.J
+    for seq in ("Kgain", "Lgain", "filter_gain", "Ptilde", "S", "Lambda"):
+        assert getattr(one, seq).shape[0] == 1
+        assert np.array_equal(getattr(one, seq)[0], getattr(ss, seq))
+    cs = build(p, mp, LocalGains.from_vector(p, mp, gains.theta[None]))
+    for shared in ("B", "SigW", "lift", "proj", "init_cov"):
+        assert np.array_equal(getattr(cs, shared), getattr(ss.cs, shared))
+    for stacked in ("A", "Q", "N", "C"):
+        assert np.array_equal(getattr(cs, stacked)[0],
+                              getattr(ss.cs, stacked))
+
+
+def _performance_per_step(cs, ptilde, s_seq):
+    """The predicted-cost sum one step at a time, in t order (reference)."""
+    total = 0.0
+    for t in range(1, cs.T + 1):
+        total += float(np.trace(ptilde[t - 1] @ cs.Q[t - 1]))
+        if t < cs.T:
+            A = cs.A[t - 1]
+            gamma = cs.SigW[t - 1] + A @ ptilde[t - 1] @ A.T - ptilde[t]
+            total += float(np.sum(gamma * s_seq[t]))
+    return total
+
+
+@pytest.mark.parametrize("T", [1, 2, 8, 9, 19])
+def test_performance_equals_the_per_step_sum_bitwise(T):
+    rng = np.random.default_rng(T)
+    p = random_plant(rng, n=2, d_x=2, T=T, time_varying=True)
+    mp = build_symmetric_delay(p, 1)
+    thetas = 0.3 * rng.standard_normal((3, LocalGains.zeros(p, mp).theta.size))
+    stacked = solve(p, mp, LocalGains.from_vector(p, mp, thetas))
+    for i, theta in enumerate(thetas):
+        ss = solve(p, mp, LocalGains.from_vector(p, mp, theta))
+        ref = _performance_per_step(ss.cs, ss.Ptilde, ss.S)
+        assert ss.J.hex() == ref.hex()
+        assert stacked.J[i].hex() == ref.hex()

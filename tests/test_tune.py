@@ -1,12 +1,85 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from declqg import LocalGains, build_symmetric_delay, solve, tune
+import declqg.solver as solver_mod
+from declqg import (LocalGains, NumericalBreakdown, build_symmetric_delay,
+                    seeded_stream, solve, tune)
+from declqg.cli import DEMOS, load_scenario
+from declqg.tune import STEP_INIT, STEP_MIN, WINDOW
 
 from conftest import scalar_two_controller
+
+
+def _sequential_tune(plant, mp, budget, seed=0, restarts=0):
+    """The compass search one candidate at a time, one ``solve`` each.
+
+    The reference ``tune`` must reproduce to the bit: it solves poll
+    candidates speculatively in stacks, but charges and logs only these.
+    Returns (log, J, evaluations, theta of the incumbent).
+    """
+    evals = 0
+    log = []
+    best = None    # (J, theta)
+
+    def evaluate(theta):
+        nonlocal evals, best
+        J = solve(plant, mp, LocalGains.from_vector(plant, mp, theta)).J
+        evals += 1
+        if best is None or J < best[0]:
+            best = (J, theta)
+        return J
+
+    zero = LocalGains.zeros(plant, mp).theta
+    starts = [zero]
+    for ridx in range(restarts):
+        starts.append(seeded_stream(seed, ridx).standard_normal(zero.size))
+    for restart_idx, theta in enumerate(starts):
+        if evals >= budget:
+            break
+        J_cur = evaluate(theta)
+        log.append((restart_idx, evals, best[0]))
+        step = STEP_INIT
+        while step >= STEP_MIN and evals < budget:
+            improved = False
+            for p in range(zero.size):
+                accepted = False
+                for delta in (step, -step):
+                    if evals >= budget:
+                        break
+                    cand = theta.copy()
+                    cand[p] += delta
+                    J_c = evaluate(cand)
+                    log.append((restart_idx, evals, best[0]))
+                    if J_c < J_cur:
+                        theta, J_cur = cand, J_c
+                        improved = True
+                        accepted = True
+                        break
+                if accepted:
+                    continue
+                if evals >= budget:
+                    break
+            if not improved:
+                step /= 2.0
+    return tuple(log), best[0], evals, best[1]
+
+
+def _assert_same_as_reference(result, ref):
+    log, J, evals, theta = ref
+    assert result.log == log
+    assert [row[2].hex() for row in result.log] == [row[2].hex()
+                                                    for row in log]
+    assert result.J.hex() == J.hex()
+    assert result.evaluations == evals
+    assert result.gains.theta.tobytes() == theta.tobytes()
+
+
+def _demo(name):
+    return load_scenario(copy.deepcopy(DEMOS[name]["config"]))
 
 
 def test_uncontrollable_plant_keeps_zero_gains():
@@ -70,3 +143,110 @@ def test_budget_must_be_positive():
     mp = build_symmetric_delay(p, 1)
     with pytest.raises(ValueError):
         tune(p, mp, budget=0)
+
+
+def test_restarts_must_be_non_negative():
+    p = scalar_two_controller(T=3)
+    mp = build_symmetric_delay(p, 1)
+    with pytest.raises(ValueError):
+        tune(p, mp, budget=10, restarts=-2)
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_tune_matches_sequential_search_on_demos(name):
+    sc = _demo(name)
+    result = tune(sc.plant, sc.protocol, budget=sc.tune_budget,
+                  seed=sc.tune_seed, restarts=sc.tune_restarts)
+    _assert_same_as_reference(result, _sequential_tune(
+        sc.plant, sc.protocol, sc.tune_budget, sc.tune_seed,
+        sc.tune_restarts))
+
+
+@pytest.mark.parametrize("budget", [1, 2, WINDOW - 1, WINDOW + 1, 37])
+def test_tune_matches_sequential_search_when_budget_ends_in_a_window(budget):
+    sc = _demo("symmetric-k2")
+    _assert_same_as_reference(
+        tune(sc.plant, sc.protocol, budget=budget, seed=0, restarts=1),
+        _sequential_tune(sc.plant, sc.protocol, budget, 0, 1))
+
+
+def test_tune_matches_sequential_search_with_restarts():
+    p = scalar_two_controller(T=3)
+    mp = build_symmetric_delay(p, 2)
+    _assert_same_as_reference(tune(p, mp, budget=300, seed=5, restarts=2),
+                              _sequential_tune(p, mp, 300, 5, 2))
+
+
+def _evaluated_thetas(monkeypatch, run):
+    """Every gains vector ``run`` hands to ``build``, in order."""
+    seen, build = [], solver_mod.build
+
+    def recording(plant, mp, gains):
+        seen.extend(gains.theta.reshape(-1, gains.theta.shape[-1]).copy())
+        return build(plant, mp, gains)
+
+    monkeypatch.setattr(solver_mod, "build", recording)
+    run()
+    monkeypatch.setattr(solver_mod, "build", build)
+    return seen
+
+
+def _fail_psd_check_at(monkeypatch, target, t_fail):
+    """Make the filter's PSD check fail at step ``t_fail`` for any system
+    (alone or in a stack) built from the gains vector ``target``."""
+    current, build, check = [], solver_mod.build, solver_mod.check_psd
+    raised = []
+
+    def tracking(plant, mp, gains):
+        current[:] = gains.theta.reshape(-1, gains.theta.shape[-1])
+        return build(plant, mp, gains)
+
+    def failing(m, *args, **kwargs):
+        t = args[2] if len(args) > 2 else kwargs.get("t")
+        if t == t_fail and any(np.array_equal(row, target)
+                               for row in current):
+            raised.append(len(current))
+            raise NumericalBreakdown("filter covariance is not PSD", t)
+        return check(m, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "build", tracking)
+    monkeypatch.setattr(solver_mod, "check_psd", failing)
+    return raised
+
+
+BREAKDOWN_BUDGET = 60
+
+
+def _breakdown_case():
+    p = scalar_two_controller(T=5)
+    return p, build_symmetric_delay(p, 2)
+
+
+def test_breakdown_past_the_accepted_candidate_is_not_raised(monkeypatch):
+    p, mp = _breakdown_case()
+    ref_seen = _evaluated_thetas(
+        monkeypatch, lambda: _sequential_tune(p, mp, BREAKDOWN_BUDGET))
+    batch_seen = _evaluated_thetas(
+        monkeypatch, lambda: tune(p, mp, budget=BREAKDOWN_BUDGET))
+    speculative = [th for th in batch_seen
+                   if not any(np.array_equal(th, r) for r in ref_seen)]
+    assert speculative, "no candidate was solved only speculatively"
+    ref = _sequential_tune(p, mp, BREAKDOWN_BUDGET)
+    raised = _fail_psd_check_at(monkeypatch, speculative[0], t_fail=3)
+    _assert_same_as_reference(tune(p, mp, budget=BREAKDOWN_BUDGET), ref)
+    assert raised and raised[0] > 1     # a stack failed and was redone
+
+
+@pytest.mark.parametrize("position", [0, 1, 5, WINDOW + 3])
+def test_breakdown_of_a_charged_candidate_is_raised_at_its_step(
+        monkeypatch, position):
+    p, mp = _breakdown_case()
+    ref_seen = _evaluated_thetas(
+        monkeypatch, lambda: _sequential_tune(p, mp, BREAKDOWN_BUDGET))
+    _fail_psd_check_at(monkeypatch, ref_seen[position], t_fail=3)
+    with pytest.raises(NumericalBreakdown) as ref_err:
+        _sequential_tune(p, mp, BREAKDOWN_BUDGET)
+    with pytest.raises(NumericalBreakdown) as err:
+        tune(p, mp, budget=BREAKDOWN_BUDGET)
+    assert ref_err.value.t == err.value.t == 3
+    assert str(err.value) == str(ref_err.value)

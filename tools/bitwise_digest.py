@@ -1,0 +1,128 @@
+"""Print a JSON map from output name to the sha256 of its exact bits.
+
+A change that promises bitwise-identical results is checked by running this
+script on a checkout of the parent commit and on the change, then diffing
+the two outputs:
+
+    python3 tools/bitwise_digest.py > after.json
+    (cd ../parent && python3 tools/bitwise_digest.py) > before.json
+    diff before.json after.json
+
+Arrays are hashed through ``tobytes()``, floats through ``float.hex``.  The
+script imports the package from ``src/`` and the benchmark's workload set-up
+from ``perfbench/`` of the checkout it lives in; it uses only the public
+API, so a copy of it also runs in a checkout that predates it.  BLAS is
+pinned to one thread.  It covers:
+
+* ``tune`` on the five ``cli.DEMOS`` at their own budgets: log, J,
+  evaluations and ``theta``;
+* per demo, at zero and at random gains: J, the six ``SolvedStrategy``
+  sequences and the ``strategy_to_doc(dump_matrices=True)`` JSON;
+* the solve-large workload at seeds 0 and 901: J, the sequences, every
+  ``delayed_stat_gains`` matrix and ``closed_loop_cost_exact``;
+* the mc-rollouts workload at seeds 0 and 901: the costs of a 20 000-rollout
+  ``simulate`` and its kept samples;
+* the stdout of each ``demos/*.py``.
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")     # BLAS results depend on threads
+
+import numpy as np  # noqa: E402
+
+import declqg as dq  # noqa: E402
+from declqg import cli  # noqa: E402
+from perfbench.workloads import McRollouts, Recorder, SolveLarge  # noqa: E402
+
+SEQUENCES = ("Kgain", "Lgain", "filter_gain", "Ptilde", "S", "Lambda")
+
+
+def digest(value) -> str:
+    h = hashlib.sha256()
+
+    def feed(v):
+        if isinstance(v, np.ndarray):
+            h.update(f"{v.dtype}{v.shape}".encode())
+            h.update(np.ascontiguousarray(v).tobytes())
+        elif isinstance(v, (list, tuple)):
+            h.update(f"[{len(v)}".encode())
+            for item in v:
+                feed(item)
+        elif isinstance(v, float):
+            h.update(v.hex().encode())
+        elif isinstance(v, bytes):
+            h.update(v)
+        else:
+            h.update(repr(v).encode())
+    feed(value)
+    return h.hexdigest()
+
+
+def strategy_digests(out: dict, key: str, ss) -> None:
+    out[f"{key}.J"] = digest(ss.J)
+    for name in SEQUENCES:
+        out[f"{key}.{name}"] = digest(getattr(ss, name))
+
+
+def main() -> int:
+    out: dict[str, str] = {}
+    for name, demo in cli.DEMOS.items():
+        sc = cli.load_scenario(copy.deepcopy(demo["config"]))
+        plant, mp = sc.plant, sc.protocol
+        res = dq.tune(plant, mp, budget=sc.tune_budget, seed=sc.tune_seed,
+                      restarts=sc.tune_restarts)
+        out[f"tune.{name}.log"] = digest(res.log)
+        out[f"tune.{name}.J"] = digest(res.J)
+        out[f"tune.{name}.evaluations"] = digest(res.evaluations)
+        out[f"tune.{name}.theta"] = digest(res.gains.theta)
+        gains = {"zero": dq.LocalGains.zeros(plant, mp),
+                 "random": dq.LocalGains.random(
+                     plant, mp, np.random.default_rng([len(name), 7]))}
+        for label, g in gains.items():
+            ss = dq.solve(plant, mp, g)
+            strategy_digests(out, f"demo.{name}.{label}", ss)
+            doc = cli.strategy_to_doc(ss, dump_matrices=True)
+            out[f"demo.{name}.{label}.doc"] = digest(
+                json.dumps(doc, sort_keys=True))
+    for seed in (0, 901):
+        wl = SolveLarge(seed, tiny=False)
+        wl.setup(Recorder())
+        ss = wl.ss
+        strategy_digests(out, f"solve-large.{seed}", ss)
+        out[f"solve-large.{seed}.delayed_stat_gains"] = digest(
+            list(dq.delayed_stat_gains(ss, wl.k)))
+        out[f"solve-large.{seed}.closed_loop_cost_exact"] = digest(
+            dq.closed_loop_cost_exact(ss.cs, ss.Kgain, ss.filter_gain))
+    for seed in (0, 901):
+        wl = McRollouts(seed, tiny=False)
+        wl.setup(Recorder())
+        mc = dq.simulate(wl.plant, wl.mp, wl.gains, wl.ss,
+                         seed=wl.call_seed(1, 0), count=20_000,
+                         sample_count=wl.kept)
+        out[f"mc-rollouts.{seed}.costs"] = digest(mc.costs)
+        out[f"mc-rollouts.{seed}.samples"] = digest(
+            [[getattr(ro, f) for f in sorted(vars(ro))] for ro in mc.samples])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for script in sorted((ROOT / "demos").glob("*.py")):
+        proc = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, text=True, check=True)
+        out[f"demos/{script.name}.stdout"] = digest(proc.stdout)
+    json.dump(out, sys.stdout, indent=1, sort_keys=True)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
