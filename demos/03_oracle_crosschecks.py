@@ -3,8 +3,9 @@
 The solver's outputs are cross-examined against brute-force oracles that
 share no code path with the recursions they certify:
 
-1. the augmented (coordinator's) recursion must reproduce the original
-   decentralized equations state by state when fed the same noise draws;
+1. the coordinator's recursion on (plant state, memory carrier) must
+   reproduce the original decentralized equations state by state when fed
+   the same noise draws;
 2. the recursive estimator must equal conditioning in the full joint
    Gaussian of the closed loop;
 3. the predicted cost must match exact second-moment propagation and the
@@ -34,10 +35,9 @@ prims = dq.draw_primitives(plant, seed=1, count=50)
 rb = dq.rollout_plant(plant, mp, gains, dq.ZHistoryPolicy(thetas), prims,
                       keep=50)
 cr = dq.rollout_coordinated(cs, dq.ZHistoryPolicy(thetas), prims)
-gap = max(np.abs(np.hstack([rb.samples[r].x, rb.samples[r].y,
-                            rb.samples[r].carrier]) - cr.xtilde[r]).max()
-          for r in range(50))
-print(f"paired-noise rollouts, original vs augmented: max gap {gap:.2e}")
+gap = max(np.abs(np.hstack([rb.samples[r].x, rb.samples[r].carrier])
+                 - cr.xtilde[r]).max() for r in range(50))
+print(f"paired-noise rollouts, original vs coordinated: max gap {gap:.2e}")
 
 # -- 2. recursive filter vs joint-Gaussian conditioning --------------------
 _, fgains = dq.forward_riccati(cs)
@@ -70,7 +70,7 @@ print(f"|J - exact| = {abs(ss.J - exact):.2e},  "
 # a tolerant pseudoinverse.
 P, _ = dq.forward_riccati(cs)
 t = 3
-innov_cov = cs.C[t - 1] @ P[t - 1] @ cs.C[t - 1].T
+innov_cov = cs.C[t - 1] @ P[t - 1] @ cs.C[t - 1].T + cs.SigV[t - 1]
 eigs = np.linalg.eigvalsh(innov_cov)
 print(f"\ninnovation covariance eigenvalues at t={t}: "
       + np.array2string(eigs, precision=6))

@@ -2,11 +2,11 @@
 
 Workflow: describe the plant (:class:`PlantModel`), compile an information
 structure into a :class:`MemoryProtocol`, fix local gains
-(:class:`LocalGains`), and :func:`solve` the coordinator's augmented LQG
-problem for the optimal shared-information gains, predicted cost, and the
-finite-dimensional online estimator.  :mod:`declqg.sim` cross-checks every
-number against brute-force Gaussian oracles; :mod:`declqg.tune` searches over
-the local gains.
+(:class:`LocalGains`), and :func:`solve` the coordinator's LQG problem on
+(plant state, memory carrier) for the optimal shared-information gains,
+predicted cost, and the finite-dimensional online estimator.
+:mod:`declqg.sim` cross-checks every number against brute-force Gaussian
+oracles; :mod:`declqg.tune` searches over the local gains.
 """
 
 from .core import (DEFAULT_RTOL, DimMismatch, InvalidDelay, InvalidMatrix,
@@ -20,7 +20,7 @@ from .infostructure import (DelayGraph, MemoryProtocol, ValidationReport,
 from .coordination import (CoordinatedSystem, LocalGains, build,
                            closed_loop_cost_exact)
 from .solver import (SolvedStrategy, backward_riccati, forward_riccati,
-                     performance, reduce_gains, solve)
+                     performance, solve)
 from .estimator import (DelayedStatTracker, EstimatorState, ReducedDelayStat,
                         act, delayed_stat_map, delayed_stat_gains, initial_state,
                         plant_kalman_covariances, plant_kalman_init,

@@ -27,7 +27,7 @@ from .infostructure import (DelayGraph, MemoryProtocol,
                             explicit_protocol, token_trace, validate)
 from .plant import PlantModel
 from .sim import exact_cost, simulate
-from .solver import SolvedStrategy, reduce_gains, solve
+from .solver import SolvedStrategy, solve
 from .tune import tune
 
 
@@ -197,6 +197,9 @@ def _read_config(path: str) -> dict:
 # strategy files
 
 
+STRATEGY_FORMAT = "declqg-strategy/2"
+
+
 def _fingerprint(plant: PlantModel, mp: MemoryProtocol) -> str:
     """sha256 over the plant's dimensions and matrices and the protocol's
     stacked maps, in a fixed order.  C and sigma_w are hashed block by
@@ -219,10 +222,9 @@ def _fingerprint(plant: PlantModel, mp: MemoryProtocol) -> str:
 def strategy_to_doc(ss: SolvedStrategy, dump_matrices=False) -> dict:
     gains, p, mp = ss.gains, ss.cs.plant, ss.cs.protocol
     doc = {
-        "format": "declqg-strategy/1",
+        "format": STRATEGY_FORMAT,
         "fingerprint": _fingerprint(p, mp),
         "J": ss.J,
-        "K": ss.Kgain.tolist(),
         "L": ss.Lgain.tolist(),
         "filter_gain": ss.filter_gain.tolist(),
         "gains": {
@@ -257,7 +259,11 @@ def _matrix_sequence(doc, key, count, rows, cols) -> np.ndarray:
 
 def strategy_from_doc(doc: dict, plant: PlantModel, mp: MemoryProtocol
                       ) -> SolvedStrategy:
-    if not isinstance(doc, dict) or doc.get("format") != "declqg-strategy/1":
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt == "declqg-strategy/1":
+        raise ConfigError("format", "declqg-strategy/1 holds gains on the "
+                                    "retired (X, Y, carrier) state; re-solve")
+    if fmt != STRATEGY_FORMAT:
         raise ConfigError("format", "not a declqg strategy file")
     if doc.get("fingerprint") != _fingerprint(plant, mp):
         raise ConfigError("fingerprint", "missing, or the strategy was solved "
@@ -270,19 +276,13 @@ def strategy_from_doc(doc: dict, plant: PlantModel, mp: MemoryProtocol
         raise ConfigError("gains." + msg[0] if msg[:1] in ("G", "H")
                           else "gains", msg)
     cs = build(plant, mp, gains)
-    K = _matrix_sequence(doc, "K", plant.T, cs.d_u, cs.d_state)
-    L = reduce_gains(cs, K)
-    gap = np.abs(_matrix_sequence(doc, "L", plant.T, cs.d_u, cs.d_x + cs.d_c)
-                 - L).max(initial=0.0)
-    if gap > 1e-9 * max(1.0, np.abs(L).max(initial=0.0)):
-        raise ConfigError("L", f"differs from K times the lift map by "
-                               f"{gap:.3e}")
+    L = _matrix_sequence(doc, "L", plant.T, cs.d_u, cs.d_state)
     F = _matrix_sequence(doc, "filter_gain", plant.T - 1, cs.d_state, cs.d_z)
     try:
         J = float(_get(doc, "J"))
     except (ValueError, TypeError):
         raise ConfigError("J", "must be a number")
-    return SolvedStrategy(cs=cs, Kgain=K, Lgain=L, filter_gain=F, J=J)
+    return SolvedStrategy(cs=cs, Lgain=L, filter_gain=F, J=J)
 
 
 # --------------------------------------------------------------------------
@@ -354,16 +354,15 @@ def cmd_solve(args) -> int:
     sc = load_scenario(_read_config(args.config))
     ss = solve(sc.plant, sc.protocol, sc.gains, rtol=args.tolerance)
     print(f"predicted cost J = {ss.J:.10g}")
-    print(f"augmented state dim = {ss.cs.d_state}, "
-          f"statistic dim = {ss.cs.d_x + ss.cs.d_c}, d_z = {ss.cs.d_z}")
-    print(" t   ||K~_t||_F     tr P~_t      tr S_t")
+    print(f"state dim (X, carrier) = {ss.cs.d_state}, d_z = {ss.cs.d_z}")
+    print(" t   ||L~_t||_F     tr P~_t      tr S_t")
     for t in range(1, sc.plant.T + 1):
-        print(f"{t:2d}   {np.linalg.norm(ss.Kgain[t - 1]):10.4f}"
+        print(f"{t:2d}   {np.linalg.norm(ss.Lgain[t - 1]):10.4f}"
               f"   {np.trace(ss.Ptilde[t - 1]):10.4f}"
               f"   {np.trace(ss.S[t - 1]):10.4f}")
     if args.dump_matrices:
         for t in range(1, sc.plant.T + 1):
-            print(f"K~_{t} =\n{ss.Kgain[t - 1]}")
+            print(f"L~_{t} =\n{ss.Lgain[t - 1]}")
     out = _outdir(args)
     _write_json(os.path.join(out, "strategy.json"),
                 strategy_to_doc(ss, dump_matrices=args.dump_matrices))

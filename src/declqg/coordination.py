@@ -1,18 +1,16 @@
-"""Coordinator's augmented centralized LQG system.
+"""Coordinator's centralized LQG system.
 
 Fixing the local-gain matrices (G, H) turns the decentralized problem into a
 centralized partially observed LQG problem for a coordinator that sees only
-the shared-memory increments.  Its state stacks the plant state, the current
-observations, and the memory carrier:
-
-    Xt~ = (X_t, Y_t, c_t)          Yt~ = Z_{t-1}   (empty at t = 1)
-
-with linear dynamics, linear observations, and a quadratic cost carrying a
-state/control cross term.  The observation map entering the row of Xt~_{t+1}
-that generates Y_{t+1} is the *next* step's C (identical to using C_t when C
-is time invariant); the noise feeding that row is C_{t+1} W0_t + W_{t+1}, so
-the process-noise covariance is not block diagonal.  Both choices are
-certified by the paired-noise equivalence oracle in :mod:`declqg.sim`.
+the shared-memory increments.  Its state is the plant state and the memory
+carrier, xi_t = (X_t, c_t), and it observes Z_t at t + 1.  The control law
+U_t = Ut~ + G_t C_t X_t + H_t M_t + G_t W_t carries the observation noise
+W_t into the next state and into Z_t, so W_t is process noise correlated
+with the measurement noise; it is independent of everything the coordinator
+knows at t, so Y_t need not be part of the state.  G_t W_t also adds the
+constant tr(G_t' R G_t sigma_w) to each step's expected cost.  The
+paired-noise equivalence oracle in :mod:`declqg.sim` certifies the
+reformulation state by state.
 """
 
 from __future__ import annotations
@@ -113,42 +111,45 @@ class LocalGains:
 
 @dataclass(frozen=True)
 class CoordinatedSystem:
-    """Augmented system matrices; every sequence is one read-only
-    (T, ·, ·) array indexed at offset ``t-1``.
+    """The coordinator's system on xi_t = (X_t, c_t); every sequence is one
+    read-only array over t (T entries, or T-1), indexed at offset ``t-1``.
 
-    ``A[t-1]``/``B[t-1]``/``SigW[t-1]`` propagate Xt~ into step t+1; the
-    t = T entries use a zero next-step observation map and are only ever
-    multiplied into the zero terminal value matrix.  ``Q[t-1]``/``N[t-1]``
-    weight step t.  ``C[t-1]`` (t = 1..T-1) maps Xt~_t to Z_t, the
-    observation received at t+1.  ``proj`` selects (X, carrier) out of the
-    augmented state, and ``lift[t-1]`` rebuilds the augmented state from
-    (X, carrier) through Y-hat = C_t X-hat.  The step-invariant maps are
-    read where they are stored: Ut~'s share of Z_t is ``protocol.zu`` and
-    the control weight is ``plant.R``.  For a stack of gains, A, Q, N and C
-    carry its leading axes; the gain-free rest is shared by the stack.
+    ``A[t-1]``/``B[t-1]`` propagate xi into step t+1 under process noise of
+    covariance ``SigW[t-1]``; the t = T entries are only ever multiplied
+    into the zero terminal value matrix.  ``C[t-1]`` (t = 1..T-1) maps xi_t
+    to Z_t, the observation received at t+1; its measurement noise has
+    covariance ``SigV[t-1]`` and cross covariance ``SigWV[t-1]`` with the
+    process noise.  ``F[t-1]`` maps (W0_t, W_t) to (process noise,
+    measurement noise).  ``Q[t-1]``/``N[t-1]`` weight step t and
+    ``noise_cost[t-1]`` = tr(G_t' R G_t sigma_w) is its constant.  The
+    step-invariant maps are read where they are stored: Ut~'s share of Z_t
+    is ``protocol.zu`` and the control weight is ``plant.R``.  For a stack
+    of gains every gain-dependent array carries its leading axes; ``B`` and
+    ``init_cov`` are shared by the stack.
     """
 
     plant: PlantModel
     protocol: MemoryProtocol
     gains: LocalGains
     d_x: int
-    d_y: int
     d_c: int
     d_u: int
     d_z: int
-    A: np.ndarray      # (T, d_state, d_state)
-    B: np.ndarray      # (T, d_state, d_u)
-    SigW: np.ndarray   # (T, d_state, d_state)
-    C: np.ndarray      # (T-1, d_z, d_state)
-    Q: np.ndarray      # (T, d_state, d_state)
-    N: np.ndarray      # (T, d_state, d_u)
-    lift: np.ndarray   # (T, d_state, d_x + d_c)
-    proj: np.ndarray   # (d_x + d_c, d_state)
+    A: np.ndarray           # (T, d_state, d_state)
+    B: np.ndarray           # (T, d_state, d_u)
+    C: np.ndarray           # (T-1, d_z, d_state)
+    F: np.ndarray           # (T, d_state + d_z, d_x + sum d_y)
+    SigW: np.ndarray        # (T, d_state, d_state)
+    SigWV: np.ndarray       # (T-1, d_state, d_z)
+    SigV: np.ndarray        # (T-1, d_z, d_z)
+    Q: np.ndarray           # (T, d_state, d_state)
+    N: np.ndarray           # (T, d_state, d_u)
+    noise_cost: np.ndarray  # (T,)
     init_cov: np.ndarray
 
     @property
     def d_state(self) -> int:
-        return self.d_x + self.d_y + self.d_c
+        return self.d_x + self.d_c
 
     @property
     def T(self) -> int:
@@ -164,85 +165,66 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
         raise DimMismatch("protocol and plant disagree on signal dims")
     T, d_x, d_y, d_u = plant.T, plant.d_x, plant.d_y_total, plant.d_u_total
     d_c, d_z = mp.d_carrier, mp.d_z
-    d = d_x + d_y + d_c
-    X, Y, M = slice(0, d_x), slice(d_x, d_x + d_y), slice(d_x + d_y, d)
+    d = d_x + d_c
     G, Hc, batch = gains.G, gains.H @ mp.m_sel, gains.theta.shape[:-1]
-    # C_{t+1}; the step after the horizon has a zero map
-    C_next = np.concatenate([plant.C[1:], np.zeros((1, d_y, d_x))])
-    BG, BH = plant.B @ G, plant.B @ Hc
-    A = np.zeros(batch + (T, d, d))
-    A[..., X, X] = plant.A
-    A[..., X, Y] = BG
-    A[..., X, M] = BH
-    A[..., Y, X] = C_next @ plant.A
-    A[..., Y, Y] = C_next @ BG
-    A[..., Y, M] = C_next @ BH
-    A[..., M, Y] = mp.cy + mp.cu @ G
-    A[..., M, M] = mp.cc + mp.cu @ Hc
-    B = np.concatenate([plant.B, C_next @ plant.B,
-                        np.broadcast_to(mp.cu, (T, d_c, d_u))], axis=1)
-    # noise into (X_{t+1}, Y_{t+1}, carrier): (W0_t, C_{t+1} W0_t + W_{t+1}, 0)
-    F = np.zeros((T, d, d_x + d_y))
-    F[:, X, :d_x] = np.eye(d_x)
-    F[:, Y, :d_x] = C_next
-    F[:, Y, d_x:] = np.eye(d_y)
-    sigma_noise = blkdiag([plant.sigma_w0, plant.sigma_w])
-    SigW = sym(F @ sigma_noise @ F.swapaxes(1, 2))
-    loc = np.concatenate([G, Hc], axis=-1)   # U_t = Ut~ + loc_t @ (Y_t, c_t)
-    locR = loc.swapaxes(-1, -2) @ plant.R
-    Q = np.zeros(batch + (T, d, d))
-    Q[..., X, X] = plant.Q
-    Q[..., d_x:, d_x:] = locR @ loc
-    N = np.concatenate([np.zeros(batch + (T, d_x, d_u)), locR], axis=-2)
-    # observation received at t+1 (t < T): Z_t, generated by this step's maps
-    C = np.zeros(batch + (T - 1, d_z, d))
-    C[..., Y] = mp.zy + mp.zu @ G[..., :-1, :, :]
-    C[..., M] = mp.zc + mp.zu @ Hc[..., :-1, :, :]
-    lift = np.zeros((T, d, d_x + d_c))
-    lift[:, X, :d_x] = np.eye(d_x)
-    lift[:, Y, :d_x] = plant.C
-    lift[:, M, d_x:] = np.eye(d_c)
-    proj = np.zeros((d_x + d_c, d))
-    proj[:d_x, X] = np.eye(d_x)
-    proj[d_x:, M] = np.eye(d_c)
-    C1 = plant.C[0]
-    init = np.zeros((d, d))
-    init[X, X] = plant.sigma_x
-    init[X, Y] = plant.sigma_x @ C1.T
-    init[Y, X] = C1 @ plant.sigma_x
-    init[Y, Y] = C1 @ plant.sigma_x @ C1.T + plant.sigma_w
+    # U_t = Ut~ + loc_t xi_t + G_t W_t
+    loc = np.concatenate([G @ plant.C, Hc], axis=-1)
+    # rows (X_{t+1}, c_{t+1}, Z_t) from columns (xi_t, W_t): the share that
+    # does not pass through U_t, plus U_t's share through (B, cu, zu)
+    cz_y, cz_c = np.concatenate([mp.cy, mp.zy]), np.concatenate([mp.cc, mp.zc])
+    free = np.zeros((T, d + d_z, d + d_y))
+    free[:, :d_x, :d_x] = plant.A
+    free[:, d_x:, :d_x] = cz_y @ plant.C
+    free[:, d_x:, d_x:d] = cz_c
+    free[:, d_x:, d:] = cz_y
+    to_u = np.concatenate([plant.B, np.broadcast_to(
+        np.concatenate([mp.cu, mp.zu]), (T, d_c + d_z, d_u))], axis=1)
+    step = free + to_u @ np.concatenate([loc, G], axis=-1)
+    F = np.zeros(batch + (T, d + d_z, d_x + d_y))
+    F[..., :d_x, :d_x] = np.eye(d_x)
+    F[..., d_x:] = step[..., d:]
+    cov = sym(F @ blkdiag([plant.sigma_w0, plant.sigma_w])
+              @ F.swapaxes(-1, -2))
+    N = loc.swapaxes(-1, -2) @ plant.R
+    Q = N @ loc
+    Q[..., :d_x, :d_x] += plant.Q
+    noise_cost = np.sum(G * (plant.R @ G @ plant.sigma_w), axis=(-2, -1))
     return CoordinatedSystem(
-        plant=plant, protocol=mp, gains=gains, d_x=d_x, d_y=d_y, d_c=d_c,
-        d_u=d_u, d_z=d_z, A=read_only(A), B=read_only(B),
-        SigW=read_only(SigW), C=read_only(C), Q=read_only(sym(Q)),
-        N=read_only(N), lift=read_only(lift), proj=read_only(proj),
-        init_cov=read_only(sym(init)))
+        plant=plant, protocol=mp, gains=gains, d_x=d_x, d_c=d_c, d_u=d_u,
+        d_z=d_z, A=read_only(step[..., :d, :d]), B=read_only(to_u[:, :d]),
+        C=read_only(step[..., :-1, d:, :d]), F=read_only(F),
+        SigW=read_only(cov[..., :d, :d]),
+        SigWV=read_only(cov[..., :-1, :d, d:]),
+        SigV=read_only(cov[..., :-1, d:, d:]), Q=read_only(sym(Q)),
+        N=read_only(N), noise_cost=read_only(noise_cost),
+        init_cov=read_only(blkdiag([plant.sigma_x, np.zeros((d_c, d_c))])))
 
 
-def closed_loop_cost_exact(cs: CoordinatedSystem, k_seq,
+def closed_loop_cost_exact(cs: CoordinatedSystem, l_seq,
                            filter_gains) -> float:
-    """Exact expected total cost of Ut~ = Kt~ (state estimate) under the filter.
+    """Exact expected cost of Ut~ = L~_t (state estimate) under the filter.
 
     Propagates the joint second moment of (state, estimate) through the linear
-    closed loop; no sampling error.  ``filter_gains`` are the forward Riccati
-    gains of the estimator the strategy runs.
+    closed loop, with the process noise correlated with the gain-weighted
+    measurement noise; no sampling error.  ``filter_gains`` are the forward
+    Riccati gains of the estimator the strategy runs.
     """
     T, d = cs.T, cs.d_state
-    if len(k_seq) != T:
-        raise DimMismatch(f"need {T} gain matrices, got {len(k_seq)}")
+    if len(l_seq) != T:
+        raise DimMismatch(f"need {T} gain matrices, got {len(l_seq)}")
     for t in range(1, T + 1):
-        as_matrix(k_seq[t - 1], cs.d_u, d, f"K[t={t}]")
+        as_matrix(l_seq[t - 1], cs.d_u, d, f"L[t={t}]")
     cov = np.zeros((2 * d, 2 * d))
     cov[:d, :d] = cs.init_cov
     total = 0.0
     for t in range(1, T + 1):
-        K = np.asarray(k_seq[t - 1], dtype=float)
+        L = np.asarray(l_seq[t - 1], dtype=float)
         W = np.zeros((2 * d, 2 * d))
         W[:d, :d] = cs.Q[t - 1]
-        W[:d, d:] = cs.N[t - 1] @ K
+        W[:d, d:] = cs.N[t - 1] @ L
         W[d:, :d] = W[:d, d:].T
-        W[d:, d:] = K.T @ cs.plant.R @ K
-        total += float(np.sum(W * cov))
+        W[d:, d:] = L.T @ cs.plant.R @ L
+        total += float(np.sum(W * cov)) + float(cs.noise_cost[t - 1])
         if t == T:
             break
         gain = filter_gains[t - 1]
@@ -250,10 +232,15 @@ def closed_loop_cost_exact(cs: CoordinatedSystem, k_seq,
         GC = gain @ cs.C[t - 1]
         M = np.zeros((2 * d, 2 * d))
         M[:d, :d] = A
-        M[:d, d:] = B @ K
+        M[:d, d:] = B @ L
         M[d:, :d] = GC
-        M[d:, d:] = A + B @ K - GC
+        M[d:, d:] = A + B @ L - GC
         cov = M @ cov @ M.T
+        # process noise w enters the state, gain @ v the estimate
+        cross = cs.SigWV[t - 1] @ gain.T
         cov[:d, :d] += cs.SigW[t - 1]
+        cov[:d, d:] += cross
+        cov[d:, :d] += cross.T
+        cov[d:, d:] += gain @ cs.SigV[t - 1] @ gain.T
         cov = sym(cov)
     return total

@@ -3,9 +3,8 @@
 Three statistics appear here:
 
 * ``stat``: the conditional mean of (X_t, carrier_t) given the shared data
-  and the coordinator's past actions.  It is the projection of the full
-  augmented-state estimate, recoverable through the lifting map because the
-  estimate of Y_t is C_t times the estimate of X_t.
+  and the coordinator's past actions, which is the coordinator's whole
+  state estimate.
 * the plant-level one-step-ahead Kalman predictor, whose covariance never
   reads the local gains (strategy independent, precomputable);
 * the delayed-sharing statistic S_t = (xhat, recent coordinator actions,
@@ -48,19 +47,14 @@ def statistic_transition(ss: SolvedStrategy, t: int):
     if not 1 <= t < cs.T:
         raise TimeOutOfRange(f"no transition out of t={t} (T={cs.T})")
     gain = ss.filter_gain[t - 1]
-    Ts = cs.proj @ (cs.A[t - 1] - gain @ cs.C[t - 1]) @ cs.lift[t - 1]
-    Tu = cs.proj @ (cs.B[t - 1] - gain @ cs.protocol.zu)
-    Tz = cs.proj @ gain
-    return Ts, Tu, Tz
+    return (cs.A[t - 1] - gain @ cs.C[t - 1],
+            cs.B[t - 1] - gain @ cs.protocol.zu, gain)
 
 
 def step_statistic(st: EstimatorState, ss: SolvedStrategy, z_new,
                    u_tilde_prev) -> EstimatorState:
-    """Advance the statistic with the newly shared increment Z_t.
-
-    Equals the (X, carrier) projection of the full augmented-state filter
-    update applied to the lifted statistic.
-    """
+    """Advance the statistic with the newly shared increment Z_t (one
+    step of the coordinator's filter)."""
     cs = ss.cs
     z = as_vector(z_new, cs.d_z, "z_new")
     u = as_vector(u_tilde_prev, cs.d_u, "u_tilde_prev")
@@ -290,7 +284,7 @@ def _stat_map(cs: CoordinatedSystem, k: int, t: int,
             window = window.copy()
             window[d_x:, y0:y0 + (k - tau) * d_y] = 0.0
             window[d_x:, u0:u0 + (k - tau) * d_u] = 0.0
-        emap = cs.lift[tau - 1] @ window
+        emap = window
         start = tau
     else:
         # before the pipeline fills the delayed estimate is zero
@@ -300,17 +294,17 @@ def _stat_map(cs: CoordinatedSystem, k: int, t: int,
         sel = np.zeros((d_u, dim_s))
         sel[:, ut_col(s):ut_col(s) + d_u] = np.eye(d_u)
         emap = cs.A[s - 1] @ emap + cs.B[s - 1] @ sel
-    return cs.proj @ emap
+    return emap
 
 
 def delayed_stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
     """Matrix taking the delayed statistic S_t to stat at time t.
 
-    Built constructively: rebuild the augmented-state estimate at time
-    t - k + 1 out of S_t (the X part from xhat, the Y part through C, the
-    carrier as the protocol's linear image of the shared window pairs),
-    then propagate the coordinated dynamics with the windowed coordinator
-    actions and zero-mean noise, and project back to (X, carrier).
+    Built constructively: rebuild the coordinator's estimate at time
+    t - k + 1 out of S_t (the X part from xhat, the carrier as the
+    protocol's linear image of the shared window pairs), then propagate the
+    coordinated dynamics with the windowed coordinator actions and zero-mean
+    noise.
     """
     _check_stat_delay(cs.protocol, k)
     if not 1 <= t <= cs.T:

@@ -372,6 +372,11 @@ def explicit_protocol(plant: PlantModel, blocks, strict: bool = False,
     if kind in ("symmetric_delay", "asymmetric_delay", "control_sharing",
                 "one_sided"):    # code keyed on these reads their delays
         raise UnsupportedProtocol(f"kind {kind!r} is reserved for its builder")
+    if not isinstance(blocks, (list, tuple)):
+        raise DimMismatch("blocks: must list one block per controller")
+    if len(blocks) != plant.n:
+        raise WrongControllerCount(
+            f"blocks: need one per controller ({plant.n}), got {len(blocks)}")
 
     def coerce(raw, rows, cols, name):
         arr = np.asarray(raw, dtype=float)

@@ -5,7 +5,8 @@ Rollouts draw every primitive random variable for rollout r from
 ``seeded_stream(seed, r)`` in a fixed order, so results are bitwise
 reproducible and independent of how rollouts are batched.  The plant-form and
 coordinated-form rollouts can be driven by the same primitive draws to check
-that the augmented system reproduces the original equations state by state.
+that the coordinated system reproduces the original equations state by
+state.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_RTOL, DimMismatch, blkdiag, pinv, psd_sqrt,
+from .core import (DEFAULT_RTOL, DimMismatch, blkdiag, psd_sqrt,
                    seeded_stream)
 from . import coordination
 from .coordination import CoordinatedSystem, LocalGains
@@ -130,10 +131,10 @@ def strategy_theta_maps(ss: SolvedStrategy):
     xmap = np.zeros((d, 0))      # estimate as a map of stacked Z_1..Z_{t-1}
     thetas = []
     for t in range(1, cs.T + 1):
-        thetas.append(ss.Kgain[t - 1] @ xmap)
+        thetas.append(ss.Lgain[t - 1] @ xmap)
         if t == cs.T:
             break
-        K = ss.Kgain[t - 1]
+        K = ss.Lgain[t - 1]
         gain = ss.filter_gain[t - 1]
         M = (cs.A[t - 1] + cs.B[t - 1] @ K
              - gain @ (cs.C[t - 1] + cs.protocol.zu @ K))
@@ -226,10 +227,10 @@ def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
 
 @dataclass(frozen=True)
 class CoordinatedRollout:
-    """Trajectories of the augmented recursion under the same primitives."""
+    """Trajectories of the coordinated recursion under the same primitives."""
 
-    xtilde: np.ndarray    # (keep, T, d_state)
-    ytilde: np.ndarray    # (keep, T, d_z); row t-1 holds Yt~_{t} (zero at t=1)
+    xtilde: np.ndarray    # (keep, T, d_state): rows (X_t, c_t)
+    ytilde: np.ndarray    # (keep, T, d_z); row t-1 holds Z_{t-1} (zero at t=1)
     u_tilde: np.ndarray
     step_costs: np.ndarray
     costs: np.ndarray
@@ -237,30 +238,33 @@ class CoordinatedRollout:
 
 def rollout_coordinated(cs: CoordinatedSystem, policy, prims: Primitives
                         ) -> CoordinatedRollout:
-    """Propagate the coordinated recursion with explicit primitive noise."""
-    plant = cs.plant
+    """Propagate the coordinated recursion with explicit primitive noise.
+
+    Step costs are the realized ones: with v = Ut~ + G_t W_t, the plant's
+    cost is xi' Q~ xi + 2 xi' N~ v + v' R v.
+    """
+    plant, d = cs.plant, cs.d_state
     count = prims.count
-    y1 = prims.x1 @ plant.C[0].T + prims.wy[0]
-    xt = np.hstack([prims.x1, y1, np.zeros((count, cs.d_c))])
+    xt = np.hstack([prims.x1, np.zeros((count, cs.d_c))])
     state = policy.init(count)
     xs, ys, us, scs = [], [np.zeros((count, cs.d_z))], [], []
     costs = np.zeros(count)
     for t in range(1, plant.T + 1):
         utilde = policy.utilde(state, t)
+        v = utilde + prims.wy[t - 1] @ cs.gains.G[t - 1].T
         sc = np.einsum("ri,ij,rj->r", xt, cs.Q[t - 1], xt) \
-            + 2 * np.einsum("ri,ij,rj->r", xt, cs.N[t - 1], utilde) \
-            + np.einsum("ri,ij,rj->r", utilde, plant.R, utilde)
+            + 2 * np.einsum("ri,ij,rj->r", xt, cs.N[t - 1], v) \
+            + np.einsum("ri,ij,rj->r", v, plant.R, v)
         costs += sc
         xs.append(xt.copy())
         us.append(utilde.copy())
         scs.append(sc.copy())
         if t < plant.T:
-            ynext = xt @ cs.C[t - 1].T + utilde @ cs.protocol.zu.T
-            noise = np.hstack([
-                prims.w0[t - 1],
-                prims.w0[t - 1] @ plant.C[t].T + prims.wy[t],
-                np.zeros((count, cs.d_c))])
-            xt = xt @ cs.A[t - 1].T + utilde @ cs.B[t - 1].T + noise
+            noise = np.hstack([prims.w0[t - 1], prims.wy[t - 1]]) \
+                @ cs.F[t - 1].T
+            ynext = (xt @ cs.C[t - 1].T + utilde @ cs.protocol.zu.T
+                     + noise[:, d:])
+            xt = xt @ cs.A[t - 1].T + utilde @ cs.B[t - 1].T + noise[:, :d]
             ys.append(ynext.copy())
             state = policy.update(state, t, ynext, utilde)
     stack = lambda seq: np.stack(seq, axis=1)
@@ -273,6 +277,8 @@ def simulate(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
              ss: SolvedStrategy, seed: int, count: int,
              sample_count: int = 0) -> RolloutBatch:
     """Monte Carlo estimate of the strategy's expected total cost."""
+    if count < 1 or sample_count < 0:
+        raise ValueError("need count >= 1 and sample_count >= 0")
     prims = draw_primitives(plant, seed, count)
     return rollout_plant(plant, mp, gains, StatisticPolicy(ss), prims,
                          keep=sample_count)
@@ -290,7 +296,7 @@ def exact_cost(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
             or not np.array_equal(cs.gains.theta, gains.theta)):
         raise ValueError("strategy was solved for another plant, protocol "
                          "or local gains")
-    return coordination.closed_loop_cost_exact(cs, ss.Kgain, ss.filter_gain)
+    return coordination.closed_loop_cost_exact(cs, ss.Lgain, ss.filter_gain)
 
 
 # --------------------------------------------------------------------------
@@ -307,38 +313,48 @@ class JointGaussian:
     """
 
     cov_prim: np.ndarray
-    xtilde: tuple[np.ndarray, ...]   # maps for Xt~, t = 1..t_max
-    ytilde: tuple[np.ndarray, ...]   # maps for Yt~, t = 2..t_max
+    xtilde: tuple[np.ndarray, ...]   # maps for (X_t, c_t), t = 1..t_max
+    ytilde: tuple[np.ndarray, ...]   # maps for Z_t, t = 1..t_max-1
     utilde: tuple[np.ndarray, ...]
 
     def cov(self, La, Lb) -> np.ndarray:
         return La @ self.cov_prim @ Lb.T
 
+    def innovations(self, count: int, rtol: float = DEFAULT_RTOL):
+        """``(rs, q, c)``: rs[s-1] is Z_s's map times a root of cov_prim
+        less (twice, for round-off) its projection on q's rows so far, so
+        Cov(innovation) = r r'; q gathers r's right singular vectors above
+        the ``rtol`` cutoff on r r'; c maps stacked Z_1..Z_count to the
+        unit-variance coordinates along q."""
+        root, ys = psd_sqrt(self.cov_prim), self.ytilde[:count]
+        starts = np.cumsum([0] + [len(y) for y in ys])
+        rs, q, c = [], np.zeros((0, len(root))), np.zeros((0, starts[-1]))
+        for y, start in zip(ys, starts):
+            r, rc = y @ root, np.eye(len(y), starts[-1], start)
+            for _ in range(2):
+                g = r @ q.T
+                r, rc = r - g @ q, rc - g @ c
+            u, sv, vt = np.linalg.svd(r, full_matrices=False)
+            keep = sv * sv > rtol * sv[:1] ** 2
+            rs.append(r)
+            q = np.vstack([q, vt[keep]])
+            c = np.vstack([c, u[:, keep].T @ rc / sv[keep, None]])
+        return rs, q, c
+
 
 def closed_loop_maps(cs: CoordinatedSystem, thetas, t_max: int
                      ) -> JointGaussian:
     """Compose the closed loop (under history maps ``thetas``) lazily to t_max."""
-    plant = cs.plant
+    plant, d = cs.plant, cs.d_state
     d_x, d_y, T = plant.d_x, plant.d_y_total, plant.T
     d_prim = d_x + T * (d_x + d_y)
+    eye = np.eye(d_prim)
 
-    def w0_sel(s):
-        out = np.zeros((d_x, d_prim))
-        off = d_x + (s - 1) * d_x
-        out[:, off:off + d_x] = np.eye(d_x)
-        return out
+    def noise_sel(s):   # rows of (W0_s, W_s) in the primitive vector
+        w0, wy = s * d_x, (T + 1) * d_x + (s - 1) * d_y
+        return np.vstack([eye[w0:w0 + d_x], eye[wy:wy + d_y]])
 
-    def wy_sel(s):
-        out = np.zeros((d_y, d_prim))
-        off = d_x + T * d_x + (s - 1) * d_y
-        out[:, off:off + d_y] = np.eye(d_y)
-        return out
-
-    x1_sel = np.zeros((d_x, d_prim))
-    x1_sel[:, :d_x] = np.eye(d_x)
-    xmap = np.vstack([x1_sel,
-                      plant.C[0] @ x1_sel + wy_sel(1),
-                      np.zeros((cs.d_c, d_prim))])
+    xmap = np.vstack([eye[:d_x], np.zeros((d - d_x, d_prim))])
     xmaps, ymaps, umaps = [xmap], [], []
     hist = np.zeros((0, d_prim))
     for s in range(1, t_max + 1):
@@ -346,15 +362,13 @@ def closed_loop_maps(cs: CoordinatedSystem, thetas, t_max: int
         umaps.append(umap)
         if s == t_max:
             break
-        ymap = cs.C[s - 1] @ xmaps[-1] + cs.protocol.zu @ umap
+        noise = cs.F[s - 1] @ noise_sel(s)
+        ymap = cs.C[s - 1] @ xmaps[-1] + cs.protocol.zu @ umap + noise[d:]
         ymaps.append(ymap)
         hist = np.vstack([hist, ymap])
-        noise = np.vstack([w0_sel(s),
-                           plant.C[s] @ w0_sel(s) + wy_sel(s + 1),
-                           np.zeros((cs.d_c, d_prim))])
-        xmaps.append(cs.A[s - 1] @ xmaps[-1] + cs.B[s - 1] @ umap + noise)
-    cov_prim = blkdiag([plant.sigma_x]
-                       + [plant.sigma_w0] * T
+        xmaps.append(cs.A[s - 1] @ xmaps[-1] + cs.B[s - 1] @ umap
+                     + noise[:d])
+    cov_prim = blkdiag([plant.sigma_x] + [plant.sigma_w0] * T
                        + [plant.sigma_w] * T)
     return JointGaussian(cov_prim=cov_prim, xtilde=tuple(xmaps),
                          ytilde=tuple(ymaps), utilde=tuple(umaps))
@@ -362,17 +376,12 @@ def closed_loop_maps(cs: CoordinatedSystem, thetas, t_max: int
 
 def gaussian_conditioning(cs: CoordinatedSystem, thetas, t: int,
                           rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """Map from realized stacked (Yt~_2..Yt~_t) to E[Xt~_t | observations].
+    """Map from realized stacked (Z_1..Z_{t-1}) to E[(X_t, c_t) | them].
 
-    Brute force: build the joint Gaussian of the closed loop under the fixed
-    linear strategy and apply the conditioning formula with a pseudoinverse
-    (the observation covariance is typically singular).  At t = 1 there are
-    no observations and the map has zero columns.
+    Brute force: the closed loop's joint Gaussian conditioned on its whitened
+    innovations, each cut at its own largest singular value as in the filter
+    (square roots, so a nearly singular one keeps its condition number).
     """
     jg = closed_loop_maps(cs, thetas, t)
-    if t == 1:
-        return np.zeros((cs.d_state, 0))
-    ystack = np.vstack(jg.ytilde[:t - 1])
-    cross = jg.cov(jg.xtilde[t - 1], ystack)
-    yy = jg.cov(ystack, ystack)
-    return cross @ pinv(yy, rtol)
+    _, q, c = jg.innovations(t - 1, rtol)
+    return jg.xtilde[t - 1] @ psd_sqrt(jg.cov_prim) @ q.T @ c

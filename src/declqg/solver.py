@@ -1,11 +1,12 @@
 """Riccati solutions of the coordinator's partially observed LQG problem.
 
 The forward recursion propagates the estimation-error covariance of the
-augmented state; its innovation covariance is generically singular (shared
-increments are noiseless functions of the state) so updates use the tolerant
-pseudoinverse.  The backward recursion handles the state/control cross term
-with the convention S_{T+1} = 0: no terminal state cost, and the final-step
-gain reduces to -R~^{-1} N~^T.  Covariances and value matrices are
+coordinator's state (X_t, c_t) under process noise correlated with the
+measurement noise; its innovation covariance is generically singular (shared
+increments are often noiseless functions of the state) so updates use the
+tolerant pseudoinverse.  The backward recursion handles the state/control
+cross term with the convention S_{T+1} = 0: no terminal state cost, and the
+final-step gain reduces to -R~^{-1} N~^T.  Covariances and value matrices are
 symmetrized after every step.
 """
 
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_RTOL, DimMismatch, check_psd, pinv, read_only,
-                   solve_pd, sym)
+from .core import DEFAULT_RTOL, check_psd, pinv, read_only, solve_pd, sym
 from .coordination import CoordinatedSystem, LocalGains, build
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
@@ -28,19 +28,26 @@ class SolvedStrategy:
 
     Every sequence is one read-only (T, ·, ·) array indexed at offset
     ``t - 1`` for step t, except ``filter_gain``, which has T - 1 entries
-    (the update into step t + 1 uses ``filter_gain[t - 1]``).  Strategies
-    reloaded from disk carry only the gains; the covariance/value sequences
-    are then ``None``.  A stack of gains gives arrays and J its leading axes.
+    (the update into step t + 1 uses ``filter_gain[t - 1]``).  ``Lgain``
+    acts on the coordinator's whole state (X_t, c_t), which is also the
+    statistic.  Strategies reloaded from disk carry only the gains; the
+    covariance/value sequences are then ``None``.  A stack of gains gives
+    arrays and J its leading axes.
     """
 
     cs: CoordinatedSystem
-    Kgain: np.ndarray         # (T, d_u, d_state)
-    Lgain: np.ndarray         # (T, d_u, d_x + d_c)
+    Lgain: np.ndarray         # (T, d_u, d_state)
     filter_gain: np.ndarray   # (T-1, d_state, d_z)
     J: float
     Ptilde: np.ndarray | None = None   # (T, d_state, d_state)
     S: np.ndarray | None = None        # (T, d_state, d_state)
     Lambda: np.ndarray | None = None   # (T, d_u, d_state)
+
+    @property
+    def Kgain(self) -> np.ndarray:
+        """Read-only alias of ``Lgain``: the coordinator's state is the
+        statistic, so its gain and the statistic's gain are one array."""
+        return self.Lgain
 
     @property
     def gains(self) -> LocalGains:
@@ -60,25 +67,32 @@ class SolvedStrategy:
 def forward_riccati(cs: CoordinatedSystem, rtol: float = DEFAULT_RTOL):
     """Error covariances P~_1..P~_T and filter gains for t = 1..T-1.
 
-    P~_1 is the exact covariance of (X_1, Y_1, carrier_1); the update into
-    t + 1 conditions on the new observation Z_t through its (possibly
-    singular) innovation covariance.  Every sweep runs over (…, T, ·, ·).
+    P~_1 is the exact covariance of (X_1, carrier_1); the update into t + 1
+    conditions on the new observation Z_t through its (possibly singular)
+    innovation covariance C P~ C' + V, with the process/measurement cross
+    covariance in the gain.  The Joseph-form update is the error covariance
+    of the gain actually computed, so round-off in the gain moves P~ only to
+    second order.  Every sweep runs over (…, T, ·, ·).
     """
     P = np.empty(cs.A.shape[:-3] + (cs.T, cs.d_state, cs.d_state))
     gains = np.empty(P.shape[:-3] + (cs.T - 1, cs.d_state, cs.d_z))
     P[..., 0, :, :] = sym(cs.init_cov)
     for t in range(1, cs.T):
-        A, C, Pt, K = (a[..., t - 1, :, :] for a in (cs.A, cs.C, P, gains))
-        AT, CT = A.swapaxes(-1, -2), C.swapaxes(-1, -2)
-        K[...] = A @ Pt @ CT @ pinv(sym(C @ Pt @ CT), rtol)
-        P[..., t, :, :] = sym(A @ Pt @ AT + cs.SigW[t - 1]
-                              - K @ (C @ Pt @ AT))
+        A, C, Pt, K, SWV, V = (a[..., t - 1, :, :] for a in (
+            cs.A, cs.C, P, gains, cs.SigWV, cs.SigV))
+        CT = C.swapaxes(-1, -2)
+        K[...] = (A @ Pt @ CT + SWV) @ pinv(sym(C @ Pt @ CT + V), rtol)
+        Acl, KS = A - K @ C, K @ SWV.swapaxes(-1, -2)
+        P[..., t, :, :] = sym(Acl @ Pt @ Acl.swapaxes(-1, -2)
+                              + cs.SigW[..., t - 1, :, :] - KS
+                              - KS.swapaxes(-1, -2)
+                              + K @ V @ K.swapaxes(-1, -2))
         check_psd(P[..., t, :, :], 1e-8, "filter covariance", t + 1)
     return read_only(P), read_only(gains)
 
 
 def backward_riccati(cs: CoordinatedSystem):
-    """Value matrices S_1..S_T, cross terms Lambda_t, and gains K~_t.
+    """Value matrices S_1..S_T, cross terms Lambda_t, and gains L~_t.
 
     Runs from S_{T+1} = 0; the control bracket R~ + B~' S B~ is positive
     definite (R is PD) so a true solve is used.
@@ -92,7 +106,7 @@ def backward_riccati(cs: CoordinatedSystem):
             cs.A, cs.B, cs.N, cs.Q, S, lam, K))
         bracket = sym(cs.plant.R + B.T @ S_next @ B)
         lam_t[...] = N.swapaxes(-1, -2) + B.T @ S_next @ A
-        K_t[...] = -solve_pd(bracket, lam_t, t=t)
+        K_t[...] = 0.0 - solve_pd(bracket, lam_t, t=t)   # no -0 entries
         S_t[...] = sym(A.swapaxes(-1, -2) @ S_next @ A + Q
                        + lam_t.swapaxes(-1, -2) @ K_t)
         S_next = S_t
@@ -102,16 +116,19 @@ def backward_riccati(cs: CoordinatedSystem):
 def performance(cs: CoordinatedSystem, ptilde, s_seq):
     """Predicted expected total cost of the optimal coordinator strategy.
 
-    J = sum_t tr[P~_t Q~_t + (SigW_t + A~_t P~_t A~_t' - P~_{t+1}) S_{t+1}]
-    with S_{T+1} = 0, so the final noise term vanishes; one J per system.
+    J = sum_t tr[P~_t Q~_t] + c_t + tr[(SigW_t + A~_t P~_t A~_t' - P~_{t+1})
+    S_{t+1}], with c_t the step's ``noise_cost`` and S_{T+1} = 0, so the
+    final noise term vanishes; one J per system.
     """
     terms = np.zeros(ptilde.shape[:-3] + (2 * cs.T,))   # 0, tr_1, noise_1, ..
     for s in range(0, cs.T, 8):     # 8 steps at a time keep temporaries small
         e, m = min(s + 8, cs.T), min(s + 8, cs.T - 1)
         P, A = ptilde[..., s:e, :, :], cs.A[..., s:m, :, :]
-        terms[..., 2 * s + 1:2 * e:2] = np.trace(P @ cs.Q[..., s:e, :, :],
-                                                 axis1=-2, axis2=-1)
-        gamma = (cs.SigW[s:m] + A @ P[..., :m - s, :, :] @ A.swapaxes(-1, -2)
+        terms[..., 2 * s + 1:2 * e:2] = np.trace(
+            P @ cs.Q[..., s:e, :, :], axis1=-2, axis2=-1) \
+            + cs.noise_cost[..., s:e]
+        gamma = (cs.SigW[..., s:m, :, :]
+                 + A @ P[..., :m - s, :, :] @ A.swapaxes(-1, -2)
                  - ptilde[..., s + 1:m + 1, :, :])
         terms[..., 2 * s + 2:2 * m + 1:2] = np.sum(
             gamma * s_seq[..., s + 1:m + 1, :, :], axis=(-2, -1))
@@ -119,25 +136,12 @@ def performance(cs: CoordinatedSystem, ptilde, s_seq):
     return total if total.ndim else float(total)
 
 
-def reduce_gains(cs: CoordinatedSystem, k_seq):
-    """Lower-dimensional gains L~_t = K~_t [[I,0],[C_t,0],[0,I]].
-
-    Valid because the Y-block of the estimate is C_t times its X-block
-    (primitive random variables are mutually independent).
-    """
-    if np.shape(k_seq)[-3] != cs.T:
-        raise DimMismatch(f"need {cs.T} gains, got {np.shape(k_seq)[-3]}")
-    return read_only(np.asarray(k_seq, dtype=float) @ cs.lift)
-
-
 def solve(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
           rtol: float = DEFAULT_RTOL) -> SolvedStrategy:
     """Best coordinator response to the given local gains (or stack)."""
     cs = build(plant, mp, gains)
     ptilde, fgains = forward_riccati(cs, rtol)
-    s_seq, lam_seq, k_seq = backward_riccati(cs)
+    s_seq, lam_seq, l_seq = backward_riccati(cs)
     J = performance(cs, ptilde, s_seq)
-    l_seq = reduce_gains(cs, k_seq)
-    return SolvedStrategy(cs=cs, Kgain=k_seq, Lgain=l_seq, filter_gain=fgains,
-                          J=J, Ptilde=ptilde, S=s_seq, Lambda=lam_seq)
-
+    return SolvedStrategy(cs=cs, Lgain=l_seq, filter_gain=fgains, J=J,
+                          Ptilde=ptilde, S=s_seq, Lambda=lam_seq)

@@ -139,7 +139,7 @@ def test_criterion_3_coordinated_equivalence():
                 cr = rollout_coordinated(cs, ZHistoryPolicy(thetas), prims)
                 for r in range(20):
                     ro = rb.samples[r]
-                    stacked = np.hstack([ro.x, ro.y, ro.carrier])
+                    stacked = np.hstack([ro.x, ro.carrier])
                     worst = max(worst,
                                 np.abs(stacked - cr.xtilde[r]).max())
     assert worst < 1e-10, worst
@@ -224,22 +224,20 @@ def test_criterion_5_control_optimality():
             mp = build_symmetric_delay(p, 1)
         lg = LocalGains.random(p, mp, rng, 0.3)
         ss = solve(p, mp, lg)
-        base = closed_loop_cost_exact(ss.cs, ss.Kgain, ss.filter_gain)
+        base = closed_loop_cost_exact(ss.cs, ss.Lgain, ss.filter_gain)
         for t in range(p.T):
-            for r in range(ss.Kgain[t].shape[0]):
-                for c in range(ss.Kgain[t].shape[1]):
+            for r in range(ss.Lgain[t].shape[0]):
+                for c in range(ss.Lgain[t].shape[1]):
                     for delta in (1e-3, -1e-3):
-                        k_mod = [k.copy() for k in ss.Kgain]
+                        k_mod = [k.copy() for k in ss.Lgain]
                         k_mod[t][r, c] += delta
                         val = closed_loop_cost_exact(ss.cs, k_mod,
                                                      ss.filter_gain)
                         worst_drop = max(worst_drop, base - val)
     assert worst_drop <= 1e-9, worst_drop
 
-    # (b) scalar brute-force grid over the final-step gain.  The raw gain on
-    # the full estimate has a flat direction (the estimate's Y-component is
-    # deterministically C times its X-component), so the well-posed scalar
-    # search is over the reduced gain acting on the sufficient statistic.
+    # (b) scalar brute-force grid over the final-step gain acting on the
+    # sufficient statistic (the scalar X estimate: k = 1 has no carrier).
     p = PlantModel.create(
         n=1, T=3, d_x=1, d_u=(1,), d_y=(1,), A=[[1.1]], B=[[0.8]],
         C=[[[1.0]]], Q=[[1.0]], R=[[0.4]], sigma_x=[[1.0]],
@@ -249,12 +247,11 @@ def test_criterion_5_control_optimality():
                            [[np.zeros((1, 0))]] * 3)
     ss = solve(p, mp, lg)
     t_last = p.T - 1
-    proj = ss.cs.proj
     assert ss.Lgain[t_last].shape == (1, 1)   # genuinely scalar search
 
     def cost_with_LT(ell):
-        k_mod = [k.copy() for k in ss.Kgain]
-        k_mod[t_last] = np.array([[ell]]) @ proj
+        k_mod = [k.copy() for k in ss.Lgain]
+        k_mod[t_last] = np.array([[ell]])
         return closed_loop_cost_exact(ss.cs, k_mod, ss.filter_gain)
 
     center = float(ss.Lgain[t_last][0, 0])
@@ -305,10 +302,10 @@ def test_criterion_7_reduced_statistic_equivalence():
         rb = rollout_plant(p, mp, lg, StatisticPolicy(ss), prims, keep=10)
         for r in range(10):
             ro = rb.samples[r]
-            xb = np.zeros(cs.d_state)    # independent full-state filter
+            xb = np.zeros(cs.d_state)    # independent filter written out
             for t in range(1, p.T + 1):
                 via_stat = ss.Lgain[t - 1] @ ro.stat[t - 1]
-                via_full = ss.Kgain[t - 1] @ xb
+                via_full = ss.Lgain[t - 1] @ xb
                 worst = max(worst, np.abs(via_stat - via_full).max())
                 if t < p.T:
                     innov = (ro.z[t - 1] - cs.C[t - 1] @ xb
@@ -316,7 +313,8 @@ def test_criterion_7_reduced_statistic_equivalence():
                     xb = (cs.A[t - 1] @ xb + cs.B[t - 1] @ ro.u_tilde[t - 1]
                           + ss.filter_gain[t - 1] @ innov)
     assert worst < 1e-10, worst
-    report(7, f"reduced-gain vs full-gain actions: max gap {worst:.2e}")
+    report(7, f"statistic-policy vs written-out filter actions: "
+              f"max gap {worst:.2e}")
 
 
 # -------------------------------------------------------------------- 8

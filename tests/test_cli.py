@@ -176,20 +176,20 @@ def k2_strategy():
     return json.dumps(strategy_to_doc(solve(sc.plant, sc.protocol, sc.gains)))
 
 
-def _nan_in_K(doc):
-    doc["K"][0][0][0] = float("nan")
+def _nan_in_L(doc):
+    doc["L"][0][0][0] = float("nan")
 
 
-def _short_K_row(doc):
-    doc["K"][1] = [[1.0]]
+def _short_L_row(doc):
+    doc["L"][1] = [[1.0]]
 
 
 def _bad_G_block(doc):
     doc["gains"]["G"][0][0] = [[1.0, 2.0]]
 
 
-def _no_K(doc):
-    del doc["K"]
+def _no_L(doc):
+    del doc["L"]
 
 
 def _no_fingerprint(doc):
@@ -204,19 +204,19 @@ def _inf_in_L(doc):
     doc["L"][2][0][0] = float("inf")
 
 
-def _zero_L(doc):
-    # finite and well shaped, but no longer K times the lift map
-    doc["L"] = np.zeros(np.shape(doc["L"])).tolist()
+def _wide_filter_gain(doc):
+    # one row more than the (X, carrier) state has
+    doc["filter_gain"][0].append(doc["filter_gain"][0][0])
 
 
 @pytest.mark.parametrize("mutate, field", [
-    (_nan_in_K, "K[t=1]"),
-    (_short_K_row, "K[t=2]"),
+    (_nan_in_L, "L[t=1]"),
+    (_short_L_row, "L[t=2]"),
     (_bad_G_block, "gains.G"),
-    (_no_K, "at K:"),
+    (_no_L, "at L:"),
     (_few_filter_gains, "filter_gain"),
+    (_wide_filter_gain, "filter_gain[t=1]"),
     (_inf_in_L, "L[t=3]"),
-    (_zero_L, "at L:"),
     (_no_fingerprint, "at fingerprint:"),
 ])
 def test_malformed_strategy_rejected_with_field(mutate, field, k2_config,
@@ -244,6 +244,37 @@ def test_fingerprint_is_stable(name, digest):
     # strategies from loading
     sc = load_scenario(json.loads(json.dumps(DEMOS[name]["config"])))
     assert _fingerprint(sc.plant, sc.protocol) == digest
+
+
+def test_strategy_file_holds_one_gain_array(k2_strategy):
+    doc = json.loads(k2_strategy)
+    assert doc["format"] == "declqg-strategy/2" and "K" not in doc
+    sc = load_scenario(DEMOS["symmetric-k2"]["config"])
+    d_state = sc.plant.d_x + sc.protocol.d_carrier
+    assert np.shape(doc["L"]) == (sc.plant.T, sc.plant.d_u_total, d_state)
+    assert np.shape(doc["filter_gain"]) == (sc.plant.T - 1, d_state,
+                                            sc.protocol.d_z)
+
+
+def test_v1_strategy_file_asks_for_re_solve(k2_config, k2_strategy, tmp_path,
+                                            capsys):
+    doc = json.loads(k2_strategy)
+    doc["format"] = "declqg-strategy/1"
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--out", str(tmp_path), "simulate", k2_config,
+                 "--strategy", str(path), "--rollouts", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at format: declqg-strategy/1")
+    assert "re-solve" in err
+
+
+def test_solve_prints_one_state_dimension_and_L_norms(k2_config, tmp_path,
+                                                      capsys):
+    assert main(["--out", str(tmp_path), "solve", k2_config]) == 0
+    out = capsys.readouterr().out
+    assert "state dim (X, carrier) = 6, d_z = 4" in out
+    assert "||L~_t||_F" in out and "K~" not in out
 
 
 def test_strategy_for_another_plant_rejected(tmp_path, capsys):
@@ -335,6 +366,24 @@ def _blocks_scalar(doc):
     doc["info_structure"] = {"kind": "explicit", "params": {"blocks": 5}}
 
 
+def _blocks_missing(doc):
+    doc["info_structure"] = {"kind": "explicit", "params": {}}
+
+
+def _blocks_object(doc):
+    share = {"mm": [], "my": [], "mu": [], "zm": [], "zy": [[1.0]],
+             "zu": [[0.0]]}
+    doc["info_structure"] = {"kind": "explicit",
+                             "params": {"blocks": {"a": share, "b": share}}}
+
+
+def _blocks_too_many(doc):
+    share = {"mm": [], "my": [], "mu": [], "zm": [], "zy": [[1.0]],
+             "zu": [[0.0]]}
+    doc["info_structure"] = {"kind": "explicit",
+                             "params": {"blocks": [share] * 3}}
+
+
 def _rollouts_fraction(doc):
     doc["sim"]["rollouts"] = 2.9
 
@@ -395,6 +444,9 @@ def _sim_seed_negative(doc):
     (_delays_text, "info_structure"),
     (_delays_ragged, "info_structure"),
     (_blocks_scalar, "info_structure"),
+    (_blocks_missing, "info_structure"),
+    (_blocks_object, "info_structure"),
+    (_blocks_too_many, "info_structure"),
     (_rollouts_fraction, "sim.rollouts"),
     (_budget_bool, "tune.budget"),
     (_params_k_fraction, "info_structure.params.k"),

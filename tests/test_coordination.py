@@ -15,22 +15,24 @@ from conftest import random_plant
 def test_zero_gains_structure(scalar2):
     mp = build_symmetric_delay(scalar2, 2)
     cs = build(scalar2, mp, LocalGains.zeros(scalar2, mp))
-    d_x, d_y = cs.d_x, cs.d_y
+    d_x = cs.d_x
+    assert cs.d_state == d_x + mp.d_carrier
     t = 2
     A = cs.A[t - 1]
     assert_allclose(A[:d_x, :d_x], scalar2.A[t - 1])
-    # with G = H = 0 nothing flows from Y into X except through P_my
+    # with G = H = 0 the carrier does not act on X; it stores Y = C X + W
     assert_allclose(A[:d_x, d_x:], 0.0)
-    assert_allclose(A[d_x + d_y:, d_x:d_x + d_y], mp.cy)
-    assert_allclose(A[d_x + d_y:, d_x + d_y:], mp.cc)
+    assert_allclose(A[d_x:, :d_x], mp.cy @ scalar2.C[t - 1])
+    assert_allclose(A[d_x:, d_x:], mp.cc)
     assert_allclose(cs.N[t - 1], 0.0)
+    assert cs.noise_cost[t - 1] == 0.0
     Q = cs.Q[t - 1]
     assert_allclose(Q[:d_x, :d_x], scalar2.Q)
     assert_allclose(Q[d_x:, :], 0.0)
 
 
 def test_scalar_single_controller_hand_expansion():
-    # n = 1, k = 1, scalar plant: the 2x2 coordinated system by hand
+    # n = 1, k = 1, scalar plant: no carrier, so the 1x1 system by hand
     a, b, c, g = 1.1, 0.7, 0.9, 0.4
     p = PlantModel.create(
         n=1, T=3, d_x=1, d_u=(1,), d_y=(1,), A=[[a]], B=[[b]], C=[[[c]]],
@@ -40,16 +42,20 @@ def test_scalar_single_controller_hand_expansion():
     lg = LocalGains.create(p, mp, [[np.array([[g]])]] * 3,
                            [[np.zeros((1, 0))]] * 3)
     cs = build(p, mp, lg)
-    assert cs.d_state == 2
-    assert_allclose(cs.A[0], [[a, b * g], [c * a, c * b * g]])
-    assert_allclose(cs.B[0], [[b], [c * b]])
-    # Z_t = (Y_t, U_t) observed at t+1; U_t = Ut~ + g Y_t
-    assert_allclose(cs.C[0], [[0.0, 1.0], [0.0, g]])
+    assert cs.d_state == 1
+    # U_t = Ut~ + g (c X_t + W_t): W_t is process noise through b g
+    assert_allclose(cs.A[0], [[a + b * g * c]])
+    assert_allclose(cs.B[0], [[b]])
+    # Z_t = (Y_t, U_t) observed at t+1, with measurement noise (W_t, g W_t)
+    assert_allclose(cs.C[0], [[c], [g * c]])
     assert_allclose(cs.protocol.zu, [[0.0], [1.0]])
-    assert_allclose(cs.SigW[0], [[0.5, 0.5 * c], [0.5 * c, 0.5 * c * c + 0.2]])
-    assert_allclose(cs.Q[0], [[1.0, 0.0], [0.0, g * g]])
-    assert_allclose(cs.N[0], [[0.0], [g]])
-    assert_allclose(cs.init_cov, [[1.0, c], [c, c * c + 0.2]])
+    assert_allclose(cs.SigW[0], [[0.5 + b * b * g * g * 0.2]])
+    assert_allclose(cs.SigWV[0], [[b * g * 0.2, b * g * g * 0.2]])
+    assert_allclose(cs.SigV[0], [[0.2, g * 0.2], [g * 0.2, g * g * 0.2]])
+    assert_allclose(cs.Q[0], [[1.0 + g * g * c * c]])
+    assert_allclose(cs.N[0], [[g * c]])
+    assert_allclose(cs.noise_cost, [g * g * 0.2] * 3)
+    assert_allclose(cs.init_cov, [[1.0]])
 
 
 @pytest.mark.parametrize("time_varying", [False, True])
@@ -66,7 +72,7 @@ def test_paired_noise_equivalence(time_varying):
         cr = rollout_coordinated(cs, ZHistoryPolicy(thetas), prims)
         for r in range(10):
             ro = rb.samples[r]
-            stacked = np.hstack([ro.x, ro.y, ro.carrier])
+            stacked = np.hstack([ro.x, ro.carrier])
             assert np.abs(stacked - cr.xtilde[r]).max() < 1e-10
             assert np.abs(ro.z[:-1] - cr.ytilde[r][1:]).max() < 1e-10
 
@@ -99,18 +105,25 @@ def test_compound_cost_matrix_psd():
 
 
 def test_sigw_matches_noise_map_rebuild():
+    # (W0_t, W_t) -> (W0_t + B G W_t, (cy + cu G) W_t; (zy + zu G) W_t)
     rng = np.random.default_rng(9)
-    p = random_plant(rng, n=2, d_x=2, T=4, time_varying=True)
+    p = random_plant(rng, n=2, d_x=2, d_y=(2, 1), T=4, time_varying=True)
     mp = build_symmetric_delay(p, 2)
-    cs = build(p, mp, LocalGains.zeros(p, mp))
+    lg = LocalGains.random(p, mp, rng, 0.5)
+    cs = build(p, mp, lg)
+    d = cs.d_state
     for t in range(1, p.T):
-        C_next = p.C[t]
-        F = np.zeros((cs.d_state, cs.d_x + cs.d_y))
-        F[:cs.d_x, :cs.d_x] = np.eye(cs.d_x)
-        F[cs.d_x:cs.d_x + cs.d_y, :cs.d_x] = C_next
-        F[cs.d_x:cs.d_x + cs.d_y, cs.d_x:] = np.eye(cs.d_y)
+        G = lg.G[t - 1]
+        F = np.block([[np.eye(p.d_x), p.B[t - 1] @ G],
+                      [np.zeros((mp.d_carrier, p.d_x)), mp.cy + mp.cu @ G],
+                      [np.zeros((mp.d_z, p.d_x)), mp.zy + mp.zu @ G]])
+        assert_allclose(cs.F[t - 1], F, atol=1e-14)
         sig = F @ blkdiag([p.sigma_w0, p.sigma_w]) @ F.T
-        assert_allclose(cs.SigW[t - 1], sig, atol=1e-14)
+        assert_allclose(cs.SigW[t - 1], sig[:d, :d], atol=1e-14)
+        assert_allclose(cs.SigWV[t - 1], sig[:d, d:], atol=1e-14)
+        assert_allclose(cs.SigV[t - 1], sig[d:, d:], atol=1e-14)
+        assert cs.noise_cost[t - 1] == pytest.approx(
+            np.trace(G.T @ p.R @ G @ p.sigma_w), rel=1e-13)
 
 
 def test_local_gains_block_diagonal():
@@ -130,40 +143,41 @@ def test_local_gains_block_diagonal():
 
 def _build_per_step(p, mp, lg):
     """The per-step assembly ``build`` batches over t, one step at a time."""
-    d_x, d_y, d_c = p.d_x, p.d_y_total, mp.d_carrier
-    d, X, Y = d_x + d_y + d_c, slice(0, d_x), slice(d_x, d_x + d_y)
-    M = slice(d_x + d_y, d)
+    d_x, d_y, d_c, d_z = p.d_x, p.d_y_total, mp.d_carrier, mp.d_z
+    d = d_x + d_c
     noise = blkdiag([p.sigma_w0, p.sigma_w])
-    out = {k: [] for k in ("A", "B", "SigW", "Q", "N", "C", "lift")}
+    cz_y, cz_c = np.vstack([mp.cy, mp.zy]), np.vstack([mp.cc, mp.zc])
+    to_u = np.vstack([mp.cu, mp.zu])
+    out = {k: [] for k in ("A", "B", "C", "F", "SigW", "SigWV", "SigV", "Q",
+                           "N", "noise_cost")}
     for t in range(1, p.T + 1):
-        A_t, B_t, G = p.A[t - 1], p.B[t - 1], lg.G[t - 1]
-        Hc = lg.H[t - 1] @ mp.m_sel
-        C_next = p.C[t] if t < p.T else np.zeros((d_y, d_x))
-        BG, BH = B_t @ G, B_t @ Hc
-        A = np.zeros((d, d))
-        A[X, X], A[X, Y], A[X, M] = A_t, BG, BH
-        A[Y, X], A[Y, Y], A[Y, M] = C_next @ A_t, C_next @ BG, C_next @ BH
-        A[M, Y], A[M, M] = mp.cy + mp.cu @ G, mp.cc + mp.cu @ Hc
-        F = np.zeros((d, d_x + d_y))
-        F[X, :d_x], F[Y, :d_x], F[Y, d_x:] = np.eye(d_x), C_next, np.eye(d_y)
-        loc = np.hstack([G, Hc])
-        Q = np.zeros((d, d))
-        Q[X, X], Q[d_x:, d_x:] = p.Q, loc.T @ p.R @ loc
-        out["A"].append(A)
-        out["B"].append(np.vstack([B_t, C_next @ B_t, mp.cu]))
-        out["SigW"].append(sym(F @ noise @ F.T))
+        G, C_t = lg.G[t - 1], p.C[t - 1]
+        loc = np.hstack([G @ C_t, lg.H[t - 1] @ mp.m_sel])
+        free = np.zeros((d + d_z, d + d_y))
+        free[:d_x, :d_x] = p.A[t - 1]
+        free[d_x:, :d_x] = cz_y @ C_t
+        free[d_x:, d_x:d] = cz_c
+        free[d_x:, d:] = cz_y
+        B = np.vstack([p.B[t - 1], to_u])
+        step = free + B @ np.hstack([loc, G])
+        F = np.zeros((d + d_z, d_x + d_y))
+        F[:d_x, :d_x] = np.eye(d_x)
+        F[:, d_x:] = step[:, d:]
+        cov = sym(F @ noise @ F.T)
+        N = loc.T @ p.R
+        Q = N @ loc
+        Q[:d_x, :d_x] += p.Q
+        out["A"].append(step[:d, :d])
+        out["B"].append(B[:d])
+        out["F"].append(F)
+        out["SigW"].append(cov[:d, :d])
         out["Q"].append(sym(Q))
-        out["N"].append(np.vstack([np.zeros((d_x, p.d_u_total)),
-                                   loc.T @ p.R]))
-        lift = np.zeros((d, d_x + d_c))
-        lift[:d_x, :d_x] = np.eye(d_x)
-        lift[Y, :d_x] = p.C[t - 1]
-        lift[M, d_x:] = np.eye(d_c)
-        out["lift"].append(lift)
+        out["N"].append(N)
+        out["noise_cost"].append(np.sum(G * (p.R @ G @ p.sigma_w)))
         if t < p.T:
-            C = np.zeros((mp.d_z, d))
-            C[:, Y], C[:, M] = mp.zy + mp.zu @ G, mp.zc + mp.zu @ Hc
-            out["C"].append(C)
+            out["C"].append(step[d:, :d])
+            out["SigWV"].append(cov[:d, d:])
+            out["SigV"].append(cov[d:, d:])
     return out
 
 
@@ -183,6 +197,8 @@ def test_build_bitwise_equals_per_step_assembly(T, time_varying, kind):
         assert batched.shape[0] == len(seq)
         for t, ref in enumerate(seq):
             assert np.array_equal(batched[t], ref), (name, t + 1)
+    assert np.array_equal(cs.init_cov,
+                          blkdiag([p.sigma_x, np.zeros((mp.d_carrier,) * 2)]))
 
 
 def test_build_rejects_mismatched_protocol():
@@ -201,7 +217,7 @@ def test_closed_loop_cost_zero_noise():
         sigma_w0=[[0.0]], sigma_w=[[[0.0]]])
     mp = build_symmetric_delay(p, 1)
     cs = build(p, mp, LocalGains.zeros(p, mp))
-    k_seq = [np.zeros((1, 2))] * 4
+    k_seq = [np.zeros((1, cs.d_state))] * 4
     assert closed_loop_cost_exact(cs, k_seq, forward_riccati(cs)[1]) == \
         pytest.approx(0.0, abs=1e-15)
 
@@ -214,7 +230,7 @@ def test_closed_loop_cost_random_walk():
         sigma_w0=[[1.0]], sigma_w=[[[0.0]]])
     mp = build_symmetric_delay(p, 1)
     cs = build(p, mp, LocalGains.zeros(p, mp))
-    k_seq = [np.zeros((1, 2))] * 3
+    k_seq = [np.zeros((1, cs.d_state))] * 3
     assert closed_loop_cost_exact(cs, k_seq, forward_riccati(cs)[1]) == \
         pytest.approx(6.0, abs=1e-12)
 
@@ -223,22 +239,23 @@ def test_closed_loop_cost_matches_performance(scalar2):
     mp = build_symmetric_delay(scalar2, 2)
     lg = LocalGains.random(scalar2, mp, np.random.default_rng(12), 0.3)
     ss = solve(scalar2, mp, lg)
-    exact = closed_loop_cost_exact(ss.cs, ss.Kgain, ss.filter_gain)
+    exact = closed_loop_cost_exact(ss.cs, ss.Lgain, ss.filter_gain)
     assert abs(ss.J - exact) < 1e-8
 
 
 def test_control_sharing_observation_reads_only_actions():
-    # Z_t = U_t, so the coordinated observation's Y-columns are exactly G_t
-    from declqg import build_control_sharing
+    # Z_t = U_t = Ut~ + G_t (C_t X_t + W_t): the observation map is G_t C_t
+    # and its noise G_t W_t
     rng = np.random.default_rng(41)
     p = random_plant(rng, n=2, d_x=2, T=4)
     mp = build_control_sharing(p)
     lg = LocalGains.random(p, mp, rng, 0.5)
     cs = build(p, mp, lg)
+    assert cs.d_state == cs.d_x
     for t in range(2, p.T + 1):
-        C = cs.C[t - 2]
-        assert_allclose(C[:, :cs.d_x], 0.0)
-        assert_allclose(C[:, cs.d_x:cs.d_x + cs.d_y], lg.G[t - 2])
+        G = lg.G[t - 2]
+        assert_allclose(cs.C[t - 2], G @ p.C[t - 2])
+        assert_allclose(cs.SigV[t - 2], G @ p.sigma_w @ G.T)
         assert_allclose(cs.protocol.zu, np.eye(cs.d_u))
 
 
@@ -331,11 +348,14 @@ def test_gains_views_are_read_only():
     cs = build(p, mp, lg)
     arrays = [lg.theta, lg.G, lg.H, _block(p, mp, lg, "G", 0, 0),
               _block(p, mp, lg, "H", 2, 1), p.Q, p.R, p.sigma_x, p.sigma_w0,
-              p.sigma_w, p.A, p.B, p.C, *p.A, *p.B, *p.C, cs.init_cov,
-              cs.proj]
-    for seq in (cs.A, cs.B, cs.SigW, cs.C, cs.Q, cs.N, cs.lift):
-        assert seq.shape[0] == (p.T - 1 if seq is cs.C else p.T)
+              p.sigma_w, p.A, p.B, p.C, *p.A, *p.B, *p.C, cs.init_cov]
+    for seq in (cs.A, cs.B, cs.C, cs.F, cs.SigW, cs.SigWV, cs.SigV, cs.Q,
+                cs.N):
+        per_obs = any(seq is s for s in (cs.C, cs.SigWV, cs.SigV))
+        assert seq.shape[0] == (p.T - 1 if per_obs else p.T)
         arrays += [seq, *seq]
+    assert cs.noise_cost.shape == (p.T,)
+    arrays.append(cs.noise_cost)
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0

@@ -40,34 +40,9 @@ def test_step_statistic_prediction_only_when_nothing_shared(scalar2):
     for t in range(1, scalar2.T):
         u = rng.standard_normal(cs.d_u)
         nxt = step_statistic(st, ss, np.zeros(0), u)
-        proj, lift = cs.proj, cs.lift[t - 1]
-        expect = proj @ (cs.A[t - 1] @ lift @ st.stat + cs.B[t - 1] @ u)
+        expect = cs.A[t - 1] @ st.stat + cs.B[t - 1] @ u
         assert_allclose(nxt.stat, expect, atol=1e-12)
         st = nxt
-
-
-def test_projection_lifting_consistency(scalar2):
-    mp = build_symmetric_delay(scalar2, 2)
-    ss = solve(scalar2, mp, LocalGains.random(
-        scalar2, mp, np.random.default_rng(20), 0.4))
-    cs = ss.cs
-    for t in (1, 3):
-        assert_allclose(cs.proj @ cs.lift[t - 1],
-                        np.eye(cs.d_x + cs.d_c), atol=1e-15)
-    # lift(proj(x)) = x on recursion outputs: run the full filter alongside
-    prims = draw_primitives(scalar2, seed=21, count=4)
-    rb = rollout_plant(scalar2, mp, ss.gains, StatisticPolicy(ss), prims, keep=4)
-    for r in range(4):
-        ro = rb.samples[r]
-        xb = np.zeros(cs.d_state)
-        for t in range(1, scalar2.T + 1):
-            assert np.abs(cs.lift[t - 1] @ ro.stat[t - 1] - xb).max() < 1e-10
-            if t < scalar2.T:
-                gain = ss.filter_gain[t - 1]
-                innov = (ro.z[t - 1] - cs.C[t - 1] @ xb
-                         - cs.protocol.zu @ ro.u_tilde[t - 1])
-                xb = (cs.A[t - 1] @ xb + cs.B[t - 1] @ ro.u_tilde[t - 1]
-                      + gain @ innov)
 
 
 def test_act_matches_full_gain_path(scalar2):
@@ -86,9 +61,9 @@ def test_act_matches_full_gain_path(scalar2):
             m_loc = [ro.m[t - 1][mp.m_slice(i)] for i in range(2)]
             actions = act(st_t, ss, y_loc, m_loc)
             assert np.abs(np.concatenate(actions) - ro.u[t - 1]).max() < 1e-10
-            # full-estimate path: K~ (lifted stat) + G Y + H M
-            xb = cs.lift[t - 1] @ ro.stat[t - 1]
-            u2 = (ss.Kgain[t - 1] @ xb + ss.gains.G[t - 1] @ ro.y[t - 1]
+            # stacked path: L~ stat + G Y + H M
+            u2 = (ss.Lgain[t - 1] @ ro.stat[t - 1]
+                  + ss.gains.G[t - 1] @ ro.y[t - 1]
                   + ss.gains.H[t - 1] @ ro.m[t - 1])
             assert np.abs(np.concatenate(actions) - u2).max() < 1e-10
 
@@ -333,7 +308,7 @@ def _token_stat_map(cs, k, t):
                 first, width = window[kind]
                 col = first + (s - (t - 2 * k + 2)) * width
                 base[d_x + r, col + offsets[kind][i] + comp] = 1.0
-        emap = cs.lift[tau - 1] @ base
+        emap = base
         start = tau
     else:
         emap = np.zeros((cs.d_state, dim_s))
@@ -342,7 +317,7 @@ def _token_stat_map(cs, k, t):
         sel = np.zeros((d_u, dim_s))
         sel[:, d_x + (s - tau) * d_u:d_x + (s - tau + 1) * d_u] = np.eye(d_u)
         emap = cs.A[s - 1] @ emap + cs.B[s - 1] @ sel
-    return cs.proj @ emap
+    return emap
 
 
 @pytest.mark.parametrize("protocol", ["sym-1", "sym-2", "sym-3", "sym-4",

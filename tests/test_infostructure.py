@@ -263,3 +263,10 @@ def test_explicit_protocol_keeps_free_form_kinds(scalar2):
     blocks = build_symmetric_delay(scalar2, 1).blocks
     for kind in ("explicit", "nothing_shared", "duplicate_share"):
         assert explicit_protocol(scalar2, blocks, kind=kind).kind == kind
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_explicit_protocol_needs_one_block_per_controller(scalar2, count):
+    blocks = build_symmetric_delay(scalar2, 1).blocks
+    with pytest.raises(WrongControllerCount, match=f"got {count}"):
+        explicit_protocol(scalar2, (list(blocks) * 2)[:count])

@@ -77,6 +77,15 @@ def test_exact_cost_rejects_mismatched_strategy(scalar2):
             exact_cost(*args, ss)
 
 
+@pytest.mark.parametrize("count, sample_count", [(0, 0), (-1, 0), (5, -2)])
+def test_simulate_rejects_out_of_range_counts(scalar2, count, sample_count):
+    mp = build_symmetric_delay(scalar2, 1)
+    ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
+    with pytest.raises(ValueError, match="count >= 1 and sample_count >= 0"):
+        simulate(scalar2, mp, ss.gains, ss, seed=1, count=count,
+                 sample_count=sample_count)
+
+
 def test_stderr_scales_like_inverse_sqrt_count(scalar2):
     mp = build_symmetric_delay(scalar2, 1)
     ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
@@ -115,7 +124,7 @@ def test_conditioning_recovers_state_when_observations_reveal_it():
         for r in range(5):
             ro = rb.samples[r]
             est = omap @ ro.z[:t - 1].reshape(-1)
-            truth = np.concatenate([ro.x[t - 1], ro.y[t - 1]])
+            truth = np.concatenate([ro.x[t - 1], ro.carrier[t - 1]])
             assert np.abs(est - truth).max() < 1e-9
 
 
@@ -126,14 +135,13 @@ def run_filter_vs_oracle(p, mp, lg, thetas, seed, tol, relative=False):
     _, fgains = forward_riccati(cs)
     prims = draw_primitives(p, seed=seed, count=4)
     rb = rollout_plant(p, mp, lg, ZHistoryPolicy(thetas), prims, keep=4)
+    omaps = [gaussian_conditioning(cs, thetas, t) for t in range(1, p.T + 1)]
     worst = 0.0
     for r in range(4):
         ro = rb.samples[r]
         xb = np.zeros(cs.d_state)
         for t in range(1, p.T + 1):
-            omap = gaussian_conditioning(cs, thetas, t)
-            oracle = omap @ ro.z[:t - 1].reshape(-1) if t > 1 \
-                else np.zeros(cs.d_state)
+            oracle = omaps[t - 1] @ ro.z[:t - 1].reshape(-1)
             scale = max(1.0, np.abs(oracle).max()) if relative else 1.0
             worst = max(worst, np.abs(xb - oracle).max() / scale)
             if t < p.T:
@@ -184,12 +192,11 @@ def test_innovation_orthogonal_to_estimate(scalar2):
         utilde = pol.utilde(state, t)
         u = utilde + y @ ss.gains.G[t - 1].T
         z = c @ mp.zc.T + y @ mp.zy.T + u @ mp.zu.T
-        xb_full = (cs.lift[t - 1] @ state.T).T
-        innov = z - xb_full @ cs.C[t - 1].T - utilde @ cs.protocol.zu.T
+        innov = z - state @ cs.C[t - 1].T - utilde @ cs.protocol.zu.T
         if t >= 2:   # estimate is degenerate-zero at t = 1
             for a in range(innov.shape[1]):
-                for b in range(xb_full.shape[1]):
-                    ia, xb_col = innov[:, a], xb_full[:, b]
+                for b in range(state.shape[1]):
+                    ia, xb_col = innov[:, a], state[:, b]
                     if ia.std() < 1e-12 or xb_col.std() < 1e-12:
                         continue
                     rho = np.corrcoef(ia, xb_col)[0, 1]
@@ -215,7 +222,7 @@ def test_closed_loop_maps_match_rollout(scalar2):
         + [prims.wy[t][0] for t in range(scalar2.T)])
     for t in range(1, scalar2.T + 1):
         got = jg.xtilde[t - 1] @ prim_vec
-        want = np.concatenate([ro.x[t - 1], ro.y[t - 1], ro.carrier[t - 1]])
+        want = np.concatenate([ro.x[t - 1], ro.carrier[t - 1]])
         assert np.abs(got - want).max() < 1e-10
 
 
@@ -261,13 +268,12 @@ def _oracle_cases(draw):
 def _rank_margin(cs, thetas):
     """Distance in decades between the cutoff ``DEFAULT_RTOL * sigma_max`` and
     the nearest nonzero singular value of any covariance the filter (each
-    innovation) or the oracle (each stacked history) pseudo-inverts."""
+    innovation C P C' + V) or the oracle (each innovation covariance r r')
+    cuts."""
     P, _ = forward_riccati(cs)
-    covs = [C @ Pt @ C.T for C, Pt in zip(cs.C, P)]
+    covs = [C @ Pt @ C.T + V for C, Pt, V in zip(cs.C, P, cs.SigV)]
     jg = closed_loop_maps(cs, thetas, cs.T)
-    for t in range(2, cs.T + 1):
-        ys = np.vstack(jg.ytilde[:t - 1])
-        covs.append(jg.cov(ys, ys))
+    covs += [r @ r.T for r in jg.innovations(cs.T - 1)[0]]
     margin = np.inf
     for m in covs:
         s = np.linalg.svd(m, compute_uv=False)
@@ -285,7 +291,7 @@ def test_oracles_agree_on_generated_instances(case):
     rng = np.random.default_rng([seed, 1])
     lg = LocalGains.random(p, mp, rng, 0.3)
     ss = solve(p, mp, lg)
-    exact = closed_loop_cost_exact(ss.cs, ss.Kgain, ss.filter_gain)
+    exact = closed_loop_cost_exact(ss.cs, ss.Lgain, ss.filter_gain)
     assert abs(ss.J - exact) <= 1e-9 * abs(exact)
     # plant and coordinated recursions under paired noise
     thetas = random_theta_maps(ss.cs, rng, 0.3)
@@ -293,7 +299,7 @@ def test_oracles_agree_on_generated_instances(case):
     rb = rollout_plant(p, mp, lg, ZHistoryPolicy(thetas), prims, keep=4)
     cr = rollout_coordinated(ss.cs, ZHistoryPolicy(thetas), prims)
     for r, ro in enumerate(rb.samples):
-        assert_allclose(cr.xtilde[r], np.hstack([ro.x, ro.y, ro.carrier]),
+        assert_allclose(cr.xtilde[r], np.hstack([ro.x, ro.carrier]),
                         rtol=1e-10, atol=1e-10)
     assert_allclose(cr.costs, rb.costs, rtol=1e-9)
     # the two pseudo-inverses may keep different ranks when a singular value
@@ -301,3 +307,32 @@ def test_oracles_agree_on_generated_instances(case):
     if _rank_margin(ss.cs, thetas) >= 1.0:
         run_filter_vs_oracle(p, mp, lg, thetas, seed=seed, tol=1e-8,
                              relative=True)
+
+
+def test_oracles_agree_with_nearly_singular_innovation():
+    """A generated explicit-protocol instance (Sigma_w of rank 1) whose
+    innovation at t = 4 has a singular value 1e-7 of its largest.  A cutoff
+    on the whole history's covariance dropped that direction (estimates 0.2
+    apart), and the standard-form covariance update put J 2.4e-9 off the
+    exact cost."""
+    seed = 1601876730
+    rng = np.random.default_rng(seed)
+    p = random_plant(rng, n=3, d_x=2, d_y=[1, 1, 2], d_u=[1, 2, 2], T=5,
+                     time_varying=True, singular_w=True)
+    blocks = []
+    for i, rows in enumerate([{"m": 0, "z": 2}, {"m": 1, "z": 0},
+                              {"m": 2, "z": 2}]):
+        cols = {"m": rows["m"], "y": p.d_y[i], "u": p.d_u[i]}
+        blocks.append({b: 0.5 * rng.standard_normal((rows[b[0]],
+                                                     cols[b[1]]))
+                       for b in BLOCK_NAMES})
+    mp = explicit_protocol(p, blocks)
+    rng = np.random.default_rng([seed, 1])
+    lg = LocalGains.random(p, mp, rng, 0.3)
+    ss = solve(p, mp, lg)
+    exact = closed_loop_cost_exact(ss.cs, ss.Lgain, ss.filter_gain)
+    assert abs(ss.J - exact) <= 1e-9 * abs(exact)
+    thetas = random_theta_maps(ss.cs, rng, 0.3)
+    assert _rank_margin(ss.cs, thetas) >= 1.0
+    run_filter_vs_oracle(p, mp, lg, thetas, seed=seed, tol=1e-8,
+                         relative=True)

@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hypothesis import given, settings
+
 from declqg import (LocalGains, NumericalBreakdown, PlantModel,
-                    build, build_symmetric_delay, closed_loop_cost_exact,
-                    explicit_protocol, exact_cost, forward_riccati,
-                    backward_riccati, performance, reduce_gains, solve)
+                    UnsupportedProtocol, build, build_symmetric_delay,
+                    closed_loop_cost_exact, delayed_stat_gains,
+                    explicit_protocol, forward_riccati, backward_riccati, tune,
+                    solve)
 from declqg.cli import DEMOS, load_scenario
+from declqg.core import blkdiag, pinv, sym
+from declqg.estimator import (_window_map, effective_delay,
+                              statistic_transition)
 
 from conftest import random_plant, scalar_two_controller
+from test_sim import _oracle_cases
 
 
 def noiseless_plant(T=4):
@@ -55,13 +62,13 @@ def test_forward_riccati_open_loop_when_nothing_shared():
 
 
 def test_initial_covariance_is_exact_augmented_covariance(scalar2):
-    mp = build_symmetric_delay(scalar2, 1)
+    # (X_1, carrier_1): the carrier starts at zero, deterministically
+    mp = build_symmetric_delay(scalar2, 2)
     cs = build(scalar2, mp, LocalGains.zeros(scalar2, mp))
-    C1 = scalar2.C[0]
-    sw = scalar2.sigma_w
+    assert cs.init_cov.shape == (1 + mp.d_carrier,) * 2
     assert_allclose(cs.init_cov[:1, :1], scalar2.sigma_x)
-    assert_allclose(cs.init_cov[:1, 1:], scalar2.sigma_x @ C1.T)
-    assert_allclose(cs.init_cov[1:, 1:], C1 @ scalar2.sigma_x @ C1.T + sw)
+    assert_allclose(cs.init_cov[:1, 1:], 0.0)
+    assert_allclose(cs.init_cov[1:, 1:], 0.0)
 
 
 def test_backward_riccati_zero_state_cost():
@@ -75,7 +82,7 @@ def test_backward_riccati_zero_state_cost():
 
 
 def test_terminal_step_gain_is_static_cross_term():
-    # T = 1 with nonzero G: K~_1 = -R~^{-1} N~' via the S_{T+1} = 0 convention
+    # T = 1 with nonzero G: L~_1 = -R~^{-1} N~' via the S_{T+1} = 0 convention
     p = scalar_two_controller(T=1)
     mp = build_symmetric_delay(p, 1)
     rng = np.random.default_rng(14)
@@ -102,8 +109,8 @@ def test_uncontrollable_input_gives_zero_gain_and_open_loop_cost():
     p = dataclasses.replace(p, B=np.zeros((p.T, 1, 2)))
     mp = build_symmetric_delay(p, 2)
     ss = solve(p, mp, LocalGains.zeros(p, mp))
-    for K in ss.Kgain:
-        assert_allclose(K, 0.0, atol=1e-12)
+    for L in ss.Lgain:
+        assert_allclose(L, 0.0, atol=1e-12)
     # open-loop cost: E[sum x_t Q x_t] with x_{t+1} = A x_t + w0
     cov = p.sigma_x
     expect = 0.0
@@ -111,32 +118,6 @@ def test_uncontrollable_input_gives_zero_gain_and_open_loop_cost():
         expect += float(np.trace(p.Q @ cov))
         cov = p.A[t - 1] @ cov @ p.A[t - 1].T + p.sigma_w0
     assert ss.J == pytest.approx(expect, abs=1e-10)
-
-
-def test_reduce_gains_block_formula():
-    rng = np.random.default_rng(15)
-    p = random_plant(rng, n=2, d_x=2, T=4)
-    mp = build_symmetric_delay(p, 2)
-    cs = build(p, mp, LocalGains.zeros(p, mp))
-    k_seq = [rng.standard_normal((cs.d_u, cs.d_state)) for _ in range(p.T)]
-    L = reduce_gains(cs, k_seq)
-    d_x, d_y = cs.d_x, cs.d_y
-    for t in range(1, p.T + 1):
-        K = k_seq[t - 1]
-        kx, ky, km = K[:, :d_x], K[:, d_x:d_x + d_y], K[:, d_x + d_y:]
-        assert_allclose(L[t - 1], np.hstack([kx + ky @ p.C[t - 1], km]))
-
-
-def test_reduce_gains_zero_observation_map_drops_y_block():
-    p = PlantModel.create(
-        n=1, T=2, d_x=2, d_u=(1,), d_y=(1,), A=np.eye(2), B=[[1.0], [0.0]],
-        C=[np.zeros((1, 2))], Q=np.eye(2), R=[[1.0]], sigma_x=np.eye(2),
-        sigma_w0=np.eye(2), sigma_w=[[[1.0]]])
-    mp = build_symmetric_delay(p, 2)
-    cs = build(p, mp, LocalGains.zeros(p, mp))
-    K = np.arange(1.0 * cs.d_state).reshape(1, cs.d_state)
-    L = reduce_gains(cs, [K] * 2)
-    assert_allclose(L[0], np.hstack([K[:, :2], K[:, 3:]]))
 
 
 def test_filter_covariance_matches_bruteforce_error_covariance(scalar2):
@@ -164,14 +145,14 @@ def test_gain_stationarity_spot_check(scalar2):
     mp = build_symmetric_delay(scalar2, 2)
     lg = LocalGains.random(scalar2, mp, np.random.default_rng(17), 0.3)
     ss = solve(scalar2, mp, lg)
-    base = closed_loop_cost_exact(ss.cs, ss.Kgain, ss.filter_gain)
+    base = closed_loop_cost_exact(ss.cs, ss.Lgain, ss.filter_gain)
     rng = np.random.default_rng(18)
     for _ in range(10):
         t = rng.integers(0, scalar2.T)
-        r = rng.integers(0, ss.Kgain[t].shape[0])
-        c = rng.integers(0, ss.Kgain[t].shape[1])
+        r = rng.integers(0, ss.Lgain[t].shape[0])
+        c = rng.integers(0, ss.Lgain[t].shape[1])
         for delta in (1e-3, -1e-3):
-            k_mod = [k.copy() for k in ss.Kgain]
+            k_mod = [k.copy() for k in ss.Lgain]
             k_mod[t][r, c] += delta
             perturbed = closed_loop_cost_exact(ss.cs, k_mod, ss.filter_gain)
             assert perturbed >= base - 1e-9
@@ -201,7 +182,8 @@ def test_solved_strategy_fields_consistent(scalar2):
     ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
     assert len(ss.Ptilde) == scalar2.T
     assert len(ss.filter_gain) == scalar2.T - 1
-    assert len(ss.Kgain) == len(ss.Lgain) == len(ss.S) == scalar2.T
+    assert len(ss.Lgain) == len(ss.S) == scalar2.T
+    assert ss.Kgain is ss.Lgain     # one gain array, two names
     assert ss.J >= 0.0
     for t in range(1, scalar2.T + 1):
         lo = np.linalg.eigvalsh(ss.Ptilde[t - 1]).min()
@@ -235,8 +217,7 @@ def test_stacked_solve_gives_each_candidates_J_bitwise(name, p, mp):
     for idx in np.ndindex(2, 5):
         one = solve(p, mp, LocalGains.from_vector(p, mp, thetas[idx]))
         assert stacked.J[idx] == one.J
-        for seq in ("Kgain", "Lgain", "filter_gain", "Ptilde", "S",
-                    "Lambda"):
+        for seq in ("Lgain", "filter_gain", "Ptilde", "S", "Lambda"):
             assert np.array_equal(getattr(stacked, seq)[idx],
                                   getattr(one, seq))
 
@@ -249,13 +230,14 @@ def test_solve_is_the_batch_of_one(rng):
     one = solve(p, mp, LocalGains.from_vector(p, mp, gains.theta[None]))
     assert isinstance(ss.J, float) and one.J.shape == (1,)
     assert one.J[0] == ss.J
-    for seq in ("Kgain", "Lgain", "filter_gain", "Ptilde", "S", "Lambda"):
+    for seq in ("Lgain", "filter_gain", "Ptilde", "S", "Lambda"):
         assert getattr(one, seq).shape[0] == 1
         assert np.array_equal(getattr(one, seq)[0], getattr(ss, seq))
     cs = build(p, mp, LocalGains.from_vector(p, mp, gains.theta[None]))
-    for shared in ("B", "SigW", "lift", "proj", "init_cov"):
+    for shared in ("B", "init_cov"):
         assert np.array_equal(getattr(cs, shared), getattr(ss.cs, shared))
-    for stacked in ("A", "Q", "N", "C"):
+    for stacked in ("A", "C", "F", "SigW", "SigWV", "SigV", "Q", "N",
+                    "noise_cost"):
         assert np.array_equal(getattr(cs, stacked)[0],
                               getattr(ss.cs, stacked))
 
@@ -264,7 +246,8 @@ def _performance_per_step(cs, ptilde, s_seq):
     """The predicted-cost sum one step at a time, in t order (reference)."""
     total = 0.0
     for t in range(1, cs.T + 1):
-        total += float(np.trace(ptilde[t - 1] @ cs.Q[t - 1]))
+        total += float(np.trace(ptilde[t - 1] @ cs.Q[t - 1])
+                       + cs.noise_cost[t - 1])
         if t < cs.T:
             A = cs.A[t - 1]
             gamma = cs.SigW[t - 1] + A @ ptilde[t - 1] @ A.T - ptilde[t]
@@ -284,3 +267,150 @@ def test_performance_equals_the_per_step_sum_bitwise(T):
         ref = _performance_per_step(ss.cs, ss.Ptilde, ss.S)
         assert ss.J.hex() == ref.hex()
         assert stacked.J[i].hex() == ref.hex()
+
+
+# --------------------------------------------------------------------------
+# reference: the coordinator's problem on the augmented state (X_t, Y_t, c_t)
+
+
+def _augmented_system(p, mp, lg):
+    """The coordinated system on (X_t, Y_t, c_t), one step at a time: the
+    row generating Y_{t+1} uses C_{t+1}, and (X, carrier) is recovered
+    through ``lift`` (Y-hat = C_t X-hat) and ``proj``."""
+    d_x, d_y, d_c = p.d_x, p.d_y_total, mp.d_carrier
+    d, X, Y = d_x + d_y + d_c, slice(0, d_x), slice(d_x, d_x + d_y)
+    M = slice(d_x + d_y, d)
+    noise = blkdiag([p.sigma_w0, p.sigma_w])
+    out = {k: [] for k in ("A", "B", "SigW", "Q", "N", "C", "lift")}
+    for t in range(1, p.T + 1):
+        A_t, B_t, G = p.A[t - 1], p.B[t - 1], lg.G[t - 1]
+        Hc = lg.H[t - 1] @ mp.m_sel
+        C_next = p.C[t] if t < p.T else np.zeros((d_y, d_x))
+        A = np.zeros((d, d))
+        A[X, X], A[X, Y], A[X, M] = A_t, B_t @ G, B_t @ Hc
+        A[Y] = C_next @ A[X]
+        A[M, Y], A[M, M] = mp.cy + mp.cu @ G, mp.cc + mp.cu @ Hc
+        F = np.zeros((d, d_x + d_y))
+        F[X, :d_x], F[Y, :d_x], F[Y, d_x:] = np.eye(d_x), C_next, np.eye(d_y)
+        loc = np.hstack([G, Hc])
+        Q = np.zeros((d, d))
+        Q[X, X], Q[d_x:, d_x:] = p.Q, loc.T @ p.R @ loc
+        out["A"].append(A)
+        out["B"].append(np.vstack([B_t, C_next @ B_t, mp.cu]))
+        out["SigW"].append(sym(F @ noise @ F.T))
+        out["Q"].append(sym(Q))
+        out["N"].append(np.vstack([np.zeros((d_x, p.d_u_total)),
+                                   loc.T @ p.R]))
+        lift = np.zeros((d, d_x + d_c))
+        lift[X, :d_x], lift[Y, :d_x] = np.eye(d_x), p.C[t - 1]
+        lift[M, d_x:] = np.eye(d_c)
+        out["lift"].append(lift)
+        if t < p.T:
+            C = np.zeros((mp.d_z, d))
+            C[:, Y], C[:, M] = mp.zy + mp.zu @ G, mp.zc + mp.zu @ Hc
+            out["C"].append(C)
+    proj = np.zeros((d_x + d_c, d))
+    proj[:d_x, X], proj[d_x:, M] = np.eye(d_x), np.eye(d_c)
+    init = np.zeros((d, d))
+    C1 = p.C[0]
+    init[X, X], init[X, Y] = p.sigma_x, p.sigma_x @ C1.T
+    init[Y, X], init[Y, Y] = C1 @ p.sigma_x, C1 @ p.sigma_x @ C1.T + p.sigma_w
+    return out, proj, init
+
+
+def _augmented_solve(p, mp, lg):
+    """J, the gains L~_t = K~_t lift_t, the statistic transitions and a
+    function of k giving the delayed-statistic gains, all computed on the
+    augmented state and mapped back to (X, carrier)."""
+    sys, proj, P = _augmented_system(p, mp, lg)
+    T = p.T
+    Ps, fgains = [P], []
+    for t in range(1, T):
+        A, C = sys["A"][t - 1], sys["C"][t - 1]
+        fgains.append(A @ P @ C.T @ pinv(sym(C @ P @ C.T)))
+        P = sym(A @ P @ A.T + sys["SigW"][t - 1] - fgains[-1] @ (C @ P @ A.T))
+        Ps.append(P)
+    S_next, S, K = np.zeros_like(P), [None] * T, [None] * T
+    for t in range(T, 0, -1):
+        A, B = sys["A"][t - 1], sys["B"][t - 1]
+        lam = sys["N"][t - 1].T + B.T @ S_next @ A
+        K[t - 1] = -np.linalg.solve(sym(p.R + B.T @ S_next @ B), lam)
+        S[t - 1] = S_next = sym(A.T @ S_next @ A + sys["Q"][t - 1]
+                                + lam.T @ K[t - 1])
+    J = 0.0
+    for t in range(1, T + 1):
+        J += float(np.trace(Ps[t - 1] @ sys["Q"][t - 1]))
+        if t < T:
+            A = sys["A"][t - 1]
+            J += float(np.sum((sys["SigW"][t - 1] + A @ Ps[t - 1] @ A.T
+                               - Ps[t]) * S[t]))
+    L = [K_t @ lift for K_t, lift in zip(K, sys["lift"])]
+    trans = [(proj @ (sys["A"][t - 1] - F @ sys["C"][t - 1])
+              @ sys["lift"][t - 1], proj @ (sys["B"][t - 1] - F @ mp.zu),
+              proj @ F) for t, F in enumerate(fgains, 1)]
+
+    def stat_gains(cs, k):
+        window, d_x = _window_map(cs, k), p.d_x
+        y0 = d_x + (k - 1) * p.d_u_total
+        u0 = y0 + (k - 1) * p.d_y_total
+        out = []
+        for t in range(1, T + 1):
+            tau = t - k + 1
+            if tau >= 1:
+                base = window.copy()
+                if tau < k:     # window pairs from before t = 1
+                    base[d_x:, y0:y0 + (k - tau) * p.d_y_total] = 0.0
+                    base[d_x:, u0:u0 + (k - tau) * p.d_u_total] = 0.0
+                emap, start = sys["lift"][tau - 1] @ base, tau
+            else:
+                emap, start = np.zeros((proj.shape[1], window.shape[1])), 1
+            for s in range(start, t):
+                sel = np.zeros((p.d_u_total, window.shape[1]))
+                col = d_x + (s - tau) * p.d_u_total
+                sel[:, col:col + p.d_u_total] = np.eye(p.d_u_total)
+                emap = sys["A"][s - 1] @ emap + sys["B"][s - 1] @ sel
+            out.append(L[t - 1] @ proj @ emap)
+        return out
+
+    return J, L, trans, stat_gains
+
+
+def _assert_matches_augmented(p, mp, lg):
+    ss = solve(p, mp, lg)
+    J, L, trans, stat_gains = _augmented_solve(p, mp, lg)
+    assert abs(ss.J - J) <= 1e-12 * abs(J)
+    for t in range(1, p.T + 1):
+        ref = L[t - 1]
+        scale = max(1.0, np.abs(ref).max(initial=0.0))
+        assert np.abs(ss.Lgain[t - 1] - ref).max(initial=0.0) <= 1e-12 * scale
+    for t in range(1, p.T):
+        for got, ref in zip(statistic_transition(ss, t), trans[t - 1]):
+            assert_allclose(got, ref, rtol=0, atol=1e-10)
+    try:
+        k = effective_delay(mp)
+        got = delayed_stat_gains(ss, k)
+    except UnsupportedProtocol:
+        return
+    for g, ref in zip(got, stat_gains(ss.cs, k)):
+        assert_allclose(g, ref, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name, p, mp", BATCH_CASES,
+                         ids=[case[0] for case in BATCH_CASES])
+def test_solve_matches_augmented_reference(name, p, mp):
+    rng = np.random.default_rng(len(name))
+    sets = [LocalGains.zeros(p, mp), LocalGains.random(p, mp, rng, 0.3)]
+    if name in DEMOS:
+        sc = load_scenario(DEMOS[name]["config"])
+        sets.append(tune(p, mp, budget=sc.tune_budget, seed=sc.tune_seed,
+                         restarts=sc.tune_restarts).gains)
+    for lg in sets:
+        _assert_matches_augmented(p, mp, lg)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_oracle_cases())
+def test_solve_matches_augmented_reference_on_generated_instances(case):
+    p, mp, seed = case
+    _assert_matches_augmented(
+        p, mp, LocalGains.random(p, mp, np.random.default_rng([seed, 1]), 0.3))

@@ -16,7 +16,7 @@ pinned to one thread.  It covers:
 
 * ``tune`` on the five ``cli.DEMOS`` at their own budgets: log, J,
   evaluations and ``theta``;
-* per demo, at zero and at random gains: J, the six ``SolvedStrategy``
+* per demo, at zero and at random gains: J, the five ``SolvedStrategy``
   sequences and the ``strategy_to_doc(dump_matrices=True)`` JSON;
 * the solve-large workload at seeds 0 and 901: J, the sequences, every
   ``delayed_stat_gains`` matrix and ``closed_loop_cost_exact``;
@@ -46,7 +46,7 @@ import declqg as dq  # noqa: E402
 from declqg import cli  # noqa: E402
 from perfbench.workloads import McRollouts, Recorder, SolveLarge  # noqa: E402
 
-SEQUENCES = ("Kgain", "Lgain", "filter_gain", "Ptilde", "S", "Lambda")
+SEQUENCES = ("Lgain", "filter_gain", "Ptilde", "S", "Lambda")
 
 
 def digest(value) -> str:
@@ -103,6 +103,7 @@ def main() -> int:
         strategy_digests(out, f"solve-large.{seed}", ss)
         out[f"solve-large.{seed}.delayed_stat_gains"] = digest(
             list(dq.delayed_stat_gains(ss, wl.k)))
+        # Kgain is the gain on the solver's own state in every version
         out[f"solve-large.{seed}.closed_loop_cost_exact"] = digest(
             dq.closed_loop_cost_exact(ss.cs, ss.Kgain, ss.filter_gain))
     for seed in (0, 901):

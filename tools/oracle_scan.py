@@ -1,0 +1,111 @@
+"""Scan generated instances for solver breakdowns and oracle disagreements.
+
+Draws ``--examples`` derandomized cases from the instance generator of
+``tests/test_sim.py`` (``_oracle_cases``: n 1..3, T 1..5, every protocol
+family, optionally singular observation noise) with the random local gains
+that test uses, and prints:
+
+* every case whose ``solve`` raises ``NumericalBreakdown`` (step and
+  protocol kind);
+* every case where a pseudo-inverted covariance has a singular value within
+  a decade of the cutoff (``_rank_margin`` < 1), where the recursive filter
+  and the conditioning oracle may legitimately keep different ranks;
+* the cases, away from the cutoff, where the recursive filter and
+  ``gaussian_conditioning`` differ by more than the test's 1e-8;
+* the worst relative gap between J and ``closed_loop_cost_exact``.
+
+The examples depend on the source of ``scan.run``, the generator and the
+literal constants of the loaded modules, which hypothesis mixes into its
+draws; a copy of the script run in another checkout, with ``check`` adapted
+to its API, scans the same instances while those constants agree:
+
+    python3 tools/oracle_scan.py --examples 3000
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+from hypothesis import Phase, given, settings  # noqa: E402
+
+import declqg as dq  # noqa: E402
+from test_sim import (_oracle_cases, _rank_margin,  # noqa: E402
+                      run_filter_vs_oracle)
+
+
+def describe(p, mp) -> str:
+    return (f"{mp.kind} n={p.n} T={p.T} d_x={p.d_x} d_y={p.d_y} "
+            f"d_u={p.d_u}")
+
+
+def check(case, found: dict) -> None:
+    p, mp, seed = case
+    rng = np.random.default_rng([seed, 1])
+    lg = dq.LocalGains.random(p, mp, rng, 0.3)
+    found["cases"] += 1
+    try:
+        ss = dq.solve(p, mp, lg)
+    except dq.NumericalBreakdown as e:
+        found["breakdowns"].append(f"t={e.t} {describe(p, mp)} seed={seed}")
+        return
+    exact = dq.closed_loop_cost_exact(ss.cs, ss.Lgain, ss.filter_gain)
+    gap = abs(ss.J - exact) / abs(exact)
+    if gap > found["worst_gap"][0]:
+        found["worst_gap"] = (gap, f"{describe(p, mp)} seed={seed}")
+    thetas = dq.random_theta_maps(ss.cs, rng, 0.3)
+    margin = _rank_margin(ss.cs, thetas)
+    if margin < 1.0:
+        found["near_cutoff"].append(f"margin={margin:.2f} "
+                                    f"{describe(p, mp)} seed={seed}")
+        return
+    try:
+        run_filter_vs_oracle(p, mp, lg, thetas, seed=seed, tol=1e-8,
+                             relative=True)
+    except AssertionError as e:
+        found["filter_gaps"].append(f"gap={e.args[0]:.2e} "
+                                    f"{describe(p, mp)} seed={seed}")
+
+
+def scan(examples: int) -> dict:
+    found = {"cases": 0, "breakdowns": [], "near_cutoff": [],
+             "filter_gaps": [], "worst_gap": (0.0, "")}
+
+    @settings(max_examples=examples, deadline=None, derandomize=True,
+              database=None, phases=[Phase.generate])
+    @given(_oracle_cases())
+    def run(case):
+        check(case, found)
+
+    run()
+    return found
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--examples", type=int, default=3000)
+    args = ap.parse_args()
+    found = scan(args.examples)
+    print(f"cases: {found['cases']}")
+    for key, title in (
+            ("breakdowns", "numerical breakdowns"),
+            ("near_cutoff", "rank margin < 1 decade"),
+            ("filter_gaps", "filter vs oracle > 1e-8, margin >= 1")):
+        print(f"{title}: {len(found[key])}")
+        for line in found[key]:
+            print(f"  {line}")
+    gap, where = found["worst_gap"]
+    print(f"worst |J - exact| / |exact|: {gap:.2e}  {where}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
