@@ -55,7 +55,7 @@ mc = dq.simulate(plant, mp, gains, ss, seed=0, count=20000)
 exact = dq.exact_cost(plant, mp, gains, ss)
 print(f"\nJ = {ss.J:.6f}")
 print(f"exact closed-loop cost  = {exact:.6f}")
-print(f"Monte Carlo (20k seeds) = {mc.mean:.6f} +- {mc.stderr:.6f}")
+print(f"Monte Carlo (20k rollouts) = {mc.mean:.6f} +- {mc.stderr:.6f}")
 
 # Compare against fully symmetric sharing at the graph's best and worst
 # delays: the graph sits between them.

@@ -8,6 +8,8 @@ pure function or an immutable value, safe to share across threads.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 #: Relative singular-value cutoff used for pseudoinverses.  Shared-memory
@@ -169,14 +171,27 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return v * np.sqrt(w)
 
 
+def as_index(value, name: str) -> int:
+    """``value`` as an int; floats, bools and other non-integers raise.
+
+    Integer-valued numpy scalars pass, through ``operator.index``.
+    """
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def seeded_stream(seed: int, stream_index: int) -> np.random.Generator:
     """Deterministic random stream keyed by ``(seed, stream_index)``.
 
     Distinct pairs yield statistically independent streams; the same pair
     yields the identical sequence on every call and platform.
     """
-    seed = int(seed)
-    stream_index = int(stream_index)
+    seed = as_index(seed, "seed")
+    stream_index = as_index(stream_index, "stream_index")
     if seed < 0 or stream_index < 0:
         raise ValueError("seed and stream_index must be non-negative")
     return np.random.default_rng([seed, stream_index])

@@ -1,12 +1,15 @@
 """Ground truth: paired-noise simulation, exact moment propagation, and the
 brute-force joint-Gaussian conditioning oracle.
 
-Rollouts draw every primitive random variable for rollout r from
-``seeded_stream(seed, r)`` in a fixed order, so results are bitwise
-reproducible and independent of how rollouts are batched.  The plant-form and
-coordinated-form rollouts can be driven by the same primitive draws to check
-that the coordinated system reproduces the original equations state by
-state.
+Rollouts share one random stream per block of ``BLOCK`` rollouts: rollout r
+reads row ``r % BLOCK`` of ``seeded_stream(seed, r // BLOCK)``'s rollout-major
+normals.  A row's draws do not depend on how many rows follow it, so results
+are bitwise reproducible and independent of how many rollouts are asked for;
+they differ from versions that drew one stream per rollout.  ``simulate``
+rolls out one block at a time, so its memory beyond the costs is bounded.
+The plant-form and coordinated-form rollouts can be driven by the same
+primitive draws to check that the coordinated system reproduces the original
+equations state by state.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_RTOL, DimMismatch, blkdiag, psd_sqrt,
+from .core import (DEFAULT_RTOL, DimMismatch, as_index, blkdiag, psd_sqrt,
                    seeded_stream)
 from . import coordination
 from .coordination import CoordinatedSystem, LocalGains
@@ -28,6 +31,11 @@ from .solver import SolvedStrategy
 # --------------------------------------------------------------------------
 # primitive randomness
 
+#: Rollouts per random stream, and per block that ``simulate`` rolls out.
+BLOCK = 4096
+#: ``simulate`` rolls out a multiple of this many rows; it divides ``BLOCK``.
+ROW_ALIGN = 8
+
 
 @dataclass(frozen=True)
 class Primitives:
@@ -38,33 +46,37 @@ class Primitives:
     """
 
     x1: np.ndarray
-    w0: tuple[np.ndarray, ...]
-    wy: tuple[np.ndarray, ...]
+    w0: np.ndarray    # (T, count, d_x)
+    wy: np.ndarray    # (T, count, sum d_y)
 
     @property
     def count(self) -> int:
         return self.x1.shape[0]
 
 
-def draw_primitives(plant: PlantModel, seed: int, count: int) -> Primitives:
-    """Draw primitives for ``count`` rollouts, one stream per rollout."""
+def draw_primitives(plant: PlantModel, seed: int, count: int, *,
+                    start: int = 0) -> Primitives:
+    """Draw primitives for rollouts [start, start + count).
+
+    Each rollout's normals, in the order (X_1, then (W0_t, W_t) for
+    t = 1..T), are one row of its block's stream; see the module docstring.
+    """
+    count, start = as_index(count, "count"), as_index(start, "start")
+    if count < 0 or start < 0:
+        raise ValueError("need count >= 0 and start >= 0")
     d_x, d_y, T = plant.d_x, plant.d_y_total, plant.T
     total = d_x + T * (d_x + d_y)
     raw = np.empty((count, total))
-    for r in range(count):
-        raw[r] = seeded_stream(seed, r).standard_normal(total)
-    Lx = psd_sqrt(plant.sigma_x)
-    L0 = psd_sqrt(plant.sigma_w0)
-    Lw = psd_sqrt(plant.sigma_w)
-    x1 = raw[:, :d_x] @ Lx.T
-    w0, wy = [], []
-    off = d_x
-    for _ in range(T):
-        w0.append(raw[:, off:off + d_x] @ L0.T)
-        off += d_x
-        wy.append(raw[:, off:off + d_y] @ Lw.T)
-        off += d_y
-    return Primitives(x1=x1, w0=tuple(w0), wy=tuple(wy))
+    stop = start + count
+    for b in range(start // BLOCK, -(-stop // BLOCK)):
+        lo, hi = max(start, b * BLOCK), min(stop, (b + 1) * BLOCK)
+        stream = seeded_stream(seed, b)
+        stream.standard_normal((lo - b * BLOCK, total))    # rows before start
+        stream.standard_normal(out=raw[lo - start:hi - start])
+    steps = raw[:, d_x:].reshape(count, T, d_x + d_y).swapaxes(0, 1)
+    return Primitives(x1=raw[:, :d_x] @ psd_sqrt(plant.sigma_x).T,
+                      w0=steps[..., :d_x] @ psd_sqrt(plant.sigma_w0).T,
+                      wy=steps[..., d_x:] @ psd_sqrt(plant.sigma_w).T)
 
 
 # --------------------------------------------------------------------------
@@ -76,6 +88,8 @@ class StatisticPolicy:
 
     def __init__(self, ss: SolvedStrategy):
         self.ss = ss
+        self.transitions = [statistic_transition(ss, t)
+                            for t in range(1, ss.cs.T)]
 
     def init(self, count: int) -> np.ndarray:
         cs = self.ss.cs
@@ -85,7 +99,7 @@ class StatisticPolicy:
         return state @ self.ss.Lgain[t - 1].T
 
     def update(self, state, t: int, z, utilde) -> np.ndarray:
-        Ts, Tu, Tz = statistic_transition(self.ss, t)
+        Ts, Tu, Tz = self.transitions[t - 1]
         return state @ Ts.T + utilde @ Tu.T + z @ Tz.T
 
     def statistic(self, state) -> np.ndarray:
@@ -201,8 +215,8 @@ def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
         utilde = policy.utilde(state, t)
         u = utilde + y @ gains.G[t - 1].T + m @ gains.H[t - 1].T
         z = c @ mp.zc.T + y @ mp.zy.T + u @ mp.zu.T
-        sc = np.einsum("ri,ij,rj->r", x, plant.Q, x) \
-            + np.einsum("ri,ij,rj->r", u, plant.R, u)
+        sc = np.einsum("ri,ri->r", x @ plant.Q, x) \
+            + np.einsum("ri,ri->r", u @ plant.R, u)
         costs += sc
         if keep:
             step = (x, y, m, c, z, u, utilde, sc)
@@ -276,12 +290,31 @@ def rollout_coordinated(cs: CoordinatedSystem, policy, prims: Primitives
 def simulate(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
              ss: SolvedStrategy, seed: int, count: int,
              sample_count: int = 0) -> RolloutBatch:
-    """Monte Carlo estimate of the strategy's expected total cost."""
+    """Monte Carlo estimate of the strategy's expected total cost.
+
+    Rolls out ``BLOCK`` rollouts at a time and drops each block's primitives
+    before drawing the next; the first ``sample_count`` rollouts are kept.
+    A partial last block is rolled out with its block's next rows up to a
+    multiple of ``ROW_ALIGN``: BLAS kernels (and numpy's one-row products)
+    round a product's trailing rows differently from the rest, so a rollout's
+    bits would otherwise depend on how many rollouts follow it.
+    """
+    count = as_index(count, "count")
+    sample_count = as_index(sample_count, "sample_count")
     if count < 1 or sample_count < 0:
         raise ValueError("need count >= 1 and sample_count >= 0")
-    prims = draw_primitives(plant, seed, count)
-    return rollout_plant(plant, mp, gains, StatisticPolicy(ss), prims,
-                         keep=sample_count)
+    policy = StatisticPolicy(ss)
+    costs, samples = np.empty(count), []
+    for start in range(0, count, BLOCK):
+        rows = min(BLOCK, count - start)
+        aligned = -(-rows // ROW_ALIGN) * ROW_ALIGN
+        prims = draw_primitives(plant, seed, aligned, start=start)
+        batch = rollout_plant(plant, mp, gains, policy, prims,
+                              keep=min(rows, max(0, sample_count - start)))
+        costs[start:start + rows] = batch.costs[:rows]
+        samples += batch.samples
+        del prims, batch
+    return RolloutBatch(costs=costs, samples=tuple(samples))
 
 
 def exact_cost(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,

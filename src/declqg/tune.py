@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_RTOL, seeded_stream
+from .core import DEFAULT_RTOL, as_index, seeded_stream
 from .coordination import LocalGains
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
@@ -50,8 +50,10 @@ def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
     evaluation).  The accepted-J sequence is non-increasing by construction;
     block-diagonality of (G, H) is structural, off-blocks are never touched.
     """
-    if budget < 1 or restarts < 0:
-        raise ValueError("need budget >= 1 and restarts >= 0")
+    budget = as_index(budget, "budget")
+    restarts, seed = as_index(restarts, "restarts"), as_index(seed, "seed")
+    if budget < 1 or restarts < 0 or seed < 0:
+        raise ValueError("need budget >= 1, restarts >= 0 and seed >= 0")
     evals = 0
     log = []
     best = None    # (J, theta)

@@ -89,6 +89,19 @@ def test_seeded_stream_rejects_negative():
         seeded_stream(-1, 0)
 
 
+@pytest.mark.parametrize("seed, index, name", [
+    (1.5, 0, "seed"), (1.0, 0, "seed"), (True, 0, "seed"), ("1", 0, "seed"),
+    (0, 2.5, "stream_index"), (0, False, "stream_index")])
+def test_seeded_stream_rejects_non_integers(seed, index, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        seeded_stream(seed, index)
+
+
+def test_seeded_stream_accepts_numpy_integers():
+    a = seeded_stream(np.int64(7), np.uint8(3)).standard_normal(8)
+    assert np.array_equal(a, seeded_stream(7, 3).standard_normal(8))
+
+
 def test_gaussian_spec_accepts_psd():
     cov = as_covariance([[2.0, 1.0], [1.0, 2.0]], 2)
     assert cov.shape == (2, 2)

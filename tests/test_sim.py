@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from declqg import (DelayGraph, StatisticPolicy, LocalGains, PlantModel,
@@ -13,7 +15,7 @@ from declqg import (DelayGraph, StatisticPolicy, LocalGains, PlantModel,
                     strategy_theta_maps)
 from declqg.core import DEFAULT_RTOL
 from declqg.infostructure import BLOCK_NAMES
-from declqg.sim import closed_loop_maps
+from declqg.sim import BLOCK, closed_loop_maps
 
 from conftest import random_plant, scalar_two_controller
 
@@ -84,6 +86,90 @@ def test_simulate_rejects_out_of_range_counts(scalar2, count, sample_count):
     with pytest.raises(ValueError, match="count >= 1 and sample_count >= 0"):
         simulate(scalar2, mp, ss.gains, ss, seed=1, count=count,
                  sample_count=sample_count)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(seed=1.5, count=5), "seed"), (dict(seed=True, count=5), "seed"),
+    (dict(seed=1, count=2.5), "count"), (dict(seed=1, count=5.0), "count"),
+    (dict(seed=1, count=5, sample_count=1.5), "sample_count"),
+    (dict(seed=1, count=5, sample_count=True), "sample_count")])
+def test_simulate_rejects_non_integer_seed_and_counts(scalar2, kwargs, name):
+    mp = build_symmetric_delay(scalar2, 1)
+    ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        simulate(scalar2, mp, ss.gains, ss, **kwargs)
+
+
+def test_simulate_accepts_numpy_integers(scalar2):
+    mp = build_symmetric_delay(scalar2, 1)
+    ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
+    a = simulate(scalar2, mp, ss.gains, ss, seed=np.int64(3),
+                 count=np.int32(20), sample_count=np.uint8(2))
+    b = simulate(scalar2, mp, ss.gains, ss, seed=3, count=20, sample_count=2)
+    assert np.array_equal(a.costs, b.costs) and len(a.samples) == 2
+
+
+def test_costs_do_not_depend_on_count_across_block_edges():
+    # vector signals, so that one-row and tail-row products round their own way
+    rng = np.random.default_rng(37)
+    p = random_plant(rng, n=2, d_x=2, d_y=(1, 1), d_u=(1, 1), T=5)
+    mp = build_symmetric_delay(p, 2)
+    lg = LocalGains.random(p, mp, rng, 0.3)
+    ss = solve(p, mp, lg)
+    counts = (1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
+    costs = [simulate(p, mp, lg, ss, seed=8, count=n).costs for n in counts]
+    for n, small in zip(counts, costs):
+        for large in costs:
+            if len(large) >= n:
+                assert np.array_equal(small, large[:n]), (n, len(large))
+
+
+def test_primitives_prefix_property_across_block_edge(scalar2):
+    large = draw_primitives(scalar2, seed=9, count=2 * BLOCK + 3)
+    for n in (BLOCK - 1, BLOCK + 1):
+        small = draw_primitives(scalar2, seed=9, count=n)
+        assert np.array_equal(small.x1, large.x1[:n])
+        assert np.array_equal(small.w0, large.w0[:, :n])
+        assert np.array_equal(small.wy, large.wy[:, :n])
+    # a window that starts inside one block and ends in the next
+    mid = draw_primitives(scalar2, seed=9, count=5, start=BLOCK - 2)
+    assert np.array_equal(mid.x1, large.x1[BLOCK - 2:BLOCK + 3])
+    assert np.array_equal(mid.w0, large.w0[:, BLOCK - 2:BLOCK + 3])
+    assert np.array_equal(mid.wy, large.wy[:, BLOCK - 2:BLOCK + 3])
+    assert large.w0.shape == (scalar2.T, 2 * BLOCK + 3, scalar2.d_x)
+
+
+def test_samples_across_block_edge_equal_one_unblocked_rollout(scalar2):
+    mp = build_symmetric_delay(scalar2, 2)
+    lg = LocalGains.random(scalar2, mp, np.random.default_rng(38), 0.3)
+    ss = solve(scalar2, mp, lg)
+    count, keep = 2 * BLOCK + 3, BLOCK + 2
+    mc = simulate(scalar2, mp, lg, ss, seed=10, count=count, sample_count=keep)
+    ref = rollout_plant(scalar2, mp, lg, StatisticPolicy(ss),
+                        draw_primitives(scalar2, seed=10, count=count),
+                        keep=keep)
+    assert np.array_equal(mc.costs, ref.costs)
+    assert len(mc.samples) == len(ref.samples) == keep
+    for got, want in zip(mc.samples, ref.samples):
+        for name in vars(want):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_simulate_peak_memory_grows_only_with_the_costs(scalar2):
+    mp = build_symmetric_delay(scalar2, 1)
+    ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
+    n = 2 * BLOCK
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            simulate(scalar2, mp, ss.gains, ss, seed=11, count=count)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(n)     # warm-up: first-call allocations are not the simulation's
+    assert peak(4 * n) - peak(n) <= 8 * 3 * n + 64 * 1024
 
 
 def test_stderr_scales_like_inverse_sqrt_count(scalar2):
@@ -285,6 +371,7 @@ def _rank_margin(cs, thetas):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@seed(1101)
 @given(_oracle_cases())
 def test_oracles_agree_on_generated_instances(case):
     p, mp, seed = case

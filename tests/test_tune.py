@@ -152,6 +152,24 @@ def test_restarts_must_be_non_negative():
         tune(p, mp, budget=10, restarts=-2)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(budget=10, seed=1.5), "seed"), (dict(budget=10, seed=True), "seed"),
+    (dict(budget=10.0), "budget"), (dict(budget=10, restarts=1.5),
+                                   "restarts")])
+def test_tune_rejects_non_integer_seed_and_counts(kwargs, name):
+    p = scalar_two_controller(T=3)
+    mp = build_symmetric_delay(p, 1)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        tune(p, mp, **kwargs)
+
+
+def test_tune_rejects_negative_seed_without_restarts():
+    p = scalar_two_controller(T=3)
+    mp = build_symmetric_delay(p, 1)
+    with pytest.raises(ValueError, match="seed >= 0"):
+        tune(p, mp, budget=10, seed=-1)
+
+
 @pytest.mark.parametrize("name", sorted(DEMOS))
 def test_tune_matches_sequential_search_on_demos(name):
     sc = _demo(name)

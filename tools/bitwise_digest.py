@@ -22,6 +22,9 @@ pinned to one thread.  It covers:
   ``delayed_stat_gains`` matrix and ``closed_loop_cost_exact``;
 * the mc-rollouts workload at seeds 0 and 901: the costs of a 20 000-rollout
   ``simulate`` and its kept samples;
+* at mc-rollouts seed 0, a ``simulate`` whose count (2 blocks + 3) and kept
+  samples (1 block + 2) straddle the edges of ``declqg.sim.BLOCK``, so a
+  change of the per-block stream layout shows up;
 * the stdout of each ``demos/*.py``.
 """
 
@@ -76,6 +79,12 @@ def strategy_digests(out: dict, key: str, ss) -> None:
         out[f"{key}.{name}"] = digest(getattr(ss, name))
 
 
+def batch_digests(out: dict, key: str, mc) -> None:
+    out[f"{key}.costs"] = digest(mc.costs)
+    out[f"{key}.samples"] = digest(
+        [[getattr(ro, f) for f in sorted(vars(ro))] for ro in mc.samples])
+
+
 def main() -> int:
     out: dict[str, str] = {}
     for name, demo in cli.DEMOS.items():
@@ -112,9 +121,13 @@ def main() -> int:
         mc = dq.simulate(wl.plant, wl.mp, wl.gains, wl.ss,
                          seed=wl.call_seed(1, 0), count=20_000,
                          sample_count=wl.kept)
-        out[f"mc-rollouts.{seed}.costs"] = digest(mc.costs)
-        out[f"mc-rollouts.{seed}.samples"] = digest(
-            [[getattr(ro, f) for f in sorted(vars(ro))] for ro in mc.samples])
+        batch_digests(out, f"mc-rollouts.{seed}", mc)
+        if seed == 0:
+            block = getattr(dq.sim, "BLOCK", 4096)   # versions before blocks
+            mc = dq.simulate(wl.plant, wl.mp, wl.gains, wl.ss,
+                             seed=wl.call_seed(1, 1), count=2 * block + 3,
+                             sample_count=block + 2)
+            batch_digests(out, "mc-rollouts.0.block-edges", mc)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for script in sorted((ROOT / "demos").glob("*.py")):
         proc = subprocess.run([sys.executable, str(script)], env=env,
