@@ -12,7 +12,7 @@ symmetrized after every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +20,10 @@ from .core import DEFAULT_RTOL, check_psd, pinv, read_only, solve_pd, sym
 from .coordination import CoordinatedSystem, LocalGains, build
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
+
+
+_STACKED = ("A", "C", "F", "SigW", "SigWV", "SigV", "Q", "N", "noise_cost")
+_SEQUENCES = ("Lgain", "filter_gain", "Ptilde", "S", "Lambda")
 
 
 @dataclass(frozen=True)
@@ -31,8 +35,8 @@ class SolvedStrategy:
     (the update into step t + 1 uses ``filter_gain[t - 1]``).  ``Lgain``
     acts on the coordinator's whole state (X_t, c_t), which is also the
     statistic.  Strategies reloaded from disk carry only the gains; the
-    covariance/value sequences are then ``None``.  A stack of gains gives
-    arrays and J its leading axes.
+    covariance/value sequences and ``rtol`` are then ``None``.  A stack of
+    gains gives arrays and J its leading axes.
     """
 
     cs: CoordinatedSystem
@@ -42,6 +46,7 @@ class SolvedStrategy:
     Ptilde: np.ndarray | None = None   # (T, d_state, d_state)
     S: np.ndarray | None = None        # (T, d_state, d_state)
     Lambda: np.ndarray | None = None   # (T, d_u, d_state)
+    rtol: float | None = None          # the filter's pseudoinverse cutoff
 
     @property
     def Kgain(self) -> np.ndarray:
@@ -52,6 +57,17 @@ class SolvedStrategy:
     @property
     def gains(self) -> LocalGains:
         return self.cs.gains
+
+    def candidate(self, i: int) -> "SolvedStrategy":
+        """Candidate ``i`` of a stacked solve as a strategy of its own; its
+        arrays are copies, so it does not keep the stack alive."""
+        def row(a):
+            return read_only(a[i].copy())
+        cs, g = self.cs, self.gains
+        cs = replace(cs, gains=LocalGains(row(g.theta), row(g.G), row(g.H)),
+                     **{f: row(getattr(cs, f)) for f in _STACKED})
+        return replace(self, cs=cs, J=float(self.J[i]),
+                       **{f: row(getattr(self, f)) for f in _SEQUENCES})
 
     def local_action(self, i: int, t: int, stat, y_i, m_i) -> np.ndarray:
         """Controller i's action U^i_t = L~^i_t stat + G^i_t Y^i_t + H^i_t M^i_t."""
@@ -64,7 +80,8 @@ class SolvedStrategy:
         return out
 
 
-def forward_riccati(cs: CoordinatedSystem, rtol: float = DEFAULT_RTOL):
+def forward_riccati(cs: CoordinatedSystem, rtol: float = DEFAULT_RTOL,
+                    start: int = 1, incumbent: SolvedStrategy | None = None):
     """Error covariances P~_1..P~_T and filter gains for t = 1..T-1.
 
     P~_1 is the exact covariance of (X_1, carrier_1); the update into t + 1
@@ -73,11 +90,21 @@ def forward_riccati(cs: CoordinatedSystem, rtol: float = DEFAULT_RTOL):
     covariance in the gain.  The Joseph-form update is the error covariance
     of the gain actually computed, so round-off in the gain moves P~ only to
     second order.  Every sweep runs over (…, T, ·, ·).
+
+    The sweep runs from step ``start``.  For ``start`` = t_a > 1,
+    P~_1..P~_{t_a} and the gains before t_a are copied from ``incumbent``,
+    one strategy solved at this ``rtol`` whose steps before t_a are those
+    of ``cs``: they depend on nothing later, so the copies are the numbers
+    the sweep itself would compute.
     """
     P = np.empty(cs.A.shape[:-3] + (cs.T, cs.d_state, cs.d_state))
     gains = np.empty(P.shape[:-3] + (cs.T - 1, cs.d_state, cs.d_z))
-    P[..., 0, :, :] = sym(cs.init_cov)
-    for t in range(1, cs.T):
+    if start == 1:
+        P[..., 0, :, :] = sym(cs.init_cov)
+    else:
+        P[..., :start, :, :] = incumbent.Ptilde[:start]
+        gains[..., :start - 1, :, :] = incumbent.filter_gain[:start - 1]
+    for t in range(start, cs.T):
         A, C, Pt, K, SWV, V = (a[..., t - 1, :, :] for a in (
             cs.A, cs.C, P, gains, cs.SigWV, cs.SigV))
         CT = C.swapaxes(-1, -2)
@@ -91,17 +118,27 @@ def forward_riccati(cs: CoordinatedSystem, rtol: float = DEFAULT_RTOL):
     return read_only(P), read_only(gains)
 
 
-def backward_riccati(cs: CoordinatedSystem):
+def backward_riccati(cs: CoordinatedSystem, start: int | None = None,
+                     incumbent: SolvedStrategy | None = None):
     """Value matrices S_1..S_T, cross terms Lambda_t, and gains L~_t.
 
     Runs from S_{T+1} = 0; the control bracket R~ + B~' S B~ is positive
-    definite (R is PD) so a true solve is used.
+    definite (R is PD) so a true solve is used.  The sweep runs down from
+    step ``start`` (default T).  For ``start`` = t_b < T, S, Lambda and L~
+    of the steps after t_b are copied from ``incumbent``, one solved
+    strategy whose steps after t_b are those of ``cs``.
     """
     T, d, batch = cs.T, cs.d_state, cs.A.shape[:-3]
+    start = T if start is None else start
     S = np.empty(batch + (T, d, d))
     lam, K = (np.empty(batch + (T, cs.d_u, d)) for _ in range(2))
     S_next = np.zeros((d, d))
-    for t in range(T, 0, -1):
+    if start < T:
+        for seq, known in zip((S, lam, K), (incumbent.S, incumbent.Lambda,
+                                            incumbent.Lgain)):
+            seq[..., start:, :, :] = known[start:]
+        S_next = S[..., start, :, :]
+    for t in range(start, 0, -1):
         A, B, N, Q, S_t, lam_t, K_t = (a[..., t - 1, :, :] for a in (
             cs.A, cs.B, cs.N, cs.Q, S, lam, K))
         bracket = sym(cs.plant.R + B.T @ S_next @ B)
@@ -136,12 +173,43 @@ def performance(cs: CoordinatedSystem, ptilde, s_seq):
     return total if total.ndim else float(total)
 
 
+def _changed_steps(cs: CoordinatedSystem, rtol: float,
+                   incumbent: SolvedStrategy | None) -> tuple[int, int]:
+    """First and last step t whose G_t or H_t differ, in any bit of any
+    candidate, from ``incumbent``'s; (T, 0) if none does.  (1, T), a full
+    solve, unless ``incumbent`` is one strategy solved for the same plant
+    and protocol at this ``rtol``."""
+    inc = incumbent
+    if (inc is None or inc.Ptilde is None or inc.rtol != rtol
+            or inc.gains.theta.ndim != 1 or inc.cs.plant is not cs.plant
+            or inc.cs.protocol is not cs.protocol):
+        return 1, cs.T
+    moved = np.zeros(cs.T, dtype=bool)
+    for new, old in ((cs.gains.G, inc.gains.G), (cs.gains.H, inc.gains.H)):
+        diff = new.view(np.uint64) != old.view(np.uint64)
+        moved |= diff.any(axis=(-2, -1)).reshape(-1, cs.T).any(axis=0)
+    steps = np.flatnonzero(moved) + 1
+    return (int(steps[0]), int(steps[-1])) if steps.size else (cs.T, 0)
+
+
 def solve(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
-          rtol: float = DEFAULT_RTOL) -> SolvedStrategy:
-    """Best coordinator response to the given local gains (or stack)."""
+          rtol: float = DEFAULT_RTOL,
+          incumbent: SolvedStrategy | None = None) -> SolvedStrategy:
+    """Best coordinator response to the given local gains (or stack).
+
+    Step t of the coordinated system depends on the gains of step t only,
+    so P~_1..P~_t depend only on the steps before t and S_{t+1}..S_T only
+    on the steps after t.  Given ``incumbent``, a single strategy this
+    function returned for the same plant, protocol and ``rtol``, the
+    forward sweep therefore runs from the first step t_a whose gains differ
+    from the incumbent's and the backward sweep down from the last, t_b,
+    each copying the rest from the incumbent.  The result is bitwise that
+    of a solve without it.
+    """
     cs = build(plant, mp, gains)
-    ptilde, fgains = forward_riccati(cs, rtol)
-    s_seq, lam_seq, l_seq = backward_riccati(cs)
+    first, last = _changed_steps(cs, rtol, incumbent)
+    ptilde, fgains = forward_riccati(cs, rtol, first, incumbent)
+    s_seq, lam_seq, l_seq = backward_riccati(cs, last, incumbent)
     J = performance(cs, ptilde, s_seq)
     return SolvedStrategy(cs=cs, Lgain=l_seq, filter_gain=fgains, J=J,
-                          Ptilde=ptilde, S=s_seq, Lambda=lam_seq)
+                          Ptilde=ptilde, S=s_seq, Lambda=lam_seq, rtol=rtol)

@@ -13,6 +13,15 @@ and charged in poll order up to the first improvement; the rest are dropped,
 so the result is bitwise that of the one-at-a-time search.  A stack that
 fails, or meets a floating-point error, is solved again one candidate at a
 time, so an error is raised exactly where the sequential search raises it.
+
+Every solve starts from the incumbent's ``SolvedStrategy`` (the start's own
+solve after each restart, then the accepted candidate's).  ``theta`` is
+ordered by step, so a window of polls changes the gains of steps t_a..t_b
+only; ``solve`` finds t_a and t_b from the gains, copies the incumbent's
+filter sweep before t_a and value sweep after t_b, and sweeps the rest.
+The copied numbers depend only on the unchanged steps, and stacked solves
+are batch invariant, so the copies are bit for bit what a full solve of
+the stack computes.
 """
 
 from __future__ import annotations
@@ -66,9 +75,9 @@ def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
         log.append((restart_idx, evals, best[0]))
         return J
 
-    def cost(thetas):
+    def solved(thetas, incumbent=None):
         gains = LocalGains.from_vector(plant, mp, thetas)
-        return solve(plant, mp, gains, rtol).J
+        return solve(plant, mp, gains, rtol, incumbent)
 
     zero = LocalGains.zeros(plant, mp).theta
     polls = 2 * zero.size           # (p, +step) then (p, -step), p in order
@@ -77,7 +86,8 @@ def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
     for restart_idx, theta in enumerate(starts):
         if evals >= budget:
             break
-        J_cur = charge(restart_idx, theta, cost(theta))
+        incumbent = solved(theta)
+        J_cur = charge(restart_idx, theta, incumbent.J)
         step = STEP_INIT
         while step >= STEP_MIN and evals < budget:
             improved, k = False, 0
@@ -87,16 +97,22 @@ def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
                 cands[np.arange(ks.size), ks // 2] += np.where(ks % 2, -step,
                                                                step)
                 k = ks[-1] + 1
+                stack = None     # frees the last window before this one
                 try:
                     with np.errstate(**_RAISE):
-                        Js = cost(cands).tolist()
+                        stack = solved(cands, incumbent)
+                    Js = stack.J.tolist()
                 except (ArithmeticError, ValueError):
-                    Js = [None] * ks.size
-                for cand, kc, J_c in zip(cands, ks, Js):
-                    J_c = cost(cand) if J_c is None else J_c
+                    stack, Js = None, [None] * ks.size
+                for i, (cand, kc, J_c) in enumerate(zip(cands, ks, Js)):
+                    if J_c is None:
+                        alone = solved(cand, incumbent)
+                        J_c = alone.J
                     charge(restart_idx, cand, J_c)
                     if J_c < J_cur:
                         theta, J_cur, improved = cand, J_c, True
+                        incumbent = (alone if stack is None
+                                     else stack.candidate(i))
                         k = 2 * (kc // 2 + 1)
                         break
             if not improved:

@@ -268,3 +268,41 @@ def test_breakdown_of_a_charged_candidate_is_raised_at_its_step(
         tune(p, mp, budget=BREAKDOWN_BUDGET)
     assert ref_err.value.t == err.value.t == 3
     assert str(err.value) == str(ref_err.value)
+
+
+def _forward_sweeps(monkeypatch, run):
+    """(gains vectors, start step) of every forward sweep ``run`` makes."""
+    seen, forward = [], solver_mod.forward_riccati
+
+    def recording(cs, rtol, start=1, incumbent=None):
+        theta = cs.gains.theta
+        seen.append((theta.reshape(-1, theta.shape[-1]).copy(), start))
+        return forward(cs, rtol, start, incumbent)
+
+    monkeypatch.setattr(solver_mod, "forward_riccati", recording)
+    run()
+    monkeypatch.setattr(solver_mod, "forward_riccati", forward)
+    return seen
+
+
+def test_breakdown_in_a_window_past_step_one_is_raised_at_its_step(
+        monkeypatch):
+    """A window whose polls first change step t_a > 1 sweeps forward from
+    t_a.  Its first poll is charged; a breakdown of that poll injected at
+    t_a + 1 is raised there, with the one-at-a-time search's message."""
+    p, mp = _breakdown_case()
+    ref_seen = _evaluated_thetas(
+        monkeypatch, lambda: _sequential_tune(p, mp, BREAKDOWN_BUDGET))
+    sweeps = _forward_sweeps(
+        monkeypatch, lambda: tune(p, mp, budget=BREAKDOWN_BUDGET))
+    target, t_a = next(
+        (rows[0], start) for rows, start in sweeps
+        if rows.shape[0] > 1 and 1 < start < p.T
+        and any(np.array_equal(rows[0], r) for r in ref_seen))
+    _fail_psd_check_at(monkeypatch, target, t_fail=t_a + 1)
+    with pytest.raises(NumericalBreakdown) as ref_err:
+        _sequential_tune(p, mp, BREAKDOWN_BUDGET)
+    with pytest.raises(NumericalBreakdown) as err:
+        tune(p, mp, budget=BREAKDOWN_BUDGET)
+    assert ref_err.value.t == err.value.t == t_a + 1
+    assert str(err.value) == str(ref_err.value)

@@ -16,6 +16,10 @@ pinned to one thread.  It covers:
 
 * ``tune`` on the five ``cli.DEMOS`` at their own budgets: log, J,
   evaluations and ``theta``;
+* ``tune`` on ``scalar-2ctrl-k1`` at seed 3 with two seeded restarts and a
+  budget that lets all three starts run out their steps, so every reset
+  of the incumbent at a restart is covered: the same four outputs and the
+  tuned strategy's ``Lgain``;
 * per demo, at zero and at random gains: J, the five ``SolvedStrategy``
   sequences and the ``strategy_to_doc(dump_matrices=True)`` JSON;
 * the solve-large workload at seeds 0 and 901: J, the sequences, every
@@ -50,6 +54,7 @@ from declqg import cli  # noqa: E402
 from perfbench.workloads import McRollouts, Recorder, SolveLarge  # noqa: E402
 
 SEQUENCES = ("Lgain", "filter_gain", "Ptilde", "S", "Lambda")
+RESTARTS_DEMO, RESTARTS_SEED, RESTARTS_BUDGET = "scalar-2ctrl-k1", 3, 3500
 
 
 def digest(value) -> str:
@@ -85,17 +90,27 @@ def batch_digests(out: dict, key: str, mc) -> None:
         [[getattr(ro, f) for f in sorted(vars(ro))] for ro in mc.samples])
 
 
+def tune_digests(out: dict, key: str, res) -> None:
+    out[f"{key}.log"] = digest(res.log)
+    out[f"{key}.J"] = digest(res.J)
+    out[f"{key}.evaluations"] = digest(res.evaluations)
+    out[f"{key}.theta"] = digest(res.gains.theta)
+
+
 def main() -> int:
     out: dict[str, str] = {}
     for name, demo in cli.DEMOS.items():
         sc = cli.load_scenario(copy.deepcopy(demo["config"]))
         plant, mp = sc.plant, sc.protocol
-        res = dq.tune(plant, mp, budget=sc.tune_budget, seed=sc.tune_seed,
-                      restarts=sc.tune_restarts)
-        out[f"tune.{name}.log"] = digest(res.log)
-        out[f"tune.{name}.J"] = digest(res.J)
-        out[f"tune.{name}.evaluations"] = digest(res.evaluations)
-        out[f"tune.{name}.theta"] = digest(res.gains.theta)
+        tune_digests(out, f"tune.{name}", dq.tune(
+            plant, mp, budget=sc.tune_budget, seed=sc.tune_seed,
+            restarts=sc.tune_restarts))
+        if name == RESTARTS_DEMO:
+            res = dq.tune(plant, mp, budget=RESTARTS_BUDGET,
+                          seed=RESTARTS_SEED, restarts=2)
+            key = f"tune.{name}.seed{RESTARTS_SEED}.restarts2"
+            tune_digests(out, key, res)
+            out[f"{key}.Lgain"] = digest(res.strategy.Lgain)
         gains = {"zero": dq.LocalGains.zeros(plant, mp),
                  "random": dq.LocalGains.random(
                      plant, mp, np.random.default_rng([len(name), 7]))}
@@ -112,9 +127,8 @@ def main() -> int:
         strategy_digests(out, f"solve-large.{seed}", ss)
         out[f"solve-large.{seed}.delayed_stat_gains"] = digest(
             list(dq.delayed_stat_gains(ss, wl.k)))
-        # Kgain is the gain on the solver's own state in every version
         out[f"solve-large.{seed}.closed_loop_cost_exact"] = digest(
-            dq.closed_loop_cost_exact(ss.cs, ss.Kgain, ss.filter_gain))
+            dq.closed_loop_cost_exact(ss.cs, ss.Lgain, ss.filter_gain))
     for seed in (0, 901):
         wl = McRollouts(seed, tiny=False)
         wl.setup(Recorder())
