@@ -40,7 +40,7 @@ gap = max(np.abs(np.hstack([rb.samples[r].x, rb.samples[r].carrier])
 print(f"paired-noise rollouts, original vs coordinated: max gap {gap:.2e}")
 
 # -- 2. recursive filter vs joint-Gaussian conditioning --------------------
-_, fgains = dq.forward_riccati(cs)
+_, fgains, _ = dq.forward_riccati(cs)
 ro = rb.samples[0]
 xb = np.zeros(cs.d_state)
 worst = 0.0
@@ -66,9 +66,9 @@ print(f"|J - exact| = {abs(ss.J - exact):.2e},  "
       f"|J - MC| = {abs(ss.J - mc.mean) / mc.stderr:.2f} stderr")
 
 # The innovation covariance is singular by construction (shared increments
-# are noiseless functions of the state), which is why the filter update uses
-# a tolerant pseudoinverse.
-P, _ = dq.forward_riccati(cs)
+# are noiseless functions of the state), which is why the filter cuts each
+# innovation at a relative rank.
+P, _, _ = dq.forward_riccati(cs)
 t = 3
 innov_cov = cs.C[t - 1] @ P[t - 1] @ cs.C[t - 1].T + cs.SigV[t - 1]
 eigs = np.linalg.eigvalsh(innov_cov)

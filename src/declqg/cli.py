@@ -554,7 +554,7 @@ def main(argv=None) -> int:
         description="decentralized LQG synthesis with partial history sharing")
     parser.add_argument("--out", help="output directory", default=None)
     parser.add_argument("--tolerance", type=float, default=DEFAULT_RTOL,
-                        help="pseudoinverse relative cutoff")
+                        help="filter's relative rank cutoff")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_val = sub.add_parser("validate", help="check a protocol (A1/A2, tokens)")

@@ -43,7 +43,7 @@ class UnsupportedProtocol(ValueError):
 
 
 class NumericalBreakdown(ArithmeticError):
-    """Raised when a recursion loses positive semi-definiteness.
+    """Raised when a recursion produces a non-finite or indefinite matrix.
 
     Carries the 1-based step index ``t`` at which the breakdown occurred.
     """
@@ -148,16 +148,6 @@ def eig_bounds(m: np.ndarray):
         return 0.0, 0.0
     w = np.linalg.eigvalsh(sym(m))
     return w[..., 0][()], w[..., -1][()]     # scalars for one matrix
-
-
-def check_psd(m: np.ndarray, rel: float = 1e-10, name: str = "matrix",
-              t: int | None = None) -> None:
-    """Require min eigenvalue >= -rel * max(eig_max, 1) (per matrix)."""
-    lo, hi = eig_bounds(m)
-    bad = lo < -rel * np.maximum(hi, 1.0)
-    if bad.any():
-        lo = np.min(lo, where=bad, initial=0.0)
-        raise NumericalBreakdown(f"{name} is not PSD (min eig {lo:.3e})", t)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

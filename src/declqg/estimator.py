@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_RTOL, DimMismatch, TimeOutOfRange,
-                   UnsupportedProtocol, as_vector, pinv, sym)
+                   UnsupportedProtocol, as_vector)
 from .coordination import CoordinatedSystem
 from .plant import PlantModel
-from .solver import SolvedStrategy
+from .solver import SolvedStrategy, _filter_sweep
 
 
 # --------------------------------------------------------------------------
@@ -78,19 +78,10 @@ def act(st: EstimatorState, ss: SolvedStrategy, y_local, m_local):
 
 
 def plant_kalman_covariances(plant: PlantModel, rtol: float = DEFAULT_RTOL):
-    """Predictor covariances P_1..P_{T+1} and gains for t = 1..T.
-
-    P_1 = sigma_x; the innovation covariance C P C' + sigma_w is inverted
-    tolerantly so singular observation noise is handled.
-    """
-    P = [plant.sigma_x]
-    gains = []
-    for t in range(1, plant.T + 1):
-        A, C = plant.A[t - 1], plant.C[t - 1]
-        Pt = P[-1]
-        gain = A @ Pt @ C.T @ pinv(sym(C @ Pt @ C.T + plant.sigma_w), rtol)
-        P.append(sym(A @ Pt @ A.T + plant.sigma_w0 - gain @ (C @ Pt @ A.T)))
-        gains.append(gain)
+    """Predictor covariances P_1..P_{T+1} (P_1 = sigma_x) and gains for
+    t = 1..T: the coordinator's square-root sweep, run on the plant."""
+    P, gains, _ = _filter_sweep(plant.A, plant.C, plant.noise_root,
+                                plant.sigma_x, rtol)
     return tuple(P), tuple(gains)
 
 

@@ -11,11 +11,12 @@ indexing; stored sequences use python index ``t - 1``):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (DimMismatch, InvalidMatrix, as_covariance, as_matrix,
-                   as_vector, blkdiag, eig_bounds, read_only)
+                   as_vector, blkdiag, eig_bounds, psd_sqrt, read_only)
 
 
 def _per_step(value, T, rows, cols, name):
@@ -107,6 +108,12 @@ class PlantModel:
             for i in range(n)]))
         return PlantModel(n, T, int(d_x), d_u, d_y, A_seq, B_seq, C_seq,
                           Q, R, sigma_x, sigma_w0, sigma_w)
+
+    @cached_property
+    def noise_root(self) -> np.ndarray:
+        """Root of the covariance of (W0_t, W_t), stored once over t."""
+        root = blkdiag([psd_sqrt(self.sigma_w0), psd_sqrt(self.sigma_w)])
+        return np.broadcast_to(root, (self.T,) + root.shape)
 
     # -- dimension helpers -------------------------------------------------
     @property

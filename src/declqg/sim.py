@@ -4,8 +4,9 @@ brute-force joint-Gaussian conditioning oracle.
 Rollouts share one random stream per block of ``BLOCK`` rollouts: rollout r
 reads row ``r % BLOCK`` of ``seeded_stream(seed, r // BLOCK)``'s rollout-major
 normals.  A row's draws do not depend on how many rows follow it, so results
-are bitwise reproducible and independent of how many rollouts are asked for;
-they differ from versions that drew one stream per rollout.  ``simulate``
+are bitwise reproducible and, while BLAS rounds every block size alike (see
+``simulate``), independent of how many rollouts are asked for; they differ
+from versions that drew one stream per rollout.  ``simulate``
 rolls out one block at a time, so its memory beyond the costs is bounded.
 The plant-form and coordinated-form rollouts can be driven by the same
 primitive draws to check that the coordinated system reproduces the original
@@ -297,7 +298,9 @@ def simulate(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     A partial last block is rolled out with its block's next rows up to a
     multiple of ``ROW_ALIGN``: BLAS kernels (and numpy's one-row products)
     round a product's trailing rows differently from the rest, so a rollout's
-    bits would otherwise depend on how many rollouts follow it.
+    bits would otherwise depend on how many rollouts follow it.  OpenBLAS
+    also rounds small products differently: at d_state = 44, ``count`` = 16
+    or 256 differs in the last bits from the first rows of ``count`` = 8192.
     """
     count = as_index(count, "count")
     sample_count = as_index(sample_count, "sample_count")

@@ -1,13 +1,13 @@
 """Riccati solutions of the coordinator's partially observed LQG problem.
 
-The forward recursion propagates the estimation-error covariance of the
-coordinator's state (X_t, c_t) under process noise correlated with the
-measurement noise; its innovation covariance is generically singular (shared
-increments are often noiseless functions of the state) so updates use the
-tolerant pseudoinverse.  The backward recursion handles the state/control
-cross term with the convention S_{T+1} = 0: no terminal state cost, and the
-final-step gain reduces to -R~^{-1} N~^T.  Covariances and value matrices are
-symmetrized after every step.
+The forward recursion propagates a root of the (so PSD) estimation-error
+covariance of the coordinator's state (X_t, c_t) under process noise
+correlated with the measurement noise; its innovation covariance is
+generically singular (shared increments are often noiseless functions of
+the state) so each step cuts it at a relative rank.  The backward recursion
+handles the state/control cross term with the convention S_{T+1} = 0: no
+terminal state cost, and the final-step gain reduces to -R~^{-1} N~^T.
+Value matrices are symmetrized after every step.
 """
 
 from __future__ import annotations
@@ -16,14 +16,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DEFAULT_RTOL, check_psd, pinv, read_only, solve_pd, sym
+from .core import (DEFAULT_RTOL, NumericalBreakdown, psd_sqrt, read_only,
+                   solve_pd, sym)
 from .coordination import CoordinatedSystem, LocalGains, build
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
 
 
 _STACKED = ("A", "C", "F", "SigW", "SigWV", "SigV", "Q", "N", "noise_cost")
-_SEQUENCES = ("Lgain", "filter_gain", "Ptilde", "S", "Lambda")
+_SEQUENCES = ("Lgain", "filter_gain", "Ptilde", "root", "S", "Lambda")
 
 
 @dataclass(frozen=True)
@@ -34,9 +35,9 @@ class SolvedStrategy:
     ``t - 1`` for step t, except ``filter_gain``, which has T - 1 entries
     (the update into step t + 1 uses ``filter_gain[t - 1]``).  ``Lgain``
     acts on the coordinator's whole state (X_t, c_t), which is also the
-    statistic.  Strategies reloaded from disk carry only the gains; the
-    covariance/value sequences and ``rtol`` are then ``None``.  A stack of
-    gains gives arrays and J its leading axes.
+    statistic; ``Ptilde`` is ``root @ root'``.  Strategies reloaded from
+    disk carry only the gains; the covariance/value sequences and ``rtol``
+    are then ``None``.  A stack of gains gives arrays and J its leading axes.
     """
 
     cs: CoordinatedSystem
@@ -44,14 +45,14 @@ class SolvedStrategy:
     filter_gain: np.ndarray   # (T-1, d_state, d_z)
     J: float
     Ptilde: np.ndarray | None = None   # (T, d_state, d_state)
+    root: np.ndarray | None = None     # (T, d_state, d_state)
     S: np.ndarray | None = None        # (T, d_state, d_state)
     Lambda: np.ndarray | None = None   # (T, d_u, d_state)
-    rtol: float | None = None          # the filter's pseudoinverse cutoff
+    rtol: float | None = None          # the filter's relative rank cutoff
 
     @property
     def Kgain(self) -> np.ndarray:
-        """Read-only alias of ``Lgain``: the coordinator's state is the
-        statistic, so its gain and the statistic's gain are one array."""
+        """Read-only alias of ``Lgain`` (the state is the statistic)."""
         return self.Lgain
 
     @property
@@ -80,42 +81,51 @@ class SolvedStrategy:
         return out
 
 
+def _check_finite(m: np.ndarray, name: str, t: int) -> None:
+    """Raise NumericalBreakdown at step ``t`` unless ``m`` is finite."""
+    if not np.isfinite(m).all():
+        raise NumericalBreakdown(f"{name} is not finite", t)
+
+
+def _filter_sweep(A, C, noise, P1, rtol: float, start: int = 1, lent=None):
+    """Square-root Kalman sweep over the n steps of C: P = R R', gains
+    K_1..K_n, roots R_1..R_{n+1} (of ``P1``, or ``lent``'s up to R_start).
+    ``noise[t-1]`` = (N_w; N_v) is a root of step t's (process, measurement)
+    noise; a = [C R_t, N_v], b = [A R_t, N_w] give a a' = C P C' + V, cut
+    as ``pinv`` cuts it (s^2 > rtol s_max^2 kept), K_t = b V_r S_r^-1 U_r',
+    and a QR gives R_{t+1}, a PSD root of b (I - V_r V_r') b'."""
+    if not rtol > 0:
+        raise ValueError("rtol must be positive")
+    n, d = C.shape[-3], A.shape[-1]
+    roots = np.empty(A.shape[:-3] + (n + 1, d, d))
+    gains = np.empty(roots.shape[:-3] + (n, d, C.shape[-2]))
+    roots[..., :start, :, :] = lent[0][:start] if start > 1 else psd_sqrt(P1)
+    gains[..., :start - 1, :, :] = lent[1][:start - 1] if start > 1 else 0.0
+    AC = np.concatenate([A[..., :n, :, :], C], axis=-2)
+    for t in range(start, n + 1):
+        pre = np.concatenate([AC[..., t - 1, :, :] @ roots[..., t - 1, :, :],
+                              noise[..., t - 1, :, :]], axis=-1)
+        b, a = pre[..., :d, :], pre[..., d:, :]
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        keep = s * s > rtol * s[..., :1] ** 2
+        bv = b @ vh.swapaxes(-1, -2) * keep[..., None, :]
+        gains[..., t - 1, :, :] = (bv / np.where(keep, s, 1.0)[..., None, :]
+                                   @ u.swapaxes(-1, -2))
+        roots[..., t, :, :] = np.linalg.qr(
+            (b - bv @ vh).swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+        _check_finite(roots[..., t, :, :], "filter covariance root", t + 1)
+    return roots @ roots.swapaxes(-1, -2), gains, roots
+
+
 def forward_riccati(cs: CoordinatedSystem, rtol: float = DEFAULT_RTOL,
                     start: int = 1, incumbent: SolvedStrategy | None = None):
-    """Error covariances P~_1..P~_T and filter gains for t = 1..T-1.
-
-    P~_1 is the exact covariance of (X_1, carrier_1); the update into t + 1
-    conditions on the new observation Z_t through its (possibly singular)
-    innovation covariance C P~ C' + V, with the process/measurement cross
-    covariance in the gain.  The Joseph-form update is the error covariance
-    of the gain actually computed, so round-off in the gain moves P~ only to
-    second order.  Every sweep runs over (…, T, ·, ·).
-
-    The sweep runs from step ``start``.  For ``start`` = t_a > 1,
-    P~_1..P~_{t_a} and the gains before t_a are copied from ``incumbent``,
-    one strategy solved at this ``rtol`` whose steps before t_a are those
-    of ``cs``: they depend on nothing later, so the copies are the numbers
-    the sweep itself would compute.
-    """
-    P = np.empty(cs.A.shape[:-3] + (cs.T, cs.d_state, cs.d_state))
-    gains = np.empty(P.shape[:-3] + (cs.T - 1, cs.d_state, cs.d_z))
-    if start == 1:
-        P[..., 0, :, :] = sym(cs.init_cov)
-    else:
-        P[..., :start, :, :] = incumbent.Ptilde[:start]
-        gains[..., :start - 1, :, :] = incumbent.filter_gain[:start - 1]
-    for t in range(start, cs.T):
-        A, C, Pt, K, SWV, V = (a[..., t - 1, :, :] for a in (
-            cs.A, cs.C, P, gains, cs.SigWV, cs.SigV))
-        CT = C.swapaxes(-1, -2)
-        K[...] = (A @ Pt @ CT + SWV) @ pinv(sym(C @ Pt @ CT + V), rtol)
-        Acl, KS = A - K @ C, K @ SWV.swapaxes(-1, -2)
-        P[..., t, :, :] = sym(Acl @ Pt @ Acl.swapaxes(-1, -2)
-                              + cs.SigW[..., t - 1, :, :] - KS
-                              - KS.swapaxes(-1, -2)
-                              + K @ V @ K.swapaxes(-1, -2))
-        check_psd(P[..., t, :, :], 1e-8, "filter covariance", t + 1)
-    return read_only(P), read_only(gains)
+    """P~_1..P~_T = root root' (P~_1 the covariance of (X_1, carrier_1)),
+    filter gains for t = 1..T-1 and the roots, over (…, T, ·, ·), swept
+    from step ``start``: the roots to P~_start and the gains before it are
+    copied from ``incumbent`` (see :func:`solve`)."""
+    return tuple(map(read_only, _filter_sweep(
+        cs.A, cs.C, cs.F @ cs.plant.noise_root, cs.init_cov, rtol, start,
+        incumbent and (incumbent.root, incumbent.filter_gain))))
 
 
 def backward_riccati(cs: CoordinatedSystem, start: int | None = None,
@@ -124,10 +134,8 @@ def backward_riccati(cs: CoordinatedSystem, start: int | None = None,
 
     Runs from S_{T+1} = 0; the control bracket R~ + B~' S B~ is positive
     definite (R is PD) so a true solve is used.  The sweep runs down from
-    step ``start`` (default T).  For ``start`` = t_b < T, S, Lambda and L~
-    of the steps after t_b are copied from ``incumbent``, one solved
-    strategy whose steps after t_b are those of ``cs``.
-    """
+    step ``start`` (default T); S, Lambda and L~ of the steps after it are
+    copied from ``incumbent`` (see :func:`solve`)."""
     T, d, batch = cs.T, cs.d_state, cs.A.shape[:-3]
     start = T if start is None else start
     S = np.empty(batch + (T, d, d))
@@ -146,6 +154,7 @@ def backward_riccati(cs: CoordinatedSystem, start: int | None = None,
         K_t[...] = 0.0 - solve_pd(bracket, lam_t, t=t)   # no -0 entries
         S_t[...] = sym(A.swapaxes(-1, -2) @ S_next @ A + Q
                        + lam_t.swapaxes(-1, -2) @ K_t)
+        _check_finite(S_t, "value matrix", t)   # non-finite if L~_t is
         S_next = S_t
     return read_only(S), read_only(lam), read_only(K)
 
@@ -180,7 +189,7 @@ def _changed_steps(cs: CoordinatedSystem, rtol: float,
     solve, unless ``incumbent`` is one strategy solved for the same plant
     and protocol at this ``rtol``."""
     inc = incumbent
-    if (inc is None or inc.Ptilde is None or inc.rtol != rtol
+    if (inc is None or inc.root is None or inc.rtol != rtol
             or inc.gains.theta.ndim != 1 or inc.cs.plant is not cs.plant
             or inc.cs.protocol is not cs.protocol):
         return 1, cs.T
@@ -208,8 +217,7 @@ def solve(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     """
     cs = build(plant, mp, gains)
     first, last = _changed_steps(cs, rtol, incumbent)
-    ptilde, fgains = forward_riccati(cs, rtol, first, incumbent)
-    s_seq, lam_seq, l_seq = backward_riccati(cs, last, incumbent)
-    J = performance(cs, ptilde, s_seq)
-    return SolvedStrategy(cs=cs, Lgain=l_seq, filter_gain=fgains, J=J,
-                          Ptilde=ptilde, S=s_seq, Lambda=lam_seq, rtol=rtol)
+    P, K, R = forward_riccati(cs, rtol, first, incumbent)
+    S, lam, L = backward_riccati(cs, last, incumbent)
+    return SolvedStrategy(cs=cs, Lgain=L, filter_gain=K, Ptilde=P, root=R,
+                          S=S, Lambda=lam, J=performance(cs, P, S), rtol=rtol)

@@ -181,7 +181,7 @@ def test_criterion_4_filter_matches_bruteforce():
     for p, mp in cases:
         lg = LocalGains.random(p, mp, rng, 0.3)
         cs = build(p, mp, lg)
-        _, fgains = forward_riccati(cs)
+        _, fgains, _ = forward_riccati(cs)
         for use_solved in (False, True):
             if use_solved:
                 thetas = strategy_theta_maps(solve(p, mp, lg))

@@ -119,6 +119,33 @@ def test_numerical_breakdown_exit_code(k2_config, monkeypatch, capsys):
     assert "t=3" in capsys.readouterr().err
 
 
+def _zero_noise(doc):
+    doc["noise"] = {"sigma_x": [[0.0]], "sigma_w0": [[0.0]],
+                    "sigma_w": [[[0.0]], [[0.0]]]}
+
+
+# A = 1e200 overflows the filter's covariance root at t = 3; with no noise
+# the filter stays at zero and the value matrices overflow instead.  numpy
+# warns of the overflow before the sweep's finiteness check raises.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("mutate", [lambda doc: None, _zero_noise],
+                         ids=["noisy", "noiseless"])
+@pytest.mark.parametrize("command", [["solve"], ["tune", "--budget", "20"]],
+                         ids=["solve", "tune"])
+def test_overflow_is_a_breakdown_naming_its_step(mutate, command, tmp_path,
+                                                 capsys):
+    doc = json.loads(json.dumps(DEMOS["scalar-2ctrl-k1"]["config"]))
+    doc["dynamics"]["A"] = [[1e200]]
+    mutate(doc)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    argv = ["--out", str(tmp_path), command[0], str(path), *command[1:]]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical breakdown: ") and "(t=" in err
+
+
 def test_tune_writes_log(k2_config, tmp_path, capsys):
     out = tmp_path / "art"
     assert main(["--out", str(out), "tune", k2_config,

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from declqg.core import (InvalidMatrix, NumericalBreakdown, as_covariance,
-                         as_matrix, blkdiag, check_psd, eig_bounds, pinv,
+                         as_matrix, blkdiag, eig_bounds, pinv,
                          psd_sqrt, seeded_stream, solve_pd, sym)
 
 
@@ -178,7 +178,7 @@ def test_pinv_of_a_stack_is_bitwise_each_matrix():
         pinv(np.where(np.arange(24).reshape(2, 3, 4) == 7, np.nan, 1.0))
 
 
-def test_solve_pd_and_check_psd_on_stacks():
+def test_solve_pd_on_stacks():
     rng = np.random.default_rng(5)
     f = rng.standard_normal((4, 3, 3))
     m = f @ f.swapaxes(-1, -2) + np.eye(3)
@@ -186,11 +186,8 @@ def test_solve_pd_and_check_psd_on_stacks():
     x = solve_pd(m, rhs)
     for i in range(4):
         assert np.array_equal(x[i], solve_pd(m[i], rhs[i]))
-    check_psd(m)
     bad = m.copy()
     bad[2] = -np.eye(3)
-    with pytest.raises(NumericalBreakdown, match="min eig -1.000e"):
-        check_psd(bad, t=4)
     with pytest.raises(NumericalBreakdown) as err:
         solve_pd(bad, rhs, t=7)
     assert err.value.t == 7

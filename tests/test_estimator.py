@@ -136,6 +136,24 @@ def test_plant_kalman_covariance_strategy_independent(scalar2):
             assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("singular_w", [False, True],
+                         ids=["full_rank_w", "rank_deficient_w"])
+def test_plant_predictor_is_the_coordinators_filter_under_one_step_sharing(
+        singular_w):
+    """With one-step delayed sharing the carrier is empty and Z_t is
+    (Y_t, U_t), so at any local gains the coordinator's P~_1..P~_T are the
+    plant predictor's P_1..P_T."""
+    rng = np.random.default_rng(32)
+    p = random_plant(rng, n=2, d_x=3, d_y=(2, 2), T=5, singular_w=singular_w)
+    assert np.linalg.matrix_rank(p.sigma_w) == (2 if singular_w else 4)
+    mp = build_symmetric_delay(p, 1)
+    P, _ = plant_kalman_covariances(p)
+    for scale in (0.0, 0.5):
+        ss = solve(p, mp, LocalGains.random(p, mp, rng, scale))
+        assert ss.cs.d_c == 0
+        assert_allclose(ss.Ptilde, P[:p.T], rtol=0, atol=1e-12)
+
+
 def test_statistic_transition_depends_on_gains(scalar2):
     mp = build_symmetric_delay(scalar2, 2)
     rng = np.random.default_rng(27)

@@ -218,7 +218,7 @@ def run_filter_vs_oracle(p, mp, lg, thetas, seed, tol, relative=False):
     """Recursive filter against joint-Gaussian conditioning on 4 rollouts;
     ``relative`` scales each step's gap by max(1, |oracle estimate|)."""
     cs = build(p, mp, lg)
-    _, fgains = forward_riccati(cs)
+    _, fgains, _ = forward_riccati(cs)
     prims = draw_primitives(p, seed=seed, count=4)
     rb = rollout_plant(p, mp, lg, ZHistoryPolicy(thetas), prims, keep=4)
     omaps = [gaussian_conditioning(cs, thetas, t) for t in range(1, p.T + 1)]
@@ -356,7 +356,7 @@ def _rank_margin(cs, thetas):
     the nearest nonzero singular value of any covariance the filter (each
     innovation C P C' + V) or the oracle (each innovation covariance r r')
     cuts."""
-    P, _ = forward_riccati(cs)
+    P, _, _ = forward_riccati(cs)
     covs = [C @ Pt @ C.T + V for C, Pt, V in zip(cs.C, P, cs.SigV)]
     jg = closed_loop_maps(cs, thetas, cs.T)
     covs += [r @ r.T for r in jg.innovations(cs.T - 1)[0]]

@@ -43,7 +43,7 @@ def test_forward_riccati_deterministic_system_is_zero():
     p = noiseless_plant()
     mp = build_symmetric_delay(p, 1)
     cs = build(p, mp, LocalGains.zeros(p, mp))
-    P, gains = forward_riccati(cs)
+    P, gains, _ = forward_riccati(cs)
     for Pt in P:
         assert_allclose(Pt, 0.0, atol=1e-15)
 
@@ -54,7 +54,7 @@ def test_forward_riccati_open_loop_when_nothing_shared():
     mp = nothing_shared_protocol(p)
     assert mp.d_z == 0
     cs = build(p, mp, LocalGains.zeros(p, mp))
-    P, _ = forward_riccati(cs)
+    P, _, _ = forward_riccati(cs)
     expect = cs.init_cov
     for t in range(1, p.T):
         assert_allclose(P[t - 1], expect, atol=1e-12)
@@ -127,7 +127,7 @@ def test_filter_covariance_matches_bruteforce_error_covariance(scalar2):
     rng = np.random.default_rng(16)
     lg = LocalGains.random(scalar2, mp, rng, 0.3)
     cs = build(scalar2, mp, lg)
-    P, _ = forward_riccati(cs)
+    P, _, _ = forward_riccati(cs)
     thetas = random_theta_maps(cs, rng, 0.2)
     for t in range(1, scalar2.T + 1):
         jg = closed_loop_maps(cs, thetas, t)

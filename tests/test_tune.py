@@ -209,26 +209,28 @@ def _evaluated_thetas(monkeypatch, run):
     return seen
 
 
-def _fail_psd_check_at(monkeypatch, target, t_fail):
-    """Make the filter's PSD check fail at step ``t_fail`` for any system
-    (alone or in a stack) built from the gains vector ``target``."""
-    current, build, check = [], solver_mod.build, solver_mod.check_psd
+def _fail_finite_check_at(monkeypatch, target, t_fail):
+    """Make the sweeps' finiteness check fail at step ``t_fail`` for any
+    system (alone or in a stack) built from the gains vector ``target``.
+    Both sweeps check step ``t_fail`` (the forward one its new covariance
+    root, the backward one its value matrix and gain), so the first of them
+    that reaches it raises."""
+    current, build, check = [], solver_mod.build, solver_mod._check_finite
     raised = []
 
     def tracking(plant, mp, gains):
         current[:] = gains.theta.reshape(-1, gains.theta.shape[-1])
         return build(plant, mp, gains)
 
-    def failing(m, *args, **kwargs):
-        t = args[2] if len(args) > 2 else kwargs.get("t")
+    def failing(m, name, t):
         if t == t_fail and any(np.array_equal(row, target)
                                for row in current):
             raised.append(len(current))
-            raise NumericalBreakdown("filter covariance is not PSD", t)
-        return check(m, *args, **kwargs)
+            raise NumericalBreakdown("injected breakdown", t)
+        return check(m, name, t)
 
     monkeypatch.setattr(solver_mod, "build", tracking)
-    monkeypatch.setattr(solver_mod, "check_psd", failing)
+    monkeypatch.setattr(solver_mod, "_check_finite", failing)
     return raised
 
 
@@ -250,7 +252,7 @@ def test_breakdown_past_the_accepted_candidate_is_not_raised(monkeypatch):
                    if not any(np.array_equal(th, r) for r in ref_seen)]
     assert speculative, "no candidate was solved only speculatively"
     ref = _sequential_tune(p, mp, BREAKDOWN_BUDGET)
-    raised = _fail_psd_check_at(monkeypatch, speculative[0], t_fail=3)
+    raised = _fail_finite_check_at(monkeypatch, speculative[0], t_fail=3)
     _assert_same_as_reference(tune(p, mp, budget=BREAKDOWN_BUDGET), ref)
     assert raised and raised[0] > 1     # a stack failed and was redone
 
@@ -261,7 +263,7 @@ def test_breakdown_of_a_charged_candidate_is_raised_at_its_step(
     p, mp = _breakdown_case()
     ref_seen = _evaluated_thetas(
         monkeypatch, lambda: _sequential_tune(p, mp, BREAKDOWN_BUDGET))
-    _fail_psd_check_at(monkeypatch, ref_seen[position], t_fail=3)
+    _fail_finite_check_at(monkeypatch, ref_seen[position], t_fail=3)
     with pytest.raises(NumericalBreakdown) as ref_err:
         _sequential_tune(p, mp, BREAKDOWN_BUDGET)
     with pytest.raises(NumericalBreakdown) as err:
@@ -299,7 +301,7 @@ def test_breakdown_in_a_window_past_step_one_is_raised_at_its_step(
         (rows[0], start) for rows, start in sweeps
         if rows.shape[0] > 1 and 1 < start < p.T
         and any(np.array_equal(rows[0], r) for r in ref_seen))
-    _fail_psd_check_at(monkeypatch, target, t_fail=t_a + 1)
+    _fail_finite_check_at(monkeypatch, target, t_fail=t_a + 1)
     with pytest.raises(NumericalBreakdown) as ref_err:
         _sequential_tune(p, mp, BREAKDOWN_BUDGET)
     with pytest.raises(NumericalBreakdown) as err:
