@@ -67,10 +67,12 @@ print(f"|J - exact| = {abs(ss.J - exact):.2e},  "
 
 # The innovation covariance is singular by construction (shared increments
 # are noiseless functions of the state), which is why the filter cuts each
-# innovation at a relative rank.
+# innovation at a relative rank.  The measurement noise's covariance is read
+# from its root, the last d_z rows of cs.noise.
 P, _, _ = dq.forward_riccati(cs)
 t = 3
-innov_cov = cs.C[t - 1] @ P[t - 1] @ cs.C[t - 1].T + cs.SigV[t - 1]
+noise_v = cs.noise[t - 1, cs.d_state:]
+innov_cov = cs.C[t - 1] @ P[t - 1] @ cs.C[t - 1].T + noise_v @ noise_v.T
 eigs = np.linalg.eigvalsh(innov_cov)
 print(f"\ninnovation covariance eigenvalues at t={t}: "
       + np.array2string(eigs, precision=6))

@@ -588,6 +588,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if not args.tolerance > 0:      # also rejects nan
+            raise ConfigError("--tolerance",
+                              f"must be > 0, got {args.tolerance}")
         return args.func(args)
     except ConfigError as e:
         print(f"config error at {e.field}: {e.message}", file=sys.stderr)

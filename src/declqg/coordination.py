@@ -114,18 +114,18 @@ class CoordinatedSystem:
     """The coordinator's system on xi_t = (X_t, c_t); every sequence is one
     read-only array over t (T entries, or T-1), indexed at offset ``t-1``.
 
-    ``A[t-1]``/``B[t-1]`` propagate xi into step t+1 under process noise of
-    covariance ``SigW[t-1]``; the t = T entries are only ever multiplied
-    into the zero terminal value matrix.  ``C[t-1]`` (t = 1..T-1) maps xi_t
-    to Z_t, the observation received at t+1; its measurement noise has
-    covariance ``SigV[t-1]`` and cross covariance ``SigWV[t-1]`` with the
-    process noise.  ``F[t-1]`` maps (W0_t, W_t) to (process noise,
-    measurement noise).  ``Q[t-1]``/``N[t-1]`` weight step t and
-    ``noise_cost[t-1]`` = tr(G_t' R G_t sigma_w) is its constant.  The
-    step-invariant maps are read where they are stored: Ut~'s share of Z_t
-    is ``protocol.zu`` and the control weight is ``plant.R``.  For a stack
-    of gains every gain-dependent array carries its leading axes; ``B`` and
-    ``init_cov`` are shared by the stack.
+    ``A[t-1]``/``B[t-1]`` propagate xi into step t+1; the t = T entries are
+    only ever multiplied into the zero terminal value matrix.  ``C[t-1]``
+    (t = 1..T-1) maps xi_t to Z_t, the observation received at t+1.
+    ``F[t-1]`` maps (W0_t, W_t) to (process noise, measurement noise), and
+    ``noise[t-1]`` = F_t ``plant.noise_root`` is a root (N_w; N_v) of their
+    covariance, and ``init_root`` one of xi_1's, blkdiag(x1_root, 0).
+    ``Q[t-1]``/``N[t-1]`` weight step t and ``noise_cost[t-1]`` =
+    tr(G_t' R G_t sigma_w) is its constant.  The step-invariant maps are
+    read where they are stored: Ut~'s share of Z_t is ``protocol.zu`` and
+    the control weight is ``plant.R``.  For a stack of gains every
+    gain-dependent array carries its leading axes; ``B`` and ``init_root``
+    are shared by the stack.
     """
 
     plant: PlantModel
@@ -139,13 +139,11 @@ class CoordinatedSystem:
     B: np.ndarray           # (T, d_state, d_u)
     C: np.ndarray           # (T-1, d_z, d_state)
     F: np.ndarray           # (T, d_state + d_z, d_x + sum d_y)
-    SigW: np.ndarray        # (T, d_state, d_state)
-    SigWV: np.ndarray       # (T-1, d_state, d_z)
-    SigV: np.ndarray        # (T-1, d_z, d_z)
+    noise: np.ndarray       # (T, d_state + d_z, d_x + sum d_y)
     Q: np.ndarray           # (T, d_state, d_state)
     N: np.ndarray           # (T, d_state, d_u)
     noise_cost: np.ndarray  # (T,)
-    init_cov: np.ndarray
+    init_root: np.ndarray   # (d_state, d_state)
 
     @property
     def d_state(self) -> int:
@@ -183,8 +181,6 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
     F = np.zeros(batch + (T, d + d_z, d_x + d_y))
     F[..., :d_x, :d_x] = np.eye(d_x)
     F[..., d_x:] = step[..., d:]
-    cov = sym(F @ blkdiag([plant.sigma_w0, plant.sigma_w])
-              @ F.swapaxes(-1, -2))
     N = loc.swapaxes(-1, -2) @ plant.R
     Q = N @ loc
     Q[..., :d_x, :d_x] += plant.Q
@@ -193,11 +189,9 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
         plant=plant, protocol=mp, gains=gains, d_x=d_x, d_c=d_c, d_u=d_u,
         d_z=d_z, A=read_only(step[..., :d, :d]), B=read_only(to_u[:, :d]),
         C=read_only(step[..., :-1, d:, :d]), F=read_only(F),
-        SigW=read_only(cov[..., :d, :d]),
-        SigWV=read_only(cov[..., :-1, :d, d:]),
-        SigV=read_only(cov[..., :-1, d:, d:]), Q=read_only(sym(Q)),
+        noise=read_only(F @ plant.noise_root), Q=read_only(sym(Q)),
         N=read_only(N), noise_cost=read_only(noise_cost),
-        init_cov=read_only(blkdiag([plant.sigma_x, np.zeros((d_c, d_c))])))
+        init_root=read_only(blkdiag([plant.x1_root, np.zeros((d_c, d_c))])))
 
 
 def closed_loop_cost_exact(cs: CoordinatedSystem, l_seq,
@@ -205,8 +199,8 @@ def closed_loop_cost_exact(cs: CoordinatedSystem, l_seq,
     """Exact expected cost of Ut~ = L~_t (state estimate) under the filter.
 
     Propagates the joint second moment of (state, estimate) through the linear
-    closed loop, with the process noise correlated with the gain-weighted
-    measurement noise; no sampling error.  ``filter_gains`` are the forward
+    closed loop, adding each step's correlated noise as r r' with
+    r = (N_w; K N_v); no sampling error.  ``filter_gains`` are the forward
     Riccati gains of the estimator the strategy runs.
     """
     T, d = cs.T, cs.d_state
@@ -215,7 +209,7 @@ def closed_loop_cost_exact(cs: CoordinatedSystem, l_seq,
     for t in range(1, T + 1):
         as_matrix(l_seq[t - 1], cs.d_u, d, f"L[t={t}]")
     cov = np.zeros((2 * d, 2 * d))
-    cov[:d, :d] = cs.init_cov
+    cov[:d, :d] = cs.init_root @ cs.init_root.T
     total = 0.0
     for t in range(1, T + 1):
         L = np.asarray(l_seq[t - 1], dtype=float)
@@ -235,12 +229,7 @@ def closed_loop_cost_exact(cs: CoordinatedSystem, l_seq,
         M[:d, d:] = B @ L
         M[d:, :d] = GC
         M[d:, d:] = A + B @ L - GC
-        cov = M @ cov @ M.T
-        # process noise w enters the state, gain @ v the estimate
-        cross = cs.SigWV[t - 1] @ gain.T
-        cov[:d, :d] += cs.SigW[t - 1]
-        cov[:d, d:] += cross
-        cov[d:, :d] += cross.T
-        cov[d:, d:] += gain @ cs.SigV[t - 1] @ gain.T
-        cov = sym(cov)
+        noise = cs.noise[t - 1]
+        r = np.concatenate([noise[:d], gain @ noise[d:]])
+        cov = sym(M @ cov @ M.T + r @ r.T)
     return total

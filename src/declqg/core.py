@@ -31,7 +31,7 @@ class TimeOutOfRange(IndexError):
 
 
 class InvalidDelay(ValueError):
-    """Raised for sharing delays < 1 or incompatible with the horizon."""
+    """Raised for non-integer delays, delays < 1 or beyond the horizon."""
 
 
 class WrongControllerCount(ValueError):

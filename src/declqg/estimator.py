@@ -81,7 +81,7 @@ def plant_kalman_covariances(plant: PlantModel, rtol: float = DEFAULT_RTOL):
     """Predictor covariances P_1..P_{T+1} (P_1 = sigma_x) and gains for
     t = 1..T: the coordinator's square-root sweep, run on the plant."""
     P, gains, _ = _filter_sweep(plant.A, plant.C, plant.noise_root,
-                                plant.sigma_x, rtol)
+                                plant.x1_root, rtol)
     return tuple(P), tuple(gains)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DimMismatch, InvalidDelay, UnsupportedProtocol,
-                   WrongControllerCount, as_matrix, blkdiag)
+                   WrongControllerCount, as_index, as_matrix, blkdiag)
 from .plant import PlantModel
 
 BLOCK_NAMES = ("mm", "my", "mu", "zm", "zy", "zu")
@@ -41,18 +41,22 @@ class DelayGraph:
 
     @staticmethod
     def create(k) -> "DelayGraph":
-        k = np.asarray(k)
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        try:
+            rows = [[as_index(v, "delay") for v in row] for row in k]
+        except TypeError:       # not a nested sequence
+            raise DimMismatch("delay matrix must be square") from None
+        except ValueError as e:
+            raise InvalidDelay(str(e)) from None
+        if not rows or any(len(row) != len(rows) for row in rows):
             raise DimMismatch("delay matrix must be square")
-        if not np.issubdtype(k.dtype, np.integer):
-            if not np.all(k == np.round(k)):
-                raise InvalidDelay("delays must be integers")
-            k = k.astype(int)
+        try:
+            k = np.array(rows, dtype=int)
+        except OverflowError:       # longer than any horizon
+            raise InvalidDelay("delays must fit in an int64") from None
         if (k < 1).any():
             raise InvalidDelay("all delays must be >= 1")
         if not np.all(np.diag(k) == 1):
             raise InvalidDelay("self delays k[i][i] must equal 1")
-        k = k.copy()
         k.flags.writeable = False
         return DelayGraph(k.shape[0], k)
 
@@ -254,7 +258,7 @@ def build_symmetric_delay(plant: PlantModel, k: int) -> MemoryProtocol:
     first; each step the oldest pair is broadcast.  For k = 1 the local
     memory is empty and the current pair is shared immediately.
     """
-    k = int(k)
+    k = as_index(k, "k")
     if k < 1:
         raise InvalidDelay(f"sharing delay must be >= 1, got {k}")
     if k > plant.T:

@@ -15,8 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DimMismatch, InvalidMatrix, as_covariance, as_matrix,
-                   as_vector, blkdiag, eig_bounds, psd_sqrt, read_only)
+from .core import (DimMismatch, InvalidMatrix, as_covariance, as_index,
+                   as_matrix, as_vector, blkdiag, eig_bounds, psd_sqrt,
+                   read_only)
 
 
 def _per_step(value, T, rows, cols, name):
@@ -74,13 +75,12 @@ class PlantModel:
     def create(n, T, d_x, d_u, d_y, A, B, C, Q, R,
                sigma_x, sigma_w0, sigma_w) -> "PlantModel":
         """Build and validate a plant from per-controller ``C`` and
-        ``sigma_w``.  Constant matrices broadcast over t."""
-        n = int(n)
-        T = int(T)
+        ``sigma_w``; integer dims, constant matrices broadcast over t."""
+        n, T, d_x = as_index(n, "n"), as_index(T, "T"), as_index(d_x, "d_x")
         if n < 1 or T < 1:
             raise DimMismatch("need n >= 1 controllers and horizon T >= 1")
-        d_u = tuple(int(d) for d in d_u)
-        d_y = tuple(int(d) for d in d_y)
+        d_u = tuple(as_index(d, "d_u") for d in d_u)
+        d_y = tuple(as_index(d, "d_y") for d in d_y)
         if len(d_u) != n or len(d_y) != n:
             raise DimMismatch("d_u and d_y must list one dim per controller")
         du = sum(d_u)
@@ -106,8 +106,13 @@ class PlantModel:
         sigma_w = read_only(blkdiag([
             as_covariance(sigma_w[i], d_y[i], f"sigma_w[{i}]")
             for i in range(n)]))
-        return PlantModel(n, T, int(d_x), d_u, d_y, A_seq, B_seq, C_seq,
+        return PlantModel(n, T, d_x, d_u, d_y, A_seq, B_seq, C_seq,
                           Q, R, sigma_x, sigma_w0, sigma_w)
+
+    @cached_property
+    def x1_root(self) -> np.ndarray:
+        """Root of ``sigma_x``, the covariance of X_1."""
+        return read_only(psd_sqrt(self.sigma_x))
 
     @cached_property
     def noise_root(self) -> np.ndarray:

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_RTOL, DimMismatch, as_index, blkdiag, psd_sqrt,
-                   seeded_stream)
+from .core import DEFAULT_RTOL, DimMismatch, as_index, seeded_stream
 from . import coordination
 from .coordination import CoordinatedSystem, LocalGains
 from .estimator import statistic_transition
@@ -60,7 +59,8 @@ def draw_primitives(plant: PlantModel, seed: int, count: int, *,
     """Draw primitives for rollouts [start, start + count).
 
     Each rollout's normals, in the order (X_1, then (W0_t, W_t) for
-    t = 1..T), are one row of its block's stream; see the module docstring.
+    t = 1..T), are one row of its block's stream (see the module
+    docstring), scaled by the plant's ``x1_root`` and ``noise_root``.
     """
     count, start = as_index(count, "count"), as_index(start, "start")
     if count < 0 or start < 0:
@@ -75,9 +75,10 @@ def draw_primitives(plant: PlantModel, seed: int, count: int, *,
         stream.standard_normal((lo - b * BLOCK, total))    # rows before start
         stream.standard_normal(out=raw[lo - start:hi - start])
     steps = raw[:, d_x:].reshape(count, T, d_x + d_y).swapaxes(0, 1)
-    return Primitives(x1=raw[:, :d_x] @ psd_sqrt(plant.sigma_x).T,
-                      w0=steps[..., :d_x] @ psd_sqrt(plant.sigma_w0).T,
-                      wy=steps[..., d_x:] @ psd_sqrt(plant.sigma_w).T)
+    root = plant.noise_root[0]
+    return Primitives(x1=raw[:, :d_x] @ plant.x1_root.T,
+                      w0=steps[..., :d_x] @ root[:d_x, :d_x].T,
+                      wy=steps[..., d_x:] @ root[d_x:, d_x:].T)
 
 
 # --------------------------------------------------------------------------
@@ -341,32 +342,32 @@ def exact_cost(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
 
 @dataclass(frozen=True)
 class JointGaussian:
-    """Linear maps from the stacked primitives plus their covariance.
+    """Linear maps from the stacked unit-variance primitives.
 
-    The primitive vector stacks (X_1, W0_{1:T}, W^{1:n}_{1:T}); every induced
-    signal is a linear image of it, so covariances of any pair of signals are
-    ``La cov Lb'``.
+    The primitive vector stacks the normals ``draw_primitives`` scales, in
+    its order (X_1, then (W0_t, W_t) for t = 1..T); every induced signal is
+    a linear image of it, so the covariance of any pair is ``La Lb'``.
     """
 
-    cov_prim: np.ndarray
     xtilde: tuple[np.ndarray, ...]   # maps for (X_t, c_t), t = 1..t_max
     ytilde: tuple[np.ndarray, ...]   # maps for Z_t, t = 1..t_max-1
     utilde: tuple[np.ndarray, ...]
 
     def cov(self, La, Lb) -> np.ndarray:
-        return La @ self.cov_prim @ Lb.T
+        return La @ Lb.T
 
     def innovations(self, count: int, rtol: float = DEFAULT_RTOL):
-        """``(rs, q, c)``: rs[s-1] is Z_s's map times a root of cov_prim
-        less (twice, for round-off) its projection on q's rows so far, so
-        Cov(innovation) = r r'; q gathers r's right singular vectors above
-        the ``rtol`` cutoff on r r'; c maps stacked Z_1..Z_count to the
-        unit-variance coordinates along q."""
-        root, ys = psd_sqrt(self.cov_prim), self.ytilde[:count]
+        """``(rs, q, c)``: rs[s-1] is Z_s's map less (twice, for round-off)
+        its projection on q's rows so far, so Cov(innovation) = r r'; q
+        gathers r's right singular vectors above the ``rtol`` cutoff on
+        r r'; c maps stacked Z_1..Z_count to the unit-variance coordinates
+        along q."""
+        ys = self.ytilde[:count]
         starts = np.cumsum([0] + [len(y) for y in ys])
-        rs, q, c = [], np.zeros((0, len(root))), np.zeros((0, starts[-1]))
+        rs, c = [], np.zeros((0, starts[-1]))
+        q = np.zeros((0, self.xtilde[0].shape[1]))
         for y, start in zip(ys, starts):
-            r, rc = y @ root, np.eye(len(y), starts[-1], start)
+            r, rc = y, np.eye(len(y), starts[-1], start)
             for _ in range(2):
                 g = r @ q.T
                 r, rc = r - g @ q, rc - g @ c
@@ -380,17 +381,13 @@ class JointGaussian:
 
 def closed_loop_maps(cs: CoordinatedSystem, thetas, t_max: int
                      ) -> JointGaussian:
-    """Compose the closed loop (under history maps ``thetas``) lazily to t_max."""
+    """Compose the closed loop (under history maps ``thetas``) lazily to
+    t_max; the roots ``cs.init_root`` and ``cs.noise`` are folded in."""
     plant, d = cs.plant, cs.d_state
-    d_x, d_y, T = plant.d_x, plant.d_y_total, plant.T
-    d_prim = d_x + T * (d_x + d_y)
-    eye = np.eye(d_prim)
-
-    def noise_sel(s):   # rows of (W0_s, W_s) in the primitive vector
-        w0, wy = s * d_x, (T + 1) * d_x + (s - 1) * d_y
-        return np.vstack([eye[w0:w0 + d_x], eye[wy:wy + d_y]])
-
-    xmap = np.vstack([eye[:d_x], np.zeros((d - d_x, d_prim))])
+    d_x, d_w = plant.d_x, plant.d_x + plant.d_y_total
+    d_prim = d_x + plant.T * d_w
+    xmap = np.zeros((d, d_prim))
+    xmap[:, :d_x] = cs.init_root[:, :d_x]
     xmaps, ymaps, umaps = [xmap], [], []
     hist = np.zeros((0, d_prim))
     for s in range(1, t_max + 1):
@@ -398,16 +395,15 @@ def closed_loop_maps(cs: CoordinatedSystem, thetas, t_max: int
         umaps.append(umap)
         if s == t_max:
             break
-        noise = cs.F[s - 1] @ noise_sel(s)
+        noise = np.zeros((d + cs.d_z, d_prim))   # on (W0_s, W_s)'s normals
+        noise[:, d_x + (s - 1) * d_w:d_x + s * d_w] = cs.noise[s - 1]
         ymap = cs.C[s - 1] @ xmaps[-1] + cs.protocol.zu @ umap + noise[d:]
         ymaps.append(ymap)
         hist = np.vstack([hist, ymap])
         xmaps.append(cs.A[s - 1] @ xmaps[-1] + cs.B[s - 1] @ umap
                      + noise[:d])
-    cov_prim = blkdiag([plant.sigma_x] + [plant.sigma_w0] * T
-                       + [plant.sigma_w] * T)
-    return JointGaussian(cov_prim=cov_prim, xtilde=tuple(xmaps),
-                         ytilde=tuple(ymaps), utilde=tuple(umaps))
+    return JointGaussian(xtilde=tuple(xmaps), ytilde=tuple(ymaps),
+                         utilde=tuple(umaps))
 
 
 def gaussian_conditioning(cs: CoordinatedSystem, thetas, t: int,
@@ -420,4 +416,4 @@ def gaussian_conditioning(cs: CoordinatedSystem, thetas, t: int,
     """
     jg = closed_loop_maps(cs, thetas, t)
     _, q, c = jg.innovations(t - 1, rtol)
-    return jg.xtilde[t - 1] @ psd_sqrt(jg.cov_prim) @ q.T @ c
+    return jg.xtilde[t - 1] @ q.T @ c

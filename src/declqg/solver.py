@@ -16,14 +16,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (DEFAULT_RTOL, NumericalBreakdown, psd_sqrt, read_only,
-                   solve_pd, sym)
+from .core import DEFAULT_RTOL, NumericalBreakdown, read_only, solve_pd, sym
 from .coordination import CoordinatedSystem, LocalGains, build
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
 
 
-_STACKED = ("A", "C", "F", "SigW", "SigWV", "SigV", "Q", "N", "noise_cost")
+_STACKED = ("A", "C", "F", "noise", "Q", "N", "noise_cost")
 _SEQUENCES = ("Lgain", "filter_gain", "Ptilde", "root", "S", "Lambda")
 
 
@@ -87,9 +86,9 @@ def _check_finite(m: np.ndarray, name: str, t: int) -> None:
         raise NumericalBreakdown(f"{name} is not finite", t)
 
 
-def _filter_sweep(A, C, noise, P1, rtol: float, start: int = 1, lent=None):
+def _filter_sweep(A, C, noise, R1, rtol: float, start: int = 1, lent=None):
     """Square-root Kalman sweep over the n steps of C: P = R R', gains
-    K_1..K_n, roots R_1..R_{n+1} (of ``P1``, or ``lent``'s up to R_start).
+    K_1..K_n, roots R_1..R_{n+1} (``R1``, or ``lent``'s up to R_start).
     ``noise[t-1]`` = (N_w; N_v) is a root of step t's (process, measurement)
     noise; a = [C R_t, N_v], b = [A R_t, N_w] give a a' = C P C' + V, cut
     as ``pinv`` cuts it (s^2 > rtol s_max^2 kept), K_t = b V_r S_r^-1 U_r',
@@ -99,7 +98,7 @@ def _filter_sweep(A, C, noise, P1, rtol: float, start: int = 1, lent=None):
     n, d = C.shape[-3], A.shape[-1]
     roots = np.empty(A.shape[:-3] + (n + 1, d, d))
     gains = np.empty(roots.shape[:-3] + (n, d, C.shape[-2]))
-    roots[..., :start, :, :] = lent[0][:start] if start > 1 else psd_sqrt(P1)
+    roots[..., :start, :, :] = lent[0][:start] if start > 1 else R1
     gains[..., :start - 1, :, :] = lent[1][:start - 1] if start > 1 else 0.0
     AC = np.concatenate([A[..., :n, :, :], C], axis=-2)
     for t in range(start, n + 1):
@@ -119,12 +118,12 @@ def _filter_sweep(A, C, noise, P1, rtol: float, start: int = 1, lent=None):
 
 def forward_riccati(cs: CoordinatedSystem, rtol: float = DEFAULT_RTOL,
                     start: int = 1, incumbent: SolvedStrategy | None = None):
-    """P~_1..P~_T = root root' (P~_1 the covariance of (X_1, carrier_1)),
-    filter gains for t = 1..T-1 and the roots, over (…, T, ·, ·), swept
-    from step ``start``: the roots to P~_start and the gains before it are
-    copied from ``incumbent`` (see :func:`solve`)."""
+    """P~_1..P~_T = root root' (root_1 = ``cs.init_root``), filter gains
+    for t = 1..T-1 and the roots, over (…, T, ·, ·), swept from step
+    ``start``: the roots to P~_start and the gains before it are copied
+    from ``incumbent`` (see :func:`solve`)."""
     return tuple(map(read_only, _filter_sweep(
-        cs.A, cs.C, cs.F @ cs.plant.noise_root, cs.init_cov, rtol, start,
+        cs.A, cs.C, cs.noise, cs.init_root, rtol, start,
         incumbent and (incumbent.root, incumbent.filter_gain))))
 
 
@@ -162,9 +161,10 @@ def backward_riccati(cs: CoordinatedSystem, start: int | None = None,
 def performance(cs: CoordinatedSystem, ptilde, s_seq):
     """Predicted expected total cost of the optimal coordinator strategy.
 
-    J = sum_t tr[P~_t Q~_t] + c_t + tr[(SigW_t + A~_t P~_t A~_t' - P~_{t+1})
-    S_{t+1}], with c_t the step's ``noise_cost`` and S_{T+1} = 0, so the
-    final noise term vanishes; one J per system.
+    J = sum_t tr[P~_t Q~_t] + c_t + tr[(N_w N_w' + A~_t P~_t A~_t' - P~_{t+1})
+    S_{t+1}], with c_t the step's ``noise_cost``, N_w the process noise's
+    root (``noise``'s first d_state rows) and S_{T+1} = 0, so the final
+    noise term vanishes; one J per system.
     """
     terms = np.zeros(ptilde.shape[:-3] + (2 * cs.T,))   # 0, tr_1, noise_1, ..
     for s in range(0, cs.T, 8):     # 8 steps at a time keep temporaries small
@@ -173,7 +173,8 @@ def performance(cs: CoordinatedSystem, ptilde, s_seq):
         terms[..., 2 * s + 1:2 * e:2] = np.trace(
             P @ cs.Q[..., s:e, :, :], axis1=-2, axis2=-1) \
             + cs.noise_cost[..., s:e]
-        gamma = (cs.SigW[..., s:m, :, :]
+        nw = cs.noise[..., s:m, :cs.d_state, :]
+        gamma = (nw @ nw.swapaxes(-1, -2)
                  + A @ P[..., :m - s, :, :] @ A.swapaxes(-1, -2)
                  - ptilde[..., s + 1:m + 1, :, :])
         terms[..., 2 * s + 2:2 * m + 1:2] = np.sum(

@@ -528,6 +528,18 @@ def test_out_of_range_count_or_seed_flag_rejected(argv, flag, k2_config,
     assert f"config error at {flag}: must be >= " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+@pytest.mark.parametrize("command", ["solve", "tune", "demo"])
+def test_non_positive_tolerance_rejected(command, value, k2_config, tmp_path,
+                                         capsys):
+    args = {"solve": [k2_config], "tune": [k2_config, "--budget", "3"],
+            "demo": ["scalar-2ctrl-k1"]}[command]
+    argv = ["--out", str(tmp_path), "--tolerance", value, command, *args]
+    assert main(argv) == 2
+    assert "config error at --tolerance: must be > 0" in \
+        capsys.readouterr().err
+
+
 def test_zero_is_a_valid_seed_restart_count_and_sample_count(k2_config,
                                                              tmp_path):
     out = str(tmp_path)

@@ -49,13 +49,14 @@ def test_scalar_single_controller_hand_expansion():
     # Z_t = (Y_t, U_t) observed at t+1, with measurement noise (W_t, g W_t)
     assert_allclose(cs.C[0], [[c], [g * c]])
     assert_allclose(cs.protocol.zu, [[0.0], [1.0]])
-    assert_allclose(cs.SigW[0], [[0.5 + b * b * g * g * 0.2]])
-    assert_allclose(cs.SigWV[0], [[b * g * 0.2, b * g * g * 0.2]])
-    assert_allclose(cs.SigV[0], [[0.2, g * 0.2], [g * 0.2, g * g * 0.2]])
+    sig = cs.noise[0] @ cs.noise[0].T
+    assert_allclose(sig[:1, :1], [[0.5 + b * b * g * g * 0.2]])
+    assert_allclose(sig[:1, 1:], [[b * g * 0.2, b * g * g * 0.2]])
+    assert_allclose(sig[1:, 1:], [[0.2, g * 0.2], [g * 0.2, g * g * 0.2]])
     assert_allclose(cs.Q[0], [[1.0 + g * g * c * c]])
     assert_allclose(cs.N[0], [[g * c]])
     assert_allclose(cs.noise_cost, [g * g * 0.2] * 3)
-    assert_allclose(cs.init_cov, [[1.0]])
+    assert_allclose(cs.init_root @ cs.init_root.T, [[1.0]])
 
 
 @pytest.mark.parametrize("time_varying", [False, True])
@@ -119,9 +120,10 @@ def test_sigw_matches_noise_map_rebuild():
                       [np.zeros((mp.d_z, p.d_x)), mp.zy + mp.zu @ G]])
         assert_allclose(cs.F[t - 1], F, atol=1e-14)
         sig = F @ blkdiag([p.sigma_w0, p.sigma_w]) @ F.T
-        assert_allclose(cs.SigW[t - 1], sig[:d, :d], atol=1e-14)
-        assert_allclose(cs.SigWV[t - 1], sig[:d, d:], atol=1e-14)
-        assert_allclose(cs.SigV[t - 1], sig[d:, d:], atol=1e-14)
+        nn = cs.noise[t - 1] @ cs.noise[t - 1].T
+        assert_allclose(nn[:d, :d], sig[:d, :d], atol=1e-14)
+        assert_allclose(nn[:d, d:], sig[:d, d:], atol=1e-14)
+        assert_allclose(nn[d:, d:], sig[d:, d:], atol=1e-14)
         assert cs.noise_cost[t - 1] == pytest.approx(
             np.trace(G.T @ p.R @ G @ p.sigma_w), rel=1e-13)
 
@@ -145,11 +147,10 @@ def _build_per_step(p, mp, lg):
     """The per-step assembly ``build`` batches over t, one step at a time."""
     d_x, d_y, d_c, d_z = p.d_x, p.d_y_total, mp.d_carrier, mp.d_z
     d = d_x + d_c
-    noise = blkdiag([p.sigma_w0, p.sigma_w])
     cz_y, cz_c = np.vstack([mp.cy, mp.zy]), np.vstack([mp.cc, mp.zc])
     to_u = np.vstack([mp.cu, mp.zu])
-    out = {k: [] for k in ("A", "B", "C", "F", "SigW", "SigWV", "SigV", "Q",
-                           "N", "noise_cost")}
+    out = {k: [] for k in ("A", "B", "C", "F", "noise", "Q", "N",
+                           "noise_cost")}
     for t in range(1, p.T + 1):
         G, C_t = lg.G[t - 1], p.C[t - 1]
         loc = np.hstack([G @ C_t, lg.H[t - 1] @ mp.m_sel])
@@ -163,21 +164,18 @@ def _build_per_step(p, mp, lg):
         F = np.zeros((d + d_z, d_x + d_y))
         F[:d_x, :d_x] = np.eye(d_x)
         F[:, d_x:] = step[:, d:]
-        cov = sym(F @ noise @ F.T)
         N = loc.T @ p.R
         Q = N @ loc
         Q[:d_x, :d_x] += p.Q
         out["A"].append(step[:d, :d])
         out["B"].append(B[:d])
         out["F"].append(F)
-        out["SigW"].append(cov[:d, :d])
+        out["noise"].append(F @ p.noise_root[t - 1])
         out["Q"].append(sym(Q))
         out["N"].append(N)
         out["noise_cost"].append(np.sum(G * (p.R @ G @ p.sigma_w)))
         if t < p.T:
             out["C"].append(step[d:, :d])
-            out["SigWV"].append(cov[:d, d:])
-            out["SigV"].append(cov[d:, d:])
     return out
 
 
@@ -197,8 +195,8 @@ def test_build_bitwise_equals_per_step_assembly(T, time_varying, kind):
         assert batched.shape[0] == len(seq)
         for t, ref in enumerate(seq):
             assert np.array_equal(batched[t], ref), (name, t + 1)
-    assert np.array_equal(cs.init_cov,
-                          blkdiag([p.sigma_x, np.zeros((mp.d_carrier,) * 2)]))
+    assert np.array_equal(cs.init_root,
+                          blkdiag([p.x1_root, np.zeros((mp.d_carrier,) * 2)]))
 
 
 def test_build_rejects_mismatched_protocol():
@@ -255,7 +253,8 @@ def test_control_sharing_observation_reads_only_actions():
     for t in range(2, p.T + 1):
         G = lg.G[t - 2]
         assert_allclose(cs.C[t - 2], G @ p.C[t - 2])
-        assert_allclose(cs.SigV[t - 2], G @ p.sigma_w @ G.T)
+        noise_v = cs.noise[t - 2, cs.d_state:]
+        assert_allclose(noise_v @ noise_v.T, G @ p.sigma_w @ G.T)
         assert_allclose(cs.protocol.zu, np.eye(cs.d_u))
 
 
@@ -348,11 +347,10 @@ def test_gains_views_are_read_only():
     cs = build(p, mp, lg)
     arrays = [lg.theta, lg.G, lg.H, _block(p, mp, lg, "G", 0, 0),
               _block(p, mp, lg, "H", 2, 1), p.Q, p.R, p.sigma_x, p.sigma_w0,
-              p.sigma_w, p.A, p.B, p.C, *p.A, *p.B, *p.C, cs.init_cov]
-    for seq in (cs.A, cs.B, cs.C, cs.F, cs.SigW, cs.SigWV, cs.SigV, cs.Q,
-                cs.N):
-        per_obs = any(seq is s for s in (cs.C, cs.SigWV, cs.SigV))
-        assert seq.shape[0] == (p.T - 1 if per_obs else p.T)
+              p.sigma_w, p.A, p.B, p.C, *p.A, *p.B, *p.C, p.x1_root,
+              p.noise_root, cs.init_root]
+    for seq in (cs.A, cs.B, cs.C, cs.F, cs.noise, cs.Q, cs.N):
+        assert seq.shape[0] == (p.T - 1 if seq is cs.C else p.T)
         arrays += [seq, *seq]
     assert cs.noise_cost.shape == (p.T,)
     arrays.append(cs.noise_cost)

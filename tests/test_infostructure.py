@@ -87,6 +87,34 @@ def test_invalid_delays(scalar2):
         build_symmetric_delay(scalar2, scalar2.T + 1)
 
 
+@pytest.mark.parametrize("k", [2.7, 2.0, True, "2", None])
+def test_symmetric_delay_must_be_an_integer(scalar2, k):
+    # int() would run 2.7 as k = 2 and accept True and "2"
+    with pytest.raises(ValueError, match="k must be an integer"):
+        build_symmetric_delay(scalar2, k)
+
+
+@pytest.mark.parametrize("delays", [
+    [[1, "2"], [1, 1]], [[1, "a"], [1, 1]], [[True, 1], [1, True]],
+    np.ones((2, 2), dtype=bool), [[1, 2.5], [1, 1]], [[1, 2.0], [1, 1]],
+    [[1, None], [1, 1]]])
+def test_delay_graph_entries_must_be_integers(delays):
+    with pytest.raises(InvalidDelay, match="delay must be an integer"):
+        DelayGraph.create(delays)
+
+
+@pytest.mark.parametrize("big", [2**63, 10**30])
+def test_delay_graph_rejects_delays_beyond_int64(big):
+    with pytest.raises(InvalidDelay):
+        DelayGraph.create([[1, big], [1, 1]])
+
+
+def test_delay_graph_accepts_numpy_integers():
+    g = DelayGraph.create(np.array([[1, 2], [3, 1]], dtype=np.int32))
+    assert g.k.tolist() == [[1, 2], [3, 1]] and not g.k.flags.writeable
+    assert DelayGraph.create([[np.int64(1)]]).k_star_max == 1
+
+
 def test_validate_flags_non_binary_entry(scalar2):
     mp = build_symmetric_delay(scalar2, 2)
     blocks = [dict(b) for b in mp.blocks]

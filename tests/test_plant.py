@@ -123,3 +123,19 @@ def test_constant_broadcast():
 def test_zero_d_array_rejected(field, message):
     with pytest.raises(DimMismatch, match=message):
         small_plant(**{field: np.array(5.0)})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 2.5), ("T", 6.9), ("T", 3.0), ("n", True), ("d_x", 2.0),
+    ("d_u", (1.5, 1)), ("d_y", (1, True)), ("d_y", ("1", 1))])
+def test_non_integer_count_or_dimension_rejected(field, value):
+    # int() would truncate 2.5 to 2 and 6.9 to 6 and build another plant
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        small_plant(**{field: value})
+
+
+def test_integer_valued_numpy_counts_accepted():
+    p = small_plant(n=np.int64(2), T=np.int32(3), d_x=np.uint8(2),
+                    d_u=np.array([1, 1]), d_y=(np.int16(1), 1))
+    assert (p.n, p.T, p.d_x, p.d_u, p.d_y) == (2, 3, 2, (1, 1), (1, 1))
+    assert all(type(v) is int for v in (p.n, p.T, p.d_x, *p.d_u, *p.d_y))

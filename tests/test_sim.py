@@ -13,7 +13,7 @@ from declqg import (DelayGraph, StatisticPolicy, LocalGains, PlantModel,
                     forward_riccati, gaussian_conditioning, random_theta_maps,
                     rollout_coordinated, rollout_plant, simulate, solve,
                     strategy_theta_maps)
-from declqg.core import DEFAULT_RTOL
+from declqg.core import DEFAULT_RTOL, seeded_stream
 from declqg.infostructure import BLOCK_NAMES
 from declqg.sim import BLOCK, closed_loop_maps
 
@@ -293,7 +293,9 @@ def test_innovation_orthogonal_to_estimate(scalar2):
 
 
 def test_closed_loop_maps_match_rollout(scalar2):
-    # the symbolic closed-loop maps reproduce a simulated trajectory exactly
+    # the symbolic closed-loop maps reproduce a simulated trajectory exactly;
+    # they act on the unit normals draw_primitives scales, in its order: for
+    # one rollout at seed s, the first row of seeded_stream(s, 0)
     mp = build_symmetric_delay(scalar2, 2)
     rng = np.random.default_rng(39)
     lg = LocalGains.random(scalar2, mp, rng, 0.3)
@@ -303,9 +305,7 @@ def test_closed_loop_maps_match_rollout(scalar2):
     rb = rollout_plant(scalar2, mp, lg, ZHistoryPolicy(thetas), prims, keep=1)
     ro = rb.samples[0]
     jg = closed_loop_maps(cs, thetas, scalar2.T)
-    prim_vec = np.concatenate(
-        [prims.x1[0]] + [prims.w0[t][0] for t in range(scalar2.T)]
-        + [prims.wy[t][0] for t in range(scalar2.T)])
+    prim_vec = seeded_stream(11, 0).standard_normal(jg.xtilde[0].shape[1])
     for t in range(1, scalar2.T + 1):
         got = jg.xtilde[t - 1] @ prim_vec
         want = np.concatenate([ro.x[t - 1], ro.carrier[t - 1]])
@@ -357,7 +357,8 @@ def _rank_margin(cs, thetas):
     innovation C P C' + V) or the oracle (each innovation covariance r r')
     cuts."""
     P, _, _ = forward_riccati(cs)
-    covs = [C @ Pt @ C.T + V for C, Pt, V in zip(cs.C, P, cs.SigV)]
+    covs = [C @ Pt @ C.T + nv @ nv.T
+            for C, Pt, nv in zip(cs.C, P, cs.noise[:, cs.d_state:])]
     jg = closed_loop_maps(cs, thetas, cs.T)
     covs += [r @ r.T for r in jg.innovations(cs.T - 1)[0]]
     margin = np.inf
@@ -396,24 +397,25 @@ def test_oracles_agree_on_generated_instances(case):
                              relative=True)
 
 
-def test_oracles_agree_with_nearly_singular_innovation():
-    """A generated explicit-protocol instance (Sigma_w of rank 1) whose
-    innovation at t = 4 has a singular value 1e-7 of its largest.  A cutoff
-    on the whole history's covariance dropped that direction (estimates 0.2
-    apart), and the standard-form covariance update put J 2.4e-9 off the
-    exact cost."""
-    seed = 1601876730
+def _explicit_case(seed, d_x, d_y, d_u, time_varying, singular_w, rows):
+    """A T = 5 explicit-protocol instance of ``_oracle_cases``, rebuilt from
+    its generator seed and its draws; ``rows`` gives each controller's
+    memory and shared-increment sizes."""
     rng = np.random.default_rng(seed)
-    p = random_plant(rng, n=3, d_x=2, d_y=[1, 1, 2], d_u=[1, 2, 2], T=5,
-                     time_varying=True, singular_w=True)
+    p = random_plant(rng, n=len(rows), d_x=d_x, d_y=d_y, d_u=d_u, T=5,
+                     time_varying=time_varying, singular_w=singular_w)
     blocks = []
-    for i, rows in enumerate([{"m": 0, "z": 2}, {"m": 1, "z": 0},
-                              {"m": 2, "z": 2}]):
-        cols = {"m": rows["m"], "y": p.d_y[i], "u": p.d_u[i]}
-        blocks.append({b: 0.5 * rng.standard_normal((rows[b[0]],
+    for i, (m, z) in enumerate(rows):
+        size = {"m": m, "z": z}
+        cols = {"m": m, "y": p.d_y[i], "u": p.d_u[i]}
+        blocks.append({b: 0.5 * rng.standard_normal((size[b[0]],
                                                      cols[b[1]]))
                        for b in BLOCK_NAMES})
-    mp = explicit_protocol(p, blocks)
+    return p, explicit_protocol(p, blocks)
+
+
+def _assert_oracles_agree_on(p, mp, seed):
+    """The J gate, then the filter against the conditioning oracle."""
     rng = np.random.default_rng([seed, 1])
     lg = LocalGains.random(p, mp, rng, 0.3)
     ss = solve(p, mp, lg)
@@ -423,3 +425,28 @@ def test_oracles_agree_with_nearly_singular_innovation():
     assert _rank_margin(ss.cs, thetas) >= 1.0
     run_filter_vs_oracle(p, mp, lg, thetas, seed=seed, tol=1e-8,
                          relative=True)
+
+
+def test_oracles_agree_with_nearly_singular_innovation():
+    """A generated explicit-protocol instance (Sigma_w of rank 1) whose
+    innovation at t = 4 has a singular value 1e-7 of its largest.  A cutoff
+    on the whole history's covariance dropped that direction (estimates 0.2
+    apart), and the standard-form covariance update put J 2.4e-9 off the
+    exact cost."""
+    seed = 1601876730
+    p, mp = _explicit_case(seed, 2, [1, 1, 2], [1, 2, 2], True, True,
+                           [(0, 2), (1, 0), (2, 2)])
+    _assert_oracles_agree_on(p, mp, seed)
+
+
+@pytest.mark.parametrize("seed, args", [
+    (9006, (1, [2, 2], [2, 2], True, False, [(0, 0), (2, 2)])),
+    (3537, (2, [2, 1], [1, 1], False, True, [(1, 2), (0, 0)]))],
+    ids=["seed9006", "seed3537"])
+def test_exact_cost_is_within_the_J_gate_on_ill_conditioned_instances(
+        seed, args):
+    """The two ``tools/oracle_scan.py --examples 10000`` instances on
+    which the exact-cost oracle erred most: propagating the covariance F Sigma F' of the coordinator's noise
+    put it 4.4e-9 and 2.4e-9 off J, above the 1e-9 gate; reading the root
+    F N that the filter reads keeps it inside."""
+    _assert_oracles_agree_on(*_explicit_case(seed, *args), seed)

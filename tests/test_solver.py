@@ -55,10 +55,11 @@ def test_forward_riccati_open_loop_when_nothing_shared():
     assert mp.d_z == 0
     cs = build(p, mp, LocalGains.zeros(p, mp))
     P, _, _ = forward_riccati(cs)
-    expect = cs.init_cov
+    expect = cs.init_root @ cs.init_root.T
     for t in range(1, p.T):
         assert_allclose(P[t - 1], expect, atol=1e-12)
-        expect = cs.A[t - 1] @ expect @ cs.A[t - 1].T + cs.SigW[t - 1]
+        noise_w = cs.noise[t - 1, :cs.d_state]
+        expect = cs.A[t - 1] @ expect @ cs.A[t - 1].T + noise_w @ noise_w.T
     assert_allclose(P[p.T - 1], expect, atol=1e-12)
 
 
@@ -66,10 +67,11 @@ def test_initial_covariance_is_exact_augmented_covariance(scalar2):
     # (X_1, carrier_1): the carrier starts at zero, deterministically
     mp = build_symmetric_delay(scalar2, 2)
     cs = build(scalar2, mp, LocalGains.zeros(scalar2, mp))
-    assert cs.init_cov.shape == (1 + mp.d_carrier,) * 2
-    assert_allclose(cs.init_cov[:1, :1], scalar2.sigma_x)
-    assert_allclose(cs.init_cov[:1, 1:], 0.0)
-    assert_allclose(cs.init_cov[1:, 1:], 0.0)
+    init = cs.init_root @ cs.init_root.T
+    assert init.shape == (1 + mp.d_carrier,) * 2
+    assert_allclose(init[:1, :1], scalar2.sigma_x)
+    assert_allclose(init[:1, 1:], 0.0)
+    assert_allclose(init[1:, 1:], 0.0)
 
 
 def test_backward_riccati_zero_state_cost():
@@ -225,8 +227,8 @@ def test_stacked_solve_gives_each_candidates_J_bitwise(name, p, mp):
         assert alone.J == one.J and alone.rtol == one.rtol
         for seq in ("Lgain", "filter_gain", "Ptilde", "S", "Lambda"):
             assert np.array_equal(getattr(alone, seq), getattr(one, seq))
-        for arr in ("A", "B", "C", "F", "SigW", "SigWV", "SigV", "Q", "N",
-                    "noise_cost", "init_cov"):
+        for arr in ("A", "B", "C", "F", "noise", "Q", "N", "noise_cost",
+                    "init_root"):
             assert np.array_equal(getattr(alone.cs, arr),
                                   getattr(one.cs, arr))
         assert alone.gains.theta.tobytes() == one.gains.theta.tobytes()
@@ -246,10 +248,9 @@ def test_solve_is_the_batch_of_one(rng):
         assert getattr(one, seq).shape[0] == 1
         assert np.array_equal(getattr(one, seq)[0], getattr(ss, seq))
     cs = build(p, mp, LocalGains.from_vector(p, mp, gains.theta[None]))
-    for shared in ("B", "init_cov"):
+    for shared in ("B", "init_root"):
         assert np.array_equal(getattr(cs, shared), getattr(ss.cs, shared))
-    for stacked in ("A", "C", "F", "SigW", "SigWV", "SigV", "Q", "N",
-                    "noise_cost"):
+    for stacked in ("A", "C", "F", "noise", "Q", "N", "noise_cost"):
         assert np.array_equal(getattr(cs, stacked)[0],
                               getattr(ss.cs, stacked))
 
@@ -364,8 +365,9 @@ def _performance_per_step(cs, ptilde, s_seq):
         total += float(np.trace(ptilde[t - 1] @ cs.Q[t - 1])
                        + cs.noise_cost[t - 1])
         if t < cs.T:
-            A = cs.A[t - 1]
-            gamma = cs.SigW[t - 1] + A @ ptilde[t - 1] @ A.T - ptilde[t]
+            A, noise_w = cs.A[t - 1], cs.noise[t - 1, :cs.d_state]
+            gamma = (noise_w @ noise_w.T + A @ ptilde[t - 1] @ A.T
+                     - ptilde[t])
             total += float(np.sum(gamma * s_seq[t]))
     return total
 
@@ -500,8 +502,10 @@ def _filter_atol(ss, ref):
     worst kappa over t, times eps and the size of ``ref``, floored at 1e-10.
     """
     kappa = 1.0
-    for C, Pt, V in zip(ss.cs.C, ss.Ptilde, ss.cs.SigV):
-        sv = np.linalg.svd(C @ Pt @ C.T + V, compute_uv=False)
+    for C, Pt, noise_v in zip(ss.cs.C, ss.Ptilde,
+                              ss.cs.noise[:, ss.cs.d_state:]):
+        sv = np.linalg.svd(C @ Pt @ C.T + noise_v @ noise_v.T,
+                           compute_uv=False)
         if sv.size and sv[0] > 0:
             kappa = max(kappa, sv[0] / sv[sv > DEFAULT_RTOL * sv[0]][-1])
     scale = max(1.0, np.abs(ref).max(initial=0.0))

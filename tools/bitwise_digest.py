@@ -21,7 +21,9 @@ pinned to one thread.  It covers:
   of the incumbent at a restart is covered: the same four outputs and the
   tuned strategy's ``Lgain``;
 * per demo, at zero and at random gains: J, the five ``SolvedStrategy``
-  sequences and the ``strategy_to_doc(dump_matrices=True)`` JSON;
+  sequences, ``closed_loop_cost_exact`` and the
+  ``strategy_to_doc(dump_matrices=True)`` JSON;
+* per demo, 1 000 rows of ``draw_primitives``, the scaled noise;
 * the solve-large workload at seeds 0 and 901: J, the sequences, every
   ``delayed_stat_gains`` matrix and ``closed_loop_cost_exact``;
 * the mc-rollouts workload at seeds 0 and 901: the costs of a 20 000-rollout
@@ -120,6 +122,11 @@ def main() -> int:
             doc = cli.strategy_to_doc(ss, dump_matrices=True)
             out[f"demo.{name}.{label}.doc"] = digest(
                 json.dumps(doc, sort_keys=True))
+            out[f"demo.{name}.{label}.closed_loop_cost_exact"] = digest(
+                dq.closed_loop_cost_exact(ss.cs, ss.Lgain, ss.filter_gain))
+        prims = dq.draw_primitives(plant, seed=5, count=1000)
+        out[f"demo.{name}.draw_primitives"] = digest(
+            [prims.x1, prims.w0, prims.wy])
     for seed in (0, 901):
         wl = SolveLarge(seed, tiny=False)
         wl.setup(Recorder())
