@@ -137,7 +137,8 @@ def load_scenario(doc: dict) -> Scenario:
     except (ValueError, TypeError) as e:
         msg = str(e)
         field = "plant"
-        for prefix, name in (("A", "dynamics.A"), ("B", "dynamics.B"),
+        for prefix, name in (("d_x", "dims.d_x"),
+                             ("A", "dynamics.A"), ("B", "dynamics.B"),
                              ("C", "observations.C"), ("Q", "cost.Q"),
                              ("R", "cost.R"), ("sigma", "noise")):
             if msg.startswith(prefix):
@@ -588,9 +589,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if not args.tolerance > 0:      # also rejects nan
+        if not 0 < args.tolerance < 1:      # also rejects nan
             raise ConfigError("--tolerance",
-                              f"must be > 0, got {args.tolerance}")
+                              f"must be > 0 and < 1, got {args.tolerance}")
         return args.func(args)
     except ConfigError as e:
         print(f"config error at {e.field}: {e.message}", file=sys.stderr)

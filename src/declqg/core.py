@@ -114,13 +114,19 @@ def blkdiag(blocks) -> np.ndarray:
     return out
 
 
+def check_rtol(rtol: float) -> None:
+    """Raise ``ValueError`` unless 0 < ``rtol`` < 1: a relative cutoff at or
+    above 1 cuts every singular value, so it keeps nothing."""
+    if not 0 < rtol < 1:        # also rejects nan
+        raise ValueError(f"rtol must be in (0, 1), got {rtol!r}")
+
+
 def pinv(m, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
 
     Singular values below ``rtol * sigma_max`` of their matrix count as zero.
     """
-    if not rtol > 0:
-        raise ValueError("rtol must be positive")
+    check_rtol(rtol)
     m = as_matrix(m, name="pinv operand", stack=True)
     if m.size == 0:
         return np.zeros(m.shape[:-2] + (m.shape[-1], m.shape[-2]))

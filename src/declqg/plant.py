@@ -79,6 +79,8 @@ class PlantModel:
         n, T, d_x = as_index(n, "n"), as_index(T, "T"), as_index(d_x, "d_x")
         if n < 1 or T < 1:
             raise DimMismatch("need n >= 1 controllers and horizon T >= 1")
+        if d_x < 1:
+            raise DimMismatch(f"d_x must be >= 1, got {d_x}")
         d_u = tuple(as_index(d, "d_u") for d in d_u)
         d_y = tuple(as_index(d, "d_y") for d in d_y)
         if len(d_u) != n or len(d_y) != n:

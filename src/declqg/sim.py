@@ -3,23 +3,28 @@ brute-force joint-Gaussian conditioning oracle.
 
 Rollouts share one random stream per block of ``BLOCK`` rollouts: rollout r
 reads row ``r % BLOCK`` of ``seeded_stream(seed, r // BLOCK)``'s rollout-major
-normals.  A row's draws do not depend on how many rows follow it, so results
-are bitwise reproducible and, while BLAS rounds every block size alike (see
-``simulate``), independent of how many rollouts are asked for; they differ
-from versions that drew one stream per rollout.  ``simulate``
-rolls out one block at a time, so its memory beyond the costs is bounded.
-The plant-form and coordinated-form rollouts can be driven by the same
-primitive draws to check that the coordinated system reproduces the original
-equations state by state.
+normals.  Under linear strategies the closed loop is linear, so
+``rollout_plant`` composes each step's equations, with the plant's noise
+roots folded in, into one map of (state, unit normals) and applies it to
+all rollouts at once, held feature-major as (dim, rows).  Neither a row's
+draws nor its products depend on how many rows are rolled out with it, so
+results are bitwise reproducible and independent of how many rollouts are
+asked for.  ``simulate`` rolls out one block at a time, so its memory
+beyond the costs is bounded.  The plant-form and coordinated-form rollouts
+can be driven by the same primitive draws to check that the coordinated
+system reproduces the original equations state by state; the coordinated
+one reads the scaled noise and no composed map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_RTOL, DimMismatch, as_index, seeded_stream
+from .core import (DEFAULT_RTOL, DimMismatch, as_index, blkdiag,
+                   seeded_stream)
 from . import coordination
 from .coordination import CoordinatedSystem, LocalGains
 from .estimator import statistic_transition
@@ -33,52 +38,78 @@ from .solver import SolvedStrategy
 
 #: Rollouts per random stream, and per block that ``simulate`` rolls out.
 BLOCK = 4096
-#: ``simulate`` rolls out a multiple of this many rows; it divides ``BLOCK``.
+#: ``rollout_plant`` pads its rollouts to a multiple of this many.
 ROW_ALIGN = 8
+#: ``draw_primitives`` draws and transposes this many rollouts at a time.
+DRAW_ROWS = BLOCK // 8
 
 
 @dataclass(frozen=True)
 class Primitives:
     """Batched primitive draws: initial state and both noise processes.
 
-    ``x1``: (count, d_x); ``w0[t-1]``: (count, d_x) process noise applied at
-    step t; ``wy[t-1]``: (count, sum d_y) stacked observation noise at step t.
+    ``normals`` holds one column per rollout (feature-major): its unit
+    normals in the order (X_1, then (W0_t, W_t) for t = 1..T).  ``x1``
+    (count, d_x), ``w0[t-1]`` (count, d_x), the process noise applied at
+    step t, and ``wy[t-1]`` (count, sum d_y), the stacked observation noise
+    at step t, are those normals scaled by the plant's ``x1_root`` and
+    ``noise_root``, formed on first use; ``rollout_plant`` folds the roots
+    into its maps instead.
     """
 
-    x1: np.ndarray
-    w0: np.ndarray    # (T, count, d_x)
-    wy: np.ndarray    # (T, count, sum d_y)
+    normals: np.ndarray    # (d_x + T (d_x + sum d_y), count)
+    plant: PlantModel
 
     @property
     def count(self) -> int:
-        return self.x1.shape[0]
+        return self.normals.shape[1]
+
+    @cached_property
+    def _scaled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        p, d_x = self.plant, self.plant.d_x
+        raw = np.ascontiguousarray(self.normals.T)     # one row per rollout
+        steps = raw[:, d_x:].reshape(self.count, p.T, d_x + p.d_y_total
+                                     ).swapaxes(0, 1)
+        root = p.noise_root[0]
+        return (raw[:, :d_x] @ p.x1_root.T,
+                steps[..., :d_x] @ root[:d_x, :d_x].T,
+                steps[..., d_x:] @ root[d_x:, d_x:].T)
+
+    @property
+    def x1(self) -> np.ndarray:     # (count, d_x)
+        return self._scaled[0]
+
+    @property
+    def w0(self) -> np.ndarray:     # (T, count, d_x)
+        return self._scaled[1]
+
+    @property
+    def wy(self) -> np.ndarray:     # (T, count, sum d_y)
+        return self._scaled[2]
 
 
 def draw_primitives(plant: PlantModel, seed: int, count: int, *,
                     start: int = 0) -> Primitives:
     """Draw primitives for rollouts [start, start + count).
 
-    Each rollout's normals, in the order (X_1, then (W0_t, W_t) for
-    t = 1..T), are one row of its block's stream (see the module
-    docstring), scaled by the plant's ``x1_root`` and ``noise_root``.
+    Each rollout's normals are one row of its block's stream (see the module
+    docstring).
     """
     count, start = as_index(count, "count"), as_index(start, "start")
     if count < 0 or start < 0:
         raise ValueError("need count >= 0 and start >= 0")
-    d_x, d_y, T = plant.d_x, plant.d_y_total, plant.T
-    total = d_x + T * (d_x + d_y)
-    raw = np.empty((count, total))
+    total = plant.d_x + plant.T * (plant.d_x + plant.d_y_total)
+    normals = np.empty((total, count))
     stop = start + count
     for b in range(start // BLOCK, -(-stop // BLOCK)):
         lo, hi = max(start, b * BLOCK), min(stop, (b + 1) * BLOCK)
         stream = seeded_stream(seed, b)
         stream.standard_normal((lo - b * BLOCK, total))    # rows before start
-        stream.standard_normal(out=raw[lo - start:hi - start])
-    steps = raw[:, d_x:].reshape(count, T, d_x + d_y).swapaxes(0, 1)
-    root = plant.noise_root[0]
-    return Primitives(x1=raw[:, :d_x] @ plant.x1_root.T,
-                      w0=steps[..., :d_x] @ root[:d_x, :d_x].T,
-                      wy=steps[..., d_x:] @ root[d_x:, d_x:].T)
+        for r in range(lo, hi, DRAW_ROWS):
+            rows = min(hi - r, DRAW_ROWS)
+            normals[:, r - start:r - start + rows] = \
+                stream.standard_normal((rows, total)).T
+    return Primitives(normals=normals, plant=plant)
 
 
 # --------------------------------------------------------------------------
@@ -197,47 +228,124 @@ class RolloutBatch:
         return float(np.std(self.costs, ddof=1) / np.sqrt(len(self.costs)))
 
 
+def _step(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains, policy,
+          t: int, x, c, state, e):
+    """The plant's equations at step t, on rows of X_t, c_t, the policy's
+    state and the unit normals ``e`` of (W0_t, W_t).
+
+    Returns the signals (x, y, m, c, z, u, Ut~) and the next (X, c, policy
+    state), or None at t = T.
+    """
+    w = e @ plant.noise_root[t - 1].T
+    y = x @ plant.C[t - 1].T + w[:, plant.d_x:]
+    m = c @ mp.m_sel.T
+    utilde = policy.utilde(state, t)
+    u = utilde + y @ gains.G[t - 1].T + m @ gains.H[t - 1].T
+    z = c @ mp.zc.T + y @ mp.zy.T + u @ mp.zu.T
+    signals = (x, y, m, c, z, u, utilde)
+    if t == plant.T:
+        return signals, None
+    return signals, (x @ plant.A[t - 1].T + u @ plant.B[t - 1].T
+                     + w[:, :plant.d_x],
+                     c @ mp.cc.T + y @ mp.cy.T + u @ mp.cu.T,
+                     policy.update(state, t, z, utilde))
+
+
+@dataclass(frozen=True)
+class _StepMaps:
+    """The closed loop's maps of v_t, step by step.
+
+    v_1 is the unit normals of (X_1, W0_1, W_1), so ``x1_root`` is folded
+    in; for t > 1, v_t = (X_t, c_t, policy state, unit normals of
+    (W0_t, W_t)).  ``step[t-1]`` maps v_t to (X_t, U_t), then
+    blkdiag(Q, R) (X_t, U_t), then the (X, c, policy state) rows of v_{t+1}
+    (none at t = T); ``record[t-1]`` maps it to the kept signals, stacked
+    in ``Rollout``'s order with the widths ``widths``.
+    """
+
+    step: tuple[np.ndarray, ...]
+    record: tuple[np.ndarray, ...]
+    widths: tuple[int, ...]
+
+
+def _step_maps(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
+               policy) -> _StepMaps:
+    """Apply ``_step`` to the identity basis of each v_t in turn."""
+    d_x, d_w = plant.d_x, plant.d_x + plant.d_y_total
+    basis = np.eye(d_x + d_w)
+    x = basis[:, :d_x] @ plant.x1_root.T
+    c = np.zeros((len(basis), mp.d_carrier))
+    state = policy.init(len(basis))
+    cost = blkdiag([plant.Q, plant.R])
+    steps, records = [], []
+    for t in range(1, plant.T + 1):
+        signals, nxt = _step(plant, mp, gains, policy, t, x, c, state,
+                             basis[:, -d_w:])
+        if hasattr(policy, "statistic"):
+            signals += (policy.statistic(state),)
+        xu = np.hstack([x, signals[5]])      # (X_t, U_t)
+        steps.append(np.ascontiguousarray(
+            np.hstack((xu, xu @ cost) + (nxt or ())).T))
+        records.append(np.ascontiguousarray(np.hstack(signals).T))
+        if nxt:
+            ends = np.cumsum([n.shape[1] for n in nxt])
+            basis = np.eye(ends[-1] + d_w)
+            x, c, state = np.split(basis[:, :ends[-1]], ends[:-1], axis=1)
+    return _StepMaps(step=tuple(steps), record=tuple(records),
+                     widths=tuple(s.shape[1] for s in signals))
+
+
 def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
-                  policy, prims: Primitives, keep: int = 0) -> RolloutBatch:
+                  policy, prims: Primitives, keep: int = 0, *,
+                  maps: _StepMaps | None = None) -> RolloutBatch:
     """Simulate the original decentralized equations.
 
-    The first ``keep`` rollouts are recorded in full; costs are kept for all.
+    The closed loop is linear, so each step is one product of a composed
+    map (see ``_StepMaps``) with v_t, held feature-major as (dim, rows),
+    plus the step's cost from its (X_t, U_t) rows.  ``maps`` are
+    ``_step_maps(plant, mp, gains, policy)``, which ``simulate`` composes
+    once for all its blocks.  The first ``keep`` rollouts are recorded in
+    full; costs are kept for all.
     """
+    if maps is None:
+        maps = _step_maps(plant, mp, gains, policy)
     count = prims.count
     keep = min(keep, count)
-    x = prims.x1
-    c = np.zeros((count, mp.d_carrier))
-    state = policy.init(count)
-    has_stat = hasattr(policy, "statistic")
+    d_x, d_w = plant.d_x, plant.d_x + plant.d_y_total
+    d_xu = d_x + plant.d_u_total
+    # BLAS rounds the last columns of a product its own way unless their
+    # number is a multiple of ROW_ALIGN: pad with zero rollouts
+    cols, kept = (-(-n // ROW_ALIGN) * ROW_ALIGN for n in (count, keep))
+    normals = prims.normals
+    if cols > count:
+        normals = np.zeros((len(normals), cols))
+        normals[:, :count] = prims.normals
+    bufs = np.empty((2, max(len(m) for m in maps.step) + d_w, cols))
+    v = normals[:d_x + d_w]
     costs = np.zeros(count)
-    rec = []     # per step: kept rows of x, y, m, c, z, u, Ut~, cost[, stat]
-    for t in range(1, plant.T + 1):
-        y = x @ plant.C[t - 1].T + prims.wy[t - 1]
-        m = c @ mp.m_sel.T
-        utilde = policy.utilde(state, t)
-        u = utilde + y @ gains.G[t - 1].T + m @ gains.H[t - 1].T
-        z = c @ mp.zc.T + y @ mp.zy.T + u @ mp.zu.T
-        sc = np.einsum("ri,ri->r", x @ plant.Q, x) \
-            + np.einsum("ri,ri->r", u @ plant.R, u)
+    rec = []     # per step: the kept rows' signals and cost
+    for t, (step, record) in enumerate(zip(maps.step, maps.record), 1):
+        out = np.matmul(step, v, out=bufs[t % 2, :len(step)])
+        sc = np.einsum("ir,ir->r", out[:d_xu, :count],
+                       out[d_xu:2 * d_xu, :count])
         costs += sc
         if keep:
-            step = (x, y, m, c, z, u, utilde, sc)
-            if has_stat:
-                step += (policy.statistic(state),)
-            rec.append([v[:keep].copy() for v in step])
+            rec.append(np.vstack([(record @ v[:, :kept])[:, :keep],
+                                  sc[:keep]]))
         if t < plant.T:
-            x = x @ plant.A[t - 1].T + u @ plant.B[t - 1].T + prims.w0[t - 1]
-            c = c @ mp.cc.T + y @ mp.cy.T + u @ mp.cu.T
-            state = policy.update(state, t, z, utilde)
+            lo = d_x + t * d_w
+            v = bufs[t % 2, 2 * d_xu:len(step) + d_w]
+            v[len(step) - 2 * d_xu:] = normals[lo:lo + d_w]
     samples = []
     if keep:
         # (keep, T, dim) per signal; rollout r reads row r
-        xs, ys, ms, carriers, zs, us, uts, scs, *stat = (
-            np.stack(seq, axis=1) for seq in zip(*rec))
+        xs, ys, ms, carriers, zs, us, uts, *stat, scs = np.split(
+            np.stack(rec).transpose(2, 0, 1),
+            np.cumsum(maps.widths), axis=2)
         samples = [Rollout(x=xs[r], y=ys[r], m=ms[r], carrier=carriers[r],
                            z=zs[r], u=us[r], u_tilde=uts[r],
-                           stat=stat[0][r] if has_stat else None,
-                           step_costs=scs[r]) for r in range(keep)]
+                           stat=stat[0][r] if stat else None,
+                           step_costs=scs[r, :, 0]) for r in range(keep)]
     return RolloutBatch(costs=costs, samples=tuple(samples))
 
 
@@ -294,28 +402,25 @@ def simulate(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
              sample_count: int = 0) -> RolloutBatch:
     """Monte Carlo estimate of the strategy's expected total cost.
 
-    Rolls out ``BLOCK`` rollouts at a time and drops each block's primitives
-    before drawing the next; the first ``sample_count`` rollouts are kept.
-    A partial last block is rolled out with its block's next rows up to a
-    multiple of ``ROW_ALIGN``: BLAS kernels (and numpy's one-row products)
-    round a product's trailing rows differently from the rest, so a rollout's
-    bits would otherwise depend on how many rollouts follow it.  OpenBLAS
-    also rounds small products differently: at d_state = 44, ``count`` = 16
-    or 256 differs in the last bits from the first rows of ``count`` = 8192.
+    Composes the step maps once, then rolls out ``BLOCK`` rollouts at a
+    time and drops each block's primitives before drawing the next; the
+    first ``sample_count`` rollouts are kept.  A rollout's cost does not
+    depend on ``count`` (see the module docstring).
     """
     count = as_index(count, "count")
     sample_count = as_index(sample_count, "sample_count")
     if count < 1 or sample_count < 0:
         raise ValueError("need count >= 1 and sample_count >= 0")
     policy = StatisticPolicy(ss)
+    maps = _step_maps(plant, mp, gains, policy)
     costs, samples = np.empty(count), []
     for start in range(0, count, BLOCK):
         rows = min(BLOCK, count - start)
-        aligned = -(-rows // ROW_ALIGN) * ROW_ALIGN
-        prims = draw_primitives(plant, seed, aligned, start=start)
+        prims = draw_primitives(plant, seed, rows, start=start)
         batch = rollout_plant(plant, mp, gains, policy, prims,
-                              keep=min(rows, max(0, sample_count - start)))
-        costs[start:start + rows] = batch.costs[:rows]
+                              keep=min(rows, max(0, sample_count - start)),
+                              maps=maps)
+        costs[start:start + rows] = batch.costs
         samples += batch.samples
         del prims, batch
     return RolloutBatch(costs=costs, samples=tuple(samples))

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DEFAULT_RTOL, NumericalBreakdown, read_only, solve_pd, sym
+from .core import (DEFAULT_RTOL, NumericalBreakdown, check_rtol, read_only,
+                   solve_pd, sym)
 from .coordination import CoordinatedSystem, LocalGains, build
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
@@ -93,8 +94,7 @@ def _filter_sweep(A, C, noise, R1, rtol: float, start: int = 1, lent=None):
     noise; a = [C R_t, N_v], b = [A R_t, N_w] give a a' = C P C' + V, cut
     as ``pinv`` cuts it (s^2 > rtol s_max^2 kept), K_t = b V_r S_r^-1 U_r',
     and a QR gives R_{t+1}, a PSD root of b (I - V_r V_r') b'."""
-    if not rtol > 0:
-        raise ValueError("rtol must be positive")
+    check_rtol(rtol)
     n, d = C.shape[-3], A.shape[-1]
     roots = np.empty(A.shape[:-3] + (n + 1, d, d))
     gains = np.empty(roots.shape[:-3] + (n, d, C.shape[-2]))
@@ -216,6 +216,7 @@ def solve(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     each copying the rest from the incumbent.  The result is bitwise that
     of a solve without it.
     """
+    check_rtol(rtol)
     cs = build(plant, mp, gains)
     first, last = _changed_steps(cs, rtol, incumbent)
     P, K, R = forward_riccati(cs, rtol, first, incumbent)

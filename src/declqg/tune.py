@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_RTOL, as_index, seeded_stream
+from .core import DEFAULT_RTOL, as_index, check_rtol, seeded_stream
 from .coordination import LocalGains
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
@@ -63,6 +63,7 @@ def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
     restarts, seed = as_index(restarts, "restarts"), as_index(seed, "seed")
     if budget < 1 or restarts < 0 or seed < 0:
         raise ValueError("need budget >= 1, restarts >= 0 and seed >= 0")
+    check_rtol(rtol)
     evals = 0
     log = []
     best = None    # (J, theta)

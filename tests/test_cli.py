@@ -540,6 +540,20 @@ def test_non_positive_tolerance_rejected(command, value, k2_config, tmp_path,
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1", "2", "inf"])
+@pytest.mark.parametrize("command", ["solve", "tune", "demo"])
+def test_tolerance_of_one_or_more_rejected(command, value, k2_config,
+                                           tmp_path, capsys):
+    # such a cutoff keeps no innovation: --tolerance 2 solved symmetric-k2
+    # to J = 15.13 (12.56 at the default) and exited 0
+    args = {"solve": [k2_config], "tune": [k2_config, "--budget", "3"],
+            "demo": ["scalar-2ctrl-k1"]}[command]
+    argv = ["--out", str(tmp_path), "--tolerance", value, command, *args]
+    assert main(argv) == 2
+    assert "config error at --tolerance: must be > 0 and < 1" in \
+        capsys.readouterr().err
+
+
 def test_zero_is_a_valid_seed_restart_count_and_sample_count(k2_config,
                                                              tmp_path):
     out = str(tmp_path)

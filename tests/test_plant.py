@@ -134,6 +134,14 @@ def test_non_integer_count_or_dimension_rejected(field, value):
         small_plant(**{field: value})
 
 
+def test_empty_state_rejected():
+    # numpy's reduction over the empty Q used to fail first, naming no field
+    with pytest.raises(DimMismatch, match="d_x must be >= 1, got 0"):
+        small_plant(d_x=0, A=np.zeros((0, 0)), B=np.zeros((0, 2)),
+                    C=[np.zeros((1, 0))] * 2, Q=np.zeros((0, 0)),
+                    sigma_x=np.zeros((0, 0)), sigma_w0=np.zeros((0, 0)))
+
+
 def test_integer_valued_numpy_counts_accepted():
     p = small_plant(n=np.int64(2), T=np.int32(3), d_x=np.uint8(2),
                     d_u=np.array([1, 1]), d_y=(np.int16(1), 1))

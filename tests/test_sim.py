@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -13,9 +14,10 @@ from declqg import (DelayGraph, StatisticPolicy, LocalGains, PlantModel,
                     forward_riccati, gaussian_conditioning, random_theta_maps,
                     rollout_coordinated, rollout_plant, simulate, solve,
                     strategy_theta_maps)
+from declqg.cli import DEMOS, load_scenario
 from declqg.core import DEFAULT_RTOL, seeded_stream
 from declqg.infostructure import BLOCK_NAMES
-from declqg.sim import BLOCK, closed_loop_maps
+from declqg.sim import BLOCK, Rollout, RolloutBatch, closed_loop_maps
 
 from conftest import random_plant, scalar_two_controller
 
@@ -122,6 +124,102 @@ def test_costs_do_not_depend_on_count_across_block_edges():
         for large in costs:
             if len(large) >= n:
                 assert np.array_equal(small, large[:n]), (n, len(large))
+
+
+def test_costs_do_not_depend_on_count_on_a_44_state_coordinator():
+    # rows-major products, one row per rollout, gave counts 16 and 256
+    # costs a few ulps off the first rows of count 8192 here
+    rng = np.random.default_rng([5, 2])
+    p = random_plant(rng, n=4, d_x=8, d_y=(2,) * 4, d_u=(1,) * 4, T=6)
+    mp = build_symmetric_delay(p, 4)
+    lg = LocalGains.random(p, mp, rng, 0.1)
+    ss = solve(p, mp, lg)
+    assert ss.cs.d_state == 44
+    large = simulate(p, mp, lg, ss, seed=3, count=2 * BLOCK).costs
+    for n in (16, 256):
+        small = simulate(p, mp, lg, ss, seed=3, count=n).costs
+        assert np.array_equal(small, large[:n]), n
+
+
+def _literal_rollout(plant, mp, gains, policy, prims, keep):
+    """The plant's equations written out signal by signal on the scaled
+    primitives, one product per term: the reference ``rollout_plant``
+    composes into one map per step."""
+    count = prims.count
+    x = prims.x1
+    c = np.zeros((count, mp.d_carrier))
+    state = policy.init(count)
+    has_stat = hasattr(policy, "statistic")
+    costs = np.zeros(count)
+    rec = []     # per step: kept rows of x, y, m, c, z, u, Ut~, cost[, stat]
+    for t in range(1, plant.T + 1):
+        y = x @ plant.C[t - 1].T + prims.wy[t - 1]
+        m = c @ mp.m_sel.T
+        utilde = policy.utilde(state, t)
+        u = utilde + y @ gains.G[t - 1].T + m @ gains.H[t - 1].T
+        z = c @ mp.zc.T + y @ mp.zy.T + u @ mp.zu.T
+        sc = np.einsum("ri,ri->r", x @ plant.Q, x) \
+            + np.einsum("ri,ri->r", u @ plant.R, u)
+        costs += sc
+        step = (x, y, m, c, z, u, utilde, sc)
+        if has_stat:
+            step += (policy.statistic(state),)
+        rec.append([v[:keep].copy() for v in step])
+        if t < plant.T:
+            x = x @ plant.A[t - 1].T + u @ plant.B[t - 1].T + prims.w0[t - 1]
+            c = c @ mp.cc.T + y @ mp.cy.T + u @ mp.cu.T
+            state = policy.update(state, t, z, utilde)
+    xs, ys, ms, carriers, zs, us, uts, scs, *stat = (
+        np.stack(seq, axis=1) for seq in zip(*rec))
+    samples = [Rollout(x=xs[r], y=ys[r], m=ms[r], carrier=carriers[r],
+                       z=zs[r], u=us[r], u_tilde=uts[r],
+                       stat=stat[0][r] if has_stat else None,
+                       step_costs=scs[r]) for r in range(keep)]
+    return RolloutBatch(costs=costs, samples=tuple(samples))
+
+
+def _literal_cases():
+    """The five demo plants and protocols, then random time-varying plants
+    under every protocol family that fits them."""
+    for name, demo in DEMOS.items():
+        sc = load_scenario(copy.deepcopy(demo["config"]))
+        yield pytest.param(sc.plant, sc.protocol, id=name)
+    rng = np.random.default_rng(43)
+    p = random_plant(rng, n=2, d_x=3, d_y=(2, 1), d_u=(1, 2), T=6,
+                     time_varying=True)
+    yield pytest.param(p, build_symmetric_delay(p, 2), id="random-symmetric")
+    yield pytest.param(p, build_one_sided(p), id="random-one-sided")
+    p = random_plant(rng, n=3, d_x=2, d_y=(1, 2, 1), d_u=(1, 1, 2), T=5,
+                     time_varying=True, singular_w=True)
+    graph = DelayGraph.create([[1, 2, 3], [1, 1, 2], [3, 1, 1]])
+    yield pytest.param(p, build_asymmetric_delay(p, graph),
+                       id="random-asymmetric")
+    yield pytest.param(p, build_control_sharing(p),
+                       id="random-control-sharing")
+
+
+@pytest.mark.parametrize("policy", ["statistic", "z-history"])
+@pytest.mark.parametrize("p, mp", list(_literal_cases()))
+def test_rollout_matches_the_literal_equations(p, mp, policy):
+    rng = np.random.default_rng(44)
+    lg = LocalGains.random(p, mp, rng, 0.3)
+    ss = solve(p, mp, lg)
+    pol = (StatisticPolicy(ss) if policy == "statistic"
+           else ZHistoryPolicy(random_theta_maps(ss.cs, rng, 0.3)))
+    prims = draw_primitives(p, seed=12, count=37)
+    got = rollout_plant(p, mp, lg, pol, prims, keep=5)
+    want = _literal_rollout(p, mp, lg, pol, prims, keep=5)
+    assert_allclose(got.costs, want.costs, rtol=1e-12, atol=0)
+    assert len(got.samples) == 5
+    for field in vars(want.samples[0]):
+        if getattr(want.samples[0], field) is None:
+            assert all(getattr(ro, field) is None for ro in got.samples)
+            continue
+        a, b = (np.stack([getattr(ro, field) for ro in batch.samples])
+                for batch in (got, want))
+        assert a.shape == b.shape, field
+        scale = np.abs(b).max(initial=0.0)
+        assert np.abs(a - b).max(initial=0.0) <= 1e-12 * scale, field
 
 
 def test_primitives_prefix_property_across_block_edge(scalar2):

@@ -170,6 +170,20 @@ def test_information_monotonicity_single_instance(scalar2):
     assert costs[1] <= costs[2] + 1e-9
 
 
+@pytest.mark.parametrize("rtol", [0.0, -1.0, 1.0, 2.0, np.inf, np.nan])
+def test_rtol_outside_the_open_unit_interval_rejected(scalar2, rtol):
+    mp = build_symmetric_delay(scalar2, 1)
+    gains = LocalGains.zeros(scalar2, mp)
+    cs = build(scalar2, mp, gains)
+    for call in (lambda: solve(scalar2, mp, gains, rtol),
+                 lambda: tune(scalar2, mp, budget=3, rtol=rtol),
+                 lambda: solver_mod._filter_sweep(cs.A, cs.C, cs.noise,
+                                                  cs.init_root, rtol),
+                 lambda: pinv(np.eye(2), rtol)):
+        with pytest.raises(ValueError, match="rtol must be in"):
+            call()
+
+
 def test_backward_riccati_raises_on_non_pd_bracket(scalar2):
     mp = build_symmetric_delay(scalar2, 1)
     cs = build(scalar2, mp, LocalGains.zeros(scalar2, mp))
