@@ -41,14 +41,19 @@ def initial_state(cs: CoordinatedSystem) -> EstimatorState:
     return EstimatorState(1, np.zeros(cs.d_x + cs.d_c))
 
 
-def statistic_transition(ss: SolvedStrategy, t: int):
-    """Matrices (Ts, Tu, Tz) with stat_{t+1} = Ts stat_t + Tu Ut~ + Tz Z_t."""
+def statistic_transition(ss: SolvedStrategy, t: int | None = None):
+    """Matrices (Ts, Tu, Tz) with stat_{t+1} = Ts stat_t + Tu Ut~ + Tz Z_t;
+    without ``t``, each stacked over t = 1..T-1."""
     cs = ss.cs
-    if not 1 <= t < cs.T:
+    if t is None:
+        at = slice(0, cs.T - 1)
+    elif not 1 <= t < cs.T:
         raise TimeOutOfRange(f"no transition out of t={t} (T={cs.T})")
-    gain = ss.filter_gain[t - 1]
-    return (cs.A[t - 1] - gain @ cs.C[t - 1],
-            cs.B[t - 1] - gain @ cs.protocol.zu, gain)
+    else:
+        at = t - 1
+    gain = ss.filter_gain[at]
+    return (cs.A[at] - gain @ cs.C[at], cs.B[at] - gain @ cs.protocol.zu,
+            gain)
 
 
 def step_statistic(st: EstimatorState, ss: SolvedStrategy, z_new,

@@ -1,19 +1,15 @@
 """Ground truth: paired-noise simulation, exact moment propagation, and the
 brute-force joint-Gaussian conditioning oracle.
 
-Rollouts share one random stream per block of ``BLOCK`` rollouts: rollout r
-reads row ``r % BLOCK`` of ``seeded_stream(seed, r // BLOCK)``'s rollout-major
-normals.  Under linear strategies the closed loop is linear, so
-``rollout_plant`` composes each step's equations, with the plant's noise
-roots folded in, into one map of (state, unit normals) and applies it to
-all rollouts at once, held feature-major as (dim, rows).  Neither a row's
-draws nor its products depend on how many rows are rolled out with it, so
-results are bitwise reproducible and independent of how many rollouts are
-asked for.  ``simulate`` rolls out one block at a time, so its memory
-beyond the costs is bounded.  The plant-form and coordinated-form rollouts
-can be driven by the same primitive draws to check that the coordinated
-system reproduces the original equations state by state; the coordinated
-one reads the scaled noise and no composed map.
+Rollout r reads row ``r % BLOCK`` of ``seeded_stream(seed, r // BLOCK)``'s
+normals.  Under linear strategies the closed loop is linear, so each step
+is one map of (state, unit normals), written from blocks of known matrices
+with the noise roots folded in, and applied to all rollouts at once, held
+feature-major; a kept signal gets a map only if it is not already a row of
+the state or of the step's output.  A row's bits depend neither on the rows
+rolled out with it nor on how many are asked for, and ``simulate`` rolls
+out one block at a time, so its memory beyond the costs is bounded.  The
+coordinated-form rollout reads the same draws, scaled, and no map.
 """
 
 from __future__ import annotations
@@ -23,8 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DEFAULT_RTOL, DimMismatch, as_index, blkdiag,
-                   seeded_stream)
+from .core import DEFAULT_RTOL, DimMismatch, as_index, seeded_stream
 from . import coordination
 from .coordination import CoordinatedSystem, LocalGains
 from .estimator import statistic_transition
@@ -42,6 +37,8 @@ BLOCK = 4096
 ROW_ALIGN = 8
 #: ``draw_primitives`` draws and transposes this many rollouts at a time.
 DRAW_ROWS = BLOCK // 8
+#: ``_step_maps`` stacks the blocks of at most this many steps at a time.
+STEP_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -75,17 +72,9 @@ class Primitives:
                 steps[..., :d_x] @ root[:d_x, :d_x].T,
                 steps[..., d_x:] @ root[d_x:, d_x:].T)
 
-    @property
-    def x1(self) -> np.ndarray:     # (count, d_x)
-        return self._scaled[0]
-
-    @property
-    def w0(self) -> np.ndarray:     # (T, count, d_x)
-        return self._scaled[1]
-
-    @property
-    def wy(self) -> np.ndarray:     # (T, count, sum d_y)
-        return self._scaled[2]
+    x1 = property(lambda self: self._scaled[0])     # (count, d_x)
+    w0 = property(lambda self: self._scaled[1])     # (T, count, d_x)
+    wy = property(lambda self: self._scaled[2])     # (T, count, sum d_y)
 
 
 def draw_primitives(plant: PlantModel, seed: int, count: int, *,
@@ -116,36 +105,52 @@ def draw_primitives(plant: PlantModel, seed: int, count: int, *,
 # coordinator policies (how Ut~ is produced from the shared data)
 
 
-class StatisticPolicy:
+class _LinearPolicy:
+    """A policy linear in its state: Ut~_t = L_t state_t and state_{t+1} =
+    Ts_t state_t + Tu_t Ut~_t + Tz_t Z_t.  ``maps(t0, t1)`` gives L and
+    (Ts, Tu, Tz) of steps t0..t1-1, each stacked over t (no transition out
+    of T); ``widens`` if the state's width changes with t."""
+
+    widens = False
+
+    def utilde(self, state, t: int) -> np.ndarray:
+        L = self.maps(t, t + 1)[0][0]
+        if state.shape[1] != L.shape[1]:
+            raise DimMismatch(f"Ut~ map at t={t} wants {L.shape[1]} coords")
+        return state @ L.T
+
+    def update(self, state, t: int, z, utilde) -> np.ndarray:
+        Ts, Tu, Tz = (m[0] for m in self.maps(t, t + 1)[1])
+        return state @ Ts.T + utilde @ Tu.T + z @ Tz.T
+
+
+class StatisticPolicy(_LinearPolicy):
     """Ut~ = L~_t stat_t, with the statistic advanced by the solved filter."""
 
     def __init__(self, ss: SolvedStrategy):
         self.ss = ss
-        self.transitions = [statistic_transition(ss, t)
-                            for t in range(1, ss.cs.T)]
+        self.transition = statistic_transition(ss)     # stacked over t
 
     def init(self, count: int) -> np.ndarray:
-        cs = self.ss.cs
-        return np.zeros((count, cs.d_x + cs.d_c))
+        return np.zeros((count, self.ss.cs.d_state))
 
-    def utilde(self, state, t: int) -> np.ndarray:
-        return state @ self.ss.Lgain[t - 1].T
-
-    def update(self, state, t: int, z, utilde) -> np.ndarray:
-        Ts, Tu, Tz = self.transitions[t - 1]
-        return state @ Ts.T + utilde @ Tu.T + z @ Tz.T
+    def maps(self, t0: int, t1: int):
+        return self.ss.Lgain[t0 - 1:t1 - 1], tuple(
+            m[t0 - 1:t1 - 1] for m in self.transition)
 
     def statistic(self, state) -> np.ndarray:
         return state
 
 
-class ZHistoryPolicy:
+class ZHistoryPolicy(_LinearPolicy):
     """Ut~ = Theta_t @ stacked(Z_1..Z_{t-1}): arbitrary linear history maps.
 
     Used by the oracle tests to drive the closed loop with strategies that
     are independent of the recursive filter.  ``thetas[t-1]`` has shape
-    (sum d_u, (t-1) d_z); the t = 1 map has zero columns.
+    (sum d_u, (t-1) d_z).  The history widens by Z_t at every step.
     """
+
+    widens = True
 
     def __init__(self, thetas):
         self.thetas = [np.asarray(th, dtype=float) for th in thetas]
@@ -153,16 +158,12 @@ class ZHistoryPolicy:
     def init(self, count: int) -> np.ndarray:
         return np.zeros((count, 0))
 
-    def utilde(self, state, t: int) -> np.ndarray:
-        th = self.thetas[t - 1]
-        if state.shape[1] != th.shape[1]:
-            raise DimMismatch(
-                f"theta[{t}] expects {th.shape[1]} history coords, "
-                f"state has {state.shape[1]}")
-        return state @ th.T
-
-    def update(self, state, t: int, z, utilde) -> np.ndarray:
-        return np.hstack([state, z])
+    def maps(self, t0: int, t1: int):
+        th, old = self.thetas[t0 - 1], self.thetas[t0 - 1].shape[1]
+        new = [n.shape[1] for n in self.thetas[t0:t0 + 1]]   # none at T
+        return th[None], (np.array([np.eye(n, old) for n in new]),
+                          np.array([np.zeros((n, len(th))) for n in new]),
+                          np.array([np.eye(n, n - old, -old) for n in new]))
 
 
 def random_theta_maps(cs: CoordinatedSystem, rng, scale: float = 0.3):
@@ -173,19 +174,13 @@ def random_theta_maps(cs: CoordinatedSystem, rng, scale: float = 0.3):
 
 def strategy_theta_maps(ss: SolvedStrategy):
     """Unroll the solved strategy into explicit observation-history maps."""
-    cs = ss.cs
-    d = cs.d_state
-    xmap = np.zeros((d, 0))      # estimate as a map of stacked Z_1..Z_{t-1}
-    thetas = []
-    for t in range(1, cs.T + 1):
-        thetas.append(ss.Lgain[t - 1] @ xmap)
-        if t == cs.T:
-            break
-        K = ss.Lgain[t - 1]
-        gain = ss.filter_gain[t - 1]
-        M = (cs.A[t - 1] + cs.B[t - 1] @ K
-             - gain @ (cs.C[t - 1] + cs.protocol.zu @ K))
-        xmap = np.hstack([M @ xmap, gain])
+    policy, T = StatisticPolicy(ss), ss.cs.T
+    xmap, thetas = np.zeros((ss.cs.d_state, 0)), []   # stat's map of Z_1..
+    for t in range(1, T + 1):
+        L, (Ts, Tu, Tz) = policy.maps(t, t + 1)
+        thetas.append(L[0] @ xmap)
+        if t < T:
+            xmap = np.hstack([(Ts[0] + Tu[0] @ L[0]) @ xmap, Tz[0]])
     return thetas
 
 
@@ -228,91 +223,93 @@ class RolloutBatch:
         return float(np.std(self.costs, ddof=1) / np.sqrt(len(self.costs)))
 
 
-def _step(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains, policy,
-          t: int, x, c, state, e):
-    """The plant's equations at step t, on rows of X_t, c_t, the policy's
-    state and the unit normals ``e`` of (W0_t, W_t).
-
-    Returns the signals (x, y, m, c, z, u, Ut~) and the next (X, c, policy
-    state), or None at t = T.
-    """
-    w = e @ plant.noise_root[t - 1].T
-    y = x @ plant.C[t - 1].T + w[:, plant.d_x:]
-    m = c @ mp.m_sel.T
-    utilde = policy.utilde(state, t)
-    u = utilde + y @ gains.G[t - 1].T + m @ gains.H[t - 1].T
-    z = c @ mp.zc.T + y @ mp.zy.T + u @ mp.zu.T
-    signals = (x, y, m, c, z, u, utilde)
-    if t == plant.T:
-        return signals, None
-    return signals, (x @ plant.A[t - 1].T + u @ plant.B[t - 1].T
-                     + w[:, :plant.d_x],
-                     c @ mp.cc.T + y @ mp.cy.T + u @ mp.cu.T,
-                     policy.update(state, t, z, utilde))
+_IDENTITY = object()     # an identity block of a _Map
 
 
-@dataclass(frozen=True)
-class _StepMaps:
-    """The closed loop's maps of v_t, step by step.
+class _Map(tuple):
+    """A linear map of v_t as its blocks on (X_t, c_t, policy state, unit
+    normals), each stacked over a run of steps; None is a zero block.
+    ``M @ map`` and ``map + map`` act block by block, so the plant's
+    equations read on maps as they do on signals."""
 
-    v_1 is the unit normals of (X_1, W0_1, W_1), so ``x1_root`` is folded
-    in; for t > 1, v_t = (X_t, c_t, policy state, unit normals of
-    (W0_t, W_t)).  ``step[t-1]`` maps v_t to (X_t, U_t), then
-    blkdiag(Q, R) (X_t, U_t), then the (X, c, policy state) rows of v_{t+1}
-    (none at t = T); ``record[t-1]`` maps it to the kept signals, stacked
-    in ``Rollout``'s order with the widths ``widths``.
-    """
+    __array_ufunc__ = None      # so that ndarray @ _Map calls __rmatmul__
 
-    step: tuple[np.ndarray, ...]
-    record: tuple[np.ndarray, ...]
-    widths: tuple[int, ...]
+    def __rmatmul__(self, m):
+        return _Map(b if b is None else m if b is _IDENTITY else m @ b
+                    for b in self)
+
+    def __add__(self, other):
+        return _Map(a if b is None else b if a is None else a + b
+                    for a, b in zip(self, other))
+
+
+def _stack(signals, cols, steps: int) -> np.ndarray:
+    """(steps, rows, sum cols) array of the (map, rows) ``signals``."""
+    ends = np.cumsum((0,) + cols)
+    tops = np.cumsum([0] + [rows for _, rows in signals])
+    out = np.zeros((steps, tops[-1], ends[-1]))
+    for (sig, rows), top in zip(signals, tops):
+        for b, lo, hi in zip(sig, ends, ends[1:]):
+            if b is not None:
+                out[:, top:top + rows, lo:hi] = \
+                    np.eye(rows) if b is _IDENTITY else b
+    return out
 
 
 def _step_maps(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
-               policy) -> _StepMaps:
-    """Apply ``_step`` to the identity basis of each v_t in turn."""
-    d_x, d_w = plant.d_x, plant.d_x + plant.d_y_total
-    basis = np.eye(d_x + d_w)
-    x = basis[:, :d_x] @ plant.x1_root.T
-    c = np.zeros((len(basis), mp.d_carrier))
-    state = policy.init(len(basis))
-    cost = blkdiag([plant.Q, plant.R])
-    steps, records = [], []
-    for t in range(1, plant.T + 1):
-        signals, nxt = _step(plant, mp, gains, policy, t, x, c, state,
-                             basis[:, -d_w:])
-        if hasattr(policy, "statistic"):
-            signals += (policy.statistic(state),)
-        xu = np.hstack([x, signals[5]])      # (X_t, U_t)
-        steps.append(np.ascontiguousarray(
-            np.hstack((xu, xu @ cost) + (nxt or ())).T))
-        records.append(np.ascontiguousarray(np.hstack(signals).T))
-        if nxt:
-            ends = np.cumsum([n.shape[1] for n in nxt])
-            basis = np.eye(ends[-1] + d_w)
-            x, c, state = np.split(basis[:, :ends[-1]], ends[:-1], axis=1)
-    return _StepMaps(step=tuple(steps), record=tuple(records),
-                     widths=tuple(s.shape[1] for s in signals))
+               policy, records: bool = True):
+    """(step maps, record maps) of v_t = (X_t, c_t, policy state, unit
+    normals of (W0_t, W_t)), or of the normals of (X_1, W0_1, W_1) at t = 1.
+    Step map t gives (X_t, U_t), blkdiag(Q, R) (X_t, U_t) and, before T,
+    v_{t+1} but its normals; record map t, if ``records``, (y, m, z, Ut~).
+    Blocks are stacked over runs of steps that share v_t's layout: step 1,
+    runs of at most ``STEP_CHUNK`` (1 if the policy ``widens``), step T."""
+    T, d_x, d_u, d_c = plant.T, plant.d_x, plant.d_u_total, mp.d_carrier
+    starts = sorted({1, T}.union(range(2, T, 1 if policy.widens
+                                       else STEP_CHUNK)))
+    steps, recs = [], []
+    for t0, t1 in zip(starts, starts[1:] + [T + 1]):
+        at = slice(t0 - 1, t1 - 1)
+        L, (Ts, Tu, Tz) = policy.maps(t0, t1)
+        root = plant.noise_root[at]
+        first = t0 == 1     # v_1 = normals of (X_1, W0_1, W_1): c_1 = 0 = s_1
+        x = _Map((plant.x1_root if first else _IDENTITY, None, None, None))
+        c, s = (_Map(_IDENTITY if j == i and not first else None
+                     for j in range(4)) for i in (1, 2))
+        cols = (d_x, 0 if first else d_c, 0 if first else L.shape[-1],
+                len(root[0]))
+        w0, w = (_Map((None, None, None, r))
+                 for r in (root[:, :d_x], root[:, d_x:]))
+        y = plant.C[at] @ x + w
+        m = mp.m_sel @ c
+        utilde = L @ s
+        u = utilde + gains.G[at] @ y + gains.H[at] @ m
+        z = mp.zc @ c + mp.zy @ y + mp.zu @ u
+        step = [(x, d_x), (u, d_u), (plant.Q @ x, d_x), (plant.R @ u, d_u)]
+        if len(Ts):
+            step += [(plant.A[at] @ x + plant.B[at] @ u + w0, d_x),
+                     (mp.cc @ c + mp.cy @ y + mp.cu @ u, d_c),
+                     (Ts @ s + Tu @ utilde + Tz @ z, Ts.shape[1])]
+        steps += list(_stack(step, cols, t1 - t0))
+        if records:
+            recs += list(_stack([(y, plant.d_y_total), (m, len(mp.m_sel)),
+                                 (z, mp.d_z), (utilde, d_u)], cols, t1 - t0))
+    return tuple(steps), tuple(recs)
 
 
 def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
                   policy, prims: Primitives, keep: int = 0, *,
-                  maps: _StepMaps | None = None) -> RolloutBatch:
-    """Simulate the original decentralized equations.
-
-    The closed loop is linear, so each step is one product of a composed
-    map (see ``_StepMaps``) with v_t, held feature-major as (dim, rows),
-    plus the step's cost from its (X_t, U_t) rows.  ``maps`` are
-    ``_step_maps(plant, mp, gains, policy)``, which ``simulate`` composes
-    once for all its blocks.  The first ``keep`` rollouts are recorded in
-    full; costs are kept for all.
-    """
-    if maps is None:
-        maps = _step_maps(plant, mp, gains, policy)
-    count = prims.count
-    keep = min(keep, count)
+                  maps: tuple | None = None) -> RolloutBatch:
+    """Simulate the original decentralized equations: per step, one product
+    of a step map with v_t, held feature-major as (dim, rows), and the cost
+    from its (X_t, U_t) rows.  ``maps`` are ``_step_maps(..., keep > 0)``,
+    which ``simulate`` composes once.  The first ``keep`` rollouts are
+    recorded in full; costs are kept for all."""
+    count, keep = prims.count, min(keep, prims.count)
+    steps, records = maps or _step_maps(plant, mp, gains, policy, keep > 0)
     d_x, d_w = plant.d_x, plant.d_x + plant.d_y_total
-    d_xu = d_x + plant.d_u_total
+    d_xu, d_c = d_x + plant.d_u_total, mp.d_carrier
+    d_stat = policy.init(0).shape[1] if hasattr(policy, "statistic") else 0
     # BLAS rounds the last columns of a product its own way unless their
     # number is a multiple of ROW_ALIGN: pad with zero rollouts
     cols, kept = (-(-n // ROW_ALIGN) * ROW_ALIGN for n in (count, keep))
@@ -320,31 +317,34 @@ def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     if cols > count:
         normals = np.zeros((len(normals), cols))
         normals[:, :count] = prims.normals
-    bufs = np.empty((2, max(len(m) for m in maps.step) + d_w, cols))
+    bufs = np.empty((2, max(len(m) for m in steps) + d_w, cols))
     v = normals[:d_x + d_w]
     costs = np.zeros(count)
     rec = []     # per step: the kept rows' signals and cost
-    for t, (step, record) in enumerate(zip(maps.step, maps.record), 1):
+    for t, step in enumerate(steps, 1):
         out = np.matmul(step, v, out=bufs[t % 2, :len(step)])
         sc = np.einsum("ir,ir->r", out[:d_xu, :count],
                        out[d_xu:2 * d_xu, :count])
         costs += sc
-        if keep:
-            rec.append(np.vstack([(record @ v[:, :kept])[:, :keep],
-                                  sc[:keep]]))
+        if keep:     # x, u, then y, m, z, Ut~, then c and the statistic
+            c_stat = (v[d_x:d_x + d_c + d_stat, :keep] if t > 1
+                      else np.zeros((d_c + d_stat, keep)))
+            rec.append(np.concatenate([
+                out[:d_xu, :keep], (records[t - 1] @ v[:, :kept])[:, :keep],
+                c_stat, sc[None, :keep]]))
         if t < plant.T:
             lo = d_x + t * d_w
             v = bufs[t % 2, 2 * d_xu:len(step) + d_w]
             v[len(step) - 2 * d_xu:] = normals[lo:lo + d_w]
     samples = []
-    if keep:
-        # (keep, T, dim) per signal; rollout r reads row r
-        xs, ys, ms, carriers, zs, us, uts, *stat, scs = np.split(
-            np.stack(rec).transpose(2, 0, 1),
-            np.cumsum(maps.widths), axis=2)
+    if keep:     # (keep, T, dim) per signal; rollout r reads row r
+        ends = np.cumsum([d_x, plant.d_u_total, plant.d_y_total,
+                          len(mp.m_sel), mp.d_z, plant.d_u_total, d_c, d_stat])
+        xs, us, ys, ms, zs, uts, carriers, stat, scs = np.split(
+            np.stack(rec).transpose(2, 0, 1), ends, axis=2)
         samples = [Rollout(x=xs[r], y=ys[r], m=ms[r], carrier=carriers[r],
                            z=zs[r], u=us[r], u_tilde=uts[r],
-                           stat=stat[0][r] if stat else None,
+                           stat=stat[r] if d_stat else None,
                            step_costs=scs[r, :, 0]) for r in range(keep)]
     return RolloutBatch(costs=costs, samples=tuple(samples))
 
@@ -412,7 +412,7 @@ def simulate(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     if count < 1 or sample_count < 0:
         raise ValueError("need count >= 1 and sample_count >= 0")
     policy = StatisticPolicy(ss)
-    maps = _step_maps(plant, mp, gains, policy)
+    maps = _step_maps(plant, mp, gains, policy, records=sample_count > 0)
     costs, samples = np.empty(count), []
     for start in range(0, count, BLOCK):
         rows = min(BLOCK, count - start)

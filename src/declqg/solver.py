@@ -104,6 +104,7 @@ def _filter_sweep(A, C, noise, R1, rtol: float, start: int = 1, lent=None):
     for t in range(start, n + 1):
         pre = np.concatenate([AC[..., t - 1, :, :] @ roots[..., t - 1, :, :],
                               noise[..., t - 1, :, :]], axis=-1)
+        _check_finite(pre, "filter pre-array", t)     # before LAPACK sees it
         b, a = pre[..., :d, :], pre[..., d:, :]
         u, s, vh = np.linalg.svd(a, full_matrices=False)
         keep = s * s > rtol * s[..., :1] ** 2

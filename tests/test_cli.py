@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from declqg.cli import (DEMOS, _fingerprint, load_scenario, main,
                         strategy_to_doc)
 from declqg.core import NumericalBreakdown
 from declqg.solver import solve
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -144,6 +149,40 @@ def test_overflow_is_a_breakdown_naming_its_step(mutate, command, tmp_path,
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical breakdown: ") and "(t=" in err
+
+
+@pytest.mark.parametrize("command", [["solve"], ["tune", "--budget", "20"]],
+                         ids=["solve", "tune"])
+def test_non_finite_filter_pre_array_is_a_breakdown(command, tmp_path):
+    # C = 1e308 overflows the filter's pre-array [C R, N_v; A R, N_w] at
+    # t = 2; the SVD it used to reach never returned on it.  tune breaks
+    # down at its first candidate with nonzero G, solve at the given gains.
+    doc = json.loads(json.dumps(DEMOS["scalar-2ctrl-k1"]["config"]))
+    doc["observations"]["C"][1] = [[1e308]]
+    if command[0] == "solve":
+        doc["gains"] = {"G": [[[0.5]], [[0.5]]]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-m", "declqg.cli", "--out",
+         str(tmp_path), command[0], str(path), *command[1:]],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert ("numerical breakdown: filter pre-array is not finite (t=2)"
+            in proc.stderr)
+
+
+def test_fuzz_inputs_runs_clean_on_a_few_mutations():
+    # each of the 4 mutations (one per demo config but the last) goes
+    # through validate, solve, simulate and tune in a subprocess
+    proc = subprocess.run(
+        [sys.executable, str(SRC.parent / "tools" / "fuzz_inputs.py"),
+         "--mutations", "4", "--timeout", "30"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert ("4 mutations, 16 runs: 0 tracebacks, 0 timeouts, "
+            "0 undocumented exit codes") in proc.stdout
 
 
 def test_tune_writes_log(k2_config, tmp_path, capsys):

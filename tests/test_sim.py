@@ -17,6 +17,7 @@ from declqg import (DelayGraph, StatisticPolicy, LocalGains, PlantModel,
 from declqg.cli import DEMOS, load_scenario
 from declqg.core import DEFAULT_RTOL, seeded_stream
 from declqg.infostructure import BLOCK_NAMES
+from declqg import sim
 from declqg.sim import BLOCK, Rollout, RolloutBatch, closed_loop_maps
 
 from conftest import random_plant, scalar_two_controller
@@ -178,9 +179,19 @@ def _literal_rollout(plant, mp, gains, policy, prims, keep):
     return RolloutBatch(costs=costs, samples=tuple(samples))
 
 
+def _horizon_cases():
+    """Time-varying plants whose horizon T is 1 or 2, or spans two or three
+    runs of ``sim.STEP_CHUNK`` = 8 steps."""
+    for T in (1, 2, 9, 17):
+        p = random_plant(np.random.default_rng([46, T]), n=2, d_x=2,
+                         d_y=(2, 1), d_u=(1, 2), T=T, time_varying=True)
+        yield pytest.param(p, build_symmetric_delay(p, min(2, T)),
+                           id=f"T={T}")
+
+
 def _literal_cases():
-    """The five demo plants and protocols, then random time-varying plants
-    under every protocol family that fits them."""
+    """The five demo plants and protocols, random time-varying plants under
+    every protocol family that fits them, and ``_horizon_cases``."""
     for name, demo in DEMOS.items():
         sc = load_scenario(copy.deepcopy(demo["config"]))
         yield pytest.param(sc.plant, sc.protocol, id=name)
@@ -196,6 +207,7 @@ def _literal_cases():
                        id="random-asymmetric")
     yield pytest.param(p, build_control_sharing(p),
                        id="random-control-sharing")
+    yield from _horizon_cases()
 
 
 @pytest.mark.parametrize("policy", ["statistic", "z-history"])
@@ -220,6 +232,50 @@ def test_rollout_matches_the_literal_equations(p, mp, policy):
         assert a.shape == b.shape, field
         scale = np.abs(b).max(initial=0.0)
         assert np.abs(a - b).max(initial=0.0) <= 1e-12 * scale, field
+
+
+@pytest.mark.parametrize("policy", ["statistic", "z-history"])
+@pytest.mark.parametrize("p, mp", list(_horizon_cases()))
+def test_step_maps_do_not_depend_on_the_chunks(p, mp, policy, monkeypatch):
+    rng = np.random.default_rng(45)
+    lg = LocalGains.random(p, mp, rng, 0.3)
+    ss = solve(p, mp, lg)
+    pol = (StatisticPolicy(ss) if policy == "statistic"
+           else ZHistoryPolicy(random_theta_maps(ss.cs, rng, 0.3)))
+    steps, records = sim._step_maps(p, mp, lg, pol)
+    assert len(steps) == len(records) == p.T
+    for chunk in (1, 3):
+        monkeypatch.setattr(sim, "STEP_CHUNK", chunk)
+        for got, want in zip(sim._step_maps(p, mp, lg, pol),
+                             (steps, records)):
+            assert len(got) == len(want) == p.T
+            assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                       for a, b in zip(got, want)), chunk
+    without = sim._step_maps(p, mp, lg, pol, records=False)
+    assert without[1] == ()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(without[0], steps))
+
+
+def test_maps_of_a_44_state_coordinator_stay_small():
+    # the instance of test_costs_do_not_depend_on_count_on_a_44_state_
+    # coordinator; a record map for every kept signal, x, c and the
+    # statistic included, put this call at 1 445 063 B under tracemalloc,
+    # record maps of y, m, z and Ut~ alone at 1 057 780 B
+    rng = np.random.default_rng([5, 2])
+    p = random_plant(rng, n=4, d_x=8, d_y=(2,) * 4, d_u=(1,) * 4, T=6)
+    mp = build_symmetric_delay(p, 4)
+    lg = LocalGains.random(p, mp, rng, 0.1)
+    ss = solve(p, mp, lg)
+    assert ss.cs.d_state == 44
+    simulate(p, mp, lg, ss, seed=3, count=3, sample_count=3)    # warm-up
+    tracemalloc.start()
+    try:
+        batch = simulate(p, mp, lg, ss, seed=3, count=3, sample_count=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(batch.samples) == 3 and batch.samples[0].stat.shape == (6, 44)
+    assert peak <= 1_200_000, peak
 
 
 def test_primitives_prefix_property_across_block_edge(scalar2):
