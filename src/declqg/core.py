@@ -204,6 +204,9 @@ def as_covariance(value, dim: int, name: str = "covariance") -> np.ndarray:
     if cov.shape[0] != dim:
         raise DimMismatch(f"{name}: expected dim {dim}, got {cov.shape[0]}")
     scale = np.abs(cov).max() if cov.size else 0.0
+    if scale > np.finfo(float).max / 2:     # cov +- cov.T would overflow
+        raise InvalidMatrix(f"{name}: covariance entries reach {scale:.3e}, "
+                            "over half the largest float")
     if cov.size and np.abs(cov - cov.T).max() > 1e-12 * max(scale, 1.0):
         raise InvalidMatrix(f"{name}: covariance is not symmetric")
     lo, hi = eig_bounds(cov)

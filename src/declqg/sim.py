@@ -7,13 +7,17 @@ is one map of (state, unit normals), written from blocks of known matrices
 with the noise roots folded in, and applied to all rollouts at once, held
 feature-major; a kept signal gets a map only if it is not already a row of
 the state or of the step's output.  A row's bits depend neither on the rows
-rolled out with it nor on how many are asked for, and ``simulate`` rolls
-out one block at a time, so its memory beyond the costs is bounded.  The
-coordinated-form rollout reads the same draws, scaled, and no map.
+rolled out with it nor on how many are asked for.  The blocks are
+independent, so ``simulate`` spreads them over ``WORKERS`` workers, each
+rolling out ``ROLL_ROWS`` rollouts of its block at a time: its memory
+beyond the costs is bounded by ``WORKERS`` chunks.  The coordinated-form
+rollout reads the same draws, scaled, and no map.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,12 +35,17 @@ from .solver import SolvedStrategy
 # --------------------------------------------------------------------------
 # primitive randomness
 
-#: Rollouts per random stream, and per block that ``simulate`` rolls out.
+#: Rollouts per random stream, and per block that a ``simulate`` worker owns.
 BLOCK = 4096
 #: ``rollout_plant`` pads its rollouts to a multiple of this many.
 ROW_ALIGN = 8
-#: ``draw_primitives`` draws and transposes this many rollouts at a time.
+#: Normals are drawn and transposed this many rollouts at a time.
 DRAW_ROWS = BLOCK // 8
+#: A ``simulate`` worker draws and rolls out this many rollouts at a time.
+ROLL_ROWS = BLOCK // 4
+#: Workers ``simulate`` spreads its blocks over: the CPUs it may run on.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 #: ``_step_maps`` stacks the blocks of at most this many steps at a time.
 STEP_CHUNK = 8
 
@@ -87,18 +96,30 @@ def draw_primitives(plant: PlantModel, seed: int, count: int, *,
     count, start = as_index(count, "count"), as_index(start, "start")
     if count < 0 or start < 0:
         raise ValueError("need count >= 0 and start >= 0")
-    total = plant.d_x + plant.T * (plant.d_x + plant.d_y_total)
-    normals = np.empty((total, count))
+    normals = np.empty((_width(plant), count))
+    drawn = np.empty((min(DRAW_ROWS, count), len(normals)))
     stop = start + count
     for b in range(start // BLOCK, -(-stop // BLOCK)):
         lo, hi = max(start, b * BLOCK), min(stop, (b + 1) * BLOCK)
         stream = seeded_stream(seed, b)
-        stream.standard_normal((lo - b * BLOCK, total))    # rows before start
-        for r in range(lo, hi, DRAW_ROWS):
-            rows = min(hi - r, DRAW_ROWS)
-            normals[:, r - start:r - start + rows] = \
-                stream.standard_normal((rows, total)).T
+        stream.standard_normal((lo - b * BLOCK, len(normals)))   # rows before
+        _draw_rows(stream, normals[:, lo - start:hi - start], drawn)
     return Primitives(normals=normals, plant=plant)
+
+
+def _width(plant: PlantModel) -> int:
+    """Unit normals per rollout."""
+    return plant.d_x + plant.T * (plant.d_x + plant.d_y_total)
+
+
+def _draw_rows(stream: np.random.Generator, out: np.ndarray,
+               drawn: np.ndarray) -> None:
+    """Fill feature-major ``out`` with the next ``out.shape[1]`` rows of
+    ``stream``'s normals, drawn ``DRAW_ROWS`` at a time into ``drawn``,
+    which has that many rows or as many as ``out`` has columns."""
+    for lo in range(0, out.shape[1], DRAW_ROWS):
+        hi = min(lo + DRAW_ROWS, out.shape[1])
+        out[:, lo:hi] = stream.standard_normal(out=drawn[:hi - lo]).T
 
 
 # --------------------------------------------------------------------------
@@ -299,12 +320,15 @@ def _step_maps(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
 
 def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
                   policy, prims: Primitives, keep: int = 0, *,
-                  maps: tuple | None = None) -> RolloutBatch:
+                  maps: tuple | None = None,
+                  work: np.ndarray | None = None) -> RolloutBatch:
     """Simulate the original decentralized equations: per step, one product
     of a step map with v_t, held feature-major as (dim, rows), and the cost
     from its (X_t, U_t) rows.  ``maps`` are ``_step_maps(..., keep > 0)``,
-    which ``simulate`` composes once.  The first ``keep`` rollouts are
-    recorded in full; costs are kept for all."""
+    which ``simulate`` composes once; ``work``, if given, takes the step
+    products in place of fresh memory and must be at least (2, rows of the
+    largest step map + d_w, count rounded up to ``ROW_ALIGN``).  The first
+    ``keep`` rollouts are recorded in full; costs are kept for all."""
     count, keep = prims.count, min(keep, prims.count)
     steps, records = maps or _step_maps(plant, mp, gains, policy, keep > 0)
     d_x, d_w = plant.d_x, plant.d_x + plant.d_y_total
@@ -317,7 +341,8 @@ def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     if cols > count:
         normals = np.zeros((len(normals), cols))
         normals[:, :count] = prims.normals
-    bufs = np.empty((2, max(len(m) for m in steps) + d_w, cols))
+    rows = max(len(m) for m in steps) + d_w
+    bufs = np.empty((2, rows, cols)) if work is None else work[:, :rows, :cols]
     v = normals[:d_x + d_w]
     costs = np.zeros(count)
     rec = []     # per step: the kept rows' signals and cost
@@ -402,10 +427,15 @@ def simulate(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
              sample_count: int = 0) -> RolloutBatch:
     """Monte Carlo estimate of the strategy's expected total cost.
 
-    Composes the step maps once, then rolls out ``BLOCK`` rollouts at a
-    time and drops each block's primitives before drawing the next; the
-    first ``sample_count`` rollouts are kept.  A rollout's cost does not
-    depend on ``count`` (see the module docstring).
+    Composes the step maps once, then hands the blocks of ``BLOCK``
+    rollouts round robin to up to ``WORKERS`` workers: the caller and a
+    thread per other worker, so a single block starts no thread.  Each
+    worker owns one chunk's space, allocated up front: it draws and rolls
+    out ``ROLL_ROWS`` rollouts of its block at a time there, so memory
+    beyond the costs is at most ``WORKERS`` chunks however large ``count``
+    is.  The first ``sample_count`` rollouts are kept.  A rollout's bits
+    depend neither on ``count`` nor on the worker that ran it (see the
+    module docstring).
     """
     count = as_index(count, "count")
     sample_count = as_index(sample_count, "sample_count")
@@ -413,17 +443,55 @@ def simulate(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
         raise ValueError("need count >= 1 and sample_count >= 0")
     policy = StatisticPolicy(ss)
     maps = _step_maps(plant, mp, gains, policy, records=sample_count > 0)
-    costs, samples = np.empty(count), []
-    for start in range(0, count, BLOCK):
-        rows = min(BLOCK, count - start)
-        prims = draw_primitives(plant, seed, rows, start=start)
-        batch = rollout_plant(plant, mp, gains, policy, prims,
-                              keep=min(rows, max(0, sample_count - start)),
-                              maps=maps)
-        costs[start:start + rows] = batch.costs
-        samples += batch.samples
-        del prims, batch
-    return RolloutBatch(costs=costs, samples=tuple(samples))
+    costs, blocks = np.empty(count), range(-(-count // BLOCK))
+    workers = min(WORKERS, len(blocks))
+    # per worker: a chunk's normals, its rows as drawn and its step
+    # products, in one allocation, which malloc reuses from call to call
+    # (three gave about 300 page faults per 1 000-rollout call)
+    width, rows = _width(plant), max(map(len, maps[0])) + plant.d_x \
+        + plant.d_y_total
+    cols = min(ROLL_ROWS, -(-count // ROW_ALIGN) * ROW_ALIGN)
+    shapes = ((width, cols), (min(DRAW_ROWS, cols), width), (2, rows, cols))
+    ends = np.cumsum([0] + [np.prod(shape) for shape in shapes])
+    spaces = [[flat[lo:hi].reshape(shape)
+               for lo, hi, shape in zip(ends, ends[1:], shapes)]
+              for flat in (np.empty(ends[-1]) for _ in range(workers))]
+    kept, errors = [[] for _ in blocks], []
+
+    def work(w: int) -> None:
+        """Roll out blocks w, w + workers, ...; stop at any worker's
+        failure."""
+        normals, drawn, products = spaces[w]
+        try:
+            for b in blocks[w::workers]:
+                if errors:
+                    return
+                stop = min(count, (b + 1) * BLOCK)
+                stream = seeded_stream(seed, b)
+                for lo in range(b * BLOCK, stop, ROLL_ROWS):
+                    chunk = normals[:, :min(stop - lo, ROLL_ROWS)]
+                    _draw_rows(stream, chunk, drawn)
+                    batch = rollout_plant(
+                        plant, mp, gains, policy,
+                        Primitives(normals=chunk, plant=plant),
+                        keep=max(0, sample_count - lo), maps=maps,
+                        work=products)
+                    costs[lo:lo + len(batch.costs)] = batch.costs
+                    kept[b] += batch.samples
+        except BaseException as e:      # raised again by the caller
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, args=(w,))
+               for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return RolloutBatch(costs=costs,
+                        samples=tuple(r for block in kept for r in block))
 
 
 def exact_cost(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,27 @@ def test_bad_R_rejected_with_field(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["solve", str(path)]) == 2
     assert "cost.R" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "simulate"])
+def test_overflowing_covariance_rejected_with_field(command, tmp_path, capsys):
+    # sigma_x + sigma_x' overflows, and eigvalsh used to fail on the infs
+    doc = json.loads(json.dumps(DEMOS["symmetric-k2"]["config"]))
+    doc["dims"]["d_x"] = 3
+    doc["dynamics"] = {"A": np.diag([0.9, 0.8, 0.7]).tolist(),
+                       "B": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}
+    doc["observations"]["C"] = [[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]]
+    doc["cost"]["Q"] = np.eye(3).tolist()
+    doc["noise"]["sigma_x"] = [[1e308, 1e308, 0.0], [1e308, 1e308, 0.0],
+                               [0.0, 0.0, 1.0]]
+    doc["noise"]["sigma_w0"] = (0.3 * np.eye(3)).tolist()
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--out", str(tmp_path), command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at noise: sigma_x: "), err
 
 
 def test_missing_field_rejected(tmp_path, capsys):

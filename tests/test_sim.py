@@ -1,5 +1,9 @@
 import copy
+import os
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +22,14 @@ from declqg.cli import DEMOS, load_scenario
 from declqg.core import DEFAULT_RTOL, seeded_stream
 from declqg.infostructure import BLOCK_NAMES
 from declqg import sim
-from declqg.sim import BLOCK, Rollout, RolloutBatch, closed_loop_maps
+from declqg.sim import (BLOCK, ROLL_ROWS, Rollout, RolloutBatch,
+                        closed_loop_maps)
 
 from conftest import random_plant, scalar_two_controller
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import McRollouts, Recorder  # noqa: E402
 
 
 
@@ -307,6 +316,114 @@ def test_samples_across_block_edge_equal_one_unblocked_rollout(scalar2):
     for got, want in zip(mc.samples, ref.samples):
         for name in vars(want):
             assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.fixture(scope="module")
+def vector_case():
+    # vector signals, so that one-row and tail-row products round their own way
+    rng = np.random.default_rng(41)
+    p = random_plant(rng, n=2, d_x=2, d_y=(1, 1), d_u=(1, 1), T=5)
+    mp = build_symmetric_delay(p, 2)
+    lg = LocalGains.random(p, mp, rng, 0.3)
+    return p, mp, lg, solve(p, mp, lg)
+
+
+@pytest.mark.parametrize("count, keep", [
+    (1, 3), (ROLL_ROWS - 1, 3), (ROLL_ROWS + 1, 3), (ROLL_ROWS + 8, 3),
+    (BLOCK - 1, 3), (BLOCK + 1, 3), (2 * BLOCK + 3, 3),
+    (2 * BLOCK + 3, ROLL_ROWS + 2), (2 * BLOCK + 3, BLOCK + 2)])
+def test_results_do_not_depend_on_workers_or_chunks(vector_case, count, keep,
+                                                   monkeypatch):
+    p, mp, lg, ss = vector_case
+    ref = rollout_plant(p, mp, lg, StatisticPolicy(ss),
+                        draw_primitives(p, seed=12, count=count), keep=keep)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(sim, "WORKERS", workers)
+        mc = simulate(p, mp, lg, ss, seed=12, count=count, sample_count=keep)
+        assert np.array_equal(mc.costs, ref.costs), workers
+        assert len(mc.samples) == len(ref.samples) == min(count, keep)
+        for got, want in zip(mc.samples, ref.samples):
+            for name in vars(want):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name)), (workers, name)
+
+
+def test_more_workers_than_cores_under_fast_switching_agree_with_one(
+        scalar2, monkeypatch):
+    mp = build_symmetric_delay(scalar2, 1)
+    lg = LocalGains.random(scalar2, mp, np.random.default_rng(39), 0.3)
+    ss = solve(scalar2, mp, lg)
+    count, keep = 12 * BLOCK + 5, BLOCK + 2
+    monkeypatch.setattr(sim, "WORKERS", 1)
+    want = simulate(scalar2, mp, lg, ss, seed=15, count=count,
+                    sample_count=keep)
+    monkeypatch.setattr(sim, "WORKERS", 2 * (os.cpu_count() or 1) + 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = simulate(scalar2, mp, lg, ss, seed=15, count=count,
+                       sample_count=keep)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got.costs, want.costs)
+    assert len(got.samples) == keep
+    for a, b in zip(got.samples, want.samples):
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.stat, b.stat)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_failing_block_re_raises_and_leaves_no_thread(scalar2, workers,
+                                                       monkeypatch):
+    mp = build_symmetric_delay(scalar2, 1)
+    ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
+    seed, error = 13, RuntimeError("rollout failed")
+    # block 1's first chunk opens with the first row of its stream
+    first = seeded_stream(seed, 1).standard_normal(sim._width(scalar2))
+    rollout = sim.rollout_plant
+
+    def failing(plant, mp, gains, policy, prims, *args, **kwargs):
+        if np.array_equal(prims.normals[:, 0], first):
+            raise error
+        return rollout(plant, mp, gains, policy, prims, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "WORKERS", workers)
+    monkeypatch.setattr(sim, "rollout_plant", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        simulate(scalar2, mp, ss.gains, ss, seed=seed, count=4 * BLOCK)
+    assert caught.value is error
+    assert threading.active_count() == before
+
+
+def test_a_one_block_call_starts_no_thread(scalar2, monkeypatch):
+    mp = build_symmetric_delay(scalar2, 1)
+    ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
+
+    def no_thread(self):
+        raise AssertionError("simulate started a thread")
+
+    monkeypatch.setattr(sim, "WORKERS", 2)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    mc = simulate(scalar2, mp, ss.gains, ss, seed=14, count=BLOCK,
+                  sample_count=2)
+    assert len(mc.costs) == BLOCK and len(mc.samples) == 2
+
+
+def test_threaded_simulate_peaks_below_the_serial_block_loop(monkeypatch):
+    # the mc-rollouts plant: one block at a time on one thread peaked at
+    # 4 746 317 B here; two workers holding a 1 024-rollout chunk each
+    # peak at about 3.26 MB
+    wl = McRollouts(seed=0, tiny=False)
+    wl.setup(Recorder())
+    monkeypatch.setattr(sim, "WORKERS", 2)
+    tracemalloc.start()
+    try:
+        simulate(wl.plant, wl.mp, wl.gains, wl.ss, seed=12, count=8 * BLOCK,
+                 sample_count=wl.kept)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_746_317, peak
 
 
 def test_simulate_peak_memory_grows_only_with_the_costs(scalar2):

@@ -30,7 +30,9 @@ pinned to one thread.  It covers:
   ``simulate`` and its kept samples;
 * at mc-rollouts seed 0, a ``simulate`` whose count (2 blocks + 3) and kept
   samples (1 block + 2) straddle the edges of ``declqg.sim.BLOCK``, so a
-  change of the per-block stream layout shows up;
+  change of the per-block stream layout shows up, and one of the same count
+  whose kept samples (1 chunk + 2) straddle the edge of the first
+  ``declqg.sim.ROLL_ROWS`` chunk that a worker rolls out;
 * the stdout of each ``demos/*.py``.
 """
 
@@ -149,6 +151,11 @@ def main() -> int:
                              seed=wl.call_seed(1, 1), count=2 * block + 3,
                              sample_count=block + 2)
             batch_digests(out, "mc-rollouts.0.block-edges", mc)
+            chunk = getattr(dq.sim, "ROLL_ROWS", block // 4)   # before chunks
+            mc = dq.simulate(wl.plant, wl.mp, wl.gains, wl.ss,
+                             seed=wl.call_seed(1, 2), count=2 * block + 3,
+                             sample_count=chunk + 2)
+            batch_digests(out, "mc-rollouts.0.chunk-edges", mc)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for script in sorted((ROOT / "demos").glob("*.py")):
         proc = subprocess.run([sys.executable, str(script)], env=env,
