@@ -46,6 +46,18 @@ def random_plant(rng, n=2, d_x=2, d_y=None, d_u=None, T=5,
                  for i in range(n)])
 
 
+def check_generated(cases, tag: int, count: int, check) -> None:
+    """Run ``check(*case)`` on instances 0..count-1 of the generator
+    ``cases``, instance i drawn from ``np.random.default_rng([tag, i])``, so
+    the set depends only on the generator's code; a failure names i."""
+    for i in range(count):
+        case = cases(np.random.default_rng([tag, i]))
+        try:
+            check(*case)
+        except AssertionError as e:
+            raise AssertionError(f"instance [{tag}, {i}]: {e}") from e
+
+
 def scalar_two_controller(T=5):
     """The scalar 2-controller instance used throughout the suite."""
     return PlantModel.create(

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from declqg import (StatisticPolicy, DelayGraph, DelayedStatTracker, LocalGains,
@@ -14,7 +13,7 @@ from declqg import (StatisticPolicy, DelayGraph, DelayedStatTracker, LocalGains,
 from declqg.estimator import (delay_stat_dim, effective_delay,
                               statistic_transition)
 
-from conftest import random_plant, scalar_two_controller
+from conftest import check_generated, random_plant, scalar_two_controller
 
 
 def test_step_statistic_zero_everything():
@@ -362,33 +361,32 @@ def test_delayed_stat_gains_equal_per_step_maps(protocol):
         assert np.array_equal(gains[t - 1], ss.Lgain[t - 1] @ ref), t
 
 
-@st.composite
-def _delayed_sharing_cases(draw):
+def _delayed_sharing_cases(rng):
     """(plant, protocol, k, seed): symmetric, or asymmetric with equal k*_j."""
-    n = draw(st.sampled_from([2, 3]))
-    k = draw(st.sampled_from([1, 2, 3]))
-    T = draw(st.integers(k, 8))
-    d_x = draw(st.sampled_from([2, 3]))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    p = random_plant(rng, n=n, d_x=d_x, T=T)
-    if draw(st.booleans()):
+    n = int(rng.choice([2, 3]))
+    k = int(rng.choice([1, 2, 3]))
+    T = int(rng.integers(k, 9))
+    d_x = int(rng.choice([2, 3]))
+    seed = int(rng.integers(2**32))
+    p = random_plant(np.random.default_rng(seed), n=n, d_x=d_x, T=T)
+    if rng.integers(2):
         return p, build_symmetric_delay(p, k), k, seed
     # off-diagonal delays in 1..k, each column reaching k somewhere
     delays = np.ones((n, n), dtype=int)
     for j in range(n):
         others = [i for i in range(n) if i != j]
         for i in others:
-            delays[i, j] = draw(st.integers(1, k))
-        delays[draw(st.sampled_from(others)), j] = k
+            delays[i, j] = rng.integers(1, k + 1)
+        delays[rng.choice(others), j] = k
     return p, build_asymmetric_delay(p, DelayGraph.create(delays)), k, seed
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@seed(1103)
-@given(_delayed_sharing_cases())
-def test_delayed_stat_gains_reproduce_solver_actions(case):
-    p, mp, k, seed = case
+def test_delayed_stat_gains_reproduce_solver_actions():
+    check_generated(_delayed_sharing_cases, 1103, 50,
+                    _check_delayed_stat_actions)
+
+
+def _check_delayed_stat_actions(p, mp, k, seed):
     rng = np.random.default_rng([seed, 1])
     ss = solve(p, mp, LocalGains.random(p, mp, rng, 0.3))
     gains_on_stat = delayed_stat_gains(ss, k)

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from declqg import (DelayGraph, StatisticPolicy, LocalGains, PlantModel,
@@ -25,7 +24,7 @@ from declqg import sim
 from declqg.sim import (BLOCK, ROLL_ROWS, Rollout, RolloutBatch,
                         closed_loop_maps)
 
-from conftest import random_plant, scalar_two_controller
+from conftest import check_generated, random_plant, scalar_two_controller
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -583,28 +582,32 @@ def test_closed_loop_maps_match_rollout(scalar2):
         assert np.abs(got - want).max() < 1e-10
 
 
-@st.composite
-def _oracle_cases(draw):
+#: Instance i of the generated-instance gate is
+#: ``_oracle_cases(np.random.default_rng([ORACLE_TAG, i]))``.
+ORACLE_TAG = 1101
+
+
+def _oracle_cases(rng):
     """(plant, protocol, seed) over n, T (T = 1 included), signal dims,
     constant or time-varying maps, singular observation noise and every
-    protocol family."""
-    n = draw(st.integers(1, 3))
-    T = draw(st.integers(1, 5))
-    dims = st.lists(st.integers(1, 2), min_size=n, max_size=n)
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    p = random_plant(rng, n=n, d_x=draw(st.integers(1, 3)),
-                     d_y=draw(dims), d_u=draw(dims), T=T,
-                     time_varying=draw(st.booleans()),
-                     singular_w=draw(st.booleans()))
+    protocol family; ``seed`` seeds the plant's and the blocks' draws."""
+    n = int(rng.integers(1, 4))
+    T = int(rng.integers(1, 6))
+    dims = lambda: [int(d) for d in rng.integers(1, 3, n)]
+    seed = int(rng.integers(2**32))
+    plant_rng = np.random.default_rng(seed)
+    p = random_plant(plant_rng, n=n, d_x=int(rng.integers(1, 4)),
+                     d_y=dims(), d_u=dims(), T=T,
+                     time_varying=bool(rng.integers(2)),
+                     singular_w=bool(rng.integers(2)))
     kinds = ["symmetric", "control_sharing", "explicit"]
     kinds += ["asymmetric"] * (n > 1) + ["one_sided"] * (n == 2)
-    kind = draw(st.sampled_from(kinds))
+    kind = kinds[rng.integers(len(kinds))]
     if kind == "symmetric":
-        mp = build_symmetric_delay(p, draw(st.integers(1, T)))
+        mp = build_symmetric_delay(p, int(rng.integers(1, T + 1)))
     elif kind == "asymmetric":
-        delays = [[1 if i == j else draw(st.integers(1, T)) for j in range(n)]
-                  for i in range(n)]
+        delays = [[1 if i == j else int(rng.integers(1, T + 1))
+                   for j in range(n)] for i in range(n)]
         mp = build_asymmetric_delay(p, DelayGraph.create(delays))
     elif kind == "control_sharing":
         mp = build_control_sharing(p)
@@ -613,11 +616,10 @@ def _oracle_cases(draw):
     else:
         blocks = []
         for i in range(n):
-            rows = {"m": draw(st.integers(0, 2)), "z": draw(st.integers(0, 2))}
+            rows = {"m": int(rng.integers(3)), "z": int(rng.integers(3))}
             cols = {"m": rows["m"], "y": p.d_y[i], "u": p.d_u[i]}
-            blocks.append({b: 0.5 * rng.standard_normal((rows[b[0]],
-                                                         cols[b[1]]))
-                           for b in BLOCK_NAMES})
+            blocks.append({b: 0.5 * plant_rng.standard_normal(
+                (rows[b[0]], cols[b[1]])) for b in BLOCK_NAMES})
         mp = explicit_protocol(p, blocks)
     return p, mp, seed
 
@@ -642,11 +644,11 @@ def _rank_margin(cs, thetas):
     return margin
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@seed(1101)
-@given(_oracle_cases())
-def test_oracles_agree_on_generated_instances(case):
-    p, mp, seed = case
+def test_oracles_agree_on_generated_instances():
+    check_generated(_oracle_cases, ORACLE_TAG, 300, _check_oracles_agree)
+
+
+def _check_oracles_agree(p, mp, seed):
     rng = np.random.default_rng([seed, 1])
     lg = LocalGains.random(p, mp, rng, 0.3)
     ss = solve(p, mp, lg)

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hypothesis import given, seed, settings
-
 from declqg import (LocalGains, NumericalBreakdown, PlantModel,
                     UnsupportedProtocol, build, build_symmetric_delay,
                     closed_loop_cost_exact, delayed_stat_gains,
@@ -17,7 +15,7 @@ from declqg.core import DEFAULT_RTOL, blkdiag, pinv, sym
 from declqg.estimator import (_window_map, effective_delay,
                               statistic_transition)
 
-from conftest import random_plant, scalar_two_controller
+from conftest import check_generated, random_plant, scalar_two_controller
 from test_sim import _oracle_cases
 
 
@@ -338,14 +336,12 @@ def test_solve_from_an_incumbent_is_bitwise_the_full_solve(name):
     _assert_reuse_is_bitwise(p, mp, theta)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@seed(1103)
-@given(_oracle_cases())
-def test_solve_from_an_incumbent_is_bitwise_on_generated_instances(case):
-    p, mp, seed = case
-    theta = LocalGains.random(p, mp, np.random.default_rng([seed, 1]),
-                              0.3).theta
-    _assert_reuse_is_bitwise(p, mp, theta)
+def test_solve_from_an_incumbent_is_bitwise_on_generated_instances():
+    def check(p, mp, seed):
+        theta = LocalGains.random(p, mp, np.random.default_rng([seed, 1]),
+                                  0.3).theta
+        _assert_reuse_is_bitwise(p, mp, theta)
+    check_generated(_oracle_cases, 1103, 100, check)
 
 
 def test_an_incumbent_that_cannot_lend_gives_the_full_solve():
@@ -559,10 +555,7 @@ def test_solve_matches_augmented_reference(name, p, mp):
         _assert_matches_augmented(p, mp, lg)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@seed(1102)
-@given(_oracle_cases())
-def test_solve_matches_augmented_reference_on_generated_instances(case):
-    p, mp, seed = case
-    _assert_matches_augmented(
-        p, mp, LocalGains.random(p, mp, np.random.default_rng([seed, 1]), 0.3))
+def test_solve_matches_augmented_reference_on_generated_instances():
+    check_generated(_oracle_cases, 1102, 50, lambda p, mp, seed:
+                    _assert_matches_augmented(p, mp, LocalGains.random(
+                        p, mp, np.random.default_rng([seed, 1]), 0.3)))
