@@ -9,8 +9,9 @@ W_t into the next state and into Z_t, so W_t is process noise correlated
 with the measurement noise; it is independent of everything the coordinator
 knows at t, so Y_t need not be part of the state.  G_t W_t also adds the
 constant tr(G_t' R G_t sigma_w) to each step's expected cost.  The
-paired-noise equivalence oracle in :mod:`declqg.sim` certifies the
-reformulation state by state.
+paired-noise equivalence oracle in :mod:`declqg.oracles` certifies the
+reformulation state by state; ``closed_loop_cost_exact`` here is the exact
+moment-propagation oracle.
 """
 
 from __future__ import annotations

@@ -69,13 +69,20 @@ def step_statistic(st: EstimatorState, ss: SolvedStrategy, z_new,
 
 def act(st: EstimatorState, ss: SolvedStrategy, y_local, m_local):
     """Per-controller actions U^i_t = L~^i_t stat + G^i_t Y^i_t + H^i_t M^i_t."""
-    p = ss.cs.plant
+    p, mp, t = ss.cs.plant, ss.cs.protocol, st.t
     if len(y_local) != p.n or len(m_local) != p.n:
         raise DimMismatch("need one local observation and memory per controller")
-    return [ss.local_action(i, st.t, st.stat,
-                            as_vector(y_local[i], p.d_y[i], f"y[{i}]"),
-                            as_vector(m_local[i], None, f"m[{i}]"))
-            for i in range(p.n)]
+    actions = []
+    for i in range(p.n):
+        y = as_vector(y_local[i], p.d_y[i], f"y[{i}]")
+        m = as_vector(m_local[i], mp.d_m[i], f"m[{i}]")
+        sl = p.u_slice(i)
+        u = ss.Lgain[t - 1][sl, :] @ st.stat
+        u = u + ss.gains.G[t - 1][sl, p.y_slice(i)] @ y
+        if mp.d_m[i]:
+            u = u + ss.gains.H[t - 1][sl, mp.m_slice(i)] @ m
+        actions.append(u)
+    return actions
 
 
 # --------------------------------------------------------------------------
@@ -221,9 +228,6 @@ class DelayedStatTracker:
 
 def _check_stat_delay(mp, k: int) -> None:
     """Raise unless the delayed statistic with window delay k fits ``mp``."""
-    if mp.kind not in ("symmetric_delay", "asymmetric_delay"):
-        raise UnsupportedProtocol(
-            f"delayed-statistic map needs a delayed-sharing protocol, got {mp.kind!r}")
     if mp.kind == "asymmetric_delay":
         # the construction conditions the delayed state estimate on data up
         # to t - k*; if some controller's data becomes common sooner, the

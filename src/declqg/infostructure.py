@@ -125,7 +125,7 @@ class MemoryProtocol:
     zu: np.ndarray
     m_sel: np.ndarray           # VVEC(M^1..M^n) = m_sel @ carrier
     l_from_m: np.ndarray        # carrier = l_from_m @ VVEC(M^1..M^n)
-    blocks: tuple[dict, ...] | None   # per-controller carrier-coordinate blocks
+    blocks: tuple[dict, ...]    # per-controller carrier-coordinate blocks
     delay_graph: DelayGraph | None = None
     delay: int | None = None    # symmetric sharing delay, when applicable
     notes: tuple[str, ...] = ()
@@ -177,11 +177,10 @@ class MemoryProtocol:
             "d_z": self.d_z,
             "notes": list(self.notes),
         }
-        if self.blocks is not None:
-            doc["blocks"] = [
-                {name: blk[name].tolist() for name in BLOCK_NAMES}
-                for blk in self.blocks
-            ]
+        doc["blocks"] = [
+            {name: blk[name].tolist() for name in BLOCK_NAMES}
+            for blk in self.blocks
+        ]
         doc["stacked"] = {
             "cc": self.cc.tolist(), "cy": self.cy.tolist(),
             "cu": self.cu.tolist(), "zc": self.zc.tolist(),
@@ -431,11 +430,7 @@ def validate(mp: MemoryProtocol, enforce_strict: bool | None = None
             out.append(Violation("dims", None, name, None,
                                  f"expected {shape}, got {got}"))
     check_strict = mp.strict if enforce_strict is None else enforce_strict
-    if check_strict and mp.blocks is None:
-        out.append(Violation("A1", None, None, None,
-                             "strict check requested but no per-controller "
-                             "blocks are available"))
-    if check_strict and mp.blocks is not None:
+    if check_strict:
         for i in range(n):
             b = mp.blocks[i]
             for name in BLOCK_NAMES:

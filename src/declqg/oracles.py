@@ -1,0 +1,197 @@
+"""Brute-force oracles for the coordinator's reformulation: the coordinated
+recursion under the draws ``rollout_plant`` reads (paired noise) and the
+closed loop's joint Gaussian conditioned on the shared history, both under
+explicit observation-history strategies.  The third oracle, exact moment
+propagation, is ``coordination.closed_loop_cost_exact``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .core import DEFAULT_RTOL, DimMismatch
+from .coordination import CoordinatedSystem
+from .sim import Primitives, StatisticPolicy
+from .solver import SolvedStrategy
+
+
+class ZHistoryPolicy:
+    """Ut~ = Theta_t @ stacked(Z_1..Z_{t-1}): arbitrary linear history maps.
+
+    Used by the oracle tests to drive the closed loop with strategies that
+    are independent of the recursive filter.  ``thetas[t-1]`` has shape
+    (sum d_u, (t-1) d_z).  The history widens by Z_t at every step.
+    """
+
+    widens = True
+
+    def __init__(self, thetas):
+        self.thetas = [np.asarray(th, dtype=float) for th in thetas]
+
+    def init(self, count: int) -> np.ndarray:
+        return np.zeros((count, 0))
+
+    def maps(self, t0: int, t1: int):
+        th, old = self.thetas[t0 - 1], self.thetas[t0 - 1].shape[1]
+        new = [n.shape[1] for n in self.thetas[t0:t0 + 1]]   # none at T
+        return th[None], (np.array([np.eye(n, old) for n in new]),
+                          np.array([np.zeros((n, len(th))) for n in new]),
+                          np.array([np.eye(n, n - old, -old) for n in new]))
+
+
+def random_theta_maps(cs: CoordinatedSystem, rng, scale: float = 0.3):
+    """Random linear history strategies for oracle cross-checks."""
+    return [scale * rng.standard_normal((cs.d_u, (t - 1) * cs.d_z))
+            for t in range(1, cs.T + 1)]
+
+
+def strategy_theta_maps(ss: SolvedStrategy):
+    """Unroll the solved strategy into explicit observation-history maps."""
+    policy, T = StatisticPolicy(ss), ss.cs.T
+    xmap, thetas = np.zeros((ss.cs.d_state, 0)), []   # stat's map of Z_1..
+    for t in range(1, T + 1):
+        L, (Ts, Tu, Tz) = policy.maps(t, t + 1)
+        thetas.append(L[0] @ xmap)
+        if t < T:
+            xmap = np.hstack([(Ts[0] + Tu[0] @ L[0]) @ xmap, Tz[0]])
+    return thetas
+
+
+# --------------------------------------------------------------------------
+# paired-noise coordinated recursion
+
+
+@dataclass(frozen=True)
+class CoordinatedRollout:
+    """Trajectories of the coordinated recursion under the same primitives."""
+
+    xtilde: np.ndarray    # (keep, T, d_state): rows (X_t, c_t)
+    ytilde: np.ndarray    # (keep, T, d_z); row t-1 holds Z_{t-1} (zero at t=1)
+    u_tilde: np.ndarray
+    step_costs: np.ndarray
+    costs: np.ndarray
+
+
+def rollout_coordinated(cs: CoordinatedSystem, policy, prims: Primitives
+                        ) -> CoordinatedRollout:
+    """Propagate the coordinated recursion with explicit primitive noise.
+
+    Step costs are the realized ones: with v = Ut~ + G_t W_t, the plant's
+    cost is xi' Q~ xi + 2 xi' N~ v + v' R v.
+    """
+    plant, d = cs.plant, cs.d_state
+    count = prims.count
+    xt = np.hstack([prims.x1, np.zeros((count, cs.d_c))])
+    state = policy.init(count)
+    xs, ys, us, scs = [], [np.zeros((count, cs.d_z))], [], []
+    costs = np.zeros(count)
+    for t in range(1, plant.T + 1):
+        L, (Ts, Tu, Tz) = policy.maps(t, t + 1)
+        if state.shape[1] != L.shape[-1]:
+            raise DimMismatch(f"Ut~ map at t={t} wants {L.shape[-1]} coords")
+        utilde = state @ L[0].T
+        v = utilde + prims.wy[t - 1] @ cs.gains.G[t - 1].T
+        sc = np.einsum("ri,ij,rj->r", xt, cs.Q[t - 1], xt) \
+            + 2 * np.einsum("ri,ij,rj->r", xt, cs.N[t - 1], v) \
+            + np.einsum("ri,ij,rj->r", v, plant.R, v)
+        costs += sc
+        xs.append(xt.copy())
+        us.append(utilde.copy())
+        scs.append(sc.copy())
+        if t < plant.T:
+            noise = np.hstack([prims.w0[t - 1], prims.wy[t - 1]]) \
+                @ cs.F[t - 1].T
+            ynext = (xt @ cs.C[t - 1].T + utilde @ cs.protocol.zu.T
+                     + noise[:, d:])
+            xt = xt @ cs.A[t - 1].T + utilde @ cs.B[t - 1].T + noise[:, :d]
+            ys.append(ynext.copy())
+            state = state @ Ts[0].T + utilde @ Tu[0].T + ynext @ Tz[0].T
+    stack = lambda seq: np.stack(seq, axis=1)
+    return CoordinatedRollout(xtilde=stack(xs), ytilde=stack(ys),
+                              u_tilde=stack(us), step_costs=stack(scs),
+                              costs=costs)
+
+
+# --------------------------------------------------------------------------
+# brute-force joint-Gaussian oracle
+
+
+@dataclass(frozen=True)
+class JointGaussian:
+    """Linear maps from the stacked unit-variance primitives.
+
+    The primitive vector stacks the normals ``draw_primitives`` scales, in
+    its order (X_1, then (W0_t, W_t) for t = 1..T); every induced signal is
+    a linear image of it, so the covariance of any pair is ``La Lb'``.
+    """
+
+    xtilde: tuple[np.ndarray, ...]   # maps for (X_t, c_t), t = 1..t_max
+    ytilde: tuple[np.ndarray, ...]   # maps for Z_t, t = 1..t_max-1
+    utilde: tuple[np.ndarray, ...]
+
+    def cov(self, La, Lb) -> np.ndarray:
+        return La @ Lb.T
+
+    def innovations(self, count: int, rtol: float = DEFAULT_RTOL):
+        """``(rs, q, c)``: rs[s-1] is Z_s's map less (twice, for round-off)
+        its projection on q's rows so far, so Cov(innovation) = r r'; q
+        gathers r's right singular vectors above the ``rtol`` cutoff on
+        r r'; c maps stacked Z_1..Z_count to the unit-variance coordinates
+        along q."""
+        ys = self.ytilde[:count]
+        starts = np.cumsum([0] + [len(y) for y in ys])
+        rs, c = [], np.zeros((0, starts[-1]))
+        q = np.zeros((0, self.xtilde[0].shape[1]))
+        for y, start in zip(ys, starts):
+            r, rc = y, np.eye(len(y), starts[-1], start)
+            for _ in range(2):
+                g = r @ q.T
+                r, rc = r - g @ q, rc - g @ c
+            u, sv, vt = np.linalg.svd(r, full_matrices=False)
+            keep = sv * sv > rtol * sv[:1] ** 2
+            rs.append(r)
+            q = np.vstack([q, vt[keep]])
+            c = np.vstack([c, u[:, keep].T @ rc / sv[keep, None]])
+        return rs, q, c
+
+
+def closed_loop_maps(cs: CoordinatedSystem, thetas, t_max: int
+                     ) -> JointGaussian:
+    """Compose the closed loop (under history maps ``thetas``) lazily to
+    t_max; the roots ``cs.init_root`` and ``cs.noise`` are folded in."""
+    plant, d = cs.plant, cs.d_state
+    d_x, d_w = plant.d_x, plant.d_x + plant.d_y_total
+    d_prim = d_x + plant.T * d_w
+    xmap = np.zeros((d, d_prim))
+    xmap[:, :d_x] = cs.init_root[:, :d_x]
+    xmaps, ymaps, umaps = [xmap], [], []
+    hist = np.zeros((0, d_prim))
+    for s in range(1, t_max + 1):
+        umap = np.asarray(thetas[s - 1], dtype=float) @ hist
+        umaps.append(umap)
+        if s == t_max:
+            break
+        noise = np.zeros((d + cs.d_z, d_prim))   # on (W0_s, W_s)'s normals
+        noise[:, d_x + (s - 1) * d_w:d_x + s * d_w] = cs.noise[s - 1]
+        ymap = cs.C[s - 1] @ xmaps[-1] + cs.protocol.zu @ umap + noise[d:]
+        ymaps.append(ymap)
+        hist = np.vstack([hist, ymap])
+        xmaps.append(cs.A[s - 1] @ xmaps[-1] + cs.B[s - 1] @ umap
+                     + noise[:d])
+    return JointGaussian(xtilde=tuple(xmaps), ytilde=tuple(ymaps),
+                         utilde=tuple(umaps))
+
+
+def gaussian_conditioning(cs: CoordinatedSystem, thetas, t: int,
+                          rtol: float = DEFAULT_RTOL) -> np.ndarray:
+    """Map from realized stacked (Z_1..Z_{t-1}) to E[(X_t, c_t) | them].
+
+    Brute force: the closed loop's joint Gaussian conditioned on its whitened
+    innovations, each cut at its own largest singular value as in the filter
+    (square roots, so a nearly singular one keeps its condition number).
+    """
+    jg = closed_loop_maps(cs, thetas, t)
+    _, q, c = jg.innovations(t - 1, rtol)
+    return jg.xtilde[t - 1] @ q.T @ c

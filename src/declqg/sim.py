@@ -1,5 +1,5 @@
-"""Ground truth: paired-noise simulation, exact moment propagation, and the
-brute-force joint-Gaussian conditioning oracle.
+"""Monte Carlo on the plant's own equations, and the exact expected cost;
+the oracles that check the coordinator are in :mod:`declqg.oracles`.
 
 Rollout r reads row ``r % BLOCK`` of ``seeded_stream(seed, r // BLOCK)``'s
 normals.  Under linear strategies the closed loop is linear, so each step
@@ -10,8 +10,7 @@ the state or of the step's output.  A row's bits depend neither on the rows
 rolled out with it nor on how many are asked for.  The blocks are
 independent, so ``simulate`` spreads them over ``WORKERS`` workers, each
 rolling out ``ROLL_ROWS`` rollouts of its block at a time: its memory
-beyond the costs is bounded by ``WORKERS`` chunks.  The coordinated-form
-rollout reads the same draws, scaled, and no map.
+beyond the costs is bounded by ``WORKERS`` chunks.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_RTOL, DimMismatch, as_index, seeded_stream
+from .core import as_index, seeded_stream
 from . import coordination
-from .coordination import CoordinatedSystem, LocalGains
+from .coordination import LocalGains
 from .estimator import statistic_transition
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
@@ -86,24 +85,20 @@ class Primitives:
     wy = property(lambda self: self._scaled[2])     # (T, count, sum d_y)
 
 
-def draw_primitives(plant: PlantModel, seed: int, count: int, *,
-                    start: int = 0) -> Primitives:
-    """Draw primitives for rollouts [start, start + count).
+def draw_primitives(plant: PlantModel, seed: int, count: int) -> Primitives:
+    """Draw primitives for rollouts [0, count).
 
     Each rollout's normals are one row of its block's stream (see the module
     docstring).
     """
-    count, start = as_index(count, "count"), as_index(start, "start")
-    if count < 0 or start < 0:
-        raise ValueError("need count >= 0 and start >= 0")
+    count = as_index(count, "count")
+    if count < 0:
+        raise ValueError("need count >= 0")
     normals = np.empty((_width(plant), count))
     drawn = np.empty((min(DRAW_ROWS, count), len(normals)))
-    stop = start + count
-    for b in range(start // BLOCK, -(-stop // BLOCK)):
-        lo, hi = max(start, b * BLOCK), min(stop, (b + 1) * BLOCK)
-        stream = seeded_stream(seed, b)
-        stream.standard_normal((lo - b * BLOCK, len(normals)))   # rows before
-        _draw_rows(stream, normals[:, lo - start:hi - start], drawn)
+    for b in range(-(-count // BLOCK)):
+        _draw_rows(seeded_stream(seed, b),
+                   normals[:, b * BLOCK:min(count, (b + 1) * BLOCK)], drawn)
     return Primitives(normals=normals, plant=plant)
 
 
@@ -126,27 +121,16 @@ def _draw_rows(stream: np.random.Generator, out: np.ndarray,
 # coordinator policies (how Ut~ is produced from the shared data)
 
 
-class _LinearPolicy:
-    """A policy linear in its state: Ut~_t = L_t state_t and state_{t+1} =
+class StatisticPolicy:
+    """Ut~ = L~_t stat_t, with the statistic advanced by the solved filter.
+
+    A policy is linear in its state: Ut~_t = L_t state_t and state_{t+1} =
     Ts_t state_t + Tu_t Ut~_t + Tz_t Z_t.  ``maps(t0, t1)`` gives L and
     (Ts, Tu, Tz) of steps t0..t1-1, each stacked over t (no transition out
-    of T); ``widens`` if the state's width changes with t."""
+    of T); ``widens`` if the state's width changes with t.
+    """
 
     widens = False
-
-    def utilde(self, state, t: int) -> np.ndarray:
-        L = self.maps(t, t + 1)[0][0]
-        if state.shape[1] != L.shape[1]:
-            raise DimMismatch(f"Ut~ map at t={t} wants {L.shape[1]} coords")
-        return state @ L.T
-
-    def update(self, state, t: int, z, utilde) -> np.ndarray:
-        Ts, Tu, Tz = (m[0] for m in self.maps(t, t + 1)[1])
-        return state @ Ts.T + utilde @ Tu.T + z @ Tz.T
-
-
-class StatisticPolicy(_LinearPolicy):
-    """Ut~ = L~_t stat_t, with the statistic advanced by the solved filter."""
 
     def __init__(self, ss: SolvedStrategy):
         self.ss = ss
@@ -158,51 +142,6 @@ class StatisticPolicy(_LinearPolicy):
     def maps(self, t0: int, t1: int):
         return self.ss.Lgain[t0 - 1:t1 - 1], tuple(
             m[t0 - 1:t1 - 1] for m in self.transition)
-
-    def statistic(self, state) -> np.ndarray:
-        return state
-
-
-class ZHistoryPolicy(_LinearPolicy):
-    """Ut~ = Theta_t @ stacked(Z_1..Z_{t-1}): arbitrary linear history maps.
-
-    Used by the oracle tests to drive the closed loop with strategies that
-    are independent of the recursive filter.  ``thetas[t-1]`` has shape
-    (sum d_u, (t-1) d_z).  The history widens by Z_t at every step.
-    """
-
-    widens = True
-
-    def __init__(self, thetas):
-        self.thetas = [np.asarray(th, dtype=float) for th in thetas]
-
-    def init(self, count: int) -> np.ndarray:
-        return np.zeros((count, 0))
-
-    def maps(self, t0: int, t1: int):
-        th, old = self.thetas[t0 - 1], self.thetas[t0 - 1].shape[1]
-        new = [n.shape[1] for n in self.thetas[t0:t0 + 1]]   # none at T
-        return th[None], (np.array([np.eye(n, old) for n in new]),
-                          np.array([np.zeros((n, len(th))) for n in new]),
-                          np.array([np.eye(n, n - old, -old) for n in new]))
-
-
-def random_theta_maps(cs: CoordinatedSystem, rng, scale: float = 0.3):
-    """Random linear history strategies for oracle cross-checks."""
-    return [scale * rng.standard_normal((cs.d_u, (t - 1) * cs.d_z))
-            for t in range(1, cs.T + 1)]
-
-
-def strategy_theta_maps(ss: SolvedStrategy):
-    """Unroll the solved strategy into explicit observation-history maps."""
-    policy, T = StatisticPolicy(ss), ss.cs.T
-    xmap, thetas = np.zeros((ss.cs.d_state, 0)), []   # stat's map of Z_1..
-    for t in range(1, T + 1):
-        L, (Ts, Tu, Tz) = policy.maps(t, t + 1)
-        thetas.append(L[0] @ xmap)
-        if t < T:
-            xmap = np.hstack([(Ts[0] + Tu[0] @ L[0]) @ xmap, Tz[0]])
-    return thetas
 
 
 # --------------------------------------------------------------------------
@@ -333,7 +272,7 @@ def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     steps, records = maps or _step_maps(plant, mp, gains, policy, keep > 0)
     d_x, d_w = plant.d_x, plant.d_x + plant.d_y_total
     d_xu, d_c = d_x + plant.d_u_total, mp.d_carrier
-    d_stat = policy.init(0).shape[1] if hasattr(policy, "statistic") else 0
+    d_stat = policy.init(0).shape[1] if isinstance(policy, StatisticPolicy) else 0
     # BLAS rounds the last columns of a product its own way unless their
     # number is a multiple of ROW_ALIGN: pad with zero rollouts
     cols, kept = (-(-n // ROW_ALIGN) * ROW_ALIGN for n in (count, keep))
@@ -372,54 +311,6 @@ def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
                            stat=stat[r] if d_stat else None,
                            step_costs=scs[r, :, 0]) for r in range(keep)]
     return RolloutBatch(costs=costs, samples=tuple(samples))
-
-
-@dataclass(frozen=True)
-class CoordinatedRollout:
-    """Trajectories of the coordinated recursion under the same primitives."""
-
-    xtilde: np.ndarray    # (keep, T, d_state): rows (X_t, c_t)
-    ytilde: np.ndarray    # (keep, T, d_z); row t-1 holds Z_{t-1} (zero at t=1)
-    u_tilde: np.ndarray
-    step_costs: np.ndarray
-    costs: np.ndarray
-
-
-def rollout_coordinated(cs: CoordinatedSystem, policy, prims: Primitives
-                        ) -> CoordinatedRollout:
-    """Propagate the coordinated recursion with explicit primitive noise.
-
-    Step costs are the realized ones: with v = Ut~ + G_t W_t, the plant's
-    cost is xi' Q~ xi + 2 xi' N~ v + v' R v.
-    """
-    plant, d = cs.plant, cs.d_state
-    count = prims.count
-    xt = np.hstack([prims.x1, np.zeros((count, cs.d_c))])
-    state = policy.init(count)
-    xs, ys, us, scs = [], [np.zeros((count, cs.d_z))], [], []
-    costs = np.zeros(count)
-    for t in range(1, plant.T + 1):
-        utilde = policy.utilde(state, t)
-        v = utilde + prims.wy[t - 1] @ cs.gains.G[t - 1].T
-        sc = np.einsum("ri,ij,rj->r", xt, cs.Q[t - 1], xt) \
-            + 2 * np.einsum("ri,ij,rj->r", xt, cs.N[t - 1], v) \
-            + np.einsum("ri,ij,rj->r", v, plant.R, v)
-        costs += sc
-        xs.append(xt.copy())
-        us.append(utilde.copy())
-        scs.append(sc.copy())
-        if t < plant.T:
-            noise = np.hstack([prims.w0[t - 1], prims.wy[t - 1]]) \
-                @ cs.F[t - 1].T
-            ynext = (xt @ cs.C[t - 1].T + utilde @ cs.protocol.zu.T
-                     + noise[:, d:])
-            xt = xt @ cs.A[t - 1].T + utilde @ cs.B[t - 1].T + noise[:, :d]
-            ys.append(ynext.copy())
-            state = policy.update(state, t, ynext, utilde)
-    stack = lambda seq: np.stack(seq, axis=1)
-    return CoordinatedRollout(xtilde=stack(xs), ytilde=stack(ys),
-                              u_tilde=stack(us), step_costs=stack(scs),
-                              costs=costs)
 
 
 def simulate(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
@@ -507,86 +398,3 @@ def exact_cost(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
         raise ValueError("strategy was solved for another plant, protocol "
                          "or local gains")
     return coordination.closed_loop_cost_exact(cs, ss.Lgain, ss.filter_gain)
-
-
-# --------------------------------------------------------------------------
-# brute-force joint-Gaussian oracle
-
-
-@dataclass(frozen=True)
-class JointGaussian:
-    """Linear maps from the stacked unit-variance primitives.
-
-    The primitive vector stacks the normals ``draw_primitives`` scales, in
-    its order (X_1, then (W0_t, W_t) for t = 1..T); every induced signal is
-    a linear image of it, so the covariance of any pair is ``La Lb'``.
-    """
-
-    xtilde: tuple[np.ndarray, ...]   # maps for (X_t, c_t), t = 1..t_max
-    ytilde: tuple[np.ndarray, ...]   # maps for Z_t, t = 1..t_max-1
-    utilde: tuple[np.ndarray, ...]
-
-    def cov(self, La, Lb) -> np.ndarray:
-        return La @ Lb.T
-
-    def innovations(self, count: int, rtol: float = DEFAULT_RTOL):
-        """``(rs, q, c)``: rs[s-1] is Z_s's map less (twice, for round-off)
-        its projection on q's rows so far, so Cov(innovation) = r r'; q
-        gathers r's right singular vectors above the ``rtol`` cutoff on
-        r r'; c maps stacked Z_1..Z_count to the unit-variance coordinates
-        along q."""
-        ys = self.ytilde[:count]
-        starts = np.cumsum([0] + [len(y) for y in ys])
-        rs, c = [], np.zeros((0, starts[-1]))
-        q = np.zeros((0, self.xtilde[0].shape[1]))
-        for y, start in zip(ys, starts):
-            r, rc = y, np.eye(len(y), starts[-1], start)
-            for _ in range(2):
-                g = r @ q.T
-                r, rc = r - g @ q, rc - g @ c
-            u, sv, vt = np.linalg.svd(r, full_matrices=False)
-            keep = sv * sv > rtol * sv[:1] ** 2
-            rs.append(r)
-            q = np.vstack([q, vt[keep]])
-            c = np.vstack([c, u[:, keep].T @ rc / sv[keep, None]])
-        return rs, q, c
-
-
-def closed_loop_maps(cs: CoordinatedSystem, thetas, t_max: int
-                     ) -> JointGaussian:
-    """Compose the closed loop (under history maps ``thetas``) lazily to
-    t_max; the roots ``cs.init_root`` and ``cs.noise`` are folded in."""
-    plant, d = cs.plant, cs.d_state
-    d_x, d_w = plant.d_x, plant.d_x + plant.d_y_total
-    d_prim = d_x + plant.T * d_w
-    xmap = np.zeros((d, d_prim))
-    xmap[:, :d_x] = cs.init_root[:, :d_x]
-    xmaps, ymaps, umaps = [xmap], [], []
-    hist = np.zeros((0, d_prim))
-    for s in range(1, t_max + 1):
-        umap = np.asarray(thetas[s - 1], dtype=float) @ hist
-        umaps.append(umap)
-        if s == t_max:
-            break
-        noise = np.zeros((d + cs.d_z, d_prim))   # on (W0_s, W_s)'s normals
-        noise[:, d_x + (s - 1) * d_w:d_x + s * d_w] = cs.noise[s - 1]
-        ymap = cs.C[s - 1] @ xmaps[-1] + cs.protocol.zu @ umap + noise[d:]
-        ymaps.append(ymap)
-        hist = np.vstack([hist, ymap])
-        xmaps.append(cs.A[s - 1] @ xmaps[-1] + cs.B[s - 1] @ umap
-                     + noise[:d])
-    return JointGaussian(xtilde=tuple(xmaps), ytilde=tuple(ymaps),
-                         utilde=tuple(umaps))
-
-
-def gaussian_conditioning(cs: CoordinatedSystem, thetas, t: int,
-                          rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """Map from realized stacked (Z_1..Z_{t-1}) to E[(X_t, c_t) | them].
-
-    Brute force: the closed loop's joint Gaussian conditioned on its whitened
-    innovations, each cut at its own largest singular value as in the filter
-    (square roots, so a nearly singular one keeps its condition number).
-    """
-    jg = closed_loop_maps(cs, thetas, t)
-    _, q, c = jg.innovations(t - 1, rtol)
-    return jg.xtilde[t - 1] @ q.T @ c

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from declqg import (StatisticPolicy, DelayGraph, DelayedStatTracker, LocalGains,
-                    PlantModel, UnsupportedProtocol, act, delayed_stat_map,
+from declqg import (StatisticPolicy, DelayGraph, DelayedStatTracker, DimMismatch,
+                    LocalGains, PlantModel, UnsupportedProtocol, act, delayed_stat_map,
                     build, build_asymmetric_delay, build_control_sharing,
                     build_symmetric_delay,
                     delayed_stat_gains, draw_primitives, initial_state,
                     plant_kalman_covariances, plant_kalman_init,
                     plant_kalman_step, rollout_plant, solve, step_statistic,
                     token_trace)
+from declqg.cli import DEMOS, load_scenario
 from declqg.estimator import (delay_stat_dim, effective_delay,
                               statistic_transition)
 
@@ -83,6 +84,19 @@ def test_act_zero_cases(scalar2):
     for i in range(2):
         assert_allclose(acts[i], lg.G[0][scalar2.u_slice(i),
                                         scalar2.y_slice(i)] @ y[i])
+
+
+@pytest.mark.parametrize("name, m_local", [
+    ("scalar-2ctrl-k1", [np.zeros(7), np.ones(3)]),    # d_m = (0, 0)
+    ("symmetric-k2", [np.zeros(5), np.zeros(2)])],     # d_m = (2, 2)
+    ids=["scalar-2ctrl-k1", "symmetric-k2"])
+def test_act_rejects_memories_of_the_wrong_size(name, m_local):
+    sc = load_scenario(DEMOS[name]["config"])
+    p, mp = sc.plant, sc.protocol
+    ss = solve(p, mp, LocalGains.zeros(p, mp))
+    y = [np.zeros(d) for d in p.d_y]
+    with pytest.raises(DimMismatch, match=r"m\[0\]: expected dim"):
+        act(initial_state(ss.cs), ss, y, m_local)
 
 
 def test_plant_kalman_tracks_deterministic_state():

@@ -14,6 +14,7 @@ from declqg.cli import DEMOS, load_scenario, strategy_from_doc, strategy_to_doc
 from declqg.core import DEFAULT_RTOL, blkdiag, pinv, sym
 from declqg.estimator import (_window_map, effective_delay,
                               statistic_transition)
+from declqg.oracles import closed_loop_maps, random_theta_maps
 
 from conftest import check_generated, random_plant, scalar_two_controller
 from test_sim import _oracle_cases
@@ -122,7 +123,6 @@ def test_uncontrollable_input_gives_zero_gain_and_open_loop_cost():
 
 
 def test_filter_covariance_matches_bruteforce_error_covariance(scalar2):
-    from declqg.sim import closed_loop_maps, random_theta_maps
     mp = build_symmetric_delay(scalar2, 1)
     rng = np.random.default_rng(16)
     lg = LocalGains.random(scalar2, mp, rng, 0.3)
