@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_RTOL, DimMismatch, TimeOutOfRange,
-                   UnsupportedProtocol, as_vector)
+                   UnsupportedProtocol, as_index, as_vector)
 from .coordination import CoordinatedSystem
 from .plant import PlantModel
 from .solver import SolvedStrategy, _filter_sweep
@@ -47,9 +47,10 @@ def statistic_transition(ss: SolvedStrategy, t: int | None = None):
     cs = ss.cs
     if t is None:
         at = slice(0, cs.T - 1)
-    elif not 1 <= t < cs.T:
-        raise TimeOutOfRange(f"no transition out of t={t} (T={cs.T})")
     else:
+        t = as_index(t, "t")
+        if not 1 <= t < cs.T:
+            raise TimeOutOfRange(f"no transition out of t={t} (T={cs.T})")
         at = t - 1
     gain = ss.filter_gain[at]
     return (cs.A[at] - gain @ cs.C[at], cs.B[at] - gain @ cs.protocol.zu,
@@ -226,8 +227,10 @@ class DelayedStatTracker:
             u_tilde_window=ut_win, y_window=y_win, u_window=u_win)
 
 
-def _check_stat_delay(mp, k: int) -> None:
-    """Raise unless the delayed statistic with window delay k fits ``mp``."""
+def _check_stat_delay(mp, k: int) -> int:
+    """``k`` as an int; raise unless the delayed statistic with window
+    delay k fits ``mp``."""
+    k = as_index(k, "k")
     if mp.kind == "asymmetric_delay":
         # the construction conditions the delayed state estimate on data up
         # to t - k*; if some controller's data becomes common sooner, the
@@ -241,6 +244,7 @@ def _check_stat_delay(mp, k: int) -> None:
     if k != effective_delay(mp):
         raise UnsupportedProtocol(
             f"window delay {k} does not match the protocol's {effective_delay(mp)}")
+    return k
 
 
 def _window_map(cs: CoordinatedSystem, k: int) -> np.ndarray:
@@ -267,7 +271,17 @@ def _window_map(cs: CoordinatedSystem, k: int) -> np.ndarray:
 
 def _stat_map(cs: CoordinatedSystem, k: int, t: int,
               window: np.ndarray) -> np.ndarray:
-    """``delayed_stat_map`` for a checked (k, t), from ``_window_map``."""
+    """``delayed_stat_map`` for a checked (k, t), from ``_window_map``.
+
+    Each step s = tau..t-1 maps the estimate through A~_s and adds B~_s in
+    place into the columns of S_t's Ut~_s entry: B~_s sel_s, with sel_s
+    selecting that entry, written without the product.  The two differ
+    only in signed zeros: ``A~_s @ emap`` gives -0.0 where an entry's
+    products underflow, which adding B~_s sel_s (+0.0 off the entry) turned
+    into +0.0.  The sign of a zero changes no later product or sum other
+    than another zero, so one ``+= 0.0`` after the last step gives the bits
+    of A~_s emap + B~_s sel_s stepped throughout.
+    """
     plant = cs.plant
     d_x, d_u, d_y = plant.d_x, plant.d_u_total, plant.d_y_total
     dim_s = window.shape[1]
@@ -291,9 +305,10 @@ def _stat_map(cs: CoordinatedSystem, k: int, t: int,
         emap = np.zeros((cs.d_state, dim_s))
         start = 1
     for s in range(start, t):
-        sel = np.zeros((d_u, dim_s))
-        sel[:, ut_col(s):ut_col(s) + d_u] = np.eye(d_u)
-        emap = cs.A[s - 1] @ emap + cs.B[s - 1] @ sel
+        emap = cs.A[s - 1] @ emap      # a new array: ``window`` is shared
+        emap[:, ut_col(s):ut_col(s) + d_u] += cs.B[s - 1]
+    if start < t:
+        emap += 0.0                    # -0 entries to +0, as B~ sel gave
     return emap
 
 
@@ -306,7 +321,7 @@ def delayed_stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
     coordinated dynamics with the windowed coordinator actions and zero-mean
     noise.
     """
-    _check_stat_delay(cs.protocol, k)
+    k, t = _check_stat_delay(cs.protocol, k), as_index(t, "t")
     if not 1 <= t <= cs.T:
         raise TimeOutOfRange(f"t={t} outside 1..{cs.T}")
     return _stat_map(cs, k, t, _window_map(cs, k))
@@ -316,9 +331,12 @@ def delayed_stat_gains(ss: SolvedStrategy, k: int):
     """Gains acting directly on S_t: L_t = L~_t M_map(t).
 
     The protocol is checked and the window map built once for all T maps.
+    Each map's steps add B~_s in place instead of multiplying it by a
+    selection matrix, and set -0.0 entries to +0.0 once at the end (see
+    ``_stat_map``), so the gains are bitwise those of the product form.
     """
     cs = ss.cs
-    _check_stat_delay(cs.protocol, k)
+    k = _check_stat_delay(cs.protocol, k)
     window = _window_map(cs, k)
     return tuple(ss.Lgain[t - 1] @ _stat_map(cs, k, t, window)
                  for t in range(1, cs.T + 1))

@@ -97,16 +97,16 @@ def rollout_coordinated(cs: CoordinatedSystem, policy, prims: Primitives
             + 2 * np.einsum("ri,ij,rj->r", xt, cs.N[t - 1], v) \
             + np.einsum("ri,ij,rj->r", v, plant.R, v)
         costs += sc
-        xs.append(xt.copy())
-        us.append(utilde.copy())
-        scs.append(sc.copy())
+        xs.append(xt)
+        us.append(utilde)
+        scs.append(sc)
         if t < plant.T:
             noise = np.hstack([prims.w0[t - 1], prims.wy[t - 1]]) \
                 @ cs.F[t - 1].T
             ynext = (xt @ cs.C[t - 1].T + utilde @ cs.protocol.zu.T
                      + noise[:, d:])
             xt = xt @ cs.A[t - 1].T + utilde @ cs.B[t - 1].T + noise[:, :d]
-            ys.append(ynext.copy())
+            ys.append(ynext)
             state = state @ Ts[0].T + utilde @ Tu[0].T + ynext @ Tz[0].T
     stack = lambda seq: np.stack(seq, axis=1)
     return CoordinatedRollout(xtilde=stack(xs), ytilde=stack(ys),

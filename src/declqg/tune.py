@@ -56,8 +56,10 @@ def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
     """Compass search over all local-gain entries; inner solves are exact.
 
     Returns the incumbent with smallest J (ties keep the earliest
-    evaluation).  The accepted-J sequence is non-increasing by construction;
-    block-diagonality of (G, H) is structural, off-blocks are never touched.
+    evaluation) with the ``SolvedStrategy`` its own solve gave, which the
+    incremental and batch-invariant ``solve`` makes bitwise that of a fresh
+    solve of its gains.  The accepted-J sequence is non-increasing by
+    construction; block-diagonality of (G, H) is structural, off-blocks are never touched.
     """
     budget = as_index(budget, "budget")
     restarts, seed = as_index(restarts, "restarts"), as_index(seed, "seed")
@@ -66,15 +68,16 @@ def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
     check_rtol(rtol)
     evals = 0
     log = []
-    best = None    # (J, theta)
+    best = None    # the incumbent with the smallest J
 
-    def charge(restart_idx, theta, J):
-        nonlocal evals, best
+    def charge(restart_idx, J):
+        """Count one evaluation; True if J is the smallest yet, which makes
+        it the next incumbent (J < best.J <= the incumbent's J)."""
+        nonlocal evals
         evals += 1
-        if best is None or J < best[0]:
-            best = (J, theta)
-        log.append((restart_idx, evals, best[0]))
-        return J
+        smallest = best is None or J < best.J
+        log.append((restart_idx, evals, J if smallest else best.J))
+        return smallest
 
     def solved(thetas, incumbent=None):
         gains = LocalGains.from_vector(plant, mp, thetas)
@@ -88,7 +91,9 @@ def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
         if evals >= budget:
             break
         incumbent = solved(theta)
-        J_cur = charge(restart_idx, theta, incumbent.J)
+        J_cur = incumbent.J
+        if charge(restart_idx, J_cur):
+            best = incumbent
         step = STEP_INIT
         while step >= STEP_MIN and evals < budget:
             improved, k = False, 0
@@ -109,15 +114,16 @@ def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
                     if J_c is None:
                         alone = solved(cand, incumbent)
                         J_c = alone.J
-                    charge(restart_idx, cand, J_c)
+                    smallest = charge(restart_idx, J_c)
                     if J_c < J_cur:
                         theta, J_cur, improved = cand, J_c, True
                         incumbent = (alone if stack is None
                                      else stack.candidate(i))
+                        if smallest:
+                            best = incumbent
                         k = 2 * (kc // 2 + 1)
                         break
             if not improved:
                 step /= 2.0
-    gains = LocalGains.from_vector(plant, mp, best[1])
-    return TuneResult(gains=gains, strategy=solve(plant, mp, gains, rtol),
-                      J=best[0], evaluations=evals, log=tuple(log))
+    return TuneResult(gains=best.gains, strategy=best, J=best.J,
+                      evaluations=evals, log=tuple(log))

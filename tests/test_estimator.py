@@ -213,6 +213,36 @@ def test_reduced_stat_k2_window_bookkeeping(scalar2):
     assert_allclose(st.xhat, kal.xhat)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda cs, ss: delayed_stat_map(cs, 2, 2.0), "t"),
+    (lambda cs, ss: delayed_stat_map(cs, 2, True), "t"),
+    (lambda cs, ss: delayed_stat_map(cs, 2.0, 2), "k"),
+    (lambda cs, ss: delayed_stat_gains(ss, 2.0), "k"),
+    (lambda cs, ss: delayed_stat_gains(ss, True), "k"),
+    (lambda cs, ss: statistic_transition(ss, 1.0), "t"),
+    (lambda cs, ss: statistic_transition(ss, True), "t")],
+    ids=["map-float-t", "map-bool-t", "map-float-k", "gains-float-k",
+         "gains-bool-k", "transition-float-t", "transition-bool-t"])
+def test_delayed_stat_calls_reject_non_integer_t_and_k(call, name):
+    sc = load_scenario(DEMOS["symmetric-k2"]["config"])
+    ss = solve(sc.plant, sc.protocol, LocalGains.zeros(sc.plant, sc.protocol))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call(ss.cs, ss)
+
+
+def test_delayed_stat_calls_take_numpy_integers():
+    sc = load_scenario(DEMOS["symmetric-k2"]["config"])
+    ss = solve(sc.plant, sc.protocol, LocalGains.zeros(sc.plant, sc.protocol))
+    two, three = np.int64(2), np.int64(3)
+    assert np.array_equal(delayed_stat_map(ss.cs, two, three),
+                          delayed_stat_map(ss.cs, 2, 3))
+    assert all(np.array_equal(a, b) for a, b in zip(
+        delayed_stat_gains(ss, two), delayed_stat_gains(ss, 2)))
+    for a, b in zip(statistic_transition(ss, two),
+                    statistic_transition(ss, 2)):
+        assert np.array_equal(a, b)
+
+
 def test_effective_delay_requires_delayed_protocol(scalar2):
     mp = build_control_sharing(scalar2)
     with pytest.raises(UnsupportedProtocol):
@@ -373,6 +403,28 @@ def test_delayed_stat_gains_equal_per_step_maps(protocol):
         ref = _token_stat_map(ss.cs, k, t)
         assert np.array_equal(delayed_stat_map(ss.cs, k, t), ref), t
         assert np.array_equal(gains[t - 1], ss.Lgain[t - 1] @ ref), t
+
+
+def _same_bits(a, b):
+    """Equal, zeros' signs included (``np.array_equal`` has -0.0 == 0.0)."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                   np.signbit(b))
+
+
+def _check_maps_and_gains_against_tokens(p, mp, k, seed):
+    ss = solve(p, mp, LocalGains.random(p, mp, np.random.default_rng(
+        [seed, 2]), 0.3))
+    gains = delayed_stat_gains(ss, k)
+    for t in range(1, p.T + 1):
+        ref = _token_stat_map(ss.cs, k, t)
+        assert _same_bits(delayed_stat_map(ss.cs, k, t), ref), t
+        assert _same_bits(gains[t - 1], ss.Lgain[t - 1] @ ref), t
+
+
+def test_delayed_stat_maps_and_gains_equal_token_maps_on_generated():
+    # bit for bit, on generated symmetric and equal-k* asymmetric instances
+    check_generated(_delayed_sharing_cases, 1104, 50,
+                    _check_maps_and_gains_against_tokens)
 
 
 def _delayed_sharing_cases(rng):

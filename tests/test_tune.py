@@ -195,6 +195,34 @@ def test_tune_matches_sequential_search_with_restarts():
                               _sequential_tune(p, mp, 300, 5, 2))
 
 
+def _tune_cases():
+    """(plant, protocol, tune keywords): the demos at their own settings, a
+    run whose restarts each run out their steps, and a small restarts case."""
+    for name in sorted(DEMOS):
+        sc = _demo(name)
+        yield name, sc.plant, sc.protocol, dict(
+            budget=sc.tune_budget, seed=sc.tune_seed,
+            restarts=sc.tune_restarts)
+    sc = _demo("scalar-2ctrl-k1")
+    yield ("scalar-2ctrl-k1-restarts", sc.plant, sc.protocol,
+           dict(budget=3500, seed=3, restarts=2))
+    p = scalar_two_controller(T=3)
+    yield ("scalar2-restarts", p, build_symmetric_delay(p, 2),
+           dict(budget=300, seed=5, restarts=2))
+
+
+@pytest.mark.parametrize("case", list(_tune_cases()), ids=lambda c: c[0])
+def test_tune_returns_the_strategy_a_fresh_solve_gives(case):
+    _, p, mp, kwargs = case
+    result = tune(p, mp, **kwargs)
+    fresh = solve(p, mp, result.gains)
+    assert result.strategy.J.hex() == fresh.J.hex() == result.J.hex()
+    for name in ("Lgain", "filter_gain", "Ptilde", "S", "Lambda"):
+        got, want = getattr(result.strategy, name), getattr(fresh, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
+            name
+
+
 def _evaluated_thetas(monkeypatch, run):
     """Every gains vector ``run`` hands to ``build``, in order."""
     seen, build = [], solver_mod.build

@@ -24,8 +24,16 @@ pinned to one thread.  It covers:
   sequences, ``closed_loop_cost_exact`` and the
   ``strategy_to_doc(dump_matrices=True)`` JSON;
 * per demo, 1 000 rows of ``draw_primitives``, the scaled noise;
+* per demo, at random gains and under random observation-history maps
+  (``ZHistoryPolicy``): 50 ``rollout_coordinated`` rollouts, and through
+  ``declqg.oracles`` the ``closed_loop_maps`` to T and
+  ``gaussian_conditioning`` at every t;
+* per delayed-sharing demo, at random gains: ``act`` at every step along 3
+  kept ``rollout_plant`` rollouts, with the statistic advanced by
+  ``step_statistic`` from each rollout's Z_t and Ut~_t;
 * the solve-large workload at seeds 0 and 901: J, the sequences, every
-  ``delayed_stat_gains`` matrix and ``closed_loop_cost_exact``;
+  ``delayed_stat_gains`` matrix, ``delayed_stat_map`` at every t and
+  ``closed_loop_cost_exact``;
 * the mc-rollouts workload at seeds 0 and 901: the costs of a 20 000-rollout
   ``simulate`` and its kept samples;
 * at mc-rollouts seed 0, a ``simulate`` whose count (2 blocks + 3) and kept
@@ -101,6 +109,40 @@ def tune_digests(out: dict, key: str, res) -> None:
     out[f"{key}.theta"] = digest(res.gains.theta)
 
 
+def oracle_digests(out: dict, key: str, ss, rng) -> None:
+    cs = ss.cs
+    thetas = dq.random_theta_maps(cs, rng)
+    prims = dq.draw_primitives(cs.plant, seed=9, count=50)
+    ro = dq.rollout_coordinated(cs, dq.ZHistoryPolicy(thetas), prims)
+    out[f"{key}.rollout_coordinated"] = digest(
+        [getattr(ro, f) for f in sorted(vars(ro))])
+    jg = dq.oracles.closed_loop_maps(cs, thetas, cs.T)
+    out[f"{key}.closed_loop_maps"] = digest(
+        [jg.xtilde, jg.ytilde, jg.utilde])
+    out[f"{key}.gaussian_conditioning"] = digest(
+        [dq.oracles.gaussian_conditioning(cs, thetas, t)
+         for t in range(1, cs.T + 1)])
+
+
+def act_digests(out: dict, key: str, ss) -> None:
+    """``act`` along 3 kept rollouts, the statistic run online."""
+    p, mp = ss.cs.plant, ss.cs.protocol
+    prims = dq.draw_primitives(p, seed=8, count=3)
+    rb = dq.rollout_plant(p, mp, ss.gains, dq.StatisticPolicy(ss), prims,
+                          keep=3)
+    actions = []
+    for ro in rb.samples:
+        st = dq.initial_state(ss.cs)
+        for t in range(1, p.T + 1):
+            actions.append(dq.act(
+                st, ss, [ro.y[t - 1][p.y_slice(i)] for i in range(p.n)],
+                [ro.m[t - 1][mp.m_slice(i)] for i in range(p.n)]))
+            if t < p.T:
+                st = dq.step_statistic(st, ss, ro.z[t - 1],
+                                       ro.u_tilde[t - 1])
+    out[f"{key}.act"] = digest(actions)
+
+
 def main() -> int:
     out: dict[str, str] = {}
     for name, demo in cli.DEMOS.items():
@@ -118,7 +160,7 @@ def main() -> int:
         gains = {"zero": dq.LocalGains.zeros(plant, mp),
                  "random": dq.LocalGains.random(
                      plant, mp, np.random.default_rng([len(name), 7]))}
-        for label, g in gains.items():
+        for label, g in gains.items():     # ``ss`` ends at random gains
             ss = dq.solve(plant, mp, g)
             strategy_digests(out, f"demo.{name}.{label}", ss)
             doc = cli.strategy_to_doc(ss, dump_matrices=True)
@@ -126,6 +168,10 @@ def main() -> int:
                 json.dumps(doc, sort_keys=True))
             out[f"demo.{name}.{label}.closed_loop_cost_exact"] = digest(
                 dq.closed_loop_cost_exact(ss.cs, ss.Lgain, ss.filter_gain))
+        oracle_digests(out, f"demo.{name}.random", ss,
+                       np.random.default_rng([len(name), 11]))
+        if mp.kind in ("symmetric_delay", "asymmetric_delay"):
+            act_digests(out, f"demo.{name}.random", ss)
         prims = dq.draw_primitives(plant, seed=5, count=1000)
         out[f"demo.{name}.draw_primitives"] = digest(
             [prims.x1, prims.w0, prims.wy])
@@ -136,6 +182,9 @@ def main() -> int:
         strategy_digests(out, f"solve-large.{seed}", ss)
         out[f"solve-large.{seed}.delayed_stat_gains"] = digest(
             list(dq.delayed_stat_gains(ss, wl.k)))
+        out[f"solve-large.{seed}.delayed_stat_map"] = digest(
+            [dq.delayed_stat_map(ss.cs, wl.k, t)
+             for t in range(1, ss.cs.T + 1)])
         out[f"solve-large.{seed}.closed_loop_cost_exact"] = digest(
             dq.closed_loop_cost_exact(ss.cs, ss.Lgain, ss.filter_gain))
     for seed in (0, 901):
