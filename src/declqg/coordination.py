@@ -8,7 +8,7 @@ U_t = Ut~ + G_t C_t X_t + H_t M_t + G_t W_t carries the observation noise
 W_t into the next state and into Z_t, so W_t is process noise correlated
 with the measurement noise; it is independent of everything the coordinator
 knows at t, so Y_t need not be part of the state.  G_t W_t also adds the
-constant tr(G_t' R G_t sigma_w) to each step's expected cost.  The
+constant E[W_t' G_t' R G_t W_t] to each step's expected cost.  The
 paired-noise equivalence oracle in :mod:`declqg.oracles` certifies the
 reformulation state by state; ``closed_loop_cost_exact`` here is the exact
 moment-propagation oracle.
@@ -75,20 +75,22 @@ class LocalGains:
 
     @staticmethod
     def create(plant: PlantModel, mp: MemoryProtocol, G, H) -> "LocalGains":
-        """Validate per-step, per-controller blocks (broadcast a single set)."""
+        """Validate T per-step lists of per-controller blocks."""
+        def listed(seq, n, name, what):
+            if not isinstance(seq, (list, tuple)) or len(seq) != n:
+                raise DimMismatch(f"{name}: need {n} {what}")
+            return seq
+
         def norm(seq, dims_cols, name):
-            if not isinstance(seq, (list, tuple)) or len(seq) != plant.T or \
-                    not isinstance(seq[0], (list, tuple)):
-                seq = [seq] * plant.T
             rows = []
-            for t, per_ctrl in enumerate(seq):
-                if len(per_ctrl) != plant.n:
-                    raise DimMismatch(f"{name}[t={t + 1}]: need {plant.n} blocks")
-                rows.append(tuple(
-                    as_matrix(per_ctrl[i], plant.d_u[i], dims_cols[i],
-                              f"{name}[t={t + 1}][{i}]")
-                    for i in range(plant.n)))
-            return tuple(rows)
+            for t, per_ctrl in enumerate(
+                    listed(seq, plant.T, name, "per-step lists"), 1):
+                per_ctrl = listed(per_ctrl, plant.n, f"{name}[t={t}]", "blocks")
+                rows.append([as_matrix(blk, plant.d_u[i], dims_cols[i],
+                                       f"{name}[t={t}][{i}]")
+                             for i, blk in enumerate(per_ctrl)])
+            return rows
+
         G, H = norm(G, plant.d_y, "G"), norm(H, mp.d_m, "H")
         return LocalGains.from_vector(plant, mp, np.concatenate([
             blk.ravel() for g_row, h_row in zip(G, H)
@@ -118,13 +120,13 @@ class CoordinatedSystem:
     ``A[t-1]``/``B[t-1]`` propagate xi into step t+1; the t = T entries are
     only ever multiplied into the zero terminal value matrix.  ``C[t-1]``
     (t = 1..T-1) maps xi_t to Z_t, the observation received at t+1.
-    ``F[t-1]`` maps (W0_t, W_t) to (process noise, measurement noise), and
-    ``noise[t-1]`` = F_t ``plant.noise_root`` is a root (N_w; N_v) of their
-    covariance, and ``init_root`` one of xi_1's, blkdiag(x1_root, 0).
+    ``noise[t-1]`` maps the unit normals of (W0_t, W_t) to (process noise,
+    measurement noise), so it is a root (N_w; N_v) of their covariance,
+    and ``init_root`` is one of xi_1's, blkdiag(x1_root, 0).
     ``Q[t-1]``/``N[t-1]`` weight step t and ``noise_cost[t-1]`` =
-    tr(G_t' R G_t sigma_w) is its constant.  The step-invariant maps are
-    read where they are stored: Ut~'s share of Z_t is ``protocol.zu`` and
-    the control weight is ``plant.R``.  For a stack of gains every
+    tr(Gw' R Gw), Gw = G_t times W_t's root, is its constant.  The
+    step-invariant maps are read where they are stored: Ut~'s share of Z_t
+    is ``protocol.zu`` and the control weight is ``plant.R``.  For a stack of gains every
     gain-dependent array carries its leading axes; ``B`` and ``init_root``
     are shared by the stack.
     """
@@ -139,7 +141,6 @@ class CoordinatedSystem:
     A: np.ndarray           # (T, d_state, d_state)
     B: np.ndarray           # (T, d_state, d_u)
     C: np.ndarray           # (T-1, d_z, d_state)
-    F: np.ndarray           # (T, d_state + d_z, d_x + sum d_y)
     noise: np.ndarray       # (T, d_state + d_z, d_x + sum d_y)
     Q: np.ndarray           # (T, d_state, d_state)
     N: np.ndarray           # (T, d_state, d_u)
@@ -165,7 +166,10 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
     T, d_x, d_y, d_u = plant.T, plant.d_x, plant.d_y_total, plant.d_u_total
     d_c, d_z = mp.d_carrier, mp.d_z
     d = d_x + d_c
-    G, Hc, batch = gains.G, gains.H @ mp.m_sel, gains.theta.shape[:-1]
+    if gains.G.shape[-3:] != (T, d_u, d_y) or \
+            gains.H.shape[-3:] != (T, d_u, mp.d_m_total):
+        raise DimMismatch("local gains were made for another plant or protocol")
+    G, Hc, root = gains.G, gains.H @ mp.m_sel, plant.noise_root
     # U_t = Ut~ + loc_t xi_t + G_t W_t
     loc = np.concatenate([G @ plant.C, Hc], axis=-1)
     # rows (X_{t+1}, c_{t+1}, Z_t) from columns (xi_t, W_t): the share that
@@ -179,19 +183,20 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
     to_u = np.concatenate([plant.B, np.broadcast_to(
         np.concatenate([mp.cu, mp.zu]), (T, d_c + d_z, d_u))], axis=1)
     step = free + to_u @ np.concatenate([loc, G], axis=-1)
-    F = np.zeros(batch + (T, d + d_z, d_x + d_y))
-    F[..., :d_x, :d_x] = np.eye(d_x)
-    F[..., d_x:] = step[..., d:]
+    # W0_t enters X_{t+1} alone, W_t every row through step's W_t columns
+    noise = np.zeros(step.shape[:-1] + (d_x + d_y,))
+    noise[..., :d_x, :d_x] = root[:, :d_x, :d_x]
+    noise[..., d_x:] = step[..., d:] @ root[:, d_x:, d_x:]
     N = loc.swapaxes(-1, -2) @ plant.R
     Q = N @ loc
     Q[..., :d_x, :d_x] += plant.Q
-    noise_cost = np.sum(G * (plant.R @ G @ plant.sigma_w), axis=(-2, -1))
+    Gw = G @ root[:, d_x:, d_x:]
+    noise_cost = np.sum(Gw * (plant.R @ Gw), axis=(-2, -1))
     return CoordinatedSystem(
         plant=plant, protocol=mp, gains=gains, d_x=d_x, d_c=d_c, d_u=d_u,
         d_z=d_z, A=read_only(step[..., :d, :d]), B=read_only(to_u[:, :d]),
-        C=read_only(step[..., :-1, d:, :d]), F=read_only(F),
-        noise=read_only(F @ plant.noise_root), Q=read_only(sym(Q)),
-        N=read_only(N), noise_cost=read_only(noise_cost),
+        C=read_only(step[..., :-1, d:, :d]), noise=read_only(noise),
+        Q=read_only(sym(Q)), N=read_only(N), noise_cost=read_only(noise_cost),
         init_root=read_only(blkdiag([plant.x1_root, np.zeros((d_c, d_c))])))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_RTOL, DimMismatch, TimeOutOfRange,
-                   UnsupportedProtocol, as_index, as_vector)
+                   UnsupportedProtocol, as_index, as_vector, read_only)
 from .coordination import CoordinatedSystem
 from .plant import PlantModel
 from .solver import SolvedStrategy, _filter_sweep
@@ -91,11 +91,12 @@ def act(st: EstimatorState, ss: SolvedStrategy, y_local, m_local):
 
 
 def plant_kalman_covariances(plant: PlantModel, rtol: float = DEFAULT_RTOL):
-    """Predictor covariances P_1..P_{T+1} (P_1 = sigma_x) and gains for
-    t = 1..T: the coordinator's square-root sweep, run on the plant."""
+    """Read-only predictor covariances P_1..P_{T+1} (P_1 = sigma_x), shape
+    (T+1, d_x, d_x), and gains for t = 1..T, shape (T, d_x, sum d_y): the
+    coordinator's square-root sweep, run on the plant."""
     P, gains, _ = _filter_sweep(plant.A, plant.C, plant.noise_root,
                                 plant.x1_root, rtol)
-    return tuple(P), tuple(gains)
+    return read_only(P), read_only(gains)
 
 
 @dataclass(frozen=True)
@@ -166,65 +167,51 @@ def delay_stat_dim(plant: PlantModel, k: int) -> int:
 class DelayedStatTracker:
     """Pure-value runtime for S_t; ``advance`` returns the next tracker.
 
-    The k-1 newest shared pairs ride in a delay line until they become
-    common knowledge, at which point they enter the plant predictor and the
-    windows.  The predictor covariance is precomputed and never touches the
-    local gains.
+    ``pairs`` is a delay line of the 2k-2 latest shared (Y_s, U_s), oldest
+    first, s = t-2k+2..t-1, with None for s < 1.  Its older half has become
+    common knowledge and is S_t's Y and U windows; a pair enters the plant
+    predictor as it moves into that half.  The predictor gains are
+    precomputed and never touch the local gains.
     """
 
     plant: PlantModel
     k: int
     t: int
     kalman: PlantKalmanState
-    kalman_gains: tuple[np.ndarray, ...]
-    pending: tuple          # (y_s, u_s) pairs for s = t-k+1..t-1; None = pad
+    kalman_gains: np.ndarray        # (T, d_x, sum d_y), read only
+    pairs: tuple                    # 2k-2 (y_s, u_s) pairs; None = pad
     u_tilde_window: tuple[np.ndarray, ...]
-    y_window: tuple[np.ndarray, ...]
-    u_window: tuple[np.ndarray, ...]
 
     @staticmethod
     def create(plant: PlantModel, mp, rtol: float = DEFAULT_RTOL
                ) -> "DelayedStatTracker":
         k = effective_delay(mp)
-        _, gains = plant_kalman_covariances(plant, rtol)
-        pad_u = np.zeros(plant.d_u_total)
-        pad_y = np.zeros(plant.d_y_total)
         return DelayedStatTracker(
             plant=plant, k=k, t=1, kalman=plant_kalman_init(plant),
-            kalman_gains=gains, pending=(None,) * (k - 1),
-            u_tilde_window=(pad_u,) * (k - 1),
-            y_window=(pad_y,) * (k - 1), u_window=(pad_u,) * (k - 1))
+            kalman_gains=plant_kalman_covariances(plant, rtol)[1],
+            pairs=(None,) * (2 * k - 2),
+            u_tilde_window=(np.zeros(plant.d_u_total),) * (k - 1))
 
     def stat(self) -> ReducedDelayStat:
-        return ReducedDelayStat(self.k, self.kalman.xhat,
-                                self.u_tilde_window, self.y_window,
-                                self.u_window)
+        pad = (np.zeros(self.plant.d_y_total), np.zeros(self.plant.d_u_total))
+        common = [pad if p is None else p for p in self.pairs[:self.k - 1]]
+        return ReducedDelayStat(self.k, self.kalman.xhat, self.u_tilde_window,
+                                tuple(y for y, _ in common),
+                                tuple(u for _, u in common))
 
     def advance(self, y_t, u_t, u_tilde_t) -> "DelayedStatTracker":
         """Move from time t to t+1 after acting (Y_t, U_t, Ut~ realized)."""
         y_t = as_vector(y_t, self.plant.d_y_total, "y_t")
         u_t = as_vector(u_t, self.plant.d_u_total, "u_t")
         u_tilde_t = as_vector(u_tilde_t, self.plant.d_u_total, "u_tilde_t")
-        queue = self.pending + ((y_t, u_t),)
-        ripe, queue = queue[0], queue[1:]
-        kal = self.kalman
-        y_win, u_win = self.y_window, self.u_window
-        if ripe is None:
-            y_win = y_win[1:] + (np.zeros(self.plant.d_y_total),) if y_win else y_win
-            u_win = u_win[1:] + (np.zeros(self.plant.d_u_total),) if u_win else u_win
-        else:
-            kal = plant_kalman_step(self.plant, kal, ripe[0], ripe[1],
-                                    self.kalman_gains)
-            if y_win:
-                y_win = y_win[1:] + (ripe[0],)
-                u_win = u_win[1:] + (ripe[1],)
-        ut_win = self.u_tilde_window
-        if ut_win:
-            ut_win = ut_win[1:] + (u_tilde_t,)
+        line = self.pairs + ((y_t, u_t),)
+        ripe, kal = line[self.k - 1], self.kalman     # pair s = t-k+1
+        if ripe is not None:
+            kal = plant_kalman_step(self.plant, kal, *ripe, self.kalman_gains)
         return DelayedStatTracker(
             plant=self.plant, k=self.k, t=self.t + 1, kalman=kal,
-            kalman_gains=self.kalman_gains, pending=queue,
-            u_tilde_window=ut_win, y_window=y_win, u_window=u_win)
+            kalman_gains=self.kalman_gains, pairs=line[1:],
+            u_tilde_window=(self.u_tilde_window + (u_tilde_t,))[1:])
 
 
 def _check_stat_delay(mp, k: int) -> int:
@@ -328,7 +315,8 @@ def delayed_stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
 
 
 def delayed_stat_gains(ss: SolvedStrategy, k: int):
-    """Gains acting directly on S_t: L_t = L~_t M_map(t).
+    """Gains acting directly on S_t, one read-only (T, d_u, dim S_t) array:
+    L_t = L~_t M_map(t).
 
     The protocol is checked and the window map built once for all T maps.
     Each map's steps add B~_s in place instead of multiplying it by a
@@ -338,5 +326,7 @@ def delayed_stat_gains(ss: SolvedStrategy, k: int):
     cs = ss.cs
     k = _check_stat_delay(cs.protocol, k)
     window = _window_map(cs, k)
-    return tuple(ss.Lgain[t - 1] @ _stat_map(cs, k, t, window)
-                 for t in range(1, cs.T + 1))
+    out = np.empty((cs.T, cs.d_u, window.shape[1]))
+    for t in range(1, cs.T + 1):
+        np.matmul(ss.Lgain[t - 1], _stat_map(cs, k, t, window), out=out[t - 1])
+    return read_only(out)

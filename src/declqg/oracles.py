@@ -76,13 +76,14 @@ class CoordinatedRollout:
 
 def rollout_coordinated(cs: CoordinatedSystem, policy, prims: Primitives
                         ) -> CoordinatedRollout:
-    """Propagate the coordinated recursion with explicit primitive noise.
+    """Propagate the coordinated recursion with explicit primitive noise:
+    step t's unit normals of (W0_t, W_t) times ``cs.noise[t-1]'``.
 
     Step costs are the realized ones: with v = Ut~ + G_t W_t, the plant's
     cost is xi' Q~ xi + 2 xi' N~ v + v' R v.
     """
     plant, d = cs.plant, cs.d_state
-    count = prims.count
+    count, d_w = prims.count, plant.d_x + plant.d_y_total
     xt = np.hstack([prims.x1, np.zeros((count, cs.d_c))])
     state = policy.init(count)
     xs, ys, us, scs = [], [np.zeros((count, cs.d_z))], [], []
@@ -101,8 +102,8 @@ def rollout_coordinated(cs: CoordinatedSystem, policy, prims: Primitives
         us.append(utilde)
         scs.append(sc)
         if t < plant.T:
-            noise = np.hstack([prims.w0[t - 1], prims.wy[t - 1]]) \
-                @ cs.F[t - 1].T
+            lo = plant.d_x + (t - 1) * d_w      # (W0_t, W_t)'s unit normals
+            noise = prims.normals[lo:lo + d_w].T @ cs.noise[t - 1].T
             ynext = (xt @ cs.C[t - 1].T + utilde @ cs.protocol.zu.T
                      + noise[:, d:])
             xt = xt @ cs.A[t - 1].T + utilde @ cs.B[t - 1].T + noise[:, :d]

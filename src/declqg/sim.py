@@ -324,10 +324,12 @@ def simulate(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     worker owns one chunk's space, allocated up front: it draws and rolls
     out ``ROLL_ROWS`` rollouts of its block at a time there, so memory
     beyond the costs is at most ``WORKERS`` chunks however large ``count``
-    is.  The first ``sample_count`` rollouts are kept.  A rollout's bits
+    is.  The first ``sample_count`` rollouts are kept.  ``ss`` must be
+    solved for these ``plant``, ``mp`` and ``gains``.  A rollout's bits
     depend neither on ``count`` nor on the worker that ran it (see the
     module docstring).
     """
+    _check_solved_for(plant, mp, gains, ss)
     count = as_index(count, "count")
     sample_count = as_index(sample_count, "sample_count")
     if count < 1 or sample_count < 0:
@@ -385,16 +387,21 @@ def simulate(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
                         samples=tuple(r for block in kept for r in block))
 
 
-def exact_cost(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
-               ss: SolvedStrategy) -> float:
-    """Exact expected cost via second-moment propagation (no sampling).
-
-    Reads the coordinated system ``ss`` was solved on, which must be built
-    from these very ``plant`` and ``mp`` objects and equal ``gains``.
-    """
+def _check_solved_for(plant: PlantModel, mp: MemoryProtocol,
+                      gains: LocalGains, ss: SolvedStrategy) -> None:
+    """Raise unless ``ss`` was solved for these plant and protocol objects
+    and for gains equal to ``gains``."""
     cs = ss.cs
     if (cs.plant is not plant or cs.protocol is not mp
             or not np.array_equal(cs.gains.theta, gains.theta)):
         raise ValueError("strategy was solved for another plant, protocol "
                          "or local gains")
-    return coordination.closed_loop_cost_exact(cs, ss.Lgain, ss.filter_gain)
+
+
+def exact_cost(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
+               ss: SolvedStrategy) -> float:
+    """Exact expected cost via second-moment propagation (no sampling),
+    on the coordinated system ``ss`` was solved on."""
+    _check_solved_for(plant, mp, gains, ss)
+    return coordination.closed_loop_cost_exact(ss.cs, ss.Lgain,
+                                               ss.filter_gain)

@@ -23,8 +23,8 @@ from .infostructure import MemoryProtocol
 from .plant import PlantModel
 
 
-_STACKED = ("A", "C", "F", "noise", "Q", "N", "noise_cost")
-_SEQUENCES = ("Lgain", "filter_gain", "Ptilde", "root", "S", "Lambda")
+_STACKED = ("A", "C", "noise", "Q", "N", "noise_cost")
+_SEQUENCES = ("Lgain", "filter_gain", "Ptilde", "root", "S")
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,6 @@ class SolvedStrategy:
     Ptilde: np.ndarray | None = None   # (T, d_state, d_state)
     root: np.ndarray | None = None     # (T, d_state, d_state)
     S: np.ndarray | None = None        # (T, d_state, d_state)
-    Lambda: np.ndarray | None = None   # (T, d_u, d_state)
     rtol: float | None = None          # the filter's relative rank cutoff
 
     @property
@@ -120,33 +119,30 @@ def forward_riccati(cs: CoordinatedSystem, rtol: float = DEFAULT_RTOL,
 
 def backward_riccati(cs: CoordinatedSystem, start: int | None = None,
                      incumbent: SolvedStrategy | None = None):
-    """Value matrices S_1..S_T, cross terms Lambda_t, and gains L~_t.
-
-    Runs from S_{T+1} = 0; the control bracket R~ + B~' S B~ is positive
-    definite (R is PD) so a true solve is used.  The sweep runs down from
-    step ``start`` (default T); S, Lambda and L~ of the steps after it are
-    copied from ``incumbent`` (see :func:`solve`)."""
+    """Value matrices S_1..S_T and gains L~_t = -(R~ + B~' S B~)^-1 Lambda_t
+    with Lambda_t = N~' + B~' S A~ (not kept), S = S_{t+1} and S_{T+1} = 0.
+    The bracket is positive definite (R is PD), so a true solve is used.
+    The sweep runs down from step ``start`` (default T); S and L~ of the
+    steps after it are copied from ``incumbent`` (see :func:`solve`)."""
     T, d, batch = cs.T, cs.d_state, cs.A.shape[:-3]
     start = T if start is None else start
-    S = np.empty(batch + (T, d, d))
-    lam, K = (np.empty(batch + (T, cs.d_u, d)) for _ in range(2))
+    S, K = np.empty(batch + (T, d, d)), np.empty(batch + (T, cs.d_u, d))
     S_next = np.zeros((d, d))
     if start < T:
-        for seq, known in zip((S, lam, K), (incumbent.S, incumbent.Lambda,
-                                            incumbent.Lgain)):
-            seq[..., start:, :, :] = known[start:]
+        S[..., start:, :, :] = incumbent.S[start:]
+        K[..., start:, :, :] = incumbent.Lgain[start:]
         S_next = S[..., start, :, :]
     for t in range(start, 0, -1):
-        A, B, N, Q, S_t, lam_t, K_t = (a[..., t - 1, :, :] for a in (
-            cs.A, cs.B, cs.N, cs.Q, S, lam, K))
+        A, B, N, Q, S_t, K_t = (a[..., t - 1, :, :] for a in (
+            cs.A, cs.B, cs.N, cs.Q, S, K))
         bracket = sym(cs.plant.R + B.T @ S_next @ B)
-        lam_t[...] = N.swapaxes(-1, -2) + B.T @ S_next @ A
-        K_t[...] = 0.0 - solve_pd(bracket, lam_t, t=t)   # no -0 entries
+        lam = N.swapaxes(-1, -2) + B.T @ S_next @ A
+        K_t[...] = 0.0 - solve_pd(bracket, lam, t=t)   # no -0 entries
         S_t[...] = sym(A.swapaxes(-1, -2) @ S_next @ A + Q
-                       + lam_t.swapaxes(-1, -2) @ K_t)
+                       + lam.swapaxes(-1, -2) @ K_t)
         _check_finite(S_t, "value matrix", t)   # non-finite if L~_t is
         S_next = S_t
-    return read_only(S), read_only(lam), read_only(K)
+    return read_only(S), read_only(K)
 
 
 def performance(cs: CoordinatedSystem, ptilde, s_seq):
@@ -211,6 +207,6 @@ def solve(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     cs = build(plant, mp, gains)
     first, last = _changed_steps(cs, rtol, incumbent)
     P, K, R = forward_riccati(cs, rtol, first, incumbent)
-    S, lam, L = backward_riccati(cs, last, incumbent)
+    S, L = backward_riccati(cs, last, incumbent)
     return SolvedStrategy(cs=cs, Lgain=L, filter_gain=K, Ptilde=P, root=R,
-                          S=S, Lambda=lam, J=performance(cs, P, S), rtol=rtol)
+                          S=S, J=performance(cs, P, S), rtol=rtol)

@@ -9,7 +9,7 @@ from declqg import (LocalGains, PlantModel, ZHistoryPolicy,
                     rollout_coordinated, rollout_plant, solve)
 from declqg.core import DimMismatch, blkdiag, eig_bounds, sym
 
-from conftest import random_plant
+from conftest import random_plant, scalar_two_controller
 
 
 def test_zero_gains_structure(scalar2):
@@ -118,7 +118,7 @@ def test_sigw_matches_noise_map_rebuild():
         F = np.block([[np.eye(p.d_x), p.B[t - 1] @ G],
                       [np.zeros((mp.d_carrier, p.d_x)), mp.cy + mp.cu @ G],
                       [np.zeros((mp.d_z, p.d_x)), mp.zy + mp.zu @ G]])
-        assert_allclose(cs.F[t - 1], F, atol=1e-14)
+        assert_allclose(cs.noise[t - 1], F @ p.noise_root[t - 1], atol=1e-14)
         sig = F @ blkdiag([p.sigma_w0, p.sigma_w]) @ F.T
         nn = cs.noise[t - 1] @ cs.noise[t - 1].T
         assert_allclose(nn[:d, :d], sig[:d, :d], atol=1e-14)
@@ -149,8 +149,7 @@ def _build_per_step(p, mp, lg):
     d = d_x + d_c
     cz_y, cz_c = np.vstack([mp.cy, mp.zy]), np.vstack([mp.cc, mp.zc])
     to_u = np.vstack([mp.cu, mp.zu])
-    out = {k: [] for k in ("A", "B", "C", "F", "noise", "Q", "N",
-                           "noise_cost")}
+    out = {k: [] for k in ("A", "B", "C", "noise", "Q", "N", "noise_cost")}
     for t in range(1, p.T + 1):
         G, C_t = lg.G[t - 1], p.C[t - 1]
         loc = np.hstack([G @ C_t, lg.H[t - 1] @ mp.m_sel])
@@ -169,11 +168,11 @@ def _build_per_step(p, mp, lg):
         Q[:d_x, :d_x] += p.Q
         out["A"].append(step[:d, :d])
         out["B"].append(B[:d])
-        out["F"].append(F)
         out["noise"].append(F @ p.noise_root[t - 1])
         out["Q"].append(sym(Q))
         out["N"].append(N)
-        out["noise_cost"].append(np.sum(G * (p.R @ G @ p.sigma_w)))
+        Gw = G @ p.noise_root[t - 1][d_x:, d_x:]     # G_t W_t's root
+        out["noise_cost"].append(np.sum(Gw * (p.R @ Gw)))
         if t < p.T:
             out["C"].append(step[d:, :d])
     return out
@@ -320,6 +319,34 @@ def test_gains_create_reads_back_blocks_exactly():
     assert np.array_equal(again.theta, lg.theta)
 
 
+def test_gains_create_takes_exactly_T_per_step_lists():
+    # with n == T a constant set of per-controller blocks has T entries too;
+    # it is refused at every T rather than read as per-step lists
+    for T in (2, 3):
+        p = scalar_two_controller(T=T)
+        mp = build_symmetric_delay(p, 1)
+        H = [[np.zeros((1, 0))] * 2 for _ in range(T)]
+        G = [[[[0.5 + t]], [[0.7 + t]]] for t in range(T)]
+        lg = LocalGains.create(p, mp, G, H)
+        assert [lg.G[t][i, i] for t in range(T) for i in range(2)] == \
+            [g[0][0] for row in G for g in row]
+        with pytest.raises(DimMismatch, match="^G"):
+            LocalGains.create(p, mp, [[[0.5]], [[0.7]]], H)
+        with pytest.raises(DimMismatch, match="^H"):
+            LocalGains.create(p, mp, G, [np.zeros((1, 0))] * 2)
+
+
+def test_build_and_solve_reject_gains_made_for_another_protocol():
+    p = scalar_two_controller()
+    gains = LocalGains.zeros(p, build_symmetric_delay(p, 2))
+    for run in (build, solve):
+        with pytest.raises(DimMismatch, match="another plant or protocol"):
+            run(p, build_symmetric_delay(p, 1), gains)
+    with pytest.raises(DimMismatch, match="another plant or protocol"):
+        build(scalar_two_controller(T=4), build_symmetric_delay(
+            scalar_two_controller(T=4), 2), gains)
+
+
 def test_gains_random_draws_all_G_then_all_H():
     _, p, mp = _layout_instance()
     lg = LocalGains.random(p, mp, np.random.default_rng(77), 0.3)
@@ -349,7 +376,7 @@ def test_gains_views_are_read_only():
               _block(p, mp, lg, "H", 2, 1), p.Q, p.R, p.sigma_x, p.sigma_w0,
               p.sigma_w, p.A, p.B, p.C, *p.A, *p.B, *p.C, p.x1_root,
               p.noise_root, cs.init_root]
-    for seq in (cs.A, cs.B, cs.C, cs.F, cs.noise, cs.Q, cs.N):
+    for seq in (cs.A, cs.B, cs.C, cs.noise, cs.Q, cs.N):
         assert seq.shape[0] == (p.T - 1 if seq is cs.C else p.T)
         arrays += [seq, *seq]
     assert cs.noise_cost.shape == (p.T,)

@@ -128,6 +128,18 @@ def test_exact_cost_rejects_mismatched_strategy(scalar2):
             exact_cost(*args, ss)
 
 
+def test_simulate_rejects_mismatched_strategy(scalar2):
+    # the check exact_cost makes: a strategy solved at zero gains is not
+    # run with other gains, nor with another plant or protocol object
+    mp = build_symmetric_delay(scalar2, 2)
+    ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
+    lg = LocalGains.random(scalar2, mp, np.random.default_rng(35), 0.3)
+    for args in ((scalar2, mp, lg), (scalar_two_controller(), mp, ss.gains),
+                 (scalar2, build_symmetric_delay(scalar2, 2), ss.gains)):
+        with pytest.raises(ValueError, match="another plant"):
+            simulate(*args, ss, seed=1, count=10)
+
+
 @pytest.mark.parametrize("count, sample_count", [(0, 0), (-1, 0), (5, -2)])
 def test_simulate_rejects_out_of_range_counts(scalar2, count, sample_count):
     mp = build_symmetric_delay(scalar2, 1)

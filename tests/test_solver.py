@@ -77,7 +77,7 @@ def test_backward_riccati_zero_state_cost():
     p = dataclasses.replace(scalar_two_controller(), Q=np.zeros((1, 1)))
     mp = build_symmetric_delay(p, 1)
     cs = build(p, mp, LocalGains.zeros(p, mp))
-    S, lam, K = backward_riccati(cs)
+    S, K = backward_riccati(cs)
     for t in range(p.T):
         assert_allclose(S[t], 0.0, atol=1e-14)
         assert_allclose(K[t], 0.0, atol=1e-14)
@@ -90,7 +90,7 @@ def test_terminal_step_gain_is_static_cross_term():
     rng = np.random.default_rng(14)
     lg = LocalGains.random(p, mp, rng, 0.5)
     cs = build(p, mp, lg)
-    _, _, K = backward_riccati(cs)
+    _, K = backward_riccati(cs)
     assert_allclose(K[0], -np.linalg.solve(cs.plant.R, cs.N[0].T))
 
 
@@ -232,14 +232,14 @@ def test_stacked_solve_gives_each_candidates_J_bitwise(name, p, mp):
     for idx in np.ndindex(2, 5):
         one = solve(p, mp, LocalGains.from_vector(p, mp, thetas[idx]))
         assert stacked.J[idx] == one.J
-        for seq in ("Lgain", "filter_gain", "Ptilde", "S", "Lambda"):
+        for seq in ("Lgain", "filter_gain", "Ptilde", "S"):
             assert np.array_equal(getattr(stacked, seq)[idx],
                                   getattr(one, seq))
         alone = stacked.candidate(idx)
         assert alone.J == one.J and alone.rtol == one.rtol
-        for seq in ("Lgain", "filter_gain", "Ptilde", "S", "Lambda"):
+        for seq in ("Lgain", "filter_gain", "Ptilde", "S"):
             assert np.array_equal(getattr(alone, seq), getattr(one, seq))
-        for arr in ("A", "B", "C", "F", "noise", "Q", "N", "noise_cost",
+        for arr in ("A", "B", "C", "noise", "Q", "N", "noise_cost",
                     "init_root"):
             assert np.array_equal(getattr(alone.cs, arr),
                                   getattr(one.cs, arr))
@@ -256,18 +256,18 @@ def test_solve_is_the_batch_of_one(rng):
     one = solve(p, mp, LocalGains.from_vector(p, mp, gains.theta[None]))
     assert isinstance(ss.J, float) and one.J.shape == (1,)
     assert one.J[0] == ss.J
-    for seq in ("Lgain", "filter_gain", "Ptilde", "S", "Lambda"):
+    for seq in ("Lgain", "filter_gain", "Ptilde", "S"):
         assert getattr(one, seq).shape[0] == 1
         assert np.array_equal(getattr(one, seq)[0], getattr(ss, seq))
     cs = build(p, mp, LocalGains.from_vector(p, mp, gains.theta[None]))
     for shared in ("B", "init_root"):
         assert np.array_equal(getattr(cs, shared), getattr(ss.cs, shared))
-    for stacked in ("A", "C", "F", "noise", "Q", "N", "noise_cost"):
+    for stacked in ("A", "C", "noise", "Q", "N", "noise_cost"):
         assert np.array_equal(getattr(cs, stacked)[0],
                               getattr(ss.cs, stacked))
 
 
-REUSED = ("J", "Ptilde", "filter_gain", "S", "Lambda", "Lgain")
+REUSED = ("J", "Ptilde", "filter_gain", "S", "Lgain")
 
 
 def _sweep_starts(run):

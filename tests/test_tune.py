@@ -217,7 +217,7 @@ def test_tune_returns_the_strategy_a_fresh_solve_gives(case):
     result = tune(p, mp, **kwargs)
     fresh = solve(p, mp, result.gains)
     assert result.strategy.J.hex() == fresh.J.hex() == result.J.hex()
-    for name in ("Lgain", "filter_gain", "Ptilde", "S", "Lambda"):
+    for name in ("Lgain", "filter_gain", "Ptilde", "S"):
         got, want = getattr(result.strategy, name), getattr(fresh, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
             name

@@ -20,20 +20,25 @@ pinned to one thread.  It covers:
   budget that lets all three starts run out their steps, so every reset
   of the incumbent at a restart is covered: the same four outputs and the
   tuned strategy's ``Lgain``;
-* per demo, at zero and at random gains: J, the five ``SolvedStrategy``
-  sequences, ``closed_loop_cost_exact`` and the
-  ``strategy_to_doc(dump_matrices=True)`` JSON;
-* per demo, 1 000 rows of ``draw_primitives``, the scaled noise;
+* per demo, at zero and at random gains: J, the four ``SolvedStrategy``
+  sequences, the coordinated system's ``noise`` and ``noise_cost``,
+  ``closed_loop_cost_exact`` and the ``strategy_to_doc(dump_matrices=True)``
+  JSON;
+* per demo, 1 000 rows of ``draw_primitives``, the scaled noise, and
+  ``plant_kalman_covariances`` (as lists of per-step matrices, so a tuple
+  and an array of the same matrices hash alike);
 * per demo, at random gains and under random observation-history maps
   (``ZHistoryPolicy``): 50 ``rollout_coordinated`` rollouts, and through
   ``declqg.oracles`` the ``closed_loop_maps`` to T and
   ``gaussian_conditioning`` at every t;
 * per delayed-sharing demo, at random gains: ``act`` at every step along 3
   kept ``rollout_plant`` rollouts, with the statistic advanced by
-  ``step_statistic`` from each rollout's Z_t and Ut~_t;
+  ``step_statistic`` from each rollout's Z_t and Ut~_t, and the delayed
+  statistic's ``vector()`` at every step along the same rollouts, run by
+  a ``DelayedStatTracker``;
 * the solve-large workload at seeds 0 and 901: J, the sequences, every
-  ``delayed_stat_gains`` matrix, ``delayed_stat_map`` at every t and
-  ``closed_loop_cost_exact``;
+  ``delayed_stat_gains`` matrix, ``delayed_stat_map`` at every t,
+  ``closed_loop_cost_exact`` and the delayed statistic along 3 rollouts;
 * the mc-rollouts workload at seeds 0 and 901: the costs of a 20 000-rollout
   ``simulate`` and its kept samples;
 * at mc-rollouts seed 0, a ``simulate`` whose count (2 blocks + 3) and kept
@@ -65,7 +70,7 @@ import declqg as dq  # noqa: E402
 from declqg import cli  # noqa: E402
 from perfbench.workloads import McRollouts, Recorder, SolveLarge  # noqa: E402
 
-SEQUENCES = ("Lgain", "filter_gain", "Ptilde", "S", "Lambda")
+SEQUENCES = ("Lgain", "filter_gain", "Ptilde", "S")
 RESTARTS_DEMO, RESTARTS_SEED, RESTARTS_BUDGET = "scalar-2ctrl-k1", 3, 3500
 
 
@@ -124,14 +129,19 @@ def oracle_digests(out: dict, key: str, ss, rng) -> None:
          for t in range(1, cs.T + 1)])
 
 
+def kept_rollouts(ss):
+    """3 ``rollout_plant`` rollouts of ``ss``, kept in full."""
+    p = ss.cs.plant
+    prims = dq.draw_primitives(p, seed=8, count=3)
+    return dq.rollout_plant(p, ss.cs.protocol, ss.gains,
+                            dq.StatisticPolicy(ss), prims, keep=3).samples
+
+
 def act_digests(out: dict, key: str, ss) -> None:
     """``act`` along 3 kept rollouts, the statistic run online."""
     p, mp = ss.cs.plant, ss.cs.protocol
-    prims = dq.draw_primitives(p, seed=8, count=3)
-    rb = dq.rollout_plant(p, mp, ss.gains, dq.StatisticPolicy(ss), prims,
-                          keep=3)
     actions = []
-    for ro in rb.samples:
+    for ro in kept_rollouts(ss):
         st = dq.initial_state(ss.cs)
         for t in range(1, p.T + 1):
             actions.append(dq.act(
@@ -141,6 +151,19 @@ def act_digests(out: dict, key: str, ss) -> None:
                 st = dq.step_statistic(st, ss, ro.z[t - 1],
                                        ro.u_tilde[t - 1])
     out[f"{key}.act"] = digest(actions)
+
+
+def tracker_digests(out: dict, key: str, ss) -> None:
+    """The delayed statistic S_t at every t along 3 kept rollouts."""
+    p, stats = ss.cs.plant, []
+    for ro in kept_rollouts(ss):
+        tracker = dq.DelayedStatTracker.create(p, ss.cs.protocol)
+        for t in range(1, p.T + 1):
+            stats.append(tracker.stat().vector())
+            if t < p.T:
+                tracker = tracker.advance(ro.y[t - 1], ro.u[t - 1],
+                                          ro.u_tilde[t - 1])
+    out[f"{key}.delayed_stat"] = digest(stats)
 
 
 def main() -> int:
@@ -168,13 +191,18 @@ def main() -> int:
                 json.dumps(doc, sort_keys=True))
             out[f"demo.{name}.{label}.closed_loop_cost_exact"] = digest(
                 dq.closed_loop_cost_exact(ss.cs, ss.Lgain, ss.filter_gain))
+            out[f"demo.{name}.{label}.noise"] = digest(ss.cs.noise)
+            out[f"demo.{name}.{label}.noise_cost"] = digest(ss.cs.noise_cost)
         oracle_digests(out, f"demo.{name}.random", ss,
                        np.random.default_rng([len(name), 11]))
         if mp.kind in ("symmetric_delay", "asymmetric_delay"):
             act_digests(out, f"demo.{name}.random", ss)
+            tracker_digests(out, f"demo.{name}.random", ss)
         prims = dq.draw_primitives(plant, seed=5, count=1000)
         out[f"demo.{name}.draw_primitives"] = digest(
             [prims.x1, prims.w0, prims.wy])
+        out[f"demo.{name}.plant_kalman_covariances"] = digest(
+            [list(seq) for seq in dq.plant_kalman_covariances(plant)])
     for seed in (0, 901):
         wl = SolveLarge(seed, tiny=False)
         wl.setup(Recorder())
@@ -187,6 +215,7 @@ def main() -> int:
              for t in range(1, ss.cs.T + 1)])
         out[f"solve-large.{seed}.closed_loop_cost_exact"] = digest(
             dq.closed_loop_cost_exact(ss.cs, ss.Lgain, ss.filter_gain))
+        tracker_digests(out, f"solve-large.{seed}", ss)
     for seed in (0, 901):
         wl = McRollouts(seed, tiny=False)
         wl.setup(Recorder())
