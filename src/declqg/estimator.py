@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_RTOL, DimMismatch, TimeOutOfRange,
-                   UnsupportedProtocol, as_index, as_vector, read_only)
+                   UnsupportedProtocol, as_index, as_vector, read_only,
+                   run_length)
 from .coordination import CoordinatedSystem
 from .plant import PlantModel
 from .solver import SolvedStrategy, _filter_sweep
@@ -156,7 +157,7 @@ class ReducedDelayStat:
     def vector(self) -> np.ndarray:
         parts = ([self.xhat] + list(self.u_tilde_window)
                  + list(self.y_window) + list(self.u_window))
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return np.concatenate(parts)
 
 
 def delay_stat_dim(plant: PlantModel, k: int) -> int:
@@ -256,51 +257,52 @@ def _window_map(cs: CoordinatedSystem, k: int) -> np.ndarray:
     return base
 
 
-def _stat_map(cs: CoordinatedSystem, k: int, t: int,
-              window: np.ndarray) -> np.ndarray:
-    """``delayed_stat_map`` for a checked (k, t), from ``_window_map``.
+def _stat_maps(cs: CoordinatedSystem, k: int, t0: int, t1: int,
+               window: np.ndarray) -> np.ndarray:
+    """``delayed_stat_map`` for a checked k and t = t0..t1-1, stacked, from
+    ``_window_map``: one map for t0 < k, or a run of maps for t0 >= k.
 
-    Each step s = tau..t-1 maps the estimate through A~_s and adds B~_s in
-    place into the columns of S_t's Ut~_s entry: B~_s sel_s, with sel_s
-    selecting that entry, written without the product.  The two differ
-    only in signed zeros: ``A~_s @ emap`` gives -0.0 where an entry's
-    products underflow, which adding B~_s sel_s (+0.0 off the entry) turned
-    into +0.0.  The sign of a zero changes no later product or sum other
-    than another zero, so one ``+= 0.0`` after the last step gives the bits
-    of A~_s emap + B~_s sel_s stepped throughout.
+    A map for t >= k starts at tau = t - k + 1 from the window map, with the
+    window entries of pairs from before t = 1 zeroed (tau < k); one for
+    t < k starts from zero at s = 1, before the pipeline fills.  Each step
+    s = tau..t-1 maps the estimate through A~_s and adds B~_s in place into
+    the columns of S_t's Ut~_s entry: B~_s sel_s, with sel_s selecting that
+    entry, written without the product.  The two differ only in signed
+    zeros: ``A~_s @ emap`` gives -0.0 where an entry's products underflow,
+    which adding B~_s sel_s (+0.0 off the entry) turned into +0.0.  The
+    sign of a zero changes no later product or sum other than another zero,
+    so one ``+= 0.0`` after the last step gives the bits of A~_s emap +
+    B~_s sel_s stepped throughout.  The maps of a run take their j-th step
+    into the same columns, so each step is one stacked product and one
+    stacked add; a stacked matmul runs the 2-d product on each map, which
+    keeps each map's bits.
     """
     plant = cs.plant
     d_x, d_u, d_y = plant.d_x, plant.d_u_total, plant.d_y_total
-    dim_s = window.shape[1]
-    tau = t - k + 1
-
-    def ut_col(s):        # coordinator action at time s, s = tau..t-1
-        return d_x + (s - tau) * d_u
-
+    tau, count = t0 - k + 1, t1 - t0
     if tau >= 1:
+        emap = np.broadcast_to(window, (count,) + window.shape)
         if tau < k:
             # window entries w < k - tau hold pairs from before t = 1
             y0 = d_x + (k - 1) * d_u
             u0 = y0 + (k - 1) * d_y
-            window = window.copy()
-            window[d_x:, y0:y0 + (k - tau) * d_y] = 0.0
-            window[d_x:, u0:u0 + (k - tau) * d_u] = 0.0
-        emap = window
-        start = tau
+            emap = emap.copy()
+            for r in range(min(count, k - tau)):
+                emap[r, d_x:, y0:y0 + (k - tau - r) * d_y] = 0.0
+                emap[r, d_x:, u0:u0 + (k - tau - r) * d_u] = 0.0
     else:
-        # before the pipeline fills the delayed estimate is zero
-        emap = np.zeros((cs.d_state, dim_s))
-        start = 1
-    for s in range(start, t):
-        emap = cs.A[s - 1] @ emap      # a new array: ``window`` is shared
-        emap[:, ut_col(s):ut_col(s) + d_u] += cs.B[s - 1]
-    if start < t:
-        emap += 0.0                    # -0 entries to +0, as B~ sel gave
+        emap = np.zeros((1, cs.d_state, window.shape[1]))
+    for j in range(max(0, 1 - tau), k - 1):
+        at = slice(tau + j - 1, tau + j - 1 + count)      # s - 1 per map
+        emap = cs.A[at] @ emap      # a new array: ``window`` is shared
+        emap[:, :, d_x + j * d_u:d_x + (j + 1) * d_u] += cs.B[at]
+    if min(t0, k) > 1:
+        emap += 0.0                 # -0 entries to +0, as B~ sel gave
     return emap
 
 
 def delayed_stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
-    """Matrix taking the delayed statistic S_t to stat at time t.
+    """Read-only matrix taking the delayed statistic S_t to stat at time t.
 
     Built constructively: rebuild the coordinator's estimate at time
     t - k + 1 out of S_t (the X part from xhat, the carrier as the
@@ -311,7 +313,7 @@ def delayed_stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
     k, t = _check_stat_delay(cs.protocol, k), as_index(t, "t")
     if not 1 <= t <= cs.T:
         raise TimeOutOfRange(f"t={t} outside 1..{cs.T}")
-    return _stat_map(cs, k, t, _window_map(cs, k))
+    return read_only(_stat_maps(cs, k, t, t + 1, _window_map(cs, k))[0])
 
 
 def delayed_stat_gains(ss: SolvedStrategy, k: int):
@@ -319,14 +321,19 @@ def delayed_stat_gains(ss: SolvedStrategy, k: int):
     L_t = L~_t M_map(t).
 
     The protocol is checked and the window map built once for all T maps.
-    Each map's steps add B~_s in place instead of multiplying it by a
-    selection matrix, and set -0.0 entries to +0.0 once at the end (see
-    ``_stat_map``), so the gains are bitwise those of the product form.
+    The maps of t >= k are built and applied in stacked runs (see
+    ``core.run_length``), those of t < k one at a time; their steps
+    add B~_s in place instead of multiplying it by a selection matrix, and
+    set -0.0 entries to +0.0 once at the end (see ``_stat_maps``), so the
+    gains are bitwise those of the product form, map by map.
     """
     cs = ss.cs
     k = _check_stat_delay(cs.protocol, k)
     window = _window_map(cs, k)
     out = np.empty((cs.T, cs.d_u, window.shape[1]))
-    for t in range(1, cs.T + 1):
-        np.matmul(ss.Lgain[t - 1], _stat_map(cs, k, t, window), out=out[t - 1])
+    starts = [*range(1, min(k, cs.T + 1)),
+              *range(k, cs.T + 1, run_length(window.size))]
+    for t0, t1 in zip(starts, starts[1:] + [cs.T + 1]):
+        np.matmul(ss.Lgain[t0 - 1:t1 - 1], _stat_maps(cs, k, t0, t1, window),
+                  out=out[t0 - 1:t1 - 1])
     return read_only(out)

@@ -14,7 +14,7 @@ import numpy as np
 from .core import DEFAULT_RTOL, DimMismatch
 from .coordination import CoordinatedSystem
 from .sim import Primitives, StatisticPolicy
-from .solver import SolvedStrategy
+from .solver import SolvedStrategy, _check_finite
 
 
 class ZHistoryPolicy:
@@ -140,16 +140,17 @@ class JointGaussian:
         its projection on q's rows so far, so Cov(innovation) = r r'; q
         gathers r's right singular vectors above the ``rtol`` cutoff on
         r r'; c maps stacked Z_1..Z_count to the unit-variance coordinates
-        along q."""
+        along q.  A non-finite r raises ``NumericalBreakdown`` at its s."""
         ys = self.ytilde[:count]
         starts = np.cumsum([0] + [len(y) for y in ys])
         rs, c = [], np.zeros((0, starts[-1]))
         q = np.zeros((0, self.xtilde[0].shape[1]))
-        for y, start in zip(ys, starts):
+        for s, (y, start) in enumerate(zip(ys, starts), 1):
             r, rc = y, np.eye(len(y), starts[-1], start)
             for _ in range(2):
                 g = r @ q.T
                 r, rc = r - g @ q, rc - g @ c
+            _check_finite(r, "innovation map", s)     # before LAPACK sees it
             u, sv, vt = np.linalg.svd(r, full_matrices=False)
             keep = sv * sv > rtol * sv[:1] ** 2
             rs.append(r)

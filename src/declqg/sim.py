@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import as_index, seeded_stream
+from .core import as_index, run_length, seeded_stream
 from . import coordination
 from .coordination import LocalGains
 from .estimator import statistic_transition
@@ -45,8 +45,8 @@ ROLL_ROWS = BLOCK // 4
 #: Workers ``simulate`` spreads its blocks over: the CPUs it may run on.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
-#: ``_step_maps`` stacks the blocks of at most this many steps at a time.
-STEP_CHUNK = 8
+# ``_step_maps`` stacks its steps over runs sized by ``core.RUN_ENTRIES``
+# and ``core.RUN_STEPS``.
 
 
 @dataclass(frozen=True)
@@ -223,10 +223,13 @@ def _step_maps(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     Step map t gives (X_t, U_t), blkdiag(Q, R) (X_t, U_t) and, before T,
     v_{t+1} but its normals; record map t, if ``records``, (y, m, z, Ut~).
     Blocks are stacked over runs of steps that share v_t's layout: step 1,
-    runs of at most ``STEP_CHUNK`` (1 if the policy ``widens``), step T."""
+    runs of steps 2..T-1 (single steps if the policy ``widens``), step T.
+    A step map is about as tall as v_t is wide, so a run has
+    ``core.run_length(width(v_t)^2)`` steps."""
     T, d_x, d_u, d_c = plant.T, plant.d_x, plant.d_u_total, mp.d_carrier
+    width = d_x + d_c + policy.init(0).shape[1] + d_x + plant.d_y_total
     starts = sorted({1, T}.union(range(2, T, 1 if policy.widens
-                                       else STEP_CHUNK)))
+                                       else run_length(width * width))))
     steps, recs = [], []
     for t0, t1 in zip(starts, starts[1:] + [T + 1]):
         at = slice(t0 - 1, t1 - 1)

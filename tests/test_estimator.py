@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from declqg import (StatisticPolicy, DelayGraph, DelayedStatTracker, DimMismatch
                     plant_kalman_covariances, plant_kalman_init,
                     plant_kalman_step, rollout_plant, solve, step_statistic,
                     token_trace)
+from declqg import core, estimator
 from declqg.cli import DEMOS, load_scenario
 from declqg.estimator import (delay_stat_dim, effective_delay,
                               statistic_transition)
@@ -402,6 +405,64 @@ def test_delayed_stat_gains_equal_per_step_maps(protocol):
     for t in range(1, p.T + 1):
         ref = _token_stat_map(ss.cs, k, t)
         assert _same_bits(delayed_stat_map(ss.cs, k, t), ref), t
+        assert _same_bits(gains[t - 1], ss.Lgain[t - 1] @ ref), t
+
+
+def _stat_run_cases():
+    """(k, T, kind): T = k, 2k - 1 (the last map with a masked window) and
+    40, under symmetric and equal-k* asymmetric delayed sharing."""
+    for k in (1, 2, 3, 4):
+        for T in sorted({k, 2 * k - 1, 40}):
+            for kind in ("sym", "asym-equal"):
+                yield pytest.param(k, T, kind, id=f"k={k}-T={T}-{kind}")
+
+
+@pytest.mark.parametrize("k, T, kind", list(_stat_run_cases()))
+def test_stacked_stat_maps_across_run_edges(k, T, kind, monkeypatch):
+    # the default runs (every t >= k at once, on maps this small), runs of
+    # one map and runs of three, across the masked-window edge t = 2k - 1;
+    # time-varying A~ and B~, so a map that reads another step's shows
+    p = random_plant(np.random.default_rng([52, k, T]), n=2, d_y=(2, 1),
+                     d_u=(1, 2), T=T, time_varying=True)
+    mp = (build_symmetric_delay(p, k) if kind == "sym" else
+          build_asymmetric_delay(p, DelayGraph.create([[1, k], [k, 1]])))
+    ss = solve(p, mp, LocalGains.random(p, mp, np.random.default_rng(
+        [53, k, T]), 0.3))
+    refs = [_token_stat_map(ss.cs, k, t) for t in range(1, T + 1)]
+    stat_maps, runs = estimator._stat_maps, []
+    monkeypatch.setattr(estimator, "_stat_maps", lambda cs, k, t0, t1, w:
+                        runs.append(t1 - t0) or stat_maps(cs, k, t0, t1, w))
+    late = T - k + 1        # maps of t >= k
+    for run in (None, 1, 3):
+        if run:     # an entry budget of ``run`` maps
+            monkeypatch.setattr(core, "RUN_STEPS", 1)
+            monkeypatch.setattr(core, "RUN_ENTRIES",
+                                run * ss.cs.d_state * delay_stat_dim(p, k))
+        runs.clear()
+        gains = delayed_stat_gains(ss, k)
+        run = run or late
+        assert runs == [1] * (k - 1) + [min(run, late - i)
+                                        for i in range(0, late, run)], run
+        for t, ref in enumerate(refs, 1):
+            assert _same_bits(delayed_stat_map(ss.cs, k, t), ref), (run, t)
+            assert _same_bits(gains[t - 1], ss.Lgain[t - 1] @ ref), (run, t)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_stat_maps_turn_underflowed_zeros_positive(k):
+    # A~_s = +-1e-200, the sign alternating with s: the second step's
+    # products underflow, which gives -0.0 entries where BLAS fuses the
+    # multiply-add; the product form's + B~_s sel turned them into +0.0
+    p = random_plant(np.random.default_rng(54), n=2, d_y=(2, 1), d_u=(1, 2),
+                     T=9)
+    mp = build_symmetric_delay(p, k)
+    ss = solve(p, mp, LocalGains.random(p, mp, np.random.default_rng(55), 0.3))
+    sign = (-1.0) ** np.arange(p.T)[:, None, None]
+    cs = replace(ss.cs, A=1e-200 * sign * np.ones_like(ss.cs.A))
+    gains = delayed_stat_gains(replace(ss, cs=cs), k)
+    for t in range(1, p.T + 1):
+        ref = _token_stat_map(cs, k, t)
+        assert _same_bits(delayed_stat_map(cs, k, t), ref), t
         assert _same_bits(gains[t - 1], ss.Lgain[t - 1] @ ref), t
 
 

@@ -21,7 +21,7 @@ from declqg import (DelayGraph, StatisticPolicy, LocalGains, PlantModel,
 from declqg.cli import DEMOS, load_scenario
 from declqg.core import DEFAULT_RTOL, seeded_stream
 from declqg.infostructure import BLOCK_NAMES
-from declqg import oracles, sim
+from declqg import core, oracles, sim
 from declqg.oracles import closed_loop_maps
 from declqg.sim import BLOCK, ROLL_ROWS, Rollout, RolloutBatch
 
@@ -68,6 +68,24 @@ def test_sim_defines_no_oracle():
                  "CoordinatedRollout", "rollout_coordinated", "JointGaussian",
                  "closed_loop_maps", "gaussian_conditioning"):
         assert hasattr(oracles, name) and not hasattr(sim, name), name
+
+
+def test_non_finite_innovation_map_is_a_breakdown():
+    # Z_2's map holds inf: the breakdown names its step before the SVD,
+    # which may raise LinAlgError on it or never return (a subprocess,
+    # under a timeout)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import numpy as np\n"
+         "from declqg.oracles import JointGaussian\n"
+         "jg = JointGaussian(xtilde=(np.eye(4),), ytilde=(np.eye(4), "
+         "np.full((4, 4), np.inf)), utilde=())\n"
+         "try:\n    jg.innovations(2)\n"
+         "except ArithmeticError as e:\n    print(type(e).__name__, e)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60, check=True)
+    assert proc.stdout == ("NumericalBreakdown innovation map is not finite "
+                           "(t=2)\n")
 
 
 def test_zero_noise_zero_gain_rollouts_cost_nothing():
@@ -239,8 +257,9 @@ def _literal_rollout(plant, mp, gains, policy, prims, keep):
 
 
 def _horizon_cases():
-    """Time-varying plants whose horizon T is 1 or 2, or spans two or three
-    runs of ``sim.STEP_CHUNK`` = 8 steps."""
+    """Time-varying plants whose horizon T is 1, 2, 9 or 17: steps 2..T-1
+    make one run of ``_step_maps`` by default (the maps are small), and
+    several when runs are cut to 1 or 3 steps."""
     for T in (1, 2, 9, 17):
         p = random_plant(np.random.default_rng([46, T]), n=2, d_x=2,
                          d_y=(2, 1), d_u=(1, 2), T=T, time_varying=True)
@@ -303,13 +322,21 @@ def test_step_maps_do_not_depend_on_the_chunks(p, mp, policy, monkeypatch):
            else ZHistoryPolicy(random_theta_maps(ss.cs, rng, 0.3)))
     steps, records = sim._step_maps(p, mp, lg, pol)
     assert len(steps) == len(records) == p.T
+    maps, runs = pol.maps, []
+    monkeypatch.setattr(pol, "maps", lambda t0, t1: runs.append(t1 - t0)
+                        or maps(t0, t1))
     for chunk in (1, 3):
-        monkeypatch.setattr(sim, "STEP_CHUNK", chunk)
+        # an entry budget of ``chunk`` maps of v_t's width squared
+        monkeypatch.setattr(core, "RUN_STEPS", 1)
+        monkeypatch.setattr(core, "RUN_ENTRIES",
+                            chunk * steps[-1].shape[1] ** 2)
+        runs.clear()
         for got, want in zip(sim._step_maps(p, mp, lg, pol),
                              (steps, records)):
             assert len(got) == len(want) == p.T
             assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
                        for a, b in zip(got, want)), chunk
+        assert max(runs) == (1 if pol.widens else min(chunk, max(1, p.T - 2)))
     without = sim._step_maps(p, mp, lg, pol, records=False)
     assert without[1] == ()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(without[0], steps))
