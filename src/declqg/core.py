@@ -145,21 +145,6 @@ def pinv(m, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     return np.linalg.pinv(m, rcond=rtol)
 
 
-def solve_pd(m: np.ndarray, rhs: np.ndarray, t: int | None = None) -> np.ndarray:
-    """Solve ``m x = rhs`` for symmetric positive definite ``m`` (or stacks).
-
-    Raises :class:`NumericalBreakdown` when a Cholesky factorization fails.
-    """
-    if m.size == 0:
-        return np.zeros(rhs.shape)
-    try:
-        c = np.linalg.cholesky(sym(m))
-    except np.linalg.LinAlgError:
-        raise NumericalBreakdown("control bracket is not positive definite", t)
-    y = np.linalg.solve(c, rhs)
-    return np.linalg.solve(c.swapaxes(-1, -2), y)
-
-
 def eig_bounds(m: np.ndarray):
     """Min and max eigenvalue of a symmetric matrix or stack; 0, 0 if empty."""
     if m.size == 0:

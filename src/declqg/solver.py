@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (DEFAULT_RTOL, NumericalBreakdown, check_rtol, read_only,
-                   solve_pd, sym)
+from .core import DEFAULT_RTOL, NumericalBreakdown, check_rtol, read_only, sym
 from .coordination import CoordinatedSystem, LocalGains, build
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
@@ -25,6 +24,7 @@ from .plant import PlantModel
 
 _STACKED = ("A", "C", "noise", "Q", "N", "noise_cost")
 _SEQUENCES = ("Lgain", "filter_gain", "Ptilde", "root", "S")
+_DOT = "...ij,...ij->..."      # the entry sum of a * b, matrix by matrix
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,12 @@ def _filter_sweep(A, C, noise, R1, rtol: float, start: int = 1, lent=None):
     and a QR gives R_{t+1}, a PSD root of b (I - V_r V_r') b'."""
     check_rtol(rtol)
     n, d = C.shape[-3], A.shape[-1]
-    roots = np.empty(A.shape[:-3] + (n + 1, d, d))
+    roots = np.zeros(A.shape[:-3] + (n + 1, d, d))
     gains = np.empty(roots.shape[:-3] + (n, d, C.shape[-2]))
     roots[..., :start, :, :] = lent[0][:start] if start > 1 else R1
     gains[..., :start - 1, :, :] = lent[1][:start - 1] if start > 1 else 0.0
     AC = np.concatenate([A[..., :n, :, :], C], axis=-2)
+    lower = np.tri(d, dtype=bool)
     for t in range(start, n + 1):
         pre = np.concatenate([AC[..., t - 1, :, :] @ roots[..., t - 1, :, :],
                               noise[..., t - 1, :, :]], axis=-1)
@@ -100,8 +101,8 @@ def _filter_sweep(A, C, noise, R1, rtol: float, start: int = 1, lent=None):
         bv = b @ vh.swapaxes(-1, -2) * keep[..., None, :]
         gains[..., t - 1, :, :] = (bv / np.where(keep, s, 1.0)[..., None, :]
                                    @ u.swapaxes(-1, -2))
-        roots[..., t, :, :] = np.linalg.qr(
-            (b - bv @ vh).swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+        h, _ = np.linalg.qr((b - bv @ vh).swapaxes(-1, -2), mode="raw")
+        np.copyto(roots[..., t, :, :], h[..., :d], where=lower)  # R' of QR
         _check_finite(roots[..., t, :, :], "filter covariance root", t + 1)
     return roots @ roots.swapaxes(-1, -2), gains, roots
 
@@ -121,51 +122,65 @@ def backward_riccati(cs: CoordinatedSystem, start: int | None = None,
                      incumbent: SolvedStrategy | None = None):
     """Value matrices S_1..S_T and gains L~_t = -(R~ + B~' S B~)^-1 Lambda_t
     with Lambda_t = N~' + B~' S A~ (not kept), S = S_{t+1} and S_{T+1} = 0.
-    The bracket is positive definite (R is PD), so a true solve is used.
-    The sweep runs down from step ``start`` (default T); S and L~ of the
-    steps after it are copied from ``incumbent`` (see :func:`solve`)."""
+    Each step solves the bracket by LU.  One stacked Cholesky checks that
+    every bracket is positive definite once the sweep ends or raises, and
+    names the largest failing step, where a per-step check would stop.  The
+    sweep runs down from step ``start`` (default T); S and L~ of the steps
+    after it are copied from ``incumbent`` (see :func:`solve`)."""
     T, d, batch = cs.T, cs.d_state, cs.A.shape[:-3]
     start = T if start is None else start
     S, K = np.empty(batch + (T, d, d)), np.empty(batch + (T, cs.d_u, d))
-    S_next = np.zeros((d, d))
+    brackets = np.ones(batch + (start, 1, 1)) * np.eye(cs.d_u)
     if start < T:
         S[..., start:, :, :] = incumbent.S[start:]
         K[..., start:, :, :] = incumbent.Lgain[start:]
-        S_next = S[..., start, :, :]
-    for t in range(start, 0, -1):
-        A, B, N, Q, S_t, K_t = (a[..., t - 1, :, :] for a in (
-            cs.A, cs.B, cs.N, cs.Q, S, K))
-        bracket = sym(cs.plant.R + B.T @ S_next @ B)
-        lam = N.swapaxes(-1, -2) + B.T @ S_next @ A
-        K_t[...] = 0.0 - solve_pd(bracket, lam, t=t)   # no -0 entries
-        S_t[...] = sym(A.swapaxes(-1, -2) @ S_next @ A + Q
-                       + lam.swapaxes(-1, -2) @ K_t)
-        _check_finite(S_t, "value matrix", t)   # non-finite if L~_t is
-        S_next = S_t
+    S_next = S[..., start, :, :] if start < T else np.zeros((d, d))
+    try:
+        for t in range(start, 0, -1):
+            A, B, N, Q, S_t, K_t, bracket = (a[..., t - 1, :, :] for a in (
+                cs.A, cs.B, cs.N, cs.Q, S, K, brackets))
+            bracket[...] = sym(cs.plant.R + B.T @ S_next @ B)
+            lam = N.swapaxes(-1, -2) + B.T @ S_next @ A
+            K_t[...] = 0.0 - np.linalg.solve(bracket, lam)   # no -0 entries
+            S_t[...] = sym(A.swapaxes(-1, -2) @ S_next @ A + Q
+                           + lam.swapaxes(-1, -2) @ K_t)
+            _check_finite(S_t, "value matrix", t)   # non-finite if L~_t is
+            S_next = S_t
+    except (ArithmeticError, np.linalg.LinAlgError):
+        _check_brackets(brackets)   # those of steps not reached are still I
+        raise
+    _check_brackets(brackets)
     return read_only(S), read_only(K)
 
 
-def performance(cs: CoordinatedSystem, ptilde, s_seq):
+def _check_brackets(brackets, t0: int = 1) -> None:
+    """Raise NumericalBreakdown at the largest step t whose control bracket
+    ``brackets[..., t-t0, :, :]`` has no Cholesky factor (bisecting)."""
+    try:
+        np.linalg.cholesky(brackets)
+    except np.linalg.LinAlgError:
+        if (n := brackets.shape[-3]) == 1:
+            raise NumericalBreakdown(
+                "control bracket is not positive definite", t0) from None
+        _check_brackets(brackets[..., n // 2:, :, :], t0 + n // 2)
+        _check_brackets(brackets[..., :n // 2, :, :], t0)
+
+
+def performance(cs: CoordinatedSystem, ptilde, s_seq, k_seq):
     """Predicted expected total cost of the optimal coordinator strategy.
 
-    J = sum_t tr[P~_t Q~_t] + c_t + tr[(N_w N_w' + A~_t P~_t A~_t' - P~_{t+1})
-    S_{t+1}], with c_t the step's ``noise_cost``, N_w the process noise's
-    root (``noise``'s first d_state rows) and S_{T+1} = 0, so the final
-    noise term vanishes; one J per system.
+    J = sum_t tr[P~_t Q~_t] + c_t + tr[S_{t+1} K_t M_t K_t'], with c_t the
+    step's ``noise_cost``, K_t = ``k_seq[t-1]``, M_t = C P~_t C' + N_v N_v'
+    (N_v: ``noise``'s rows after d_state) and S_{T+1} = 0; one J per system.
+    K M K' is N_w N_w' + A~ P~_t A~' - P~_{t+1} without the cancellation.
+    Each trace is an entry sum, of P~ * Q~ or (S K) * (K M), by ``einsum``.
     """
-    terms = np.zeros(ptilde.shape[:-3] + (2 * cs.T,))   # 0, tr_1, noise_1, ..
-    for s in range(0, cs.T, 8):     # 8 steps at a time keep temporaries small
-        e, m = min(s + 8, cs.T), min(s + 8, cs.T - 1)
-        P, A = ptilde[..., s:e, :, :], cs.A[..., s:m, :, :]
-        terms[..., 2 * s + 1:2 * e:2] = np.trace(
-            P @ cs.Q[..., s:e, :, :], axis1=-2, axis2=-1) \
-            + cs.noise_cost[..., s:e]
-        nw = cs.noise[..., s:m, :cs.d_state, :]
-        gamma = (nw @ nw.swapaxes(-1, -2)
-                 + A @ P[..., :m - s, :, :] @ A.swapaxes(-1, -2)
-                 - ptilde[..., s + 1:m + 1, :, :])
-        terms[..., 2 * s + 2:2 * m + 1:2] = np.sum(
-            gamma * s_seq[..., s + 1:m + 1, :, :], axis=(-2, -1))
+    T, C, nv = cs.T, cs.C, cs.noise[..., :cs.T - 1, cs.d_state:, :]
+    terms = np.zeros(ptilde.shape[:-3] + (2 * T,))   # 0, tr_1, noise_1, ..
+    terms[..., 1::2] = np.einsum(_DOT, ptilde, cs.Q) + cs.noise_cost
+    M = (C @ ptilde[..., :-1, :, :] @ C.swapaxes(-1, -2)
+         + nv @ nv.swapaxes(-1, -2))
+    terms[..., 2::2] = np.einsum(_DOT, s_seq[..., 1:, :, :] @ k_seq, k_seq @ M)
     total = np.add.accumulate(terms, axis=-1)[..., -1]   # in that order
     return total if total.ndim else float(total)
 
@@ -209,4 +224,4 @@ def solve(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     P, K, R = forward_riccati(cs, rtol, first, incumbent)
     S, L = backward_riccati(cs, last, incumbent)
     return SolvedStrategy(cs=cs, Lgain=L, filter_gain=K, Ptilde=P, root=R,
-                          S=S, J=performance(cs, P, S), rtol=rtol)
+                          S=S, J=performance(cs, P, S, K), rtol=rtol)

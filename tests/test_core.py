@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from declqg.core import (InvalidMatrix, NumericalBreakdown, as_covariance,
+from declqg.core import (InvalidMatrix, as_covariance,
                          as_matrix, blkdiag, eig_bounds, pinv,
-                         psd_sqrt, seeded_stream, solve_pd, sym)
+                         psd_sqrt, seeded_stream, sym)
 
 
 def penrose_residual(m, mi):
@@ -178,19 +178,10 @@ def test_pinv_of_a_stack_is_bitwise_each_matrix():
         pinv(np.where(np.arange(24).reshape(2, 3, 4) == 7, np.nan, 1.0))
 
 
-def test_solve_pd_on_stacks():
+def test_eig_bounds_on_stacks():
     rng = np.random.default_rng(5)
     f = rng.standard_normal((4, 3, 3))
     m = f @ f.swapaxes(-1, -2) + np.eye(3)
-    rhs = rng.standard_normal((4, 3, 2))
-    x = solve_pd(m, rhs)
-    for i in range(4):
-        assert np.array_equal(x[i], solve_pd(m[i], rhs[i]))
-    bad = m.copy()
-    bad[2] = -np.eye(3)
-    with pytest.raises(NumericalBreakdown) as err:
-        solve_pd(bad, rhs, t=7)
-    assert err.value.t == 7
     lo, hi = eig_bounds(m)
     assert lo.shape == hi.shape == (4,)
     assert isinstance(eig_bounds(m[0])[0], float)

@@ -12,6 +12,7 @@ from declqg import (LocalGains, NumericalBreakdown, PlantModel,
 import declqg.solver as solver_mod
 from declqg.cli import DEMOS, load_scenario, strategy_from_doc, strategy_to_doc
 from declqg.core import DEFAULT_RTOL, blkdiag, pinv, sym
+from declqg.tune import _RAISE as _TUNE_ERRSTATE   # tune's solve errstate
 from declqg.estimator import (_window_map, effective_delay,
                               statistic_transition)
 from declqg.oracles import closed_loop_maps, random_theta_maps
@@ -192,6 +193,49 @@ def test_backward_riccati_raises_on_non_pd_bracket(scalar2):
     assert exc.value.t == cs.T
 
 
+def _shifted_bracket_case(shifts, stack=False):
+    """The symmetric-k2 demo at random gains (3 candidates if ``stack``,
+    shifted only in the second) with c I added to Q~ at each step t of
+    ``shifts`` {t: c}."""
+    sc = load_scenario(DEMOS["symmetric-k2"]["config"])
+    p, mp = sc.plant, sc.protocol
+    rng = np.random.default_rng(4)
+    thetas = 0.3 * rng.standard_normal((3, LocalGains.zeros(p, mp).theta.size))
+    cs = build(p, mp, LocalGains.from_vector(p, mp, thetas if stack
+                                             else thetas[0]))
+    Q = cs.Q.copy()
+    for t, c in shifts.items():
+        Q[(1,) * stack + (t - 1,)] += c * np.eye(cs.d_state)
+    return dataclasses.replace(cs, Q=Q)
+
+
+@pytest.mark.parametrize("stack", [False, True])
+@pytest.mark.parametrize("errstate", [{"over": "ignore"}, _TUNE_ERRSTATE],
+                         ids=["quiet", "tune"])
+@pytest.mark.parametrize("shifts", [{4: -1e3}, {4: -1e3, 3: 1e308}],
+                         ids=["mid_sweep", "then_overflow"])
+def test_backward_riccati_names_the_first_failing_bracket(shifts, errstate,
+                                                          stack):
+    # Q~_4 - 1e3 I makes the bracket of step 3 indefinite; a step-by-step
+    # check stops there.  Steps 2 and 1 still run (and with Q~_3 + 1e308 I
+    # step 3 overflows) before the brackets are checked, which must not
+    # move the step or the message.
+    cs = _shifted_bracket_case(shifts, stack)
+    with np.errstate(**errstate), pytest.raises(NumericalBreakdown) as exc:
+        backward_riccati(cs)
+    assert exc.value.t == 3
+    assert str(exc.value) == "control bracket is not positive definite (t=3)"
+
+
+def test_backward_riccati_keeps_a_step_error_when_every_bracket_is_pd():
+    cs = _shifted_bracket_case({3: 1e308})
+    with np.errstate(over="ignore"), pytest.raises(NumericalBreakdown) as exc:
+        backward_riccati(cs)
+    assert str(exc.value) == "value matrix is not finite (t=3)"
+    with np.errstate(**_TUNE_ERRSTATE), pytest.raises(FloatingPointError):
+        backward_riccati(cs)
+
+
 def test_solved_strategy_fields_consistent(scalar2):
     mp = build_symmetric_delay(scalar2, 2)
     ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
@@ -368,8 +412,24 @@ def test_an_incumbent_that_cannot_lend_gives_the_full_solve():
     assert starts == [p.T, p.T]
 
 
-def _performance_per_step(cs, ptilde, s_seq):
+def _performance_per_step(cs, ptilde, s_seq, k_seq):
     """The predicted-cost sum one step at a time, in t order (reference)."""
+    total = 0.0
+    for t in range(1, cs.T + 1):
+        total += float(np.einsum("ij,ij->", ptilde[t - 1], cs.Q[t - 1])
+                       + cs.noise_cost[t - 1])
+        if t < cs.T:
+            C, K = cs.C[t - 1], k_seq[t - 1]
+            noise_v = cs.noise[t - 1, cs.d_state:]
+            M = C @ ptilde[t - 1] @ C.T + noise_v @ noise_v.T
+            total += float(np.einsum("ij,ij->", s_seq[t] @ K, K @ M))
+    return total
+
+
+def _performance_by_difference(cs, ptilde, s_seq):
+    """The same sum with the noise term written as tr[(N_w N_w' + A P~_t A'
+    - P~_{t+1}) S_{t+1}], equal to tr[S_{t+1} K_t M_t K_t'] in exact
+    arithmetic."""
     total = 0.0
     for t in range(1, cs.T + 1):
         total += float(np.trace(ptilde[t - 1] @ cs.Q[t - 1])
@@ -391,9 +451,11 @@ def test_performance_equals_the_per_step_sum_bitwise(T):
     stacked = solve(p, mp, LocalGains.from_vector(p, mp, thetas))
     for i, theta in enumerate(thetas):
         ss = solve(p, mp, LocalGains.from_vector(p, mp, theta))
-        ref = _performance_per_step(ss.cs, ss.Ptilde, ss.S)
+        ref = _performance_per_step(ss.cs, ss.Ptilde, ss.S, ss.filter_gain)
         assert ss.J.hex() == ref.hex()
         assert stacked.J[i].hex() == ref.hex()
+        old = _performance_by_difference(ss.cs, ss.Ptilde, ss.S)
+        assert abs(ss.J - old) <= 1e-12 * abs(old)
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ reports work; it is not a gate.  A speed-up is claimed only from
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import os
@@ -63,12 +64,15 @@ def point(n: int, d_x: int, k: int, T: int) -> dict:
     ss = dq.solve(plant, mp, gains)
     cs = ss.cs
     seeds = itertools.count()     # a fresh simulate seed per call
+    perf = dq.solver.performance
+    perf_args = (cs, ss.Ptilde, ss.S, ss.filter_gain)
+    # older checkouts' ``performance`` takes no filter gains
+    perf_args = perf_args[:len(inspect.signature(perf).parameters)]
     layers = {
         "coordination.build": lambda: dq.build(plant, mp, gains),
         "solver.forward_riccati": lambda: dq.forward_riccati(cs),
         "solver.backward_riccati": lambda: dq.backward_riccati(cs),
-        "solver.performance":
-            lambda: dq.solver.performance(cs, ss.Ptilde, ss.S),
+        "solver.performance": lambda: perf(*perf_args),
         "solver.solve": lambda: dq.solve(plant, mp, gains),
         "coordination.closed_loop_cost_exact":
             lambda: dq.closed_loop_cost_exact(cs, ss.Lgain, ss.filter_gain),
