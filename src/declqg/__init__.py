@@ -12,21 +12,21 @@ Gaussian oracles, and :mod:`declqg.tune` searches over the local gains.
 
 from .core import (DEFAULT_RTOL, DimMismatch, InvalidDelay, InvalidMatrix,
                    NumericalBreakdown, TimeOutOfRange, UnsupportedProtocol,
-                   WrongControllerCount, pinv, seeded_stream)
+                   WrongControllerCount, seeded_stream)
 from .plant import PlantModel
 from .infostructure import (DelayGraph, MemoryProtocol,
                             build_asymmetric_delay, build_control_sharing,
                             build_one_sided, build_symmetric_delay,
                             explicit_protocol, token_trace, validate)
-from .coordination import (CoordinatedSystem, LocalGains, build,
-                           closed_loop_cost_exact)
+from .coordination import CoordinatedSystem, LocalGains, build
 from .solver import SolvedStrategy, backward_riccati, forward_riccati, solve
 from .estimator import (DelayedStatTracker, act, delayed_stat_map,
                         delayed_stat_gains, initial_state,
                         plant_kalman_covariances, plant_kalman_init,
                         plant_kalman_step, step_statistic)
-from .sim import (StatisticPolicy, Rollout, RolloutBatch, draw_primitives,
-                  exact_cost, rollout_plant, simulate)
+from .sim import (StatisticPolicy, Rollout, RolloutBatch,
+                  closed_loop_cost_exact, draw_primitives, exact_cost,
+                  rollout_plant, simulate)
 from .oracles import (ZHistoryPolicy, gaussian_conditioning,
                       random_theta_maps, rollout_coordinated,
                       strategy_theta_maps)

@@ -10,8 +10,7 @@ with the measurement noise; it is independent of everything the coordinator
 knows at t, so Y_t need not be part of the state.  G_t W_t also adds the
 constant E[W_t' G_t' R G_t W_t] to each step's expected cost.  The
 paired-noise equivalence oracle in :mod:`declqg.oracles` certifies the
-reformulation state by state; ``closed_loop_cost_exact`` here is the exact
-moment-propagation oracle.
+reformulation state by state.
 """
 
 from __future__ import annotations
@@ -199,43 +198,3 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
         Q=read_only(sym(Q)), N=read_only(N), noise_cost=read_only(noise_cost),
         init_root=read_only(blkdiag([plant.x1_root, np.zeros((d_c, d_c))])))
 
-
-def closed_loop_cost_exact(cs: CoordinatedSystem, l_seq,
-                           filter_gains) -> float:
-    """Exact expected cost of Ut~ = L~_t (state estimate) under the filter.
-
-    Propagates the joint second moment of (state, estimate) through the linear
-    closed loop, adding each step's correlated noise as r r' with
-    r = (N_w; K N_v); no sampling error.  ``filter_gains`` are the forward
-    Riccati gains of the estimator the strategy runs.
-    """
-    T, d = cs.T, cs.d_state
-    if len(l_seq) != T:
-        raise DimMismatch(f"need {T} gain matrices, got {len(l_seq)}")
-    for t in range(1, T + 1):
-        as_matrix(l_seq[t - 1], cs.d_u, d, f"L[t={t}]")
-    cov = np.zeros((2 * d, 2 * d))
-    cov[:d, :d] = cs.init_root @ cs.init_root.T
-    total = 0.0
-    for t in range(1, T + 1):
-        L = np.asarray(l_seq[t - 1], dtype=float)
-        W = np.zeros((2 * d, 2 * d))
-        W[:d, :d] = cs.Q[t - 1]
-        W[:d, d:] = cs.N[t - 1] @ L
-        W[d:, :d] = W[:d, d:].T
-        W[d:, d:] = L.T @ cs.plant.R @ L
-        total += float(np.sum(W * cov)) + float(cs.noise_cost[t - 1])
-        if t == T:
-            break
-        gain = filter_gains[t - 1]
-        A, B = cs.A[t - 1], cs.B[t - 1]
-        GC = gain @ cs.C[t - 1]
-        M = np.zeros((2 * d, 2 * d))
-        M[:d, :d] = A
-        M[:d, d:] = B @ L
-        M[d:, :d] = GC
-        M[d:, d:] = A + B @ L - GC
-        noise = cs.noise[t - 1]
-        r = np.concatenate([noise[:d], gain @ noise[d:]])
-        cov = sym(M @ cov @ M.T + r @ r.T)
-    return total

@@ -1,9 +1,9 @@
 """Shared numeric foundations.
 
 Dense matrices are plain ``numpy.ndarray`` objects (float64, 2-d); this module
-adds the validation, block assembly, tolerant pseudoinverse, and deterministic
-random streams that the rest of the package builds on.  Everything here is a
-pure function or an immutable value, safe to share across threads.
+adds the validation, block assembly, PSD roots, and deterministic random
+streams that the rest of the package builds on.  Everything here is a pure
+function or an immutable value, safe to share across threads.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ import operator
 
 import numpy as np
 
-#: Relative singular-value cutoff used for pseudoinverses.  Shared-memory
+#: Relative rank cutoff of the filter's innovation covariances: an eigenvalue
+#: at most ``rtol`` times the largest counts as zero.  Shared-memory
 #: increments are noiseless functions of the state, so innovation covariances
 #: are exactly rank deficient and a hard relative threshold is required.
 DEFAULT_RTOL = 1e-9
@@ -61,11 +62,11 @@ class NumericalBreakdown(ArithmeticError):
 
 
 def as_matrix(value, rows: int | None = None, cols: int | None = None,
-              name: str = "matrix", stack: bool = False) -> np.ndarray:
+              name: str = "matrix") -> np.ndarray:
     """Coerce ``value`` to a finite, read-only float64 2-d array.
 
     Scalars become 1x1.  If ``rows``/``cols`` are given, the shape is checked
-    and a :class:`DimMismatch` raised on disagreement; ``stack`` admits stacks.
+    and a :class:`DimMismatch` raised on disagreement.
     """
     try:
         m = np.asarray(value, dtype=float)
@@ -75,7 +76,7 @@ def as_matrix(value, rows: int | None = None, cols: int | None = None,
         m = m.reshape(1, 1)
     if m.ndim == 1:
         m = m.reshape(-1, 1) if cols == 1 else m.reshape(1, -1)
-    if m.ndim != 2 and not (stack and m.ndim > 2):
+    if m.ndim != 2:
         raise InvalidMatrix(f"{name}: expected 2-d data, got ndim={m.ndim}")
     if m.size and not np.isfinite(m).all():
         raise InvalidMatrix(f"{name}: contains non-finite entries")
@@ -131,18 +132,6 @@ def check_rtol(rtol: float) -> None:
     above 1 cuts every singular value, so it keeps nothing."""
     if not 0 < rtol < 1:        # also rejects nan
         raise ValueError(f"rtol must be in (0, 1), got {rtol!r}")
-
-
-def pinv(m, rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
-
-    Singular values below ``rtol * sigma_max`` of their matrix count as zero.
-    """
-    check_rtol(rtol)
-    m = as_matrix(m, name="pinv operand", stack=True)
-    if m.size == 0:
-        return np.zeros(m.shape[:-2] + (m.shape[-1], m.shape[-2]))
-    return np.linalg.pinv(m, rcond=rtol)
 
 
 def eig_bounds(m: np.ndarray):

@@ -2,7 +2,7 @@
 recursion under the draws ``rollout_plant`` reads (paired noise) and the
 closed loop's joint Gaussian conditioned on the shared history, both under
 explicit observation-history strategies.  The third oracle, exact moment
-propagation, is ``coordination.closed_loop_cost_exact``.
+propagation on the plant's own step maps, is ``sim.closed_loop_cost_exact``.
 """
 
 from __future__ import annotations

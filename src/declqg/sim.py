@@ -1,5 +1,6 @@
-"""Monte Carlo on the plant's own equations, and the exact expected cost;
-the oracles that check the coordinator are in :mod:`declqg.oracles`.
+"""Monte Carlo on the plant's own equations, and the exact expected cost by
+second moments on the same step maps; the oracles that check the
+coordinator are in :mod:`declqg.oracles`.
 
 Rollout r reads row ``r % BLOCK`` of ``seeded_stream(seed, r // BLOCK)``'s
 normals.  Under linear strategies the closed loop is linear, so each step
@@ -22,9 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import as_index, run_length, seeded_stream
-from . import coordination
-from .coordination import LocalGains
+from .core import (DimMismatch, as_index, as_matrix, blkdiag, run_length,
+                   seeded_stream)
+from .coordination import CoordinatedSystem, LocalGains
 from .estimator import statistic_transition
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
@@ -275,7 +276,7 @@ def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     steps, records = maps or _step_maps(plant, mp, gains, policy, keep > 0)
     d_x, d_w = plant.d_x, plant.d_x + plant.d_y_total
     d_xu, d_c = d_x + plant.d_u_total, mp.d_carrier
-    d_stat = policy.init(0).shape[1] if isinstance(policy, StatisticPolicy) else 0
+    d_stat = policy.init(0).shape[1]
     # BLAS rounds the last columns of a product its own way unless their
     # number is a multiple of ROW_ALIGN: pad with zero rollouts
     cols, kept = (-(-n // ROW_ALIGN) * ROW_ALIGN for n in (count, keep))
@@ -403,8 +404,33 @@ def _check_solved_for(plant: PlantModel, mp: MemoryProtocol,
 
 def exact_cost(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
                ss: SolvedStrategy) -> float:
-    """Exact expected cost via second-moment propagation (no sampling),
-    on the coordinated system ``ss`` was solved on."""
+    """``closed_loop_cost_exact`` of ``ss``, which must be solved for these
+    ``plant``, ``mp`` and ``gains``."""
     _check_solved_for(plant, mp, gains, ss)
-    return coordination.closed_loop_cost_exact(ss.cs, ss.Lgain,
-                                               ss.filter_gain)
+    return closed_loop_cost_exact(ss.cs, ss.Lgain, ss.filter_gain)
+
+
+def closed_loop_cost_exact(cs: CoordinatedSystem, l_seq,
+                           filter_gains) -> float:
+    """Exact expected cost of Ut~ = L~_t stat_t, the statistic advanced by
+    the filter with ``filter_gains``: second moments on the plant's own step
+    maps, no sampling.  v_1 is unit normals, Sigma_1 = I, and Sigma_{t+1} =
+    blkdiag(N Sigma_t N', I), N the rows of step map t that give v_{t+1}
+    but its fresh normals; step t costs the entry sum of (X_t, U_t) rows
+    times Sigma_t times the (Q X_t, R U_t) rows."""
+    T, d_xu, d_w = cs.T, cs.d_x + cs.d_u, cs.d_x + cs.plant.d_y_total
+    if len(l_seq) != T:
+        raise DimMismatch(f"need {T} gain matrices, got {len(l_seq)}")
+    L = np.array([as_matrix(l_seq[t - 1], cs.d_u, cs.d_state, f"L[t={t}]")
+                  for t in range(1, T + 1)])
+    policy = StatisticPolicy(SolvedStrategy(
+        cs=cs, Lgain=L, filter_gain=np.asarray(filter_gains, dtype=float),
+        J=float("nan")))
+    steps, _ = _step_maps(cs.plant, cs.protocol, cs.gains, policy,
+                          records=False)
+    cov, total = np.eye(steps[0].shape[1]), 0.0
+    for M in steps:
+        xu, weighted, nxt = M[:d_xu], M[d_xu:2 * d_xu], M[2 * d_xu:]
+        total += float(np.sum((xu @ cov) * weighted))
+        cov = blkdiag([nxt @ cov @ nxt.T, np.eye(d_w)])
+    return total

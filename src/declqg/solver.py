@@ -81,8 +81,8 @@ def _filter_sweep(A, C, noise, R1, rtol: float, start: int = 1, lent=None):
     K_1..K_n, roots R_1..R_{n+1} (``R1``, or ``lent``'s up to R_start).
     ``noise[t-1]`` = (N_w; N_v) is a root of step t's (process, measurement)
     noise; a = [C R_t, N_v], b = [A R_t, N_w] give a a' = C P C' + V, cut
-    as ``pinv`` cuts it (s^2 > rtol s_max^2 kept), K_t = b V_r S_r^-1 U_r',
-    and a QR gives R_{t+1}, a PSD root of b (I - V_r V_r') b'."""
+    at the relative rank ``rtol`` (s^2 > rtol s_max^2 kept), K_t = b V_r
+    S_r^-1 U_r', and a QR gives R_{t+1}, a PSD root of b (I - V_r V_r') b'."""
     check_rtol(rtol)
     n, d = C.shape[-3], A.shape[-1]
     roots = np.zeros(A.shape[:-3] + (n + 1, d, d))

@@ -3,67 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from declqg.core import (InvalidMatrix, as_covariance,
-                         as_matrix, blkdiag, eig_bounds, pinv,
-                         psd_sqrt, seeded_stream, sym)
-
-
-def penrose_residual(m, mi):
-    smax = max(np.linalg.svd(m, compute_uv=False).max(), 1e-300) if m.size else 1.0
-    return max(
-        np.abs(m @ mi @ m - m).max(initial=0.0),
-        np.abs(mi @ m @ mi - mi).max(initial=0.0),
-        np.abs((m @ mi).T - m @ mi).max(initial=0.0),
-        np.abs((mi @ m).T - mi @ m).max(initial=0.0),
-    ) / smax
-
-
-def test_pinv_identity():
-    assert_allclose(pinv(np.eye(3), 1e-9), np.eye(3))
-
-
-def test_pinv_zero_matrix():
-    assert_allclose(pinv(np.zeros((2, 2)), 1e-9), np.zeros((2, 2)))
-
-
-def test_pinv_rank_deficient_diagonal():
-    m = np.diag([2.0, 0.0])
-    mi = pinv(m, 1e-9)
-    assert_allclose(mi, np.diag([0.5, 0.0]))
-    assert penrose_residual(m, mi) < 1e-9
-
-
-@pytest.mark.parametrize("shape", [(3, 3), (4, 2), (2, 5)])
-def test_pinv_penrose_identities_random(shape):
-    rng = np.random.default_rng(1)
-    for k in range(5):
-        m = rng.standard_normal(shape)
-        if k % 2:  # force rank deficiency
-            m[:, -1] = m[:, 0]
-        assert penrose_residual(m, pinv(m)) < 1e-9
-
-
-def test_pinv_involution():
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        m = rng.standard_normal((4, 3))
-        smax = np.linalg.svd(m, compute_uv=False).max()
-        assert np.abs(pinv(pinv(m)) - m).max() < 1e-8 * smax
-
-
-def test_pinv_rejects_nonfinite():
-    with pytest.raises(InvalidMatrix):
-        pinv(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def test_pinv_rejects_bad_rtol():
-    with pytest.raises(ValueError):
-        pinv(np.eye(2), rtol=0.0)
-
-
-def test_pinv_cutoff_drops_small_singular_values():
-    m = np.diag([1.0, 1e-12])
-    assert_allclose(pinv(m, rtol=1e-9), np.diag([1.0, 0.0]))
-    assert_allclose(pinv(m, rtol=1e-15), np.diag([1.0, 1e12]), rtol=1e-6)
+                         as_matrix, blkdiag, eig_bounds, psd_sqrt,
+                         seeded_stream, sym)
 
 
 def test_seeded_stream_deterministic():
@@ -156,26 +97,6 @@ def test_as_matrix_is_readonly():
     m = as_matrix([[1.0, 2.0]])
     with pytest.raises(ValueError):
         m[0, 0] = 5.0
-
-
-def test_pinv_of_a_stack_cuts_each_matrix_at_its_own_scale():
-    # 1e-12 is dropped beside 1 but kept when it is the largest value
-    stack = np.array([np.diag([1.0, 1e-12]), np.diag([1e-12, 1e-12])])
-    out = pinv(stack, rtol=1e-9)
-    assert out.shape == (2, 2, 2)
-    assert_allclose(out[0], np.diag([1.0, 0.0]))
-    assert_allclose(out[1], np.diag([1e12, 1e12]))
-
-
-def test_pinv_of_a_stack_is_bitwise_each_matrix():
-    rng = np.random.default_rng(4)
-    stack = rng.standard_normal((3, 2, 4, 3))
-    out = pinv(stack)
-    for idx in np.ndindex(3, 2):
-        assert np.array_equal(out[idx], pinv(stack[idx]))
-    assert pinv(np.zeros((5, 0, 2))).shape == (5, 2, 0)
-    with pytest.raises(InvalidMatrix):
-        pinv(np.where(np.arange(24).reshape(2, 3, 4) == 7, np.nan, 1.0))
 
 
 def test_eig_bounds_on_stacks():

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from declqg import (DelayGraph, StatisticPolicy, LocalGains, PlantModel,
-                    ZHistoryPolicy, build, build_asymmetric_delay,
+from declqg import (DelayGraph, DimMismatch, InvalidMatrix, StatisticPolicy,
+                    LocalGains, PlantModel, SolvedStrategy, ZHistoryPolicy,
+                    build, build_asymmetric_delay,
                     build_control_sharing, build_one_sided,
                     build_symmetric_delay, closed_loop_cost_exact,
                     draw_primitives, exact_cost, explicit_protocol,
@@ -45,7 +46,7 @@ PUBLIC_NAMES = [
     "closed_loop_cost_exact", "coordination", "core", "delayed_stat_gains",
     "delayed_stat_map", "draw_primitives", "estimator", "exact_cost",
     "explicit_protocol", "forward_riccati", "gaussian_conditioning",
-    "infostructure", "initial_state", "oracles", "pinv", "plant",
+    "infostructure", "initial_state", "oracles", "plant",
     "plant_kalman_covariances", "plant_kalman_init", "plant_kalman_step",
     "random_theta_maps", "rollout_coordinated", "rollout_plant",
     "seeded_stream", "sim", "simulate", "solve", "solver", "step_statistic",
@@ -144,6 +145,40 @@ def test_exact_cost_rejects_mismatched_strategy(scalar2):
                  (scalar2, build_symmetric_delay(scalar2, 2), lg)):
         with pytest.raises(ValueError, match="another plant"):
             exact_cost(*args, ss)
+
+
+@pytest.mark.parametrize("name", ["symmetric-k2", "figure1-asymmetric",
+                                  "control-sharing"])
+def test_exact_cost_at_a_non_optimal_strategy_matches_monte_carlo(name):
+    # L~ off the optimum by 0.3 N(0, 1), run as a gains-only strategy; the
+    # coordinated recursion does not read the plant's step maps.  Random
+    # local gains: at the demos' zero gains control sharing reveals nothing
+    # of the state, so the statistic stays 0 and L~ does not act.
+    sc = load_scenario(copy.deepcopy(DEMOS[name]["config"]))
+    rng = np.random.default_rng(23)
+    ss = solve(sc.plant, sc.protocol,
+               LocalGains.random(sc.plant, sc.protocol, rng, 0.3))
+    L = ss.Lgain + 0.3 * rng.standard_normal(ss.Lgain.shape)
+    exact = closed_loop_cost_exact(ss.cs, L, ss.filter_gain)
+    assert exact > ss.J
+    policy = StatisticPolicy(SolvedStrategy(
+        cs=ss.cs, Lgain=L, filter_gain=ss.filter_gain, J=float("nan")))
+    costs = rollout_coordinated(ss.cs, policy, draw_primitives(
+        sc.plant, seed=23, count=20_000)).costs
+    stderr = np.std(costs, ddof=1) / np.sqrt(len(costs))
+    assert abs(np.mean(costs) - exact) < 4 * stderr
+
+
+def test_closed_loop_cost_exact_rejects_bad_gains(scalar2):
+    mp = build_symmetric_delay(scalar2, 2)
+    ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
+    L, K = list(ss.Lgain), ss.filter_gain
+    with pytest.raises(DimMismatch, match="need 5 gain matrices, got 4"):
+        closed_loop_cost_exact(ss.cs, L[:-1], K)
+    for bad, error in ((L[2][:, :-1], DimMismatch),
+                       (np.full_like(L[2], np.nan), InvalidMatrix)):
+        with pytest.raises(error, match=r"L\[t=3\]"):
+            closed_loop_cost_exact(ss.cs, L[:2] + [bad] + L[3:], K)
 
 
 def test_simulate_rejects_mismatched_strategy(scalar2):
@@ -793,7 +828,7 @@ def test_oracles_agree_with_nearly_singular_innovation():
 def test_exact_cost_is_within_the_J_gate_on_ill_conditioned_instances(
         seed, args):
     """The two ``tools/oracle_scan.py --examples 10000`` instances on
-    which the exact-cost oracle erred most: propagating the covariance F Sigma F' of the coordinator's noise
-    put it 4.4e-9 and 2.4e-9 off J, above the 1e-9 gate; reading the root
-    F N that the filter reads keeps it inside."""
+    which an exact-cost oracle on the coordinator's system erred most:
+    propagating the covariance F Sigma F' of the coordinator's noise put it
+    4.4e-9 and 2.4e-9 off J, above the 1e-9 gate."""
     _assert_oracles_agree_on(*_explicit_case(seed, *args), seed)
