@@ -27,7 +27,7 @@ from .infostructure import (DelayGraph, MemoryProtocol,
                             explicit_protocol, token_trace, validate)
 from .plant import PlantModel
 from .sim import exact_cost, simulate
-from .solver import SolvedStrategy, solve
+from .solver import SolvedStrategy, _check_one_strategy, solve
 from .tune import tune
 
 
@@ -222,6 +222,7 @@ def _fingerprint(plant: PlantModel, mp: MemoryProtocol) -> str:
 
 def strategy_to_doc(ss: SolvedStrategy, dump_matrices=False) -> dict:
     gains, p, mp = ss.gains, ss.cs.plant, ss.cs.protocol
+    _check_one_strategy(ss.cs)
     doc = {
         "format": STRATEGY_FORMAT,
         "fingerprint": _fingerprint(p, mp),

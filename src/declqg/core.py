@@ -18,8 +18,8 @@ import numpy as np
 #: are exactly rank deficient and a hard relative threshold is required.
 DEFAULT_RTOL = 1e-9
 
-#: Maps of steps that do not depend on each other are built stacked over
-#: runs of ``RUN_STEPS`` steps, or of more while the run's maps hold at most
+#: ``sim._step_maps`` builds its per-step maps stacked over runs of
+#: ``RUN_STEPS`` steps, or of more while the run's maps hold at most
 #: ``RUN_ENTRIES`` entries: small maps go in long runs, which saves numpy
 #: calls, and large ones in short runs, which bounds their memory.
 RUN_STEPS = 8

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_RTOL, DimMismatch, TimeOutOfRange,
-                   UnsupportedProtocol, as_index, as_vector, read_only,
-                   run_length)
+                   UnsupportedProtocol, as_index, as_vector, read_only)
 from .coordination import CoordinatedSystem
 from .plant import PlantModel
-from .solver import SolvedStrategy, _filter_sweep
+from .solver import SolvedStrategy, _check_one_strategy, _filter_sweep
 
 
 # --------------------------------------------------------------------------
@@ -46,6 +45,7 @@ def statistic_transition(ss: SolvedStrategy, t: int | None = None):
     """Matrices (Ts, Tu, Tz) with stat_{t+1} = Ts stat_t + Tu Ut~ + Tz Z_t;
     without ``t``, each stacked over t = 1..T-1."""
     cs = ss.cs
+    _check_one_strategy(cs)
     if t is None:
         at = slice(0, cs.T - 1)
     else:
@@ -72,6 +72,7 @@ def step_statistic(st: EstimatorState, ss: SolvedStrategy, z_new,
 def act(st: EstimatorState, ss: SolvedStrategy, y_local, m_local):
     """Per-controller actions U^i_t = L~^i_t stat + G^i_t Y^i_t + H^i_t M^i_t."""
     p, mp, t = ss.cs.plant, ss.cs.protocol, st.t
+    _check_one_strategy(ss.cs)
     if len(y_local) != p.n or len(m_local) != p.n:
         raise DimMismatch("need one local observation and memory per controller")
     actions = []
@@ -215,10 +216,11 @@ class DelayedStatTracker:
             u_tilde_window=(self.u_tilde_window + (u_tilde_t,))[1:])
 
 
-def _check_stat_delay(mp, k: int) -> int:
-    """``k`` as an int; raise unless the delayed statistic with window
-    delay k fits ``mp``."""
-    k = as_index(k, "k")
+def _check_stat_delay(cs: CoordinatedSystem, k: int) -> int:
+    """``k`` as an int; raise unless ``cs`` is one strategy's and the
+    delayed statistic with window delay k fits its protocol."""
+    _check_one_strategy(cs)
+    mp, k = cs.protocol, as_index(k, "k")
     if mp.kind == "asymmetric_delay":
         # the construction conditions the delayed state estimate on data up
         # to t - k*; if some controller's data becomes common sooner, the
@@ -257,13 +259,20 @@ def _window_map(cs: CoordinatedSystem, k: int) -> np.ndarray:
     return base
 
 
-def _stat_maps(cs: CoordinatedSystem, k: int, t0: int, t1: int,
-               window: np.ndarray) -> np.ndarray:
-    """``delayed_stat_map`` for a checked k and t = t0..t1-1, stacked, from
-    ``_window_map``: one map for t0 < k, or a run of maps for t0 >= k.
+def _early_columns(plant: PlantModel, k: int, tau: int):
+    """Column slices of S_t's Y and U window entries holding pairs from
+    before t = 1, tau = t - k + 1: entries w < k - tau (none for tau >= k)."""
+    y0, w = plant.d_x + (k - 1) * plant.d_u_total, max(0, k - tau)
+    u0 = y0 + (k - 1) * plant.d_y_total
+    return (slice(y0, y0 + w * plant.d_y_total),
+            slice(u0, u0 + w * plant.d_u_total))
 
-    A map for t >= k starts at tau = t - k + 1 from the window map, with the
-    window entries of pairs from before t = 1 zeroed (tau < k); one for
+
+def _stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
+    """``delayed_stat_map`` for a checked k.
+
+    A map for t >= k starts at tau = t - k + 1 from ``_window_map``, with
+    the window entries of pairs from before t = 1 zeroed (tau < k); one for
     t < k starts from zero at s = 1, before the pipeline fills.  Each step
     s = tau..t-1 maps the estimate through A~_s and adds B~_s in place into
     the columns of S_t's Ut~_s entry: B~_s sel_s, with sel_s selecting that
@@ -272,32 +281,19 @@ def _stat_maps(cs: CoordinatedSystem, k: int, t0: int, t1: int,
     which adding B~_s sel_s (+0.0 off the entry) turned into +0.0.  The
     sign of a zero changes no later product or sum other than another zero,
     so one ``+= 0.0`` after the last step gives the bits of A~_s emap +
-    B~_s sel_s stepped throughout.  The maps of a run take their j-th step
-    into the same columns, so each step is one stacked product and one
-    stacked add; a stacked matmul runs the 2-d product on each map, which
-    keeps each map's bits.
+    B~_s sel_s stepped throughout.
     """
-    plant = cs.plant
-    d_x, d_u, d_y = plant.d_x, plant.d_u_total, plant.d_y_total
-    tau, count = t0 - k + 1, t1 - t0
+    d_x, d_u, tau = cs.plant.d_x, cs.d_u, t - k + 1
     if tau >= 1:
-        emap = np.broadcast_to(window, (count,) + window.shape)
-        if tau < k:
-            # window entries w < k - tau hold pairs from before t = 1
-            y0 = d_x + (k - 1) * d_u
-            u0 = y0 + (k - 1) * d_y
-            emap = emap.copy()
-            for r in range(min(count, k - tau)):
-                emap[r, d_x:, y0:y0 + (k - tau - r) * d_y] = 0.0
-                emap[r, d_x:, u0:u0 + (k - tau - r) * d_u] = 0.0
+        emap = _window_map(cs, k)
+        for cols in _early_columns(cs.plant, k, tau):
+            emap[d_x:, cols] = 0.0
     else:
-        emap = np.zeros((1, cs.d_state, window.shape[1]))
-    for j in range(max(0, 1 - tau), k - 1):
-        at = slice(tau + j - 1, tau + j - 1 + count)      # s - 1 per map
-        emap = cs.A[at] @ emap      # a new array: ``window`` is shared
-        emap[:, :, d_x + j * d_u:d_x + (j + 1) * d_u] += cs.B[at]
-    if min(t0, k) > 1:
-        emap += 0.0                 # -0 entries to +0, as B~ sel gave
+        emap = np.zeros((cs.d_state, delay_stat_dim(cs.plant, k)))
+    for s in range(max(tau, 1), t):
+        emap = cs.A[s - 1] @ emap
+        emap[:, d_x + (s - tau) * d_u:d_x + (s - tau + 1) * d_u] += cs.B[s - 1]
+    emap += 0.0                     # -0 entries to +0, as B~ sel gave
     return emap
 
 
@@ -310,30 +306,37 @@ def delayed_stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
     coordinated dynamics with the windowed coordinator actions and zero-mean
     noise.
     """
-    k, t = _check_stat_delay(cs.protocol, k), as_index(t, "t")
+    k, t = _check_stat_delay(cs, k), as_index(t, "t")
     if not 1 <= t <= cs.T:
         raise TimeOutOfRange(f"t={t} outside 1..{cs.T}")
-    return read_only(_stat_maps(cs, k, t, t + 1, _window_map(cs, k))[0])
+    return read_only(_stat_map(cs, k, t))
 
 
 def delayed_stat_gains(ss: SolvedStrategy, k: int):
     """Gains acting directly on S_t, one read-only (T, d_u, dim S_t) array:
-    L_t = L~_t M_map(t).
+    L_t = L~_t M_map(t), to rounding, without forming the maps.
 
-    The protocol is checked and the window map built once for all T maps.
-    The maps of t >= k are built and applied in stacked runs (see
-    ``core.run_length``), those of t < k one at a time; their steps
-    add B~_s in place instead of multiplying it by a selection matrix, and
-    set -0.0 entries to +0.0 once at the end (see ``_stat_maps``), so the
-    gains are bitwise those of the product form, map by map.
+    L~_t is pulled back through ``_stat_map``'s steps in reverse: from
+    G = L~_t, each step s = t-1 down to max(tau, 1) writes G B~_s into the
+    columns of S_t's Ut~_s entry and sets G = G A~_s; for t >= k, G W is
+    then added, W the window map.  The columns of pairs from before t = 1
+    (tau < k) are then zeroed, which is adding G times W with those pairs
+    zeroed: no step writes them.  Pullback step j reads step t-1-j and
+    writes Ut~ entry k-2-j for every t > j + 1, so it is one stacked
+    product over those t; a stacked matmul runs the 2-d product on each t,
+    which keeps each t's bits.  One ``+= 0.0`` at the end makes every zero
+    +0.0, as in the maps.
     """
-    cs = ss.cs
-    k = _check_stat_delay(cs.protocol, k)
-    window = _window_map(cs, k)
-    out = np.empty((cs.T, cs.d_u, window.shape[1]))
-    starts = [*range(1, min(k, cs.T + 1)),
-              *range(k, cs.T + 1, run_length(window.size))]
-    for t0, t1 in zip(starts, starts[1:] + [cs.T + 1]):
-        np.matmul(ss.Lgain[t0 - 1:t1 - 1], _stat_maps(cs, k, t0, t1, window),
-                  out=out[t0 - 1:t1 - 1])
+    cs, k = ss.cs, _check_stat_delay(ss.cs, k)
+    d_x, d_u, T, window = cs.plant.d_x, cs.d_u, cs.T, _window_map(cs, k)
+    out, G = np.zeros((T, d_u, window.shape[1])), ss.Lgain
+    for j in range(k - 1):
+        G, w = G[1:], d_x + (k - 2 - j) * d_u       # rows t = j+2..T
+        out[j + 1:, :, w:w + d_u] = G @ cs.B[:T - 1 - j]
+        G = G @ cs.A[:T - 1 - j]
+    out[k - 1:] += G @ window
+    for r in range(min(k - 1, T - k + 1)):          # t = k + r, tau = r + 1
+        for cols in _early_columns(cs.plant, k, r + 1):
+            out[k - 1 + r, :, cols] = 0.0
+    out += 0.0
     return read_only(out)

@@ -46,8 +46,6 @@ ROLL_ROWS = BLOCK // 4
 #: Workers ``simulate`` spreads its blocks over: the CPUs it may run on.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
-# ``_step_maps`` stacks its steps over runs sized by ``core.RUN_ENTRIES``
-# and ``core.RUN_STEPS``.
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DEFAULT_RTOL, NumericalBreakdown, check_rtol, read_only, sym
+from .core import (DEFAULT_RTOL, DimMismatch, NumericalBreakdown, check_rtol,
+                   read_only, sym)
 from .coordination import CoordinatedSystem, LocalGains, build
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
@@ -68,6 +69,13 @@ class SolvedStrategy:
                      **{f: row(getattr(cs, f)) for f in _STACKED})
         return replace(self, cs=cs, J=float(self.J[i]),
                        **{f: row(getattr(self, f)) for f in _SEQUENCES})
+
+
+def _check_one_strategy(cs: CoordinatedSystem) -> None:
+    """Raise DimMismatch if ``cs`` holds a stack of gains."""
+    if cs.gains.theta.ndim != 1:
+        raise DimMismatch(f"a stack of {cs.gains.theta.shape[:-1]} strategies"
+                          "; take one with SolvedStrategy.candidate(i)")
 
 
 def _check_finite(m: np.ndarray, name: str, t: int) -> None:

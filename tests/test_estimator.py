@@ -12,8 +12,7 @@ from declqg import (StatisticPolicy, DelayGraph, DelayedStatTracker, DimMismatch
                     plant_kalman_covariances, plant_kalman_init,
                     plant_kalman_step, rollout_plant, solve, step_statistic,
                     token_trace)
-from declqg import core, estimator
-from declqg.cli import DEMOS, load_scenario
+from declqg.cli import DEMOS, load_scenario, strategy_to_doc
 from declqg.estimator import (delay_stat_dim, effective_delay,
                               statistic_transition)
 
@@ -246,6 +245,26 @@ def test_delayed_stat_calls_take_numpy_integers():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("call", [
+    lambda ss: delayed_stat_gains(ss, 2),
+    lambda ss: delayed_stat_map(ss.cs, 2, 3),
+    lambda ss: statistic_transition(ss, 2),
+    lambda ss: act(initial_state(ss.cs), ss,
+                   [np.zeros(d) for d in ss.cs.plant.d_y],
+                   [np.zeros(d) for d in ss.cs.protocol.d_m]),
+    lambda ss: strategy_to_doc(ss)],
+    ids=["gains", "map", "transition", "act", "strategy-doc"])
+def test_stacked_strategy_rejected_with_dim_mismatch(call):
+    sc = load_scenario(DEMOS["symmetric-k2"]["config"])
+    p, mp = sc.plant, sc.protocol
+    thetas = 0.1 * np.random.default_rng(56).standard_normal(
+        (3, LocalGains.zeros(p, mp).theta.size))
+    stack = solve(p, mp, LocalGains.from_vector(p, mp, thetas))
+    with pytest.raises(DimMismatch, match=r"candidate\(i\)"):
+        call(stack)
+    call(stack.candidate(1))
+
+
 def test_effective_delay_requires_delayed_protocol(scalar2):
     mp = build_control_sharing(scalar2)
     with pytest.raises(UnsupportedProtocol):
@@ -353,35 +372,69 @@ def test_asymmetric_reduced_stat_uniform_worst_case_delay():
                                       ro.u_tilde[t - 1])
 
 
-def _token_stat_map(cs, k, t):
-    """Reference for ``delayed_stat_map``: the carrier slots at t - k + 1 are
-    matched to S_t's window entries through the protocol's symbolic tokens."""
+def _token_window(cs, k, t):
+    """(xhat, carrier) at tau = t - k + 1 >= 1 as a map of S_t: the carrier
+    slots are matched to S_t's window entries through the protocol's
+    symbolic tokens."""
     plant = cs.plant
     d_x, d_u, d_y = plant.d_x, plant.d_u_total, plant.d_y_total
-    dim_s = delay_stat_dim(plant, k)
-    tau = t - k + 1
     offsets = {"y": np.cumsum((0,) + plant.d_y), "u": np.cumsum((0,) + plant.d_u)}
     y0 = d_x + (k - 1) * d_u
     window = {"y": (y0, d_y), "u": (y0 + (k - 1) * d_y, d_u)}
-    if tau >= 1:
-        base = np.zeros((d_x + cs.d_c, dim_s))
-        base[:d_x, :d_x] = np.eye(d_x)
-        for r, tok in enumerate(token_trace(cs.protocol).carrier[tau]):
-            if tok is not None:
-                kind, i, s, comp = tok
-                first, width = window[kind]
-                col = first + (s - (t - 2 * k + 2)) * width
-                base[d_x + r, col + offsets[kind][i] + comp] = 1.0
-        emap = base
-        start = tau
-    else:
-        emap = np.zeros((cs.d_state, dim_s))
-        start = 1
-    for s in range(start, t):
-        sel = np.zeros((d_u, dim_s))
-        sel[:, d_x + (s - tau) * d_u:d_x + (s - tau + 1) * d_u] = np.eye(d_u)
+    base = np.zeros((d_x + cs.d_c, delay_stat_dim(plant, k)))
+    base[:d_x, :d_x] = np.eye(d_x)
+    for r, tok in enumerate(token_trace(cs.protocol).carrier[t - k + 1]):
+        if tok is not None:
+            kind, i, s, comp = tok
+            first, width = window[kind]
+            col = first + (s - (t - 2 * k + 2)) * width
+            base[d_x + r, col + offsets[kind][i] + comp] = 1.0
+    return base
+
+
+def _token_steps(cs, k, t):
+    """The steps s = max(tau, 1)..t-1 of the map to stat at t, with the
+    columns of S_t's Ut~_s entry."""
+    d_x, d_u, tau = cs.plant.d_x, cs.plant.d_u_total, t - k + 1
+    return [(s, slice(d_x + (s - tau) * d_u, d_x + (s - tau + 1) * d_u))
+            for s in range(max(tau, 1), t)]
+
+
+def _token_stat_map(cs, k, t):
+    """Reference for ``delayed_stat_map``: the token window (zero for
+    t < k, before the pipeline fills) stepped forward in product form."""
+    dim_s = delay_stat_dim(cs.plant, k)
+    emap = (_token_window(cs, k, t) if t >= k
+            else np.zeros((cs.d_state, dim_s)))
+    for s, cols in _token_steps(cs, k, t):
+        sel = np.zeros((cs.plant.d_u_total, dim_s))
+        sel[:, cols] = np.eye(cs.plant.d_u_total)
         emap = cs.A[s - 1] @ emap + cs.B[s - 1] @ sel
     return emap
+
+
+def _token_pullback(cs, lgain, k, t):
+    """Reference for ``delayed_stat_gains``: ``lgain`` = L~_t pulled back,
+    one 2-d product at a time, through the token map's steps in reverse,
+    then through the token window; every zero made +0.0."""
+    out = np.zeros((cs.plant.d_u_total, delay_stat_dim(cs.plant, k)))
+    g = lgain
+    for s, cols in reversed(_token_steps(cs, k, t)):
+        out[:, cols] = g @ cs.B[s - 1]
+        g = g @ cs.A[s - 1]
+    if t >= k:
+        out += g @ _token_window(cs, k, t)
+    out += 0.0
+    return out
+
+
+def _check_gains(gains, cs, lgain, k, t, ref):
+    """``gains`` of step t are bitwise the 2-d token pullback of ``lgain``
+    and within 1e-13 (relative) of ``lgain @ ref``, ``ref`` the token map."""
+    assert _same_bits(gains, _token_pullback(cs, lgain, k, t)), t
+    want = lgain @ ref
+    gap = np.abs(gains - want).max() / max(1.0, np.abs(want).max())
+    assert gap <= 1e-13, (t, gap)
 
 
 @pytest.mark.parametrize("protocol", ["sym-1", "sym-2", "sym-3", "sym-4",
@@ -405,7 +458,7 @@ def test_delayed_stat_gains_equal_per_step_maps(protocol):
     for t in range(1, p.T + 1):
         ref = _token_stat_map(ss.cs, k, t)
         assert _same_bits(delayed_stat_map(ss.cs, k, t), ref), t
-        assert _same_bits(gains[t - 1], ss.Lgain[t - 1] @ ref), t
+        _check_gains(gains[t - 1], ss.cs, ss.Lgain[t - 1], k, t, ref)
 
 
 def _stat_run_cases():
@@ -418,34 +471,21 @@ def _stat_run_cases():
 
 
 @pytest.mark.parametrize("k, T, kind", list(_stat_run_cases()))
-def test_stacked_stat_maps_across_run_edges(k, T, kind, monkeypatch):
-    # the default runs (every t >= k at once, on maps this small), runs of
-    # one map and runs of three, across the masked-window edge t = 2k - 1;
-    # time-varying A~ and B~, so a map that reads another step's shows
+def test_stacked_stat_maps_across_run_edges(k, T, kind):
+    # the gains' pullback steps are stacked over every t, across the
+    # masked-window edge t = 2k - 1; time-varying A~ and B~, so a t that
+    # reads another step's shows
     p = random_plant(np.random.default_rng([52, k, T]), n=2, d_y=(2, 1),
                      d_u=(1, 2), T=T, time_varying=True)
     mp = (build_symmetric_delay(p, k) if kind == "sym" else
           build_asymmetric_delay(p, DelayGraph.create([[1, k], [k, 1]])))
     ss = solve(p, mp, LocalGains.random(p, mp, np.random.default_rng(
         [53, k, T]), 0.3))
-    refs = [_token_stat_map(ss.cs, k, t) for t in range(1, T + 1)]
-    stat_maps, runs = estimator._stat_maps, []
-    monkeypatch.setattr(estimator, "_stat_maps", lambda cs, k, t0, t1, w:
-                        runs.append(t1 - t0) or stat_maps(cs, k, t0, t1, w))
-    late = T - k + 1        # maps of t >= k
-    for run in (None, 1, 3):
-        if run:     # an entry budget of ``run`` maps
-            monkeypatch.setattr(core, "RUN_STEPS", 1)
-            monkeypatch.setattr(core, "RUN_ENTRIES",
-                                run * ss.cs.d_state * delay_stat_dim(p, k))
-        runs.clear()
-        gains = delayed_stat_gains(ss, k)
-        run = run or late
-        assert runs == [1] * (k - 1) + [min(run, late - i)
-                                        for i in range(0, late, run)], run
-        for t, ref in enumerate(refs, 1):
-            assert _same_bits(delayed_stat_map(ss.cs, k, t), ref), (run, t)
-            assert _same_bits(gains[t - 1], ss.Lgain[t - 1] @ ref), (run, t)
+    gains = delayed_stat_gains(ss, k)
+    for t in range(1, T + 1):
+        ref = _token_stat_map(ss.cs, k, t)
+        assert _same_bits(delayed_stat_map(ss.cs, k, t), ref), t
+        _check_gains(gains[t - 1], ss.cs, ss.Lgain[t - 1], k, t, ref)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -463,7 +503,15 @@ def test_stat_maps_turn_underflowed_zeros_positive(k):
     for t in range(1, p.T + 1):
         ref = _token_stat_map(cs, k, t)
         assert _same_bits(delayed_stat_map(cs, k, t), ref), t
-        assert _same_bits(gains[t - 1], ss.Lgain[t - 1] @ ref), t
+        _check_gains(gains[t - 1], cs, ss.Lgain[t - 1], k, t, ref)
+    # L~_t and B~_s = -+1e-200 instead: the gains' G B~_s products
+    # underflow, and -0.0 entries of t < k meet no later add
+    cs = replace(ss.cs, B=-1e-200 * sign * np.ones_like(ss.cs.B))
+    ss = replace(ss, cs=cs, Lgain=1e-200 * ss.Lgain)
+    gains = delayed_stat_gains(ss, k)
+    for t in range(1, p.T + 1):
+        _check_gains(gains[t - 1], cs, ss.Lgain[t - 1], k, t,
+                     _token_stat_map(cs, k, t))
 
 
 def _same_bits(a, b):
@@ -479,7 +527,7 @@ def _check_maps_and_gains_against_tokens(p, mp, k, seed):
     for t in range(1, p.T + 1):
         ref = _token_stat_map(ss.cs, k, t)
         assert _same_bits(delayed_stat_map(ss.cs, k, t), ref), t
-        assert _same_bits(gains[t - 1], ss.Lgain[t - 1] @ ref), t
+        _check_gains(gains[t - 1], ss.cs, ss.Lgain[t - 1], k, t, ref)
 
 
 def test_delayed_stat_maps_and_gains_equal_token_maps_on_generated():
@@ -496,16 +544,49 @@ def _delayed_sharing_cases(rng):
     d_x = int(rng.choice([2, 3]))
     seed = int(rng.integers(2**32))
     p = random_plant(np.random.default_rng(seed), n=n, d_x=d_x, T=T)
+    return p, _delayed_protocol(rng, p, k), k, seed
+
+
+def _delayed_protocol(rng, p, k):
+    """Symmetric k-step sharing, or asymmetric with every k*_j = k."""
     if rng.integers(2):
-        return p, build_symmetric_delay(p, k), k, seed
+        return build_symmetric_delay(p, k)
     # off-diagonal delays in 1..k, each column reaching k somewhere
+    n = p.n
     delays = np.ones((n, n), dtype=int)
     for j in range(n):
         others = [i for i in range(n) if i != j]
         for i in others:
             delays[i, j] = rng.integers(1, k + 1)
         delays[rng.choice(others), j] = k
-    return p, build_asymmetric_delay(p, DelayGraph.create(delays)), k, seed
+    return build_asymmetric_delay(p, DelayGraph.create(delays))
+
+
+def test_delayed_stat_gains_equal_token_pullback_on_generated():
+    # time-varying plants with some d_u^i = 2: the maps are bitwise the
+    # token maps, the gains bitwise the 2-d token pullback and within 1e-13
+    # of L~_t times the token map
+    check_generated(_pullback_cases, 1105, 200,
+                    _check_maps_and_gains_against_tokens)
+
+
+def _pullback_cases(rng):
+    """(plant, protocol, k, seed): n in {2, 3}, k in 1..4, T in k..2k+3,
+    d_x in 1..3, d_y^i in {1, 2}, d_u^i in {1, 2} with one d_u^i = 2,
+    time-varying; symmetric, or asymmetric with equal k*_j."""
+    n = int(rng.choice([2, 3]))
+    k = int(rng.integers(1, 5))
+    T = int(rng.integers(k, 2 * k + 4))
+    d_x = int(rng.integers(1, 4))
+    d_y = tuple(int(d) for d in rng.integers(1, 3, n))
+    d_u = rng.integers(1, 3, n)
+    d_u[rng.integers(n)] = 2
+    seed = int(rng.integers(2**32))
+    p = random_plant(np.random.default_rng(seed), n=n, d_x=d_x, d_y=d_y,
+                     d_u=tuple(int(d) for d in d_u), T=T, time_varying=True)
+    return p, _delayed_protocol(rng, p, k), k, seed
+
+
 
 
 def test_delayed_stat_gains_reproduce_solver_actions():

@@ -77,6 +77,7 @@ def point(n: int, d_x: int, k: int, T: int) -> dict:
         "coordination.closed_loop_cost_exact":
             lambda: dq.closed_loop_cost_exact(cs, ss.Lgain, ss.filter_gain),
         "estimator.delayed_stat_gains": lambda: dq.delayed_stat_gains(ss, k),
+        "estimator.delayed_stat_map": lambda: dq.delayed_stat_map(cs, k, T),
         "sim.simulate": lambda: dq.simulate(plant, mp, gains, ss,
                                             seed=next(seeds), count=ROLLOUTS),
     }
