@@ -18,13 +18,6 @@ import numpy as np
 #: are exactly rank deficient and a hard relative threshold is required.
 DEFAULT_RTOL = 1e-9
 
-#: ``sim._step_maps`` builds its per-step maps stacked over runs of
-#: ``RUN_STEPS`` steps, or of more while the run's maps hold at most
-#: ``RUN_ENTRIES`` entries: small maps go in long runs, which saves numpy
-#: calls, and large ones in short runs, which bounds their memory.
-RUN_STEPS = 8
-RUN_ENTRIES = 2 ** 16
-
 
 class InvalidMatrix(ValueError):
     """Raised when a matrix argument is non-finite or badly shaped."""
@@ -85,11 +78,6 @@ def as_matrix(value, rows: int | None = None, cols: int | None = None,
     if cols is not None and m.shape[1] != cols:
         raise DimMismatch(f"{name}: expected {cols} cols, got {m.shape[1]}")
     return read_only(m.copy())
-
-
-def run_length(step_entries: int) -> int:
-    """Steps per stacked run of maps of ``step_entries`` entries each."""
-    return max(RUN_STEPS, RUN_ENTRIES // step_entries)
 
 
 def read_only(m: np.ndarray) -> np.ndarray:

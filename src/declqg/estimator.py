@@ -73,6 +73,8 @@ def act(st: EstimatorState, ss: SolvedStrategy, y_local, m_local):
     """Per-controller actions U^i_t = L~^i_t stat + G^i_t Y^i_t + H^i_t M^i_t."""
     p, mp, t = ss.cs.plant, ss.cs.protocol, st.t
     _check_one_strategy(ss.cs)
+    if not 1 <= t <= p.T:
+        raise TimeOutOfRange(f"t={t} outside 1..{p.T}")
     if len(y_local) != p.n or len(m_local) != p.n:
         raise DimMismatch("need one local observation and memory per controller")
     actions = []
@@ -268,33 +270,37 @@ def _early_columns(plant: PlantModel, k: int, tau: int):
             slice(u0, u0 + w * plant.d_u_total))
 
 
-def _stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
-    """``delayed_stat_map`` for a checked k.
+def _pullback(cs: CoordinatedSystem, k: int, G: np.ndarray, t0: int
+              ) -> np.ndarray:
+    """Rows G[i] @ M(t0 + i) of the maps taking S_t to stat at t, for a
+    checked k, without forming the maps; one (len(G), rows, dim S_t) array.
 
-    A map for t >= k starts at tau = t - k + 1 from ``_window_map``, with
-    the window entries of pairs from before t = 1 zeroed (tau < k); one for
-    t < k starts from zero at s = 1, before the pipeline fills.  Each step
-    s = tau..t-1 maps the estimate through A~_s and adds B~_s in place into
-    the columns of S_t's Ut~_s entry: B~_s sel_s, with sel_s selecting that
-    entry, written without the product.  The two differ only in signed
-    zeros: ``A~_s @ emap`` gives -0.0 where an entry's products underflow,
-    which adding B~_s sel_s (+0.0 off the entry) turned into +0.0.  The
-    sign of a zero changes no later product or sum other than another zero,
-    so one ``+= 0.0`` after the last step gives the bits of A~_s emap +
-    B~_s sel_s stepped throughout.
+    M(t) for t >= k starts at tau = t - k + 1 from ``_window_map`` with the
+    window entries of pairs from before t = 1 zeroed (tau < k); for t < k it
+    starts from zero at s = 1, before the pipeline fills.  Each step
+    s = max(tau, 1)..t-1 maps the estimate through A~_s and adds B~_s into
+    the columns of S_t's Ut~_s entry.  G is pulled back through the steps
+    in reverse: step s writes G B~_s into that entry and sets G = G A~_s;
+    for t >= k, G W is then added and the early columns zeroed, which no
+    step writes.  Pullback step j reads step t-1-j and writes Ut~ entry
+    k-2-j for every t >= j + 2, so it is one stacked product over those
+    rows; a stacked matmul runs the 2-d product on each, which keeps each
+    row's bits.  One ``+= 0.0`` at the end makes every zero +0.0.
     """
-    d_x, d_u, tau = cs.plant.d_x, cs.d_u, t - k + 1
-    if tau >= 1:
-        emap = _window_map(cs, k)
-        for cols in _early_columns(cs.plant, k, tau):
-            emap[d_x:, cols] = 0.0
-    else:
-        emap = np.zeros((cs.d_state, delay_stat_dim(cs.plant, k)))
-    for s in range(max(tau, 1), t):
-        emap = cs.A[s - 1] @ emap
-        emap[:, d_x + (s - tau) * d_u:d_x + (s - tau + 1) * d_u] += cs.B[s - 1]
-    emap += 0.0                     # -0 entries to +0, as B~ sel gave
-    return emap
+    d_x, d_u, window = cs.plant.d_x, cs.d_u, _window_map(cs, k)
+    out, lo = np.zeros(G.shape[:2] + window.shape[1:]), 0
+    for j in range(k - 1):
+        drop = max(0, j + 2 - t0) - lo          # rows t < j + 2 drop out
+        G, lo = G[drop:], lo + drop
+        s, w = t0 + lo - 2 - j, d_x + (k - 2 - j) * d_u
+        out[lo:, :, w:w + d_u] = G @ cs.B[s:s + len(G)]
+        G = G @ cs.A[s:s + len(G)]
+    out[lo:] += G @ window                      # rows t >= k
+    for t in range(t0 + lo, min(t0 + len(out), 2 * k - 1)):
+        for cols in _early_columns(cs.plant, k, t - k + 1):
+            out[t - t0, :, cols] = 0.0
+    out += 0.0
+    return out
 
 
 def delayed_stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
@@ -304,39 +310,17 @@ def delayed_stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
     t - k + 1 out of S_t (the X part from xhat, the carrier as the
     protocol's linear image of the shared window pairs), then propagate the
     coordinated dynamics with the windowed coordinator actions and zero-mean
-    noise.
+    noise.  Computed as the pullback of the identity through those steps.
     """
     k, t = _check_stat_delay(cs, k), as_index(t, "t")
     if not 1 <= t <= cs.T:
         raise TimeOutOfRange(f"t={t} outside 1..{cs.T}")
-    return read_only(_stat_map(cs, k, t))
+    return read_only(_pullback(cs, k, np.eye(cs.d_state)[None], t)[0])
 
 
 def delayed_stat_gains(ss: SolvedStrategy, k: int):
     """Gains acting directly on S_t, one read-only (T, d_u, dim S_t) array:
-    L_t = L~_t M_map(t), to rounding, without forming the maps.
-
-    L~_t is pulled back through ``_stat_map``'s steps in reverse: from
-    G = L~_t, each step s = t-1 down to max(tau, 1) writes G B~_s into the
-    columns of S_t's Ut~_s entry and sets G = G A~_s; for t >= k, G W is
-    then added, W the window map.  The columns of pairs from before t = 1
-    (tau < k) are then zeroed, which is adding G times W with those pairs
-    zeroed: no step writes them.  Pullback step j reads step t-1-j and
-    writes Ut~ entry k-2-j for every t > j + 1, so it is one stacked
-    product over those t; a stacked matmul runs the 2-d product on each t,
-    which keeps each t's bits.  One ``+= 0.0`` at the end makes every zero
-    +0.0, as in the maps.
-    """
+    L_t = L~_t M(t), to rounding, with M(t) the ``delayed_stat_map``; each
+    L~_t is pulled back through M(t)'s steps without forming the map."""
     cs, k = ss.cs, _check_stat_delay(ss.cs, k)
-    d_x, d_u, T, window = cs.plant.d_x, cs.d_u, cs.T, _window_map(cs, k)
-    out, G = np.zeros((T, d_u, window.shape[1])), ss.Lgain
-    for j in range(k - 1):
-        G, w = G[1:], d_x + (k - 2 - j) * d_u       # rows t = j+2..T
-        out[j + 1:, :, w:w + d_u] = G @ cs.B[:T - 1 - j]
-        G = G @ cs.A[:T - 1 - j]
-    out[k - 1:] += G @ window
-    for r in range(min(k - 1, T - k + 1)):          # t = k + r, tau = r + 1
-        for cols in _early_columns(cs.plant, k, r + 1):
-            out[k - 1 + r, :, cols] = 0.0
-    out += 0.0
-    return read_only(out)
+    return read_only(_pullback(cs, k, ss.Lgain, 1))

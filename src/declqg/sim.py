@@ -23,8 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DimMismatch, as_index, as_matrix, blkdiag, run_length,
-                   seeded_stream)
+from .core import DimMismatch, as_index, as_matrix, blkdiag, seeded_stream
 from .coordination import CoordinatedSystem, LocalGains
 from .estimator import statistic_transition
 from .infostructure import MemoryProtocol
@@ -215,6 +214,14 @@ def _stack(signals, cols, steps: int) -> np.ndarray:
     return out
 
 
+#: ``_step_maps`` builds its per-step maps stacked over runs of
+#: ``RUN_STEPS`` steps, or of more while the run's maps hold at most
+#: ``RUN_ENTRIES`` entries: small maps go in long runs, which saves numpy
+#: calls, and large ones in short runs, which bounds their memory.
+RUN_STEPS = 8
+RUN_ENTRIES = 2 ** 16
+
+
 def _step_maps(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
                policy, records: bool = True):
     """(step maps, record maps) of v_t = (X_t, c_t, policy state, unit
@@ -223,12 +230,12 @@ def _step_maps(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     v_{t+1} but its normals; record map t, if ``records``, (y, m, z, Ut~).
     Blocks are stacked over runs of steps that share v_t's layout: step 1,
     runs of steps 2..T-1 (single steps if the policy ``widens``), step T.
-    A step map is about as tall as v_t is wide, so a run has
-    ``core.run_length(width(v_t)^2)`` steps."""
+    A step map is about as tall as v_t is wide, so it counts as
+    width(v_t)^2 entries against ``RUN_ENTRIES``."""
     T, d_x, d_u, d_c = plant.T, plant.d_x, plant.d_u_total, mp.d_carrier
     width = d_x + d_c + policy.init(0).shape[1] + d_x + plant.d_y_total
-    starts = sorted({1, T}.union(range(2, T, 1 if policy.widens
-                                       else run_length(width * width))))
+    run = max(RUN_STEPS, RUN_ENTRIES // (width * width))
+    starts = sorted({1, T}.union(range(2, T, 1 if policy.widens else run)))
     steps, recs = [], []
     for t0, t1 in zip(starts, starts[1:] + [T + 1]):
         at = slice(t0 - 1, t1 - 1)

@@ -11,9 +11,9 @@ from declqg import (StatisticPolicy, DelayGraph, DelayedStatTracker, DimMismatch
                     delayed_stat_gains, draw_primitives, initial_state,
                     plant_kalman_covariances, plant_kalman_init,
                     plant_kalman_step, rollout_plant, solve, step_statistic,
-                    token_trace)
+                    TimeOutOfRange, token_trace)
 from declqg.cli import DEMOS, load_scenario, strategy_to_doc
-from declqg.estimator import (delay_stat_dim, effective_delay,
+from declqg.estimator import (EstimatorState, delay_stat_dim, effective_delay,
                               statistic_transition)
 
 from conftest import check_generated, random_plant, scalar_two_controller
@@ -99,6 +99,18 @@ def test_act_rejects_memories_of_the_wrong_size(name, m_local):
     y = [np.zeros(d) for d in p.d_y]
     with pytest.raises(DimMismatch, match=r"m\[0\]: expected dim"):
         act(initial_state(ss.cs), ss, y, m_local)
+
+
+@pytest.mark.parametrize("past_end", [False, True], ids=["t=0", "t=T+1"])
+def test_act_rejects_times_outside_the_horizon(past_end):
+    # t = 0 would read step T's gains (index -1), t = T + 1 past the end
+    sc = load_scenario(DEMOS["symmetric-k2"]["config"])
+    p, mp = sc.plant, sc.protocol
+    ss = solve(p, mp, LocalGains.zeros(p, mp))
+    st = EstimatorState(p.T + 1 if past_end else 0, initial_state(ss.cs).stat)
+    y, m = [np.zeros(d) for d in p.d_y], [np.zeros(d) for d in mp.d_m]
+    with pytest.raises(TimeOutOfRange, match=r"t=\d+ outside 1\.\."):
+        act(st, ss, y, m)
 
 
 def test_plant_kalman_tracks_deterministic_state():
@@ -414,10 +426,11 @@ def _token_stat_map(cs, k, t):
 
 
 def _token_pullback(cs, lgain, k, t):
-    """Reference for ``delayed_stat_gains``: ``lgain`` = L~_t pulled back,
-    one 2-d product at a time, through the token map's steps in reverse,
-    then through the token window; every zero made +0.0."""
-    out = np.zeros((cs.plant.d_u_total, delay_stat_dim(cs.plant, k)))
+    """Reference for ``delayed_stat_gains`` and ``delayed_stat_map``: the
+    rows ``lgain`` (L~_t, or the identity) pulled back, one 2-d product at
+    a time, through the token map's steps in reverse, then through the
+    token window; every zero made +0.0."""
+    out = np.zeros((len(lgain), delay_stat_dim(cs.plant, k)))
     g = lgain
     for s, cols in reversed(_token_steps(cs, k, t)):
         out[:, cols] = g @ cs.B[s - 1]
@@ -437,10 +450,17 @@ def _check_gains(gains, cs, lgain, k, t, ref):
     assert gap <= 1e-13, (t, gap)
 
 
+def _check_map(mmap, cs, k, t, ref):
+    """``mmap`` of step t is bitwise the 2-d token pullback of the identity
+    and within 1e-13 (relative) of ``ref``, the product-form token map."""
+    _check_gains(mmap, cs, np.eye(cs.d_state), k, t, ref)
+
+
 @pytest.mark.parametrize("protocol", ["sym-1", "sym-2", "sym-3", "sym-4",
                                       "wide-3", "asym-equal"])
 def test_delayed_stat_gains_equal_per_step_maps(protocol):
-    # both must equal, bit for bit, the token-based reference map
+    # both are bitwise the 2-d token pullback (of L~_t, of the identity)
+    # and within 1e-13 of the token-based reference map
     if protocol == "asym-equal":
         p = _three_controller_plant()
         mp = build_asymmetric_delay(
@@ -457,7 +477,7 @@ def test_delayed_stat_gains_equal_per_step_maps(protocol):
     assert len(gains) == p.T
     for t in range(1, p.T + 1):
         ref = _token_stat_map(ss.cs, k, t)
-        assert _same_bits(delayed_stat_map(ss.cs, k, t), ref), t
+        _check_map(delayed_stat_map(ss.cs, k, t), ss.cs, k, t, ref)
         _check_gains(gains[t - 1], ss.cs, ss.Lgain[t - 1], k, t, ref)
 
 
@@ -484,7 +504,7 @@ def test_stacked_stat_maps_across_run_edges(k, T, kind):
     gains = delayed_stat_gains(ss, k)
     for t in range(1, T + 1):
         ref = _token_stat_map(ss.cs, k, t)
-        assert _same_bits(delayed_stat_map(ss.cs, k, t), ref), t
+        _check_map(delayed_stat_map(ss.cs, k, t), ss.cs, k, t, ref)
         _check_gains(gains[t - 1], ss.cs, ss.Lgain[t - 1], k, t, ref)
 
 
@@ -492,7 +512,7 @@ def test_stacked_stat_maps_across_run_edges(k, T, kind):
 def test_stat_maps_turn_underflowed_zeros_positive(k):
     # A~_s = +-1e-200, the sign alternating with s: the second step's
     # products underflow, which gives -0.0 entries where BLAS fuses the
-    # multiply-add; the product form's + B~_s sel turned them into +0.0
+    # multiply-add; the final += 0.0 must turn them into +0.0
     p = random_plant(np.random.default_rng(54), n=2, d_y=(2, 1), d_u=(1, 2),
                      T=9)
     mp = build_symmetric_delay(p, k)
@@ -502,7 +522,7 @@ def test_stat_maps_turn_underflowed_zeros_positive(k):
     gains = delayed_stat_gains(replace(ss, cs=cs), k)
     for t in range(1, p.T + 1):
         ref = _token_stat_map(cs, k, t)
-        assert _same_bits(delayed_stat_map(cs, k, t), ref), t
+        _check_map(delayed_stat_map(cs, k, t), cs, k, t, ref)
         _check_gains(gains[t - 1], cs, ss.Lgain[t - 1], k, t, ref)
     # L~_t and B~_s = -+1e-200 instead: the gains' G B~_s products
     # underflow, and -0.0 entries of t < k meet no later add
@@ -526,12 +546,13 @@ def _check_maps_and_gains_against_tokens(p, mp, k, seed):
     gains = delayed_stat_gains(ss, k)
     for t in range(1, p.T + 1):
         ref = _token_stat_map(ss.cs, k, t)
-        assert _same_bits(delayed_stat_map(ss.cs, k, t), ref), t
+        _check_map(delayed_stat_map(ss.cs, k, t), ss.cs, k, t, ref)
         _check_gains(gains[t - 1], ss.cs, ss.Lgain[t - 1], k, t, ref)
 
 
 def test_delayed_stat_maps_and_gains_equal_token_maps_on_generated():
-    # bit for bit, on generated symmetric and equal-k* asymmetric instances
+    # bitwise the token pullback and within 1e-13 of the token maps, on
+    # generated symmetric and equal-k* asymmetric instances
     check_generated(_delayed_sharing_cases, 1104, 50,
                     _check_maps_and_gains_against_tokens)
 
@@ -563,9 +584,9 @@ def _delayed_protocol(rng, p, k):
 
 
 def test_delayed_stat_gains_equal_token_pullback_on_generated():
-    # time-varying plants with some d_u^i = 2: the maps are bitwise the
-    # token maps, the gains bitwise the 2-d token pullback and within 1e-13
-    # of L~_t times the token map
+    # time-varying plants with some d_u^i = 2: the maps and gains are
+    # bitwise the 2-d token pullback of the identity and of L~_t, and within
+    # 1e-13 of the token map and of L~_t times it
     check_generated(_pullback_cases, 1105, 200,
                     _check_maps_and_gains_against_tokens)
 

@@ -22,7 +22,7 @@ from declqg import (DelayGraph, DimMismatch, InvalidMatrix, StatisticPolicy,
 from declqg.cli import DEMOS, load_scenario
 from declqg.core import DEFAULT_RTOL, seeded_stream
 from declqg.infostructure import BLOCK_NAMES
-from declqg import core, oracles, sim
+from declqg import oracles, sim
 from declqg.oracles import closed_loop_maps
 from declqg.sim import BLOCK, ROLL_ROWS, Rollout, RolloutBatch
 
@@ -362,8 +362,8 @@ def test_step_maps_do_not_depend_on_the_chunks(p, mp, policy, monkeypatch):
                         or maps(t0, t1))
     for chunk in (1, 3):
         # an entry budget of ``chunk`` maps of v_t's width squared
-        monkeypatch.setattr(core, "RUN_STEPS", 1)
-        monkeypatch.setattr(core, "RUN_ENTRIES",
+        monkeypatch.setattr(sim, "RUN_STEPS", 1)
+        monkeypatch.setattr(sim, "RUN_ENTRIES",
                             chunk * steps[-1].shape[1] ** 2)
         runs.clear()
         for got, want in zip(sim._step_maps(p, mp, lg, pol),

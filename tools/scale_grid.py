@@ -11,14 +11,15 @@ names of ``BENCHMARK.json``:
 
 The script imports the package from ``src/`` of the checkout it lives in and
 uses only the public API and perfbench's ``random_plant``, so a copy of it
-runs in an older checkout too; BLAS is pinned to one thread.  It picks and
+runs in an older checkout too, back to the first whose
+``solver.performance`` takes the filter gains; BLAS is pinned to one
+thread.  It picks and
 reports work; it is not a gate.  A speed-up is claimed only from
 ``perfbench/sweep.py --against``.
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import json
 import os
@@ -64,15 +65,12 @@ def point(n: int, d_x: int, k: int, T: int) -> dict:
     ss = dq.solve(plant, mp, gains)
     cs = ss.cs
     seeds = itertools.count()     # a fresh simulate seed per call
-    perf = dq.solver.performance
-    perf_args = (cs, ss.Ptilde, ss.S, ss.filter_gain)
-    # older checkouts' ``performance`` takes no filter gains
-    perf_args = perf_args[:len(inspect.signature(perf).parameters)]
     layers = {
         "coordination.build": lambda: dq.build(plant, mp, gains),
         "solver.forward_riccati": lambda: dq.forward_riccati(cs),
         "solver.backward_riccati": lambda: dq.backward_riccati(cs),
-        "solver.performance": lambda: perf(*perf_args),
+        "solver.performance": lambda: dq.solver.performance(
+            cs, ss.Ptilde, ss.S, ss.filter_gain),
         "solver.solve": lambda: dq.solve(plant, mp, gains),
         "coordination.closed_loop_cost_exact":
             lambda: dq.closed_loop_cost_exact(cs, ss.Lgain, ss.filter_gain),
