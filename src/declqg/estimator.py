@@ -5,16 +5,18 @@ Three statistics appear here:
 * ``stat``: the conditional mean of (X_t, carrier_t) given the shared data
   and the coordinator's past actions, which is the coordinator's whole
   state estimate.
-* the plant-level one-step-ahead Kalman predictor, whose covariance never
-  reads the local gains (strategy independent, precomputable);
-* the delayed-sharing statistic S_t = (xhat, recent coordinator actions,
-  recent shared observation/action pairs), with windows padded by zeros
-  before the pipeline fills; ``stat`` is an explicit linear function of it.
+* the plant-level one-step-ahead Kalman predictor, whose covariance and
+  gains never read the local gains (strategy independent, precomputable);
+* the delayed-sharing statistic S_t = (the predictor delayed to
+  t - k + 1, recent coordinator actions, recent shared observation/action
+  pairs), one vector with windows padded by zeros before the pipeline
+  fills.  It moves by one gain-independent linear map per step, and
+  ``stat`` is an explicit linear function of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,31 +105,6 @@ def plant_kalman_covariances(plant: PlantModel, rtol: float = DEFAULT_RTOL):
     return read_only(P), read_only(gains)
 
 
-@dataclass(frozen=True)
-class PlantKalmanState:
-    """One-step-ahead predictor xhat_{t|t-1}."""
-
-    t: int
-    xhat: np.ndarray
-
-
-def plant_kalman_init(plant: PlantModel) -> PlantKalmanState:
-    return PlantKalmanState(1, np.zeros(plant.d_x))
-
-
-def plant_kalman_step(plant: PlantModel, state: PlantKalmanState, y, u,
-                      gains) -> PlantKalmanState:
-    """Consume (Y_t, U_t) and predict xhat_{t+1|t}."""
-    t = state.t
-    if not 1 <= t <= plant.T:
-        raise TimeOutOfRange(f"t={t} outside 1..{plant.T}")
-    y = as_vector(y, plant.d_y_total, "y")
-    u = as_vector(u, plant.d_u_total, "u")
-    A, B, C = plant.A[t - 1], plant.B[t - 1], plant.C[t - 1]
-    xhat = A @ state.xhat + B @ u + gains[t - 1] @ (y - C @ state.xhat)
-    return PlantKalmanState(t + 1, xhat)
-
-
 # --------------------------------------------------------------------------
 # delayed-sharing reduced statistic
 
@@ -145,77 +122,85 @@ def effective_delay(mp) -> int:
 
 @dataclass(frozen=True)
 class ReducedDelayStat:
-    """S_t = (xhat_{t-k+1|t-k}, Ut~ window, Y window, U window).
-
-    Windows hold k - 1 entries each, oldest first, zero padded before the
-    pipeline fills (empty for k = 1).
-    """
+    """S_t = (xhat_{t-k+1|t-k}, Ut~ window, Y window, U window) as one
+    vector.  Windows hold k - 1 entries each, oldest first, zero padded
+    before the pipeline fills (empty for k = 1)."""
 
     k: int
-    xhat: np.ndarray
-    u_tilde_window: tuple[np.ndarray, ...]
-    y_window: tuple[np.ndarray, ...]
-    u_window: tuple[np.ndarray, ...]
+    value: np.ndarray
 
     def vector(self) -> np.ndarray:
-        parts = ([self.xhat] + list(self.u_tilde_window)
-                 + list(self.y_window) + list(self.u_window))
-        return np.concatenate(parts)
+        return self.value
 
 
 def delay_stat_dim(plant: PlantModel, k: int) -> int:
     return plant.d_x + (k - 1) * (2 * plant.d_u_total + plant.d_y_total)
 
 
+def _delay_transition(plant: PlantModel, k: int, rtol: float):
+    """Read-only (Ts, Tu, Tp), each stacked over t = 1..T, with S_{t+1} =
+    Ts S_t + Tu Ut~_t + Tp (Y_tau, U_tau), tau = t - k + 1.  The predictor
+    block is A_tau - K_tau C_tau, K the gains of ``plant_kalman_covariances``
+    (strategy independent), and each window drops its oldest entry for the
+    newest.  For t < k the predictor rows stay zero: xhat and the pad pair
+    are still zero there."""
+    T, d_x, d_u, d_y = plant.T, plant.d_x, plant.d_u_total, plant.d_y_total
+    dim, tau = delay_stat_dim(plant, k), slice(0, max(0, T - k + 1))
+    Ts, Tu, Tp = (np.zeros((T, dim, w)) for w in (dim, d_u, d_y + d_u))
+    K = plant_kalman_covariances(plant, rtol)[1][tau]
+    Ts[k - 1:, :d_x, :d_x] = plant.A[tau] - K @ plant.C[tau]
+    Tp[k - 1:, :d_x] = np.concatenate([K, plant.B[tau]], axis=2)
+    y0 = d_x + (k - 1) * d_u
+    windows = ((d_x, d_u, Tu), (y0, d_y, Tp[..., :d_y]),
+               (y0 + (k - 1) * d_y, d_u, Tp[..., d_y:]))
+    for lo, w, new in windows if k > 1 else ():
+        top = lo + (k - 2) * w          # the newest entry's first row
+        Ts[:, lo:top, lo + w:top + w] = np.eye(top - lo)
+        new[:, top:top + w] = np.eye(w)
+    return read_only(Ts), read_only(Tu), read_only(Tp)
+
+
 @dataclass(frozen=True)
 class DelayedStatTracker:
     """Pure-value runtime for S_t; ``advance`` returns the next tracker.
 
-    ``pairs`` is a delay line of the 2k-2 latest shared (Y_s, U_s), oldest
-    first, s = t-2k+2..t-1, with None for s < 1.  Its older half has become
-    common knowledge and is S_t's Y and U windows; a pair enters the plant
-    predictor as it moves into that half.  The predictor gains are
-    precomputed and never touch the local gains.
+    ``state`` is S_t and ``pending`` the k - 1 shared (Y_s, U_s) pairs not
+    yet common, s = t-k+1..t-1, oldest first, zero for s < 1.  Each step is
+    one set of products with ``_delay_transition``'s maps.
     """
 
     plant: PlantModel
     k: int
     t: int
-    kalman: PlantKalmanState
-    kalman_gains: np.ndarray        # (T, d_x, sum d_y), read only
-    pairs: tuple                    # 2k-2 (y_s, u_s) pairs; None = pad
-    u_tilde_window: tuple[np.ndarray, ...]
+    transition: tuple       # (Ts, Tu, Tp), stacked over t = 1..T, read only
+    state: np.ndarray       # S_t, read only
+    pending: np.ndarray     # (k - 1, sum d_y + sum d_u)
 
     @staticmethod
     def create(plant: PlantModel, mp, rtol: float = DEFAULT_RTOL
                ) -> "DelayedStatTracker":
         k = effective_delay(mp)
         return DelayedStatTracker(
-            plant=plant, k=k, t=1, kalman=plant_kalman_init(plant),
-            kalman_gains=plant_kalman_covariances(plant, rtol)[1],
-            pairs=(None,) * (2 * k - 2),
-            u_tilde_window=(np.zeros(plant.d_u_total),) * (k - 1))
+            plant=plant, k=k, t=1, transition=_delay_transition(plant, k, rtol),
+            state=read_only(np.zeros(delay_stat_dim(plant, k))),
+            pending=np.zeros((k - 1, plant.d_y_total + plant.d_u_total)))
 
     def stat(self) -> ReducedDelayStat:
-        pad = (np.zeros(self.plant.d_y_total), np.zeros(self.plant.d_u_total))
-        common = [pad if p is None else p for p in self.pairs[:self.k - 1]]
-        return ReducedDelayStat(self.k, self.kalman.xhat, self.u_tilde_window,
-                                tuple(y for y, _ in common),
-                                tuple(u for _, u in common))
+        return ReducedDelayStat(self.k, self.state)
 
     def advance(self, y_t, u_t, u_tilde_t) -> "DelayedStatTracker":
         """Move from time t to t+1 after acting (Y_t, U_t, Ut~ realized)."""
-        y_t = as_vector(y_t, self.plant.d_y_total, "y_t")
-        u_t = as_vector(u_t, self.plant.d_u_total, "u_t")
-        u_tilde_t = as_vector(u_tilde_t, self.plant.d_u_total, "u_tilde_t")
-        line = self.pairs + ((y_t, u_t),)
-        ripe, kal = line[self.k - 1], self.kalman     # pair s = t-k+1
-        if ripe is not None:
-            kal = plant_kalman_step(self.plant, kal, *ripe, self.kalman_gains)
-        return DelayedStatTracker(
-            plant=self.plant, k=self.k, t=self.t + 1, kalman=kal,
-            kalman_gains=self.kalman_gains, pairs=line[1:],
-            u_tilde_window=(self.u_tilde_window + (u_tilde_t,))[1:])
+        p, t = self.plant, self.t
+        if t > p.T:
+            raise TimeOutOfRange(f"t={t} outside 1..{p.T}")
+        pair = np.concatenate([as_vector(y_t, p.d_y_total, "y_t"),
+                               as_vector(u_t, p.d_u_total, "u_t")])
+        u_tilde_t = as_vector(u_tilde_t, p.d_u_total, "u_tilde_t")
+        line = np.vstack([self.pending, pair])      # pairs t-k+1..t
+        Ts, Tu, Tp = (m[t - 1] for m in self.transition)
+        state = Ts @ self.state + Tu @ u_tilde_t + Tp @ line[0]
+        return replace(self, t=t + 1, state=read_only(state),
+                       pending=line[1:])
 
 
 def _check_stat_delay(cs: CoordinatedSystem, k: int) -> int:

@@ -160,10 +160,6 @@ class Rollout:
     stat: np.ndarray | None
     step_costs: np.ndarray
 
-    @property
-    def cost(self) -> float:
-        return float(self.step_costs.sum())
-
 
 @dataclass(frozen=True)
 class RolloutBatch:
@@ -418,21 +414,26 @@ def exact_cost(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
 def closed_loop_cost_exact(cs: CoordinatedSystem, l_seq,
                            filter_gains) -> float:
     """Exact expected cost of Ut~ = L~_t stat_t, the statistic advanced by
-    the filter with ``filter_gains``: second moments on the plant's own step
-    maps, no sampling.  v_1 is unit normals, Sigma_1 = I, and Sigma_{t+1} =
-    blkdiag(N Sigma_t N', I), N the rows of step map t that give v_{t+1}
-    but its fresh normals; step t costs the entry sum of (X_t, U_t) rows
-    times Sigma_t times the (Q X_t, R U_t) rows."""
-    T, d_xu, d_w = cs.T, cs.d_x + cs.d_u, cs.d_x + cs.plant.d_y_total
-    if len(l_seq) != T:
-        raise DimMismatch(f"need {T} gain matrices, got {len(l_seq)}")
-    L = np.array([as_matrix(l_seq[t - 1], cs.d_u, cs.d_state, f"L[t={t}]")
-                  for t in range(1, T + 1)])
+    the filter with ``filter_gains``, by ``_moment_cost``: no sampling."""
+    if len(l_seq) != cs.T:
+        raise DimMismatch(f"need {cs.T} gain matrices, got {len(l_seq)}")
+    L = np.array([as_matrix(lt, cs.d_u, cs.d_state, f"L[t={t}]")
+                  for t, lt in enumerate(l_seq, 1)])
     policy = StatisticPolicy(SolvedStrategy(
         cs=cs, Lgain=L, filter_gain=np.asarray(filter_gains, dtype=float),
         J=float("nan")))
-    steps, _ = _step_maps(cs.plant, cs.protocol, cs.gains, policy,
-                          records=False)
+    return _moment_cost(cs.plant, cs.protocol, cs.gains, policy)
+
+
+def _moment_cost(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
+                 policy) -> float:
+    """Exact expected cost of a linear ``policy``: second moments on the
+    plant's own step maps.  v_1 is unit normals, Sigma_1 = I, and
+    Sigma_{t+1} = blkdiag(N Sigma_t N', I), N the rows of step map t that
+    give v_{t+1} but its fresh normals; step t costs the entry sum of
+    (X_t, U_t) rows times Sigma_t times the (Q X_t, R U_t) rows."""
+    d_xu, d_w = plant.d_x + plant.d_u_total, plant.d_x + plant.d_y_total
+    steps, _ = _step_maps(plant, mp, gains, policy, records=False)
     cov, total = np.eye(steps[0].shape[1]), 0.0
     for M in steps:
         xu, weighted, nxt = M[:d_xu], M[d_xu:2 * d_xu], M[2 * d_xu:]

@@ -9,12 +9,13 @@ from declqg import (StatisticPolicy, DelayGraph, DelayedStatTracker, DimMismatch
                     build, build_asymmetric_delay, build_control_sharing,
                     build_symmetric_delay,
                     delayed_stat_gains, draw_primitives, initial_state,
-                    plant_kalman_covariances, plant_kalman_init,
-                    plant_kalman_step, rollout_plant, solve, step_statistic,
-                    TimeOutOfRange, token_trace)
+                    plant_kalman_covariances, rollout_plant, solve,
+                    step_statistic, DEFAULT_RTOL, TimeOutOfRange, token_trace)
 from declqg.cli import DEMOS, load_scenario, strategy_to_doc
-from declqg.estimator import (EstimatorState, delay_stat_dim, effective_delay,
+from declqg.estimator import (EstimatorState, _delay_transition,
+                              delay_stat_dim, effective_delay,
                               statistic_transition)
+from declqg.sim import _moment_cost
 
 from conftest import check_generated, random_plant, scalar_two_controller
 
@@ -113,21 +114,31 @@ def test_act_rejects_times_outside_the_horizon(past_end):
         act(st, ss, y, m)
 
 
+def _predictor_step(p, gains, xhat, t, y, u):
+    """Reference one-step-ahead predictor: consume (Y_t, U_t), predict
+    xhat_{t+1|t}."""
+    return p.A[t - 1] @ xhat + p.B[t - 1] @ u + gains[t - 1] @ (
+        y - p.C[t - 1] @ xhat)
+
+
 def test_plant_kalman_tracks_deterministic_state():
+    # at k = 1, S_t is the plant predictor alone
     p = PlantModel.create(
         n=1, T=5, d_x=2, d_u=(1,), d_y=(2,), A=[[0.9, 0.1], [0.0, 0.8]],
         B=[[1.0], [0.5]], C=[np.eye(2)], Q=np.eye(2), R=[[1.0]],
         sigma_x=np.zeros((2, 2)), sigma_w0=np.zeros((2, 2)),
         sigma_w=[np.zeros((2, 2))])
     _, gains = plant_kalman_covariances(p)
-    x = np.zeros(2)
-    st = plant_kalman_init(p)
+    x, xhat = np.zeros(2), np.zeros(2)
+    tracker = DelayedStatTracker.create(p, build_symmetric_delay(p, 1))
     rng = np.random.default_rng(25)
     for t in range(1, p.T):
-        assert_allclose(st.xhat, x, atol=1e-12)
+        assert_allclose(tracker.stat().vector(), x, atol=1e-12)
+        assert_allclose(tracker.stat().vector(), xhat, atol=1e-12)
         u = rng.standard_normal(1)
         y = p.C[t - 1] @ x
-        st = plant_kalman_step(p, st, y, u, gains)
+        tracker = tracker.advance(y, u, u)
+        xhat = _predictor_step(p, gains, xhat, t, y, u)
         x = p.A[t - 1] @ x + p.B[t - 1] @ u
 
 
@@ -137,9 +148,11 @@ def test_plant_kalman_pure_prediction_when_unobservable():
         C=[np.zeros((1, 1))], Q=[[1.0]], R=[[1.0]], sigma_x=[[1.0]],
         sigma_w0=[[1.0]], sigma_w=[[[1.0]]])
     _, gains = plant_kalman_covariances(p)
-    st = plant_kalman_init(p)
-    st = plant_kalman_step(p, st, [3.0], [2.0], gains)
-    assert_allclose(st.xhat, [2.0])     # A*0 + B*2 + gain*(...) with gain 0
+    tracker = DelayedStatTracker.create(p, build_symmetric_delay(p, 1))
+    xhat = tracker.advance([3.0], [2.0], [2.0]).stat().vector()
+    assert_allclose(xhat, [2.0])     # A*0 + B*2 + gain*(...) with gain 0
+    assert_allclose(xhat, _predictor_step(p, gains, np.zeros(1), 1, [3.0],
+                                          [2.0]))
 
 
 def test_plant_kalman_scalar_covariance_hand_value():
@@ -197,13 +210,13 @@ def test_reduced_stat_k1_is_predictor_alone(scalar2):
     assert tracker.stat().vector().shape == (1,)
     _, gains = plant_kalman_covariances(scalar2)
     rng = np.random.default_rng(28)
-    kal = plant_kalman_init(scalar2)
+    xhat = np.zeros(1)
     for t in range(1, scalar2.T):
         y = rng.standard_normal(2)
         u = rng.standard_normal(2)
         tracker = tracker.advance(y, u, u)
-        kal = plant_kalman_step(scalar2, kal, y, u, gains)
-        assert_allclose(tracker.stat().vector(), kal.xhat)
+        xhat = _predictor_step(scalar2, gains, xhat, t, y, u)
+        assert_allclose(tracker.stat().vector(), xhat)
 
 
 def test_reduced_stat_k2_window_bookkeeping(scalar2):
@@ -215,16 +228,31 @@ def test_reduced_stat_k2_window_bookkeeping(scalar2):
     uts = [rng.standard_normal(2) for _ in range(3)]
     for t in range(3):
         tracker = tracker.advance(ys[t], us[t], uts[t])
-    # at t = 4 (k = 2): S_4 = (xhat_{3|2}, Ut~_3, Y_2, U_2)
-    st = tracker.stat()
-    assert_allclose(st.u_tilde_window[0], uts[2])
-    assert_allclose(st.y_window[0], ys[1])
-    assert_allclose(st.u_window[0], us[1])
+    # at t = 4 (k = 2): S_4 = (xhat_{3|2}, Ut~_3, Y_2, U_2), d_x = 1,
+    # d_u = d_y = 2
+    v = tracker.stat().vector()
+    assert v.shape == (7,)
+    assert_allclose(v[1:3], uts[2])
+    assert_allclose(v[3:5], ys[1])
+    assert_allclose(v[5:7], us[1])
     _, gains = plant_kalman_covariances(scalar2)
-    kal = plant_kalman_init(scalar2)
-    kal = plant_kalman_step(scalar2, kal, ys[0], us[0], gains)
-    kal = plant_kalman_step(scalar2, kal, ys[1], us[1], gains)
-    assert_allclose(st.xhat, kal.xhat)
+    xhat = _predictor_step(scalar2, gains, np.zeros(1), 1, ys[0], us[0])
+    xhat = _predictor_step(scalar2, gains, xhat, 2, ys[1], us[1])
+    assert_allclose(v[:1], xhat)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tracker_rejects_advance_past_the_horizon(scalar2, k):
+    # S_{T+1} is the last statistic; the error names the tracker's own t
+    tracker = DelayedStatTracker.create(scalar2, build_symmetric_delay(
+        scalar2, k))
+    ones = np.ones(2)
+    for _ in range(scalar2.T):
+        tracker = tracker.advance(ones, ones, ones)
+    assert tracker.t == scalar2.T + 1
+    with pytest.raises(TimeOutOfRange,
+                       match=rf"^t={scalar2.T + 1} outside 1\.\.{scalar2.T}$"):
+        tracker.advance(ones, ones, ones)
 
 
 @pytest.mark.parametrize("call, name", [
@@ -630,3 +658,53 @@ def _check_delayed_stat_actions(p, mp, k, seed):
             assert np.abs(via_stat - via_solver).max() <= 1e-8 * scale, t
             tracker = tracker.advance(ro.y[t - 1], ro.u[t - 1],
                                       ro.u_tilde[t - 1])
+
+
+class DelayedStatPolicy:
+    """The paper's strategy on the delayed-sharing statistic: Ut~_t = L_t S_t
+    with L = ``delayed_stat_gains(ss, k)``, S_t moved by
+    ``_delay_transition``, as a policy for ``sim._step_maps`` (``init`` and
+    ``maps``, as ``StatisticPolicy`` has; no transition out of T).  The
+    pair (Y_tau, U_tau), tau = t - k + 1, that S_{t+1} takes is Z_t, so
+    Tz = Tp Pi, Pi from ``_pair_layout``."""
+
+    widens = False
+
+    def __init__(self, ss, k):
+        self.L = delayed_stat_gains(ss, k)
+        Ts, Tu, Tp = _delay_transition(ss.cs.plant, k, DEFAULT_RTOL)
+        self.transition = (Ts[:-1], Tu[:-1],
+                           Tp[:-1] @ _pair_layout(ss.cs.protocol, k))
+
+    def init(self, count):
+        return np.zeros((count, self.L.shape[2]))
+
+    def maps(self, t0, t1):
+        return self.L[t0 - 1:t1 - 1], tuple(
+            m[t0 - 1:t1 - 1] for m in self.transition)
+
+
+def _pair_layout(mp, k):
+    """Pi with (Y_tau, U_tau) = Pi Z_t, read from the tokens of Z_k (the
+    protocol is time invariant), each of which must be of step tau = 1."""
+    first = {"y": np.cumsum((0,) + mp.d_y),
+             "u": sum(mp.d_y) + np.cumsum((0,) + mp.d_u)}
+    pi = np.zeros((first["u"][-1], mp.d_z))
+    for r, tok in enumerate(token_trace(mp).z[k]):
+        assert tok is not None and tok[2] == 1, (k, r, tok)
+        kind, i, _, comp = tok
+        pi[first[kind][i] + comp, r] = 1.0
+    return pi
+
+
+def _check_stat_policy_cost(p, mp, k, seed):
+    lg = LocalGains.random(p, mp, np.random.default_rng([seed, 2]), 0.3)
+    ss = solve(p, mp, lg)
+    exact = _moment_cost(p, mp, lg, DelayedStatPolicy(ss, k))
+    assert abs(exact - ss.J) <= 1e-11 * max(1.0, abs(ss.J)), (exact, ss.J)
+
+
+def test_delayed_stat_policy_costs_exactly_j_on_generated():
+    # Ut~_t = L_t S_t, run on S_t's own linear update, is the solver's
+    # strategy: its exact second-moment cost is J
+    check_generated(_pullback_cases, 1106, 200, _check_stat_policy_cost)

@@ -14,7 +14,11 @@ prints:
   and the conditioning oracle may legitimately keep different ranks;
 * the cases, away from the cutoff, where the recursive filter and
   ``gaussian_conditioning`` differ by more than the test's 1e-8;
-* the worst relative gap between J and ``closed_loop_cost_exact``.
+* the worst relative gap between J and ``closed_loop_cost_exact``;
+* over the delayed-sharing cases, the worst relative gap between J and the
+  exact cost of the paper's strategy on the delayed statistic S_t
+  (``DelayedStatPolicy`` of ``tests/test_estimator.py``), skipping the
+  cases where ``delayed_stat_gains`` raises ``UnsupportedProtocol``.
 
 The instances depend only on the generator's code, so every checkout with
 that generator scans the same ones; the first 300 are the test's:
@@ -37,6 +41,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 import declqg as dq  # noqa: E402
+from declqg.estimator import effective_delay  # noqa: E402
+from declqg.sim import _moment_cost  # noqa: E402
+from test_estimator import DelayedStatPolicy  # noqa: E402
 from test_sim import (ORACLE_TAG, _oracle_cases,  # noqa: E402
                       _rank_margin, run_filter_vs_oracle)
 
@@ -60,6 +67,7 @@ def check(case, found: dict) -> None:
     gap = abs(ss.J - exact) / abs(exact)
     if gap > found["worst_gap"][0]:
         found["worst_gap"] = (gap, f"{describe(p, mp)} seed={seed}")
+    stat_gap(ss, seed, found)
     thetas = dq.random_theta_maps(ss.cs, rng, 0.3)
     margin = _rank_margin(ss.cs, thetas)
     if margin < 1.0:
@@ -74,9 +82,28 @@ def check(case, found: dict) -> None:
                                     f"{describe(p, mp)} seed={seed}")
 
 
+def stat_gap(ss, seed: int, found: dict) -> None:
+    """Relative gap between J and the exact cost of Ut~_t = L_t S_t, for a
+    delayed-sharing ``ss`` whose statistic map exists."""
+    p, mp = ss.cs.plant, ss.cs.protocol
+    if mp.kind not in ("symmetric_delay", "asymmetric_delay"):
+        return
+    try:
+        policy = DelayedStatPolicy(ss, effective_delay(mp))
+    except dq.UnsupportedProtocol:
+        found["stat_skipped"] += 1
+        return
+    found["stat_cases"] += 1
+    exact = _moment_cost(p, mp, ss.cs.gains, policy)
+    gap = abs(ss.J - exact) / abs(exact)
+    if gap > found["worst_stat_gap"][0]:
+        found["worst_stat_gap"] = (gap, f"{describe(p, mp)} seed={seed}")
+
+
 def scan(examples: int) -> dict:
     found = {"cases": 0, "breakdowns": [], "near_cutoff": [],
-             "filter_gaps": [], "worst_gap": (0.0, "")}
+             "filter_gaps": [], "worst_gap": (0.0, ""), "stat_cases": 0,
+             "stat_skipped": 0, "worst_stat_gap": (0.0, "")}
     for i in range(examples):
         check(_oracle_cases(np.random.default_rng([ORACLE_TAG, i])), found)
     return found
@@ -97,6 +124,10 @@ def main() -> int:
             print(f"  {line}")
     gap, where = found["worst_gap"]
     print(f"worst |J - exact| / |exact|: {gap:.2e}  {where}")
+    gap, where = found["worst_stat_gap"]
+    print(f"delayed-sharing cases: {found['stat_cases']} "
+          f"({found['stat_skipped']} skipped, UnsupportedProtocol)")
+    print(f"worst |J - S_t-policy exact| / |exact|: {gap:.2e}  {where}")
     return 0
 
 
