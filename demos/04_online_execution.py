@@ -57,8 +57,8 @@ print(f"realized total cost {total:.3f} (expected {ss.J:.3f})")
 # is strategy independent.  An explicit matrix turns it into the solver's
 # statistic.
 print(f"\ndelayed-sharing statistic for k={k}:")
-maps = [dq.delayed_stat_map(cs, k, t) for t in range(1, plant.T + 1)]
-print(f"  S_t dimension {maps[0].shape[1]}, map shape {maps[0].shape}")
+maps = dq.delayed_stat_map(cs, k)     # entry t-1 is the map at t
+print(f"  S_t dimension {maps.shape[2]}, map shape {maps[0].shape}")
 
 rb = dq.rollout_plant(plant, mp, gains, dq.StatisticPolicy(ss),
                       dq.draw_primitives(plant, seed=6, count=1), keep=1)

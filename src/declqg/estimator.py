@@ -11,7 +11,8 @@ Three statistics appear here:
   t - k + 1, recent coordinator actions, recent shared observation/action
   pairs), one vector with windows padded by zeros before the pipeline
   fills.  It moves by one gain-independent linear map per step, and
-  ``stat`` is an explicit linear function of it.
+  ``stat`` is an explicit linear function of it, one map per t, all
+  returned at once by ``delayed_stat_map``.
 """
 
 from __future__ import annotations
@@ -246,19 +247,9 @@ def _window_map(cs: CoordinatedSystem, k: int) -> np.ndarray:
     return base
 
 
-def _early_columns(plant: PlantModel, k: int, tau: int):
-    """Column slices of S_t's Y and U window entries holding pairs from
-    before t = 1, tau = t - k + 1: entries w < k - tau (none for tau >= k)."""
-    y0, w = plant.d_x + (k - 1) * plant.d_u_total, max(0, k - tau)
-    u0 = y0 + (k - 1) * plant.d_y_total
-    return (slice(y0, y0 + w * plant.d_y_total),
-            slice(u0, u0 + w * plant.d_u_total))
-
-
-def _pullback(cs: CoordinatedSystem, k: int, G: np.ndarray, t0: int
-              ) -> np.ndarray:
-    """Rows G[i] @ M(t0 + i) of the maps taking S_t to stat at t, for a
-    checked k, without forming the maps; one (len(G), rows, dim S_t) array.
+def _pullback(cs: CoordinatedSystem, k: int, G: np.ndarray) -> np.ndarray:
+    """Rows G[t-1] @ M(t), t = 1..T, of the maps taking S_t to stat at t,
+    for a checked k, without forming the maps; one (T, rows, dim S_t) array.
 
     M(t) for t >= k starts at tau = t - k + 1 from ``_window_map`` with the
     window entries of pairs from before t = 1 zeroed (tau < k); for t < k it
@@ -273,23 +264,25 @@ def _pullback(cs: CoordinatedSystem, k: int, G: np.ndarray, t0: int
     row's bits.  One ``+= 0.0`` at the end makes every zero +0.0.
     """
     d_x, d_u, window = cs.plant.d_x, cs.d_u, _window_map(cs, k)
-    out, lo = np.zeros(G.shape[:2] + window.shape[1:]), 0
+    out = np.zeros(G.shape[:2] + window.shape[1:])
     for j in range(k - 1):
-        drop = max(0, j + 2 - t0) - lo          # rows t < j + 2 drop out
-        G, lo = G[drop:], lo + drop
-        s, w = t0 + lo - 2 - j, d_x + (k - 2 - j) * d_u
-        out[lo:, :, w:w + d_u] = G @ cs.B[s:s + len(G)]
-        G = G @ cs.A[s:s + len(G)]
-    out[lo:] += G @ window                      # rows t >= k
-    for t in range(t0 + lo, min(t0 + len(out), 2 * k - 1)):
-        for cols in _early_columns(cs.plant, k, t - k + 1):
-            out[t - t0, :, cols] = 0.0
+        G, w = G[1:], d_x + (k - 2 - j) * d_u   # row t = j + 1 drops out
+        out[j + 1:, :, w:w + d_u] = G @ cs.B[:len(G)]
+        G = G @ cs.A[:len(G)]
+    out[k - 1:] += G @ window                   # rows t >= k
+    y0, d_y = d_x + (k - 1) * d_u, cs.plant.d_y_total   # Y, then U window
+    u0 = y0 + (k - 1) * d_y
+    for t in range(k, min(len(out), 2 * k - 2) + 1):
+        early = 2 * k - 1 - t       # entries of pairs from before t = 1
+        out[t - 1, :, y0:y0 + early * d_y] = 0.0
+        out[t - 1, :, u0:u0 + early * d_u] = 0.0
     out += 0.0
     return out
 
 
-def delayed_stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
-    """Read-only matrix taking the delayed statistic S_t to stat at time t.
+def delayed_stat_map(cs: CoordinatedSystem, k: int) -> np.ndarray:
+    """Read-only (T, d_state, dim S_t) array: entry t-1 takes the delayed
+    statistic S_t to stat at time t.
 
     Built constructively: rebuild the coordinator's estimate at time
     t - k + 1 out of S_t (the X part from xhat, the carrier as the
@@ -297,10 +290,8 @@ def delayed_stat_map(cs: CoordinatedSystem, k: int, t: int) -> np.ndarray:
     coordinated dynamics with the windowed coordinator actions and zero-mean
     noise.  Computed as the pullback of the identity through those steps.
     """
-    k, t = _check_stat_delay(cs, k), as_index(t, "t")
-    if not 1 <= t <= cs.T:
-        raise TimeOutOfRange(f"t={t} outside 1..{cs.T}")
-    return read_only(_pullback(cs, k, np.eye(cs.d_state)[None], t)[0])
+    return read_only(_pullback(cs, _check_stat_delay(cs, k), np.broadcast_to(
+        np.eye(cs.d_state), (cs.T, cs.d_state, cs.d_state))))
 
 
 def delayed_stat_gains(ss: SolvedStrategy, k: int):
@@ -308,4 +299,4 @@ def delayed_stat_gains(ss: SolvedStrategy, k: int):
     L_t = L~_t M(t), to rounding, with M(t) the ``delayed_stat_map``; each
     L~_t is pulled back through M(t)'s steps without forming the map."""
     cs, k = ss.cs, _check_stat_delay(ss.cs, k)
-    return read_only(_pullback(cs, k, ss.Lgain, 1))
+    return read_only(_pullback(cs, k, ss.Lgain))

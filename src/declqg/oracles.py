@@ -11,34 +11,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_RTOL, DimMismatch
+from .core import DEFAULT_RTOL, DimMismatch, as_matrix
 from .coordination import CoordinatedSystem
-from .sim import Primitives, StatisticPolicy
+from .sim import Policy, Primitives, StatisticPolicy, _check_policy
 from .solver import SolvedStrategy, _check_finite
 
 
-class ZHistoryPolicy:
+def ZHistoryPolicy(thetas) -> Policy:
     """Ut~ = Theta_t @ stacked(Z_1..Z_{t-1}): arbitrary linear history maps.
 
     Used by the oracle tests to drive the closed loop with strategies that
     are independent of the recursive filter.  ``thetas[t-1]`` has shape
-    (sum d_u, (t-1) d_z).  The history widens by Z_t at every step.
+    (sum d_u, (t-1) d_z).  The state is the whole history Z_1..Z_{T-1},
+    zero where not yet seen: L_t = [Theta_t, 0], Ts = I, Tu = 0, and Tz_t
+    writes Z_t into slot t.
     """
-
-    widens = True
-
-    def __init__(self, thetas):
-        self.thetas = [np.asarray(th, dtype=float) for th in thetas]
-
-    def init(self, count: int) -> np.ndarray:
-        return np.zeros((count, 0))
-
-    def maps(self, t0: int, t1: int):
-        th, old = self.thetas[t0 - 1], self.thetas[t0 - 1].shape[1]
-        new = [n.shape[1] for n in self.thetas[t0:t0 + 1]]   # none at T
-        return th[None], (np.array([np.eye(n, old) for n in new]),
-                          np.array([np.zeros((n, len(th))) for n in new]),
-                          np.array([np.eye(n, n - old, -old) for n in new]))
+    T, d_u = len(thetas), np.shape(thetas[0])[0]
+    d_z = np.shape(thetas[1])[1] if T > 1 else 0
+    w, L = (T - 1) * d_z, np.zeros((T, d_u, (T - 1) * d_z))
+    for t, th in enumerate(thetas, 1):
+        L[t - 1, :, :(t - 1) * d_z] = as_matrix(th, d_u, (t - 1) * d_z,
+                                                f"thetas[t={t}]")
+    return Policy(L, np.broadcast_to(np.eye(w), (T - 1, w, w)),
+                  np.zeros((T - 1, w, d_u)),
+                  np.eye(w).reshape(w, T - 1, d_z).swapaxes(0, 1))
 
 
 def random_theta_maps(cs: CoordinatedSystem, rng, scale: float = 0.3):
@@ -49,14 +45,11 @@ def random_theta_maps(cs: CoordinatedSystem, rng, scale: float = 0.3):
 
 def strategy_theta_maps(ss: SolvedStrategy):
     """Unroll the solved strategy into explicit observation-history maps."""
-    policy, T = StatisticPolicy(ss), ss.cs.T
-    xmap, thetas = np.zeros((ss.cs.d_state, 0)), []   # stat's map of Z_1..
-    for t in range(1, T + 1):
-        L, (Ts, Tu, Tz) = policy.maps(t, t + 1)
-        thetas.append(L[0] @ xmap)
-        if t < T:
-            xmap = np.hstack([(Ts[0] + Tu[0] @ L[0]) @ xmap, Tz[0]])
-    return thetas
+    L, Ts, Tu, Tz = StatisticPolicy(ss)
+    xmaps = [np.zeros((ss.cs.d_state, 0))]    # stat's map of Z_1..Z_{t-1}
+    for t in range(ss.cs.T - 1):
+        xmaps.append(np.hstack([(Ts[t] + Tu[t] @ L[t]) @ xmaps[-1], Tz[t]]))
+    return [lt @ xmap for lt, xmap in zip(L, xmaps)]
 
 
 # --------------------------------------------------------------------------
@@ -74,8 +67,8 @@ class CoordinatedRollout:
     costs: np.ndarray
 
 
-def rollout_coordinated(cs: CoordinatedSystem, policy, prims: Primitives
-                        ) -> CoordinatedRollout:
+def rollout_coordinated(cs: CoordinatedSystem, policy: Policy,
+                        prims: Primitives) -> CoordinatedRollout:
     """Propagate the coordinated recursion with explicit primitive noise:
     step t's unit normals of (W0_t, W_t) times ``cs.noise[t-1]'``.
 
@@ -83,16 +76,17 @@ def rollout_coordinated(cs: CoordinatedSystem, policy, prims: Primitives
     cost is xi' Q~ xi + 2 xi' N~ v + v' R v.
     """
     plant, d = cs.plant, cs.d_state
+    if prims.plant is not cs.plant:
+        raise DimMismatch("primitives were drawn for another plant")
+    _check_policy(policy, cs.T, cs.d_u, cs.d_z)
     count, d_w = prims.count, plant.d_x + plant.d_y_total
     xt = np.hstack([prims.x1, np.zeros((count, cs.d_c))])
-    state = policy.init(count)
+    L, Ts, Tu, Tz = (m.swapaxes(1, 2) for m in policy)     # transposed
+    state = np.zeros((count, L.shape[1]))
     xs, ys, us, scs = [], [np.zeros((count, cs.d_z))], [], []
     costs = np.zeros(count)
     for t in range(1, plant.T + 1):
-        L, (Ts, Tu, Tz) = policy.maps(t, t + 1)
-        if state.shape[1] != L.shape[-1]:
-            raise DimMismatch(f"Ut~ map at t={t} wants {L.shape[-1]} coords")
-        utilde = state @ L[0].T
+        utilde = state @ L[t - 1]
         v = utilde + prims.wy[t - 1] @ cs.gains.G[t - 1].T
         sc = np.einsum("ri,ij,rj->r", xt, cs.Q[t - 1], xt) \
             + 2 * np.einsum("ri,ij,rj->r", xt, cs.N[t - 1], v) \
@@ -108,7 +102,7 @@ def rollout_coordinated(cs: CoordinatedSystem, policy, prims: Primitives
                      + noise[:, d:])
             xt = xt @ cs.A[t - 1].T + utilde @ cs.B[t - 1].T + noise[:, :d]
             ys.append(ynext)
-            state = state @ Ts[0].T + utilde @ Tu[0].T + ynext @ Tz[0].T
+            state = state @ Ts[t - 1] + utilde @ Tu[t - 1] + ynext @ Tz[t - 1]
     stack = lambda seq: np.stack(seq, axis=1)
     return CoordinatedRollout(xtilde=stack(xs), ytilde=stack(ys),
                               u_tilde=stack(us), step_costs=stack(scs),

@@ -3,7 +3,8 @@ second moments on the same step maps; the oracles that check the
 coordinator are in :mod:`declqg.oracles`.
 
 Rollout r reads row ``r % BLOCK`` of ``seeded_stream(seed, r // BLOCK)``'s
-normals.  Under linear strategies the closed loop is linear, so each step
+normals.  A coordinator policy is linear in its own state, four arrays
+stacked over t (``Policy``), so the closed loop is linear: each step
 is one map of (state, unit normals), written from blocks of known matrices
 with the noise roots folded in, and applied to all rollouts at once, held
 feature-major; a kept signal gets a map only if it is not already a row of
@@ -20,6 +21,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,27 +121,30 @@ def _draw_rows(stream: np.random.Generator, out: np.ndarray,
 # coordinator policies (how Ut~ is produced from the shared data)
 
 
-class StatisticPolicy:
-    """Ut~ = L~_t stat_t, with the statistic advanced by the solved filter.
+class Policy(NamedTuple):
+    """A policy linear in its state: Ut~_t = L_t state_t and state_{t+1} =
+    Ts_t state_t + Tu_t Ut~_t + Tz_t Z_t, with state_1 = 0.  L is stacked
+    over t = 1..T, the transition over t = 1..T-1."""
 
-    A policy is linear in its state: Ut~_t = L_t state_t and state_{t+1} =
-    Ts_t state_t + Tu_t Ut~_t + Tz_t Z_t.  ``maps(t0, t1)`` gives L and
-    (Ts, Tu, Tz) of steps t0..t1-1, each stacked over t (no transition out
-    of T); ``widens`` if the state's width changes with t.
-    """
+    L: np.ndarray     # (T, sum d_u, width)
+    Ts: np.ndarray    # (T - 1, width, width)
+    Tu: np.ndarray    # (T - 1, width, sum d_u)
+    Tz: np.ndarray    # (T - 1, width, d_z)
 
-    widens = False
 
-    def __init__(self, ss: SolvedStrategy):
-        self.ss = ss
-        self.transition = statistic_transition(ss)     # stacked over t
+def StatisticPolicy(ss: SolvedStrategy) -> Policy:
+    """Ut~ = L~_t stat_t, with the statistic advanced by the solved filter."""
+    return Policy(ss.Lgain, *statistic_transition(ss))
 
-    def init(self, count: int) -> np.ndarray:
-        return np.zeros((count, self.ss.cs.d_state))
 
-    def maps(self, t0: int, t1: int):
-        return self.ss.Lgain[t0 - 1:t1 - 1], tuple(
-            m[t0 - 1:t1 - 1] for m in self.transition)
+def _check_policy(policy: Policy, T: int, d_u: int, d_z: int) -> None:
+    """Raise ``DimMismatch`` unless ``policy`` has T steps on sum d_u =
+    ``d_u`` wide Ut~ and, if T > 1, transitions that read d_z wide Z."""
+    w = policy.L.shape[-1]
+    for name, m, shape in zip(Policy._fields, policy, [
+            (T, d_u, w), (T - 1, w, w), (T - 1, w, d_u), (T - 1, w, d_z)]):
+        if m.shape != shape and (T > 1 or name == "L"):
+            raise DimMismatch(f"policy {name}: shape {m.shape}, need {shape}")
 
 
 # --------------------------------------------------------------------------
@@ -157,7 +162,7 @@ class Rollout:
     z: np.ndarray
     u: np.ndarray
     u_tilde: np.ndarray
-    stat: np.ndarray | None
+    stat: np.ndarray      # the policy's state
     step_costs: np.ndarray
 
 
@@ -219,23 +224,23 @@ RUN_ENTRIES = 2 ** 16
 
 
 def _step_maps(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
-               policy, records: bool = True):
+               policy: Policy, records: bool = True):
     """(step maps, record maps) of v_t = (X_t, c_t, policy state, unit
     normals of (W0_t, W_t)), or of the normals of (X_1, W0_1, W_1) at t = 1.
     Step map t gives (X_t, U_t), blkdiag(Q, R) (X_t, U_t) and, before T,
     v_{t+1} but its normals; record map t, if ``records``, (y, m, z, Ut~).
     Blocks are stacked over runs of steps that share v_t's layout: step 1,
-    runs of steps 2..T-1 (single steps if the policy ``widens``), step T.
-    A step map is about as tall as v_t is wide, so it counts as
-    width(v_t)^2 entries against ``RUN_ENTRIES``."""
+    runs of steps 2..T-1, step T.  A step map is about as tall as v_t is
+    wide, so it counts as width(v_t)^2 entries against ``RUN_ENTRIES``."""
     T, d_x, d_u, d_c = plant.T, plant.d_x, plant.d_u_total, mp.d_carrier
-    width = d_x + d_c + policy.init(0).shape[1] + d_x + plant.d_y_total
+    _check_policy(policy, T, d_u, mp.d_z)
+    width = d_x + d_c + policy.L.shape[-1] + d_x + plant.d_y_total
     run = max(RUN_STEPS, RUN_ENTRIES // (width * width))
-    starts = sorted({1, T}.union(range(2, T, 1 if policy.widens else run)))
+    starts = sorted({1, T}.union(range(2, T, run)))
     steps, recs = [], []
     for t0, t1 in zip(starts, starts[1:] + [T + 1]):
         at = slice(t0 - 1, t1 - 1)
-        L, (Ts, Tu, Tz) = policy.maps(t0, t1)
+        L, Ts, Tu, Tz = (m[at] for m in policy)
         root = plant.noise_root[at]
         first = t0 == 1     # v_1 = normals of (X_1, W0_1, W_1): c_1 = 0 = s_1
         x = _Map((plant.x1_root if first else _IDENTITY, None, None, None))
@@ -263,7 +268,7 @@ def _step_maps(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
 
 
 def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
-                  policy, prims: Primitives, keep: int = 0, *,
+                  policy: Policy, prims: Primitives, keep: int = 0, *,
                   maps: tuple | None = None,
                   work: np.ndarray | None = None) -> RolloutBatch:
     """Simulate the original decentralized equations: per step, one product
@@ -273,11 +278,13 @@ def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     products in place of fresh memory and must be at least (2, rows of the
     largest step map + d_w, count rounded up to ``ROW_ALIGN``).  The first
     ``keep`` rollouts are recorded in full; costs are kept for all."""
+    if len(prims.normals) != _width(plant):
+        raise DimMismatch("primitives were drawn for a plant of another size")
     count, keep = prims.count, min(keep, prims.count)
     steps, records = maps or _step_maps(plant, mp, gains, policy, keep > 0)
     d_x, d_w = plant.d_x, plant.d_x + plant.d_y_total
     d_xu, d_c = d_x + plant.d_u_total, mp.d_carrier
-    d_stat = policy.init(0).shape[1]
+    d_stat = policy.L.shape[-1]
     # BLAS rounds the last columns of a product its own way unless their
     # number is a multiple of ROW_ALIGN: pad with zero rollouts
     cols, kept = (-(-n // ROW_ALIGN) * ROW_ALIGN for n in (count, keep))
@@ -312,8 +319,7 @@ def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
         xs, us, ys, ms, zs, uts, carriers, stat, scs = np.split(
             np.stack(rec).transpose(2, 0, 1), ends, axis=2)
         samples = [Rollout(x=xs[r], y=ys[r], m=ms[r], carrier=carriers[r],
-                           z=zs[r], u=us[r], u_tilde=uts[r],
-                           stat=stat[r] if d_stat else None,
+                           z=zs[r], u=us[r], u_tilde=uts[r], stat=stat[r],
                            step_costs=scs[r, :, 0]) for r in range(keep)]
     return RolloutBatch(costs=costs, samples=tuple(samples))
 
@@ -415,18 +421,22 @@ def closed_loop_cost_exact(cs: CoordinatedSystem, l_seq,
                            filter_gains) -> float:
     """Exact expected cost of Ut~ = L~_t stat_t, the statistic advanced by
     the filter with ``filter_gains``, by ``_moment_cost``: no sampling."""
-    if len(l_seq) != cs.T:
-        raise DimMismatch(f"need {cs.T} gain matrices, got {len(l_seq)}")
-    L = np.array([as_matrix(lt, cs.d_u, cs.d_state, f"L[t={t}]")
-                  for t, lt in enumerate(l_seq, 1)])
-    policy = StatisticPolicy(SolvedStrategy(
-        cs=cs, Lgain=L, filter_gain=np.asarray(filter_gains, dtype=float),
-        J=float("nan")))
-    return _moment_cost(cs.plant, cs.protocol, cs.gains, policy)
+    stacks = []
+    for seq, count, rows, cols, kind, name in (
+            (l_seq, cs.T, cs.d_u, cs.d_state, "gain", "L"),
+            (filter_gains, cs.T - 1, cs.d_state, cs.d_z, "filter gain", "K")):
+        if len(seq) != count:
+            raise DimMismatch(f"need {count} {kind} matrices, got {len(seq)}")
+        stacks.append(np.array([as_matrix(m, rows, cols, f"{name}[t={t}]")
+                                for t, m in enumerate(seq, 1)]
+                               ).reshape(count, rows, cols))
+    L, K = stacks
+    return _moment_cost(cs.plant, cs.protocol, cs.gains, StatisticPolicy(
+        SolvedStrategy(cs=cs, Lgain=L, filter_gain=K, J=float("nan"))))
 
 
 def _moment_cost(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
-                 policy) -> float:
+                 policy: Policy) -> float:
     """Exact expected cost of a linear ``policy``: second moments on the
     plant's own step maps.  v_1 is unit normals, Sigma_1 = I, and
     Sigma_{t+1} = blkdiag(N Sigma_t N', I), N the rows of step map t that

@@ -328,7 +328,7 @@ def test_criterion_8_delayed_sharing_reduction():
         mp = build_symmetric_delay(p, k)
         lg = LocalGains.random(p, mp, rng, 0.3)
         ss = solve(p, mp, lg)
-        maps = [delayed_stat_map(ss.cs, k, t) for t in range(1, p.T + 1)]
+        maps = delayed_stat_map(ss.cs, k)
         prims = draw_primitives(p, seed=42 + k, count=100)
         rb = rollout_plant(p, mp, lg, StatisticPolicy(ss), prims, keep=100)
         for r in range(100):

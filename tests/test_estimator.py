@@ -15,7 +15,7 @@ from declqg.cli import DEMOS, load_scenario, strategy_to_doc
 from declqg.estimator import (EstimatorState, _delay_transition,
                               delay_stat_dim, effective_delay,
                               statistic_transition)
-from declqg.sim import _moment_cost
+from declqg.sim import Policy, _moment_cost
 
 from conftest import check_generated, random_plant, scalar_two_controller
 
@@ -256,14 +256,12 @@ def test_tracker_rejects_advance_past_the_horizon(scalar2, k):
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda cs, ss: delayed_stat_map(cs, 2, 2.0), "t"),
-    (lambda cs, ss: delayed_stat_map(cs, 2, True), "t"),
-    (lambda cs, ss: delayed_stat_map(cs, 2.0, 2), "k"),
+    (lambda cs, ss: delayed_stat_map(cs, 2.0), "k"),
     (lambda cs, ss: delayed_stat_gains(ss, 2.0), "k"),
     (lambda cs, ss: delayed_stat_gains(ss, True), "k"),
     (lambda cs, ss: statistic_transition(ss, 1.0), "t"),
     (lambda cs, ss: statistic_transition(ss, True), "t")],
-    ids=["map-float-t", "map-bool-t", "map-float-k", "gains-float-k",
+    ids=["map-float-k", "gains-float-k",
          "gains-bool-k", "transition-float-t", "transition-bool-t"])
 def test_delayed_stat_calls_reject_non_integer_t_and_k(call, name):
     sc = load_scenario(DEMOS["symmetric-k2"]["config"])
@@ -276,8 +274,8 @@ def test_delayed_stat_calls_take_numpy_integers():
     sc = load_scenario(DEMOS["symmetric-k2"]["config"])
     ss = solve(sc.plant, sc.protocol, LocalGains.zeros(sc.plant, sc.protocol))
     two, three = np.int64(2), np.int64(3)
-    assert np.array_equal(delayed_stat_map(ss.cs, two, three),
-                          delayed_stat_map(ss.cs, 2, 3))
+    assert np.array_equal(delayed_stat_map(ss.cs, two),
+                          delayed_stat_map(ss.cs, 2))
     assert all(np.array_equal(a, b) for a, b in zip(
         delayed_stat_gains(ss, two), delayed_stat_gains(ss, 2)))
     for a, b in zip(statistic_transition(ss, two),
@@ -287,7 +285,7 @@ def test_delayed_stat_calls_take_numpy_integers():
 
 @pytest.mark.parametrize("call", [
     lambda ss: delayed_stat_gains(ss, 2),
-    lambda ss: delayed_stat_map(ss.cs, 2, 3),
+    lambda ss: delayed_stat_map(ss.cs, 2),
     lambda ss: statistic_transition(ss, 2),
     lambda ss: act(initial_state(ss.cs), ss,
                    [np.zeros(d) for d in ss.cs.plant.d_y],
@@ -314,19 +312,20 @@ def test_effective_delay_requires_delayed_protocol(scalar2):
 def test_delayed_stat_map_k1_identity(scalar2):
     mp = build_symmetric_delay(scalar2, 1)
     cs = build(scalar2, mp, LocalGains.zeros(scalar2, mp))
-    for t in range(1, scalar2.T + 1):
-        assert_allclose(delayed_stat_map(cs, 1, t), np.eye(1))
+    maps = delayed_stat_map(cs, 1)
+    assert maps.shape == (scalar2.T, 1, 1)
+    assert_allclose(maps, 1.0)
 
 
 def test_delayed_stat_map_wrong_delay_rejected(scalar2):
     mp = build_symmetric_delay(scalar2, 2)
     cs = build(scalar2, mp, LocalGains.zeros(scalar2, mp))
     with pytest.raises(UnsupportedProtocol):
-        delayed_stat_map(cs, 3, 2)
+        delayed_stat_map(cs, 3)
     mp2 = build_control_sharing(scalar2)
     cs2 = build(scalar2, mp2, LocalGains.zeros(scalar2, mp2))
     with pytest.raises(UnsupportedProtocol):
-        delayed_stat_map(cs2, 1, 2)
+        delayed_stat_map(cs2, 1)
 
 
 def test_delayed_stat_map_noise_free_exact():
@@ -341,8 +340,7 @@ def test_delayed_stat_map_noise_free_exact():
     rb = rollout_plant(p, mp, ss.gains, StatisticPolicy(ss), prims, keep=1)
     ro = rb.samples[0]
     tracker = DelayedStatTracker.create(p, mp)
-    for t in range(1, p.T + 1):
-        mmap = delayed_stat_map(ss.cs, 2, t)
+    for t, mmap in enumerate(delayed_stat_map(ss.cs, 2), 1):
         assert np.abs(ro.stat[t - 1] - mmap @ tracker.stat().vector()
                       ).max() < 1e-12
         tracker = tracker.advance(ro.y[t - 1], ro.u[t - 1], ro.u_tilde[t - 1])
@@ -387,7 +385,7 @@ def test_asymmetric_reduced_stat_heterogeneous_delays():
     assert tracker.stat().vector().shape[0] == 2 + 1 * (3 + 3 + 3)
     cs = build(p, mp, LocalGains.zeros(p, mp))
     with pytest.raises(UnsupportedProtocol):
-        delayed_stat_map(cs, 2, 3)
+        delayed_stat_map(cs, 2)
 
 
 def test_asymmetric_reduced_stat_uniform_worst_case_delay():
@@ -400,7 +398,7 @@ def test_asymmetric_reduced_stat_uniform_worst_case_delay():
     ss = solve(p, mp, LocalGains.random(p, mp, rng, 0.2))
     prims = draw_primitives(p, seed=41, count=5)
     rb = rollout_plant(p, mp, ss.gains, StatisticPolicy(ss), prims, keep=5)
-    maps = [delayed_stat_map(ss.cs, 2, t) for t in range(1, p.T + 1)]
+    maps = delayed_stat_map(ss.cs, 2)
     for r in range(5):
         ro = rb.samples[r]
         tracker = DelayedStatTracker.create(p, mp)
@@ -502,10 +500,11 @@ def test_delayed_stat_gains_equal_per_step_maps(protocol):
         mp = build_symmetric_delay(p, k)
     ss = solve(p, mp, LocalGains.random(p, mp, np.random.default_rng(50), 0.3))
     gains = delayed_stat_gains(ss, k)
+    maps = delayed_stat_map(ss.cs, k)
     assert len(gains) == p.T
     for t in range(1, p.T + 1):
         ref = _token_stat_map(ss.cs, k, t)
-        _check_map(delayed_stat_map(ss.cs, k, t), ss.cs, k, t, ref)
+        _check_map(maps[t - 1], ss.cs, k, t, ref)
         _check_gains(gains[t - 1], ss.cs, ss.Lgain[t - 1], k, t, ref)
 
 
@@ -530,9 +529,10 @@ def test_stacked_stat_maps_across_run_edges(k, T, kind):
     ss = solve(p, mp, LocalGains.random(p, mp, np.random.default_rng(
         [53, k, T]), 0.3))
     gains = delayed_stat_gains(ss, k)
+    maps = delayed_stat_map(ss.cs, k)
     for t in range(1, T + 1):
         ref = _token_stat_map(ss.cs, k, t)
-        _check_map(delayed_stat_map(ss.cs, k, t), ss.cs, k, t, ref)
+        _check_map(maps[t - 1], ss.cs, k, t, ref)
         _check_gains(gains[t - 1], ss.cs, ss.Lgain[t - 1], k, t, ref)
 
 
@@ -548,9 +548,10 @@ def test_stat_maps_turn_underflowed_zeros_positive(k):
     sign = (-1.0) ** np.arange(p.T)[:, None, None]
     cs = replace(ss.cs, A=1e-200 * sign * np.ones_like(ss.cs.A))
     gains = delayed_stat_gains(replace(ss, cs=cs), k)
+    maps = delayed_stat_map(cs, k)
     for t in range(1, p.T + 1):
         ref = _token_stat_map(cs, k, t)
-        _check_map(delayed_stat_map(cs, k, t), cs, k, t, ref)
+        _check_map(maps[t - 1], cs, k, t, ref)
         _check_gains(gains[t - 1], cs, ss.Lgain[t - 1], k, t, ref)
     # L~_t and B~_s = -+1e-200 instead: the gains' G B~_s products
     # underflow, and -0.0 entries of t < k meet no later add
@@ -572,9 +573,10 @@ def _check_maps_and_gains_against_tokens(p, mp, k, seed):
     ss = solve(p, mp, LocalGains.random(p, mp, np.random.default_rng(
         [seed, 2]), 0.3))
     gains = delayed_stat_gains(ss, k)
+    maps = delayed_stat_map(ss.cs, k)
     for t in range(1, p.T + 1):
         ref = _token_stat_map(ss.cs, k, t)
-        _check_map(delayed_stat_map(ss.cs, k, t), ss.cs, k, t, ref)
+        _check_map(maps[t - 1], ss.cs, k, t, ref)
         _check_gains(gains[t - 1], ss.cs, ss.Lgain[t - 1], k, t, ref)
 
 
@@ -660,28 +662,15 @@ def _check_delayed_stat_actions(p, mp, k, seed):
                                       ro.u_tilde[t - 1])
 
 
-class DelayedStatPolicy:
+def DelayedStatPolicy(ss, k):
     """The paper's strategy on the delayed-sharing statistic: Ut~_t = L_t S_t
     with L = ``delayed_stat_gains(ss, k)``, S_t moved by
-    ``_delay_transition``, as a policy for ``sim._step_maps`` (``init`` and
-    ``maps``, as ``StatisticPolicy`` has; no transition out of T).  The
-    pair (Y_tau, U_tau), tau = t - k + 1, that S_{t+1} takes is Z_t, so
-    Tz = Tp Pi, Pi from ``_pair_layout``."""
-
-    widens = False
-
-    def __init__(self, ss, k):
-        self.L = delayed_stat_gains(ss, k)
-        Ts, Tu, Tp = _delay_transition(ss.cs.plant, k, DEFAULT_RTOL)
-        self.transition = (Ts[:-1], Tu[:-1],
-                           Tp[:-1] @ _pair_layout(ss.cs.protocol, k))
-
-    def init(self, count):
-        return np.zeros((count, self.L.shape[2]))
-
-    def maps(self, t0, t1):
-        return self.L[t0 - 1:t1 - 1], tuple(
-            m[t0 - 1:t1 - 1] for m in self.transition)
+    ``_delay_transition`` (no transition out of T), as a ``sim.Policy``.
+    The pair (Y_tau, U_tau), tau = t - k + 1, that S_{t+1} takes is Z_t,
+    so Tz = Tp Pi, Pi from ``_pair_layout``."""
+    Ts, Tu, Tp = _delay_transition(ss.cs.plant, k, DEFAULT_RTOL)
+    return Policy(delayed_stat_gains(ss, k), Ts[:-1], Tu[:-1],
+                  Tp[:-1] @ _pair_layout(ss.cs.protocol, k))
 
 
 def _pair_layout(mp, k):
@@ -708,3 +697,20 @@ def test_delayed_stat_policy_costs_exactly_j_on_generated():
     # Ut~_t = L_t S_t, run on S_t's own linear update, is the solver's
     # strategy: its exact second-moment cost is J
     check_generated(_pullback_cases, 1106, 200, _check_stat_policy_cost)
+
+
+@pytest.mark.parametrize("name", ["scalar-2ctrl-k1", "symmetric-k2"])
+def test_delayed_stat_policy_monte_carlo_matches_j(name):
+    # Ut~_t = L_t S_t rolled out on the plant: per rollout the cost of the
+    # solver's own statistic policy, and on average J within 4 stderr
+    sc = load_scenario(DEMOS[name]["config"])
+    p, mp = sc.plant, sc.protocol
+    lg = LocalGains.random(p, mp, np.random.default_rng([1107, 0]), 0.3)
+    ss = solve(p, mp, lg)
+    prims = draw_primitives(p, seed=1107, count=20_000)
+    got = rollout_plant(p, mp, lg, DelayedStatPolicy(ss, effective_delay(mp)),
+                        prims).costs
+    want = rollout_plant(p, mp, lg, StatisticPolicy(ss), prims).costs
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    stderr = np.std(got, ddof=1) / np.sqrt(len(got))
+    assert abs(np.mean(got) - ss.J) < 4 * stderr, (np.mean(got), ss.J, stderr)

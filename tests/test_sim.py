@@ -179,6 +179,77 @@ def test_closed_loop_cost_exact_rejects_bad_gains(scalar2):
                        (np.full_like(L[2], np.nan), InvalidMatrix)):
         with pytest.raises(error, match=r"L\[t=3\]"):
             closed_loop_cost_exact(ss.cs, L[:2] + [bad] + L[3:], K)
+    # the filter gains likewise: T - 1 of them, each checked
+    K = list(K)
+    with pytest.raises(DimMismatch,
+                       match="need 4 filter gain matrices, got 3"):
+        closed_loop_cost_exact(ss.cs, L, K[:-1])
+    for bad, error in ((K[1][:, :-1], DimMismatch),
+                       (np.full_like(K[1], np.nan), InvalidMatrix)):
+        with pytest.raises(error, match=r"K\[t=2\]"):
+            closed_loop_cost_exact(ss.cs, L, K[:1] + [bad] + K[2:])
+
+
+def _malformed_policy_calls():
+    """(call, error, message) on scalar2 under 2-step sharing: a call takes
+    (p, mp, lg, ss, thetas) and must raise ``error`` matching ``message``."""
+    def nan_at_3(thetas):
+        thetas[2] = np.full_like(thetas[2], np.nan)
+        return ZHistoryPolicy(thetas)
+
+    def wide_at_3(thetas):
+        thetas[2] = np.hstack([thetas[2], thetas[2][:, :1]])
+        return ZHistoryPolicy(thetas)
+
+    def short(thetas):
+        return ZHistoryPolicy(thetas[:-1])
+
+    def narrow_z(thetas):     # a consistent history over 3 wide Z, d_z = 4
+        return ZHistoryPolicy(
+            [np.ones((len(th), t * 3)) for t, th in enumerate(thetas)])
+
+    shorter_plant = scalar_two_controller(T=4)
+    runs = {
+        "plant": lambda p, mp, lg, ss, pol: rollout_plant(
+            p, mp, lg, pol, draw_primitives(p, seed=1, count=3)),
+        "moments": lambda p, mp, lg, ss, pol: sim._moment_cost(p, mp, lg, pol),
+        "coordinated": lambda p, mp, lg, ss, pol: rollout_coordinated(
+            ss.cs, pol, draw_primitives(p, seed=1, count=3))}
+    for make, error, message in (
+            (nan_at_3, InvalidMatrix, r"thetas\[t=3\]"),
+            (wide_at_3, DimMismatch, r"thetas\[t=3\]"),
+            (short, DimMismatch, r"policy L: shape \(4, 2, 12\)"),
+            (narrow_z, DimMismatch,
+             r"policy Tz: shape \(4, 12, 3\), need \(4, 12, 4\)")):
+        for name, run in runs.items():
+            yield pytest.param(
+                lambda p, mp, lg, ss, thetas, make=make, run=run: run(
+                    p, mp, lg, ss, make(thetas)),
+                error, message, id=f"{make.__name__}-{name}")
+    yield pytest.param(
+        lambda p, mp, lg, ss, thetas: rollout_plant(
+            p, mp, lg, ZHistoryPolicy(thetas),
+            draw_primitives(shorter_plant, seed=1, count=3)),
+        DimMismatch, "another size", id="short-primitives-plant")
+    yield pytest.param(
+        lambda p, mp, lg, ss, thetas: rollout_coordinated(
+            ss.cs, ZHistoryPolicy(thetas),
+            draw_primitives(shorter_plant, seed=1, count=3)),
+        DimMismatch, "another plant", id="short-primitives-coordinated")
+
+
+@pytest.mark.parametrize("call, error, message",
+                         list(_malformed_policy_calls()))
+def test_malformed_policies_and_primitives_raise_typed_errors(
+        scalar2, call, error, message):
+    # before these checks a NaN Theta_t gave nan costs, and the others
+    # ended in numpy's ValueError or an IndexError
+    mp = build_symmetric_delay(scalar2, 2)
+    lg = LocalGains.random(scalar2, mp, np.random.default_rng(61), 0.3)
+    ss = solve(scalar2, mp, lg)
+    thetas = random_theta_maps(ss.cs, np.random.default_rng(62), 0.3)
+    with pytest.raises(error, match=message):
+        call(scalar2, mp, lg, ss, thetas)
 
 
 def test_simulate_rejects_mismatched_strategy(scalar2):
@@ -260,33 +331,30 @@ def _literal_rollout(plant, mp, gains, policy, prims, keep):
     count = prims.count
     x = prims.x1
     c = np.zeros((count, mp.d_carrier))
-    state = policy.init(count)
-    has_stat = isinstance(policy, StatisticPolicy)
+    L, Ts, Tu, Tz = policy
+    state = np.zeros((count, L.shape[-1]))
     costs = np.zeros(count)
-    rec = []     # per step: kept rows of x, y, m, c, z, u, Ut~, cost[, stat]
+    rec = []     # per step: kept rows of x, y, m, c, z, u, Ut~, cost, stat
     for t in range(1, plant.T + 1):
         y = x @ plant.C[t - 1].T + prims.wy[t - 1]
         m = c @ mp.m_sel.T
-        L, (Ts, Tu, Tz) = policy.maps(t, t + 1)
-        utilde = state @ L[0].T
+        utilde = state @ L[t - 1].T
         u = utilde + y @ gains.G[t - 1].T + m @ gains.H[t - 1].T
         z = c @ mp.zc.T + y @ mp.zy.T + u @ mp.zu.T
         sc = np.einsum("ri,ri->r", x @ plant.Q, x) \
             + np.einsum("ri,ri->r", u @ plant.R, u)
         costs += sc
-        step = (x, y, m, c, z, u, utilde, sc)
-        if has_stat:
-            step += (state,)
-        rec.append([v[:keep].copy() for v in step])
+        rec.append([v[:keep].copy()
+                    for v in (x, y, m, c, z, u, utilde, sc, state)])
         if t < plant.T:
             x = x @ plant.A[t - 1].T + u @ plant.B[t - 1].T + prims.w0[t - 1]
             c = c @ mp.cc.T + y @ mp.cy.T + u @ mp.cu.T
-            state = state @ Ts[0].T + utilde @ Tu[0].T + z @ Tz[0].T
-    xs, ys, ms, carriers, zs, us, uts, scs, *stat = (
+            state = (state @ Ts[t - 1].T + utilde @ Tu[t - 1].T
+                     + z @ Tz[t - 1].T)
+    xs, ys, ms, carriers, zs, us, uts, scs, stat = (
         np.stack(seq, axis=1) for seq in zip(*rec))
     samples = [Rollout(x=xs[r], y=ys[r], m=ms[r], carrier=carriers[r],
-                       z=zs[r], u=us[r], u_tilde=uts[r],
-                       stat=stat[0][r] if has_stat else None,
+                       z=zs[r], u=us[r], u_tilde=uts[r], stat=stat[r],
                        step_costs=scs[r]) for r in range(keep)]
     return RolloutBatch(costs=costs, samples=tuple(samples))
 
@@ -337,9 +405,6 @@ def test_rollout_matches_the_literal_equations(p, mp, policy):
     assert_allclose(got.costs, want.costs, rtol=1e-12, atol=0)
     assert len(got.samples) == 5
     for field in vars(want.samples[0]):
-        if getattr(want.samples[0], field) is None:
-            assert all(getattr(ro, field) is None for ro in got.samples)
-            continue
         a, b = (np.stack([getattr(ro, field) for ro in batch.samples])
                 for batch in (got, want))
         assert a.shape == b.shape, field
@@ -357,9 +422,12 @@ def test_step_maps_do_not_depend_on_the_chunks(p, mp, policy, monkeypatch):
            else ZHistoryPolicy(random_theta_maps(ss.cs, rng, 0.3)))
     steps, records = sim._step_maps(p, mp, lg, pol)
     assert len(steps) == len(records) == p.T
-    maps, runs = pol.maps, []
-    monkeypatch.setattr(pol, "maps", lambda t0, t1: runs.append(t1 - t0)
-                        or maps(t0, t1))
+    stack, runs = sim._stack, []     # the steps of each stacked run
+
+    def counted(signals, cols, steps):
+        runs.append(steps)
+        return stack(signals, cols, steps)
+    monkeypatch.setattr(sim, "_stack", counted)
     for chunk in (1, 3):
         # an entry budget of ``chunk`` maps of v_t's width squared
         monkeypatch.setattr(sim, "RUN_STEPS", 1)
@@ -371,7 +439,8 @@ def test_step_maps_do_not_depend_on_the_chunks(p, mp, policy, monkeypatch):
             assert len(got) == len(want) == p.T
             assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
                        for a, b in zip(got, want)), chunk
-        assert max(runs) == (1 if pol.widens else min(chunk, max(1, p.T - 2)))
+        # both kinds of policy run steps 2..T-1 in stacked runs
+        assert max(runs) == min(chunk, max(1, p.T - 2)), chunk
     without = sim._step_maps(p, mp, lg, pol, records=False)
     assert without[1] == ()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(without[0], steps))
@@ -647,14 +716,13 @@ def test_innovation_orthogonal_to_estimate(scalar2):
     cs = ss.cs
     n = 100_000
     prims = draw_primitives(scalar2, seed=10, count=n)
-    pol = StatisticPolicy(ss)
+    L, Ts, Tu, Tz = StatisticPolicy(ss)
     x = prims.x1
     c = np.zeros((n, mp.d_carrier))
-    state = pol.init(n)
+    state = np.zeros((n, cs.d_state))
     for t in range(1, scalar2.T):
         y = x @ scalar2.C[t - 1].T + prims.wy[t - 1]
-        L, (Ts, Tu, Tz) = pol.maps(t, t + 1)
-        utilde = state @ L[0].T
+        utilde = state @ L[t - 1].T
         u = utilde + y @ ss.gains.G[t - 1].T
         z = c @ mp.zc.T + y @ mp.zy.T + u @ mp.zu.T
         innov = z - state @ cs.C[t - 1].T - utilde @ cs.protocol.zu.T
@@ -668,7 +736,7 @@ def test_innovation_orthogonal_to_estimate(scalar2):
                     assert abs(rho) < 0.02, (t, a, b, rho)
         x = x @ scalar2.A[t - 1].T + u @ scalar2.B[t - 1].T + prims.w0[t - 1]
         c = c @ mp.cc.T + y @ mp.cy.T + u @ mp.cu.T
-        state = state @ Ts[0].T + utilde @ Tu[0].T + z @ Tz[0].T
+        state = state @ Ts[t - 1].T + utilde @ Tu[t - 1].T + z @ Tz[t - 1].T
 
 
 def test_closed_loop_maps_match_rollout(scalar2):

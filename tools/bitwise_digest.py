@@ -28,16 +28,20 @@ pinned to one thread.  It covers:
   ``plant_kalman_covariances`` (as lists of per-step matrices, so a tuple
   and an array of the same matrices hash alike);
 * per demo, at random gains and under random observation-history maps
-  (``ZHistoryPolicy``): 50 ``rollout_coordinated`` rollouts, and through
-  ``declqg.oracles`` the ``closed_loop_maps`` to T and
-  ``gaussian_conditioning`` at every t;
+  (``ZHistoryPolicy``): 50 ``rollout_coordinated`` rollouts, the costs of
+  50 ``rollout_plant`` rollouts and every field but ``stat`` of 5 of them
+  kept (a history policy's ``stat`` was ``None`` before the policy's state
+  held the whole history), and through ``declqg.oracles`` the
+  ``closed_loop_maps`` to T and ``gaussian_conditioning`` at every t;
 * per delayed-sharing demo, at random gains: ``act`` at every step along 3
   kept ``rollout_plant`` rollouts, with the statistic advanced by
   ``step_statistic`` from each rollout's Z_t and Ut~_t, and the delayed
   statistic's ``vector()`` at every step along the same rollouts, run by
   a ``DelayedStatTracker``;
 * the solve-large workload at seeds 0 and 901: J, the sequences, every
-  ``delayed_stat_gains`` matrix, ``delayed_stat_map`` at every t,
+  ``delayed_stat_gains`` matrix, ``delayed_stat_map`` at every t (as a
+  list of per-step matrices, which versions before the stacked maps
+  returned one call at a time),
   ``closed_loop_cost_exact`` and the delayed statistic along 3 rollouts;
 * the mc-rollouts workload at seeds 0 and 901: the costs of a 20 000-rollout
   ``simulate`` and its kept samples;
@@ -121,12 +125,26 @@ def oracle_digests(out: dict, key: str, ss, rng) -> None:
     ro = dq.rollout_coordinated(cs, dq.ZHistoryPolicy(thetas), prims)
     out[f"{key}.rollout_coordinated"] = digest(
         [getattr(ro, f) for f in sorted(vars(ro))])
+    rb = dq.rollout_plant(cs.plant, cs.protocol, cs.gains,
+                          dq.ZHistoryPolicy(thetas), prims, keep=5)
+    out[f"{key}.rollout_plant.history.costs"] = digest(rb.costs)
+    out[f"{key}.rollout_plant.history.samples"] = digest(
+        [[getattr(ro, f) for f in sorted(vars(ro)) if f != "stat"]
+         for ro in rb.samples])
     jg = dq.oracles.closed_loop_maps(cs, thetas, cs.T)
     out[f"{key}.closed_loop_maps"] = digest(
         [jg.xtilde, jg.ytilde, jg.utilde])
     out[f"{key}.gaussian_conditioning"] = digest(
         [dq.oracles.gaussian_conditioning(cs, thetas, t)
          for t in range(1, cs.T + 1)])
+
+
+def stat_maps(cs, k) -> list:
+    """``delayed_stat_map`` at every t, as a list of matrices."""
+    try:
+        return list(dq.delayed_stat_map(cs, k))
+    except TypeError:     # versions that took t
+        return [dq.delayed_stat_map(cs, k, t) for t in range(1, cs.T + 1)]
 
 
 def kept_rollouts(ss):
@@ -211,8 +229,7 @@ def main() -> int:
         out[f"solve-large.{seed}.delayed_stat_gains"] = digest(
             list(dq.delayed_stat_gains(ss, wl.k)))
         out[f"solve-large.{seed}.delayed_stat_map"] = digest(
-            [dq.delayed_stat_map(ss.cs, wl.k, t)
-             for t in range(1, ss.cs.T + 1)])
+            stat_maps(ss.cs, wl.k))
         out[f"solve-large.{seed}.closed_loop_cost_exact"] = digest(
             dq.closed_loop_cost_exact(ss.cs, ss.Lgain, ss.filter_gain))
         tracker_digests(out, f"solve-large.{seed}", ss)

@@ -17,8 +17,9 @@ prints:
 * the worst relative gap between J and ``closed_loop_cost_exact``;
 * over the delayed-sharing cases, the worst relative gap between J and the
   exact cost of the paper's strategy on the delayed statistic S_t
-  (``DelayedStatPolicy`` of ``tests/test_estimator.py``), skipping the
-  cases where ``delayed_stat_gains`` raises ``UnsupportedProtocol``.
+  (``DelayedStatPolicy`` of ``tests/test_estimator.py``, a ``sim.Policy``),
+  skipping the cases where ``delayed_stat_gains`` raises
+  ``UnsupportedProtocol``.
 
 The instances depend only on the generator's code, so every checkout with
 that generator scans the same ones; the first 300 are the test's:

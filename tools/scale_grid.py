@@ -12,9 +12,8 @@ names of ``BENCHMARK.json``:
 The script imports the package from ``src/`` of the checkout it lives in and
 uses only the public API and perfbench's ``random_plant``, so a copy of it
 runs in an older checkout too, back to the first whose
-``solver.performance`` takes the filter gains; BLAS is pinned to one
-thread.  It picks and
-reports work; it is not a gate.  A speed-up is claimed only from
+``delayed_stat_map`` returns all T maps; BLAS is pinned to one thread.  It
+picks and reports work; it is not a gate.  A speed-up is claimed only from
 ``perfbench/sweep.py --against``.
 """
 
@@ -75,7 +74,7 @@ def point(n: int, d_x: int, k: int, T: int) -> dict:
         "coordination.closed_loop_cost_exact":
             lambda: dq.closed_loop_cost_exact(cs, ss.Lgain, ss.filter_gain),
         "estimator.delayed_stat_gains": lambda: dq.delayed_stat_gains(ss, k),
-        "estimator.delayed_stat_map": lambda: dq.delayed_stat_map(cs, k, T),
+        "estimator.delayed_stat_map": lambda: dq.delayed_stat_map(cs, k),
         "sim.simulate": lambda: dq.simulate(plant, mp, gains, ss,
                                             seed=next(seeds), count=ROLLOUTS),
     }
