@@ -4,8 +4,9 @@ After solving, each controller needs only its own current observation, its
 local memory, and a shared finite-dimensional statistic that every
 controller can update identically from broadcast data.  This script walks
 one closed-loop trajectory step by step, then shows the delayed-sharing
-shortcut: a statistic built from a strategy-independent Kalman predictor
-plus short windows, connected to the solver's statistic by an explicit
+shortcut: a statistic built from a strategy-independent Kalman predictor,
+the memory carrier at the same delayed time and a short window of
+coordinator actions, connected to the solver's statistic by an explicit
 matrix.
 """
 
@@ -52,10 +53,10 @@ for t in range(1, plant.T + 1):
 print(f"realized total cost {total:.3f} (expected {ss.J:.3f})")
 
 # -- the delayed-sharing shortcut ------------------------------------------
-# The statistic S_t = (delayed predictor, recent coordinator actions, recent
-# shared pairs) needs no solver quantities to update: its Kalman covariance
-# is strategy independent.  An explicit matrix turns it into the solver's
-# statistic.
+# The statistic S_t = (delayed predictor, memory carrier at the same delayed
+# time, recent coordinator actions) needs no solver quantities to update:
+# its Kalman covariance is strategy independent.  An explicit matrix turns
+# it into the solver's statistic.
 print(f"\ndelayed-sharing statistic for k={k}:")
 maps = dq.delayed_stat_map(cs, k)     # entry t-1 is the map at t
 print(f"  S_t dimension {maps.shape[2]}, map shape {maps[0].shape}")
@@ -63,8 +64,8 @@ print(f"  S_t dimension {maps.shape[2]}, map shape {maps[0].shape}")
 rb = dq.rollout_plant(plant, mp, gains, dq.StatisticPolicy(ss),
                       dq.draw_primitives(plant, seed=6, count=1), keep=1)
 ro = rb.samples[0]
-tracker = dq.DelayedStatTracker.create(plant, mp)
-worst = 0.0
+start = dq.DelayedStatTracker.create(plant, mp)   # an immutable value
+tracker, worst = start, 0.0
 for t in range(1, plant.T + 1):
     rebuilt = maps[t - 1] @ tracker.stat().vector()
     worst = max(worst, np.abs(rebuilt - ro.stat[t - 1]).max())
@@ -74,7 +75,7 @@ print(f"  max |statistic - M_map S| along a rollout: {worst:.2e}")
 gains_on_stat = dq.delayed_stat_gains(ss, k)
 print(f"  equivalent gains on S_t have shape {gains_on_stat[2].shape}; "
       "actions computed either way agree:")
-tracker = dq.DelayedStatTracker.create(plant, mp)
+tracker = start
 for t in range(1, plant.T + 1):
     via_stat = gains_on_stat[t - 1] @ tracker.stat().vector()
     via_solver = ss.Lgain[t - 1] @ ro.stat[t - 1]

@@ -155,13 +155,18 @@ class CoordinatedSystem:
         return self.plant.T
 
 
-def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
-          ) -> CoordinatedSystem:
-    """Assemble the coordinated system for fixed local gains, all t at once."""
+def _check_fits(plant: PlantModel, mp: MemoryProtocol) -> None:
+    """Raise ``DimMismatch`` unless ``mp`` fits ``plant``'s n, T, d_y, d_u."""
     if mp.n != plant.n or mp.T != plant.T:
         raise DimMismatch("protocol and plant disagree on n or T")
     if tuple(mp.d_y) != tuple(plant.d_y) or tuple(mp.d_u) != tuple(plant.d_u):
         raise DimMismatch("protocol and plant disagree on signal dims")
+
+
+def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
+          ) -> CoordinatedSystem:
+    """Assemble the coordinated system for fixed local gains, all t at once."""
+    _check_fits(plant, mp)
     T, d_x, d_y, d_u = plant.T, plant.d_x, plant.d_y_total, plant.d_u_total
     d_c, d_z = mp.d_carrier, mp.d_z
     d = d_x + d_c

@@ -7,12 +7,13 @@ Three statistics appear here:
   state estimate.
 * the plant-level one-step-ahead Kalman predictor, whose covariance and
   gains never read the local gains (strategy independent, precomputable);
-* the delayed-sharing statistic S_t = (the predictor delayed to
-  t - k + 1, recent coordinator actions, recent shared observation/action
-  pairs), one vector with windows padded by zeros before the pipeline
-  fills.  It moves by one gain-independent linear map per step, and
-  ``stat`` is an explicit linear function of it, one map per t, all
-  returned at once by ``delayed_stat_map``.
+* the delayed-sharing statistic S_t = (the coordinator's state estimate
+  at tau = t - k + 1, recent coordinator actions): the predictor
+  xhat_{tau|tau-1}, the protocol's carrier c_tau (all of its pairs are
+  common at t) and the Ut~ window, one vector, zero before tau = 1.  It
+  moves by one gain-independent linear map per step, and ``stat`` is an
+  explicit linear function of it, one map per t, all returned at once by
+  ``delayed_stat_map``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .core import (DEFAULT_RTOL, DimMismatch, TimeOutOfRange,
                    UnsupportedProtocol, as_index, as_vector, read_only)
-from .coordination import CoordinatedSystem
+from .coordination import CoordinatedSystem, _check_fits
 from .plant import PlantModel
 from .solver import SolvedStrategy, _check_one_strategy, _filter_sweep
 
@@ -44,32 +45,25 @@ def initial_state(cs: CoordinatedSystem) -> EstimatorState:
     return EstimatorState(1, np.zeros(cs.d_x + cs.d_c))
 
 
-def statistic_transition(ss: SolvedStrategy, t: int | None = None):
-    """Matrices (Ts, Tu, Tz) with stat_{t+1} = Ts stat_t + Tu Ut~ + Tz Z_t;
-    without ``t``, each stacked over t = 1..T-1."""
-    cs = ss.cs
+def statistic_transition(ss: SolvedStrategy):
+    """Matrices (Ts, Tu, Tz), each stacked over t = 1..T-1, with stat_{t+1}
+    = Ts stat_t + Tu Ut~ + Tz Z_t."""
+    cs, gain = ss.cs, ss.filter_gain
     _check_one_strategy(cs)
-    if t is None:
-        at = slice(0, cs.T - 1)
-    else:
-        t = as_index(t, "t")
-        if not 1 <= t < cs.T:
-            raise TimeOutOfRange(f"no transition out of t={t} (T={cs.T})")
-        at = t - 1
-    gain = ss.filter_gain[at]
-    return (cs.A[at] - gain @ cs.C[at], cs.B[at] - gain @ cs.protocol.zu,
-            gain)
+    return cs.A[:-1] - gain @ cs.C, cs.B[:-1] - gain @ cs.protocol.zu, gain
 
 
 def step_statistic(st: EstimatorState, ss: SolvedStrategy, z_new,
                    u_tilde_prev) -> EstimatorState:
     """Advance the statistic with the newly shared increment Z_t (one
     step of the coordinator's filter)."""
-    cs = ss.cs
+    cs, t = ss.cs, as_index(st.t, "t")
+    if not 1 <= t < cs.T:
+        raise TimeOutOfRange(f"no transition out of t={t} (T={cs.T})")
     z = as_vector(z_new, cs.d_z, "z_new")
     u = as_vector(u_tilde_prev, cs.d_u, "u_tilde_prev")
-    Ts, Tu, Tz = statistic_transition(ss, st.t)
-    return EstimatorState(st.t + 1, Ts @ st.stat + Tu @ u + Tz @ z)
+    Ts, Tu, Tz = (m[t - 1] for m in statistic_transition(ss))
+    return EstimatorState(t + 1, Ts @ st.stat + Tu @ u + Tz @ z)
 
 
 def act(st: EstimatorState, ss: SolvedStrategy, y_local, m_local):
@@ -123,9 +117,10 @@ def effective_delay(mp) -> int:
 
 @dataclass(frozen=True)
 class ReducedDelayStat:
-    """S_t = (xhat_{t-k+1|t-k}, Ut~ window, Y window, U window) as one
-    vector.  Windows hold k - 1 entries each, oldest first, zero padded
-    before the pipeline fills (empty for k = 1)."""
+    """S_t = (xhat_{tau|tau-1}, c_tau, Ut~_tau..Ut~_{t-1}), tau = t - k + 1,
+    as one vector: the coordinator's state estimate at tau, whose carrier
+    holds only pairs common at t, and the k - 1 coordinator actions since,
+    oldest first; zero for steps before 1 (empty window for k = 1)."""
 
     k: int
     value: np.ndarray
@@ -134,36 +129,34 @@ class ReducedDelayStat:
         return self.value
 
 
-def delay_stat_dim(plant: PlantModel, k: int) -> int:
-    return plant.d_x + (k - 1) * (2 * plant.d_u_total + plant.d_y_total)
-
-
-def _delay_transition(plant: PlantModel, k: int, rtol: float):
+def _delay_transition(plant: PlantModel, mp, k: int, rtol: float):
     """Read-only (Ts, Tu, Tp), each stacked over t = 1..T, with S_{t+1} =
-    Ts S_t + Tu Ut~_t + Tp (Y_tau, U_tau), tau = t - k + 1.  The predictor
-    block is A_tau - K_tau C_tau, K the gains of ``plant_kalman_covariances``
-    (strategy independent), and each window drops its oldest entry for the
-    newest.  For t < k the predictor rows stay zero: xhat and the pad pair
-    are still zero there."""
-    T, d_x, d_u, d_y = plant.T, plant.d_x, plant.d_u_total, plant.d_y_total
-    dim, tau = delay_stat_dim(plant, k), slice(0, max(0, T - k + 1))
-    Ts, Tu, Tp = (np.zeros((T, dim, w)) for w in (dim, d_u, d_y + d_u))
+    Ts S_t + Tu Ut~_t + Tp (Y_tau, U_tau), tau = t - k + 1.  The (xhat, c)
+    rows move by blkdiag(A_tau - K_tau C_tau, cc) and take [[K_tau, B_tau],
+    [cy, cu]] of the pair, K the gains of ``plant_kalman_covariances``
+    (strategy independent); they stay zero for t < k, before tau = 1.  The
+    Ut~ window drops its oldest entry for the newest."""
+    T, d_x, d_u = plant.T, plant.d_x, plant.d_u_total
+    d = d_x + mp.d_carrier
+    dim, tau = d + (k - 1) * d_u, slice(0, max(0, T - k + 1))
+    Ts, Tu, Tp = (np.zeros((T, dim, w))
+                  for w in (dim, d_u, plant.d_y_total + d_u))
     K = plant_kalman_covariances(plant, rtol)[1][tau]
     Ts[k - 1:, :d_x, :d_x] = plant.A[tau] - K @ plant.C[tau]
+    Ts[k - 1:, d_x:d, d_x:d] = mp.cc
     Tp[k - 1:, :d_x] = np.concatenate([K, plant.B[tau]], axis=2)
-    y0 = d_x + (k - 1) * d_u
-    windows = ((d_x, d_u, Tu), (y0, d_y, Tp[..., :d_y]),
-               (y0 + (k - 1) * d_y, d_u, Tp[..., d_y:]))
-    for lo, w, new in windows if k > 1 else ():
-        top = lo + (k - 2) * w          # the newest entry's first row
-        Ts[:, lo:top, lo + w:top + w] = np.eye(top - lo)
-        new[:, top:top + w] = np.eye(w)
+    Tp[k - 1:, d_x:d] = np.concatenate([mp.cy, mp.cu], axis=1)
+    if k > 1:
+        Ts[:, d:dim - d_u, d + d_u:] = np.eye(dim - d - d_u)
+        Tu[:, dim - d_u:] = np.eye(d_u)
     return read_only(Ts), read_only(Tu), read_only(Tp)
 
 
 @dataclass(frozen=True)
 class DelayedStatTracker:
-    """Pure-value runtime for S_t; ``advance`` returns the next tracker.
+    """Pure-value runtime for S_t; ``advance`` returns the next tracker and
+    leaves this one as it was, so one tracker made by ``create`` (which
+    runs the plant's filter sweep) can start any number of walks.
 
     ``state`` is S_t and ``pending`` the k - 1 shared (Y_s, U_s) pairs not
     yet common, s = t-k+1..t-1, oldest first, zero for s < 1.  Each step is
@@ -180,10 +173,12 @@ class DelayedStatTracker:
     @staticmethod
     def create(plant: PlantModel, mp, rtol: float = DEFAULT_RTOL
                ) -> "DelayedStatTracker":
+        _check_fits(plant, mp)
         k = effective_delay(mp)
+        transition = _delay_transition(plant, mp, k, rtol)
         return DelayedStatTracker(
-            plant=plant, k=k, t=1, transition=_delay_transition(plant, k, rtol),
-            state=read_only(np.zeros(delay_stat_dim(plant, k))),
+            plant=plant, k=k, t=1, transition=transition,
+            state=read_only(np.zeros(transition[0].shape[1])),
             pending=np.zeros((k - 1, plant.d_y_total + plant.d_u_total)))
 
     def stat(self) -> ReducedDelayStat:
@@ -213,7 +208,7 @@ def _check_stat_delay(cs: CoordinatedSystem, k: int) -> int:
         # the construction conditions the delayed state estimate on data up
         # to t - k*; if some controller's data becomes common sooner, the
         # shared history holds fresher information than the statistic's
-        # windows and the exact statistic is not a function of them
+        # carrier and the exact statistic is not a function of it
         kstars = {mp.delay_graph.k_star(j) for j in range(mp.n)}
         if len(kstars) > 1:
             raise UnsupportedProtocol(
@@ -225,57 +220,27 @@ def _check_stat_delay(cs: CoordinatedSystem, k: int) -> int:
     return k
 
 
-def _window_map(cs: CoordinatedSystem, k: int) -> np.ndarray:
-    """Map from S_t to (xhat, carrier) at t - k + 1, every window pair live.
-
-    The carrier at tau = t - k + 1 is sum_j cc^j (cy Y + cu U) over the pairs
-    shared at tau - 1 - j, j = 0..k-2, which are S_t's window entries
-    k - 2 - j (oldest first); cc^(k-1) = 0 for delayed sharing.  The map
-    does not depend on t.
-    """
-    plant, mp = cs.plant, cs.protocol
-    d_x, d_u, d_y = plant.d_x, plant.d_u_total, plant.d_y_total
-    y0 = d_x + (k - 1) * d_u
-    u0 = y0 + (k - 1) * d_y
-    base = np.zeros((d_x + cs.d_c, delay_stat_dim(plant, k)))
-    base[:d_x, :d_x] = np.eye(d_x)
-    power = np.eye(cs.d_c)      # cc^j
-    for w in range(k - 2, -1, -1):
-        base[d_x:, y0 + w * d_y:y0 + (w + 1) * d_y] = power @ mp.cy
-        base[d_x:, u0 + w * d_u:u0 + (w + 1) * d_u] = power @ mp.cu
-        power = power @ mp.cc
-    return base
-
-
 def _pullback(cs: CoordinatedSystem, k: int, G: np.ndarray) -> np.ndarray:
     """Rows G[t-1] @ M(t), t = 1..T, of the maps taking S_t to stat at t,
     for a checked k, without forming the maps; one (T, rows, dim S_t) array.
 
-    M(t) for t >= k starts at tau = t - k + 1 from ``_window_map`` with the
-    window entries of pairs from before t = 1 zeroed (tau < k); for t < k it
-    starts from zero at s = 1, before the pipeline fills.  Each step
-    s = max(tau, 1)..t-1 maps the estimate through A~_s and adds B~_s into
-    the columns of S_t's Ut~_s entry.  G is pulled back through the steps
-    in reverse: step s writes G B~_s into that entry and sets G = G A~_s;
-    for t >= k, G W is then added and the early columns zeroed, which no
-    step writes.  Pullback step j reads step t-1-j and writes Ut~ entry
-    k-2-j for every t >= j + 2, so it is one stacked product over those
-    rows; a stacked matmul runs the 2-d product on each, which keeps each
-    row's bits.  One ``+= 0.0`` at the end makes every zero +0.0.
+    M(t) starts from [I, 0] at tau = t - k + 1 (S_t's first d_state
+    entries are the coordinator's estimate at tau), or for t < k from zero
+    at s = 1; each step s = max(tau, 1)..t-1 maps it through A~_s and adds
+    B~_s into the columns of S_t's Ut~_s entry.  In reverse, step s writes
+    G B~_s into that entry and sets G = G A~_s; what is left of G is the
+    (xhat, c) block of rows t >= k.  Pullback step j reads step t-1-j of
+    every t >= j + 2, so it is one stacked product over those rows; a
+    stacked matmul runs the 2-d product on each, which keeps each row's
+    bits.  One ``+= 0.0`` at the end makes every zero +0.0.
     """
-    d_x, d_u, window = cs.plant.d_x, cs.d_u, _window_map(cs, k)
-    out = np.zeros(G.shape[:2] + window.shape[1:])
+    d, d_u = cs.d_state, cs.d_u
+    out = np.zeros(G.shape[:2] + (d + (k - 1) * d_u,))
     for j in range(k - 1):
-        G, w = G[1:], d_x + (k - 2 - j) * d_u   # row t = j + 1 drops out
+        G, w = G[1:], d + (k - 2 - j) * d_u     # row t = j + 1 drops out
         out[j + 1:, :, w:w + d_u] = G @ cs.B[:len(G)]
         G = G @ cs.A[:len(G)]
-    out[k - 1:] += G @ window                   # rows t >= k
-    y0, d_y = d_x + (k - 1) * d_u, cs.plant.d_y_total   # Y, then U window
-    u0 = y0 + (k - 1) * d_y
-    for t in range(k, min(len(out), 2 * k - 2) + 1):
-        early = 2 * k - 1 - t       # entries of pairs from before t = 1
-        out[t - 1, :, y0:y0 + early * d_y] = 0.0
-        out[t - 1, :, u0:u0 + early * d_u] = 0.0
+    out[k - 1:, :, :d] = G                      # rows t >= k
     out += 0.0
     return out
 
@@ -284,9 +249,8 @@ def delayed_stat_map(cs: CoordinatedSystem, k: int) -> np.ndarray:
     """Read-only (T, d_state, dim S_t) array: entry t-1 takes the delayed
     statistic S_t to stat at time t.
 
-    Built constructively: rebuild the coordinator's estimate at time
-    t - k + 1 out of S_t (the X part from xhat, the carrier as the
-    protocol's linear image of the shared window pairs), then propagate the
+    Built constructively: read the coordinator's estimate at time
+    t - k + 1 off S_t (its first d_state entries), then propagate the
     coordinated dynamics with the windowed coordinator actions and zero-mean
     noise.  Computed as the pullback of the identity through those steps.
     """

@@ -13,8 +13,7 @@ from declqg import (StatisticPolicy, DelayGraph, DelayedStatTracker, DimMismatch
                     step_statistic, DEFAULT_RTOL, TimeOutOfRange, token_trace)
 from declqg.cli import DEMOS, load_scenario, strategy_to_doc
 from declqg.estimator import (EstimatorState, _delay_transition,
-                              delay_stat_dim, effective_delay,
-                              statistic_transition)
+                              effective_delay, statistic_transition)
 from declqg.sim import Policy, _moment_cost
 
 from conftest import check_generated, random_plant, scalar_two_controller
@@ -199,8 +198,8 @@ def test_statistic_transition_depends_on_gains(scalar2):
     rng = np.random.default_rng(27)
     ss1 = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
     ss2 = solve(scalar2, mp, LocalGains.random(scalar2, mp, rng, 0.5))
-    t1 = statistic_transition(ss1, 2)[0]
-    t2 = statistic_transition(ss2, 2)[0]
+    t1 = statistic_transition(ss1)[0][1]
+    t2 = statistic_transition(ss2)[0][1]
     assert np.abs(t1 - t2).max() > 1e-6
 
 
@@ -228,13 +227,12 @@ def test_reduced_stat_k2_window_bookkeeping(scalar2):
     uts = [rng.standard_normal(2) for _ in range(3)]
     for t in range(3):
         tracker = tracker.advance(ys[t], us[t], uts[t])
-    # at t = 4 (k = 2): S_4 = (xhat_{3|2}, Ut~_3, Y_2, U_2), d_x = 1,
-    # d_u = d_y = 2
+    # at t = 4 (k = 2): S_4 = (xhat_{3|2}, c_3, Ut~_3), d_x = 1, and c_3
+    # holds each controller's pair of step 2, Y^i then U^i
     v = tracker.stat().vector()
     assert v.shape == (7,)
-    assert_allclose(v[1:3], uts[2])
-    assert_allclose(v[3:5], ys[1])
-    assert_allclose(v[5:7], us[1])
+    assert_allclose(v[1:5], [ys[1][0], us[1][0], ys[1][1], us[1][1]])
+    assert_allclose(v[5:7], uts[2])
     _, gains = plant_kalman_covariances(scalar2)
     xhat = _predictor_step(scalar2, gains, np.zeros(1), 1, ys[0], us[0])
     xhat = _predictor_step(scalar2, gains, xhat, 2, ys[1], us[1])
@@ -255,12 +253,19 @@ def test_tracker_rejects_advance_past_the_horizon(scalar2, k):
         tracker.advance(ones, ones, ones)
 
 
+def _step_at(ss, t):
+    """``step_statistic`` out of a zero statistic at time ``t``."""
+    cs = ss.cs
+    return step_statistic(EstimatorState(t, initial_state(cs).stat), ss,
+                          np.ones(cs.d_z), np.ones(cs.d_u))
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda cs, ss: delayed_stat_map(cs, 2.0), "k"),
     (lambda cs, ss: delayed_stat_gains(ss, 2.0), "k"),
     (lambda cs, ss: delayed_stat_gains(ss, True), "k"),
-    (lambda cs, ss: statistic_transition(ss, 1.0), "t"),
-    (lambda cs, ss: statistic_transition(ss, True), "t")],
+    (lambda cs, ss: _step_at(ss, 1.0), "t"),
+    (lambda cs, ss: _step_at(ss, True), "t")],
     ids=["map-float-k", "gains-float-k",
          "gains-bool-k", "transition-float-t", "transition-bool-t"])
 def test_delayed_stat_calls_reject_non_integer_t_and_k(call, name):
@@ -278,15 +283,14 @@ def test_delayed_stat_calls_take_numpy_integers():
                           delayed_stat_map(ss.cs, 2))
     assert all(np.array_equal(a, b) for a, b in zip(
         delayed_stat_gains(ss, two), delayed_stat_gains(ss, 2)))
-    for a, b in zip(statistic_transition(ss, two),
-                    statistic_transition(ss, 2)):
-        assert np.array_equal(a, b)
+    a, b = _step_at(ss, two), _step_at(ss, 2)
+    assert a.t == b.t == 3 and np.array_equal(a.stat, b.stat)
 
 
 @pytest.mark.parametrize("call", [
     lambda ss: delayed_stat_gains(ss, 2),
     lambda ss: delayed_stat_map(ss.cs, 2),
-    lambda ss: statistic_transition(ss, 2),
+    lambda ss: statistic_transition(ss),
     lambda ss: act(initial_state(ss.cs), ss,
                    [np.zeros(d) for d in ss.cs.plant.d_y],
                    [np.zeros(d) for d in ss.cs.protocol.d_m]),
@@ -381,8 +385,10 @@ def test_asymmetric_reduced_stat_heterogeneous_delays():
     g = DelayGraph.create([[1, 1, 2], [1, 1, 1], [2, 1, 1]])
     mp = build_asymmetric_delay(p, g)
     assert effective_delay(mp) == 2
+    # k* = (2, 1, 2): controllers 0 and 2 each carry one pair
+    assert mp.d_carrier == 4
     tracker = DelayedStatTracker.create(p, mp)
-    assert tracker.stat().vector().shape[0] == 2 + 1 * (3 + 3 + 3)
+    assert tracker.stat().vector().shape[0] == 2 + 4 + 1 * 3
     cs = build(p, mp, LocalGains.zeros(p, mp))
     with pytest.raises(UnsupportedProtocol):
         delayed_stat_map(cs, 2)
@@ -410,83 +416,76 @@ def test_asymmetric_reduced_stat_uniform_worst_case_delay():
                                       ro.u_tilde[t - 1])
 
 
-def _token_window(cs, k, t):
-    """(xhat, carrier) at tau = t - k + 1 >= 1 as a map of S_t: the carrier
-    slots are matched to S_t's window entries through the protocol's
-    symbolic tokens."""
-    plant = cs.plant
-    d_x, d_u, d_y = plant.d_x, plant.d_u_total, plant.d_y_total
-    offsets = {"y": np.cumsum((0,) + plant.d_y), "u": np.cumsum((0,) + plant.d_u)}
-    y0 = d_x + (k - 1) * d_u
-    window = {"y": (y0, d_y), "u": (y0 + (k - 1) * d_y, d_u)}
-    base = np.zeros((d_x + cs.d_c, delay_stat_dim(plant, k)))
-    base[:d_x, :d_x] = np.eye(d_x)
-    for r, tok in enumerate(token_trace(cs.protocol).carrier[t - k + 1]):
-        if tok is not None:
-            kind, i, s, comp = tok
-            first, width = window[kind]
-            col = first + (s - (t - 2 * k + 2)) * width
-            base[d_x + r, col + offsets[kind][i] + comp] = 1.0
-    return base
+def _stat_dim(cs, k):
+    """dim S_t: the coordinator's state, then k - 1 Ut~ entries."""
+    return cs.d_state + (k - 1) * cs.d_u
 
 
-def _token_steps(cs, k, t):
+def _start_map(cs, k):
+    """[I, 0]: the coordinator's state estimate at tau = t - k + 1 >= 1 as
+    a map of S_t."""
+    return np.eye(cs.d_state, _stat_dim(cs, k))
+
+
+def _ref_steps(cs, k, t):
     """The steps s = max(tau, 1)..t-1 of the map to stat at t, with the
     columns of S_t's Ut~_s entry."""
-    d_x, d_u, tau = cs.plant.d_x, cs.plant.d_u_total, t - k + 1
-    return [(s, slice(d_x + (s - tau) * d_u, d_x + (s - tau + 1) * d_u))
+    d, d_u, tau = cs.d_state, cs.d_u, t - k + 1
+    return [(s, slice(d + (s - tau) * d_u, d + (s - tau + 1) * d_u))
             for s in range(max(tau, 1), t)]
 
 
-def _token_stat_map(cs, k, t):
-    """Reference for ``delayed_stat_map``: the token window (zero for
-    t < k, before the pipeline fills) stepped forward in product form."""
-    dim_s = delay_stat_dim(cs.plant, k)
-    emap = (_token_window(cs, k, t) if t >= k
+def _ref_stat_map(cs, k, t):
+    """Reference for ``delayed_stat_map``: the start map (zero for t < k,
+    before the pipeline fills) stepped forward in product form."""
+    dim_s = _stat_dim(cs, k)
+    emap = (_start_map(cs, k) if t >= k
             else np.zeros((cs.d_state, dim_s)))
-    for s, cols in _token_steps(cs, k, t):
-        sel = np.zeros((cs.plant.d_u_total, dim_s))
-        sel[:, cols] = np.eye(cs.plant.d_u_total)
+    for s, cols in _ref_steps(cs, k, t):
+        sel = np.zeros((cs.d_u, dim_s))
+        sel[:, cols] = np.eye(cs.d_u)
         emap = cs.A[s - 1] @ emap + cs.B[s - 1] @ sel
     return emap
 
 
-def _token_pullback(cs, lgain, k, t):
+def _ref_pullback(cs, lgain, k, t):
     """Reference for ``delayed_stat_gains`` and ``delayed_stat_map``: the
     rows ``lgain`` (L~_t, or the identity) pulled back, one 2-d product at
-    a time, through the token map's steps in reverse, then through the
-    token window; every zero made +0.0."""
-    out = np.zeros((len(lgain), delay_stat_dim(cs.plant, k)))
+    a time, through the reference map's steps in reverse, then through the
+    start map; every zero made +0.0."""
+    out = np.zeros((len(lgain), _stat_dim(cs, k)))
     g = lgain
-    for s, cols in reversed(_token_steps(cs, k, t)):
+    for s, cols in reversed(_ref_steps(cs, k, t)):
         out[:, cols] = g @ cs.B[s - 1]
         g = g @ cs.A[s - 1]
     if t >= k:
-        out += g @ _token_window(cs, k, t)
+        out += g @ _start_map(cs, k)
     out += 0.0
     return out
 
 
 def _check_gains(gains, cs, lgain, k, t, ref):
-    """``gains`` of step t are bitwise the 2-d token pullback of ``lgain``
-    and within 1e-13 (relative) of ``lgain @ ref``, ``ref`` the token map."""
-    assert _same_bits(gains, _token_pullback(cs, lgain, k, t)), t
+    """``gains`` of step t are bitwise the 2-d reference pullback of
+    ``lgain`` and within 1e-13 (relative) of ``lgain @ ref``, ``ref`` the
+    reference map."""
+    assert _same_bits(gains, _ref_pullback(cs, lgain, k, t)), t
     want = lgain @ ref
     gap = np.abs(gains - want).max() / max(1.0, np.abs(want).max())
     assert gap <= 1e-13, (t, gap)
 
 
 def _check_map(mmap, cs, k, t, ref):
-    """``mmap`` of step t is bitwise the 2-d token pullback of the identity
-    and within 1e-13 (relative) of ``ref``, the product-form token map."""
+    """``mmap`` of step t is bitwise the 2-d reference pullback of the
+    identity and within 1e-13 (relative) of ``ref``, the product-form
+    reference map."""
     _check_gains(mmap, cs, np.eye(cs.d_state), k, t, ref)
 
 
 @pytest.mark.parametrize("protocol", ["sym-1", "sym-2", "sym-3", "sym-4",
                                       "wide-3", "asym-equal"])
 def test_delayed_stat_gains_equal_per_step_maps(protocol):
-    # both are bitwise the 2-d token pullback (of L~_t, of the identity)
-    # and within 1e-13 of the token-based reference map
+    # both are bitwise the 2-d reference pullback (of L~_t, of the
+    # identity) and within 1e-13 of the product-form reference map
     if protocol == "asym-equal":
         p = _three_controller_plant()
         mp = build_asymmetric_delay(
@@ -503,14 +502,15 @@ def test_delayed_stat_gains_equal_per_step_maps(protocol):
     maps = delayed_stat_map(ss.cs, k)
     assert len(gains) == p.T
     for t in range(1, p.T + 1):
-        ref = _token_stat_map(ss.cs, k, t)
+        ref = _ref_stat_map(ss.cs, k, t)
         _check_map(maps[t - 1], ss.cs, k, t, ref)
         _check_gains(gains[t - 1], ss.cs, ss.Lgain[t - 1], k, t, ref)
 
 
 def _stat_run_cases():
-    """(k, T, kind): T = k, 2k - 1 (the last map with a masked window) and
-    40, under symmetric and equal-k* asymmetric delayed sharing."""
+    """(k, T, kind): T = k, 2k - 1 (the last t whose carrier at tau is
+    partly the zero pad from before t = 1) and 40, under symmetric and
+    equal-k* asymmetric delayed sharing."""
     for k in (1, 2, 3, 4):
         for T in sorted({k, 2 * k - 1, 40}):
             for kind in ("sym", "asym-equal"):
@@ -519,9 +519,9 @@ def _stat_run_cases():
 
 @pytest.mark.parametrize("k, T, kind", list(_stat_run_cases()))
 def test_stacked_stat_maps_across_run_edges(k, T, kind):
-    # the gains' pullback steps are stacked over every t, across the
-    # masked-window edge t = 2k - 1; time-varying A~ and B~, so a t that
-    # reads another step's shows
+    # the gains' pullback steps are stacked over every t, across the edges
+    # t = k and 2k - 1; time-varying A~ and B~, so a t that reads another
+    # step's shows
     p = random_plant(np.random.default_rng([52, k, T]), n=2, d_y=(2, 1),
                      d_u=(1, 2), T=T, time_varying=True)
     mp = (build_symmetric_delay(p, k) if kind == "sym" else
@@ -531,7 +531,7 @@ def test_stacked_stat_maps_across_run_edges(k, T, kind):
     gains = delayed_stat_gains(ss, k)
     maps = delayed_stat_map(ss.cs, k)
     for t in range(1, T + 1):
-        ref = _token_stat_map(ss.cs, k, t)
+        ref = _ref_stat_map(ss.cs, k, t)
         _check_map(maps[t - 1], ss.cs, k, t, ref)
         _check_gains(gains[t - 1], ss.cs, ss.Lgain[t - 1], k, t, ref)
 
@@ -550,7 +550,7 @@ def test_stat_maps_turn_underflowed_zeros_positive(k):
     gains = delayed_stat_gains(replace(ss, cs=cs), k)
     maps = delayed_stat_map(cs, k)
     for t in range(1, p.T + 1):
-        ref = _token_stat_map(cs, k, t)
+        ref = _ref_stat_map(cs, k, t)
         _check_map(maps[t - 1], cs, k, t, ref)
         _check_gains(gains[t - 1], cs, ss.Lgain[t - 1], k, t, ref)
     # L~_t and B~_s = -+1e-200 instead: the gains' G B~_s products
@@ -560,7 +560,7 @@ def test_stat_maps_turn_underflowed_zeros_positive(k):
     gains = delayed_stat_gains(ss, k)
     for t in range(1, p.T + 1):
         _check_gains(gains[t - 1], cs, ss.Lgain[t - 1], k, t,
-                     _token_stat_map(cs, k, t))
+                     _ref_stat_map(cs, k, t))
 
 
 def _same_bits(a, b):
@@ -569,22 +569,22 @@ def _same_bits(a, b):
                                                    np.signbit(b))
 
 
-def _check_maps_and_gains_against_tokens(p, mp, k, seed):
+def _check_maps_and_gains_against_reference(p, mp, k, seed):
     ss = solve(p, mp, LocalGains.random(p, mp, np.random.default_rng(
         [seed, 2]), 0.3))
     gains = delayed_stat_gains(ss, k)
     maps = delayed_stat_map(ss.cs, k)
     for t in range(1, p.T + 1):
-        ref = _token_stat_map(ss.cs, k, t)
+        ref = _ref_stat_map(ss.cs, k, t)
         _check_map(maps[t - 1], ss.cs, k, t, ref)
         _check_gains(gains[t - 1], ss.cs, ss.Lgain[t - 1], k, t, ref)
 
 
 def test_delayed_stat_maps_and_gains_equal_token_maps_on_generated():
-    # bitwise the token pullback and within 1e-13 of the token maps, on
-    # generated symmetric and equal-k* asymmetric instances
+    # bitwise the reference pullback and within 1e-13 of the reference
+    # maps, on generated symmetric and equal-k* asymmetric instances
     check_generated(_delayed_sharing_cases, 1104, 50,
-                    _check_maps_and_gains_against_tokens)
+                    _check_maps_and_gains_against_reference)
 
 
 def _delayed_sharing_cases(rng):
@@ -615,10 +615,10 @@ def _delayed_protocol(rng, p, k):
 
 def test_delayed_stat_gains_equal_token_pullback_on_generated():
     # time-varying plants with some d_u^i = 2: the maps and gains are
-    # bitwise the 2-d token pullback of the identity and of L~_t, and within
-    # 1e-13 of the token map and of L~_t times it
+    # bitwise the 2-d reference pullback of the identity and of L~_t, and
+    # within 1e-13 of the reference map and of L~_t times it
     check_generated(_pullback_cases, 1105, 200,
-                    _check_maps_and_gains_against_tokens)
+                    _check_maps_and_gains_against_reference)
 
 
 def _pullback_cases(rng):
@@ -662,13 +662,57 @@ def _check_delayed_stat_actions(p, mp, k, seed):
                                       ro.u_tilde[t - 1])
 
 
+def test_tracker_holds_the_coordinators_state_at_tau_on_generated():
+    # S_t starts with (xhat_{tau|tau-1}, c_tau), tau = t - k + 1: along
+    # kept rollouts the carrier block is bitwise the rollout's carrier at
+    # tau, the predictor block the plant predictor's, both zero for t < k
+    check_generated(_pullback_cases, 1108, 200, _check_tracker_state)
+
+
+def _check_tracker_state(p, mp, k, seed):
+    lg = LocalGains.random(p, mp, np.random.default_rng([seed, 3]), 0.3)
+    ss = solve(p, mp, lg)
+    rb = rollout_plant(p, mp, lg, StatisticPolicy(ss),
+                       draw_primitives(p, seed=seed, count=3), keep=3)
+    _, gains = plant_kalman_covariances(p)
+    start = DelayedStatTracker.create(p, mp)
+    d_x, d = p.d_x, p.d_x + mp.d_carrier
+    for ro in rb.samples:
+        tracker, xhat = start, np.zeros(d_x)    # xhat_{tau|tau-1}
+        for t in range(1, p.T + 1):
+            v, tau = tracker.stat().vector(), t - k + 1
+            if tau >= 2:
+                xhat = _predictor_step(p, gains, xhat, tau - 1,
+                                       ro.y[tau - 2], ro.u[tau - 2])
+            carrier = ro.carrier[tau - 1] if tau >= 1 else np.zeros(d - d_x)
+            assert _same_bits(v[d_x:d], carrier), (t, v[d_x:d], carrier)
+            gap = np.abs(v[:d_x] - xhat).max(initial=0.0)
+            assert gap <= 1e-12 * max(1.0, np.abs(xhat).max(initial=0.0)), \
+                (t, gap)
+            tracker = tracker.advance(ro.y[t - 1], ro.u[t - 1],
+                                      ro.u_tilde[t - 1])
+
+
+@pytest.mark.parametrize("other", [
+    dict(n=3, d_y=(1, 1, 1), d_u=(1, 1, 1)), dict(T=6), dict(d_y=(2, 1)),
+    dict(d_u=(1, 2))], ids=["n", "T", "d_y", "d_u"])
+def test_tracker_rejects_a_protocol_built_for_another_plant(scalar2, other):
+    # the tracker's maps come from both; at these sizes numpy would raise
+    # an untyped error or build a statistic for the wrong plant
+    q = random_plant(np.random.default_rng(57), **{
+        "n": 2, "d_x": 1, "d_y": (1, 1), "d_u": (1, 1), "T": 5, **other})
+    with pytest.raises(DimMismatch, match="protocol and plant disagree"):
+        DelayedStatTracker.create(scalar2, build_symmetric_delay(q, 2))
+
+
 def DelayedStatPolicy(ss, k):
     """The paper's strategy on the delayed-sharing statistic: Ut~_t = L_t S_t
     with L = ``delayed_stat_gains(ss, k)``, S_t moved by
     ``_delay_transition`` (no transition out of T), as a ``sim.Policy``.
     The pair (Y_tau, U_tau), tau = t - k + 1, that S_{t+1} takes is Z_t,
     so Tz = Tp Pi, Pi from ``_pair_layout``."""
-    Ts, Tu, Tp = _delay_transition(ss.cs.plant, k, DEFAULT_RTOL)
+    Ts, Tu, Tp = _delay_transition(ss.cs.plant, ss.cs.protocol, k,
+                                   DEFAULT_RTOL)
     return Policy(delayed_stat_gains(ss, k), Ts[:-1], Tu[:-1],
                   Tp[:-1] @ _pair_layout(ss.cs.protocol, k))
 

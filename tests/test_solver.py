@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from declqg import (LocalGains, NumericalBreakdown, PlantModel,
-                    UnsupportedProtocol, build, build_symmetric_delay,
+                    StatisticPolicy, UnsupportedProtocol, build,
+                    build_symmetric_delay,
                     closed_loop_cost_exact, delayed_stat_gains,
                     explicit_protocol, forward_riccati, backward_riccati, tune,
                     solve)
@@ -13,8 +14,6 @@ import declqg.solver as solver_mod
 from declqg.cli import DEMOS, load_scenario, strategy_from_doc, strategy_to_doc
 from declqg.core import DEFAULT_RTOL, blkdiag, sym
 from declqg.tune import _RAISE as _TUNE_ERRSTATE   # tune's solve errstate
-from declqg.estimator import (_window_map, effective_delay,
-                              statistic_transition)
 from declqg.oracles import closed_loop_maps, random_theta_maps
 
 from conftest import check_generated, random_plant, scalar_two_controller
@@ -540,23 +539,19 @@ def _augmented_solve(p, mp, lg):
               proj @ F) for t, F in enumerate(fgains, 1)]
 
     def stat_gains(cs, k):
-        window, d_x = _window_map(cs, k), p.d_x
-        y0 = d_x + (k - 1) * p.d_u_total
-        u0 = y0 + (k - 1) * p.d_y_total
+        # S_t = ((X, c) estimate at tau = t - k + 1, Ut~_tau..Ut~_{t-1})
+        d = cs.d_state
+        dim = d + (k - 1) * p.d_u_total
         out = []
         for t in range(1, T + 1):
             tau = t - k + 1
             if tau >= 1:
-                base = window.copy()
-                if tau < k:     # window pairs from before t = 1
-                    base[d_x:, y0:y0 + (k - tau) * p.d_y_total] = 0.0
-                    base[d_x:, u0:u0 + (k - tau) * p.d_u_total] = 0.0
-                emap, start = sys["lift"][tau - 1] @ base, tau
+                emap, start = sys["lift"][tau - 1] @ np.eye(d, dim), tau
             else:
-                emap, start = np.zeros((proj.shape[1], window.shape[1])), 1
+                emap, start = np.zeros((proj.shape[1], dim)), 1
             for s in range(start, t):
-                sel = np.zeros((p.d_u_total, window.shape[1]))
-                col = d_x + (s - tau) * p.d_u_total
+                sel = np.zeros((p.d_u_total, dim))
+                col = d + (s - tau) * p.d_u_total
                 sel[:, col:col + p.d_u_total] = np.eye(p.d_u_total)
                 emap = sys["A"][s - 1] @ emap + sys["B"][s - 1] @ sel
             out.append(L[t - 1] @ proj @ emap)
@@ -592,13 +587,19 @@ def _assert_matches_augmented(p, mp, lg):
         ref = L[t - 1]
         scale = max(1.0, np.abs(ref).max(initial=0.0))
         assert np.abs(ss.Lgain[t - 1] - ref).max(initial=0.0) <= 1e-12 * scale
+    _, *got = StatisticPolicy(ss)
     for t in range(1, p.T):
-        for got, ref in zip(statistic_transition(ss, t), trans[t - 1]):
-            assert_allclose(got, ref, rtol=0, atol=_filter_atol(ss, ref))
+        for got_t, ref in zip((m[t - 1] for m in got), trans[t - 1]):
+            assert_allclose(got_t, ref, rtol=0, atol=_filter_atol(ss, ref))
+    if mp.kind == "symmetric_delay":
+        k = mp.delay
+    elif mp.kind == "asymmetric_delay":
+        k = mp.delay_graph.k_star_max
+    else:
+        return
     try:
-        k = effective_delay(mp)
         got = delayed_stat_gains(ss, k)
-    except UnsupportedProtocol:
+    except UnsupportedProtocol:     # the k*_j differ
         return
     for g, ref in zip(got, stat_gains(ss.cs, k)):
         assert_allclose(g, ref, rtol=0, atol=_filter_atol(ss, ref))

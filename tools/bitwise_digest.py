@@ -174,8 +174,9 @@ def act_digests(out: dict, key: str, ss) -> None:
 def tracker_digests(out: dict, key: str, ss) -> None:
     """The delayed statistic S_t at every t along 3 kept rollouts."""
     p, stats = ss.cs.plant, []
+    start = dq.DelayedStatTracker.create(p, ss.cs.protocol)
     for ro in kept_rollouts(ss):
-        tracker = dq.DelayedStatTracker.create(p, ss.cs.protocol)
+        tracker = start
         for t in range(1, p.T + 1):
             stats.append(tracker.stat().vector())
             if t < p.T:
