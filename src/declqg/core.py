@@ -1,9 +1,10 @@
 """Shared numeric foundations.
 
 Dense matrices are plain ``numpy.ndarray`` objects (float64, 2-d); this module
-adds the validation, block assembly, PSD roots, and deterministic random
-streams that the rest of the package builds on.  Everything here is a pure
-function or an immutable value, safe to share across threads.
+adds the validation, block assembly, PSD roots, the square-root Kalman sweep
+and deterministic random streams that the rest of the package builds on.
+Everything here is a pure function or an immutable value, safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -120,6 +121,43 @@ def check_rtol(rtol: float) -> None:
     above 1 cuts every singular value, so it keeps nothing."""
     if not 0 < rtol < 1:        # also rejects nan
         raise ValueError(f"rtol must be in (0, 1), got {rtol!r}")
+
+
+def _check_finite(m: np.ndarray, name: str, t: int) -> None:
+    """Raise NumericalBreakdown at step ``t`` unless ``m`` is finite."""
+    if not np.isfinite(m).all():
+        raise NumericalBreakdown(f"{name} is not finite", t)
+
+
+def _filter_sweep(A, C, noise, R1, rtol: float, start: int = 1, lent=None):
+    """Square-root Kalman sweep over the n steps of C: P = R R', gains
+    K_1..K_n, roots R_1..R_{n+1} (``R1``, or ``lent``'s up to R_start).
+    ``noise[t-1]`` = (N_w; N_v) is a root of step t's (process, measurement)
+    noise; a = [C R_t, N_v], b = [A R_t, N_w] give a a' = C P C' + V, cut
+    at the relative rank ``rtol`` (s^2 > rtol s_max^2 kept), K_t = b V_r
+    S_r^-1 U_r', and a QR gives R_{t+1}, a PSD root of b (I - V_r V_r') b'."""
+    check_rtol(rtol)
+    n, d = C.shape[-3], A.shape[-1]
+    roots = np.zeros(A.shape[:-3] + (n + 1, d, d))
+    gains = np.empty(roots.shape[:-3] + (n, d, C.shape[-2]))
+    roots[..., :start, :, :] = lent[0][:start] if start > 1 else R1
+    gains[..., :start - 1, :, :] = lent[1][:start - 1] if start > 1 else 0.0
+    AC = np.concatenate([A[..., :n, :, :], C], axis=-2)
+    lower = np.tri(d, dtype=bool)
+    for t in range(start, n + 1):
+        pre = np.concatenate([AC[..., t - 1, :, :] @ roots[..., t - 1, :, :],
+                              noise[..., t - 1, :, :]], axis=-1)
+        _check_finite(pre, "filter pre-array", t)     # before LAPACK sees it
+        b, a = pre[..., :d, :], pre[..., d:, :]
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        keep = s * s > rtol * s[..., :1] ** 2
+        bv = b @ vh.swapaxes(-1, -2) * keep[..., None, :]
+        gains[..., t - 1, :, :] = (bv / np.where(keep, s, 1.0)[..., None, :]
+                                   @ u.swapaxes(-1, -2))
+        h, _ = np.linalg.qr((b - bv @ vh).swapaxes(-1, -2), mode="raw")
+        np.copyto(roots[..., t, :, :], h[..., :d], where=lower)  # R' of QR
+        _check_finite(roots[..., t, :, :], "filter covariance root", t + 1)
+    return roots @ roots.swapaxes(-1, -2), gains, roots
 
 
 def eig_bounds(m: np.ndarray):

@@ -6,7 +6,8 @@ Three statistics appear here:
   and the coordinator's past actions, which is the coordinator's whole
   state estimate.
 * the plant-level one-step-ahead Kalman predictor, whose covariance and
-  gains never read the local gains (strategy independent, precomputable);
+  gains never read the local gains (strategy independent): it runs once
+  per plant and rtol and is kept on the plant (``PlantModel.predictor``);
 * the delayed-sharing statistic S_t = (the coordinator's state estimate
   at tau = t - k + 1, recent coordinator actions): the predictor
   xhat_{tau|tau-1}, the protocol's carrier c_tau (all of its pairs are
@@ -25,8 +26,9 @@ import numpy as np
 from .core import (DEFAULT_RTOL, DimMismatch, TimeOutOfRange,
                    UnsupportedProtocol, as_index, as_vector, read_only)
 from .coordination import CoordinatedSystem, _check_fits
+from .infostructure import window_delay
 from .plant import PlantModel
-from .solver import SolvedStrategy, _check_one_strategy, _filter_sweep
+from .solver import SolvedStrategy, _check_one_strategy
 
 
 # --------------------------------------------------------------------------
@@ -45,24 +47,31 @@ def initial_state(cs: CoordinatedSystem) -> EstimatorState:
     return EstimatorState(1, np.zeros(cs.d_x + cs.d_c))
 
 
+def _transition(ss: SolvedStrategy, steps):
+    """(Ts, Tu, Tz) of the steps ``steps`` (an offset t - 1 or a slice)."""
+    cs = ss.cs
+    _check_one_strategy(cs)
+    gain = ss.filter_gain[steps]
+    return (cs.A[steps] - gain @ cs.C[steps],
+            cs.B[steps] - gain @ cs.protocol.zu, gain)
+
+
 def statistic_transition(ss: SolvedStrategy):
     """Matrices (Ts, Tu, Tz), each stacked over t = 1..T-1, with stat_{t+1}
     = Ts stat_t + Tu Ut~ + Tz Z_t."""
-    cs, gain = ss.cs, ss.filter_gain
-    _check_one_strategy(cs)
-    return cs.A[:-1] - gain @ cs.C, cs.B[:-1] - gain @ cs.protocol.zu, gain
+    return _transition(ss, slice(0, ss.cs.T - 1))
 
 
 def step_statistic(st: EstimatorState, ss: SolvedStrategy, z_new,
                    u_tilde_prev) -> EstimatorState:
     """Advance the statistic with the newly shared increment Z_t (one
-    step of the coordinator's filter)."""
+    step of the coordinator's filter); forms step t's maps only."""
     cs, t = ss.cs, as_index(st.t, "t")
     if not 1 <= t < cs.T:
         raise TimeOutOfRange(f"no transition out of t={t} (T={cs.T})")
     z = as_vector(z_new, cs.d_z, "z_new")
     u = as_vector(u_tilde_prev, cs.d_u, "u_tilde_prev")
-    Ts, Tu, Tz = (m[t - 1] for m in statistic_transition(ss))
+    Ts, Tu, Tz = _transition(ss, t - 1)
     return EstimatorState(t + 1, Ts @ st.stat + Tu @ u + Tz @ z)
 
 
@@ -94,10 +103,9 @@ def act(st: EstimatorState, ss: SolvedStrategy, y_local, m_local):
 def plant_kalman_covariances(plant: PlantModel, rtol: float = DEFAULT_RTOL):
     """Read-only predictor covariances P_1..P_{T+1} (P_1 = sigma_x), shape
     (T+1, d_x, d_x), and gains for t = 1..T, shape (T, d_x, sum d_y): the
-    coordinator's square-root sweep, run on the plant."""
-    P, gains, _ = _filter_sweep(plant.A, plant.C, plant.noise_root,
-                                plant.x1_root, rtol)
-    return read_only(P), read_only(gains)
+    coordinator's square-root sweep, run on the plant once per ``rtol``
+    (:meth:`PlantModel.predictor`); every call returns the same arrays."""
+    return plant.predictor(rtol)[:2]
 
 
 # --------------------------------------------------------------------------
@@ -156,7 +164,8 @@ def _delay_transition(plant: PlantModel, mp, k: int, rtol: float):
 class DelayedStatTracker:
     """Pure-value runtime for S_t; ``advance`` returns the next tracker and
     leaves this one as it was, so one tracker made by ``create`` (which
-    runs the plant's filter sweep) can start any number of walks.
+    reads the plant's predictor, :meth:`PlantModel.predictor`) can start
+    any number of walks.
 
     ``state`` is S_t and ``pending`` the k - 1 shared (Y_s, U_s) pairs not
     yet common, s = t-k+1..t-1, oldest first, zero for s < 1.  Each step is
@@ -204,16 +213,11 @@ def _check_stat_delay(cs: CoordinatedSystem, k: int) -> int:
     delayed statistic with window delay k fits its protocol."""
     _check_one_strategy(cs)
     mp, k = cs.protocol, as_index(k, "k")
-    if mp.kind == "asymmetric_delay":
-        # the construction conditions the delayed state estimate on data up
-        # to t - k*; if some controller's data becomes common sooner, the
-        # shared history holds fresher information than the statistic's
-        # carrier and the exact statistic is not a function of it
-        kstars = {mp.delay_graph.k_star(j) for j in range(mp.n)}
-        if len(kstars) > 1:
-            raise UnsupportedProtocol(
-                "delayed-statistic map needs equal worst-case delays; "
-                f"graph has k*_j in {sorted(kstars)}")
+    if mp.kind == "asymmetric_delay" and window_delay(mp) is None:
+        kstars = sorted({mp.delay_graph.k_star(j) for j in range(mp.n)})
+        raise UnsupportedProtocol(
+            "delayed-statistic map needs equal worst-case delays; "
+            f"graph has k*_j in {kstars}")
     if k != effective_delay(mp):
         raise UnsupportedProtocol(
             f"window delay {k} does not match the protocol's {effective_delay(mp)}")

@@ -316,6 +316,21 @@ def build_asymmetric_delay(plant: PlantModel, graph: DelayGraph) -> MemoryProtoc
                             "local memories are selections of it",))
 
 
+def window_delay(mp: MemoryProtocol) -> int | None:
+    """The delay k after which the data of every controller is common, when
+    it is one k for all: symmetric delay k, or asymmetric delay whose k*_j
+    all equal k.  At every t the common data is then exactly that of the
+    steps before t - k + 1; None for every other protocol.  If some
+    controller's data became common sooner, the shared history would hold
+    fresher information than that window."""
+    if mp.kind == "symmetric_delay":
+        return mp.delay
+    if mp.kind == "asymmetric_delay":
+        kstars = {mp.delay_graph.k_star(j) for j in range(mp.n)}
+        return kstars.pop() if len(kstars) == 1 else None
+    return None
+
+
 def build_control_sharing(plant: PlantModel) -> MemoryProtocol:
     """Coupled subsystems with control sharing: Z_t = U_t, no local memory.
 

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_RTOL, DimMismatch, as_matrix
+from .core import DEFAULT_RTOL, DimMismatch, _check_finite, as_matrix
 from .coordination import CoordinatedSystem
 from .sim import Policy, Primitives, StatisticPolicy, _check_policy
-from .solver import SolvedStrategy, _check_finite
+from .solver import SolvedStrategy
 
 
 def ZHistoryPolicy(thetas) -> Policy:

@@ -15,9 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DimMismatch, InvalidMatrix, as_covariance, as_index,
-                   as_matrix, as_vector, blkdiag, eig_bounds, psd_sqrt,
-                   read_only)
+from .core import (DimMismatch, InvalidMatrix, _filter_sweep, as_covariance,
+                   as_index, as_matrix, as_vector, blkdiag, eig_bounds,
+                   psd_sqrt, read_only)
 
 
 def _per_step(value, T, rows, cols, name):
@@ -121,6 +121,21 @@ class PlantModel:
         """Root of the covariance of (W0_t, W_t), stored once over t."""
         root = blkdiag([psd_sqrt(self.sigma_w0), psd_sqrt(self.sigma_w)])
         return np.broadcast_to(root, (self.T,) + root.shape)
+
+    @cached_property
+    def _predictors(self) -> dict:
+        return {}
+
+    def predictor(self, rtol: float):
+        """The plant-level one-step-ahead Kalman predictor, which never
+        reads the local gains: read-only covariances P_1..P_{T+1}
+        (P_1 = sigma_x), gains K_1..K_T and roots R_1..R_{T+1} (P = R R')
+        of the square-root sweep at relative rank cutoff ``rtol``, run once
+        per ``rtol`` and kept on the plant."""
+        if rtol not in self._predictors:
+            self._predictors[rtol] = tuple(map(read_only, _filter_sweep(
+                self.A, self.C, self.noise_root, self.x1_root, rtol)))
+        return self._predictors[rtol]
 
     # -- dimension helpers -------------------------------------------------
     @property

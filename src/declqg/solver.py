@@ -1,12 +1,17 @@
 """Riccati solutions of the coordinator's partially observed LQG problem.
 
-The forward recursion propagates a root of the (so PSD) estimation-error
-covariance of the coordinator's state (X_t, c_t) under process noise
-correlated with the measurement noise; its innovation covariance is
+The forward pass gives a root of the (so PSD) estimation-error covariance
+P~_t of the coordinator's state (X_t, c_t) under process noise correlated
+with the measurement noise, and the filter gains; innovation covariances are
 generically singular (shared increments are often noiseless functions of
-the state) so each step cuts it at a relative rank.  The backward recursion
-handles the state/control cross term with the convention S_{T+1} = 0: no
-terminal state cost, and the final-step gain reduces to -R~^{-1} N~^T.
+the state) so each gain cuts its own at a relative rank.  Under delayed
+sharing with one delay k for every controller (``window_delay``) the data
+of every step before t - k + 1 is common at t, so P~_t is the plant
+predictor's error there carried open loop through the last k - 1 steps:
+the paper's window, formed for all t at once.  Every other protocol takes
+a T-step square-root Kalman sweep.  The backward recursion handles the
+state/control cross term with the convention S_{T+1} = 0: no terminal state
+cost, and the final-step gain reduces to -R~^{-1} N~^T.
 Value matrices are symmetrized after every step.
 """
 
@@ -16,10 +21,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (DEFAULT_RTOL, DimMismatch, NumericalBreakdown, check_rtol,
-                   read_only, sym)
+from .core import (DEFAULT_RTOL, DimMismatch, NumericalBreakdown,
+                   _check_finite, _filter_sweep, check_rtol, read_only, sym)
 from .coordination import CoordinatedSystem, LocalGains, build
-from .infostructure import MemoryProtocol
+from .infostructure import MemoryProtocol, window_delay
 from .plant import PlantModel
 
 
@@ -36,7 +41,9 @@ class SolvedStrategy:
     ``t - 1`` for step t, except ``filter_gain``, which has T - 1 entries
     (the update into step t + 1 uses ``filter_gain[t - 1]``).  ``Lgain``
     acts on the coordinator's whole state (X_t, c_t), which is also the
-    statistic; ``Ptilde`` is ``root @ root'``.  Strategies reloaded from
+    statistic; ``Ptilde`` is ``root @ root'``, and ``root`` is d_state
+    wide from the square-root sweep and d_x + (k-1)(d_x + sum d_y) wide in
+    the window form (see :func:`forward_riccati`).  Strategies reloaded from
     disk carry only the gains; the covariance/value sequences and ``rtol``
     are then ``None``.  A stack of gains gives arrays and J its leading axes.
     """
@@ -46,7 +53,7 @@ class SolvedStrategy:
     filter_gain: np.ndarray   # (T-1, d_state, d_z)
     J: float
     Ptilde: np.ndarray | None = None   # (T, d_state, d_state)
-    root: np.ndarray | None = None     # (T, d_state, d_state)
+    root: np.ndarray | None = None     # (T, d_state, root width)
     S: np.ndarray | None = None        # (T, d_state, d_state)
     rtol: float | None = None          # the filter's relative rank cutoff
 
@@ -78,52 +85,81 @@ def _check_one_strategy(cs: CoordinatedSystem) -> None:
                           "; take one with SolvedStrategy.candidate(i)")
 
 
-def _check_finite(m: np.ndarray, name: str, t: int) -> None:
-    """Raise NumericalBreakdown at step ``t`` unless ``m`` is finite."""
-    if not np.isfinite(m).all():
-        raise NumericalBreakdown(f"{name} is not finite", t)
+def _window_roots(cs: CoordinatedSystem, k: int, rtol: float, start: int,
+                  lent):
+    """Roots of P~_1..P~_T, d_x + (k-1)(d_x + sum d_y) wide, under a
+    protocol whose data is all common k steps on (``window_delay``): at t
+    everything before tau = t - k + 1 is common, so the error on xi_t is
+    the plant predictor's at tau carried open loop through steps tau..t-1,
+    R <- [A~_s R, N_w,s] from [R_tau; 0], R_tau the predictor's root.  A
+    row t < k starts from R_1 at s = 1 and waits out the steps s < 1.
+    Each step is one stacked product over rows t = ``start``..T into the
+    other of two buffers; rows before ``start`` are ``lent``'s."""
+    T, d, d_x, wn = cs.T, cs.d_state, cs.d_x, cs.noise.shape[-1]
+    shape = cs.A.shape[:-3] + (T, d, d_x + (k - 1) * wn)
+    bufs = [np.zeros(shape) for _ in range(min(k, 2))]
+    R = bufs[0]
+    R[..., :d_x, :d_x] = cs.plant.predictor(rtol)[2][
+        np.maximum(np.arange(1 - k, T - k + 1), 0)]
+    for j in range(k - 1):          # row t takes step s = t - k + 1 + j
+        old, R, c = R, bufs[(j + 1) % 2], d_x + j * wn
+        r = max(start - 1, k - 1 - j)   # rows from t = r + 1 have s >= 1
+        s = slice(r - k + 1 + j, T - k + 1 + j)
+        np.matmul(cs.A[..., s, :, :], old[..., r:, :, :c],
+                  out=R[..., r:, :, :c])
+        R[..., r:, :, c:c + wn] = cs.noise[..., s, :d, :]
+        R[..., start - 1:r, :, :c] = old[..., start - 1:r, :, :c]
+    R[..., :start - 1, :, :] = lent[:start - 1] if start > 1 else 0.0
+    return R
 
 
-def _filter_sweep(A, C, noise, R1, rtol: float, start: int = 1, lent=None):
-    """Square-root Kalman sweep over the n steps of C: P = R R', gains
-    K_1..K_n, roots R_1..R_{n+1} (``R1``, or ``lent``'s up to R_start).
-    ``noise[t-1]`` = (N_w; N_v) is a root of step t's (process, measurement)
-    noise; a = [C R_t, N_v], b = [A R_t, N_w] give a a' = C P C' + V, cut
-    at the relative rank ``rtol`` (s^2 > rtol s_max^2 kept), K_t = b V_r
-    S_r^-1 U_r', and a QR gives R_{t+1}, a PSD root of b (I - V_r V_r') b'."""
-    check_rtol(rtol)
-    n, d = C.shape[-3], A.shape[-1]
-    roots = np.zeros(A.shape[:-3] + (n + 1, d, d))
-    gains = np.empty(roots.shape[:-3] + (n, d, C.shape[-2]))
-    roots[..., :start, :, :] = lent[0][:start] if start > 1 else R1
+def _window_sweep(cs: CoordinatedSystem, k: int, rtol: float, start: int,
+                  lent):
+    """P~_1..P~_T, gains K_1..K_{T-1} and roots of P~ in the window form
+    (:func:`_window_roots`), P~ = R R'; rows before ``start`` are
+    ``lent``'s (root, gain) rows.  K_t = (A~ P~ C' + N_w N_v') M^+ with
+    M = C P~ C' + N_v N_v', cut at the relative rank ``rtol``
+    (eigenvalues w > rtol w_max kept), which is the sweep's cut on the
+    singular values of its pre-array in exact arithmetic."""
+    T, d = cs.T, cs.d_state
+    R = _window_roots(cs, k, rtol, start, lent and lent[0])
+    P = R @ R.swapaxes(-1, -2)
+    for t in range(start, T + 1):
+        _check_finite(P[..., t - 1, :, :], "filter covariance", t)
+    gains = np.empty(P.shape[:-3] + (T - 1, d, cs.d_z))
     gains[..., :start - 1, :, :] = lent[1][:start - 1] if start > 1 else 0.0
-    AC = np.concatenate([A[..., :n, :, :], C], axis=-2)
-    lower = np.tri(d, dtype=bool)
-    for t in range(start, n + 1):
-        pre = np.concatenate([AC[..., t - 1, :, :] @ roots[..., t - 1, :, :],
-                              noise[..., t - 1, :, :]], axis=-1)
-        _check_finite(pre, "filter pre-array", t)     # before LAPACK sees it
-        b, a = pre[..., :d, :], pre[..., d:, :]
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-        keep = s * s > rtol * s[..., :1] ** 2
-        bv = b @ vh.swapaxes(-1, -2) * keep[..., None, :]
-        gains[..., t - 1, :, :] = (bv / np.where(keep, s, 1.0)[..., None, :]
-                                   @ u.swapaxes(-1, -2))
-        h, _ = np.linalg.qr((b - bv @ vh).swapaxes(-1, -2), mode="raw")
-        np.copyto(roots[..., t, :, :], h[..., :d], where=lower)  # R' of QR
-        _check_finite(roots[..., t, :, :], "filter covariance root", t + 1)
-    return roots @ roots.swapaxes(-1, -2), gains, roots
+    C = cs.C[..., start - 1:, :, :]
+    nw, nv = (cs.noise[..., start - 1:T - 1, rows, :]
+              for rows in (slice(0, d), slice(d, None)))
+    CP = C @ P[..., start - 1:T - 1, :, :]
+    M = CP @ C.swapaxes(-1, -2) + nv @ nv.swapaxes(-1, -2)
+    if not np.isfinite(M).all():                  # before LAPACK sees it
+        for t in range(start, T):
+            _check_finite(M[..., t - start, :, :], "innovation covariance", t)
+    w, V = np.linalg.eigh(M)
+    keep = w > rtol * w[..., -1:]
+    cross = (cs.A[..., start - 1:T - 1, :, :] @ CP.swapaxes(-1, -2)
+             + nw @ nv.swapaxes(-1, -2))
+    gains[..., start - 1:, :, :] = (
+        cross @ V * (keep / np.where(keep, w, 1.0))[..., None, :]
+        @ V.swapaxes(-1, -2))
+    return P, gains, R
 
 
 def forward_riccati(cs: CoordinatedSystem, rtol: float = DEFAULT_RTOL,
                     start: int = 1, incumbent: SolvedStrategy | None = None):
-    """P~_1..P~_T = root root' (root_1 = ``cs.init_root``), filter gains
-    for t = 1..T-1 and the roots, over (…, T, ·, ·), swept from step
-    ``start``: the roots to P~_start and the gains before it are copied
-    from ``incumbent`` (see :func:`solve`)."""
+    """P~_1..P~_T = root root', filter gains for t = 1..T-1 and the roots,
+    over (…, T, ·, ·), from step ``start`` on: the roots to P~_start and
+    the gains before it are copied from ``incumbent`` (see :func:`solve`).
+    Under a protocol in ``window_delay``'s class this is the window form
+    (:func:`_window_sweep`, roots d_x + (k-1)(d_x + sum d_y) wide); under
+    every other the square-root sweep from root_1 = ``cs.init_root``
+    (d_state wide)."""
+    lent = incumbent and (incumbent.root, incumbent.filter_gain)
+    k = window_delay(cs.protocol)
     return tuple(map(read_only, _filter_sweep(
-        cs.A, cs.C, cs.noise, cs.init_root, rtol, start,
-        incumbent and (incumbent.root, incumbent.filter_gain))))
+        cs.A, cs.C, cs.noise, cs.init_root, rtol, start, lent)
+        if k is None else _window_sweep(cs, k, rtol, start, lent)))
 
 
 def backward_riccati(cs: CoordinatedSystem, start: int | None = None,

@@ -173,14 +173,15 @@ def test_overflow_is_a_breakdown_naming_its_step(mutate, command, tmp_path,
     assert err.startswith("numerical breakdown: ") and "(t=" in err
 
 
-@pytest.mark.parametrize("command", [["solve"], ["tune", "--budget", "20"]],
-                         ids=["solve", "tune"])
-def test_non_finite_filter_pre_array_is_a_breakdown(command, tmp_path):
-    # C = 1e308 overflows the filter's pre-array [C R, N_v; A R, N_w] at
-    # t = 2; the SVD it used to reach never returned on it.  tune breaks
-    # down at its first candidate with nonzero G, solve at the given gains.
+def _overflowing_c_breakdown(command, tmp_path, protocol=None) -> str:
+    """stderr of the CLI on the scalar demo with C^2 = 1e308, exit 3 (a
+    breakdown); ``protocol`` replaces the demo's 1-step sharing.  tune
+    breaks down at its first candidate with nonzero G, solve at the given
+    gains."""
     doc = json.loads(json.dumps(DEMOS["scalar-2ctrl-k1"]["config"]))
     doc["observations"]["C"][1] = [[1e308]]
+    if protocol is not None:
+        doc["info_structure"] = protocol
     if command[0] == "solve":
         doc["gains"] = {"G": [[[0.5]], [[0.5]]]}
     path = tmp_path / "overflow.json"
@@ -191,8 +192,28 @@ def test_non_finite_filter_pre_array_is_a_breakdown(command, tmp_path):
          str(tmp_path), command[0], str(path), *command[1:]],
         capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 3, proc.stderr
-    assert ("numerical breakdown: filter pre-array is not finite (t=2)"
-            in proc.stderr)
+    return proc.stderr
+
+
+@pytest.mark.parametrize("command", [["solve"], ["tune", "--budget", "20"]],
+                         ids=["solve", "tune"])
+def test_non_finite_filter_pre_array_is_a_breakdown(command, tmp_path):
+    # C = 1e308 overflows the square-root sweep's pre-array [C R, N_v;
+    # A R, N_w] at t = 2 under one-sided sharing, a protocol outside the
+    # window form's class; the SVD it used to reach never returned on it.
+    err = _overflowing_c_breakdown(command, tmp_path, {"kind": "one_sided"})
+    assert "numerical breakdown: filter pre-array is not finite (t=2)" in err
+
+
+@pytest.mark.parametrize("command", [["solve"], ["tune", "--budget", "20"]],
+                         ids=["solve", "tune"])
+def test_non_finite_innovation_covariance_is_a_breakdown(command, tmp_path):
+    # Under the demo's 1-step sharing the window form overflows the
+    # innovation covariance C P~ C' + N_v N_v' at t = 1, which is checked
+    # before its eigendecomposition (eigh returns NaN on it, silently).
+    err = _overflowing_c_breakdown(command, tmp_path)
+    assert ("numerical breakdown: innovation covariance is not finite (t=1)"
+            in err)
 
 
 def test_fuzz_inputs_runs_clean_on_a_few_mutations():

@@ -15,6 +15,9 @@ from declqg.cli import DEMOS, load_scenario, strategy_to_doc
 from declqg.estimator import (EstimatorState, _delay_transition,
                               effective_delay, statistic_transition)
 from declqg.sim import Policy, _moment_cost
+import declqg.estimator as estimator_mod
+import declqg.plant as plant_mod
+import declqg.solver as solver_mod
 
 from conftest import check_generated, random_plant, scalar_two_controller
 
@@ -191,6 +194,70 @@ def test_plant_predictor_is_the_coordinators_filter_under_one_step_sharing(
         ss = solve(p, mp, LocalGains.random(p, mp, rng, scale))
         assert ss.cs.d_c == 0
         assert_allclose(ss.Ptilde, P[:p.T], rtol=0, atol=1e-12)
+
+
+def test_step_statistic_walk_is_the_stacked_transition_bitwise(monkeypatch):
+    """A T = 50 walk forms step t's maps only (``statistic_transition``,
+    which forms all T - 1, is never called), and each step is bitwise the
+    stacked maps' slice applied to the same data."""
+    rng = np.random.default_rng(35)
+    p = random_plant(rng, n=2, d_x=3, T=50)
+    ss = solve(p, build_symmetric_delay(p, 2),
+               LocalGains.random(p, build_symmetric_delay(p, 2), rng, 0.3))
+    Ts, Tu, Tz = statistic_transition(ss)
+    formed = []
+    monkeypatch.setattr(estimator_mod, "statistic_transition",
+                        lambda ss: formed.append(ss))
+    st = initial_state(ss.cs)
+    for t in range(1, p.T):
+        z, u = rng.standard_normal(ss.cs.d_z), rng.standard_normal(ss.cs.d_u)
+        nxt = step_statistic(st, ss, z, u)
+        want = Ts[t - 1] @ st.stat + Tu[t - 1] @ u + Tz[t - 1] @ z
+        assert nxt.t == t + 1 and nxt.stat.tobytes() == want.tobytes(), t
+        st = nxt
+    assert not formed
+
+
+def test_plant_predictor_runs_once_per_rtol(monkeypatch):
+    """Every ``plant_kalman_covariances`` call at one rtol returns the same
+    read-only arrays, bitwise a fresh sweep's; another rtol has its own."""
+    p = random_plant(np.random.default_rng(36), n=2, d_x=3, T=6)
+    sweep, rtols = plant_mod._filter_sweep, []
+
+    def counting(A, C, noise, R1, rtol):
+        rtols.append(rtol)
+        return sweep(A, C, noise, R1, rtol)
+
+    monkeypatch.setattr(plant_mod, "_filter_sweep", counting)
+    P, K = plant_kalman_covariances(p)
+    again = plant_kalman_covariances(p)
+    assert again[0] is P and again[1] is K
+    assert not P.flags.writeable and not K.flags.writeable
+    fresh = sweep(p.A, p.C, p.noise_root, p.x1_root, DEFAULT_RTOL)
+    assert P.tobytes() == fresh[0].tobytes()
+    assert K.tobytes() == fresh[1].tobytes()
+    other = plant_kalman_covariances(p, 1e-6)
+    assert other[0] is not P
+    assert plant_kalman_covariances(p, 1e-6)[0] is other[0]
+    assert rtols == [DEFAULT_RTOL, 1e-6]
+
+
+def test_tracker_after_a_solve_runs_no_second_sweep(monkeypatch):
+    """The window solve runs the plant's sweep once and the coordinator's
+    never; the tracker then reads the same predictor."""
+    rng = np.random.default_rng(37)
+    p = random_plant(rng, n=2, d_x=3, T=8)
+    mp = build_symmetric_delay(p, 3)
+    calls = {plant_mod: 0, solver_mod: 0}
+    for module in calls:
+        def counting(*args, module=module, sweep=module._filter_sweep):
+            calls[module] += 1
+            return sweep(*args)
+        monkeypatch.setattr(module, "_filter_sweep", counting)
+    solve(p, mp, LocalGains.random(p, mp, rng, 0.3))
+    assert calls == {plant_mod: 1, solver_mod: 0}
+    DelayedStatTracker.create(p, mp)
+    assert calls == {plant_mod: 1, solver_mod: 0}
 
 
 def test_statistic_transition_depends_on_gains(scalar2):

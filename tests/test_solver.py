@@ -13,10 +13,12 @@ from declqg import (LocalGains, NumericalBreakdown, PlantModel,
 import declqg.solver as solver_mod
 from declqg.cli import DEMOS, load_scenario, strategy_from_doc, strategy_to_doc
 from declqg.core import DEFAULT_RTOL, blkdiag, sym
+from declqg.infostructure import window_delay
 from declqg.tune import _RAISE as _TUNE_ERRSTATE   # tune's solve errstate
 from declqg.oracles import closed_loop_maps, random_theta_maps
 
 from conftest import check_generated, random_plant, scalar_two_controller
+from test_estimator import _delayed_protocol
 from test_sim import _oracle_cases
 
 
@@ -379,11 +381,15 @@ def test_solve_from_an_incumbent_is_bitwise_the_full_solve(name):
 
 
 def test_solve_from_an_incumbent_is_bitwise_on_generated_instances():
+    paths = []      # the square-root sweep (None) or the window form (k)
+
     def check(p, mp, seed):
         theta = LocalGains.random(p, mp, np.random.default_rng([seed, 1]),
                                   0.3).theta
         _assert_reuse_is_bitwise(p, mp, theta)
+        paths.append(window_delay(mp))
     check_generated(_oracle_cases, 1103, 100, check)
+    assert None in paths and any(k is not None for k in paths)
 
 
 def test_an_incumbent_that_cannot_lend_gives_the_full_solve():
@@ -454,6 +460,130 @@ def test_performance_equals_the_per_step_sum_bitwise(T):
         assert stacked.J[i].hex() == ref.hex()
         old = _performance_by_difference(ss.cs, ss.Ptilde, ss.S)
         assert abs(ss.J - old) <= 1e-12 * abs(old)
+
+
+# --------------------------------------------------------------------------
+# the window form against the square-root sweep
+
+
+WINDOW_TAG = 1109
+WINDOW_NEAR_CUTOFF_MAX = 10     # of the 200 instances
+
+
+def _window_cases(rng):
+    """(plant, protocol, thetas): n in 1..3, k in 1..4, T in k..k+4 (T = k
+    puts every step but the last before the first common pair; the
+    builders reject k > T), d_x in 1..3, d_y^i and d_u^i in {1, 2},
+    constant or time-varying maps, optionally singular observation noise;
+    symmetric k-step sharing, or for n >= 2 asymmetric with every k*_j = k;
+    gains at scale 0.3, one candidate or a stack of three."""
+    n, k = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    T = int(rng.integers(k, k + 5))
+    dims = lambda: tuple(int(d) for d in rng.integers(1, 3, n))
+    p = random_plant(np.random.default_rng(int(rng.integers(2**32))), n=n,
+                     d_x=int(rng.integers(1, 4)), d_y=dims(), d_u=dims(),
+                     T=T, time_varying=bool(rng.integers(2)),
+                     singular_w=bool(rng.integers(2)))
+    mp = (_delayed_protocol(rng, p, k) if n > 1
+          else build_symmetric_delay(p, k))
+    size = LocalGains.zeros(p, mp).theta.size
+    batch = () if rng.integers(2) else (3,)
+    return p, mp, 0.3 * rng.standard_normal(batch + (size,))
+
+
+def _kept(values, rtol):
+    """Count of ``values`` (last axis) above ``rtol`` times their largest,
+    and the distance in decades of the nearest nonzero one from that cut."""
+    cut = rtol * values[..., -1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        decades = np.abs(np.log10(values / cut))
+    return (values > cut).sum(axis=-1), np.min(
+        decades, where=(values > 0) & (cut > 0), initial=np.inf)
+
+
+def _window_and_sweep(ss, rtol=DEFAULT_RTOL):
+    """The square-root sweep's (P~, K) on a window-path solve ``ss``, the
+    kept ranks at t = 1..T-1 of the window (eigenvalues of C P~ C' +
+    N_v N_v') and of the sweep (squared singular values of its pre-array
+    [C R, N_v]), and the distance in decades of the value nearest either
+    cutoff."""
+    cs, d, T = ss.cs, ss.cs.d_state, ss.cs.T
+    P, K, R = solver_mod._filter_sweep(cs.A, cs.C, cs.noise, cs.init_root,
+                                       rtol)
+    nv = cs.noise[..., :T - 1, d:, :]
+    pre = np.concatenate([cs.C @ R[..., :T - 1, :, :], nv], axis=-1)
+    s = np.linalg.svd(pre, compute_uv=False)[..., ::-1]
+    rank_sweep, margin_sweep = _kept(s * s, rtol)
+    M = (cs.C @ ss.Ptilde[..., :-1, :, :] @ cs.C.swapaxes(-1, -2)
+         + nv @ nv.swapaxes(-1, -2))
+    rank_window, margin_window = _kept(np.linalg.eigvalsh(M), rtol)
+    return P, K, rank_window, rank_sweep, min(margin_sweep, margin_window)
+
+
+def _check_window_against_sweep(p, mp, thetas, near):
+    """The window's P~, K and J within 1e-10, 1e-8 and 1e-10 (relative) of
+    the square-root sweep's, the same kept rank at every step, and roots
+    d_x + (k-1)(d_x + sum d_y) wide; unless a kept value (the sweep's
+    squared singular values, the window's eigenvalues) lies within a decade
+    of the cutoff, where the two may keep different ranks: such instances
+    are counted in ``near`` instead."""
+    k = window_delay(mp)
+    ss = solve(p, mp, LocalGains.from_vector(p, mp, thetas))
+    assert ss.root.shape[-1] == p.d_x + (k - 1) * (p.d_x + p.d_y_total)
+    P, K, rank_window, rank_sweep, margin = _window_and_sweep(ss)
+    if margin < 1.0:
+        near.append(thetas)
+        return
+    assert np.array_equal(rank_window, rank_sweep)
+
+    def gap(got, want):
+        scale = np.maximum(1.0, np.abs(want).max(axis=(-3, -2, -1),
+                                                 initial=0.0))
+        return (np.abs(got - want).max(axis=(-3, -2, -1), initial=0.0)
+                / scale).max()
+
+    assert gap(ss.Ptilde, P) <= 1e-10
+    assert gap(ss.filter_gain, K) <= 1e-8
+    J = solver_mod.performance(ss.cs, P, ss.S, K)
+    assert np.all(np.abs(ss.J - J) <= 1e-10 * np.abs(J))
+    if k == 1 and thetas.ndim > 1:      # P~_t = blkdiag(P_t, 0), gain free
+        assert ss.Ptilde[0].tobytes() == ss.Ptilde[1].tobytes()
+
+
+def test_window_matches_the_sweep_on_generated_instances():
+    near = []
+    check_generated(_window_cases, WINDOW_TAG, 200,
+                    lambda *case: _check_window_against_sweep(*case, near))
+    assert len(near) <= WINDOW_NEAR_CUTOFF_MAX
+
+
+def _sweep_protocol_cases():
+    for name in ("figure1-asymmetric", "control-sharing", "one-sided"):
+        sc = load_scenario(DEMOS[name]["config"])
+        yield name, sc.plant, sc.protocol
+    p = random_plant(np.random.default_rng(7), n=2, d_x=2, T=5)
+    blocks = [{"mm": 0.5 * np.eye(1), "my": [[1.0]], "mu": [[0.5]],
+               "zm": [[1.0]], "zy": [[0.3]], "zu": [[1.0]]}] * 2
+    yield "explicit", p, explicit_protocol(p, blocks)
+
+
+SWEEP_CASES = list(_sweep_protocol_cases())
+
+
+@pytest.mark.parametrize("name, p, mp", SWEEP_CASES,
+                         ids=[case[0] for case in SWEEP_CASES])
+def test_forward_riccati_outside_the_window_class_is_the_sweep(name, p, mp):
+    """The unequal-k* figure-1 graph, control sharing, one-sided and
+    explicit protocols keep the square-root sweep, bit for bit."""
+    assert window_delay(mp) is None
+    size = LocalGains.zeros(p, mp).theta.size
+    thetas = 0.3 * np.random.default_rng(len(name)).standard_normal((2, size))
+    cs = build(p, mp, LocalGains.from_vector(p, mp, thetas))
+    got = forward_riccati(cs)
+    want = solver_mod._filter_sweep(cs.A, cs.C, cs.noise, cs.init_root,
+                                    DEFAULT_RTOL)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # --------------------------------------------------------------------------

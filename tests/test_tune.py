@@ -1,17 +1,22 @@
 import copy
 import dataclasses
+from importlib import import_module
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import declqg.core as core_mod
 import declqg.solver as solver_mod
-from declqg import (LocalGains, NumericalBreakdown, build_symmetric_delay,
-                    seeded_stream, solve, tune)
+from declqg import (LocalGains, NumericalBreakdown, build_control_sharing,
+                    build_symmetric_delay, seeded_stream, solve, tune)
 from declqg.cli import DEMOS, load_scenario
+from declqg.infostructure import window_delay
 from declqg.tune import STEP_INIT, STEP_MIN, WINDOW
 
 from conftest import scalar_two_controller
+
+tune_mod = import_module("declqg.tune")   # ``declqg.tune`` is the function
 
 
 def _sequential_tune(plant, mp, budget, seed=0, restarts=0):
@@ -241,9 +246,11 @@ def _fail_finite_check_at(monkeypatch, target, t_fail):
     """Make the sweeps' finiteness check fail at step ``t_fail`` for any
     system (alone or in a stack) built from the gains vector ``target``.
     Both sweeps check step ``t_fail`` (the forward one its new covariance
-    root, the backward one its value matrix and gain), so the first of them
-    that reaches it raises."""
-    current, build, check = [], solver_mod.build, solver_mod._check_finite
+    root, or its window's P~_t, the backward one its value matrix and
+    gain), so the first of them that reaches it raises.  The square-root
+    sweep checks through ``core``, the window and the backward sweep
+    through ``solver``."""
+    current, build, check = [], solver_mod.build, core_mod._check_finite
     raised = []
 
     def tracking(plant, mp, gains):
@@ -258,7 +265,8 @@ def _fail_finite_check_at(monkeypatch, target, t_fail):
         return check(m, name, t)
 
     monkeypatch.setattr(solver_mod, "build", tracking)
-    monkeypatch.setattr(solver_mod, "_check_finite", failing)
+    for module in (solver_mod, core_mod):
+        monkeypatch.setattr(module, "_check_finite", failing)
     return raised
 
 
@@ -266,12 +274,18 @@ BREAKDOWN_BUDGET = 60
 
 
 def _breakdown_case():
+    """Control sharing, whose forward pass is the square-root sweep."""
+    p = scalar_two_controller(T=5)
+    return p, build_control_sharing(p)
+
+
+def _window_breakdown_case():
+    """2-step sharing, whose forward pass is the window form."""
     p = scalar_two_controller(T=5)
     return p, build_symmetric_delay(p, 2)
 
 
-def test_breakdown_past_the_accepted_candidate_is_not_raised(monkeypatch):
-    p, mp = _breakdown_case()
+def _check_speculative_breakdown_not_raised(monkeypatch, p, mp):
     ref_seen = _evaluated_thetas(
         monkeypatch, lambda: _sequential_tune(p, mp, BREAKDOWN_BUDGET))
     batch_seen = _evaluated_thetas(
@@ -285,19 +299,65 @@ def test_breakdown_past_the_accepted_candidate_is_not_raised(monkeypatch):
     assert raised and raised[0] > 1     # a stack failed and was redone
 
 
-@pytest.mark.parametrize("position", [0, 1, 5, WINDOW + 3])
-def test_breakdown_of_a_charged_candidate_is_raised_at_its_step(
-        monkeypatch, position):
-    p, mp = _breakdown_case()
+def _check_charged_breakdown_raised(monkeypatch, p, mp, position):
     ref_seen = _evaluated_thetas(
         monkeypatch, lambda: _sequential_tune(p, mp, BREAKDOWN_BUDGET))
-    _fail_finite_check_at(monkeypatch, ref_seen[position], t_fail=3)
+    raised = _fail_finite_check_at(monkeypatch, ref_seen[position], t_fail=3)
     with pytest.raises(NumericalBreakdown) as ref_err:
         _sequential_tune(p, mp, BREAKDOWN_BUDGET)
     with pytest.raises(NumericalBreakdown) as err:
         tune(p, mp, budget=BREAKDOWN_BUDGET)
     assert ref_err.value.t == err.value.t == 3
     assert str(err.value) == str(ref_err.value)
+    return raised
+
+
+def test_breakdown_past_the_accepted_candidate_is_not_raised(monkeypatch):
+    _check_speculative_breakdown_not_raised(monkeypatch, *_breakdown_case())
+
+
+def test_window_breakdown_past_the_accepted_candidate_is_not_raised(
+        monkeypatch):
+    _check_speculative_breakdown_not_raised(monkeypatch,
+                                            *_window_breakdown_case())
+
+
+@pytest.mark.parametrize("position", [0, 1, 5, WINDOW + 3])
+def test_breakdown_of_a_charged_candidate_is_raised_at_its_step(
+        monkeypatch, position):
+    _check_charged_breakdown_raised(monkeypatch, *_breakdown_case(), position)
+
+
+@pytest.mark.parametrize("position", [0, 1, 5, WINDOW + 3])
+def test_window_breakdown_of_a_charged_candidate_is_raised_at_its_step(
+        monkeypatch, position):
+    """Position 0 is the zero start, solved alone; the others are polls,
+    first solved in a stack."""
+    raised = _check_charged_breakdown_raised(
+        monkeypatch, *_window_breakdown_case(), position)
+    assert raised == [1, 1] if position == 0 else max(raised) > 1
+
+
+def test_window_stacks_in_tune_give_each_candidates_J_bitwise(monkeypatch):
+    """Every stacked solve ``tune`` makes on the window path, each from an
+    incumbent, gives each candidate the J of its own full solve, bitwise."""
+    p, mp = _window_breakdown_case()
+    assert window_delay(mp) == 2
+    stacks, inner = [], tune_mod.solve
+
+    def recording(plant, mp, gains, rtol, incumbent=None):
+        out = inner(plant, mp, gains, rtol, incumbent)
+        if gains.theta.ndim > 1:
+            stacks.append((gains.theta.copy(), out.J.copy()))
+        return out
+
+    monkeypatch.setattr(tune_mod, "solve", recording)
+    tune(p, mp, budget=BREAKDOWN_BUDGET)
+    assert len(stacks) > 1
+    for thetas, Js in stacks:
+        for theta, J in zip(thetas, Js):
+            one = solve(p, mp, LocalGains.from_vector(p, mp, theta)).J
+            assert J.hex() == one.hex()
 
 
 def _forward_sweeps(monkeypatch, run):
@@ -320,7 +380,15 @@ def test_breakdown_in_a_window_past_step_one_is_raised_at_its_step(
     """A window whose polls first change step t_a > 1 sweeps forward from
     t_a.  Its first poll is charged; a breakdown of that poll injected at
     t_a + 1 is raised there, with the one-at-a-time search's message."""
-    p, mp = _breakdown_case()
+    _check_breakdown_past_step_one(monkeypatch, *_breakdown_case())
+
+
+def test_window_breakdown_in_a_window_past_step_one_is_raised_at_its_step(
+        monkeypatch):
+    _check_breakdown_past_step_one(monkeypatch, *_window_breakdown_case())
+
+
+def _check_breakdown_past_step_one(monkeypatch, p, mp):
     ref_seen = _evaluated_thetas(
         monkeypatch, lambda: _sequential_tune(p, mp, BREAKDOWN_BUDGET))
     sweeps = _forward_sweeps(

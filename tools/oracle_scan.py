@@ -19,7 +19,12 @@ prints:
   exact cost of the paper's strategy on the delayed statistic S_t
   (``DelayedStatPolicy`` of ``tests/test_estimator.py``, a ``sim.Policy``),
   skipping the cases where ``delayed_stat_gains`` raises
-  ``UnsupportedProtocol``.
+  ``UnsupportedProtocol``;
+* over the cases whose filter is the window form (``window_delay``), the
+  cases where its kept rank differs from the square-root sweep's at some
+  step, and those where a value either of them cuts on (the window's
+  eigenvalues, the sweep's squared singular values) lies within a decade
+  of the cutoff.
 
 The instances depend only on the generator's code, so every checkout with
 that generator scans the same ones; the first 300 are the test's:
@@ -43,8 +48,10 @@ import numpy as np  # noqa: E402
 
 import declqg as dq  # noqa: E402
 from declqg.estimator import effective_delay  # noqa: E402
+from declqg.infostructure import window_delay  # noqa: E402
 from declqg.sim import _moment_cost  # noqa: E402
 from test_estimator import DelayedStatPolicy  # noqa: E402
+from test_solver import _window_and_sweep  # noqa: E402
 from test_sim import (ORACLE_TAG, _oracle_cases,  # noqa: E402
                       _rank_margin, run_filter_vs_oracle)
 
@@ -69,6 +76,7 @@ def check(case, found: dict) -> None:
     if gap > found["worst_gap"][0]:
         found["worst_gap"] = (gap, f"{describe(p, mp)} seed={seed}")
     stat_gap(ss, seed, found)
+    window_ranks(ss, seed, found)
     thetas = dq.random_theta_maps(ss.cs, rng, 0.3)
     margin = _rank_margin(ss.cs, thetas)
     if margin < 1.0:
@@ -101,10 +109,26 @@ def stat_gap(ss, seed: int, found: dict) -> None:
         found["worst_stat_gap"] = (gap, f"{describe(p, mp)} seed={seed}")
 
 
+def window_ranks(ss, seed: int, found: dict) -> None:
+    """Compare the window form's kept ranks with the square-root sweep's,
+    for an ``ss`` solved in the window form."""
+    p, mp = ss.cs.plant, ss.cs.protocol
+    if window_delay(mp) is None:
+        return
+    found["window_cases"] += 1
+    _, _, rank_window, rank_sweep, margin = _window_and_sweep(ss)
+    where = f"margin={margin:.2f} {describe(p, mp)} seed={seed}"
+    if margin < 1.0:
+        found["window_near"].append(where)
+    if not np.array_equal(rank_window, rank_sweep):
+        found["window_rank"].append(where)
+
+
 def scan(examples: int) -> dict:
     found = {"cases": 0, "breakdowns": [], "near_cutoff": [],
              "filter_gaps": [], "worst_gap": (0.0, ""), "stat_cases": 0,
-             "stat_skipped": 0, "worst_stat_gap": (0.0, "")}
+             "stat_skipped": 0, "worst_stat_gap": (0.0, ""),
+             "window_cases": 0, "window_rank": [], "window_near": []}
     for i in range(examples):
         check(_oracle_cases(np.random.default_rng([ORACLE_TAG, i])), found)
     return found
@@ -129,6 +153,14 @@ def main() -> int:
     print(f"delayed-sharing cases: {found['stat_cases']} "
           f"({found['stat_skipped']} skipped, UnsupportedProtocol)")
     print(f"worst |J - S_t-policy exact| / |exact|: {gap:.2e}  {where}")
+    print(f"window-form cases: {found['window_cases']}")
+    for key, title in (
+            ("window_rank", "window kept rank differs from the sweep's"),
+            ("window_near", "window or sweep value within a decade of "
+                            "the cutoff")):
+        print(f"{title}: {len(found[key])}")
+        for line in found[key]:
+            print(f"  {line}")
     return 0
 
 
