@@ -21,8 +21,7 @@ from .infostructure import (DelayGraph, MemoryProtocol,
 from .coordination import CoordinatedSystem, LocalGains, build
 from .solver import SolvedStrategy, backward_riccati, forward_riccati, solve
 from .estimator import (DelayedStatTracker, act, delayed_stat_map,
-                        delayed_stat_gains, initial_state,
-                        plant_kalman_covariances, step_statistic)
+                        delayed_stat_gains, initial_state, step_statistic)
 from .sim import (StatisticPolicy, Rollout, RolloutBatch,
                   closed_loop_cost_exact, draw_primitives, exact_cost,
                   rollout_plant, simulate)

@@ -9,12 +9,13 @@ Three statistics appear here:
   gains never read the local gains (strategy independent): it runs once
   per plant and rtol and is kept on the plant (``PlantModel.predictor``);
 * the delayed-sharing statistic S_t = (the coordinator's state estimate
-  at tau = t - k + 1, recent coordinator actions): the predictor
-  xhat_{tau|tau-1}, the protocol's carrier c_tau (all of its pairs are
-  common at t) and the Ut~ window, one vector, zero before tau = 1.  It
-  moves by one gain-independent linear map per step, and ``stat`` is an
-  explicit linear function of it, one map per t, all returned at once by
-  ``delayed_stat_map``.
+  at tau = t - k + 1, recent coordinator actions), for a protocol whose
+  data is all common after one delay k (``MemoryProtocol.window``): the
+  predictor xhat_{tau|tau-1}, the protocol's carrier c_tau (all of its
+  pairs are common at t) and the Ut~ window, one vector, zero before
+  tau = 1.  It moves by one gain-independent linear map per step, and
+  ``stat`` is an explicit linear function of it, one map per t, all
+  returned at once by ``delayed_stat_map``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 from .core import (DEFAULT_RTOL, DimMismatch, TimeOutOfRange,
                    UnsupportedProtocol, as_index, as_vector, read_only)
 from .coordination import CoordinatedSystem, _check_fits
-from .infostructure import window_delay
 from .plant import PlantModel
 from .solver import SolvedStrategy, _check_one_strategy
 
@@ -97,30 +97,7 @@ def act(st: EstimatorState, ss: SolvedStrategy, y_local, m_local):
 
 
 # --------------------------------------------------------------------------
-# plant-level Kalman predictor (strategy independent)
-
-
-def plant_kalman_covariances(plant: PlantModel, rtol: float = DEFAULT_RTOL):
-    """Read-only predictor covariances P_1..P_{T+1} (P_1 = sigma_x), shape
-    (T+1, d_x, d_x), and gains for t = 1..T, shape (T, d_x, sum d_y): the
-    coordinator's square-root sweep, run on the plant once per ``rtol``
-    (:meth:`PlantModel.predictor`); every call returns the same arrays."""
-    return plant.predictor(rtol)[:2]
-
-
-# --------------------------------------------------------------------------
 # delayed-sharing reduced statistic
-
-
-def effective_delay(mp) -> int:
-    """Window length parameter: k for symmetric sharing, k* for asymmetric."""
-    if mp.kind == "symmetric_delay":
-        return int(mp.delay)
-    if mp.kind == "asymmetric_delay":
-        return mp.delay_graph.k_star_max
-    raise UnsupportedProtocol(
-        f"delayed-sharing statistic needs a delayed-sharing protocol, "
-        f"got kind={mp.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -130,26 +107,31 @@ class ReducedDelayStat:
     holds only pairs common at t, and the k - 1 coordinator actions since,
     oldest first; zero for steps before 1 (empty window for k = 1)."""
 
-    k: int
     value: np.ndarray
 
     def vector(self) -> np.ndarray:
         return self.value
 
 
-def _delay_transition(plant: PlantModel, mp, k: int, rtol: float):
+def _delay_transition(plant: PlantModel, mp, rtol: float):
     """Read-only (Ts, Tu, Tp), each stacked over t = 1..T, with S_{t+1} =
-    Ts S_t + Tu Ut~_t + Tp (Y_tau, U_tau), tau = t - k + 1.  The (xhat, c)
-    rows move by blkdiag(A_tau - K_tau C_tau, cc) and take [[K_tau, B_tau],
-    [cy, cu]] of the pair, K the gains of ``plant_kalman_covariances``
-    (strategy independent); they stay zero for t < k, before tau = 1.  The
-    Ut~ window drops its oldest entry for the newest."""
+    Ts S_t + Tu Ut~_t + Tp (Y_tau, U_tau), tau = t - k + 1, k the
+    protocol's ``window`` (UnsupportedProtocol if it has none).  The
+    (xhat, c) rows move by blkdiag(A_tau - K_tau C_tau, cc) and take
+    [[K_tau, B_tau], [cy, cu]] of the pair, K the gains of
+    ``plant.predictor`` (strategy independent); they stay zero for t < k,
+    before tau = 1.  The Ut~ window drops its oldest entry for the newest."""
+    k = mp.window
+    if k is None:
+        raise UnsupportedProtocol(
+            "delayed-sharing statistic needs one delay after which every "
+            f"controller's data is common; protocol {mp.kind!r} has none")
     T, d_x, d_u = plant.T, plant.d_x, plant.d_u_total
     d = d_x + mp.d_carrier
     dim, tau = d + (k - 1) * d_u, slice(0, max(0, T - k + 1))
     Ts, Tu, Tp = (np.zeros((T, dim, w))
                   for w in (dim, d_u, plant.d_y_total + d_u))
-    K = plant_kalman_covariances(plant, rtol)[1][tau]
+    K = plant.predictor(rtol)[1][tau]
     Ts[k - 1:, :d_x, :d_x] = plant.A[tau] - K @ plant.C[tau]
     Ts[k - 1:, d_x:d, d_x:d] = mp.cc
     Tp[k - 1:, :d_x] = np.concatenate([K, plant.B[tau]], axis=2)
@@ -168,12 +150,13 @@ class DelayedStatTracker:
     any number of walks.
 
     ``state`` is S_t and ``pending`` the k - 1 shared (Y_s, U_s) pairs not
-    yet common, s = t-k+1..t-1, oldest first, zero for s < 1.  Each step is
-    one set of products with ``_delay_transition``'s maps.
+    yet common, s = t-k+1..t-1, oldest first, zero for s < 1, k the
+    protocol's ``window`` (``create`` raises UnsupportedProtocol for a
+    protocol without one).  Each step is one set of products with
+    ``_delay_transition``'s maps.
     """
 
     plant: PlantModel
-    k: int
     t: int
     transition: tuple       # (Ts, Tu, Tp), stacked over t = 1..T, read only
     state: np.ndarray       # S_t, read only
@@ -183,15 +166,15 @@ class DelayedStatTracker:
     def create(plant: PlantModel, mp, rtol: float = DEFAULT_RTOL
                ) -> "DelayedStatTracker":
         _check_fits(plant, mp)
-        k = effective_delay(mp)
-        transition = _delay_transition(plant, mp, k, rtol)
+        transition = _delay_transition(plant, mp, rtol)
         return DelayedStatTracker(
-            plant=plant, k=k, t=1, transition=transition,
+            plant=plant, t=1, transition=transition,
             state=read_only(np.zeros(transition[0].shape[1])),
-            pending=np.zeros((k - 1, plant.d_y_total + plant.d_u_total)))
+            pending=np.zeros((mp.window - 1,
+                              plant.d_y_total + plant.d_u_total)))
 
     def stat(self) -> ReducedDelayStat:
-        return ReducedDelayStat(self.k, self.state)
+        return ReducedDelayStat(self.state)
 
     def advance(self, y_t, u_t, u_tilde_t) -> "DelayedStatTracker":
         """Move from time t to t+1 after acting (Y_t, U_t, Ut~ realized)."""
@@ -208,25 +191,19 @@ class DelayedStatTracker:
                        pending=line[1:])
 
 
-def _check_stat_delay(cs: CoordinatedSystem, k: int) -> int:
-    """``k`` as an int; raise unless ``cs`` is one strategy's and the
-    delayed statistic with window delay k fits its protocol."""
+def _check_stat_delay(cs: CoordinatedSystem, k: int) -> None:
+    """Raise unless ``cs`` is one strategy's and ``k`` is its protocol's
+    ``window`` (UnsupportedProtocol if the protocol has none)."""
     _check_one_strategy(cs)
-    mp, k = cs.protocol, as_index(k, "k")
-    if mp.kind == "asymmetric_delay" and window_delay(mp) is None:
-        kstars = sorted({mp.delay_graph.k_star(j) for j in range(mp.n)})
-        raise UnsupportedProtocol(
-            "delayed-statistic map needs equal worst-case delays; "
-            f"graph has k*_j in {kstars}")
-    if k != effective_delay(mp):
-        raise UnsupportedProtocol(
-            f"window delay {k} does not match the protocol's {effective_delay(mp)}")
-    return k
+    if as_index(k, "k") != cs.protocol.window:
+        raise UnsupportedProtocol(f"window delay {k} does not match the "
+                                  f"protocol's window {cs.protocol.window}")
 
 
-def _pullback(cs: CoordinatedSystem, k: int, G: np.ndarray) -> np.ndarray:
+def _pullback(cs: CoordinatedSystem, G: np.ndarray) -> np.ndarray:
     """Rows G[t-1] @ M(t), t = 1..T, of the maps taking S_t to stat at t,
-    for a checked k, without forming the maps; one (T, rows, dim S_t) array.
+    k the protocol's (checked) ``window``, without forming the maps; one
+    (T, rows, dim S_t) array.
 
     M(t) starts from [I, 0] at tau = t - k + 1 (S_t's first d_state
     entries are the coordinator's estimate at tau), or for t < k from zero
@@ -238,7 +215,7 @@ def _pullback(cs: CoordinatedSystem, k: int, G: np.ndarray) -> np.ndarray:
     stacked matmul runs the 2-d product on each, which keeps each row's
     bits.  One ``+= 0.0`` at the end makes every zero +0.0.
     """
-    d, d_u = cs.d_state, cs.d_u
+    d, d_u, k = cs.d_state, cs.d_u, cs.protocol.window
     out = np.zeros(G.shape[:2] + (d + (k - 1) * d_u,))
     for j in range(k - 1):
         G, w = G[1:], d + (k - 2 - j) * d_u     # row t = j + 1 drops out
@@ -258,7 +235,8 @@ def delayed_stat_map(cs: CoordinatedSystem, k: int) -> np.ndarray:
     coordinated dynamics with the windowed coordinator actions and zero-mean
     noise.  Computed as the pullback of the identity through those steps.
     """
-    return read_only(_pullback(cs, _check_stat_delay(cs, k), np.broadcast_to(
+    _check_stat_delay(cs, k)
+    return read_only(_pullback(cs, np.broadcast_to(
         np.eye(cs.d_state), (cs.T, cs.d_state, cs.d_state))))
 
 
@@ -266,5 +244,5 @@ def delayed_stat_gains(ss: SolvedStrategy, k: int):
     """Gains acting directly on S_t, one read-only (T, d_u, dim S_t) array:
     L_t = L~_t M(t), to rounding, with M(t) the ``delayed_stat_map``; each
     L~_t is pulled back through M(t)'s steps without forming the map."""
-    cs, k = ss.cs, _check_stat_delay(ss.cs, k)
-    return read_only(_pullback(cs, k, ss.Lgain))
+    _check_stat_delay(ss.cs, k)
+    return read_only(_pullback(ss.cs, ss.Lgain))

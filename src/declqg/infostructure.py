@@ -105,7 +105,12 @@ class MemoryProtocol:
     """Compiled information structure; see module docstring.
 
     Stacked maps are stored once, because all builders are time invariant;
-    callers read the fields directly for every step.
+    callers read the fields directly for every step.  ``window`` is the
+    delay k after which the data of every controller is common, when it is
+    one k for all (symmetric delay k, or asymmetric delay whose k*_j all
+    equal k), set by the builder: at every t the common data is then
+    exactly that of the steps before t - k + 1.  It is None for every other
+    protocol; there some controller's data becomes common sooner, or never.
     """
 
     kind: str
@@ -127,7 +132,7 @@ class MemoryProtocol:
     l_from_m: np.ndarray        # carrier = l_from_m @ VVEC(M^1..M^n)
     blocks: tuple[dict, ...]    # per-controller carrier-coordinate blocks
     delay_graph: DelayGraph | None = None
-    delay: int | None = None    # symmetric sharing delay, when applicable
+    window: int | None = None   # k after which all data is common, if any
     notes: tuple[str, ...] = ()
 
     # -- dimensions ---------------------------------------------------------
@@ -192,7 +197,7 @@ class MemoryProtocol:
 
 def _assemble(plant: PlantModel, blocks, *, kind: str, strict: bool,
               d_m=None, m_sel=None, l_from_m=None, delay_graph=None,
-              delay=None, notes=()) -> MemoryProtocol:
+              window=None, notes=()) -> MemoryProtocol:
     """Common constructor: stack per-controller carrier blocks, which the
     builders construct and ``explicit_protocol`` coerces to exact shape."""
     n = plant.n
@@ -218,7 +223,7 @@ def _assemble(plant: PlantModel, blocks, *, kind: str, strict: bool,
         m_sel=np.asarray(m_sel, dtype=float),
         l_from_m=np.asarray(l_from_m, dtype=float),
         blocks=tuple(dict(b) for b in blocks),
-        delay_graph=delay_graph, delay=delay, notes=tuple(notes))
+        delay_graph=delay_graph, window=window, notes=tuple(notes))
 
 
 def _shift_register_blocks(d_y: int, d_u: int, k: int) -> dict:
@@ -265,7 +270,7 @@ def build_symmetric_delay(plant: PlantModel, k: int) -> MemoryProtocol:
     blocks = [_shift_register_blocks(plant.d_y[i], plant.d_u[i], k)
               for i in range(plant.n)]
     return _assemble(plant, blocks, kind="symmetric_delay", strict=True,
-                     delay=k)
+                     window=k)
 
 
 def build_asymmetric_delay(plant: PlantModel, graph: DelayGraph) -> MemoryProtocol:
@@ -276,6 +281,7 @@ def build_asymmetric_delay(plant: PlantModel, graph: DelayGraph) -> MemoryProtoc
     controller j's data.  Each local memory M^i_t selects, per source j, the
     pairs i has already received but that have not reached everyone yet, so
     the memory view is generally not block diagonal across controllers.
+    The protocol's ``window`` is the k*_j when they are all equal.
     """
     if graph.n != plant.n:
         raise WrongControllerCount(
@@ -312,23 +318,9 @@ def build_asymmetric_delay(plant: PlantModel, graph: DelayGraph) -> MemoryProtoc
     return _assemble(plant, blocks, kind="asymmetric_delay", strict=False,
                      d_m=d_m, m_sel=m_sel, l_from_m=l_from_m,
                      delay_graph=graph,
+                     window=kstar[0] if len(set(kstar)) == 1 else None,
                      notes=("memory carrier is the unshared window L_t; "
                             "local memories are selections of it",))
-
-
-def window_delay(mp: MemoryProtocol) -> int | None:
-    """The delay k after which the data of every controller is common, when
-    it is one k for all: symmetric delay k, or asymmetric delay whose k*_j
-    all equal k.  At every t the common data is then exactly that of the
-    steps before t - k + 1; None for every other protocol.  If some
-    controller's data became common sooner, the shared history would hold
-    fresher information than that window."""
-    if mp.kind == "symmetric_delay":
-        return mp.delay
-    if mp.kind == "asymmetric_delay":
-        kstars = {mp.delay_graph.k_star(j) for j in range(mp.n)}
-        return kstars.pop() if len(kstars) == 1 else None
-    return None
 
 
 def build_control_sharing(plant: PlantModel) -> MemoryProtocol:
@@ -388,7 +380,7 @@ def explicit_protocol(plant: PlantModel, blocks, strict: bool = False,
     shapes are inferred from the row counts of "my" and "zy".
     """
     if kind in ("symmetric_delay", "asymmetric_delay", "control_sharing",
-                "one_sided"):    # code keyed on these reads their delays
+                "one_sided"):    # each names what its builder guarantees
         raise UnsupportedProtocol(f"kind {kind!r} is reserved for its builder")
     if not isinstance(blocks, (list, tuple)):
         raise DimMismatch("blocks: must list one block per controller")
@@ -470,9 +462,6 @@ def validate(mp: MemoryProtocol, enforce_strict: bool | None = None
 
 # --------------------------------------------------------------------------
 # symbolic token simulation
-
-Token = tuple  # ("y" | "u", controller, time, component); None is a zero pad
-
 
 @dataclass(frozen=True)
 class TokenTrace:

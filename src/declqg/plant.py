@@ -15,9 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DimMismatch, InvalidMatrix, _filter_sweep, as_covariance,
-                   as_index, as_matrix, as_vector, blkdiag, eig_bounds,
-                   psd_sqrt, read_only)
+from .core import (DEFAULT_RTOL, DimMismatch, InvalidMatrix, _filter_sweep,
+                   as_covariance, as_index, as_matrix, as_vector, blkdiag,
+                   eig_bounds, psd_sqrt, read_only)
 
 
 def _per_step(value, T, rows, cols, name):
@@ -126,12 +126,15 @@ class PlantModel:
     def _predictors(self) -> dict:
         return {}
 
-    def predictor(self, rtol: float):
+    def predictor(self, rtol: float = DEFAULT_RTOL):
         """The plant-level one-step-ahead Kalman predictor, which never
         reads the local gains: read-only covariances P_1..P_{T+1}
-        (P_1 = sigma_x), gains K_1..K_T and roots R_1..R_{T+1} (P = R R')
-        of the square-root sweep at relative rank cutoff ``rtol``, run once
-        per ``rtol`` and kept on the plant."""
+        (P_1 = sigma_x), shape (T+1, d_x, d_x), gains K_1..K_T, shape
+        (T, d_x, sum d_y), and roots R_1..R_{T+1} (P = R R') of the
+        square-root sweep at relative rank cutoff ``rtol``, run once per
+        ``rtol`` and kept on the plant, so every call at one ``rtol``
+        returns the same arrays.  The window form of the coordinator's
+        filter and the delayed statistic both read it."""
         if rtol not in self._predictors:
             self._predictors[rtol] = tuple(map(read_only, _filter_sweep(
                 self.A, self.C, self.noise_root, self.x1_root, rtol)))

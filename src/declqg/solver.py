@@ -5,11 +5,11 @@ P~_t of the coordinator's state (X_t, c_t) under process noise correlated
 with the measurement noise, and the filter gains; innovation covariances are
 generically singular (shared increments are often noiseless functions of
 the state) so each gain cuts its own at a relative rank.  Under delayed
-sharing with one delay k for every controller (``window_delay``) the data
-of every step before t - k + 1 is common at t, so P~_t is the plant
-predictor's error there carried open loop through the last k - 1 steps:
-the paper's window, formed for all t at once.  Every other protocol takes
-a T-step square-root Kalman sweep.  The backward recursion handles the
+sharing with one delay k for every controller (``MemoryProtocol.window``)
+the data of every step before t - k + 1 is common at t, so P~_t is the
+plant predictor's error there carried open loop through the last k - 1
+steps: the paper's window, formed for all t at once.  Every other protocol
+takes a T-step square-root Kalman sweep.  The backward recursion handles the
 state/control cross term with the convention S_{T+1} = 0: no terminal state
 cost, and the final-step gain reduces to -R~^{-1} N~^T.
 Value matrices are symmetrized after every step.
@@ -24,7 +24,7 @@ import numpy as np
 from .core import (DEFAULT_RTOL, DimMismatch, NumericalBreakdown,
                    _check_finite, _filter_sweep, check_rtol, read_only, sym)
 from .coordination import CoordinatedSystem, LocalGains, build
-from .infostructure import MemoryProtocol, window_delay
+from .infostructure import MemoryProtocol
 from .plant import PlantModel
 
 
@@ -88,7 +88,7 @@ def _check_one_strategy(cs: CoordinatedSystem) -> None:
 def _window_roots(cs: CoordinatedSystem, k: int, rtol: float, start: int,
                   lent):
     """Roots of P~_1..P~_T, d_x + (k-1)(d_x + sum d_y) wide, under a
-    protocol whose data is all common k steps on (``window_delay``): at t
+    protocol whose data is all common k steps on (its ``window``): at t
     everything before tau = t - k + 1 is common, so the error on xi_t is
     the plant predictor's at tau carried open loop through steps tau..t-1,
     R <- [A~_s R, N_w,s] from [R_tau; 0], R_tau the predictor's root.  A
@@ -151,12 +151,12 @@ def forward_riccati(cs: CoordinatedSystem, rtol: float = DEFAULT_RTOL,
     """P~_1..P~_T = root root', filter gains for t = 1..T-1 and the roots,
     over (…, T, ·, ·), from step ``start`` on: the roots to P~_start and
     the gains before it are copied from ``incumbent`` (see :func:`solve`).
-    Under a protocol in ``window_delay``'s class this is the window form
+    Under a protocol with a ``window`` k this is the window form
     (:func:`_window_sweep`, roots d_x + (k-1)(d_x + sum d_y) wide); under
     every other the square-root sweep from root_1 = ``cs.init_root``
     (d_state wide)."""
     lent = incumbent and (incumbent.root, incumbent.filter_gain)
-    k = window_delay(cs.protocol)
+    k = cs.protocol.window
     return tuple(map(read_only, _filter_sweep(
         cs.A, cs.C, cs.noise, cs.init_root, rtol, start, lent)
         if k is None else _window_sweep(cs, k, rtol, start, lent)))

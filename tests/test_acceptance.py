@@ -13,8 +13,8 @@ from declqg import (StatisticPolicy, DelayGraph, DelayedStatTracker, LocalGains,
                     build_one_sided, build_symmetric_delay,
                     closed_loop_cost_exact, draw_primitives, exact_cost,
                     explicit_protocol, forward_riccati, gaussian_conditioning,
-                    plant_kalman_covariances, random_theta_maps,
-                    rollout_coordinated, rollout_plant, simulate, solve,
+                    random_theta_maps, rollout_coordinated, rollout_plant,
+                    simulate, solve,
                     strategy_theta_maps, tune, validate)
 
 from conftest import random_plant, scalar_two_controller
@@ -343,10 +343,10 @@ def test_criterion_8_delayed_sharing_reduction():
     assert worst <= 1e-8, worst
 
     # plant predictor covariance never reads the local gains: bitwise equal
-    base, base_gains = plant_kalman_covariances(p)
+    base, base_gains, _ = p.predictor()
     for _ in range(10):
         LocalGains.random(p, build_symmetric_delay(p, 2), rng, 1.0)
-        again, again_gains = plant_kalman_covariances(p)
+        again, again_gains, _ = p.predictor()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(base, again))
         assert all(a.tobytes() == b.tobytes()
                    for a, b in zip(base_gains, again_gains))

@@ -9,11 +9,11 @@ from declqg import (StatisticPolicy, DelayGraph, DelayedStatTracker, DimMismatch
                     build, build_asymmetric_delay, build_control_sharing,
                     build_symmetric_delay,
                     delayed_stat_gains, draw_primitives, initial_state,
-                    plant_kalman_covariances, rollout_plant, solve,
+                    rollout_plant, solve,
                     step_statistic, DEFAULT_RTOL, TimeOutOfRange, token_trace)
 from declqg.cli import DEMOS, load_scenario, strategy_to_doc
 from declqg.estimator import (EstimatorState, _delay_transition,
-                              effective_delay, statistic_transition)
+                              statistic_transition)
 from declqg.sim import Policy, _moment_cost
 import declqg.estimator as estimator_mod
 import declqg.plant as plant_mod
@@ -130,7 +130,7 @@ def test_plant_kalman_tracks_deterministic_state():
         B=[[1.0], [0.5]], C=[np.eye(2)], Q=np.eye(2), R=[[1.0]],
         sigma_x=np.zeros((2, 2)), sigma_w0=np.zeros((2, 2)),
         sigma_w=[np.zeros((2, 2))])
-    _, gains = plant_kalman_covariances(p)
+    gains = p.predictor()[1]
     x, xhat = np.zeros(2), np.zeros(2)
     tracker = DelayedStatTracker.create(p, build_symmetric_delay(p, 1))
     rng = np.random.default_rng(25)
@@ -149,7 +149,7 @@ def test_plant_kalman_pure_prediction_when_unobservable():
         n=1, T=4, d_x=1, d_u=(1,), d_y=(1,), A=[[0.9]], B=[[1.0]],
         C=[np.zeros((1, 1))], Q=[[1.0]], R=[[1.0]], sigma_x=[[1.0]],
         sigma_w0=[[1.0]], sigma_w=[[[1.0]]])
-    _, gains = plant_kalman_covariances(p)
+    gains = p.predictor()[1]
     tracker = DelayedStatTracker.create(p, build_symmetric_delay(p, 1))
     xhat = tracker.advance([3.0], [2.0], [2.0]).stat().vector()
     assert_allclose(xhat, [2.0])     # A*0 + B*2 + gain*(...) with gain 0
@@ -162,7 +162,7 @@ def test_plant_kalman_scalar_covariance_hand_value():
         n=1, T=3, d_x=1, d_u=(1,), d_y=(1,), A=[[1.0]], B=[[1.0]],
         C=[[[1.0]]], Q=[[1.0]], R=[[1.0]], sigma_x=[[1.0]],
         sigma_w0=[[1.0]], sigma_w=[[[1.0]]])
-    P, _ = plant_kalman_covariances(p)
+    P = p.predictor()[0]
     assert P[0] == pytest.approx(1.0)
     assert P[1] == pytest.approx(1.5)   # 1*1*1 + 1 - 1*[1+1]^{-1}*1
 
@@ -170,10 +170,10 @@ def test_plant_kalman_scalar_covariance_hand_value():
 def test_plant_kalman_covariance_strategy_independent(scalar2):
     mp = build_symmetric_delay(scalar2, 2)
     rng = np.random.default_rng(26)
-    base, _ = plant_kalman_covariances(scalar2)
+    base = scalar2.predictor()[0]
     for _ in range(10):
         LocalGains.random(scalar2, mp, rng, 1.0)   # vary strategies
-        again, _ = plant_kalman_covariances(scalar2)
+        again = scalar2.predictor()[0]
         for a, b in zip(base, again):
             assert a.tobytes() == b.tobytes()
 
@@ -189,7 +189,7 @@ def test_plant_predictor_is_the_coordinators_filter_under_one_step_sharing(
     p = random_plant(rng, n=2, d_x=3, d_y=(2, 2), T=5, singular_w=singular_w)
     assert np.linalg.matrix_rank(p.sigma_w) == (2 if singular_w else 4)
     mp = build_symmetric_delay(p, 1)
-    P, _ = plant_kalman_covariances(p)
+    P = p.predictor()[0]
     for scale in (0.0, 0.5):
         ss = solve(p, mp, LocalGains.random(p, mp, rng, scale))
         assert ss.cs.d_c == 0
@@ -219,7 +219,7 @@ def test_step_statistic_walk_is_the_stacked_transition_bitwise(monkeypatch):
 
 
 def test_plant_predictor_runs_once_per_rtol(monkeypatch):
-    """Every ``plant_kalman_covariances`` call at one rtol returns the same
+    """Every ``PlantModel.predictor`` call at one rtol returns the same
     read-only arrays, bitwise a fresh sweep's; another rtol has its own."""
     p = random_plant(np.random.default_rng(36), n=2, d_x=3, T=6)
     sweep, rtols = plant_mod._filter_sweep, []
@@ -229,16 +229,16 @@ def test_plant_predictor_runs_once_per_rtol(monkeypatch):
         return sweep(A, C, noise, R1, rtol)
 
     monkeypatch.setattr(plant_mod, "_filter_sweep", counting)
-    P, K = plant_kalman_covariances(p)
-    again = plant_kalman_covariances(p)
+    P, K, _ = p.predictor()
+    again = p.predictor()
     assert again[0] is P and again[1] is K
     assert not P.flags.writeable and not K.flags.writeable
     fresh = sweep(p.A, p.C, p.noise_root, p.x1_root, DEFAULT_RTOL)
     assert P.tobytes() == fresh[0].tobytes()
     assert K.tobytes() == fresh[1].tobytes()
-    other = plant_kalman_covariances(p, 1e-6)
+    other = p.predictor(1e-6)
     assert other[0] is not P
-    assert plant_kalman_covariances(p, 1e-6)[0] is other[0]
+    assert p.predictor(1e-6)[0] is other[0]
     assert rtols == [DEFAULT_RTOL, 1e-6]
 
 
@@ -274,7 +274,7 @@ def test_reduced_stat_k1_is_predictor_alone(scalar2):
     mp = build_symmetric_delay(scalar2, 1)
     tracker = DelayedStatTracker.create(scalar2, mp)
     assert tracker.stat().vector().shape == (1,)
-    _, gains = plant_kalman_covariances(scalar2)
+    gains = scalar2.predictor()[1]
     rng = np.random.default_rng(28)
     xhat = np.zeros(1)
     for t in range(1, scalar2.T):
@@ -300,7 +300,7 @@ def test_reduced_stat_k2_window_bookkeeping(scalar2):
     assert v.shape == (7,)
     assert_allclose(v[1:5], [ys[1][0], us[1][0], ys[1][1], us[1][1]])
     assert_allclose(v[5:7], uts[2])
-    _, gains = plant_kalman_covariances(scalar2)
+    gains = scalar2.predictor()[1]
     xhat = _predictor_step(scalar2, gains, np.zeros(1), 1, ys[0], us[0])
     xhat = _predictor_step(scalar2, gains, xhat, 2, ys[1], us[1])
     assert_allclose(v[:1], xhat)
@@ -374,10 +374,19 @@ def test_stacked_strategy_rejected_with_dim_mismatch(call):
     call(stack.candidate(1))
 
 
-def test_effective_delay_requires_delayed_protocol(scalar2):
+def test_delayed_statistic_requires_a_window(scalar2):
+    # control sharing never makes the observations common: no window, so
+    # the tracker, the map and the gains on S_t all refuse it
     mp = build_control_sharing(scalar2)
-    with pytest.raises(UnsupportedProtocol):
-        effective_delay(mp)
+    assert mp.window is None
+    with pytest.raises(UnsupportedProtocol, match="control_sharing"):
+        DelayedStatTracker.create(scalar2, mp)
+    ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
+    for k in (1, 2):
+        with pytest.raises(UnsupportedProtocol, match="window None"):
+            delayed_stat_map(ss.cs, k)
+        with pytest.raises(UnsupportedProtocol, match="window None"):
+            delayed_stat_gains(ss, k)
 
 
 def test_delayed_stat_map_k1_identity(scalar2):
@@ -445,20 +454,22 @@ def _three_controller_plant():
 
 
 def test_asymmetric_reduced_stat_heterogeneous_delays():
-    """Figure-1 graph: the assembly at k* exists, but the exact statistic is
-    not a linear function of it (controller 2's data goes common faster than
-    the windows extend), so the map is refused."""
+    """Figure-1 graph: controller 2's data goes common faster than the
+    others', so no one window holds the common history and the statistic
+    on S_t is refused: the tracker, the map and the gains."""
     p = _three_controller_plant()
     g = DelayGraph.create([[1, 1, 2], [1, 1, 1], [2, 1, 1]])
     mp = build_asymmetric_delay(p, g)
-    assert effective_delay(mp) == 2
+    assert mp.window is None
     # k* = (2, 1, 2): controllers 0 and 2 each carry one pair
     assert mp.d_carrier == 4
-    tracker = DelayedStatTracker.create(p, mp)
-    assert tracker.stat().vector().shape[0] == 2 + 4 + 1 * 3
-    cs = build(p, mp, LocalGains.zeros(p, mp))
+    with pytest.raises(UnsupportedProtocol, match="asymmetric_delay"):
+        DelayedStatTracker.create(p, mp)
+    ss = solve(p, mp, LocalGains.zeros(p, mp))
     with pytest.raises(UnsupportedProtocol):
-        delayed_stat_map(cs, 2)
+        delayed_stat_map(ss.cs, 2)
+    with pytest.raises(UnsupportedProtocol):
+        delayed_stat_gains(ss, 2)
 
 
 def test_asymmetric_reduced_stat_uniform_worst_case_delay():
@@ -466,7 +477,7 @@ def test_asymmetric_reduced_stat_uniform_worst_case_delay():
     p = _three_controller_plant()
     g = DelayGraph.create([[1, 2, 2], [2, 1, 2], [2, 2, 1]])
     mp = build_asymmetric_delay(p, g)
-    assert effective_delay(mp) == 2
+    assert mp.window == 2
     rng = np.random.default_rng(40)
     ss = solve(p, mp, LocalGains.random(p, mp, rng, 0.2))
     prims = draw_primitives(p, seed=41, count=5)
@@ -741,7 +752,7 @@ def _check_tracker_state(p, mp, k, seed):
     ss = solve(p, mp, lg)
     rb = rollout_plant(p, mp, lg, StatisticPolicy(ss),
                        draw_primitives(p, seed=seed, count=3), keep=3)
-    _, gains = plant_kalman_covariances(p)
+    gains = p.predictor()[1]
     start = DelayedStatTracker.create(p, mp)
     d_x, d = p.d_x, p.d_x + mp.d_carrier
     for ro in rb.samples:
@@ -772,16 +783,17 @@ def test_tracker_rejects_a_protocol_built_for_another_plant(scalar2, other):
         DelayedStatTracker.create(scalar2, build_symmetric_delay(q, 2))
 
 
-def DelayedStatPolicy(ss, k):
+def DelayedStatPolicy(ss):
     """The paper's strategy on the delayed-sharing statistic: Ut~_t = L_t S_t
-    with L = ``delayed_stat_gains(ss, k)``, S_t moved by
-    ``_delay_transition`` (no transition out of T), as a ``sim.Policy``.
-    The pair (Y_tau, U_tau), tau = t - k + 1, that S_{t+1} takes is Z_t,
-    so Tz = Tp Pi, Pi from ``_pair_layout``."""
-    Ts, Tu, Tp = _delay_transition(ss.cs.plant, ss.cs.protocol, k,
-                                   DEFAULT_RTOL)
-    return Policy(delayed_stat_gains(ss, k), Ts[:-1], Tu[:-1],
-                  Tp[:-1] @ _pair_layout(ss.cs.protocol, k))
+    with L = ``delayed_stat_gains(ss, k)``, k the protocol's ``window``, S_t
+    moved by ``_delay_transition`` (no transition out of T), as a
+    ``sim.Policy``; UnsupportedProtocol if the protocol has no window.  The
+    pair (Y_tau, U_tau), tau = t - k + 1, that S_{t+1} takes is Z_t, so
+    Tz = Tp Pi, Pi from ``_pair_layout``."""
+    mp = ss.cs.protocol
+    Ts, Tu, Tp = _delay_transition(ss.cs.plant, mp, DEFAULT_RTOL)
+    return Policy(delayed_stat_gains(ss, mp.window), Ts[:-1], Tu[:-1],
+                  Tp[:-1] @ _pair_layout(mp, mp.window))
 
 
 def _pair_layout(mp, k):
@@ -800,7 +812,8 @@ def _pair_layout(mp, k):
 def _check_stat_policy_cost(p, mp, k, seed):
     lg = LocalGains.random(p, mp, np.random.default_rng([seed, 2]), 0.3)
     ss = solve(p, mp, lg)
-    exact = _moment_cost(p, mp, lg, DelayedStatPolicy(ss, k))
+    assert mp.window == k
+    exact = _moment_cost(p, mp, lg, DelayedStatPolicy(ss))
     assert abs(exact - ss.J) <= 1e-11 * max(1.0, abs(ss.J)), (exact, ss.J)
 
 
@@ -819,8 +832,7 @@ def test_delayed_stat_policy_monte_carlo_matches_j(name):
     lg = LocalGains.random(p, mp, np.random.default_rng([1107, 0]), 0.3)
     ss = solve(p, mp, lg)
     prims = draw_primitives(p, seed=1107, count=20_000)
-    got = rollout_plant(p, mp, lg, DelayedStatPolicy(ss, effective_delay(mp)),
-                        prims).costs
+    got = rollout_plant(p, mp, lg, DelayedStatPolicy(ss), prims).costs
     want = rollout_plant(p, mp, lg, StatisticPolicy(ss), prims).costs
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
     stderr = np.std(got, ddof=1) / np.sqrt(len(got))

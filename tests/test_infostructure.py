@@ -8,7 +8,7 @@ from declqg import (DelayGraph, InvalidDelay, PlantModel,
                     build_one_sided, build_symmetric_delay, explicit_protocol,
                     token_trace, validate)
 
-from conftest import random_plant, scalar_two_controller
+from conftest import check_generated, random_plant, scalar_two_controller
 
 
 def test_symmetric_k2_matches_display(scalar2):
@@ -281,7 +281,8 @@ def test_memory_view_equals_blocks_for_strict(scalar2):
 @pytest.mark.parametrize("kind", ["symmetric_delay", "asymmetric_delay",
                                   "control_sharing", "one_sided"])
 def test_explicit_protocol_refuses_builder_kinds(scalar2, kind):
-    # a builder kind promises parameters (the delay) raw blocks do not carry
+    # a builder kind names what its builder guarantees (a window, a delay
+    # graph), which raw blocks do not carry
     blocks = build_symmetric_delay(scalar2, 1).blocks
     with pytest.raises(UnsupportedProtocol, match=kind):
         explicit_protocol(scalar2, blocks, kind=kind)
@@ -298,3 +299,71 @@ def test_explicit_protocol_needs_one_block_per_controller(scalar2, count):
     blocks = build_symmetric_delay(scalar2, 1).blocks
     with pytest.raises(WrongControllerCount, match=f"got {count}"):
         explicit_protocol(scalar2, (list(blocks) * 2)[:count])
+
+
+# --------------------------------------------------------------------------
+# the protocol's window against its token trace
+
+
+WINDOW_TRACE_TAG = 1110
+
+
+def _window_trace_cases(rng):
+    """(protocol,): a random plant (n in 1..3, T in 1..6, d_y^i and d_u^i
+    in {1, 2}) under symmetric k-step sharing (k in 1..min(4, T)),
+    asymmetric sharing over a random graph (off-diagonal delays in
+    1..min(3, T), so the k*_j may or may not be equal), control sharing,
+    for n = 2 one-sided sharing, or raw blocks (``explicit_protocol``)
+    copied from a symmetric builder."""
+    n, T = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+    dims = lambda: tuple(int(d) for d in rng.integers(1, 3, n))
+    p = random_plant(np.random.default_rng(int(rng.integers(2**32))), n=n,
+                     d_y=dims(), d_u=dims(), T=T)
+    family = rng.choice(["sym", "asym", "control", "one-sided", "explicit"])
+    if family == "sym" or family == "explicit":
+        mp = build_symmetric_delay(p, int(rng.integers(1, min(4, T) + 1)))
+        return (explicit_protocol(p, mp.blocks) if family == "explicit"
+                else mp,)
+    if family == "asym":
+        delays = rng.integers(1, min(3, T) + 1, (n, n))
+        np.fill_diagonal(delays, 1)
+        return build_asymmetric_delay(p, DelayGraph.create(delays)),
+    if family == "one-sided" and n == 2:
+        return build_one_sided(p),
+    return build_control_sharing(p),
+
+
+def _trace_window(mp):
+    """The k for which, in ``token_trace(mp)``, every Z_t with t >= k holds
+    exactly the (y, u) tokens of step t - k + 1 of every controller (pads
+    aside) and every Z_t with t < k only pads; None if no k in 1..T does."""
+    live = {t: {tok for tok in z if tok is not None}
+            for t, z in token_trace(mp).z.items()}
+
+    def pair(s):
+        return {(kind, i, s, c) for kind, dims in (("y", mp.d_y),
+                                                   ("u", mp.d_u))
+                for i, d in enumerate(dims) for c in range(d)}
+    fits = [k for k in range(1, mp.T + 1)
+            if all(live[t] == (pair(t - k + 1) if t >= k else set())
+                   for t in live)]
+    return fits[0] if fits else None
+
+
+def test_window_is_the_token_traces_delay_on_generated():
+    # the builders' window is the delay the token trace shows, and None
+    # where none fits; raw blocks carry no window, whatever they share
+    seen = set()
+
+    def check(mp):
+        if mp.kind == "explicit":
+            assert mp.window is None
+        else:
+            assert mp.window == _trace_window(mp), (mp.kind, mp.window)
+        seen.add((mp.kind, mp.window))
+    check_generated(_window_trace_cases, WINDOW_TRACE_TAG, 200, check)
+    assert {("symmetric_delay", k) for k in (1, 2, 3, 4)} <= seen
+    assert {("asymmetric_delay", None), ("control_sharing", None),
+            ("one_sided", None), ("explicit", None)} <= seen
+    assert any(kind == "asymmetric_delay" and k is not None
+               for kind, k in seen)

@@ -47,8 +47,7 @@ PUBLIC_NAMES = [
     "delayed_stat_map", "draw_primitives", "estimator", "exact_cost",
     "explicit_protocol", "forward_riccati", "gaussian_conditioning",
     "infostructure", "initial_state", "oracles", "plant",
-    "plant_kalman_covariances", "random_theta_maps", "rollout_coordinated",
-    "rollout_plant",
+    "random_theta_maps", "rollout_coordinated", "rollout_plant",
     "seeded_stream", "sim", "simulate", "solve", "solver", "step_statistic",
     "strategy_theta_maps", "token_trace", "tune", "validate"]
 

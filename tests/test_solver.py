@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from declqg import (LocalGains, NumericalBreakdown, PlantModel,
-                    StatisticPolicy, UnsupportedProtocol, build,
+                    StatisticPolicy, build,
                     build_symmetric_delay,
                     closed_loop_cost_exact, delayed_stat_gains,
                     explicit_protocol, forward_riccati, backward_riccati, tune,
@@ -13,7 +13,6 @@ from declqg import (LocalGains, NumericalBreakdown, PlantModel,
 import declqg.solver as solver_mod
 from declqg.cli import DEMOS, load_scenario, strategy_from_doc, strategy_to_doc
 from declqg.core import DEFAULT_RTOL, blkdiag, sym
-from declqg.infostructure import window_delay
 from declqg.tune import _RAISE as _TUNE_ERRSTATE   # tune's solve errstate
 from declqg.oracles import closed_loop_maps, random_theta_maps
 
@@ -387,7 +386,7 @@ def test_solve_from_an_incumbent_is_bitwise_on_generated_instances():
         theta = LocalGains.random(p, mp, np.random.default_rng([seed, 1]),
                                   0.3).theta
         _assert_reuse_is_bitwise(p, mp, theta)
-        paths.append(window_delay(mp))
+        paths.append(mp.window)
     check_generated(_oracle_cases, 1103, 100, check)
     assert None in paths and any(k is not None for k in paths)
 
@@ -527,7 +526,7 @@ def _check_window_against_sweep(p, mp, thetas, near):
     squared singular values, the window's eigenvalues) lies within a decade
     of the cutoff, where the two may keep different ranks: such instances
     are counted in ``near`` instead."""
-    k = window_delay(mp)
+    k = mp.window
     ss = solve(p, mp, LocalGains.from_vector(p, mp, thetas))
     assert ss.root.shape[-1] == p.d_x + (k - 1) * (p.d_x + p.d_y_total)
     P, K, rank_window, rank_sweep, margin = _window_and_sweep(ss)
@@ -575,7 +574,7 @@ SWEEP_CASES = list(_sweep_protocol_cases())
 def test_forward_riccati_outside_the_window_class_is_the_sweep(name, p, mp):
     """The unequal-k* figure-1 graph, control sharing, one-sided and
     explicit protocols keep the square-root sweep, bit for bit."""
-    assert window_delay(mp) is None
+    assert mp.window is None
     size = LocalGains.zeros(p, mp).theta.size
     thetas = 0.3 * np.random.default_rng(len(name)).standard_normal((2, size))
     cs = build(p, mp, LocalGains.from_vector(p, mp, thetas))
@@ -721,17 +720,10 @@ def _assert_matches_augmented(p, mp, lg):
     for t in range(1, p.T):
         for got_t, ref in zip((m[t - 1] for m in got), trans[t - 1]):
             assert_allclose(got_t, ref, rtol=0, atol=_filter_atol(ss, ref))
-    if mp.kind == "symmetric_delay":
-        k = mp.delay
-    elif mp.kind == "asymmetric_delay":
-        k = mp.delay_graph.k_star_max
-    else:
+    k = mp.window
+    if k is None:
         return
-    try:
-        got = delayed_stat_gains(ss, k)
-    except UnsupportedProtocol:     # the k*_j differ
-        return
-    for g, ref in zip(got, stat_gains(ss.cs, k)):
+    for g, ref in zip(delayed_stat_gains(ss, k), stat_gains(ss.cs, k)):
         assert_allclose(g, ref, rtol=0, atol=_filter_atol(ss, ref))
 
 

@@ -11,7 +11,6 @@ import declqg.solver as solver_mod
 from declqg import (LocalGains, NumericalBreakdown, build_control_sharing,
                     build_symmetric_delay, seeded_stream, solve, tune)
 from declqg.cli import DEMOS, load_scenario
-from declqg.infostructure import window_delay
 from declqg.tune import STEP_INIT, STEP_MIN, WINDOW
 
 from conftest import scalar_two_controller
@@ -342,7 +341,7 @@ def test_window_stacks_in_tune_give_each_candidates_J_bitwise(monkeypatch):
     """Every stacked solve ``tune`` makes on the window path, each from an
     incumbent, gives each candidate the J of its own full solve, bitwise."""
     p, mp = _window_breakdown_case()
-    assert window_delay(mp) == 2
+    assert mp.window == 2
     stacks, inner = [], tune_mod.solve
 
     def recording(plant, mp, gains, rtol, incumbent=None):

@@ -10,9 +10,9 @@ the two outputs:
 
 Arrays are hashed through ``tobytes()``, floats through ``float.hex``.  The
 script imports the package from ``src/`` and the benchmark's workload set-up
-from ``perfbench/`` of the checkout it lives in; it uses only the public
-API, so a copy of it also runs in a checkout that predates it.  BLAS is
-pinned to one thread.  It covers:
+from ``perfbench/`` of the checkout it lives in, and uses only the public
+API; a checkout from before ``MemoryProtocol.window`` runs its own copy.
+BLAS is pinned to one thread.  It covers:
 
 * ``tune`` on the five ``cli.DEMOS`` at their own budgets: log, J,
   evaluations and ``theta``;
@@ -24,9 +24,11 @@ pinned to one thread.  It covers:
   sequences, the coordinated system's ``noise`` and ``noise_cost``,
   ``closed_loop_cost_exact`` and the ``strategy_to_doc(dump_matrices=True)``
   JSON;
-* per demo, 1 000 rows of ``draw_primitives``, the scaled noise, and
-  ``plant_kalman_covariances`` (as lists of per-step matrices, so a tuple
-  and an array of the same matrices hash alike);
+* per demo, 1 000 rows of ``draw_primitives``, the scaled noise, and the
+  plant predictor's covariances and gains, ``PlantModel.predictor`` at
+  ``DEFAULT_RTOL`` (as lists of per-step matrices, so a tuple and an array
+  of the same matrices hash alike), under the key of the
+  ``plant_kalman_covariances`` wrapper that once returned them;
 * per demo, at random gains and under random observation-history maps
   (``ZHistoryPolicy``): 50 ``rollout_coordinated`` rollouts, the costs of
   50 ``rollout_plant`` rollouts and every field but ``stat`` of 5 of them
@@ -35,9 +37,9 @@ pinned to one thread.  It covers:
   ``closed_loop_maps`` to T and ``gaussian_conditioning`` at every t;
 * per delayed-sharing demo, at random gains: ``act`` at every step along 3
   kept ``rollout_plant`` rollouts, with the statistic advanced by
-  ``step_statistic`` from each rollout's Z_t and Ut~_t, and the delayed
-  statistic's ``vector()`` at every step along the same rollouts, run by
-  a ``DelayedStatTracker``;
+  ``step_statistic`` from each rollout's Z_t and Ut~_t, and, where the
+  protocol has a ``window``, the delayed statistic's ``vector()`` at every
+  step along the same rollouts, run by a ``DelayedStatTracker``;
 * the solve-large workload at seeds 0 and 901: J, the sequences, every
   ``delayed_stat_gains`` matrix, ``delayed_stat_map`` at every t (as a
   list of per-step matrices, which versions before the stacked maps
@@ -214,14 +216,15 @@ def main() -> int:
             out[f"demo.{name}.{label}.noise_cost"] = digest(ss.cs.noise_cost)
         oracle_digests(out, f"demo.{name}.random", ss,
                        np.random.default_rng([len(name), 11]))
-        if mp.kind in ("symmetric_delay", "asymmetric_delay"):
+        if mp.window is not None or mp.delay_graph is not None:
             act_digests(out, f"demo.{name}.random", ss)
+        if mp.window is not None:
             tracker_digests(out, f"demo.{name}.random", ss)
         prims = dq.draw_primitives(plant, seed=5, count=1000)
         out[f"demo.{name}.draw_primitives"] = digest(
             [prims.x1, prims.w0, prims.wy])
         out[f"demo.{name}.plant_kalman_covariances"] = digest(
-            [list(seq) for seq in dq.plant_kalman_covariances(plant)])
+            [list(seq) for seq in plant.predictor(dq.DEFAULT_RTOL)[:2]])
     for seed in (0, 901):
         wl = SolveLarge(seed, tiny=False)
         wl.setup(Recorder())

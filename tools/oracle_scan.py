@@ -15,12 +15,13 @@ prints:
 * the cases, away from the cutoff, where the recursive filter and
   ``gaussian_conditioning`` differ by more than the test's 1e-8;
 * the worst relative gap between J and ``closed_loop_cost_exact``;
-* over the delayed-sharing cases, the worst relative gap between J and the
-  exact cost of the paper's strategy on the delayed statistic S_t
+* over the cases whose protocol has a ``window`` (the delay after which
+  every controller's data is common), the worst relative gap between J and
+  the exact cost of the paper's strategy on the delayed statistic S_t
   (``DelayedStatPolicy`` of ``tests/test_estimator.py``, a ``sim.Policy``),
-  skipping the cases where ``delayed_stat_gains`` raises
-  ``UnsupportedProtocol``;
-* over the cases whose filter is the window form (``window_delay``), the
+  and the count of delayed-sharing graphs skipped for having none (their
+  k*_j differ);
+* over the cases whose filter is the window form (the same ``window``), the
   cases where its kept rank differs from the square-root sweep's at some
   step, and those where a value either of them cuts on (the window's
   eigenvalues, the sweep's squared singular values) lies within a decade
@@ -47,8 +48,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 import declqg as dq  # noqa: E402
-from declqg.estimator import effective_delay  # noqa: E402
-from declqg.infostructure import window_delay  # noqa: E402
 from declqg.sim import _moment_cost  # noqa: E402
 from test_estimator import DelayedStatPolicy  # noqa: E402
 from test_solver import _window_and_sweep  # noqa: E402
@@ -92,16 +91,14 @@ def check(case, found: dict) -> None:
 
 
 def stat_gap(ss, seed: int, found: dict) -> None:
-    """Relative gap between J and the exact cost of Ut~_t = L_t S_t, for a
-    delayed-sharing ``ss`` whose statistic map exists."""
+    """Relative gap between J and the exact cost of Ut~_t = L_t S_t, for an
+    ``ss`` whose protocol has a window."""
     p, mp = ss.cs.plant, ss.cs.protocol
-    if mp.kind not in ("symmetric_delay", "asymmetric_delay"):
+    if mp.window is None:
+        if mp.delay_graph is not None:
+            found["stat_skipped"] += 1
         return
-    try:
-        policy = DelayedStatPolicy(ss, effective_delay(mp))
-    except dq.UnsupportedProtocol:
-        found["stat_skipped"] += 1
-        return
+    policy = DelayedStatPolicy(ss)
     found["stat_cases"] += 1
     exact = _moment_cost(p, mp, ss.cs.gains, policy)
     gap = abs(ss.J - exact) / abs(exact)
@@ -113,7 +110,7 @@ def window_ranks(ss, seed: int, found: dict) -> None:
     """Compare the window form's kept ranks with the square-root sweep's,
     for an ``ss`` solved in the window form."""
     p, mp = ss.cs.plant, ss.cs.protocol
-    if window_delay(mp) is None:
+    if mp.window is None:
         return
     found["window_cases"] += 1
     _, _, rank_window, rank_sweep, margin = _window_and_sweep(ss)
