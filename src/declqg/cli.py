@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -280,11 +281,14 @@ def strategy_from_doc(doc: dict, plant: PlantModel, mp: MemoryProtocol
     cs = build(plant, mp, gains)
     L = _matrix_sequence(doc, "L", plant.T, cs.d_u, cs.d_state)
     F = _matrix_sequence(doc, "filter_gain", plant.T - 1, cs.d_state, cs.d_z)
+    J = _get(doc, "J")
     try:
-        J = float(_get(doc, "J"))
-    except (ValueError, TypeError):
-        raise ConfigError("J", "must be a number")
-    return SolvedStrategy(cs=cs, Lgain=L, filter_gain=F, J=J)
+        finite = not isinstance(J, bool) and math.isfinite(J)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise ConfigError("J", "must be a finite number")
+    return SolvedStrategy(cs=cs, Lgain=L, filter_gain=F, J=float(J))
 
 
 # --------------------------------------------------------------------------
@@ -298,8 +302,15 @@ def _outdir(args) -> str:
 
 
 def _write_json(path: str, doc: dict):
+    """Write ``doc`` as strict JSON; a NaN or infinity in it is a
+    breakdown, and nothing is written."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        raise NumericalBreakdown(f"{os.path.basename(path)} would hold a "
+                                 "non-finite number") from None
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        fh.write(text)
     print(f"wrote {path}")
 
 
@@ -399,7 +410,8 @@ def cmd_simulate(args) -> int:
     out = _outdir(args)
     _write_json(os.path.join(out, "simulation.json"), {
         "seed": seed, "rollouts": rollouts, "mean": mc.mean,
-        "stderr": mc.stderr, "exact_cost": exact, "J": ss.J,
+        "stderr": mc.stderr if rollouts > 1 else None,
+        "exact_cost": exact, "J": ss.J,
     })
     for idx, ro in enumerate(mc.samples):
         _write_rollout_csv(os.path.join(out, f"rollout_{idx:03d}.csv"), ro)

@@ -127,7 +127,8 @@ class CoordinatedSystem:
     step-invariant maps are read where they are stored: Ut~'s share of Z_t
     is ``protocol.zu`` and the control weight is ``plant.R``.  For a stack of gains every
     gain-dependent array carries its leading axes; ``B`` and ``init_root``
-    are shared by the stack.
+    do not depend on the gains, and every system of one plant and protocol
+    object shares the same two arrays.
     """
 
     plant: PlantModel
@@ -163,29 +164,54 @@ def _check_fits(plant: PlantModel, mp: MemoryProtocol) -> None:
         raise DimMismatch("protocol and plant disagree on signal dims")
 
 
-def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
-          ) -> CoordinatedSystem:
-    """Assemble the coordinated system for fixed local gains, all t at once."""
+def _frame(plant: PlantModel, mp: MemoryProtocol):
+    """What ``build`` forms without reading the gains, fixed by the plant
+    and the protocol alone, as read-only arrays over t: the rows
+    (X_{t+1}, c_{t+1}, Z_t) from the columns (xi_t, W_t) that do not pass
+    through U_t (A, (cy; zy) C, (cc; zc) and (cy; zy)), U_t's rows
+    (B; cu; zu), their share B of xi_{t+1}, and xi_1's root
+    blkdiag(x1_root, 0).  Formed on first use and kept on the plant per
+    protocol object; the first is stored once over t when the plant's A
+    and C do not change over t.  The entry holds ``mp`` itself, so it
+    stays alive and its ``id`` cannot name another protocol."""
+    held = plant._frames.get(id(mp))
+    if held is not None and held[0] is mp:
+        return held[1]
     _check_fits(plant, mp)
     T, d_x, d_y, d_u = plant.T, plant.d_x, plant.d_y_total, plant.d_u_total
     d_c, d_z = mp.d_carrier, mp.d_z
     d = d_x + d_c
+    cz_y, cz_c = np.concatenate([mp.cy, mp.zy]), np.concatenate([mp.cc, mp.zc])
+    steps = 1 if all((a.view(np.uint64) == a[:1].view(np.uint64)).all()
+                     for a in (plant.A, plant.C)) else T
+    free = np.zeros((steps, d + d_z, d + d_y))
+    free[:, :d_x, :d_x] = plant.A[:steps]
+    free[:, d_x:, :d_x] = cz_y @ plant.C[:steps]
+    free[:, d_x:, d_x:d] = cz_c
+    free[:, d_x:, d:] = cz_y
+    to_u = read_only(np.concatenate([plant.B, np.broadcast_to(
+        np.concatenate([mp.cu, mp.zu]), (T, d_c + d_z, d_u))], axis=1))
+    frame = (np.broadcast_to(free, (T,) + free.shape[1:]), to_u, to_u[:, :d],
+             read_only(blkdiag([plant.x1_root, np.zeros((d_c, d_c))])))
+    plant._frames[id(mp)] = (mp, frame)
+    return frame
+
+
+def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
+          ) -> CoordinatedSystem:
+    """Assemble the coordinated system for fixed local gains, all t at once,
+    on the gain-free frame of ``plant`` and ``mp`` (:func:`_frame`)."""
+    free, to_u, B, init_root = _frame(plant, mp)
+    T, d_x, d_y, d_u = plant.T, plant.d_x, plant.d_y_total, plant.d_u_total
+    d = B.shape[-2]
     if gains.G.shape[-3:] != (T, d_u, d_y) or \
             gains.H.shape[-3:] != (T, d_u, mp.d_m_total):
         raise DimMismatch("local gains were made for another plant or protocol")
     G, Hc, root = gains.G, gains.H @ mp.m_sel, plant.noise_root
     # U_t = Ut~ + loc_t xi_t + G_t W_t
     loc = np.concatenate([G @ plant.C, Hc], axis=-1)
-    # rows (X_{t+1}, c_{t+1}, Z_t) from columns (xi_t, W_t): the share that
-    # does not pass through U_t, plus U_t's share through (B, cu, zu)
-    cz_y, cz_c = np.concatenate([mp.cy, mp.zy]), np.concatenate([mp.cc, mp.zc])
-    free = np.zeros((T, d + d_z, d + d_y))
-    free[:, :d_x, :d_x] = plant.A
-    free[:, d_x:, :d_x] = cz_y @ plant.C
-    free[:, d_x:, d_x:d] = cz_c
-    free[:, d_x:, d:] = cz_y
-    to_u = np.concatenate([plant.B, np.broadcast_to(
-        np.concatenate([mp.cu, mp.zu]), (T, d_c + d_z, d_u))], axis=1)
+    # rows (X_{t+1}, c_{t+1}, Z_t) from columns (xi_t, W_t): the frame's
+    # share that does not pass through U_t, plus U_t's through (B, cu, zu)
     step = free + to_u @ np.concatenate([loc, G], axis=-1)
     # W0_t enters X_{t+1} alone, W_t every row through step's W_t columns
     noise = np.zeros(step.shape[:-1] + (d_x + d_y,))
@@ -197,9 +223,8 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
     Gw = G @ root[:, d_x:, d_x:]
     noise_cost = np.sum(Gw * (plant.R @ Gw), axis=(-2, -1))
     return CoordinatedSystem(
-        plant=plant, protocol=mp, gains=gains, d_x=d_x, d_c=d_c, d_u=d_u,
-        d_z=d_z, A=read_only(step[..., :d, :d]), B=read_only(to_u[:, :d]),
+        plant=plant, protocol=mp, gains=gains, d_x=d_x, d_c=mp.d_carrier,
+        d_u=d_u, d_z=mp.d_z, A=read_only(step[..., :d, :d]), B=B,
         C=read_only(step[..., :-1, d:, :d]), noise=read_only(noise),
         Q=read_only(sym(Q)), N=read_only(N), noise_cost=read_only(noise_cost),
-        init_root=read_only(blkdiag([plant.x1_root, np.zeros((d_c, d_c))])))
-
+        init_root=init_root)

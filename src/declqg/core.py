@@ -60,8 +60,11 @@ def as_matrix(value, rows: int | None = None, cols: int | None = None,
     """Coerce ``value`` to a finite, read-only float64 2-d array.
 
     Scalars become 1x1.  If ``rows``/``cols`` are given, the shape is checked
-    and a :class:`DimMismatch` raised on disagreement.
+    and a :class:`DimMismatch` raised on disagreement.  Booleans are not
+    numbers here: an entry ``True`` raises :class:`InvalidMatrix`.
     """
+    if _holds_bool(value):
+        raise InvalidMatrix(f"{name}: entries must be numbers, not booleans")
     try:
         m = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as e:
@@ -79,6 +82,16 @@ def as_matrix(value, rows: int | None = None, cols: int | None = None,
     if cols is not None and m.shape[1] != cols:
         raise DimMismatch(f"{name}: expected {cols} cols, got {m.shape[1]}")
     return read_only(m.copy())
+
+
+def _holds_bool(value) -> bool:
+    """True if ``value``, a scalar, array or nested list, holds a boolean."""
+    if isinstance(value, np.ndarray):
+        return value.dtype == bool or (value.dtype == object
+                                       and any(map(_holds_bool, value.flat)))
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, (bool, np.bool_))
 
 
 def read_only(m: np.ndarray) -> np.ndarray:

@@ -389,10 +389,9 @@ def explicit_protocol(plant: PlantModel, blocks, strict: bool = False,
             f"blocks: need one per controller ({plant.n}), got {len(blocks)}")
 
     def coerce(raw, rows, cols, name):
-        arr = np.asarray(raw, dtype=float)
-        if arr.size == 0:
+        if np.asarray(raw, dtype=float).size == 0:
             return np.zeros((rows, cols))
-        return as_matrix(arr, rows, cols, name)
+        return as_matrix(raw, rows, cols, name)
 
     prepared = []
     for i in range(plant.n):

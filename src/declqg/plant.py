@@ -126,6 +126,14 @@ class PlantModel:
     def _predictors(self) -> dict:
         return {}
 
+    @cached_property
+    def _frames(self) -> dict:
+        """The coordinator's gain-free frame per protocol object, kept by
+        ``coordination._frame``: id(protocol) -> (protocol, frame).  Like
+        the predictors it lives in this object's ``__dict__``, so a plant
+        made by ``dataclasses.replace`` starts with none."""
+        return {}
+
     def predictor(self, rtol: float = DEFAULT_RTOL):
         """The plant-level one-step-ahead Kalman predictor, which never
         reads the local gains: read-only covariances P_1..P_{T+1}

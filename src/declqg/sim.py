@@ -17,6 +17,7 @@ beyond the costs is bounded by ``WORKERS`` chunks.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -25,7 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DimMismatch, as_index, as_matrix, blkdiag, seeded_stream
+from .core import (DimMismatch, NumericalBreakdown, as_index, as_matrix,
+                   blkdiag, seeded_stream)
 from .coordination import CoordinatedSystem, LocalGains
 from .estimator import statistic_transition
 from .infostructure import MemoryProtocol
@@ -338,7 +340,9 @@ def simulate(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     is.  The first ``sample_count`` rollouts are kept.  ``ss`` must be
     solved for these ``plant``, ``mp`` and ``gains``.  A rollout's bits
     depend neither on ``count`` nor on the worker that ran it (see the
-    module docstring).
+    module docstring).  If a cost is not finite, ``NumericalBreakdown``
+    names the first such rollout and the first step where its signals or
+    its running cost are not.
     """
     _check_solved_for(plant, mp, gains, ss)
     count = as_index(count, "count")
@@ -394,8 +398,32 @@ def simulate(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
         t.join()
     if errors:
         raise errors[0]
+    if not np.isfinite(costs).all():
+        raise _rollout_breakdown(plant, mp, gains, policy, seed,
+                                 int(np.argmin(np.isfinite(costs))))
     return RolloutBatch(costs=costs,
                         samples=tuple(r for block in kept for r in block))
+
+
+def _rollout_breakdown(plant: PlantModel, mp: MemoryProtocol,
+                       gains: LocalGains, policy: Policy, seed: int,
+                       r: int) -> NumericalBreakdown:
+    """The breakdown of rollout ``r``, whose cost is not finite, at the
+    first step t where one of its signals or its cost up to t is not: the
+    rollout is drawn and rolled out again on its own, which gives it the
+    same bits."""
+    normals = np.empty((_width(plant), r % BLOCK + 1))
+    _draw_rows(seeded_stream(seed, r // BLOCK), normals,
+               np.empty((min(DRAW_ROWS, normals.shape[1]), len(normals))))
+    with np.errstate(all="ignore"):
+        ro = rollout_plant(plant, mp, gains, policy, Primitives(
+            normals=normals[:, -1:], plant=plant), keep=1).samples[0]
+    signals = np.concatenate([ro.x, ro.y, ro.m, ro.carrier, ro.z, ro.u,
+                              ro.u_tilde, ro.stat,
+                              np.cumsum(ro.step_costs)[:, None]],
+                             axis=1)
+    t = 1 + int(np.argmin(np.isfinite(signals).all(axis=1)))
+    return NumericalBreakdown(f"rollout {r} is not finite", t)
 
 
 def _check_solved_for(plant: PlantModel, mp: MemoryProtocol,
@@ -441,12 +469,17 @@ def _moment_cost(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     plant's own step maps.  v_1 is unit normals, Sigma_1 = I, and
     Sigma_{t+1} = blkdiag(N Sigma_t N', I), N the rows of step map t that
     give v_{t+1} but its fresh normals; step t costs the entry sum of
-    (X_t, U_t) rows times Sigma_t times the (Q X_t, R U_t) rows."""
+    (X_t, U_t) rows times Sigma_t times the (Q X_t, R U_t) rows.  A
+    non-finite Sigma_t makes step t's cost non-finite, which raises
+    ``NumericalBreakdown`` at t."""
     d_xu, d_w = plant.d_x + plant.d_u_total, plant.d_x + plant.d_y_total
     steps, _ = _step_maps(plant, mp, gains, policy, records=False)
     cov, total = np.eye(steps[0].shape[1]), 0.0
-    for M in steps:
+    for t, M in enumerate(steps, 1):
         xu, weighted, nxt = M[:d_xu], M[d_xu:2 * d_xu], M[2 * d_xu:]
         total += float(np.sum((xu @ cov) * weighted))
+        if not math.isfinite(total):
+            raise NumericalBreakdown("expected cost of the closed loop is "
+                                     "not finite", t)
         cov = blkdiag([nxt @ cov @ nxt.T, np.eye(d_w)])
     return total

@@ -183,8 +183,9 @@ def backward_riccati(cs: CoordinatedSystem, start: int | None = None,
         for t in range(start, 0, -1):
             A, B, N, Q, S_t, K_t, bracket = (a[..., t - 1, :, :] for a in (
                 cs.A, cs.B, cs.N, cs.Q, S, K, brackets))
-            bracket[...] = sym(cs.plant.R + B.T @ S_next @ B)
-            lam = N.swapaxes(-1, -2) + B.T @ S_next @ A
+            BS = B.T @ S_next
+            bracket[...] = sym(cs.plant.R + BS @ B)
+            lam = N.swapaxes(-1, -2) + BS @ A
             K_t[...] = 0.0 - np.linalg.solve(bracket, lam)   # no -0 entries
             S_t[...] = sym(A.swapaxes(-1, -2) @ S_next @ A + Q
                            + lam.swapaxes(-1, -2) @ K_t)
@@ -232,18 +233,20 @@ def performance(cs: CoordinatedSystem, ptilde, s_seq, k_seq):
 def _changed_steps(cs: CoordinatedSystem, rtol: float,
                    incumbent: SolvedStrategy | None) -> tuple[int, int]:
     """First and last step t whose G_t or H_t differ, in any bit of any
-    candidate, from ``incumbent``'s; (T, 0) if none does.  (1, T), a full
-    solve, unless ``incumbent`` is one strategy solved for the same plant
-    and protocol at this ``rtol``."""
+    candidate, from ``incumbent``'s, read off ``theta``; (T, 0) if none
+    does.  (1, T), a full solve, unless ``incumbent`` is one strategy
+    solved for the same plant and protocol at this ``rtol``."""
     inc = incumbent
     if (inc is None or inc.root is None or inc.rtol != rtol
             or inc.gains.theta.ndim != 1 or inc.cs.plant is not cs.plant
             or inc.cs.protocol is not cs.protocol):
         return 1, cs.T
-    moved = np.zeros(cs.T, dtype=bool)
-    for new, old in ((cs.gains.G, inc.gains.G), (cs.gains.H, inc.gains.H)):
-        diff = new.view(np.uint64) != old.view(np.uint64)
-        moved |= diff.any(axis=(-2, -1)).reshape(-1, cs.T).any(axis=0)
+    # theta is ordered by step, |theta| / T entries per step, and G and H
+    # are exact scatters of it: a step moved iff one of its theta bits did
+    new, old = cs.gains.theta, inc.gains.theta
+    diff = new.view(np.uint64) != old.view(np.uint64)
+    moved = diff.reshape(new.shape[:-1] + (cs.T, old.size // cs.T)).any(
+        axis=-1).reshape(-1, cs.T).any(axis=0)
     steps = np.flatnonzero(moved) + 1
     return (int(steps[0]), int(steps[-1])) if steps.size else (cs.T, 0)
 

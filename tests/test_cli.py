@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from declqg.cli import (DEMOS, _fingerprint, load_scenario, main,
+from declqg.cli import (DEMOS, _fingerprint, _write_json, load_scenario, main,
                         strategy_to_doc)
 from declqg.core import NumericalBreakdown
 from declqg.solver import solve
@@ -217,15 +217,17 @@ def test_non_finite_innovation_covariance_is_a_breakdown(command, tmp_path):
 
 
 def test_fuzz_inputs_runs_clean_on_a_few_mutations():
-    # each of the 4 mutations (one per demo config but the last) goes
-    # through validate, solve, simulate and tune in a subprocess
+    # each of the 4 mutations (one per demo but the last) goes through
+    # validate, solve, simulate and tune, and a mutation of the demo's
+    # strategy file through simulate --strategy, in a subprocess
     proc = subprocess.run(
         [sys.executable, str(SRC.parent / "tools" / "fuzz_inputs.py"),
          "--mutations", "4", "--timeout", "30"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert ("4 mutations, 16 runs: 0 tracebacks, 0 timeouts, "
-            "0 undocumented exit codes") in proc.stdout
+    assert ("4 mutations, 20 runs: 0 tracebacks, 0 timeouts, "
+            "0 undocumented exit codes, 0 non-finite outputs") in proc.stdout
+    assert "simulate --strategy " in proc.stdout
 
 
 def test_tune_writes_log(k2_config, tmp_path, capsys):
@@ -318,6 +320,22 @@ def _wide_filter_gain(doc):
     doc["filter_gain"][0].append(doc["filter_gain"][0][0])
 
 
+def _bool_in_L(doc):
+    doc["L"][0][0][0] = True
+
+
+def _bool_in_G(doc):
+    doc["gains"]["G"][1][0] = [[False]]
+
+
+def _nan_J(doc):
+    doc["J"] = float("nan")
+
+
+def _bool_J(doc):
+    doc["J"] = True
+
+
 @pytest.mark.parametrize("mutate, field", [
     (_nan_in_L, "L[t=1]"),
     (_short_L_row, "L[t=2]"),
@@ -327,6 +345,10 @@ def _wide_filter_gain(doc):
     (_wide_filter_gain, "filter_gain[t=1]"),
     (_inf_in_L, "L[t=3]"),
     (_no_fingerprint, "at fingerprint:"),
+    (_bool_in_L, "L[t=1]"),
+    (_bool_in_G, "gains.G"),
+    (_nan_J, "at J:"),
+    (_bool_J, "at J:"),
 ])
 def test_malformed_strategy_rejected_with_field(mutate, field, k2_config,
                                                 k2_strategy, tmp_path,
@@ -509,6 +531,25 @@ def _horizon_bool(doc):
     doc["horizon"] = True
 
 
+def _A_entry_bool(doc):
+    doc["dynamics"]["A"][0][1] = True
+
+
+def _sigma_x_entry_bool(doc):
+    doc["noise"]["sigma_x"][1][1] = True
+
+
+def _gains_entry_bool(doc):
+    doc["gains"] = {"G": [[[True]], [[0.5]]]}
+
+
+def _blocks_entry_bool(doc):
+    share = {"mm": [], "my": [], "mu": [], "zm": [], "zy": [[True]],
+             "zu": [[0.0]]}
+    doc["info_structure"] = {"kind": "explicit",
+                             "params": {"blocks": [share, share]}}
+
+
 def _budget_zero(doc):
     doc["tune"]["budget"] = 0
 
@@ -560,6 +601,10 @@ def _sim_seed_negative(doc):
     (_budget_bool, "tune.budget"),
     (_params_k_fraction, "info_structure.params.k"),
     (_horizon_bool, "horizon"),
+    (_A_entry_bool, "dynamics.A"),
+    (_sigma_x_entry_bool, "noise"),
+    (_gains_entry_bool, "gains"),
+    (_blocks_entry_bool, "info_structure"),
 ])
 def test_malformed_config_value_rejected_with_field(mutate, field, tmp_path,
                                                     capsys):
@@ -643,3 +688,43 @@ def test_zero_is_a_valid_seed_restart_count_and_sample_count(k2_config,
                  "--restarts", "0", "--seed", "0"]) == 0
     assert main(["--out", out, "simulate", k2_config, "--rollouts", "1",
                  "--seed", "0", "--samples", "0"]) == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_simulate_of_an_overflowing_strategy_is_a_breakdown(tmp_path,
+                                                           capsys):
+    # G^1_5 = 1e308 overflows U_5 in the rollouts and in the moments: a
+    # breakdown at t = 5, and no simulation.json with NaN in it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(DEMOS["control-sharing"]["config"]))
+    assert main(["--out", str(tmp_path), "solve", str(config)]) == 0
+    doc = json.loads((tmp_path / "strategy.json").read_text())
+    doc["gains"]["G"][4][0][0][0] = 1e308
+    strategy = tmp_path / "huge_gain.json"
+    strategy.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "sim"
+    assert main(["--out", str(out), "simulate", str(config), "--strategy",
+                 str(strategy), "--rollouts", "100"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical breakdown: rollout ")
+    assert "is not finite (t=5)" in err
+    assert not (out / "simulation.json").exists()
+
+
+def test_one_rollout_writes_a_null_stderr(k2_config, tmp_path):
+    # the standard error of one cost is undefined, and strict JSON has no
+    # infinity to write for it
+    assert main(["--out", str(tmp_path), "simulate", k2_config,
+                 "--rollouts", "1"]) == 0
+    summary = json.loads((tmp_path / "simulation.json").read_text())
+    assert summary["stderr"] is None and summary["rollouts"] == 1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_json_output_refuses_non_finite_numbers(value, tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(NumericalBreakdown, match="non-finite"):
+        _write_json(str(path), {"J": [1.0, value]})
+    assert not path.exists()

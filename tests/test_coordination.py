@@ -1,15 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from declqg import (LocalGains, PlantModel, ZHistoryPolicy,
-                    build, build_control_sharing, build_symmetric_delay,
+from declqg import (DelayGraph, LocalGains, PlantModel, ZHistoryPolicy,
+                    build, build_asymmetric_delay, build_control_sharing,
+                    build_symmetric_delay, tune,
                     closed_loop_cost_exact,
                     draw_primitives, forward_riccati, random_theta_maps,
                     rollout_coordinated, rollout_plant, solve)
 from declqg.core import DimMismatch, blkdiag, eig_bounds, sym
 
-from conftest import random_plant, scalar_two_controller
+from conftest import check_generated, random_plant, scalar_two_controller
 
 
 def test_zero_gains_structure(scalar2):
@@ -196,6 +199,103 @@ def test_build_bitwise_equals_per_step_assembly(T, time_varying, kind):
             assert np.array_equal(batched[t], ref), (name, t + 1)
     assert np.array_equal(cs.init_root,
                           blkdiag([p.x1_root, np.zeros((mp.d_carrier,) * 2)]))
+
+
+def _assert_build_is_per_step(p, mp, lg):
+    cs = build(p, mp, lg)
+    for name, seq in _build_per_step(p, mp, lg).items():
+        for t, ref in enumerate(seq):
+            assert np.array_equal(getattr(cs, name)[t], ref), (name, t + 1)
+    assert np.array_equal(cs.init_root,
+                          blkdiag([p.x1_root, np.zeros((mp.d_carrier,) * 2)]))
+    return cs
+
+
+FRAME_TAG = 1112
+
+
+def _frame_cases(rng):
+    """Two plants of the same dims, different maps (constant or per-step),
+    and two protocols on the first: a symmetric delay and control sharing
+    or, with several controllers, an asymmetric delay."""
+    n, T = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+    dims = dict(n=n, d_x=int(rng.integers(1, 4)),
+                d_y=[int(d) for d in rng.integers(1, 3, n)],
+                d_u=[int(d) for d in rng.integers(1, 3, n)], T=T)
+    p, p2 = (random_plant(rng, time_varying=bool(rng.integers(2)), **dims)
+             for _ in range(2))
+    delayed = build_symmetric_delay(p, int(rng.integers(1, T + 1)))
+    other = build_asymmetric_delay(p, DelayGraph.create(
+        [[1 if i == j else int(rng.integers(1, T + 1)) for j in range(n)]
+         for i in range(n)])) if n > 1 else build_control_sharing(p)
+    return p, p2, delayed, other, rng
+
+
+def test_build_bitwise_on_frames_shared_by_plants_and_protocols():
+    """One plant with two protocols and one protocol object on two plants,
+    built in turns, each twice: every system is bitwise the per-step
+    assembly of its own plant and protocol, for one gain and a stack."""
+    def check(p, p2, delayed, other, rng):
+        for plant, mp in [(p, delayed), (p, other), (p2, delayed)] * 2:
+            for batch in ((), (3,)):
+                theta = rng.standard_normal(batch + LocalGains.zeros(
+                    plant, mp).theta.shape)
+                lg = LocalGains.from_vector(plant, mp, theta)
+                if batch:
+                    cs = build(plant, mp, lg)
+                    for i in range(batch[0]):
+                        one = LocalGains.from_vector(plant, mp, theta[i])
+                        ref = _assert_build_is_per_step(plant, mp, one)
+                        for name in ("A", "C", "noise", "Q", "N",
+                                     "noise_cost"):
+                            assert np.array_equal(getattr(cs, name)[i],
+                                                  getattr(ref, name)), name
+                else:
+                    _assert_build_is_per_step(plant, mp, lg)
+    check_generated(_frame_cases, FRAME_TAG, 40, check)
+
+
+def test_frame_is_formed_once_per_plant_and_protocol():
+    p, p2, delayed, other, rng = _frame_cases(
+        np.random.default_rng([FRAME_TAG, 0]))
+    first = {}
+    for plant, mp in [(p, delayed), (p, other), (p2, delayed)] * 3:
+        cs = build(plant, mp, LocalGains.random(plant, mp, rng, 0.5))
+        B, root = first.setdefault((id(plant), id(mp)),
+                                   (cs.B, cs.init_root))
+        assert cs.B is B and cs.init_root is root
+        assert not cs.B.flags.writeable and not cs.init_root.flags.writeable
+    tuned = tune(p, delayed, budget=40)
+    assert tuned.strategy.cs.B is first[id(p), id(delayed)][0]
+    assert len(p._frames) == 2 and len(p2._frames) == 1
+    assert first[id(p), id(delayed)][0] is not first[id(p2), id(delayed)][0]
+
+
+def test_frame_keeps_one_free_block_for_a_constant_plant():
+    # a plant whose A and C do not change over t keeps (T - 1) fewer
+    # copies of the frame's rows that do not pass through U_t
+    rng = np.random.default_rng([FRAME_TAG, 2])
+    for time_varying in (False, True):
+        p = random_plant(rng, n=2, d_y=(2, 1), T=4, time_varying=time_varying)
+        mp = build_symmetric_delay(p, 2)
+        _assert_build_is_per_step(p, mp, LocalGains.random(p, mp, rng))
+        free = p._frames[id(mp)][1][0]
+        assert (free.strides[0] == 0) != time_varying
+
+
+def test_replaced_plant_does_not_inherit_frames():
+    rng = np.random.default_rng([FRAME_TAG, 1])
+    p = random_plant(rng, n=2, d_y=(2, 1), d_u=(1, 2), T=4)
+    mp = build_symmetric_delay(p, 2)
+    lg = LocalGains.random(p, mp, rng, 0.5)
+    cs = build(p, mp, lg)
+    for changed in (dict(A=np.flip(p.A, axis=-1)), dict(B=2.0 * p.B),
+                    dict(sigma_x=4.0 * p.sigma_x)):
+        p2 = dataclasses.replace(p, **changed)
+        assert p2._frames == {}
+        cs2 = _assert_build_is_per_step(p2, mp, lg)
+        assert cs2.B is not cs.B and cs2.init_root is not cs.init_root
+    assert build(p, mp, lg).B is cs.B
 
 
 def test_build_rejects_mismatched_protocol():

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from declqg import LocalGains, PlantModel, build_symmetric_delay
 from declqg.core import (InvalidMatrix, as_covariance,
                          as_matrix, blkdiag, eig_bounds, psd_sqrt,
                          seeded_stream, sym)
+
+from conftest import scalar_two_controller
 
 
 def test_seeded_stream_deterministic():
@@ -106,3 +109,27 @@ def test_eig_bounds_on_stacks():
     lo, hi = eig_bounds(m)
     assert lo.shape == hi.shape == (4,)
     assert isinstance(eig_bounds(m[0])[0], float)
+
+
+@pytest.mark.parametrize("value", [
+    [[True, False]], True, np.bool_(False), [[1.0, np.True_]],
+    np.array([[1, 0]], dtype=bool), np.array([[0.5, True]], dtype=object),
+    ([0.5], (1.0, False))])
+def test_as_matrix_rejects_booleans(value):
+    with pytest.raises(InvalidMatrix, match="not booleans"):
+        as_matrix(value, name="M")
+
+
+def test_booleans_are_rejected_by_the_python_api():
+    p = scalar_two_controller(T=2)
+    with pytest.raises(InvalidMatrix):
+        as_covariance([[True]], 1)
+    with pytest.raises(InvalidMatrix):
+        PlantModel.create(
+            n=2, T=2, d_x=1, d_u=(1, 1), d_y=(1, 1), A=[[True]],
+            B=[[1.0, 0.5]], C=[[[1.0]], [[0.7]]], Q=[[1.0]], R=np.eye(2),
+            sigma_x=[[1.0]], sigma_w0=[[0.4]], sigma_w=[[[0.2]], [[0.3]]])
+    mp = build_symmetric_delay(p, 1)
+    zero_h = [np.zeros((1, d)) for d in mp.d_m]
+    with pytest.raises(InvalidMatrix):
+        LocalGains.create(p, mp, [[[[True]], [[0.5]]]] * 2, [zero_h] * 2)

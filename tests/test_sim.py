@@ -11,7 +11,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from declqg import (DelayGraph, DimMismatch, InvalidMatrix, StatisticPolicy,
-                    LocalGains, PlantModel, SolvedStrategy, ZHistoryPolicy,
+                    LocalGains, NumericalBreakdown, PlantModel,
+                    SolvedStrategy, ZHistoryPolicy,
                     build, build_asymmetric_delay,
                     build_control_sharing, build_one_sided,
                     build_symmetric_delay, closed_loop_cost_exact,
@@ -19,7 +20,8 @@ from declqg import (DelayGraph, DimMismatch, InvalidMatrix, StatisticPolicy,
                     forward_riccati, gaussian_conditioning, random_theta_maps,
                     rollout_coordinated, rollout_plant, simulate, solve,
                     strategy_theta_maps)
-from declqg.cli import DEMOS, load_scenario
+from declqg.cli import (DEMOS, load_scenario, strategy_from_doc,
+                        strategy_to_doc)
 from declqg.core import DEFAULT_RTOL, seeded_stream
 from declqg.infostructure import BLOCK_NAMES
 from declqg import oracles, sim
@@ -899,3 +901,42 @@ def test_exact_cost_is_within_the_J_gate_on_ill_conditioned_instances(
     propagating the covariance F Sigma F' of the coordinator's noise put it
     4.4e-9 and 2.4e-9 off J, above the 1e-9 gate."""
     _assert_oracles_agree_on(*_explicit_case(seed, *args), seed)
+
+
+def _overflowing_strategy(g):
+    """The control-sharing demo's solved strategy with G^1_5 set to ``g``,
+    so U_5 = g Y^1_5 + ...: the plant, the protocol and the strategy."""
+    sc = load_scenario(DEMOS["control-sharing"]["config"])
+    doc = strategy_to_doc(solve(sc.plant, sc.protocol, sc.gains))
+    doc["gains"]["G"][4][0][0][0] = g
+    return (sc.plant, sc.protocol,
+            strategy_from_doc(doc, sc.plant, sc.protocol))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_rollouts_and_moments_are_breakdowns_at_their_step():
+    p, mp, ss = _overflowing_strategy(1e308)
+    with pytest.raises(NumericalBreakdown,
+                       match=r"rollout 0 is not finite \(t=5\)"):
+        simulate(p, mp, ss.gains, ss, seed=5, count=100)
+    with pytest.raises(NumericalBreakdown, match="expected cost") as e:
+        exact_cost(p, mp, ss.gains, ss)
+    assert e.value.t == 5
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_the_first_non_finite_rollout_is_named_past_a_block_edge():
+    # at G^1_5 = 2.1e153 the first rollout whose cost overflows is 4240,
+    # in the second block of streams, at step 6: there the sum of its step
+    # costs overflows, though every step cost is finite
+    p, mp, ss = _overflowing_strategy(2.1e153)
+
+    def run(count):
+        return simulate(p, mp, ss.gains, ss, seed=5, count=count)
+
+    assert np.isfinite(run(4240).costs).all()
+    for count in (4241, 3 * BLOCK):
+        with pytest.raises(NumericalBreakdown,
+                           match=r"rollout 4240 is not finite \(t=6\)"):
+            run(count)

@@ -391,6 +391,58 @@ def test_solve_from_an_incumbent_is_bitwise_on_generated_instances():
     assert None in paths and any(k is not None for k in paths)
 
 
+def _changed_steps_by_gains(cs, inc):
+    """Reference t_a, t_b: the first and last step where any bit of G or H
+    differs from the incumbent's."""
+    moved = np.zeros(cs.T, dtype=bool)
+    for new, old in ((cs.gains.G, inc.gains.G), (cs.gains.H, inc.gains.H)):
+        diff = new.view(np.uint64) != old.view(np.uint64)
+        moved |= diff.any(axis=(-2, -1)).reshape(-1, cs.T).any(axis=0)
+    steps = np.flatnonzero(moved) + 1
+    return (int(steps[0]), int(steps[-1])) if steps.size else (cs.T, 0)
+
+
+CHANGED_TAG = 1111
+
+
+def test_changed_steps_from_theta_equal_the_gain_bit_rule():
+    """Stacks of 1, 3 and 12 candidates and a single one, each candidate
+    the incumbent's theta with nothing, one entry, a +0.0/-0.0 swap or a
+    few entries changed: t_a..t_b read off theta are those of G and H."""
+    seen = set()
+
+    def check(p, mp, seed):
+        rng = np.random.default_rng([seed, CHANGED_TAG])
+        theta = LocalGains.random(p, mp, rng, 0.3).theta.copy()
+        pick = rng.random(theta.size)
+        theta[pick < 0.2] = 0.0
+        theta[pick > 0.8] = -0.0
+        inc = solve(p, mp, LocalGains.from_vector(p, mp, theta))
+        for shape in ((1,), (3,), (12,), ()):
+            stack = np.broadcast_to(theta, shape + theta.shape).copy()
+            for cand in stack.reshape(-1, theta.size):
+                kind, zeros = rng.integers(4), np.flatnonzero(cand == 0.0)
+                if kind == 1 or kind == 3:
+                    cand[rng.integers(theta.size, size=kind)] += 0.25
+                elif kind == 2 and zeros.size:
+                    cand[rng.choice(zeros)] *= -1.0
+            cs = build(p, mp, LocalGains.from_vector(p, mp, stack))
+            got = solver_mod._changed_steps(cs, DEFAULT_RTOL, inc)
+            assert got == _changed_steps_by_gains(cs, inc), (shape, got)
+            seen.add("none" if got == (p.T, 0) else "some")
+        same = build(p, mp, LocalGains.from_vector(
+            p, mp, np.repeat(theta[None], 4, axis=0)))
+        assert solver_mod._changed_steps(same, DEFAULT_RTOL, inc) == (p.T, 0)
+        for at in np.flatnonzero(theta == 0.0)[:3]:    # a sign bit alone
+            swap = theta.copy()
+            swap[at] *= -1.0
+            t = at // (theta.size // p.T) + 1
+            cs = build(p, mp, LocalGains.from_vector(p, mp, swap))
+            assert solver_mod._changed_steps(cs, DEFAULT_RTOL, inc) == (t, t)
+    check_generated(_oracle_cases, CHANGED_TAG, 100, check)
+    assert seen == {"none", "some"}
+
+
 def test_an_incumbent_that_cannot_lend_gives_the_full_solve():
     """A strategy reloaded from disk (no P~ or S), one solved at another
     rtol and a stack lend nothing: both sweeps run over every step."""
