@@ -605,7 +605,10 @@ def main(argv=None) -> int:
         if not 0 < args.tolerance < 1:      # also rejects nan
             raise ConfigError("--tolerance",
                               f"must be > 0 and < 1, got {args.tolerance}")
-        return args.func(args)
+        # the finiteness checks type every breakdown, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore",
+                         under="ignore"):
+            return args.func(args)
     except ConfigError as e:
         print(f"config error at {e.field}: {e.message}", file=sys.stderr)
         return 2

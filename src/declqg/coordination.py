@@ -15,6 +15,7 @@ reformulation state by state.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,6 +120,7 @@ class CoordinatedSystem:
     ``A[t-1]``/``B[t-1]`` propagate xi into step t+1; the t = T entries are
     only ever multiplied into the zero terminal value matrix.  ``C[t-1]``
     (t = 1..T-1) maps xi_t to Z_t, the observation received at t+1.
+    ``loc[t-1]`` = [G_t C_t, H_t m_sel] maps xi_t to U_t - Ut~ - G_t W_t.
     ``noise[t-1]`` maps the unit normals of (W0_t, W_t) to (process noise,
     measurement noise), so it is a root (N_w; N_v) of their covariance,
     and ``init_root`` is one of xi_1's, blkdiag(x1_root, 0).
@@ -146,6 +148,7 @@ class CoordinatedSystem:
     N: np.ndarray           # (T, d_state, d_u)
     noise_cost: np.ndarray  # (T,)
     init_root: np.ndarray   # (d_state, d_state)
+    loc: np.ndarray         # (T, d_u, d_state)
 
     @property
     def d_state(self) -> int:
@@ -164,20 +167,50 @@ def _check_fits(plant: PlantModel, mp: MemoryProtocol) -> None:
         raise DimMismatch("protocol and plant disagree on signal dims")
 
 
+@dataclass(eq=False)
+class _Kept:
+    """What a plant keeps per protocol object, in ``plant._frames``: a
+    weak reference to the protocol, the gain-free frame (:func:`_frame`)
+    and the coordinator's value sweep, which ``solver`` forms on first use
+    and stores in ``value``."""
+
+    protocol: weakref.ref
+    frame: tuple
+    value: tuple | None = None
+
+
+def _kept(plant: PlantModel, mp: MemoryProtocol) -> _Kept:
+    """The entry of ``plant`` for the protocol object ``mp``, made on first
+    use.  It holds ``mp`` by weak reference: when ``mp`` is collected the
+    reference's callback drops the entry, and a dead reference never
+    matches, so a recycled ``id`` cannot name another protocol's entry."""
+    key = id(mp)
+    held = plant._frames.get(key)
+    if held is not None and held.protocol() is mp:
+        return held
+    _check_fits(plant, mp)
+    plant_ref = weakref.ref(plant)
+
+    def drop(ref):      # holds neither the plant nor the protocol
+        alive = plant_ref()
+        if alive is not None and key in alive._frames \
+                and alive._frames[key].protocol is ref:
+            del alive._frames[key]
+
+    held = _Kept(weakref.ref(mp, drop), _frame(plant, mp))
+    plant._frames[key] = held
+    return held
+
+
 def _frame(plant: PlantModel, mp: MemoryProtocol):
     """What ``build`` forms without reading the gains, fixed by the plant
     and the protocol alone, as read-only arrays over t: the rows
     (X_{t+1}, c_{t+1}, Z_t) from the columns (xi_t, W_t) that do not pass
     through U_t (A, (cy; zy) C, (cc; zc) and (cy; zy)), U_t's rows
     (B; cu; zu), their share B of xi_{t+1}, and xi_1's root
-    blkdiag(x1_root, 0).  Formed on first use and kept on the plant per
-    protocol object; the first is stored once over t when the plant's A
-    and C do not change over t.  The entry holds ``mp`` itself, so it
-    stays alive and its ``id`` cannot name another protocol."""
-    held = plant._frames.get(id(mp))
-    if held is not None and held[0] is mp:
-        return held[1]
-    _check_fits(plant, mp)
+    blkdiag(x1_root, 0).  Kept on the plant per protocol object
+    (:func:`_kept`); the first is stored once over t when the plant's A
+    and C do not change over t."""
     T, d_x, d_y, d_u = plant.T, plant.d_x, plant.d_y_total, plant.d_u_total
     d_c, d_z = mp.d_carrier, mp.d_z
     d = d_x + d_c
@@ -191,17 +224,15 @@ def _frame(plant: PlantModel, mp: MemoryProtocol):
     free[:, d_x:, d:] = cz_y
     to_u = read_only(np.concatenate([plant.B, np.broadcast_to(
         np.concatenate([mp.cu, mp.zu]), (T, d_c + d_z, d_u))], axis=1))
-    frame = (np.broadcast_to(free, (T,) + free.shape[1:]), to_u, to_u[:, :d],
-             read_only(blkdiag([plant.x1_root, np.zeros((d_c, d_c))])))
-    plant._frames[id(mp)] = (mp, frame)
-    return frame
+    return (np.broadcast_to(free, (T,) + free.shape[1:]), to_u, to_u[:, :d],
+            read_only(blkdiag([plant.x1_root, np.zeros((d_c, d_c))])))
 
 
 def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
           ) -> CoordinatedSystem:
     """Assemble the coordinated system for fixed local gains, all t at once,
     on the gain-free frame of ``plant`` and ``mp`` (:func:`_frame`)."""
-    free, to_u, B, init_root = _frame(plant, mp)
+    free, to_u, B, init_root = _kept(plant, mp).frame
     T, d_x, d_y, d_u = plant.T, plant.d_x, plant.d_y_total, plant.d_u_total
     d = B.shape[-2]
     if gains.G.shape[-3:] != (T, d_u, d_y) or \
@@ -227,4 +258,4 @@ def build(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains
         d_u=d_u, d_z=mp.d_z, A=read_only(step[..., :d, :d]), B=B,
         C=read_only(step[..., :-1, d:, :d]), noise=read_only(noise),
         Q=read_only(sym(Q)), N=read_only(N), noise_cost=read_only(noise_cost),
-        init_root=init_root)
+        init_root=init_root, loc=read_only(loc))

@@ -128,10 +128,11 @@ class PlantModel:
 
     @cached_property
     def _frames(self) -> dict:
-        """The coordinator's gain-free frame per protocol object, kept by
-        ``coordination._frame``: id(protocol) -> (protocol, frame).  Like
-        the predictors it lives in this object's ``__dict__``, so a plant
-        made by ``dataclasses.replace`` starts with none."""
+        """The coordinator's gain-free frame and value sweep per protocol
+        object, kept by ``coordination._kept``: id(protocol) -> entry,
+        dropped when the protocol is collected.  Like the predictors it
+        lives in this object's ``__dict__``, so a plant made by
+        ``dataclasses.replace`` starts with none."""
         return {}
 
     def predictor(self, rtol: float = DEFAULT_RTOL):

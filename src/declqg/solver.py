@@ -9,10 +9,12 @@ sharing with one delay k for every controller (``MemoryProtocol.window``)
 the data of every step before t - k + 1 is common at t, so P~_t is the
 plant predictor's error there carried open loop through the last k - 1
 steps: the paper's window, formed for all t at once.  Every other protocol
-takes a T-step square-root Kalman sweep.  The backward recursion handles the
-state/control cross term with the convention S_{T+1} = 0: no terminal state
-cost, and the final-step gain reduces to -R~^{-1} N~^T.
-Value matrices are symmetrized after every step.
+takes a T-step square-root Kalman sweep.  The backward recursion does not
+read the local gains: in V_t = Ut~_t + loc_t xi_t the coordinator's cost has
+no cross term, so its value matrices S_t and gains K_t (V_t = K_t xi_t) are
+one LQR sweep per plant and protocol, kept with the gain-free frame, and
+L~_t = K_t - loc_t.  The convention S_{T+1} = 0 means no terminal state
+cost, so L~_T = -loc_T.  Value matrices are symmetrized after every step.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ import numpy as np
 
 from .core import (DEFAULT_RTOL, DimMismatch, NumericalBreakdown,
                    _check_finite, _filter_sweep, check_rtol, read_only, sym)
-from .coordination import CoordinatedSystem, LocalGains, build
+from .coordination import CoordinatedSystem, LocalGains, _kept, build
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
 
 
-_STACKED = ("A", "C", "noise", "Q", "N", "noise_cost")
-_SEQUENCES = ("Lgain", "filter_gain", "Ptilde", "root", "S")
+_STACKED = ("A", "C", "noise", "Q", "N", "noise_cost", "loc")
+_SEQUENCES = ("Lgain", "filter_gain", "Ptilde", "root")
 _DOT = "...ij,...ij->..."      # the entry sum of a * b, matrix by matrix
 
 
@@ -45,7 +47,12 @@ class SolvedStrategy:
     wide from the square-root sweep and d_x + (k-1)(d_x + sum d_y) wide in
     the window form (see :func:`forward_riccati`).  Strategies reloaded from
     disk carry only the gains; the covariance/value sequences and ``rtol``
-    are then ``None``.  A stack of gains gives arrays and J its leading axes.
+    are then ``None``.  A stack of gains gives arrays and J its leading axes,
+    except ``S``: it does not depend on the gains, so it has no candidate
+    axis.  It is one read-only (T, d_state, d_state) array shared by every
+    candidate of a stack and by every solve on the same plant and protocol
+    object; :meth:`candidate` keeps it as it is and :func:`performance`
+    broadcasts it.
     """
 
     cs: CoordinatedSystem
@@ -54,7 +61,7 @@ class SolvedStrategy:
     J: float
     Ptilde: np.ndarray | None = None   # (T, d_state, d_state)
     root: np.ndarray | None = None     # (T, d_state, root width)
-    S: np.ndarray | None = None        # (T, d_state, d_state)
+    S: np.ndarray | None = None        # (T, d_state, d_state), shared
     rtol: float | None = None          # the filter's relative rank cutoff
 
     @property
@@ -162,40 +169,70 @@ def forward_riccati(cs: CoordinatedSystem, rtol: float = DEFAULT_RTOL,
         if k is None else _window_sweep(cs, k, rtol, start, lent)))
 
 
-def backward_riccati(cs: CoordinatedSystem, start: int | None = None,
-                     incumbent: SolvedStrategy | None = None):
-    """Value matrices S_1..S_T and gains L~_t = -(R~ + B~' S B~)^-1 Lambda_t
-    with Lambda_t = N~' + B~' S A~ (not kept), S = S_{t+1} and S_{T+1} = 0.
-    Each step solves the bracket by LU.  One stacked Cholesky checks that
-    every bracket is positive definite once the sweep ends or raises, and
-    names the largest failing step, where a per-step check would stop.  The
-    sweep runs down from step ``start`` (default T); S and L~ of the steps
-    after it are copied from ``incumbent`` (see :func:`solve`)."""
-    T, d, batch = cs.T, cs.d_state, cs.A.shape[:-3]
-    start = T if start is None else start
-    S, K = np.empty(batch + (T, d, d)), np.empty(batch + (T, cs.d_u, d))
-    brackets = np.ones(batch + (start, 1, 1)) * np.eye(cs.d_u)
-    if start < T:
-        S[..., start:, :, :] = incumbent.S[start:]
-        K[..., start:, :, :] = incumbent.Lgain[start:]
-    S_next = S[..., start, :, :] if start < T else np.zeros((d, d))
+def _value_sweep(plant: PlantModel, mp: MemoryProtocol):
+    """Value matrices S_1..S_T and gains K_1..K_T of the coordinator's
+    control problem, which never reads the local gains: with V_t = Ut~_t +
+    loc_t xi_t its step is xi_{t+1} = F_t xi_t + B~_t V_t + noise (F_t the
+    frame's gain-free block) and its cost X'QX + V'RV.  So this is the LQR
+    K_t = -(R + B~'S B~)^-1 B~'S F_t, S_t = F_t'S (F_t + B~ K_t) +
+    blkdiag(Q, 0), S = S_{t+1}, S_{T+1} = 0, run once per (plant, protocol
+    object) and kept with its frame (``coordination._kept``).  Each step
+    solves the bracket by LU; one stacked Cholesky checks every bracket
+    once the sweep ends or raises, and names the largest failing step,
+    where a per-step check would stop."""
+    kept = _kept(plant, mp)
+    if kept.value is not None:
+        return kept.value
+    free, _, B, _ = kept.frame
+    T, d, d_x = plant.T, B.shape[-2], plant.d_x
+    F = free[:, :d, :d]
+    Q = np.broadcast_to(plant.Q, (T, d_x, d_x))   # as build adds it to Q~
+    S, K = np.empty((T, d, d)), np.empty((T, B.shape[-1], d))
+    brackets = np.ones((T, 1, 1)) * np.eye(B.shape[-1])
+    S_next = np.zeros((d, d))
     try:
-        for t in range(start, 0, -1):
-            A, B, N, Q, S_t, K_t, bracket = (a[..., t - 1, :, :] for a in (
-                cs.A, cs.B, cs.N, cs.Q, S, K, brackets))
-            BS = B.T @ S_next
-            bracket[...] = sym(cs.plant.R + BS @ B)
-            lam = N.swapaxes(-1, -2) + BS @ A
-            K_t[...] = 0.0 - np.linalg.solve(bracket, lam)   # no -0 entries
-            S_t[...] = sym(A.swapaxes(-1, -2) @ S_next @ A + Q
-                           + lam.swapaxes(-1, -2) @ K_t)
-            _check_finite(S_t, "value matrix", t)   # non-finite if L~_t is
-            S_next = S_t
+        for t in range(T, 0, -1):
+            F_t, B_t, K_t = F[t - 1], B[t - 1], K[t - 1]
+            BS = B_t.T @ S_next
+            brackets[t - 1] = sym(plant.R + BS @ B_t)
+            # 0.0 - x: no -0 entries
+            K_t[...] = 0.0 - np.linalg.solve(brackets[t - 1], BS @ F_t)
+            S_t = F_t.T @ S_next @ (F_t + B_t @ K_t)
+            S_t[:d_x, :d_x] += Q[t - 1]
+            S_next = S[t - 1] = sym(S_t)
+            _check_finite(S_next, "value matrix", t)   # non-finite if K_t is
     except (ArithmeticError, np.linalg.LinAlgError):
         _check_brackets(brackets)   # those of steps not reached are still I
         raise
     _check_brackets(brackets)
-    return read_only(S), read_only(K)
+    kept.value = read_only(S), read_only(K)
+    return kept.value
+
+
+def backward_riccati(cs: CoordinatedSystem):
+    """Value matrices S_1..S_T, one shared array with no candidate axis,
+    and the coordinator's gains L~_t = K_t - loc_t, from the value sweep
+    (:func:`_value_sweep`) of ``cs``'s plant and protocol: V_t = K_t xi_t
+    is Ut~_t = L~_t xi_t.  Raises ``NumericalBreakdown`` at the largest
+    step t whose L~_t or cost terms (Q~_t, ``noise_cost``) are not finite
+    in any candidate, the first that a value recursion on the candidate's
+    own cost, run down from T, would meet."""
+    S, K = _value_sweep(cs.plant, cs.protocol)
+    L = K - cs.loc
+    _check_steps(cs, L)
+    return S, read_only(L)
+
+
+def _check_steps(cs: CoordinatedSystem, L) -> None:
+    """Raise NumericalBreakdown at the largest step t where L~_t, Q~_t or
+    the noise cost of step t is not finite, in any candidate."""
+    finite = (np.isfinite(L).all(axis=(-2, -1))
+              & np.isfinite(cs.Q).all(axis=(-2, -1))
+              & np.isfinite(cs.noise_cost))
+    if not finite.all():
+        t = np.flatnonzero(~finite.reshape(-1, cs.T).all(axis=0))[-1] + 1
+        raise NumericalBreakdown("coordinator gain or cost is not finite",
+                                 int(t))
 
 
 def _check_brackets(brackets, t0: int = 1) -> None:
@@ -230,25 +267,25 @@ def performance(cs: CoordinatedSystem, ptilde, s_seq, k_seq):
     return total if total.ndim else float(total)
 
 
-def _changed_steps(cs: CoordinatedSystem, rtol: float,
-                   incumbent: SolvedStrategy | None) -> tuple[int, int]:
-    """First and last step t whose G_t or H_t differ, in any bit of any
-    candidate, from ``incumbent``'s, read off ``theta``; (T, 0) if none
-    does.  (1, T), a full solve, unless ``incumbent`` is one strategy
-    solved for the same plant and protocol at this ``rtol``."""
+def _first_changed_step(cs: CoordinatedSystem, rtol: float,
+                        incumbent: SolvedStrategy | None) -> int:
+    """First step t whose G_t or H_t differ, in any bit of any candidate,
+    from ``incumbent``'s, read off ``theta``; T if none does.  1, a full
+    solve, unless ``incumbent`` is one strategy solved for the same plant
+    and protocol at this ``rtol``."""
     inc = incumbent
     if (inc is None or inc.root is None or inc.rtol != rtol
             or inc.gains.theta.ndim != 1 or inc.cs.plant is not cs.plant
             or inc.cs.protocol is not cs.protocol):
-        return 1, cs.T
+        return 1
     # theta is ordered by step, |theta| / T entries per step, and G and H
     # are exact scatters of it: a step moved iff one of its theta bits did
     new, old = cs.gains.theta, inc.gains.theta
     diff = new.view(np.uint64) != old.view(np.uint64)
     moved = diff.reshape(new.shape[:-1] + (cs.T, old.size // cs.T)).any(
         axis=-1).reshape(-1, cs.T).any(axis=0)
-    steps = np.flatnonzero(moved) + 1
-    return (int(steps[0]), int(steps[-1])) if steps.size else (cs.T, 0)
+    steps = np.flatnonzero(moved)
+    return int(steps[0]) + 1 if steps.size else cs.T
 
 
 def solve(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
@@ -257,18 +294,18 @@ def solve(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     """Best coordinator response to the given local gains (or stack).
 
     Step t of the coordinated system depends on the gains of step t only,
-    so P~_1..P~_t depend only on the steps before t and S_{t+1}..S_T only
-    on the steps after t.  Given ``incumbent``, a single strategy this
-    function returned for the same plant, protocol and ``rtol``, the
-    forward sweep therefore runs from the first step t_a whose gains differ
-    from the incumbent's and the backward sweep down from the last, t_b,
-    each copying the rest from the incumbent.  The result is bitwise that
-    of a solve without it.
+    so P~_1..P~_t depend only on the steps before t.  Given ``incumbent``,
+    a single strategy this function returned for the same plant, protocol
+    and ``rtol``, the forward sweep therefore runs from the first step t_a
+    whose gains differ from the incumbent's, copying the rest from the
+    incumbent.  The value sweep does not read the gains at all: it runs
+    once per plant and protocol (:func:`backward_riccati`).  The result is
+    bitwise that of a solve without ``incumbent``.
     """
     check_rtol(rtol)
     cs = build(plant, mp, gains)
-    first, last = _changed_steps(cs, rtol, incumbent)
+    first = _first_changed_step(cs, rtol, incumbent)
     P, K, R = forward_riccati(cs, rtol, first, incumbent)
-    S, L = backward_riccati(cs, last, incumbent)
+    S, L = backward_riccati(cs)
     return SolvedStrategy(cs=cs, Lgain=L, filter_gain=K, Ptilde=P, root=R,
                           S=S, J=performance(cs, P, S, K), rtol=rtol)

@@ -17,11 +17,12 @@ time, so an error is raised exactly where the sequential search raises it.
 Every solve starts from the incumbent's ``SolvedStrategy`` (the start's own
 solve after each restart, then the accepted candidate's).  ``theta`` is
 ordered by step, so a window of polls changes the gains of steps t_a..t_b
-only; ``solve`` finds t_a and t_b from the gains, copies the incumbent's
-filter sweep before t_a and value sweep after t_b, and sweeps the rest.
-The copied numbers depend only on the unchanged steps, and stacked solves
-are batch invariant, so the copies are bit for bit what a full solve of
-the stack computes.
+only; ``solve`` finds t_a from the gains, copies the incumbent's filter
+sweep before t_a, and sweeps the rest.  The copied numbers depend only on
+the unchanged steps, and stacked solves are batch invariant, so the copies
+are bit for bit what a full solve of the stack computes.  The value sweep
+never reads the gains: the search's first solve runs it, and every later
+solve reads it back.
 """
 
 from __future__ import annotations

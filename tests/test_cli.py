@@ -152,10 +152,8 @@ def _zero_noise(doc):
 
 
 # A = 1e200 overflows the filter's covariance root at t = 3; with no noise
-# the filter stays at zero and the value matrices overflow instead.  numpy
-# warns of the overflow before the sweep's finiteness check raises.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+# the filter stays at zero and the value matrices overflow instead.  The
+# CLI runs with numpy's warnings off: the finiteness checks raise.
 @pytest.mark.parametrize("mutate", [lambda doc: None, _zero_noise],
                          ids=["noisy", "noiseless"])
 @pytest.mark.parametrize("command", [["solve"], ["tune", "--budget", "20"]],
@@ -690,12 +688,9 @@ def test_zero_is_a_valid_seed_restart_count_and_sample_count(k2_config,
                  "--seed", "0", "--samples", "0"]) == 0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-def test_simulate_of_an_overflowing_strategy_is_a_breakdown(tmp_path,
-                                                           capsys):
-    # G^1_5 = 1e308 overflows U_5 in the rollouts and in the moments: a
-    # breakdown at t = 5, and no simulation.json with NaN in it
+def _overflowing_strategy(tmp_path):
+    """(config, strategy) paths: the control-sharing demo and its solved
+    strategy with G^1_5 = 1e308."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(DEMOS["control-sharing"]["config"]))
     assert main(["--out", str(tmp_path), "solve", str(config)]) == 0
@@ -703,6 +698,14 @@ def test_simulate_of_an_overflowing_strategy_is_a_breakdown(tmp_path,
     doc["gains"]["G"][4][0][0][0] = 1e308
     strategy = tmp_path / "huge_gain.json"
     strategy.write_text(json.dumps(doc))
+    return config, strategy
+
+
+def test_simulate_of_an_overflowing_strategy_is_a_breakdown(tmp_path,
+                                                           capsys):
+    # G^1_5 = 1e308 overflows U_5 in the rollouts and in the moments: a
+    # breakdown at t = 5, and no simulation.json with NaN in it
+    config, strategy = _overflowing_strategy(tmp_path)
     capsys.readouterr()
     out = tmp_path / "sim"
     assert main(["--out", str(out), "simulate", str(config), "--strategy",
@@ -711,6 +714,21 @@ def test_simulate_of_an_overflowing_strategy_is_a_breakdown(tmp_path,
     assert err.startswith("numerical breakdown: rollout ")
     assert "is not finite (t=5)" in err
     assert not (out / "simulation.json").exists()
+
+
+def test_a_breakdown_prints_no_numpy_warning(tmp_path):
+    # build and the rollouts overflow on the way to the breakdown; the
+    # CLI prints only the typed error
+    config, strategy = _overflowing_strategy(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONWARNINGS="default")
+    proc = subprocess.run(
+        [sys.executable, "-m", "declqg.cli", "--out", str(tmp_path / "sim"),
+         "simulate", str(config), "--strategy", str(strategy),
+         "--rollouts", "100"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 3
+    assert proc.stderr == ("numerical breakdown: rollout 0 is not finite "
+                           "(t=5)\n")
 
 
 def test_one_rollout_writes_a_null_stderr(k2_config, tmp_path):

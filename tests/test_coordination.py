@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from declqg import (DelayGraph, LocalGains, PlantModel, ZHistoryPolicy,
                     closed_loop_cost_exact,
                     draw_primitives, forward_riccati, random_theta_maps,
                     rollout_coordinated, rollout_plant, solve)
+import declqg.coordination as coordination_mod
 from declqg.core import DimMismatch, blkdiag, eig_bounds, sym
 
 from conftest import check_generated, random_plant, scalar_two_controller
@@ -152,7 +156,8 @@ def _build_per_step(p, mp, lg):
     d = d_x + d_c
     cz_y, cz_c = np.vstack([mp.cy, mp.zy]), np.vstack([mp.cc, mp.zc])
     to_u = np.vstack([mp.cu, mp.zu])
-    out = {k: [] for k in ("A", "B", "C", "noise", "Q", "N", "noise_cost")}
+    out = {k: [] for k in ("A", "B", "C", "noise", "Q", "N", "noise_cost",
+                           "loc")}
     for t in range(1, p.T + 1):
         G, C_t = lg.G[t - 1], p.C[t - 1]
         loc = np.hstack([G @ C_t, lg.H[t - 1] @ mp.m_sel])
@@ -174,6 +179,7 @@ def _build_per_step(p, mp, lg):
         out["noise"].append(F @ p.noise_root[t - 1])
         out["Q"].append(sym(Q))
         out["N"].append(N)
+        out["loc"].append(loc)
         Gw = G @ p.noise_root[t - 1][d_x:, d_x:]     # G_t W_t's root
         out["noise_cost"].append(np.sum(Gw * (p.R @ Gw)))
         if t < p.T:
@@ -247,7 +253,7 @@ def test_build_bitwise_on_frames_shared_by_plants_and_protocols():
                         one = LocalGains.from_vector(plant, mp, theta[i])
                         ref = _assert_build_is_per_step(plant, mp, one)
                         for name in ("A", "C", "noise", "Q", "N",
-                                     "noise_cost"):
+                                     "noise_cost", "loc"):
                             assert np.array_equal(getattr(cs, name)[i],
                                                   getattr(ref, name)), name
                 else:
@@ -279,8 +285,57 @@ def test_frame_keeps_one_free_block_for_a_constant_plant():
         p = random_plant(rng, n=2, d_y=(2, 1), T=4, time_varying=time_varying)
         mp = build_symmetric_delay(p, 2)
         _assert_build_is_per_step(p, mp, LocalGains.random(p, mp, rng))
-        free = p._frames[id(mp)][1][0]
+        free = p._frames[id(mp)].frame[0]
         assert (free.strides[0] == 0) != time_varying
+
+
+def test_discarded_protocols_release_their_frames_and_sweeps(monkeypatch):
+    """100 protocols, each solved on one plant and then dropped, keep under
+    1 MB once collected (each kept about 0.5 MB when held for good), and
+    the frame and value sweep of a live protocol are formed once."""
+    rng = np.random.default_rng([FRAME_TAG, 3])
+    p = random_plant(rng, n=4, d_x=4, d_y=(2,) * 4, d_u=(1,) * 4, T=30)
+    live = build_symmetric_delay(p, 4)
+    gains = LocalGains.random(p, live, rng, 0.1)
+    first = solve(p, live, gains)
+    formed, frame = [], coordination_mod._frame
+    monkeypatch.setattr(coordination_mod, "_frame",
+                        lambda *a: formed.append(a[1] is live) or frame(*a))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(100):
+            mp = build_symmetric_delay(p, 4)
+            solve(p, mp, LocalGains.from_vector(p, mp, gains.theta))
+            again = solve(p, live, gains)
+            assert again.S is first.S and again.cs.B is first.cs.B
+        del mp, again
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1e6, kept
+    assert list(p._frames) == [id(live)] and formed == [False] * 100
+
+
+def test_a_recycled_protocol_id_never_matches():
+    # an entry whose protocol is gone, left under the id a new protocol
+    # got, is formed again for the new one and not read
+    rng = np.random.default_rng([FRAME_TAG, 4])
+    p = random_plant(rng, n=2, d_y=(2, 1), T=4)
+    other, mp = build_control_sharing(p), build_symmetric_delay(p, 2)
+    gone = build_symmetric_delay(p, 1)
+    stale = coordination_mod._Kept(weakref.ref(gone),
+                                   coordination_mod._frame(p, other),
+                                   ("not", "a sweep"))
+    del gone
+    p._frames[id(mp)] = stale
+    ss = solve(p, mp, LocalGains.random(p, mp, rng, 0.5))
+    assert p._frames[id(mp)] is not stale
+    assert p._frames[id(mp)].protocol() is mp
+    assert ss.cs.B.shape[-2] == p.d_x + mp.d_carrier
+    assert ss.S is p._frames[id(mp)].value[0]
 
 
 def test_replaced_plant_does_not_inherit_frames():
@@ -476,7 +531,7 @@ def test_gains_views_are_read_only():
               _block(p, mp, lg, "H", 2, 1), p.Q, p.R, p.sigma_x, p.sigma_w0,
               p.sigma_w, p.A, p.B, p.C, *p.A, *p.B, *p.C, p.x1_root,
               p.noise_root, cs.init_root]
-    for seq in (cs.A, cs.B, cs.C, cs.noise, cs.Q, cs.N):
+    for seq in (cs.A, cs.B, cs.C, cs.noise, cs.Q, cs.N, cs.loc):
         assert seq.shape[0] == (p.T - 1 if seq is cs.C else p.T)
         arrays += [seq, *seq]
     assert cs.noise_cost.shape == (p.T,)

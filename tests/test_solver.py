@@ -193,19 +193,22 @@ def test_backward_riccati_raises_on_non_pd_bracket(scalar2):
 
 
 def _shifted_bracket_case(shifts, stack=False):
-    """The symmetric-k2 demo at random gains (3 candidates if ``stack``,
-    shifted only in the second) with c I added to Q~ at each step t of
-    ``shifts`` {t: c}."""
+    """The symmetric-k2 demo at random gains (3 candidates if ``stack``) on
+    a fresh copy of its plant whose state weight is c I higher at each
+    step t of ``shifts`` {t: c}: Q is given per step, (T, d_x, d_x).  The
+    value sweep never reads the gains, so the shift reaches every
+    candidate."""
     sc = load_scenario(DEMOS["symmetric-k2"]["config"])
     p, mp = sc.plant, sc.protocol
+    Q = np.repeat(p.Q[None], p.T, axis=0)
+    for t, c in shifts.items():
+        Q[t - 1] += c * np.eye(p.d_x)
+    p = dataclasses.replace(p, Q=Q)
     rng = np.random.default_rng(4)
     thetas = 0.3 * rng.standard_normal((3, LocalGains.zeros(p, mp).theta.size))
-    cs = build(p, mp, LocalGains.from_vector(p, mp, thetas if stack
-                                             else thetas[0]))
-    Q = cs.Q.copy()
-    for t, c in shifts.items():
-        Q[(1,) * stack + (t - 1,)] += c * np.eye(cs.d_state)
-    return dataclasses.replace(cs, Q=Q)
+    with np.errstate(over="ignore"):    # Q~_t + 1e308 I overflows in build
+        return build(p, mp, LocalGains.from_vector(p, mp, thetas if stack
+                                                   else thetas[0]))
 
 
 @pytest.mark.parametrize("stack", [False, True])
@@ -215,8 +218,8 @@ def _shifted_bracket_case(shifts, stack=False):
                          ids=["mid_sweep", "then_overflow"])
 def test_backward_riccati_names_the_first_failing_bracket(shifts, errstate,
                                                           stack):
-    # Q~_4 - 1e3 I makes the bracket of step 3 indefinite; a step-by-step
-    # check stops there.  Steps 2 and 1 still run (and with Q~_3 + 1e308 I
+    # Q_4 - 1e3 I makes the bracket of step 3 indefinite; a step-by-step
+    # check stops there.  Steps 2 and 1 still run (and with Q_3 + 1e308 I
     # step 3 overflows) before the brackets are checked, which must not
     # move the step or the message.
     cs = _shifted_bracket_case(shifts, stack)
@@ -233,6 +236,80 @@ def test_backward_riccati_keeps_a_step_error_when_every_bracket_is_pd():
     assert str(exc.value) == "value matrix is not finite (t=3)"
     with np.errstate(**_TUNE_ERRSTATE), pytest.raises(FloatingPointError):
         backward_riccati(cs)
+
+
+@pytest.mark.parametrize("stack", [False, True])
+@pytest.mark.parametrize("gain", [1e154, 1e200])
+def test_a_huge_gain_is_a_breakdown_at_its_step(gain, stack):
+    # G^1_5 = gain on the control-sharing demo: Q~_5 overflows, so J
+    # would be inf or nan; the solve raises at t = 5 instead, for the
+    # candidate alone and in a stack
+    sc = load_scenario(DEMOS["control-sharing"]["config"])
+    p, mp = sc.plant, sc.protocol
+    theta = LocalGains.zeros(p, mp).theta.copy()
+    theta[8] = gain
+    thetas = np.stack([0.0 * theta, theta, 0.0 * theta]) if stack else theta
+    with np.errstate(all="ignore"), \
+            pytest.raises(NumericalBreakdown) as exc:
+        solve(p, mp, LocalGains.from_vector(p, mp, thetas))
+    assert exc.value.t == 5
+
+
+def _ref_backward(cs):
+    """The per-candidate value recursion (reference), over any leading
+    axes: L~_t = -(R + B~'S B~)^-1 Lambda_t with Lambda_t = N~' + B~'S A~,
+    and S_t = A~'S A~ + Q~ + Lambda' L~, S = S_{t+1}, S_{T+1} = 0."""
+    T, d, batch = cs.T, cs.d_state, cs.A.shape[:-3]
+    S, L = np.empty(batch + (T, d, d)), np.empty(batch + (T, cs.d_u, d))
+    S_next = np.zeros((d, d))
+    for t in range(T, 0, -1):
+        A, B, N, Q = (a[..., t - 1, :, :] for a in (cs.A, cs.B, cs.N, cs.Q))
+        BS = B.T @ S_next
+        lam = N.swapaxes(-1, -2) + BS @ A
+        L[..., t - 1, :, :] = -np.linalg.solve(sym(cs.plant.R + BS @ B), lam)
+        S_next = S[..., t - 1, :, :] = sym(
+            A.swapaxes(-1, -2) @ S_next @ A + Q
+            + lam.swapaxes(-1, -2) @ L[..., t - 1, :, :])
+    return S, L
+
+
+def _assert_rel(got, want, rtol=1e-10):
+    gap, scale = (np.abs(a).max(initial=0.0) for a in (got - want, want))
+    assert gap <= rtol * scale, (gap, scale)
+
+
+INVARIANCE_TAG = 1113
+
+
+def test_value_sweep_does_not_read_the_gains():
+    """At two random gain sets the per-candidate recursion gives the same
+    S, and the shared sweep gives its S and L~, on every protocol kind,
+    constant and time-varying plants; a stack's L~ is bitwise that of each
+    candidate solved alone, and all read one S."""
+    kinds, varying = set(), set()
+
+    def check(p, mp, seed):
+        rng = np.random.default_rng([seed, INVARIANCE_TAG])
+        thetas = 0.5 * rng.standard_normal(
+            (2, LocalGains.zeros(p, mp).theta.size))
+        S, L = backward_riccati(build(p, mp, LocalGains.from_vector(
+            p, mp, thetas)))
+        refs = [_ref_backward(build(p, mp, LocalGains.from_vector(p, mp, th)))
+                for th in thetas]
+        _assert_rel(refs[1][0], refs[0][0])
+        assert S.shape == refs[0][0].shape
+        for i, (S_ref, L_ref) in enumerate(refs):
+            _assert_rel(S, S_ref)
+            _assert_rel(L[i], L_ref)
+            S_one, L_one = backward_riccati(build(
+                p, mp, LocalGains.from_vector(p, mp, thetas[i])))
+            assert S_one is S and L_one.tobytes() == L[i].tobytes()
+        kinds.add(mp.kind)
+        varying.add(p.A.strides[0] != 0)
+    check_generated(_oracle_cases, INVARIANCE_TAG, 200, check)
+    assert kinds == {"symmetric_delay", "asymmetric_delay", "control_sharing",
+                     "one_sided", "explicit"}
+    assert varying == {False, True}
 
 
 def test_solved_strategy_fields_consistent(scalar2):
@@ -275,15 +352,17 @@ def test_stacked_solve_gives_each_candidates_J_bitwise(name, p, mp):
     for idx in np.ndindex(2, 5):
         one = solve(p, mp, LocalGains.from_vector(p, mp, thetas[idx]))
         assert stacked.J[idx] == one.J
-        for seq in ("Lgain", "filter_gain", "Ptilde", "S"):
+        for seq in ("Lgain", "filter_gain", "Ptilde"):
             assert np.array_equal(getattr(stacked, seq)[idx],
                                   getattr(one, seq))
         alone = stacked.candidate(idx)
         assert alone.J == one.J and alone.rtol == one.rtol
-        for seq in ("Lgain", "filter_gain", "Ptilde", "S"):
+        for seq in ("Lgain", "filter_gain", "Ptilde"):
             assert np.array_equal(getattr(alone, seq), getattr(one, seq))
+        # one value sweep per plant and protocol, shared and not sliced
+        assert alone.S is stacked.S is one.S
         for arr in ("A", "B", "C", "noise", "Q", "N", "noise_cost",
-                    "init_root"):
+                    "init_root", "loc"):
             assert np.array_equal(getattr(alone.cs, arr),
                                   getattr(one.cs, arr))
         assert alone.gains.theta.tobytes() == one.gains.theta.tobytes()
@@ -299,13 +378,14 @@ def test_solve_is_the_batch_of_one(rng):
     one = solve(p, mp, LocalGains.from_vector(p, mp, gains.theta[None]))
     assert isinstance(ss.J, float) and one.J.shape == (1,)
     assert one.J[0] == ss.J
-    for seq in ("Lgain", "filter_gain", "Ptilde", "S"):
+    for seq in ("Lgain", "filter_gain", "Ptilde"):
         assert getattr(one, seq).shape[0] == 1
         assert np.array_equal(getattr(one, seq)[0], getattr(ss, seq))
+    assert one.S is ss.S and one.S.shape == (p.T,) + (ss.cs.d_state,) * 2
     cs = build(p, mp, LocalGains.from_vector(p, mp, gains.theta[None]))
     for shared in ("B", "init_root"):
         assert np.array_equal(getattr(cs, shared), getattr(ss.cs, shared))
-    for stacked in ("A", "C", "noise", "Q", "N", "noise_cost"):
+    for stacked in ("A", "C", "noise", "Q", "N", "noise_cost", "loc"):
         assert np.array_equal(getattr(cs, stacked)[0],
                               getattr(ss.cs, stacked))
 
@@ -314,21 +394,15 @@ REUSED = ("J", "Ptilde", "filter_gain", "S", "Lgain")
 
 
 def _sweep_starts(run):
-    """``run()`` and the start steps of every forward and backward sweep."""
-    starts, forward, backward = [], solver_mod.forward_riccati, \
-        solver_mod.backward_riccati
+    """``run()`` and the start step of every forward sweep."""
+    starts, forward = [], solver_mod.forward_riccati
 
     def fwd(cs, rtol, start=1, incumbent=None):
         starts.append(start)
         return forward(cs, rtol, start, incumbent)
 
-    def bwd(cs, start=None, incumbent=None):
-        starts.append(start)
-        return backward(cs, start, incumbent)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver_mod, "forward_riccati", fwd)
-        patch.setattr(solver_mod, "backward_riccati", bwd)
         out = run()
     return out, starts
 
@@ -341,9 +415,9 @@ def _assert_same_solve(got, ref):
 def _assert_reuse_is_bitwise(p, mp, theta):
     """Every window of polls, changing steps t_a..t_b of the incumbent at
     ``theta``, solved from the incumbent: the forward sweep starts at t_a,
-    the backward one at t_b, and every output is bitwise that of a full
-    solve of the same stack.  Single candidates (the one-at-a-time
-    fallback) and an unchanged one (nothing swept) too."""
+    and every output is bitwise that of a full solve of the same stack.
+    Single candidates (the one-at-a-time fallback) and an unchanged one
+    (nothing swept) too."""
     def gains(th):
         return LocalGains.from_vector(p, mp, th)
 
@@ -356,17 +430,17 @@ def _assert_reuse_is_bitwise(p, mp, theta):
             stack[1, t_b * per - 1] -= 0.25
             got, starts = _sweep_starts(
                 lambda: solve(p, mp, gains(stack), incumbent=inc))
-            assert starts == [t_a, t_b]
+            assert starts == [t_a]
             _assert_same_solve(got, solve(p, mp, gains(stack)))
         one = theta.copy()
         one[t_a * per - 1] += 0.25
         got, starts = _sweep_starts(
             lambda: solve(p, mp, gains(one), incumbent=inc))
-        assert starts == [t_a, t_a]
+        assert starts == [t_a]
         _assert_same_solve(got, solve(p, mp, gains(one)))
     got, starts = _sweep_starts(
         lambda: solve(p, mp, gains(theta), incumbent=inc))
-    assert starts == [T, 0]
+    assert starts == [T]
     _assert_same_solve(got, inc)
 
 
@@ -392,14 +466,14 @@ def test_solve_from_an_incumbent_is_bitwise_on_generated_instances():
 
 
 def _changed_steps_by_gains(cs, inc):
-    """Reference t_a, t_b: the first and last step where any bit of G or H
-    differs from the incumbent's."""
+    """Reference t_a: the first step where any bit of G or H differs from
+    the incumbent's, T if none does."""
     moved = np.zeros(cs.T, dtype=bool)
     for new, old in ((cs.gains.G, inc.gains.G), (cs.gains.H, inc.gains.H)):
         diff = new.view(np.uint64) != old.view(np.uint64)
         moved |= diff.any(axis=(-2, -1)).reshape(-1, cs.T).any(axis=0)
     steps = np.flatnonzero(moved) + 1
-    return (int(steps[0]), int(steps[-1])) if steps.size else (cs.T, 0)
+    return int(steps[0]) if steps.size else cs.T
 
 
 CHANGED_TAG = 1111
@@ -408,7 +482,7 @@ CHANGED_TAG = 1111
 def test_changed_steps_from_theta_equal_the_gain_bit_rule():
     """Stacks of 1, 3 and 12 candidates and a single one, each candidate
     the incumbent's theta with nothing, one entry, a +0.0/-0.0 swap or a
-    few entries changed: t_a..t_b read off theta are those of G and H."""
+    few entries changed: t_a read off theta is that of G and H."""
     seen = set()
 
     def check(p, mp, seed):
@@ -427,25 +501,27 @@ def test_changed_steps_from_theta_equal_the_gain_bit_rule():
                 elif kind == 2 and zeros.size:
                     cand[rng.choice(zeros)] *= -1.0
             cs = build(p, mp, LocalGains.from_vector(p, mp, stack))
-            got = solver_mod._changed_steps(cs, DEFAULT_RTOL, inc)
+            got = solver_mod._first_changed_step(cs, DEFAULT_RTOL, inc)
             assert got == _changed_steps_by_gains(cs, inc), (shape, got)
-            seen.add("none" if got == (p.T, 0) else "some")
+            moved = (stack.view(np.uint64) != theta.view(np.uint64)).any()
+            seen.add("some" if moved else "none")
         same = build(p, mp, LocalGains.from_vector(
             p, mp, np.repeat(theta[None], 4, axis=0)))
-        assert solver_mod._changed_steps(same, DEFAULT_RTOL, inc) == (p.T, 0)
+        assert solver_mod._first_changed_step(same, DEFAULT_RTOL, inc) == p.T
         for at in np.flatnonzero(theta == 0.0)[:3]:    # a sign bit alone
             swap = theta.copy()
             swap[at] *= -1.0
             t = at // (theta.size // p.T) + 1
             cs = build(p, mp, LocalGains.from_vector(p, mp, swap))
-            assert solver_mod._changed_steps(cs, DEFAULT_RTOL, inc) == (t, t)
+            assert solver_mod._first_changed_step(cs, DEFAULT_RTOL, inc) == t
     check_generated(_oracle_cases, CHANGED_TAG, 100, check)
     assert seen == {"none", "some"}
 
 
 def test_an_incumbent_that_cannot_lend_gives_the_full_solve():
     """A strategy reloaded from disk (no P~ or S), one solved at another
-    rtol and a stack lend nothing: both sweeps run over every step."""
+    rtol and a stack lend nothing: the forward sweep runs over every
+    step."""
     sc = load_scenario(DEMOS["symmetric-k2"]["config"])
     p, mp = sc.plant, sc.protocol
     theta = LocalGains.random(p, mp, np.random.default_rng(5), 0.3).theta
@@ -460,11 +536,11 @@ def test_an_incumbent_that_cannot_lend_gives_the_full_solve():
     for lender in (reloaded, other_rtol, stack):
         got, starts = _sweep_starts(lambda: solve(
             p, mp, LocalGains.from_vector(p, mp, cand), incumbent=lender))
-        assert starts == [1, p.T]
+        assert starts == [1]
         _assert_same_solve(got, full)
     _, starts = _sweep_starts(lambda: solve(
         p, mp, LocalGains.from_vector(p, mp, cand), incumbent=inc))
-    assert starts == [p.T, p.T]
+    assert starts == [p.T]
 
 
 def _performance_per_step(cs, ptilde, s_seq, k_seq):

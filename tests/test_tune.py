@@ -242,28 +242,36 @@ def _evaluated_thetas(monkeypatch, run):
 
 
 def _fail_finite_check_at(monkeypatch, target, t_fail):
-    """Make the sweeps' finiteness check fail at step ``t_fail`` for any
+    """Make the solve's finiteness checks fail at step ``t_fail`` for any
     system (alone or in a stack) built from the gains vector ``target``.
-    Both sweeps check step ``t_fail`` (the forward one its new covariance
-    root, or its window's P~_t, the backward one its value matrix and
-    gain), so the first of them that reaches it raises.  The square-root
-    sweep checks through ``core``, the window and the backward sweep
-    through ``solver``."""
+    The forward sweep checks step ``t_fail`` if it sweeps it (its new
+    covariance root, or its window's P~_t), and every solve checks the
+    L~_t and cost terms of every step (``solver._check_steps``), so the
+    first of them that reaches it raises.  The square-root sweep checks
+    through ``core``, the window through ``solver``."""
     current, build, check = [], solver_mod.build, core_mod._check_finite
-    raised = []
+    check_steps, raised = solver_mod._check_steps, []
 
     def tracking(plant, mp, gains):
         current[:] = gains.theta.reshape(-1, gains.theta.shape[-1])
         return build(plant, mp, gains)
 
-    def failing(m, name, t):
+    def hit(t):
         if t == t_fail and any(np.array_equal(row, target)
                                for row in current):
             raised.append(len(current))
             raise NumericalBreakdown("injected breakdown", t)
+
+    def failing(m, name, t):
+        hit(t)
         return check(m, name, t)
 
+    def failing_steps(cs, L):
+        hit(t_fail)
+        return check_steps(cs, L)
+
     monkeypatch.setattr(solver_mod, "build", tracking)
+    monkeypatch.setattr(solver_mod, "_check_steps", failing_steps)
     for module in (solver_mod, core_mod):
         monkeypatch.setattr(module, "_check_finite", failing)
     return raised

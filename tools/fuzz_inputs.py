@@ -13,9 +13,10 @@ mutated config runs through ``validate``, ``solve``, ``simulate`` and
 strategy file, as ``solve`` writes it, gets a mutation of its own (from a
 second generator) and runs through ``simulate --strategy`` on the demo's
 config.  Each run is a subprocess under ``--timeout`` seconds.  A run is
-reported when it prints a traceback, exits with a code other than 0, 2 or
-3 (or 1 from ``validate``, which flags protocol violations), times out, or
-exits 0 having written a JSON file that holds NaN or an infinity.  The
+reported when it prints a traceback or a numpy ``RuntimeWarning``, exits
+with a code other than 0, 2 or 3 (or 1 from ``validate``, which flags
+protocol violations), times out, or exits 0 having written a JSON file
+that holds NaN or an infinity.  The
 script prints one line per finding and a summary, and exits 1 if it found
 anything.  Only the standard library and the package under ``src/`` are
 used.
@@ -112,6 +113,8 @@ def finding(command: str, code, stderr: str, out: Path) -> str | None:
         return "timeout"
     if "Traceback (most recent call last)" in stderr:
         return "traceback"
+    if "RuntimeWarning" in stderr:
+        return "runtime warning"
     if code not in DOCUMENTED and not (command == "validate" and code == 1):
         return f"exit {code}"
     if code == 0 and non_finite(out):
@@ -175,7 +178,8 @@ def main(argv=None) -> int:
           f"{kinds['traceback']} tracebacks, {kinds['timeout']} timeouts, "
           f"{sum(n for k, n in kinds.items() if k.startswith('exit'))} "
           f"undocumented exit codes, {kinds['non-finite output']} "
-          f"non-finite outputs")
+          f"non-finite outputs, {kinds['runtime warning']} runtime "
+          "warnings")
     print("exit codes: " + ", ".join(f"{k}: {n}"
                                      for k, n in sorted(codes.items())))
     return 1 if found else 0

@@ -5,7 +5,10 @@ stable plants like the solve-large workload's (d_y = 2 and d_u = 1 per
 controller, local gains at scale 0.1) under symmetric k-step delayed
 sharing.  At each point every layer is called once to warm up and then
 ``REPEATS`` times; the median wall time is printed in ms under the layer
-names of ``BENCHMARK.json``:
+names of ``BENCHMARK.json``.  The value sweep of ``backward_riccati`` is
+kept per plant and protocol, so each of its calls gets a system built,
+outside the timed call, on a fresh copy of the plant: it times the cold
+sweep, as sizes grow.
 
     python3 tools/scale_grid.py > grid.json
 
@@ -19,6 +22,7 @@ picks and reports work; it is not a gate.  A speed-up is claimed only from
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
@@ -46,12 +50,14 @@ REPEATS = 7
 ROLLOUTS = 1000
 
 
-def median_ms(call) -> float:
-    call()      # warm-up
+def median_ms(call, fresh=lambda: ()) -> float:
+    """Median time of ``call(*fresh())``; ``fresh`` runs untimed."""
+    call(*fresh())      # warm-up
     times = []
     for _ in range(REPEATS):
+        args = fresh()
         start = perf_counter()
-        call()
+        call(*args)
         times.append(perf_counter() - start)
     return 1e3 * float(np.median(times))
 
@@ -64,10 +70,12 @@ def point(n: int, d_x: int, k: int, T: int) -> dict:
     ss = dq.solve(plant, mp, gains)
     cs = ss.cs
     seeds = itertools.count()     # a fresh simulate seed per call
+    cold = {"solver.backward_riccati": (lambda: (dq.build(
+        dataclasses.replace(plant), mp, gains),),)}
     layers = {
         "coordination.build": lambda: dq.build(plant, mp, gains),
         "solver.forward_riccati": lambda: dq.forward_riccati(cs),
-        "solver.backward_riccati": lambda: dq.backward_riccati(cs),
+        "solver.backward_riccati": dq.backward_riccati,
         "solver.performance": lambda: dq.solver.performance(
             cs, ss.Ptilde, ss.S, ss.filter_gain),
         "solver.solve": lambda: dq.solve(plant, mp, gains),
@@ -79,7 +87,7 @@ def point(n: int, d_x: int, k: int, T: int) -> dict:
                                             seed=next(seeds), count=ROLLOUTS),
     }
     return {"n": n, "d_x": d_x, "k": k, "T": T, "d_state": cs.d_state,
-            "median_ms": {name: median_ms(call)
+            "median_ms": {name: median_ms(call, *cold.get(name, ()))
                           for name, call in layers.items()}}
 
 
