@@ -3,11 +3,12 @@
 After solving, each controller needs only its own current observation, its
 local memory, and a shared finite-dimensional statistic that every
 controller can update identically from broadcast data.  This script walks
-one closed-loop trajectory step by step, then shows the delayed-sharing
-shortcut: a statistic built from a strategy-independent Kalman predictor,
-the memory carrier at the same delayed time and a short window of
-coordinator actions, connected to the solver's statistic by an explicit
-matrix.
+one closed-loop trajectory step by step with a ``PolicyWalker``, which
+carries the memory carrier and the statistic, then shows the
+delayed-sharing shortcut: a statistic built from a strategy-independent
+Kalman predictor, the memory carrier at the same delayed time and a short
+window of coordinator actions, connected to the solver's statistic by an
+explicit matrix.
 """
 
 import numpy as np
@@ -28,28 +29,26 @@ cs = ss.cs
 # One realization of all primitive randomness.
 prims = dq.draw_primitives(plant, seed=5, count=1)
 x = prims.x1[0]
-carrier = np.zeros(mp.d_carrier)
-st = dq.initial_state(cs)
+policy = dq.StatisticPolicy(ss)
+walk = dq.PolicyWalker.start(mp, policy)   # carrier and statistic, at t = 1
 
 print("t    x        shared statistic         u1       u2       step cost")
 total = 0.0
 for t in range(1, plant.T + 1):
     y = plant.C[t - 1] @ x + prims.wy[t - 1][0]
-    m = mp.m_sel @ carrier
+    m = mp.m_sel @ walk.carrier
     y_local = [y[plant.y_slice(i)] for i in range(2)]
     m_local = [m[mp.m_slice(i)] for i in range(2)]
-    actions = dq.act(st, ss, y_local, m_local)
+    actions = dq.act(walk, policy, gains, y_local, m_local)
     u = np.concatenate(actions)
-    z = mp.zc @ carrier + mp.zy @ y + mp.zu @ u
     cost = plant.step_cost(x, u)
     total += cost
-    shown = np.array2string(st.stat, precision=3)
+    shown = np.array2string(walk.state, precision=3)
     print(f"{t}   {x[0]:+.3f}   {shown:<24} {u[0]:+.3f}   {u[1]:+.3f}   {cost:.3f}")
     if t < plant.T:
-        u_tilde = ss.Lgain[t - 1] @ st.stat
-        st = dq.step_statistic(st, ss, z, u_tilde)
+        u_tilde = policy.L[t - 1] @ walk.state
+        walk = walk.advance(y, u, u_tilde)
         x = plant.A[t - 1] @ x + plant.B[t - 1] @ u + prims.w0[t - 1][0]
-        carrier = mp.cc @ carrier + mp.cy @ y + mp.cu @ u
 print(f"realized total cost {total:.3f} (expected {ss.J:.3f})")
 
 # -- the delayed-sharing shortcut ------------------------------------------
@@ -61,7 +60,7 @@ print(f"\ndelayed-sharing statistic for k={k}:")
 maps = dq.delayed_stat_map(cs, k)     # entry t-1 is the map at t
 print(f"  S_t dimension {maps.shape[2]}, map shape {maps[0].shape}")
 
-rb = dq.rollout_plant(plant, mp, gains, dq.StatisticPolicy(ss),
+rb = dq.rollout_plant(plant, mp, gains, policy,
                       dq.draw_primitives(plant, seed=6, count=1), keep=1)
 ro = rb.samples[0]
 start = dq.DelayedStatTracker.create(plant, mp)   # an immutable value

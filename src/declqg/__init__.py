@@ -3,8 +3,8 @@
 Workflow: describe the plant (:class:`PlantModel`), compile an information
 structure into a :class:`MemoryProtocol`, fix local gains
 (:class:`LocalGains`), and :func:`solve` the coordinator's LQG problem on
-(plant state, memory carrier) for the optimal shared-information gains,
-predicted cost, and the finite-dimensional online estimator.
+(plant state, memory carrier) for the optimal shared-information gains and
+predicted cost; :class:`PolicyWalker` runs any linear policy online.
 :mod:`declqg.sim` runs Monte Carlo on the plant's own equations,
 :mod:`declqg.oracles` cross-checks every number against brute-force
 Gaussian oracles, and :mod:`declqg.tune` searches over the local gains.
@@ -20,8 +20,8 @@ from .infostructure import (DelayGraph, MemoryProtocol,
                             explicit_protocol, token_trace, validate)
 from .coordination import CoordinatedSystem, LocalGains, build
 from .solver import SolvedStrategy, backward_riccati, forward_riccati, solve
-from .estimator import (DelayedStatTracker, act, delayed_stat_map,
-                        delayed_stat_gains, initial_state, step_statistic)
+from .estimator import (DelayedStatPolicy, DelayedStatTracker, PolicyWalker,
+                        act, delayed_stat_map, delayed_stat_gains)
 from .sim import (StatisticPolicy, Rollout, RolloutBatch,
                   closed_loop_cost_exact, draw_primitives, exact_cost,
                   rollout_plant, simulate)

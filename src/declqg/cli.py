@@ -223,7 +223,7 @@ def _fingerprint(plant: PlantModel, mp: MemoryProtocol) -> str:
 
 def strategy_to_doc(ss: SolvedStrategy, dump_matrices=False) -> dict:
     gains, p, mp = ss.gains, ss.cs.plant, ss.cs.protocol
-    _check_one_strategy(ss.cs)
+    _check_one_strategy(ss.gains)
     doc = {
         "format": STRATEGY_FORMAT,
         "fingerprint": _fingerprint(p, mp),

@@ -101,7 +101,14 @@ def read_only(m: np.ndarray) -> np.ndarray:
 
 
 def as_vector(value, dim: int | None = None, name: str = "vector") -> np.ndarray:
-    v = np.asarray(value, dtype=float).reshape(-1)
+    """``value`` as a finite float64 vector, of ``dim`` entries if given;
+    booleans and non-numbers raise :class:`InvalidMatrix`."""
+    if _holds_bool(value):
+        raise InvalidMatrix(f"{name}: entries must be numbers, not booleans")
+    try:
+        v = np.asarray(value, dtype=float).reshape(-1)
+    except (TypeError, ValueError) as e:
+        raise InvalidMatrix(f"{name}: not a numeric vector ({e})") from None
     if v.size and not np.isfinite(v).all():
         raise InvalidMatrix(f"{name}: contains non-finite entries")
     if dim is not None and v.shape[0] != dim:

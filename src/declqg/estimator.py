@@ -1,97 +1,104 @@
-"""Online execution of the sufficient statistics.
+"""Online execution: one walker for every linear policy, and the
+delayed-sharing statistic.
 
-Three statistics appear here:
-
-* ``stat``: the conditional mean of (X_t, carrier_t) given the shared data
-  and the coordinator's past actions, which is the coordinator's whole
-  state estimate.
-* the plant-level one-step-ahead Kalman predictor, whose covariance and
-  gains never read the local gains (strategy independent): it runs once
-  per plant and rtol and is kept on the plant (``PlantModel.predictor``);
-* the delayed-sharing statistic S_t = (the coordinator's state estimate
-  at tau = t - k + 1, recent coordinator actions), for a protocol whose
-  data is all common after one delay k (``MemoryProtocol.window``): the
-  predictor xhat_{tau|tau-1}, the protocol's carrier c_tau (all of its
-  pairs are common at t) and the Ut~ window, one vector, zero before
-  tau = 1.  It moves by one gain-independent linear map per step, and
-  ``stat`` is an explicit linear function of it, one map per t, all
-  returned at once by ``delayed_stat_map``.
+``PolicyWalker`` runs any ``sim.Policy`` online on the realized signals;
+``act`` gives each controller's action.  ``sim.StatisticPolicy``'s state is
+the coordinator's state estimate ``stat``.  ``DelayedStatPolicy`` is the
+paper's Ut~_t = L_t S_t for a protocol whose data is all common after one
+delay k (``MemoryProtocol.window``): S_t = (xhat_{tau|tau-1}, c_tau,
+Ut~_tau..Ut~_{t-1}), tau = t - k + 1, is the plant predictor
+(``PlantModel.predictor``, strategy independent), the carrier at tau and
+the coordinator's actions since, zero before tau = 1.  It moves by one
+gain-independent linear map, and ``stat`` is a linear function of it, one
+map per t (``delayed_stat_map``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (DEFAULT_RTOL, DimMismatch, TimeOutOfRange,
                    UnsupportedProtocol, as_index, as_vector, read_only)
-from .coordination import CoordinatedSystem, _check_fits
+from .coordination import CoordinatedSystem, LocalGains, _check_fits
+from .infostructure import MemoryProtocol, _signal_tokens, token_trace
 from .plant import PlantModel
+from .sim import Policy, _check_policy
 from .solver import SolvedStrategy, _check_one_strategy
 
 
 # --------------------------------------------------------------------------
-# shared-information statistic
+# the online walk of a linear policy
 
 
 @dataclass(frozen=True)
-class EstimatorState:
-    """Value of the reduced statistic at time t (dim d_x + d_carrier)."""
+class PolicyWalker:
+    """Pure-value online runtime of a linear policy under protocol ``mp``:
+    at time t the carrier c_t and the policy's state s_t, both zero at
+    t = 1, and the policy's transition, not its gains.  ``advance`` returns
+    the next walker, so one made by :meth:`start` can start many walks."""
 
+    mp: MemoryProtocol
+    transition: tuple       # (Ts, Tu, Tz), stacked over t = 1..rows
     t: int
-    stat: np.ndarray
+    carrier: np.ndarray     # c_t, read only
+    state: np.ndarray       # s_t, read only
+
+    @classmethod
+    def start(cls, mp: MemoryProtocol, policy: Policy) -> "PolicyWalker":
+        """The walk of ``policy`` at t = 1; ``DimMismatch`` unless it has
+        ``mp``'s T steps, sum d_u and d_z."""
+        _check_policy(policy, mp.T, sum(mp.d_u), mp.d_z)
+        return cls._at_one(mp, tuple(policy[1:]))
+
+    @classmethod
+    def _at_one(cls, mp: MemoryProtocol, transition: tuple):
+        return cls(mp, transition, 1, read_only(np.zeros(mp.d_carrier)),
+                   read_only(np.zeros(transition[0].shape[-1])))
+
+    def advance(self, y_t, u_t, u_tilde_t) -> "PolicyWalker":
+        """Move from t to t+1 after acting: Z_t = zc c_t + zy Y_t + zu U_t,
+        c_{t+1} = cc c_t + cy Y_t + cu U_t, then s_{t+1};
+        ``TimeOutOfRange`` when the transition has no row t."""
+        mp, t = self.mp, as_index(self.t, "t")
+        Ts, Tu, Tz = self.transition
+        if not 1 <= t <= len(Ts):
+            raise TimeOutOfRange(f"t={t} outside 1..{len(Ts)}")
+        y = as_vector(y_t, sum(mp.d_y), "y_t")
+        u = as_vector(u_t, sum(mp.d_u), "u_t")
+        u_tilde = as_vector(u_tilde_t, sum(mp.d_u), "u_tilde_t")
+        c, s = self.carrier, self.state
+        z = mp.zc @ c + mp.zy @ y + mp.zu @ u
+        return replace(self, t=t + 1,
+                       carrier=read_only(mp.cc @ c + mp.cy @ y + mp.cu @ u),
+                       state=read_only(Ts[t - 1] @ s + Tu[t - 1] @ u_tilde
+                                       + Tz[t - 1] @ z))
 
 
-def initial_state(cs: CoordinatedSystem) -> EstimatorState:
-    return EstimatorState(1, np.zeros(cs.d_x + cs.d_c))
-
-
-def _transition(ss: SolvedStrategy, steps):
-    """(Ts, Tu, Tz) of the steps ``steps`` (an offset t - 1 or a slice)."""
-    cs = ss.cs
-    _check_one_strategy(cs)
-    gain = ss.filter_gain[steps]
-    return (cs.A[steps] - gain @ cs.C[steps],
-            cs.B[steps] - gain @ cs.protocol.zu, gain)
-
-
-def statistic_transition(ss: SolvedStrategy):
-    """Matrices (Ts, Tu, Tz), each stacked over t = 1..T-1, with stat_{t+1}
-    = Ts stat_t + Tu Ut~ + Tz Z_t."""
-    return _transition(ss, slice(0, ss.cs.T - 1))
-
-
-def step_statistic(st: EstimatorState, ss: SolvedStrategy, z_new,
-                   u_tilde_prev) -> EstimatorState:
-    """Advance the statistic with the newly shared increment Z_t (one
-    step of the coordinator's filter); forms step t's maps only."""
-    cs, t = ss.cs, as_index(st.t, "t")
-    if not 1 <= t < cs.T:
-        raise TimeOutOfRange(f"no transition out of t={t} (T={cs.T})")
-    z = as_vector(z_new, cs.d_z, "z_new")
-    u = as_vector(u_tilde_prev, cs.d_u, "u_tilde_prev")
-    Ts, Tu, Tz = _transition(ss, t - 1)
-    return EstimatorState(t + 1, Ts @ st.stat + Tu @ u + Tz @ z)
-
-
-def act(st: EstimatorState, ss: SolvedStrategy, y_local, m_local):
-    """Per-controller actions U^i_t = L~^i_t stat + G^i_t Y^i_t + H^i_t M^i_t."""
-    p, mp, t = ss.cs.plant, ss.cs.protocol, st.t
-    _check_one_strategy(ss.cs)
-    if not 1 <= t <= p.T:
-        raise TimeOutOfRange(f"t={t} outside 1..{p.T}")
-    if len(y_local) != p.n or len(m_local) != p.n:
+def act(walk: PolicyWalker, policy: Policy, gains: LocalGains, y_local,
+        m_local):
+    """Per-controller actions U^i_t = L^i_t s_t + G^i_t Y^i_t + H^i_t M^i_t
+    at the walk's t and state s_t, L the ``policy``'s (the one walked)."""
+    mp, t, L = walk.mp, walk.t, policy.L
+    _check_one_strategy(gains)
+    if not 1 <= t <= len(L):
+        raise TimeOutOfRange(f"t={t} outside 1..{len(L)}")
+    if (L.shape[-1] != len(walk.state) or gains.H.shape[-1] != mp.d_m_total
+            or gains.G.shape != (len(L), sum(mp.d_u), sum(mp.d_y))):
+        raise DimMismatch("the policy or the local gains do not fit the walk")
+    if len(y_local) != mp.n or len(m_local) != mp.n:
         raise DimMismatch("need one local observation and memory per controller")
     actions = []
-    for i in range(p.n):
-        y = as_vector(y_local[i], p.d_y[i], f"y[{i}]")
+    for i in range(mp.n):
+        su = slice(sum(mp.d_u[:i]), sum(mp.d_u[:i + 1]))
+        sy = slice(sum(mp.d_y[:i]), sum(mp.d_y[:i + 1]))
+        y = as_vector(y_local[i], mp.d_y[i], f"y[{i}]")
         m = as_vector(m_local[i], mp.d_m[i], f"m[{i}]")
-        sl = p.u_slice(i)
-        u = ss.Lgain[t - 1][sl, :] @ st.stat
-        u = u + ss.gains.G[t - 1][sl, p.y_slice(i)] @ y
+        u = L[t - 1][su, :] @ walk.state + gains.G[t - 1][su, sy] @ y
         if mp.d_m[i]:
-            u = u + ss.gains.H[t - 1][sl, mp.m_slice(i)] @ m
+            u = u + gains.H[t - 1][su, mp.m_slice(i)] @ m
         actions.append(u)
     return actions
 
@@ -100,27 +107,27 @@ def act(st: EstimatorState, ss: SolvedStrategy, y_local, m_local):
 # delayed-sharing reduced statistic
 
 
-@dataclass(frozen=True)
-class ReducedDelayStat:
-    """S_t = (xhat_{tau|tau-1}, c_tau, Ut~_tau..Ut~_{t-1}), tau = t - k + 1,
-    as one vector: the coordinator's state estimate at tau, whose carrier
-    holds only pairs common at t, and the k - 1 coordinator actions since,
-    oldest first; zero for steps before 1 (empty window for k = 1)."""
-
-    value: np.ndarray
-
-    def vector(self) -> np.ndarray:
-        return self.value
+def _pair_columns(mp: MemoryProtocol, k: int) -> np.ndarray:
+    """The column of each row of Z_t, t >= k, in the pair (Y_tau, U_tau),
+    tau = t - k + 1, read off Z_k's tokens (the protocol is time invariant);
+    ``UnsupportedProtocol`` unless each is of step 1."""
+    pair = _signal_tokens("y", mp.d_y, 1) + _signal_tokens("u", mp.d_u, 1)
+    col, tokens = {tok: j for j, tok in enumerate(pair)}, token_trace(mp).z[k]
+    if any(tok not in col for tok in tokens):
+        raise UnsupportedProtocol(f"Z_{k} holds more than the pair of step 1")
+    return np.array([col[tok] for tok in tokens], dtype=int)
 
 
 def _delay_transition(plant: PlantModel, mp, rtol: float):
-    """Read-only (Ts, Tu, Tp), each stacked over t = 1..T, with S_{t+1} =
-    Ts S_t + Tu Ut~_t + Tp (Y_tau, U_tau), tau = t - k + 1, k the
-    protocol's ``window`` (UnsupportedProtocol if it has none).  The
-    (xhat, c) rows move by blkdiag(A_tau - K_tau C_tau, cc) and take
-    [[K_tau, B_tau], [cy, cu]] of the pair, K the gains of
-    ``plant.predictor`` (strategy independent); they stay zero for t < k,
-    before tau = 1.  The Ut~ window drops its oldest entry for the newest."""
+    """Read-only (Ts, Tu, Tz), each stacked over t = 1..T, with S_{t+1} =
+    Ts S_t + Tu Ut~_t + Tz Z_t; k is the protocol's ``window``
+    (UnsupportedProtocol if it has none).  From t = k on, Z_t is the pair
+    (Y_tau, U_tau), tau = t - k + 1, its rows in the protocol's order
+    (``_pair_columns``), and the (xhat, c) rows move by
+    blkdiag(A_tau - K_tau C_tau, cc) and take [[K_tau, B_tau], [cy, cu]]
+    of the pair, K the gains of ``plant.predictor`` (strategy independent);
+    they stay zero for t < k, before tau = 1.  The Ut~ window drops its
+    oldest entry for the newest."""
     k = mp.window
     if k is None:
         raise UnsupportedProtocol(
@@ -129,72 +136,57 @@ def _delay_transition(plant: PlantModel, mp, rtol: float):
     T, d_x, d_u = plant.T, plant.d_x, plant.d_u_total
     d = d_x + mp.d_carrier
     dim, tau = d + (k - 1) * d_u, slice(0, max(0, T - k + 1))
-    Ts, Tu, Tp = (np.zeros((T, dim, w))
-                  for w in (dim, d_u, plant.d_y_total + d_u))
-    K = plant.predictor(rtol)[1][tau]
+    Ts, Tu, Tz = (np.zeros((T, dim, w)) for w in (dim, d_u, mp.d_z))
+    K, cols = plant.predictor(rtol)[1][tau], _pair_columns(mp, k)
     Ts[k - 1:, :d_x, :d_x] = plant.A[tau] - K @ plant.C[tau]
     Ts[k - 1:, d_x:d, d_x:d] = mp.cc
-    Tp[k - 1:, :d_x] = np.concatenate([K, plant.B[tau]], axis=2)
-    Tp[k - 1:, d_x:d] = np.concatenate([mp.cy, mp.cu], axis=1)
+    Tz[k - 1:, :d_x] = np.concatenate([K, plant.B[tau]], axis=2)[..., cols]
+    Tz[k - 1:, d_x:d] = np.concatenate([mp.cy, mp.cu], axis=1)[:, cols]
     if k > 1:
         Ts[:, d:dim - d_u, d + d_u:] = np.eye(dim - d - d_u)
         Tu[:, dim - d_u:] = np.eye(d_u)
-    return read_only(Ts), read_only(Tu), read_only(Tp)
+    return read_only(Ts), read_only(Tu), read_only(Tz)
 
 
-@dataclass(frozen=True)
-class DelayedStatTracker:
-    """Pure-value runtime for S_t; ``advance`` returns the next tracker and
-    leaves this one as it was, so one tracker made by ``create`` (which
-    reads the plant's predictor, :meth:`PlantModel.predictor`) can start
-    any number of walks.
+def DelayedStatPolicy(ss: SolvedStrategy) -> Policy:
+    """The paper's strategy Ut~_t = L_t S_t, L = ``delayed_stat_gains(ss,
+    k)``, k the protocol's ``window`` (UnsupportedProtocol if none), S_t
+    moved by ``_delay_transition`` at the strategy's rtol."""
+    cs = ss.cs
+    Ts, Tu, Tz = _delay_transition(
+        cs.plant, cs.protocol, DEFAULT_RTOL if ss.rtol is None else ss.rtol)
+    return Policy(delayed_stat_gains(ss, cs.protocol.window), Ts[:-1],
+                  Tu[:-1], Tz[:-1])
 
-    ``state`` is S_t and ``pending`` the k - 1 shared (Y_s, U_s) pairs not
-    yet common, s = t-k+1..t-1, oldest first, zero for s < 1, k the
-    protocol's ``window`` (``create`` raises UnsupportedProtocol for a
-    protocol without one).  Each step is one set of products with
-    ``_delay_transition``'s maps.
-    """
 
-    plant: PlantModel
-    t: int
-    transition: tuple       # (Ts, Tu, Tp), stacked over t = 1..T, read only
-    state: np.ndarray       # S_t, read only
-    pending: np.ndarray     # (k - 1, sum d_y + sum d_u)
+class ReducedDelayStat(NamedTuple):
+    """S_t as one vector (see the module docstring)."""
+    value: np.ndarray
+
+    def vector(self) -> np.ndarray:
+        return self.value
+
+
+class DelayedStatTracker(PolicyWalker):
+    """The walker of S_t's transition over t = 1..T, made by ``create``
+    without a strategy.  Only the benchmark's reference gate uses it,
+    through ``create``, ``advance`` and ``stat().vector()``."""
 
     @staticmethod
     def create(plant: PlantModel, mp, rtol: float = DEFAULT_RTOL
                ) -> "DelayedStatTracker":
         _check_fits(plant, mp)
-        transition = _delay_transition(plant, mp, rtol)
-        return DelayedStatTracker(
-            plant=plant, t=1, transition=transition,
-            state=read_only(np.zeros(transition[0].shape[1])),
-            pending=np.zeros((mp.window - 1,
-                              plant.d_y_total + plant.d_u_total)))
+        return DelayedStatTracker._at_one(mp, _delay_transition(plant, mp,
+                                                                rtol))
 
     def stat(self) -> ReducedDelayStat:
         return ReducedDelayStat(self.state)
-
-    def advance(self, y_t, u_t, u_tilde_t) -> "DelayedStatTracker":
-        """Move from time t to t+1 after acting (Y_t, U_t, Ut~ realized)."""
-        p, t = self.plant, self.t
-        if t > p.T:
-            raise TimeOutOfRange(f"t={t} outside 1..{p.T}")
-        pair = np.concatenate([as_vector(y_t, p.d_y_total, "y_t"),
-                               as_vector(u_t, p.d_u_total, "u_t")])
-        u_tilde_t = as_vector(u_tilde_t, p.d_u_total, "u_tilde_t")
-        line = np.vstack([self.pending, pair])      # pairs t-k+1..t
-        Ts, Tu, Tp = (m[t - 1] for m in self.transition)
-        state = Ts @ self.state + Tu @ u_tilde_t + Tp @ line[0]
-        return replace(self, t=t + 1, state=read_only(state),
-                       pending=line[1:])
 
 
 def _check_stat_delay(cs: CoordinatedSystem, k: int) -> None:
     """Raise unless ``cs`` is one strategy's and ``k`` is its protocol's
     ``window`` (UnsupportedProtocol if the protocol has none)."""
-    _check_one_strategy(cs)
+    _check_one_strategy(cs.gains)
     if as_index(k, "k") != cs.protocol.window:
         raise UnsupportedProtocol(f"window delay {k} does not match the "
                                   f"protocol's window {cs.protocol.window}")
@@ -227,14 +219,9 @@ def _pullback(cs: CoordinatedSystem, G: np.ndarray) -> np.ndarray:
 
 
 def delayed_stat_map(cs: CoordinatedSystem, k: int) -> np.ndarray:
-    """Read-only (T, d_state, dim S_t) array: entry t-1 takes the delayed
-    statistic S_t to stat at time t.
-
-    Built constructively: read the coordinator's estimate at time
-    t - k + 1 off S_t (its first d_state entries), then propagate the
-    coordinated dynamics with the windowed coordinator actions and zero-mean
-    noise.  Computed as the pullback of the identity through those steps.
-    """
+    """Read-only (T, d_state, dim S_t) array: entry t-1, M(t), takes the
+    delayed statistic S_t to stat at time t; the pullback of the identity
+    through M(t)'s steps (``_pullback``)."""
     _check_stat_delay(cs, k)
     return read_only(_pullback(cs, np.broadcast_to(
         np.eye(cs.d_state), (cs.T, cs.d_state, cs.d_state))))

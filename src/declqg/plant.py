@@ -90,9 +90,11 @@ class PlantModel:
         B_seq = _per_step(B, T, d_x, du, "B")
         if not _lists(C, n):
             raise DimMismatch("C must list one observation map per controller")
-        C_seq = read_only(np.concatenate(
-            [_per_step(C[i], T, d_y[i], d_x, f"C[{i}]") for i in range(n)],
-            axis=1))
+        parts = [_per_step(C[i], T, d_y[i], d_x, f"C[{i}]") for i in range(n)]
+        C_seq = (np.broadcast_to(np.concatenate([c[0] for c in parts]),
+                                 (T, sum(d_y), d_x))
+                 if all(c.strides[0] == 0 for c in parts)
+                 else read_only(np.concatenate(parts, axis=1)))
         Q = as_matrix(Q, d_x, d_x, "Q")
         R = as_matrix(R, du, du, "R")
         q_lo, _ = eig_bounds(Q)

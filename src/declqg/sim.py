@@ -29,10 +29,9 @@ import numpy as np
 from .core import (DimMismatch, NumericalBreakdown, as_index, as_matrix,
                    blkdiag, seeded_stream)
 from .coordination import CoordinatedSystem, LocalGains
-from .estimator import statistic_transition
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
-from .solver import SolvedStrategy
+from .solver import SolvedStrategy, _check_one_strategy
 
 
 # --------------------------------------------------------------------------
@@ -135,8 +134,12 @@ class Policy(NamedTuple):
 
 
 def StatisticPolicy(ss: SolvedStrategy) -> Policy:
-    """Ut~ = L~_t stat_t, with the statistic advanced by the solved filter."""
-    return Policy(ss.Lgain, *statistic_transition(ss))
+    """Ut~ = L~_t stat_t, the statistic moved by the solved filter K:
+    Ts = A~ - K C~, Tu = B~ - K zu, Tz = K; DimMismatch for a stack."""
+    cs, K = ss.cs, ss.filter_gain
+    _check_one_strategy(cs.gains)
+    return Policy(ss.Lgain, cs.A[:-1] - K @ cs.C,
+                  cs.B[:-1] - K @ cs.protocol.zu, K)
 
 
 def _check_policy(policy: Policy, T: int, d_u: int, d_z: int) -> None:

@@ -85,10 +85,10 @@ class SolvedStrategy:
                        **{f: row(getattr(self, f)) for f in _SEQUENCES})
 
 
-def _check_one_strategy(cs: CoordinatedSystem) -> None:
-    """Raise DimMismatch if ``cs`` holds a stack of gains."""
-    if cs.gains.theta.ndim != 1:
-        raise DimMismatch(f"a stack of {cs.gains.theta.shape[:-1]} strategies"
+def _check_one_strategy(gains: LocalGains) -> None:
+    """Raise DimMismatch if ``gains`` is a stack of gains."""
+    if gains.theta.ndim != 1:
+        raise DimMismatch(f"a stack of {gains.theta.shape[:-1]} strategies"
                           "; take one with SolvedStrategy.candidate(i)")
 
 

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from declqg import LocalGains, PlantModel, build_symmetric_delay
 from declqg.core import (InvalidMatrix, as_covariance,
-                         as_matrix, blkdiag, eig_bounds, psd_sqrt,
+                         as_matrix, as_vector, blkdiag, eig_bounds, psd_sqrt,
                          seeded_stream, sym)
 
 from conftest import scalar_two_controller
@@ -133,3 +133,25 @@ def test_booleans_are_rejected_by_the_python_api():
     zero_h = [np.zeros((1, d)) for d in mp.d_m]
     with pytest.raises(InvalidMatrix):
         LocalGains.create(p, mp, [[[[True]], [[0.5]]]] * 2, [zero_h] * 2)
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "entries must be numbers"), ("x", "not a numeric vector"),
+    (np.array([1, 0], dtype=bool), "entries must be numbers")],
+    ids=["bool", "string", "bool-array"])
+def test_as_vector_rejects_booleans_and_strings(value, message):
+    with pytest.raises(InvalidMatrix, match=f"^v: {message}"):
+        as_vector(value, name="v")
+
+
+def test_as_vector_callers_reject_booleans():
+    # theta and the plant's step cost read their input through as_vector,
+    # which once took True as 1.0
+    p = scalar_two_controller(T=2)
+    mp = build_symmetric_delay(p, 1)
+    with pytest.raises(InvalidMatrix, match="theta"):
+        LocalGains.from_vector(p, mp, [True] * 4)
+    with pytest.raises(InvalidMatrix, match="theta"):
+        LocalGains.from_vector(p, mp, "abcd")
+    with pytest.raises(InvalidMatrix, match="^x: "):
+        p.step_cost([True], [True, False])

@@ -4,80 +4,113 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from declqg import (StatisticPolicy, DelayGraph, DelayedStatTracker, DimMismatch,
-                    LocalGains, PlantModel, UnsupportedProtocol, act, delayed_stat_map,
-                    build, build_asymmetric_delay, build_control_sharing,
-                    build_symmetric_delay,
-                    delayed_stat_gains, draw_primitives, initial_state,
-                    rollout_plant, solve,
-                    step_statistic, DEFAULT_RTOL, TimeOutOfRange, token_trace)
+from declqg import (StatisticPolicy, DelayGraph, DelayedStatPolicy,
+                    DelayedStatTracker, DimMismatch, InvalidMatrix,
+                    LocalGains, PlantModel, PolicyWalker, UnsupportedProtocol,
+                    act, delayed_stat_map, build, build_asymmetric_delay,
+                    build_control_sharing, build_symmetric_delay,
+                    delayed_stat_gains, draw_primitives, rollout_plant, solve,
+                    DEFAULT_RTOL, TimeOutOfRange)
 from declqg.cli import DEMOS, load_scenario, strategy_to_doc
-from declqg.estimator import (EstimatorState, _delay_transition,
-                              statistic_transition)
-from declqg.sim import Policy, _moment_cost
-import declqg.estimator as estimator_mod
+from declqg.sim import _moment_cost
 import declqg.plant as plant_mod
 import declqg.solver as solver_mod
 
 from conftest import check_generated, random_plant, scalar_two_controller
 
 
-def test_step_statistic_zero_everything():
+def _walk(ss):
+    """(walker at t = 1, policy) of ``ss``'s ``StatisticPolicy``."""
+    policy = StatisticPolicy(ss)
+    return PolicyWalker.start(ss.cs.protocol, policy), policy
+
+
+def test_walk_zero_everything():
     p = PlantModel.create(
         n=2, T=4, d_x=1, d_u=(1, 1), d_y=(1, 1), A=[[0.9]], B=[[1.0, 0.5]],
         C=[[[1.0]], [[0.7]]], Q=[[1.0]], R=np.eye(2), sigma_x=[[0.0]],
         sigma_w0=[[0.0]], sigma_w=[[[0.0]], [[0.0]]])
     mp = build_symmetric_delay(p, 2)
-    ss = solve(p, mp, LocalGains.zeros(p, mp))
-    st = initial_state(ss.cs)
+    walk, _ = _walk(solve(p, mp, LocalGains.zeros(p, mp)))
     for t in range(1, p.T):
-        st = step_statistic(st, ss, np.zeros(ss.cs.d_z), np.zeros(ss.cs.d_u))
-        assert_allclose(st.stat, 0.0, atol=1e-15)
+        walk = walk.advance(np.zeros(2), np.zeros(2), np.zeros(2))
+        assert walk.t == t + 1
+        assert_allclose(walk.state, 0.0, atol=1e-15)
+        assert_allclose(walk.carrier, 0.0, atol=0)
 
 
-def test_step_statistic_prediction_only_when_nothing_shared(scalar2):
+def test_walk_prediction_only_when_nothing_shared(scalar2):
     from test_solver import nothing_shared_protocol
     mp = nothing_shared_protocol(scalar2)
     ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
     cs = ss.cs
-    st = initial_state(cs)
+    walk, _ = _walk(ss)
     rng = np.random.default_rng(19)
     for t in range(1, scalar2.T):
-        u = rng.standard_normal(cs.d_u)
-        nxt = step_statistic(st, ss, np.zeros(0), u)
-        expect = cs.A[t - 1] @ st.stat + cs.B[t - 1] @ u
-        assert_allclose(nxt.stat, expect, atol=1e-12)
-        st = nxt
+        y, u, ut = rng.standard_normal((3, cs.d_u))
+        nxt = walk.advance(y, u, ut)
+        expect = cs.A[t - 1] @ walk.state + cs.B[t - 1] @ ut
+        assert_allclose(nxt.state, expect, atol=1e-12)
+        walk = nxt
 
 
 def test_act_matches_full_gain_path(scalar2):
+    # the walker run on the rollout's (Y_t, U_t, Ut~_t) holds its
+    # statistic, and act gives its actions
     mp = build_symmetric_delay(scalar2, 2)
     rng = np.random.default_rng(22)
     ss = solve(scalar2, mp, LocalGains.random(scalar2, mp, rng, 0.4))
-    cs = ss.cs
     prims = draw_primitives(scalar2, seed=23, count=3)
-    rb = rollout_plant(scalar2, mp, ss.gains, StatisticPolicy(ss), prims, keep=3)
-    for r in range(3):
-        ro = rb.samples[r]
+    start, policy = _walk(ss)
+    rb = rollout_plant(scalar2, mp, ss.gains, policy, prims, keep=3)
+    for ro in rb.samples:
+        walk = start
         for t in range(1, scalar2.T + 1):
-            st_t = initial_state(cs)
-            st_t = type(st_t)(t=t, stat=ro.stat[t - 1])
+            assert np.abs(walk.state - ro.stat[t - 1]).max() < 1e-10
+            assert np.abs(walk.carrier - ro.carrier[t - 1]).max() < 1e-10
             y_loc = [ro.y[t - 1][scalar2.y_slice(i)] for i in range(2)]
             m_loc = [ro.m[t - 1][mp.m_slice(i)] for i in range(2)]
-            actions = act(st_t, ss, y_loc, m_loc)
+            actions = act(walk, policy, ss.gains, y_loc, m_loc)
             assert np.abs(np.concatenate(actions) - ro.u[t - 1]).max() < 1e-10
             # stacked path: L~ stat + G Y + H M
             u2 = (ss.Lgain[t - 1] @ ro.stat[t - 1]
                   + ss.gains.G[t - 1] @ ro.y[t - 1]
                   + ss.gains.H[t - 1] @ ro.m[t - 1])
             assert np.abs(np.concatenate(actions) - u2).max() < 1e-10
+            if t < scalar2.T:
+                walk = walk.advance(ro.y[t - 1], ro.u[t - 1],
+                                    ro.u_tilde[t - 1])
+
+
+def test_act_on_the_delayed_statistic_walk_matches_the_rollout():
+    # the same walker and act run the paper's policy Ut~_t = L_t S_t: along
+    # rollouts of the solver's statistic policy they give its actions
+    sc = load_scenario(DEMOS["symmetric-k2"]["config"])
+    p, mp = sc.plant, sc.protocol
+    ss = solve(p, mp, LocalGains.random(p, mp, np.random.default_rng(58), 0.3))
+    policy = DelayedStatPolicy(ss)
+    start = PolicyWalker.start(mp, policy)
+    rb = rollout_plant(p, mp, ss.gains, StatisticPolicy(ss),
+                       draw_primitives(p, seed=59, count=3), keep=3)
+    for ro in rb.samples:
+        walk = start
+        for t in range(1, p.T + 1):
+            actions = act(walk, policy, ss.gains,
+                          [ro.y[t - 1][p.y_slice(i)] for i in range(p.n)],
+                          [ro.m[t - 1][mp.m_slice(i)] for i in range(p.n)])
+            gap = np.abs(np.concatenate(actions) - ro.u[t - 1]).max()
+            assert gap <= 1e-10 * max(1.0, np.abs(ro.u[t - 1]).max()), t
+            if t < p.T:
+                walk = walk.advance(ro.y[t - 1], ro.u[t - 1],
+                                    ro.u_tilde[t - 1])
+        with pytest.raises(TimeOutOfRange, match=rf"^t={p.T} outside"):
+            walk.advance(ro.y[-1], ro.u[-1], ro.u_tilde[-1])
 
 
 def test_act_zero_cases(scalar2):
     mp = build_symmetric_delay(scalar2, 1)
     ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
-    st = initial_state(ss.cs)
-    actions = act(st, ss, [np.zeros(1), np.zeros(1)],
+    actions = act(*_walk(ss), ss.gains, [np.zeros(1), np.zeros(1)],
                   [np.zeros(0), np.zeros(0)])
     assert all(np.allclose(a, 0.0) for a in actions)
     # statistic = 0: action reduces to the local parts
@@ -85,7 +118,7 @@ def test_act_zero_cases(scalar2):
     lg = LocalGains.random(scalar2, mp, rng, 0.7)
     ss2 = solve(scalar2, mp, lg)
     y = [rng.standard_normal(1), rng.standard_normal(1)]
-    acts = act(initial_state(ss2.cs), ss2, y, [np.zeros(0), np.zeros(0)])
+    acts = act(*_walk(ss2), lg, y, [np.zeros(0), np.zeros(0)])
     for i in range(2):
         assert_allclose(acts[i], lg.G[0][scalar2.u_slice(i),
                                         scalar2.y_slice(i)] @ y[i])
@@ -101,7 +134,7 @@ def test_act_rejects_memories_of_the_wrong_size(name, m_local):
     ss = solve(p, mp, LocalGains.zeros(p, mp))
     y = [np.zeros(d) for d in p.d_y]
     with pytest.raises(DimMismatch, match=r"m\[0\]: expected dim"):
-        act(initial_state(ss.cs), ss, y, m_local)
+        act(*_walk(ss), ss.gains, y, m_local)
 
 
 @pytest.mark.parametrize("past_end", [False, True], ids=["t=0", "t=T+1"])
@@ -110,10 +143,11 @@ def test_act_rejects_times_outside_the_horizon(past_end):
     sc = load_scenario(DEMOS["symmetric-k2"]["config"])
     p, mp = sc.plant, sc.protocol
     ss = solve(p, mp, LocalGains.zeros(p, mp))
-    st = EstimatorState(p.T + 1 if past_end else 0, initial_state(ss.cs).stat)
+    walk, policy = _walk(ss)
+    walk = replace(walk, t=p.T + 1 if past_end else 0)
     y, m = [np.zeros(d) for d in p.d_y], [np.zeros(d) for d in mp.d_m]
     with pytest.raises(TimeOutOfRange, match=r"t=\d+ outside 1\.\."):
-        act(st, ss, y, m)
+        act(walk, policy, ss.gains, y, m)
 
 
 def _predictor_step(p, gains, xhat, t, y, u):
@@ -196,26 +230,29 @@ def test_plant_predictor_is_the_coordinators_filter_under_one_step_sharing(
         assert_allclose(ss.Ptilde, P[:p.T], rtol=0, atol=1e-12)
 
 
-def test_step_statistic_walk_is_the_stacked_transition_bitwise(monkeypatch):
-    """A T = 50 walk forms step t's maps only (``statistic_transition``,
-    which forms all T - 1, is never called), and each step is bitwise the
-    stacked maps' slice applied to the same data."""
+def test_walk_is_the_per_step_filter_bitwise():
+    """A T = 50 walk of ``StatisticPolicy`` is, step by step, bitwise the
+    filter formed for that step alone, (A~_t - K_t C~_t) stat + (B~_t -
+    K_t zu) Ut~ + K_t Z_t, on the Z_t and carrier that the protocol's maps
+    give for the same data."""
     rng = np.random.default_rng(35)
     p = random_plant(rng, n=2, d_x=3, T=50)
-    ss = solve(p, build_symmetric_delay(p, 2),
-               LocalGains.random(p, build_symmetric_delay(p, 2), rng, 0.3))
-    Ts, Tu, Tz = statistic_transition(ss)
-    formed = []
-    monkeypatch.setattr(estimator_mod, "statistic_transition",
-                        lambda ss: formed.append(ss))
-    st = initial_state(ss.cs)
+    mp = build_symmetric_delay(p, 2)
+    ss = solve(p, mp, LocalGains.random(p, mp, rng, 0.3))
+    cs, K = ss.cs, ss.filter_gain
+    walk, _ = _walk(ss)
     for t in range(1, p.T):
-        z, u = rng.standard_normal(ss.cs.d_z), rng.standard_normal(ss.cs.d_u)
-        nxt = step_statistic(st, ss, z, u)
-        want = Ts[t - 1] @ st.stat + Tu[t - 1] @ u + Tz[t - 1] @ z
-        assert nxt.t == t + 1 and nxt.stat.tobytes() == want.tobytes(), t
-        st = nxt
-    assert not formed
+        y, u, ut = (rng.standard_normal(d) for d in (cs.plant.d_y_total,
+                                                     cs.d_u, cs.d_u))
+        c = walk.carrier
+        z = mp.zc @ c + mp.zy @ y + mp.zu @ u
+        want = ((cs.A[t - 1] - K[t - 1] @ cs.C[t - 1]) @ walk.state
+                + (cs.B[t - 1] - K[t - 1] @ mp.zu) @ ut + K[t - 1] @ z)
+        nxt = walk.advance(y, u, ut)
+        assert nxt.t == t + 1 and nxt.state.tobytes() == want.tobytes(), t
+        assert nxt.carrier.tobytes() == (
+            mp.cc @ c + mp.cy @ y + mp.cu @ u).tobytes(), t
+        walk = nxt
 
 
 def test_plant_predictor_runs_once_per_rtol(monkeypatch):
@@ -260,13 +297,13 @@ def test_tracker_after_a_solve_runs_no_second_sweep(monkeypatch):
     assert calls == {plant_mod: 1, solver_mod: 0}
 
 
-def test_statistic_transition_depends_on_gains(scalar2):
+def test_statistic_policy_transition_depends_on_gains(scalar2):
     mp = build_symmetric_delay(scalar2, 2)
     rng = np.random.default_rng(27)
     ss1 = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
     ss2 = solve(scalar2, mp, LocalGains.random(scalar2, mp, rng, 0.5))
-    t1 = statistic_transition(ss1)[0][1]
-    t2 = statistic_transition(ss2)[0][1]
+    t1 = StatisticPolicy(ss1).Ts[1]
+    t2 = StatisticPolicy(ss2).Ts[1]
     assert np.abs(t1 - t2).max() > 1e-6
 
 
@@ -306,11 +343,18 @@ def test_reduced_stat_k2_window_bookkeeping(scalar2):
     assert_allclose(v[:1], xhat)
 
 
+def _walkers(p, mp):
+    """A walk of the statistic policy at zero gains and the tracker."""
+    return [_walk(solve(p, mp, LocalGains.zeros(p, mp)))[0],
+            DelayedStatTracker.create(p, mp)]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_tracker_rejects_advance_past_the_horizon(scalar2, k):
-    # S_{T+1} is the last statistic; the error names the tracker's own t
-    tracker = DelayedStatTracker.create(scalar2, build_symmetric_delay(
-        scalar2, k))
+    # S_{T+1} is the last statistic; the error names the tracker's own t.
+    # A walk of StatisticPolicy, whose transition has rows 1..T-1, stops
+    # at t = T.
+    walk, tracker = _walkers(scalar2, build_symmetric_delay(scalar2, k))
     ones = np.ones(2)
     for _ in range(scalar2.T):
         tracker = tracker.advance(ones, ones, ones)
@@ -318,13 +362,18 @@ def test_tracker_rejects_advance_past_the_horizon(scalar2, k):
     with pytest.raises(TimeOutOfRange,
                        match=rf"^t={scalar2.T + 1} outside 1\.\.{scalar2.T}$"):
         tracker.advance(ones, ones, ones)
+    for _ in range(scalar2.T - 1):
+        walk = walk.advance(ones, ones, ones)
+    with pytest.raises(TimeOutOfRange,
+                       match=rf"^t={scalar2.T} outside 1\.\.{scalar2.T - 1}$"):
+        walk.advance(ones, ones, ones)
 
 
 def _step_at(ss, t):
-    """``step_statistic`` out of a zero statistic at time ``t``."""
+    """A ``StatisticPolicy`` walk out of zero at time ``t``."""
     cs = ss.cs
-    return step_statistic(EstimatorState(t, initial_state(cs).stat), ss,
-                          np.ones(cs.d_z), np.ones(cs.d_u))
+    return replace(_walk(ss)[0], t=t).advance(
+        np.ones(cs.plant.d_y_total), np.ones(cs.d_u), np.ones(cs.d_u))
 
 
 @pytest.mark.parametrize("call, name", [
@@ -351,18 +400,28 @@ def test_delayed_stat_calls_take_numpy_integers():
     assert all(np.array_equal(a, b) for a, b in zip(
         delayed_stat_gains(ss, two), delayed_stat_gains(ss, 2)))
     a, b = _step_at(ss, two), _step_at(ss, 2)
-    assert a.t == b.t == 3 and np.array_equal(a.stat, b.stat)
+    assert a.t == b.t == 3 and np.array_equal(a.state, b.state)
+
+
+def _one(ss):
+    """Candidate 0 of a stacked ``ss``, or ``ss`` itself."""
+    return ss.candidate(0) if ss.gains.theta.ndim > 1 else ss
 
 
 @pytest.mark.parametrize("call", [
     lambda ss: delayed_stat_gains(ss, 2),
     lambda ss: delayed_stat_map(ss.cs, 2),
-    lambda ss: statistic_transition(ss),
-    lambda ss: act(initial_state(ss.cs), ss,
+    lambda ss: StatisticPolicy(ss),
+    lambda ss: act(*_walk(ss), ss.gains,
                    [np.zeros(d) for d in ss.cs.plant.d_y],
                    [np.zeros(d) for d in ss.cs.protocol.d_m]),
+    lambda ss: act(*_walk(_one(ss)), ss.gains,
+                   [np.zeros(d) for d in ss.cs.plant.d_y],
+                   [np.zeros(d) for d in ss.cs.protocol.d_m]),
+    lambda ss: DelayedStatPolicy(ss),
     lambda ss: strategy_to_doc(ss)],
-    ids=["gains", "map", "transition", "act", "strategy-doc"])
+    ids=["gains", "map", "transition", "act", "act-gains", "stat-policy",
+         "strategy-doc"])
 def test_stacked_strategy_rejected_with_dim_mismatch(call):
     sc = load_scenario(DEMOS["symmetric-k2"]["config"])
     p, mp = sc.plant, sc.protocol
@@ -781,32 +840,49 @@ def test_tracker_rejects_a_protocol_built_for_another_plant(scalar2, other):
         "n": 2, "d_x": 1, "d_y": (1, 1), "d_u": (1, 1), "T": 5, **other})
     with pytest.raises(DimMismatch, match="protocol and plant disagree"):
         DelayedStatTracker.create(scalar2, build_symmetric_delay(q, 2))
+    # a walker of the plant's policy under that protocol: its shapes differ
+    mp = build_symmetric_delay(scalar2, 2)
+    policy = StatisticPolicy(solve(scalar2, mp, LocalGains.zeros(scalar2, mp)))
+    with pytest.raises(DimMismatch, match="policy"):
+        PolicyWalker.start(build_symmetric_delay(q, 2), policy)
 
 
-def DelayedStatPolicy(ss):
-    """The paper's strategy on the delayed-sharing statistic: Ut~_t = L_t S_t
-    with L = ``delayed_stat_gains(ss, k)``, k the protocol's ``window``, S_t
-    moved by ``_delay_transition`` (no transition out of T), as a
-    ``sim.Policy``; UnsupportedProtocol if the protocol has no window.  The
-    pair (Y_tau, U_tau), tau = t - k + 1, that S_{t+1} takes is Z_t, so
-    Tz = Tp Pi, Pi from ``_pair_layout``."""
-    mp = ss.cs.protocol
-    Ts, Tu, Tp = _delay_transition(ss.cs.plant, mp, DEFAULT_RTOL)
-    return Policy(delayed_stat_gains(ss, mp.window), Ts[:-1], Tu[:-1],
-                  Tp[:-1] @ _pair_layout(mp, mp.window))
+@pytest.mark.parametrize("arg, value, error, message", [
+    (0, [np.nan, 0.0], InvalidMatrix, "y_t: contains non-finite"),
+    (1, [0.0, np.inf], InvalidMatrix, "u_t: contains non-finite"),
+    (2, [-np.inf, 0.0], InvalidMatrix, "u_tilde_t: contains non-finite"),
+    (0, [0.0], DimMismatch, "y_t: expected dim 2"),
+    (1, np.zeros(3), DimMismatch, "u_t: expected dim 2"),
+    (2, [], DimMismatch, "u_tilde_t: expected dim 2"),
+    (0, [True, False], InvalidMatrix, "y_t: entries must be numbers"),
+    (2, "ab", InvalidMatrix, "u_tilde_t: not a numeric vector")],
+    ids=["nan-y", "inf-u", "inf-ut", "short-y", "long-u", "empty-ut",
+         "bool-y", "string-ut"])
+def test_walkers_reject_bad_signals(scalar2, arg, value, error, message):
+    signals = [np.zeros(2)] * 3
+    signals[arg] = value
+    for walk in _walkers(scalar2, build_symmetric_delay(scalar2, 2)):
+        with pytest.raises(error, match=f"^{message}"):
+            walk.advance(*signals)
 
 
-def _pair_layout(mp, k):
-    """Pi with (Y_tau, U_tau) = Pi Z_t, read from the tokens of Z_k (the
-    protocol is time invariant), each of which must be of step tau = 1."""
-    first = {"y": np.cumsum((0,) + mp.d_y),
-             "u": sum(mp.d_y) + np.cumsum((0,) + mp.d_u)}
-    pi = np.zeros((first["u"][-1], mp.d_z))
-    for r, tok in enumerate(token_trace(mp).z[k]):
-        assert tok is not None and tok[2] == 1, (k, r, tok)
-        kind, i, _, comp = tok
-        pi[first[kind][i] + comp, r] = 1.0
-    return pi
+def test_act_rejects_a_policy_or_gains_it_does_not_fit(scalar2):
+    mp = build_symmetric_delay(scalar2, 2)
+    ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
+    walk, policy = _walk(ss)
+    y, m = [np.zeros(1)] * 2, [np.zeros(d) for d in mp.d_m]
+    with pytest.raises(DimMismatch, match="do not fit the walk"):
+        act(walk, DelayedStatPolicy(ss), ss.gains, y, m)
+    other = build_symmetric_delay(scalar2, 1)
+    with pytest.raises(DimMismatch, match="do not fit the walk"):
+        act(walk, policy, LocalGains.zeros(scalar2, other), y, m)
+
+
+def test_tracker_refuses_a_window_its_tokens_do_not_have(scalar2):
+    # Z_t of one-step sharing is the pair of step t, not of t - 1
+    mp = replace(build_symmetric_delay(scalar2, 1), window=2)
+    with pytest.raises(UnsupportedProtocol, match="more than the pair of step 1"):
+        DelayedStatTracker.create(scalar2, mp)
 
 
 def _check_stat_policy_cost(p, mp, k, seed):

@@ -118,6 +118,20 @@ def test_constant_broadcast():
     assert small_plant(A=[np.eye(2)] * 3).A.strides[0] > 0
 
 
+def test_constant_c_is_stored_once():
+    # one matrix per controller: the stacked C is one (sum d_y, d_x) matrix
+    # with stride 0 over t; a per-step list for any controller stacks it
+    p = small_plant(d_y=(2, 1), C=[np.ones((2, 2)), [[0.0, 3.0]]],
+                    sigma_w=[np.eye(2), [[1.0]]])
+    assert p.C.shape == (p.T, 3, 2) and p.C.strides[0] == 0
+    assert not p.C.flags.writeable
+    assert_allclose(p.C[2], [[1.0, 1.0], [1.0, 1.0], [0.0, 3.0]])
+    varying = small_plant(C=[[[1.0, 0.0]], [[[0.0, t]] for t in (1, 2, 3)]])
+    assert varying.C.strides[0] > 0
+    assert_allclose(varying.C[:, 1], [[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
+    assert_allclose(varying.C[:, 0], [[1.0, 0.0]] * 3)
+
+
 @pytest.mark.parametrize("field, message", [("C", "C must list"),
                                             ("sigma_w", "sigma_w must list")])
 def test_zero_d_array_rejected(field, message):

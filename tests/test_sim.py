@@ -38,19 +38,20 @@ from workloads import McRollouts, Recorder  # noqa: E402
 
 #: ``dir(declqg)`` after ``import declqg``, submodules included.
 PUBLIC_NAMES = [
-    "CoordinatedSystem", "DEFAULT_RTOL", "DelayGraph", "DelayedStatTracker",
-    "DimMismatch", "InvalidDelay", "InvalidMatrix", "LocalGains",
-    "MemoryProtocol", "NumericalBreakdown", "PlantModel", "Rollout",
-    "RolloutBatch", "SolvedStrategy", "StatisticPolicy", "TimeOutOfRange",
+    "CoordinatedSystem", "DEFAULT_RTOL", "DelayGraph", "DelayedStatPolicy",
+    "DelayedStatTracker", "DimMismatch", "InvalidDelay", "InvalidMatrix",
+    "LocalGains", "MemoryProtocol", "NumericalBreakdown", "PlantModel",
+    "PolicyWalker", "Rollout", "RolloutBatch", "SolvedStrategy",
+    "StatisticPolicy", "TimeOutOfRange",
     "UnsupportedProtocol", "WrongControllerCount", "ZHistoryPolicy", "act",
     "backward_riccati", "build", "build_asymmetric_delay",
     "build_control_sharing", "build_one_sided", "build_symmetric_delay",
     "closed_loop_cost_exact", "coordination", "core", "delayed_stat_gains",
     "delayed_stat_map", "draw_primitives", "estimator", "exact_cost",
     "explicit_protocol", "forward_riccati", "gaussian_conditioning",
-    "infostructure", "initial_state", "oracles", "plant",
+    "infostructure", "oracles", "plant",
     "random_theta_maps", "rollout_coordinated", "rollout_plant",
-    "seeded_stream", "sim", "simulate", "solve", "solver", "step_statistic",
+    "seeded_stream", "sim", "simulate", "solve", "solver",
     "strategy_theta_maps", "token_trace", "tune", "validate"]
 
 

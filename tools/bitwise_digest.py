@@ -11,7 +11,7 @@ the two outputs:
 Arrays are hashed through ``tobytes()``, floats through ``float.hex``.  The
 script imports the package from ``src/`` and the benchmark's workload set-up
 from ``perfbench/`` of the checkout it lives in, and uses only the public
-API; a checkout from before ``MemoryProtocol.window`` runs its own copy.
+API; a checkout from before ``PolicyWalker`` runs its own copy.
 BLAS is pinned to one thread.  It covers:
 
 * ``tune`` on the five ``cli.DEMOS`` at their own budgets: log, J,
@@ -36,10 +36,11 @@ BLAS is pinned to one thread.  It covers:
   held the whole history), and through ``declqg.oracles`` the
   ``closed_loop_maps`` to T and ``gaussian_conditioning`` at every t;
 * per delayed-sharing demo, at random gains: ``act`` at every step along 3
-  kept ``rollout_plant`` rollouts, with the statistic advanced by
-  ``step_statistic`` from each rollout's Z_t and Ut~_t, and, where the
-  protocol has a ``window``, the delayed statistic's ``vector()`` at every
-  step along the same rollouts, run by a ``DelayedStatTracker``;
+  kept ``rollout_plant`` rollouts, with the statistic walked by a
+  ``PolicyWalker`` of ``StatisticPolicy`` from each rollout's Y_t, U_t and
+  Ut~_t, and, where the protocol has a ``window``, the delayed
+  statistic's ``vector()`` at every step along the same rollouts, run by
+  a ``DelayedStatTracker``;
 * the solve-large workload at seeds 0 and 901: J, the sequences, every
   ``delayed_stat_gains`` matrix, ``delayed_stat_map`` at every t (as a
   list of per-step matrices, which versions before the stacked maps
@@ -158,18 +159,19 @@ def kept_rollouts(ss):
 
 
 def act_digests(out: dict, key: str, ss) -> None:
-    """``act`` along 3 kept rollouts, the statistic run online."""
+    """``act`` along 3 kept rollouts, the statistic walked online."""
     p, mp = ss.cs.plant, ss.cs.protocol
-    actions = []
+    policy, actions = dq.StatisticPolicy(ss), []
     for ro in kept_rollouts(ss):
-        st = dq.initial_state(ss.cs)
+        walk = dq.PolicyWalker.start(mp, policy)
         for t in range(1, p.T + 1):
             actions.append(dq.act(
-                st, ss, [ro.y[t - 1][p.y_slice(i)] for i in range(p.n)],
+                walk, policy, ss.gains,
+                [ro.y[t - 1][p.y_slice(i)] for i in range(p.n)],
                 [ro.m[t - 1][mp.m_slice(i)] for i in range(p.n)]))
             if t < p.T:
-                st = dq.step_statistic(st, ss, ro.z[t - 1],
-                                       ro.u_tilde[t - 1])
+                walk = walk.advance(ro.y[t - 1], ro.u[t - 1],
+                                    ro.u_tilde[t - 1])
     out[f"{key}.act"] = digest(actions)
 
 

@@ -18,7 +18,7 @@ prints:
 * over the cases whose protocol has a ``window`` (the delay after which
   every controller's data is common), the worst relative gap between J and
   the exact cost of the paper's strategy on the delayed statistic S_t
-  (``DelayedStatPolicy`` of ``tests/test_estimator.py``, a ``sim.Policy``),
+  (``declqg.DelayedStatPolicy``, a ``sim.Policy``),
   and the count of delayed-sharing graphs skipped for having none (their
   k*_j differ);
 * over the cases whose filter is the window form (the same ``window``), the
@@ -49,7 +49,6 @@ import numpy as np  # noqa: E402
 
 import declqg as dq  # noqa: E402
 from declqg.sim import _moment_cost  # noqa: E402
-from test_estimator import DelayedStatPolicy  # noqa: E402
 from test_solver import _window_and_sweep  # noqa: E402
 from test_sim import (ORACLE_TAG, _oracle_cases,  # noqa: E402
                       _rank_margin, run_filter_vs_oracle)
@@ -98,7 +97,7 @@ def stat_gap(ss, seed: int, found: dict) -> None:
         if mp.delay_graph is not None:
             found["stat_skipped"] += 1
         return
-    policy = DelayedStatPolicy(ss)
+    policy = dq.DelayedStatPolicy(ss)
     found["stat_cases"] += 1
     exact = _moment_cost(p, mp, ss.cs.gains, policy)
     gap = abs(ss.J - exact) / abs(exact)
