@@ -15,7 +15,6 @@ reformulation state by state.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -169,36 +168,20 @@ def _check_fits(plant: PlantModel, mp: MemoryProtocol) -> None:
 
 @dataclass(eq=False)
 class _Kept:
-    """What a plant keeps per protocol object, in ``plant._frames``: a
-    weak reference to the protocol, the gain-free frame (:func:`_frame`)
-    and the coordinator's value sweep, which ``solver`` forms on first use
-    and stores in ``value``."""
+    """What a plant keeps per protocol object, in ``plant._frames``: the
+    gain-free frame (:func:`_frame`) and the coordinator's value sweep,
+    which ``solver`` forms on first use and stores in ``value``."""
 
-    protocol: weakref.ref
     frame: tuple
     value: tuple | None = None
 
 
 def _kept(plant: PlantModel, mp: MemoryProtocol) -> _Kept:
-    """The entry of ``plant`` for the protocol object ``mp``, made on first
-    use.  It holds ``mp`` by weak reference: when ``mp`` is collected the
-    reference's callback drops the entry, and a dead reference never
-    matches, so a recycled ``id`` cannot name another protocol's entry."""
-    key = id(mp)
-    held = plant._frames.get(key)
-    if held is not None and held.protocol() is mp:
-        return held
-    _check_fits(plant, mp)
-    plant_ref = weakref.ref(plant)
-
-    def drop(ref):      # holds neither the plant nor the protocol
-        alive = plant_ref()
-        if alive is not None and key in alive._frames \
-                and alive._frames[key].protocol is ref:
-            del alive._frames[key]
-
-    held = _Kept(weakref.ref(mp, drop), _frame(plant, mp))
-    plant._frames[key] = held
+    """``plant``'s entry for the protocol object ``mp``, made on first use."""
+    held = plant._frames.get(mp)
+    if held is None:
+        _check_fits(plant, mp)
+        held = plant._frames[mp] = _Kept(_frame(plant, mp))
     return held
 
 

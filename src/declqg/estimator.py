@@ -109,10 +109,12 @@ def act(walk: PolicyWalker, policy: Policy, gains: LocalGains, y_local,
 
 def _pair_columns(mp: MemoryProtocol, k: int) -> np.ndarray:
     """The column of each row of Z_t, t >= k, in the pair (Y_tau, U_tau),
-    tau = t - k + 1, read off Z_k's tokens (the protocol is time invariant);
-    ``UnsupportedProtocol`` unless each is of step 1."""
+    tau = t - k + 1, read off Z_k's tokens, traced to step k alone (the
+    protocol is time invariant); ``UnsupportedProtocol`` unless each is of
+    step 1."""
     pair = _signal_tokens("y", mp.d_y, 1) + _signal_tokens("u", mp.d_u, 1)
-    col, tokens = {tok: j for j, tok in enumerate(pair)}, token_trace(mp).z[k]
+    col = {tok: j for j, tok in enumerate(pair)}
+    tokens = token_trace(replace(mp, T=k)).z[k]
     if any(tok not in col for tok in tokens):
         raise UnsupportedProtocol(f"Z_{k} holds more than the pair of step 1")
     return np.array([col[tok] for tok in tokens], dtype=int)

@@ -100,9 +100,12 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MemoryProtocol:
     """Compiled information structure; see module docstring.
+
+    A protocol compares and hashes by identity, so a plant keys what it
+    keeps per protocol by the object (``PlantModel._frames``).
 
     Stacked maps are stored once, because all builders are time invariant;
     callers read the fields directly for every step.  ``window`` is the

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_RTOL, DimMismatch, _check_finite, as_matrix
+from .core import (DEFAULT_RTOL, DimMismatch, TimeOutOfRange, _check_finite,
+                   as_index, as_matrix)
 from .coordination import CoordinatedSystem
 from .sim import Policy, Primitives, StatisticPolicy, _check_policy
 from .solver import SolvedStrategy
@@ -187,7 +188,11 @@ def gaussian_conditioning(cs: CoordinatedSystem, thetas, t: int,
     Brute force: the closed loop's joint Gaussian conditioned on its whitened
     innovations, each cut at its own largest singular value as in the filter
     (square roots, so a nearly singular one keeps its condition number).
+    ``TimeOutOfRange`` unless 1 <= t <= T.
     """
+    t = as_index(t, "t")
+    if not 1 <= t <= cs.T:
+        raise TimeOutOfRange(f"t={t} outside 1..{cs.T}")
     jg = closed_loop_maps(cs, thetas, t)
     _, q, c = jg.innovations(t - 1, rtol)
     return jg.xtilde[t - 1] @ q.T @ c

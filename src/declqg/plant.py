@@ -10,6 +10,7 @@ indexing; stored sequences use python index ``t - 1``):
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -129,13 +130,13 @@ class PlantModel:
         return {}
 
     @cached_property
-    def _frames(self) -> dict:
+    def _frames(self) -> weakref.WeakKeyDictionary:
         """The coordinator's gain-free frame and value sweep per protocol
-        object, kept by ``coordination._kept``: id(protocol) -> entry,
-        dropped when the protocol is collected.  Like the predictors it
-        lives in this object's ``__dict__``, so a plant made by
-        ``dataclasses.replace`` starts with none."""
-        return {}
+        object, kept by ``coordination._kept``; an entry goes when its
+        protocol is collected.  Like the predictors it lives in this
+        object's ``__dict__``, so a plant made by ``dataclasses.replace``
+        starts with none."""
+        return weakref.WeakKeyDictionary()
 
     def predictor(self, rtol: float = DEFAULT_RTOL):
         """The plant-level one-step-ahead Kalman predictor, which never

@@ -285,6 +285,9 @@ def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
     ``keep`` rollouts are recorded in full; costs are kept for all."""
     if len(prims.normals) != _width(plant):
         raise DimMismatch("primitives were drawn for a plant of another size")
+    keep = as_index(keep, "keep")
+    if keep < 0:
+        raise ValueError("need keep >= 0")
     count, keep = prims.count, min(keep, prims.count)
     steps, records = maps or _step_maps(plant, mp, gains, policy, keep > 0)
     d_x, d_w = plant.d_x, plant.d_x + plant.d_y_total

@@ -20,6 +20,7 @@ cost, so L~_T = -loc_T.  Value matrices are symmetrized after every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .plant import PlantModel
 
 
 _STACKED = ("A", "C", "noise", "Q", "N", "noise_cost", "loc")
-_SEQUENCES = ("Lgain", "filter_gain", "Ptilde", "root")
+_SEQUENCES = ("Lgain", "filter_gain", "root")
 _DOT = "...ij,...ij->..."      # the entry sum of a * b, matrix by matrix
 
 
@@ -43,12 +44,12 @@ class SolvedStrategy:
     ``t - 1`` for step t, except ``filter_gain``, which has T - 1 entries
     (the update into step t + 1 uses ``filter_gain[t - 1]``).  ``Lgain``
     acts on the coordinator's whole state (X_t, c_t), which is also the
-    statistic; ``Ptilde`` is ``root @ root'``, and ``root`` is d_state
-    wide from the square-root sweep and d_x + (k-1)(d_x + sum d_y) wide in
-    the window form (see :func:`forward_riccati`).  Strategies reloaded from
-    disk carry only the gains; the covariance/value sequences and ``rtol``
-    are then ``None``.  A stack of gains gives arrays and J its leading axes,
-    except ``S``: it does not depend on the gains, so it has no candidate
+    statistic.  ``root`` is d_state wide from the square-root sweep and
+    d_x + (k-1)(d_x + sum d_y) wide in the window form (see
+    :func:`forward_riccati`); ``Ptilde`` = root root' is formed from it on
+    first read.  Strategies reloaded from disk carry only the gains;
+    ``root``, ``Ptilde``, ``S`` and ``rtol`` are then ``None``.  A stack
+    of gains gives arrays and J its leading axes, except ``S``: it does not depend on the gains, so it has no candidate
     axis.  It is one read-only (T, d_state, d_state) array shared by every
     candidate of a stack and by every solve on the same plant and protocol
     object; :meth:`candidate` keeps it as it is and :func:`performance`
@@ -59,10 +60,15 @@ class SolvedStrategy:
     Lgain: np.ndarray         # (T, d_u, d_state)
     filter_gain: np.ndarray   # (T-1, d_state, d_z)
     J: float
-    Ptilde: np.ndarray | None = None   # (T, d_state, d_state)
     root: np.ndarray | None = None     # (T, d_state, root width)
     S: np.ndarray | None = None        # (T, d_state, d_state), shared
     rtol: float | None = None          # the filter's relative rank cutoff
+
+    @cached_property
+    def Ptilde(self) -> np.ndarray | None:
+        """Read-only P~_1..P~_T = root root', (…, T, d_state, d_state)."""
+        return None if self.root is None else read_only(
+            self.root @ self.root.swapaxes(-1, -2))
 
     @property
     def Kgain(self) -> np.ndarray:
@@ -75,7 +81,11 @@ class SolvedStrategy:
 
     def candidate(self, i: int) -> "SolvedStrategy":
         """Candidate ``i`` of a stacked solve as a strategy of its own; its
-        arrays are copies, so it does not keep the stack alive."""
+        arrays are copies, so it does not keep the stack alive.
+        ``DimMismatch`` on a single strategy."""
+        if self.gains.theta.ndim == 1:
+            raise DimMismatch("candidate(i) needs a stacked solve; this is "
+                              "one strategy")
         def row(a):
             return read_only(a[i].copy())
         cs, g = self.cs, self.gains
@@ -154,14 +164,16 @@ def _window_sweep(cs: CoordinatedSystem, k: int, rtol: float, start: int,
 
 
 def forward_riccati(cs: CoordinatedSystem, rtol: float = DEFAULT_RTOL,
-                    start: int = 1, incumbent: SolvedStrategy | None = None):
+                    incumbent: SolvedStrategy | None = None):
     """P~_1..P~_T = root root', filter gains for t = 1..T-1 and the roots,
-    over (…, T, ·, ·), from step ``start`` on: the roots to P~_start and
-    the gains before it are copied from ``incumbent`` (see :func:`solve`).
-    Under a protocol with a ``window`` k this is the window form
-    (:func:`_window_sweep`, roots d_x + (k-1)(d_x + sum d_y) wide); under
-    every other the square-root sweep from root_1 = ``cs.init_root``
-    (d_state wide)."""
+    over (…, T, ·, ·): the window form (:func:`_window_sweep`, roots
+    d_x + (k-1)(d_x + sum d_y) wide) under a protocol with a ``window`` k,
+    else the square-root sweep from root_1 = ``cs.init_root`` (d_state
+    wide).  P~_t depends only on the gains before step t, so the pass runs
+    from t_a, the first step whose gains differ from ``incumbent``'s
+    (:func:`_first_changed_step`), and copies the roots to P~_{t_a} and the
+    gains before t_a from it, bitwise what it would compute again."""
+    start = _first_changed_step(cs, rtol, incumbent)
     lent = incumbent and (incumbent.root, incumbent.filter_gain)
     k = cs.protocol.window
     return tuple(map(read_only, _filter_sweep(
@@ -268,12 +280,11 @@ def performance(cs: CoordinatedSystem, ptilde, s_seq, k_seq):
 
 
 def _first_changed_step(cs: CoordinatedSystem, rtol: float,
-                        incumbent: SolvedStrategy | None) -> int:
+                        inc: SolvedStrategy | None) -> int:
     """First step t whose G_t or H_t differ, in any bit of any candidate,
-    from ``incumbent``'s, read off ``theta``; T if none does.  1, a full
-    solve, unless ``incumbent`` is one strategy solved for the same plant
+    from the incumbent ``inc``'s, read off ``theta``; T if none does.  1, a
+    full solve, unless ``inc`` is one strategy solved for the same plant
     and protocol at this ``rtol``."""
-    inc = incumbent
     if (inc is None or inc.root is None or inc.rtol != rtol
             or inc.gains.theta.ndim != 1 or inc.cs.plant is not cs.plant
             or inc.cs.protocol is not cs.protocol):
@@ -291,21 +302,14 @@ def _first_changed_step(cs: CoordinatedSystem, rtol: float,
 def solve(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
           rtol: float = DEFAULT_RTOL,
           incumbent: SolvedStrategy | None = None) -> SolvedStrategy:
-    """Best coordinator response to the given local gains (or stack).
-
-    Step t of the coordinated system depends on the gains of step t only,
-    so P~_1..P~_t depend only on the steps before t.  Given ``incumbent``,
-    a single strategy this function returned for the same plant, protocol
-    and ``rtol``, the forward sweep therefore runs from the first step t_a
-    whose gains differ from the incumbent's, copying the rest from the
-    incumbent.  The value sweep does not read the gains at all: it runs
-    once per plant and protocol (:func:`backward_riccati`).  The result is
-    bitwise that of a solve without ``incumbent``.
-    """
+    """Best coordinator response to the given local gains (or stack):
+    :func:`build`, :func:`forward_riccati` (from ``incumbent``, a strategy
+    this function returned), :func:`backward_riccati` (run once per plant
+    and protocol) and :func:`performance`.  The result is bitwise that of
+    a solve without ``incumbent``."""
     check_rtol(rtol)
     cs = build(plant, mp, gains)
-    first = _first_changed_step(cs, rtol, incumbent)
-    P, K, R = forward_riccati(cs, rtol, first, incumbent)
+    P, K, R = forward_riccati(cs, rtol, incumbent)
     S, L = backward_riccati(cs)
-    return SolvedStrategy(cs=cs, Lgain=L, filter_gain=K, Ptilde=P, root=R,
-                          S=S, J=performance(cs, P, S, K), rtol=rtol)
+    return SolvedStrategy(cs=cs, Lgain=L, filter_gain=K, root=R, S=S,
+                          J=performance(cs, P, S, K), rtol=rtol)

@@ -1,7 +1,6 @@
 import dataclasses
 import gc
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -285,7 +284,7 @@ def test_frame_keeps_one_free_block_for_a_constant_plant():
         p = random_plant(rng, n=2, d_y=(2, 1), T=4, time_varying=time_varying)
         mp = build_symmetric_delay(p, 2)
         _assert_build_is_per_step(p, mp, LocalGains.random(p, mp, rng))
-        free = p._frames[id(mp)].frame[0]
+        free = p._frames[mp].frame[0]
         assert (free.strides[0] == 0) != time_varying
 
 
@@ -316,26 +315,30 @@ def test_discarded_protocols_release_their_frames_and_sweeps(monkeypatch):
     finally:
         tracemalloc.stop()
     assert kept < 1e6, kept
-    assert list(p._frames) == [id(live)] and formed == [False] * 100
+    assert list(p._frames) == [live] and formed == [False] * 100
 
 
-def test_a_recycled_protocol_id_never_matches():
-    # an entry whose protocol is gone, left under the id a new protocol
-    # got, is formed again for the new one and not read
+def test_protocols_built_alike_get_entries_of_their_own():
+    # a plant keys its entries by the protocol object: two protocols built
+    # alike are two keys, each with its own frame and value sweep (equal
+    # bits), and each entry goes with its protocol
     rng = np.random.default_rng([FRAME_TAG, 4])
     p = random_plant(rng, n=2, d_y=(2, 1), T=4)
-    other, mp = build_control_sharing(p), build_symmetric_delay(p, 2)
-    gone = build_symmetric_delay(p, 1)
-    stale = coordination_mod._Kept(weakref.ref(gone),
-                                   coordination_mod._frame(p, other),
-                                   ("not", "a sweep"))
-    del gone
-    p._frames[id(mp)] = stale
-    ss = solve(p, mp, LocalGains.random(p, mp, rng, 0.5))
-    assert p._frames[id(mp)] is not stale
-    assert p._frames[id(mp)].protocol() is mp
-    assert ss.cs.B.shape[-2] == p.d_x + mp.d_carrier
-    assert ss.S is p._frames[id(mp)].value[0]
+    mp, twin = build_symmetric_delay(p, 2), build_symmetric_delay(p, 2)
+    assert mp != twin and len({mp, twin}) == 2
+    theta = LocalGains.random(p, mp, rng, 0.5).theta
+    ss, st = (solve(p, m, LocalGains.from_vector(p, m, theta))
+              for m in (mp, twin))
+    assert len(p._frames) == 2
+    ours, theirs = p._frames[mp], p._frames[twin]
+    assert ss.cs.B is ours.frame[2] and ss.S is ours.value[0]
+    assert st.cs.B is theirs.frame[2] and st.S is theirs.value[0]
+    for a, b in zip(ours.frame + ours.value, theirs.frame + theirs.value):
+        assert a is not b and np.array_equal(a, b)
+    assert ss.J == st.J
+    del twin, st, theirs
+    gc.collect()
+    assert list(p._frames) == [mp] and p._frames[mp] is ours
 
 
 def test_replaced_plant_does_not_inherit_frames():

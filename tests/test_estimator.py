@@ -13,6 +13,8 @@ from declqg import (StatisticPolicy, DelayGraph, DelayedStatPolicy,
                     DEFAULT_RTOL, TimeOutOfRange)
 from declqg.cli import DEMOS, load_scenario, strategy_to_doc
 from declqg.sim import _moment_cost
+import declqg.estimator as estimator_mod
+from declqg.infostructure import _signal_tokens, token_trace
 import declqg.plant as plant_mod
 import declqg.solver as solver_mod
 
@@ -775,6 +777,22 @@ def _pullback_cases(rng):
     return p, _delayed_protocol(rng, p, k), k, seed
 
 
+
+
+def test_pair_columns_trace_only_to_step_k():
+    # Z_k's columns in the pair of step 1 are those of the whole trace's
+    # Z_k, read off a trace of k steps
+    traced = []
+
+    def check(p, mp, k, seed):
+        pair = _signal_tokens("y", mp.d_y, 1) + _signal_tokens("u", mp.d_u, 1)
+        ref = [pair.index(tok) for tok in token_trace(mp).z[k]]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimator_mod, "token_trace",
+                          lambda m: traced.append(m.T) or token_trace(m))
+            assert estimator_mod._pair_columns(mp, k).tolist() == ref
+        assert traced.pop() == k
+    check_generated(_pullback_cases, 1105, 40, check)
 
 
 def test_delayed_stat_gains_reproduce_solver_actions():

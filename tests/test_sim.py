@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from declqg import (DelayGraph, DimMismatch, InvalidMatrix, StatisticPolicy,
                     LocalGains, NumericalBreakdown, PlantModel,
-                    SolvedStrategy, ZHistoryPolicy,
+                    SolvedStrategy, TimeOutOfRange, ZHistoryPolicy,
                     build, build_asymmetric_delay,
                     build_control_sharing, build_one_sided,
                     build_symmetric_delay, closed_loop_cost_exact,
@@ -285,6 +285,18 @@ def test_simulate_rejects_non_integer_seed_and_counts(scalar2, kwargs, name):
     ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         simulate(scalar2, mp, ss.gains, ss, **kwargs)
+
+
+@pytest.mark.parametrize("keep, error", [
+    (-1, "keep >= 0"), (2.5, "keep must be an integer"),
+    (True, "keep must be an integer")])
+def test_rollout_plant_rejects_a_bad_keep(scalar2, keep, error):
+    mp = build_symmetric_delay(scalar2, 1)
+    ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
+    prims = draw_primitives(scalar2, seed=1, count=4)
+    with pytest.raises(ValueError, match=error):
+        rollout_plant(scalar2, mp, ss.gains, StatisticPolicy(ss), prims,
+                      keep=keep)
 
 
 def test_simulate_accepts_numpy_integers(scalar2):
@@ -639,6 +651,17 @@ def test_conditioning_map_at_t1_is_zero(scalar2):
     thetas = random_theta_maps(cs, np.random.default_rng(35), 0.2)
     omap = gaussian_conditioning(cs, thetas, 1)
     assert omap.shape == (cs.d_state, 0)
+
+
+@pytest.mark.parametrize("t", [0, -1, 6, 99])
+def test_conditioning_rejects_a_step_outside_the_horizon(scalar2, t):
+    mp = build_symmetric_delay(scalar2, 1)
+    cs = build(scalar2, mp, LocalGains.zeros(scalar2, mp))
+    thetas = random_theta_maps(cs, np.random.default_rng(35), 0.2)
+    with pytest.raises(TimeOutOfRange, match=f"t={t} outside 1..5"):
+        gaussian_conditioning(cs, thetas, t)
+    with pytest.raises(ValueError, match="t must be an integer"):
+        gaussian_conditioning(cs, thetas, 2.5)
 
 
 def test_conditioning_recovers_state_when_observations_reveal_it():

@@ -12,7 +12,7 @@ from declqg import (LocalGains, NumericalBreakdown, PlantModel,
                     solve)
 import declqg.solver as solver_mod
 from declqg.cli import DEMOS, load_scenario, strategy_from_doc, strategy_to_doc
-from declqg.core import DEFAULT_RTOL, blkdiag, sym
+from declqg.core import DEFAULT_RTOL, DimMismatch, blkdiag, sym
 from declqg.tune import _RAISE as _TUNE_ERRSTATE   # tune's solve errstate
 from declqg.oracles import closed_loop_maps, random_theta_maps
 
@@ -390,19 +390,44 @@ def test_solve_is_the_batch_of_one(rng):
                               getattr(ss.cs, stacked))
 
 
+def test_candidate_of_a_single_strategy_raises_dim_mismatch(scalar2):
+    mp = build_symmetric_delay(scalar2, 2)
+    ss = solve(scalar2, mp, LocalGains.zeros(scalar2, mp))
+    with pytest.raises(DimMismatch, match="needs a stacked solve"):
+        ss.candidate(0)
+
+
+def test_ptilde_is_formed_from_root_once_and_read_only(scalar2):
+    mp = build_symmetric_delay(scalar2, 2)
+    ss = solve(scalar2, mp, LocalGains.random(
+        scalar2, mp, np.random.default_rng(7), 0.3))
+    P = ss.Ptilde
+    assert P is ss.Ptilde and not P.flags.writeable
+    assert P.tobytes() == (ss.root @ ss.root.swapaxes(-1, -2)).tobytes()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ss.Ptilde = P
+    assert "Ptilde" not in {f.name for f in dataclasses.fields(ss)}
+
+
 REUSED = ("J", "Ptilde", "filter_gain", "S", "Lgain")
 
 
 def _sweep_starts(run):
-    """``run()`` and the start step of every forward sweep."""
-    starts, forward = [], solver_mod.forward_riccati
+    """``run()`` and the start step of every forward pass, as the
+    square-root sweep or the window form is handed it."""
+    starts = []
 
-    def fwd(cs, rtol, start=1, incumbent=None):
-        starts.append(start)
-        return forward(cs, rtol, start, incumbent)
+    def spy(name, at):
+        inner = getattr(solver_mod, name)
+
+        def sweep(*args):
+            starts.append(args[at])
+            return inner(*args)
+        return sweep
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver_mod, "forward_riccati", fwd)
+        patch.setattr(solver_mod, "_filter_sweep", spy("_filter_sweep", 5))
+        patch.setattr(solver_mod, "_window_sweep", spy("_window_sweep", 3))
         out = run()
     return out, starts
 
@@ -541,6 +566,40 @@ def test_an_incumbent_that_cannot_lend_gives_the_full_solve():
     _, starts = _sweep_starts(lambda: solve(
         p, mp, LocalGains.from_vector(p, mp, cand), incumbent=inc))
     assert starts == [p.T]
+
+
+@pytest.mark.parametrize("name", ["control-sharing", "symmetric-k2"])
+def test_forward_pass_from_an_incumbent_that_cannot_lend_is_the_full_pass(
+        name):
+    """``forward_riccati(cs, rtol, incumbent)`` sweeps every step, bitwise
+    the pass without an incumbent, when the incumbent is a stack, was
+    reloaded without roots, or was solved for another plant, protocol or
+    rtol; one of the same plant, protocol and rtol lends the steps before
+    t_a, with the same bits."""
+    sc = load_scenario(DEMOS[name]["config"])
+    p, mp = sc.plant, sc.protocol
+    theta = LocalGains.random(p, mp, np.random.default_rng(6), 0.3).theta
+    cand = theta.copy()
+    cand[-1] += 0.25                    # changes step T only
+    cs = build(p, mp, LocalGains.from_vector(p, mp, cand))
+    full = forward_riccati(cs)
+
+    def solved(plant=p, proto=mp, th=theta, rtol=DEFAULT_RTOL):
+        return solve(plant, proto, LocalGains.from_vector(plant, proto, th),
+                     rtol)
+    inc = solved()
+    lenders = {
+        "stack": solved(th=theta[None]),
+        "reloaded": strategy_from_doc(strategy_to_doc(inc), p, mp),
+        "plant": solved(plant=dataclasses.replace(p, sigma_x=4 * p.sigma_x)),
+        "protocol": solved(proto=dataclasses.replace(mp)),
+        "rtol": solved(rtol=1e-8)}
+    for what, lender in list(lenders.items()) + [("incumbent", inc)]:
+        got, starts = _sweep_starts(
+            lambda: forward_riccati(cs, DEFAULT_RTOL, lender))
+        assert starts == [p.T if what == "incumbent" else 1], what
+        for a, b in zip(got, full, strict=True):
+            assert a.tobytes() == b.tobytes(), what
 
 
 def _performance_per_step(cs, ptilde, s_seq, k_seq):

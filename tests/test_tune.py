@@ -368,17 +368,17 @@ def test_window_stacks_in_tune_give_each_candidates_J_bitwise(monkeypatch):
 
 
 def _forward_sweeps(monkeypatch, run):
-    """(gains vectors, start step) of every forward sweep ``run`` makes."""
-    seen, forward = [], solver_mod.forward_riccati
+    """(gains vectors, start step) of every forward pass ``run`` makes."""
+    seen, first = [], solver_mod._first_changed_step
 
-    def recording(cs, rtol, start=1, incumbent=None):
-        theta = cs.gains.theta
+    def recording(cs, rtol, inc):
+        theta, start = cs.gains.theta, first(cs, rtol, inc)
         seen.append((theta.reshape(-1, theta.shape[-1]).copy(), start))
-        return forward(cs, rtol, start, incumbent)
+        return start
 
-    monkeypatch.setattr(solver_mod, "forward_riccati", recording)
+    monkeypatch.setattr(solver_mod, "_first_changed_step", recording)
     run()
-    monkeypatch.setattr(solver_mod, "forward_riccati", forward)
+    monkeypatch.setattr(solver_mod, "_first_changed_step", first)
     return seen
 
 
