@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_RTOL, NumericalBreakdown, UnsupportedProtocol,
-                   as_matrix, read_only)
+from .core import (NumericalBreakdown, UnsupportedProtocol, as_matrix,
+                   read_only)
 from .coordination import LocalGains, build
 from .infostructure import (DelayGraph, MemoryProtocol,
                             build_asymmetric_delay, build_control_sharing,
@@ -365,7 +365,7 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     sc = load_scenario(_read_config(args.config))
-    ss = solve(sc.plant, sc.protocol, sc.gains, rtol=args.tolerance)
+    ss = solve(sc.plant, sc.protocol, sc.gains)
     print(f"predicted cost J = {ss.J:.10g}")
     print(f"state dim (X, carrier) = {ss.cs.d_state}, d_z = {ss.cs.d_z}")
     print(" t   ||L~_t||_F     tr P~_t      tr S_t")
@@ -394,7 +394,7 @@ def cmd_simulate(args) -> int:
         solved_here = False
     else:
         gains = sc.gains
-        ss = solve(sc.plant, sc.protocol, gains, rtol=args.tolerance)
+        ss = solve(sc.plant, sc.protocol, gains)
         solved_here = True
     mc = simulate(sc.plant, sc.protocol, gains, ss, seed=seed,
                   count=rollouts, sample_count=args.samples)
@@ -424,7 +424,7 @@ def cmd_tune(args) -> int:
     restarts = _at_least(args.restarts, 0, "--restarts", sc.tune_restarts)
     seed = _at_least(args.seed, 0, "--seed", sc.tune_seed)
     result = tune(sc.plant, sc.protocol, budget=budget, seed=seed,
-                  restarts=restarts, rtol=args.tolerance)
+                  restarts=restarts)
     print(f"incumbent J = {result.J:.10g} after {result.evaluations} "
           f"evaluations ({restarts} restarts, seed {seed})")
     out = _outdir(args)
@@ -548,7 +548,7 @@ def cmd_demo(args) -> int:
     report = validate(sc.protocol)
     print(f"protocol {sc.protocol.kind}: "
           + ("valid" if report.ok else f"{len(report.violations)} violations"))
-    ss = solve(sc.plant, sc.protocol, sc.gains, rtol=args.tolerance)
+    ss = solve(sc.plant, sc.protocol, sc.gains)
     exact = exact_cost(sc.plant, sc.protocol, sc.gains, ss)
     rollouts = min(sc.sim_rollouts, 20000)
     mc = simulate(sc.plant, sc.protocol, sc.gains, ss,
@@ -567,8 +567,6 @@ def main(argv=None) -> int:
         prog="declqg",
         description="decentralized LQG synthesis with partial history sharing")
     parser.add_argument("--out", help="output directory", default=None)
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_RTOL,
-                        help="filter's relative rank cutoff")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_val = sub.add_parser("validate", help="check a protocol (A1/A2, tokens)")
@@ -602,9 +600,6 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if not 0 < args.tolerance < 1:      # also rejects nan
-            raise ConfigError("--tolerance",
-                              f"must be > 0 and < 1, got {args.tolerance}")
         # the finiteness checks type every breakdown, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore", divide="ignore",
                          under="ignore"):

@@ -14,9 +14,10 @@ import operator
 import numpy as np
 
 #: Relative rank cutoff of the filter's innovation covariances: an eigenvalue
-#: at most ``rtol`` times the largest counts as zero.  Shared-memory
+#: at most ``DEFAULT_RTOL`` times the largest counts as zero.  Shared-memory
 #: increments are noiseless functions of the state, so innovation covariances
-#: are exactly rank deficient and a hard relative threshold is required.
+#: are exactly rank deficient and a hard relative threshold is required; the
+#: method fixes it, so every filter, predictor and oracle reads this one value.
 DEFAULT_RTOL = 1e-9
 
 
@@ -136,27 +137,20 @@ def blkdiag(blocks) -> np.ndarray:
     return out
 
 
-def check_rtol(rtol: float) -> None:
-    """Raise ``ValueError`` unless 0 < ``rtol`` < 1: a relative cutoff at or
-    above 1 cuts every singular value, so it keeps nothing."""
-    if not 0 < rtol < 1:        # also rejects nan
-        raise ValueError(f"rtol must be in (0, 1), got {rtol!r}")
-
-
 def _check_finite(m: np.ndarray, name: str, t: int) -> None:
     """Raise NumericalBreakdown at step ``t`` unless ``m`` is finite."""
     if not np.isfinite(m).all():
         raise NumericalBreakdown(f"{name} is not finite", t)
 
 
-def _filter_sweep(A, C, noise, R1, rtol: float, start: int = 1, lent=None):
+def _filter_sweep(A, C, noise, R1, start: int = 1, lent=None):
     """Square-root Kalman sweep over the n steps of C: P = R R', gains
     K_1..K_n, roots R_1..R_{n+1} (``R1``, or ``lent``'s up to R_start).
     ``noise[t-1]`` = (N_w; N_v) is a root of step t's (process, measurement)
     noise; a = [C R_t, N_v], b = [A R_t, N_w] give a a' = C P C' + V, cut
-    at the relative rank ``rtol`` (s^2 > rtol s_max^2 kept), K_t = b V_r
-    S_r^-1 U_r', and a QR gives R_{t+1}, a PSD root of b (I - V_r V_r') b'."""
-    check_rtol(rtol)
+    at the relative rank ``DEFAULT_RTOL`` (s^2 > DEFAULT_RTOL s_max^2
+    kept), K_t = b V_r S_r^-1 U_r', and a QR gives R_{t+1}, a PSD root of
+    b (I - V_r V_r') b'."""
     n, d = C.shape[-3], A.shape[-1]
     roots = np.zeros(A.shape[:-3] + (n + 1, d, d))
     gains = np.empty(roots.shape[:-3] + (n, d, C.shape[-2]))
@@ -170,7 +164,7 @@ def _filter_sweep(A, C, noise, R1, rtol: float, start: int = 1, lent=None):
         _check_finite(pre, "filter pre-array", t)     # before LAPACK sees it
         b, a = pre[..., :d, :], pre[..., d:, :]
         u, s, vh = np.linalg.svd(a, full_matrices=False)
-        keep = s * s > rtol * s[..., :1] ** 2
+        keep = s * s > DEFAULT_RTOL * s[..., :1] ** 2
         bv = b @ vh.swapaxes(-1, -2) * keep[..., None, :]
         gains[..., t - 1, :, :] = (bv / np.where(keep, s, 1.0)[..., None, :]
                                    @ u.swapaxes(-1, -2))

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DEFAULT_RTOL, DimMismatch, TimeOutOfRange,
-                   UnsupportedProtocol, as_index, as_vector, read_only)
+from .core import (DimMismatch, TimeOutOfRange, UnsupportedProtocol,
+                   as_index, as_vector, read_only)
 from .coordination import CoordinatedSystem, LocalGains, _check_fits
 from .infostructure import MemoryProtocol, _signal_tokens, token_trace
 from .plant import PlantModel
@@ -120,7 +120,7 @@ def _pair_columns(mp: MemoryProtocol, k: int) -> np.ndarray:
     return np.array([col[tok] for tok in tokens], dtype=int)
 
 
-def _delay_transition(plant: PlantModel, mp, rtol: float):
+def _delay_transition(plant: PlantModel, mp):
     """Read-only (Ts, Tu, Tz), each stacked over t = 1..T, with S_{t+1} =
     Ts S_t + Tu Ut~_t + Tz Z_t; k is the protocol's ``window``
     (UnsupportedProtocol if it has none).  From t = k on, Z_t is the pair
@@ -139,7 +139,7 @@ def _delay_transition(plant: PlantModel, mp, rtol: float):
     d = d_x + mp.d_carrier
     dim, tau = d + (k - 1) * d_u, slice(0, max(0, T - k + 1))
     Ts, Tu, Tz = (np.zeros((T, dim, w)) for w in (dim, d_u, mp.d_z))
-    K, cols = plant.predictor(rtol)[1][tau], _pair_columns(mp, k)
+    K, cols = plant.predictor[1][tau], _pair_columns(mp, k)
     Ts[k - 1:, :d_x, :d_x] = plant.A[tau] - K @ plant.C[tau]
     Ts[k - 1:, d_x:d, d_x:d] = mp.cc
     Tz[k - 1:, :d_x] = np.concatenate([K, plant.B[tau]], axis=2)[..., cols]
@@ -153,10 +153,9 @@ def _delay_transition(plant: PlantModel, mp, rtol: float):
 def DelayedStatPolicy(ss: SolvedStrategy) -> Policy:
     """The paper's strategy Ut~_t = L_t S_t, L = ``delayed_stat_gains(ss,
     k)``, k the protocol's ``window`` (UnsupportedProtocol if none), S_t
-    moved by ``_delay_transition`` at the strategy's rtol."""
+    moved by ``_delay_transition``."""
     cs = ss.cs
-    Ts, Tu, Tz = _delay_transition(
-        cs.plant, cs.protocol, DEFAULT_RTOL if ss.rtol is None else ss.rtol)
+    Ts, Tu, Tz = _delay_transition(cs.plant, cs.protocol)
     return Policy(delayed_stat_gains(ss, cs.protocol.window), Ts[:-1],
                   Tu[:-1], Tz[:-1])
 
@@ -175,11 +174,9 @@ class DelayedStatTracker(PolicyWalker):
     through ``create``, ``advance`` and ``stat().vector()``."""
 
     @staticmethod
-    def create(plant: PlantModel, mp, rtol: float = DEFAULT_RTOL
-               ) -> "DelayedStatTracker":
+    def create(plant: PlantModel, mp) -> "DelayedStatTracker":
         _check_fits(plant, mp)
-        return DelayedStatTracker._at_one(mp, _delay_transition(plant, mp,
-                                                                rtol))
+        return DelayedStatTracker._at_one(mp, _delay_transition(plant, mp))
 
     def stat(self) -> ReducedDelayStat:
         return ReducedDelayStat(self.state)

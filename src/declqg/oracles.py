@@ -130,12 +130,13 @@ class JointGaussian:
     def cov(self, La, Lb) -> np.ndarray:
         return La @ Lb.T
 
-    def innovations(self, count: int, rtol: float = DEFAULT_RTOL):
+    def innovations(self, count: int):
         """``(rs, q, c)``: rs[s-1] is Z_s's map less (twice, for round-off)
         its projection on q's rows so far, so Cov(innovation) = r r'; q
-        gathers r's right singular vectors above the ``rtol`` cutoff on
-        r r'; c maps stacked Z_1..Z_count to the unit-variance coordinates
-        along q.  A non-finite r raises ``NumericalBreakdown`` at its s."""
+        gathers r's right singular vectors above the ``DEFAULT_RTOL``
+        cutoff on r r'; c maps stacked Z_1..Z_count to the unit-variance
+        coordinates along q.  A non-finite r raises ``NumericalBreakdown``
+        at its s."""
         ys = self.ytilde[:count]
         starts = np.cumsum([0] + [len(y) for y in ys])
         rs, c = [], np.zeros((0, starts[-1]))
@@ -147,7 +148,7 @@ class JointGaussian:
                 r, rc = r - g @ q, rc - g @ c
             _check_finite(r, "innovation map", s)     # before LAPACK sees it
             u, sv, vt = np.linalg.svd(r, full_matrices=False)
-            keep = sv * sv > rtol * sv[:1] ** 2
+            keep = sv * sv > DEFAULT_RTOL * sv[:1] ** 2
             rs.append(r)
             q = np.vstack([q, vt[keep]])
             c = np.vstack([c, u[:, keep].T @ rc / sv[keep, None]])
@@ -181,8 +182,8 @@ def closed_loop_maps(cs: CoordinatedSystem, thetas, t_max: int
                          utilde=tuple(umaps))
 
 
-def gaussian_conditioning(cs: CoordinatedSystem, thetas, t: int,
-                          rtol: float = DEFAULT_RTOL) -> np.ndarray:
+def gaussian_conditioning(cs: CoordinatedSystem, thetas, t: int
+                          ) -> np.ndarray:
     """Map from realized stacked (Z_1..Z_{t-1}) to E[(X_t, c_t) | them].
 
     Brute force: the closed loop's joint Gaussian conditioned on its whitened
@@ -194,5 +195,5 @@ def gaussian_conditioning(cs: CoordinatedSystem, thetas, t: int,
     if not 1 <= t <= cs.T:
         raise TimeOutOfRange(f"t={t} outside 1..{cs.T}")
     jg = closed_loop_maps(cs, thetas, t)
-    _, q, c = jg.innovations(t - 1, rtol)
+    _, q, c = jg.innovations(t - 1)
     return jg.xtilde[t - 1] @ q.T @ c

@@ -16,9 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DEFAULT_RTOL, DimMismatch, InvalidMatrix, _filter_sweep,
-                   as_covariance, as_index, as_matrix, as_vector, blkdiag,
-                   eig_bounds, psd_sqrt, read_only)
+from .core import (DimMismatch, InvalidMatrix, _filter_sweep, as_covariance,
+                   as_index, as_matrix, as_vector, blkdiag, eig_bounds,
+                   psd_sqrt, read_only)
 
 
 def _per_step(value, T, rows, cols, name):
@@ -126,31 +126,25 @@ class PlantModel:
         return np.broadcast_to(root, (self.T,) + root.shape)
 
     @cached_property
-    def _predictors(self) -> dict:
-        return {}
-
-    @cached_property
     def _frames(self) -> weakref.WeakKeyDictionary:
         """The coordinator's gain-free frame and value sweep per protocol
         object, kept by ``coordination._kept``; an entry goes when its
-        protocol is collected.  Like the predictors it lives in this
+        protocol is collected.  Like the predictor it lives in this
         object's ``__dict__``, so a plant made by ``dataclasses.replace``
         starts with none."""
         return weakref.WeakKeyDictionary()
 
-    def predictor(self, rtol: float = DEFAULT_RTOL):
+    @cached_property
+    def predictor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The plant-level one-step-ahead Kalman predictor, which never
         reads the local gains: read-only covariances P_1..P_{T+1}
         (P_1 = sigma_x), shape (T+1, d_x, d_x), gains K_1..K_T, shape
         (T, d_x, sum d_y), and roots R_1..R_{T+1} (P = R R') of the
-        square-root sweep at relative rank cutoff ``rtol``, run once per
-        ``rtol`` and kept on the plant, so every call at one ``rtol``
-        returns the same arrays.  The window form of the coordinator's
-        filter and the delayed statistic both read it."""
-        if rtol not in self._predictors:
-            self._predictors[rtol] = tuple(map(read_only, _filter_sweep(
-                self.A, self.C, self.noise_root, self.x1_root, rtol)))
-        return self._predictors[rtol]
+        square-root sweep, run once per plant, so every read returns the
+        same arrays.  The window form of the coordinator's filter and the
+        delayed statistic both read it."""
+        return tuple(map(read_only, _filter_sweep(
+            self.A, self.C, self.noise_root, self.x1_root)))
 
     # -- dimension helpers -------------------------------------------------
     @property

@@ -321,11 +321,12 @@ def rollout_plant(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
             v = bufs[t % 2, 2 * d_xu:len(step) + d_w]
             v[len(step) - 2 * d_xu:] = normals[lo:lo + d_w]
     samples = []
-    if keep:     # (keep, T, dim) per signal; rollout r reads row r
+    if keep:     # (keep, T, dim) per signal, contiguous; rollout r reads row r
         ends = np.cumsum([d_x, plant.d_u_total, plant.d_y_total,
                           len(mp.m_sel), mp.d_z, plant.d_u_total, d_c, d_stat])
-        xs, us, ys, ms, zs, uts, carriers, stat, scs = np.split(
-            np.stack(rec).transpose(2, 0, 1), ends, axis=2)
+        xs, us, ys, ms, zs, uts, carriers, stat, scs = map(
+            np.ascontiguousarray,
+            np.split(np.stack(rec).transpose(2, 0, 1), ends, axis=2))
         samples = [Rollout(x=xs[r], y=ys[r], m=ms[r], carrier=carriers[r],
                            z=zs[r], u=us[r], u_tilde=uts[r], stat=stat[r],
                            step_costs=scs[r, :, 0]) for r in range(keep)]

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (DEFAULT_RTOL, DimMismatch, NumericalBreakdown,
-                   _check_finite, _filter_sweep, check_rtol, read_only, sym)
+                   _check_finite, _filter_sweep, as_index, read_only, sym)
 from .coordination import CoordinatedSystem, LocalGains, _kept, build
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
@@ -48,11 +48,12 @@ class SolvedStrategy:
     d_x + (k-1)(d_x + sum d_y) wide in the window form (see
     :func:`forward_riccati`); ``Ptilde`` = root root' is formed from it on
     first read.  Strategies reloaded from disk carry only the gains;
-    ``root``, ``Ptilde``, ``S`` and ``rtol`` are then ``None``.  A stack
-    of gains gives arrays and J its leading axes, except ``S``: it does not depend on the gains, so it has no candidate
-    axis.  It is one read-only (T, d_state, d_state) array shared by every
-    candidate of a stack and by every solve on the same plant and protocol
-    object; :meth:`candidate` keeps it as it is and :func:`performance`
+    ``root``, ``Ptilde`` and ``S`` are then ``None``.  A stack of gains
+    gives arrays and J its leading axes, except ``S``: it does not depend
+    on the gains, so it has no candidate axis.  It is one read-only
+    (T, d_state, d_state) array shared by every candidate of a stack and
+    by every solve on the same plant and protocol object;
+    :meth:`candidate` keeps it as it is and :func:`performance`
     broadcasts it.
     """
 
@@ -62,7 +63,6 @@ class SolvedStrategy:
     J: float
     root: np.ndarray | None = None     # (T, d_state, root width)
     S: np.ndarray | None = None        # (T, d_state, d_state), shared
-    rtol: float | None = None          # the filter's relative rank cutoff
 
     @cached_property
     def Ptilde(self) -> np.ndarray | None:
@@ -79,19 +79,29 @@ class SolvedStrategy:
     def gains(self) -> LocalGains:
         return self.cs.gains
 
-    def candidate(self, i: int) -> "SolvedStrategy":
-        """Candidate ``i`` of a stacked solve as a strategy of its own; its
-        arrays are copies, so it does not keep the stack alive.
-        ``DimMismatch`` on a single strategy."""
-        if self.gains.theta.ndim == 1:
+    def candidate(self, i) -> "SolvedStrategy":
+        """Candidate ``i`` of a stacked solve as a strategy of its own, ``i``
+        an int, or a tuple of one per stack axis; its arrays are copies, so
+        it does not keep the stack alive.  ``DimMismatch`` on a single
+        strategy or for an ``i`` outside the stack, ``ValueError`` for a
+        non-integer one."""
+        shape = self.gains.theta.shape[:-1]
+        if not shape:
             raise DimMismatch("candidate(i) needs a stacked solve; this is "
                               "one strategy")
+        idx = tuple(as_index(j, "candidate index")
+                    for j in (i if isinstance(i, tuple) else (i,)))
+        if len(idx) != len(shape) or not all(
+                0 <= j < n for j, n in zip(idx, shape)):
+            raise DimMismatch(f"candidate {i!r} is outside the stack of "
+                              + " x ".join(map(str, shape)) + " strategies")
+
         def row(a):
-            return read_only(a[i].copy())
+            return read_only(a[idx].copy())
         cs, g = self.cs, self.gains
         cs = replace(cs, gains=LocalGains(row(g.theta), row(g.G), row(g.H)),
                      **{f: row(getattr(cs, f)) for f in _STACKED})
-        return replace(self, cs=cs, J=float(self.J[i]),
+        return replace(self, cs=cs, J=float(self.J[idx]),
                        **{f: row(getattr(self, f)) for f in _SEQUENCES})
 
 
@@ -102,8 +112,7 @@ def _check_one_strategy(gains: LocalGains) -> None:
                           "; take one with SolvedStrategy.candidate(i)")
 
 
-def _window_roots(cs: CoordinatedSystem, k: int, rtol: float, start: int,
-                  lent):
+def _window_roots(cs: CoordinatedSystem, k: int, start: int, lent):
     """Roots of P~_1..P~_T, d_x + (k-1)(d_x + sum d_y) wide, under a
     protocol whose data is all common k steps on (its ``window``): at t
     everything before tau = t - k + 1 is common, so the error on xi_t is
@@ -116,7 +125,7 @@ def _window_roots(cs: CoordinatedSystem, k: int, rtol: float, start: int,
     shape = cs.A.shape[:-3] + (T, d, d_x + (k - 1) * wn)
     bufs = [np.zeros(shape) for _ in range(min(k, 2))]
     R = bufs[0]
-    R[..., :d_x, :d_x] = cs.plant.predictor(rtol)[2][
+    R[..., :d_x, :d_x] = cs.plant.predictor[2][
         np.maximum(np.arange(1 - k, T - k + 1), 0)]
     for j in range(k - 1):          # row t takes step s = t - k + 1 + j
         old, R, c = R, bufs[(j + 1) % 2], d_x + j * wn
@@ -130,16 +139,15 @@ def _window_roots(cs: CoordinatedSystem, k: int, rtol: float, start: int,
     return R
 
 
-def _window_sweep(cs: CoordinatedSystem, k: int, rtol: float, start: int,
-                  lent):
+def _window_sweep(cs: CoordinatedSystem, k: int, start: int, lent):
     """P~_1..P~_T, gains K_1..K_{T-1} and roots of P~ in the window form
     (:func:`_window_roots`), P~ = R R'; rows before ``start`` are
     ``lent``'s (root, gain) rows.  K_t = (A~ P~ C' + N_w N_v') M^+ with
-    M = C P~ C' + N_v N_v', cut at the relative rank ``rtol``
-    (eigenvalues w > rtol w_max kept), which is the sweep's cut on the
-    singular values of its pre-array in exact arithmetic."""
+    M = C P~ C' + N_v N_v', cut at the relative rank ``DEFAULT_RTOL``
+    (eigenvalues w > DEFAULT_RTOL w_max kept), which is the sweep's cut on
+    the singular values of its pre-array in exact arithmetic."""
     T, d = cs.T, cs.d_state
-    R = _window_roots(cs, k, rtol, start, lent and lent[0])
+    R = _window_roots(cs, k, start, lent and lent[0])
     P = R @ R.swapaxes(-1, -2)
     for t in range(start, T + 1):
         _check_finite(P[..., t - 1, :, :], "filter covariance", t)
@@ -154,7 +162,7 @@ def _window_sweep(cs: CoordinatedSystem, k: int, rtol: float, start: int,
         for t in range(start, T):
             _check_finite(M[..., t - start, :, :], "innovation covariance", t)
     w, V = np.linalg.eigh(M)
-    keep = w > rtol * w[..., -1:]
+    keep = w > DEFAULT_RTOL * w[..., -1:]
     cross = (cs.A[..., start - 1:T - 1, :, :] @ CP.swapaxes(-1, -2)
              + nw @ nv.swapaxes(-1, -2))
     gains[..., start - 1:, :, :] = (
@@ -163,22 +171,23 @@ def _window_sweep(cs: CoordinatedSystem, k: int, rtol: float, start: int,
     return P, gains, R
 
 
-def forward_riccati(cs: CoordinatedSystem, rtol: float = DEFAULT_RTOL,
+def forward_riccati(cs: CoordinatedSystem,
                     incumbent: SolvedStrategy | None = None):
     """P~_1..P~_T = root root', filter gains for t = 1..T-1 and the roots,
     over (…, T, ·, ·): the window form (:func:`_window_sweep`, roots
     d_x + (k-1)(d_x + sum d_y) wide) under a protocol with a ``window`` k,
     else the square-root sweep from root_1 = ``cs.init_root`` (d_state
-    wide).  P~_t depends only on the gains before step t, so the pass runs
-    from t_a, the first step whose gains differ from ``incumbent``'s
+    wide), each cutting its innovations at ``DEFAULT_RTOL``.  P~_t depends
+    only on the gains before step t, so the pass runs from t_a, the first
+    step whose gains differ from ``incumbent``'s
     (:func:`_first_changed_step`), and copies the roots to P~_{t_a} and the
     gains before t_a from it, bitwise what it would compute again."""
-    start = _first_changed_step(cs, rtol, incumbent)
+    start = _first_changed_step(cs, incumbent)
     lent = incumbent and (incumbent.root, incumbent.filter_gain)
     k = cs.protocol.window
     return tuple(map(read_only, _filter_sweep(
-        cs.A, cs.C, cs.noise, cs.init_root, rtol, start, lent)
-        if k is None else _window_sweep(cs, k, rtol, start, lent)))
+        cs.A, cs.C, cs.noise, cs.init_root, start, lent)
+        if k is None else _window_sweep(cs, k, start, lent)))
 
 
 def _value_sweep(plant: PlantModel, mp: MemoryProtocol):
@@ -279,14 +288,14 @@ def performance(cs: CoordinatedSystem, ptilde, s_seq, k_seq):
     return total if total.ndim else float(total)
 
 
-def _first_changed_step(cs: CoordinatedSystem, rtol: float,
+def _first_changed_step(cs: CoordinatedSystem,
                         inc: SolvedStrategy | None) -> int:
     """First step t whose G_t or H_t differ, in any bit of any candidate,
     from the incumbent ``inc``'s, read off ``theta``; T if none does.  1, a
     full solve, unless ``inc`` is one strategy solved for the same plant
-    and protocol at this ``rtol``."""
-    if (inc is None or inc.root is None or inc.rtol != rtol
-            or inc.gains.theta.ndim != 1 or inc.cs.plant is not cs.plant
+    and protocol."""
+    if (inc is None or inc.root is None or inc.gains.theta.ndim != 1
+            or inc.cs.plant is not cs.plant
             or inc.cs.protocol is not cs.protocol):
         return 1
     # theta is ordered by step, |theta| / T entries per step, and G and H
@@ -300,16 +309,14 @@ def _first_changed_step(cs: CoordinatedSystem, rtol: float,
 
 
 def solve(plant: PlantModel, mp: MemoryProtocol, gains: LocalGains,
-          rtol: float = DEFAULT_RTOL,
           incumbent: SolvedStrategy | None = None) -> SolvedStrategy:
     """Best coordinator response to the given local gains (or stack):
     :func:`build`, :func:`forward_riccati` (from ``incumbent``, a strategy
     this function returned), :func:`backward_riccati` (run once per plant
     and protocol) and :func:`performance`.  The result is bitwise that of
     a solve without ``incumbent``."""
-    check_rtol(rtol)
     cs = build(plant, mp, gains)
-    P, K, R = forward_riccati(cs, rtol, incumbent)
+    P, K, R = forward_riccati(cs, incumbent)
     S, L = backward_riccati(cs)
     return SolvedStrategy(cs=cs, Lgain=L, filter_gain=K, root=R, S=S,
-                          J=performance(cs, P, S, K), rtol=rtol)
+                          J=performance(cs, P, S, K))

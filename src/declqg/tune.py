@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_RTOL, as_index, check_rtol, seeded_stream
+from .core import as_index, seeded_stream
 from .coordination import LocalGains
 from .infostructure import MemoryProtocol
 from .plant import PlantModel
@@ -51,7 +51,7 @@ class TuneResult:
 
 
 def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
-         restarts: int = 0, rtol: float = DEFAULT_RTOL) -> TuneResult:
+         restarts: int = 0) -> TuneResult:
     """Compass search over all local-gain entries; inner solves are exact.
 
     Returns the incumbent with smallest J (ties keep the earliest
@@ -64,7 +64,6 @@ def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
     restarts, seed = as_index(restarts, "restarts"), as_index(seed, "seed")
     if budget < 1 or restarts < 0 or seed < 0:
         raise ValueError("need budget >= 1, restarts >= 0 and seed >= 0")
-    check_rtol(rtol)
     evals = 0
     log = []
     best = None    # the incumbent with the smallest J
@@ -80,7 +79,7 @@ def tune(plant: PlantModel, mp: MemoryProtocol, budget: int, seed: int = 0,
 
     def solved(thetas, incumbent=None):
         gains = LocalGains.from_vector(plant, mp, thetas)
-        return solve(plant, mp, gains, rtol, incumbent)
+        return solve(plant, mp, gains, incumbent)
 
     zero = LocalGains.zeros(plant, mp).theta
     polls = 2 * zero.size           # (p, +step) then (p, -step), p in order

@@ -343,10 +343,10 @@ def test_criterion_8_delayed_sharing_reduction():
     assert worst <= 1e-8, worst
 
     # plant predictor covariance never reads the local gains: bitwise equal
-    base, base_gains, _ = p.predictor()
+    base, base_gains, _ = p.predictor
     for _ in range(10):
         LocalGains.random(p, build_symmetric_delay(p, 2), rng, 1.0)
-        again, again_gains, _ = p.predictor()
+        again, again_gains, _ = p.predictor
         assert all(a.tobytes() == b.tobytes() for a, b in zip(base, again))
         assert all(a.tobytes() == b.tobytes()
                    for a, b in zip(base_gains, again_gains))

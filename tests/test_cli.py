@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+import inspect
 import json
 import os
 import subprocess
@@ -8,10 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import declqg.estimator as estimator_mod
+import declqg.solver as solver_mod
 from declqg.cli import (DEMOS, _fingerprint, _write_json, load_scenario, main,
                         strategy_to_doc)
 from declqg.core import NumericalBreakdown
-from declqg.solver import solve
+from declqg.estimator import DelayedStatTracker
+from declqg.oracles import JointGaussian, gaussian_conditioning
+from declqg.plant import PlantModel
+from declqg.solver import SolvedStrategy, solve
+from declqg.tune import tune
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -653,30 +662,27 @@ def test_out_of_range_count_or_seed_flag_rejected(argv, flag, k2_config,
     assert f"config error at {flag}: must be >= " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan"])
-@pytest.mark.parametrize("command", ["solve", "tune", "demo"])
-def test_non_positive_tolerance_rejected(command, value, k2_config, tmp_path,
-                                         capsys):
-    args = {"solve": [k2_config], "tune": [k2_config, "--budget", "3"],
-            "demo": ["scalar-2ctrl-k1"]}[command]
-    argv = ["--out", str(tmp_path), "--tolerance", value, command, *args]
-    assert main(argv) == 2
-    assert "config error at --tolerance: must be > 0" in \
-        capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["1", "2", "inf"])
-@pytest.mark.parametrize("command", ["solve", "tune", "demo"])
-def test_tolerance_of_one_or_more_rejected(command, value, k2_config,
-                                           tmp_path, capsys):
-    # such a cutoff keeps no innovation: --tolerance 2 solved symmetric-k2
-    # to J = 15.13 (12.56 at the default) and exited 0
-    args = {"solve": [k2_config], "tune": [k2_config, "--budget", "3"],
-            "demo": ["scalar-2ctrl-k1"]}[command]
-    argv = ["--out", str(tmp_path), "--tolerance", value, command, *args]
-    assert main(argv) == 2
-    assert "config error at --tolerance: must be > 0 and < 1" in \
-        capsys.readouterr().err
+def test_the_rank_cutoff_is_not_a_parameter(k2_config, tmp_path):
+    """The filter's relative rank cutoff is ``DEFAULT_RTOL`` everywhere: no
+    function that applies it takes it, no strategy stores it, and the CLI
+    has no flag for it."""
+    for fn in (solver_mod._filter_sweep, solver_mod._window_roots,
+               solver_mod._window_sweep, solver_mod.forward_riccati,
+               solver_mod._first_changed_step, solve, tune,
+               estimator_mod._delay_transition, DelayedStatTracker.create,
+               JointGaussian.innovations, gaussian_conditioning):
+        assert "rtol" not in inspect.signature(fn).parameters, fn
+    assert isinstance(inspect.getattr_static(PlantModel, "predictor"),
+                      functools.cached_property)
+    assert "rtol" not in {f.name for f in dataclasses.fields(SolvedStrategy)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "declqg.cli", "--out", str(tmp_path),
+         "--tolerance", "1e-6", "solve", k2_config],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "usage: declqg" in proc.stderr
+    assert not (tmp_path / "strategy.json").exists()
 
 
 def test_zero_is_a_valid_seed_restart_count_and_sample_count(k2_config,

@@ -10,7 +10,7 @@ from declqg import (StatisticPolicy, DelayGraph, DelayedStatPolicy,
                     act, delayed_stat_map, build, build_asymmetric_delay,
                     build_control_sharing, build_symmetric_delay,
                     delayed_stat_gains, draw_primitives, rollout_plant, solve,
-                    DEFAULT_RTOL, TimeOutOfRange)
+                    TimeOutOfRange)
 from declqg.cli import DEMOS, load_scenario, strategy_to_doc
 from declqg.sim import _moment_cost
 import declqg.estimator as estimator_mod
@@ -166,7 +166,7 @@ def test_plant_kalman_tracks_deterministic_state():
         B=[[1.0], [0.5]], C=[np.eye(2)], Q=np.eye(2), R=[[1.0]],
         sigma_x=np.zeros((2, 2)), sigma_w0=np.zeros((2, 2)),
         sigma_w=[np.zeros((2, 2))])
-    gains = p.predictor()[1]
+    gains = p.predictor[1]
     x, xhat = np.zeros(2), np.zeros(2)
     tracker = DelayedStatTracker.create(p, build_symmetric_delay(p, 1))
     rng = np.random.default_rng(25)
@@ -185,7 +185,7 @@ def test_plant_kalman_pure_prediction_when_unobservable():
         n=1, T=4, d_x=1, d_u=(1,), d_y=(1,), A=[[0.9]], B=[[1.0]],
         C=[np.zeros((1, 1))], Q=[[1.0]], R=[[1.0]], sigma_x=[[1.0]],
         sigma_w0=[[1.0]], sigma_w=[[[1.0]]])
-    gains = p.predictor()[1]
+    gains = p.predictor[1]
     tracker = DelayedStatTracker.create(p, build_symmetric_delay(p, 1))
     xhat = tracker.advance([3.0], [2.0], [2.0]).stat().vector()
     assert_allclose(xhat, [2.0])     # A*0 + B*2 + gain*(...) with gain 0
@@ -198,7 +198,7 @@ def test_plant_kalman_scalar_covariance_hand_value():
         n=1, T=3, d_x=1, d_u=(1,), d_y=(1,), A=[[1.0]], B=[[1.0]],
         C=[[[1.0]]], Q=[[1.0]], R=[[1.0]], sigma_x=[[1.0]],
         sigma_w0=[[1.0]], sigma_w=[[[1.0]]])
-    P = p.predictor()[0]
+    P = p.predictor[0]
     assert P[0] == pytest.approx(1.0)
     assert P[1] == pytest.approx(1.5)   # 1*1*1 + 1 - 1*[1+1]^{-1}*1
 
@@ -206,10 +206,10 @@ def test_plant_kalman_scalar_covariance_hand_value():
 def test_plant_kalman_covariance_strategy_independent(scalar2):
     mp = build_symmetric_delay(scalar2, 2)
     rng = np.random.default_rng(26)
-    base = scalar2.predictor()[0]
+    base = scalar2.predictor[0]
     for _ in range(10):
         LocalGains.random(scalar2, mp, rng, 1.0)   # vary strategies
-        again = scalar2.predictor()[0]
+        again = scalar2.predictor[0]
         for a, b in zip(base, again):
             assert a.tobytes() == b.tobytes()
 
@@ -225,7 +225,7 @@ def test_plant_predictor_is_the_coordinators_filter_under_one_step_sharing(
     p = random_plant(rng, n=2, d_x=3, d_y=(2, 2), T=5, singular_w=singular_w)
     assert np.linalg.matrix_rank(p.sigma_w) == (2 if singular_w else 4)
     mp = build_symmetric_delay(p, 1)
-    P = p.predictor()[0]
+    P = p.predictor[0]
     for scale in (0.0, 0.5):
         ss = solve(p, mp, LocalGains.random(p, mp, rng, scale))
         assert ss.cs.d_c == 0
@@ -257,28 +257,29 @@ def test_walk_is_the_per_step_filter_bitwise():
         walk = nxt
 
 
-def test_plant_predictor_runs_once_per_rtol(monkeypatch):
-    """Every ``PlantModel.predictor`` call at one rtol returns the same
-    read-only arrays, bitwise a fresh sweep's; another rtol has its own."""
+def test_plant_predictor_runs_once_per_plant(monkeypatch):
+    """Every read of ``PlantModel.predictor`` returns the same read-only
+    arrays, bitwise a fresh sweep's; a plant made by
+    ``dataclasses.replace`` runs its own sweep."""
     p = random_plant(np.random.default_rng(36), n=2, d_x=3, T=6)
-    sweep, rtols = plant_mod._filter_sweep, []
+    sweep, calls = plant_mod._filter_sweep, []
 
-    def counting(A, C, noise, R1, rtol):
-        rtols.append(rtol)
-        return sweep(A, C, noise, R1, rtol)
+    def counting(*args):
+        calls.append(args)
+        return sweep(*args)
 
     monkeypatch.setattr(plant_mod, "_filter_sweep", counting)
-    P, K, _ = p.predictor()
-    again = p.predictor()
-    assert again[0] is P and again[1] is K
-    assert not P.flags.writeable and not K.flags.writeable
-    fresh = sweep(p.A, p.C, p.noise_root, p.x1_root, DEFAULT_RTOL)
-    assert P.tobytes() == fresh[0].tobytes()
-    assert K.tobytes() == fresh[1].tobytes()
-    other = p.predictor(1e-6)
-    assert other[0] is not P
-    assert p.predictor(1e-6)[0] is other[0]
-    assert rtols == [DEFAULT_RTOL, 1e-6]
+    first = p.predictor
+    again = p.predictor
+    fresh = sweep(p.A, p.C, p.noise_root, p.x1_root)
+    for a, b, c in zip(first, again, fresh, strict=True):
+        assert a is b and not a.flags.writeable
+        assert a.tobytes() == c.tobytes()
+    assert len(calls) == 1
+    other = replace(p)
+    assert other.predictor[0] is not first[0]
+    assert other.predictor[0] is other.predictor[0]
+    assert len(calls) == 2
 
 
 def test_tracker_after_a_solve_runs_no_second_sweep(monkeypatch):
@@ -313,7 +314,7 @@ def test_reduced_stat_k1_is_predictor_alone(scalar2):
     mp = build_symmetric_delay(scalar2, 1)
     tracker = DelayedStatTracker.create(scalar2, mp)
     assert tracker.stat().vector().shape == (1,)
-    gains = scalar2.predictor()[1]
+    gains = scalar2.predictor[1]
     rng = np.random.default_rng(28)
     xhat = np.zeros(1)
     for t in range(1, scalar2.T):
@@ -339,7 +340,7 @@ def test_reduced_stat_k2_window_bookkeeping(scalar2):
     assert v.shape == (7,)
     assert_allclose(v[1:5], [ys[1][0], us[1][0], ys[1][1], us[1][1]])
     assert_allclose(v[5:7], uts[2])
-    gains = scalar2.predictor()[1]
+    gains = scalar2.predictor[1]
     xhat = _predictor_step(scalar2, gains, np.zeros(1), 1, ys[0], us[0])
     xhat = _predictor_step(scalar2, gains, xhat, 2, ys[1], us[1])
     assert_allclose(v[:1], xhat)
@@ -829,7 +830,7 @@ def _check_tracker_state(p, mp, k, seed):
     ss = solve(p, mp, lg)
     rb = rollout_plant(p, mp, lg, StatisticPolicy(ss),
                        draw_primitives(p, seed=seed, count=3), keep=3)
-    gains = p.predictor()[1]
+    gains = p.predictor[1]
     start = DelayedStatTracker.create(p, mp)
     d_x, d = p.d_x, p.d_x + mp.d_carrier
     for ro in rb.samples:

@@ -419,6 +419,9 @@ def test_rollout_matches_the_literal_equations(p, mp, policy):
     assert_allclose(got.costs, want.costs, rtol=1e-12, atol=0)
     assert len(got.samples) == 5
     for field in vars(want.samples[0]):
+        # contiguous, so arithmetic on a field rounds as on a copy of it
+        assert all(getattr(ro, field).flags.c_contiguous
+                   for ro in got.samples), field
         a, b = (np.stack([getattr(ro, field) for ro in batch.samples])
                 for batch in (got, want))
         assert a.shape == b.shape, field

@@ -169,19 +169,6 @@ def test_information_monotonicity_single_instance(scalar2):
     assert costs[1] <= costs[2] + 1e-9
 
 
-@pytest.mark.parametrize("rtol", [0.0, -1.0, 1.0, 2.0, np.inf, np.nan])
-def test_rtol_outside_the_open_unit_interval_rejected(scalar2, rtol):
-    mp = build_symmetric_delay(scalar2, 1)
-    gains = LocalGains.zeros(scalar2, mp)
-    cs = build(scalar2, mp, gains)
-    for call in (lambda: solve(scalar2, mp, gains, rtol),
-                 lambda: tune(scalar2, mp, budget=3, rtol=rtol),
-                 lambda: solver_mod._filter_sweep(cs.A, cs.C, cs.noise,
-                                                  cs.init_root, rtol)):
-        with pytest.raises(ValueError, match="rtol must be in"):
-            call()
-
-
 def test_backward_riccati_raises_on_non_pd_bracket(scalar2):
     mp = build_symmetric_delay(scalar2, 1)
     cs = build(scalar2, mp, LocalGains.zeros(scalar2, mp))
@@ -356,7 +343,7 @@ def test_stacked_solve_gives_each_candidates_J_bitwise(name, p, mp):
             assert np.array_equal(getattr(stacked, seq)[idx],
                                   getattr(one, seq))
         alone = stacked.candidate(idx)
-        assert alone.J == one.J and alone.rtol == one.rtol
+        assert alone.J == one.J
         for seq in ("Lgain", "filter_gain", "Ptilde"):
             assert np.array_equal(getattr(alone, seq), getattr(one, seq))
         # one value sweep per plant and protocol, shared and not sliced
@@ -397,6 +384,20 @@ def test_candidate_of_a_single_strategy_raises_dim_mismatch(scalar2):
         ss.candidate(0)
 
 
+@pytest.mark.parametrize("i, error, message", [
+    (5, DimMismatch, r"candidate 5 is outside the stack of 2 strategies"),
+    (-1, DimMismatch, r"candidate -1 is outside the stack of 2 strategies"),
+    (1.5, ValueError, r"candidate index must be an integer, got 1\.5"),
+    (True, ValueError, r"candidate index must be an integer, got True")])
+def test_candidate_outside_the_stack_is_a_typed_error(scalar2, i, error,
+                                                      message):
+    mp = build_symmetric_delay(scalar2, 2)
+    stack = solve(scalar2, mp, LocalGains.from_vector(scalar2, mp, np.zeros(
+        (2, LocalGains.zeros(scalar2, mp).theta.size))))
+    with pytest.raises(error, match=message):
+        stack.candidate(i)
+
+
 def test_ptilde_is_formed_from_root_once_and_read_only(scalar2):
     mp = build_symmetric_delay(scalar2, 2)
     ss = solve(scalar2, mp, LocalGains.random(
@@ -426,8 +427,8 @@ def _sweep_starts(run):
         return sweep
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver_mod, "_filter_sweep", spy("_filter_sweep", 5))
-        patch.setattr(solver_mod, "_window_sweep", spy("_window_sweep", 3))
+        patch.setattr(solver_mod, "_filter_sweep", spy("_filter_sweep", 4))
+        patch.setattr(solver_mod, "_window_sweep", spy("_window_sweep", 2))
         out = run()
     return out, starts
 
@@ -526,27 +527,26 @@ def test_changed_steps_from_theta_equal_the_gain_bit_rule():
                 elif kind == 2 and zeros.size:
                     cand[rng.choice(zeros)] *= -1.0
             cs = build(p, mp, LocalGains.from_vector(p, mp, stack))
-            got = solver_mod._first_changed_step(cs, DEFAULT_RTOL, inc)
+            got = solver_mod._first_changed_step(cs, inc)
             assert got == _changed_steps_by_gains(cs, inc), (shape, got)
             moved = (stack.view(np.uint64) != theta.view(np.uint64)).any()
             seen.add("some" if moved else "none")
         same = build(p, mp, LocalGains.from_vector(
             p, mp, np.repeat(theta[None], 4, axis=0)))
-        assert solver_mod._first_changed_step(same, DEFAULT_RTOL, inc) == p.T
+        assert solver_mod._first_changed_step(same, inc) == p.T
         for at in np.flatnonzero(theta == 0.0)[:3]:    # a sign bit alone
             swap = theta.copy()
             swap[at] *= -1.0
             t = at // (theta.size // p.T) + 1
             cs = build(p, mp, LocalGains.from_vector(p, mp, swap))
-            assert solver_mod._first_changed_step(cs, DEFAULT_RTOL, inc) == t
+            assert solver_mod._first_changed_step(cs, inc) == t
     check_generated(_oracle_cases, CHANGED_TAG, 100, check)
     assert seen == {"none", "some"}
 
 
 def test_an_incumbent_that_cannot_lend_gives_the_full_solve():
-    """A strategy reloaded from disk (no P~ or S), one solved at another
-    rtol and a stack lend nothing: the forward sweep runs over every
-    step."""
+    """A strategy reloaded from disk (no P~ or S) and a stack lend
+    nothing: the forward sweep runs over every step."""
     sc = load_scenario(DEMOS["symmetric-k2"]["config"])
     p, mp = sc.plant, sc.protocol
     theta = LocalGains.random(p, mp, np.random.default_rng(5), 0.3).theta
@@ -557,8 +557,7 @@ def test_an_incumbent_that_cannot_lend_gives_the_full_solve():
     reloaded = strategy_from_doc(strategy_to_doc(inc), p, mp)
     assert reloaded.Ptilde is None and reloaded.S is None
     stack = solve(p, mp, LocalGains.from_vector(p, mp, theta[None]))
-    other_rtol = solve(p, mp, LocalGains.from_vector(p, mp, theta), 1e-8)
-    for lender in (reloaded, other_rtol, stack):
+    for lender in (reloaded, stack):
         got, starts = _sweep_starts(lambda: solve(
             p, mp, LocalGains.from_vector(p, mp, cand), incumbent=lender))
         assert starts == [1]
@@ -571,11 +570,11 @@ def test_an_incumbent_that_cannot_lend_gives_the_full_solve():
 @pytest.mark.parametrize("name", ["control-sharing", "symmetric-k2"])
 def test_forward_pass_from_an_incumbent_that_cannot_lend_is_the_full_pass(
         name):
-    """``forward_riccati(cs, rtol, incumbent)`` sweeps every step, bitwise
-    the pass without an incumbent, when the incumbent is a stack, was
-    reloaded without roots, or was solved for another plant, protocol or
-    rtol; one of the same plant, protocol and rtol lends the steps before
-    t_a, with the same bits."""
+    """``forward_riccati(cs, incumbent)`` sweeps every step, bitwise the
+    pass without an incumbent, when the incumbent is a stack, was reloaded
+    without roots, or was solved for another plant or protocol; one of the
+    same plant and protocol lends the steps before t_a, with the same
+    bits."""
     sc = load_scenario(DEMOS[name]["config"])
     p, mp = sc.plant, sc.protocol
     theta = LocalGains.random(p, mp, np.random.default_rng(6), 0.3).theta
@@ -584,19 +583,17 @@ def test_forward_pass_from_an_incumbent_that_cannot_lend_is_the_full_pass(
     cs = build(p, mp, LocalGains.from_vector(p, mp, cand))
     full = forward_riccati(cs)
 
-    def solved(plant=p, proto=mp, th=theta, rtol=DEFAULT_RTOL):
-        return solve(plant, proto, LocalGains.from_vector(plant, proto, th),
-                     rtol)
+    def solved(plant=p, proto=mp, th=theta):
+        return solve(plant, proto, LocalGains.from_vector(plant, proto, th))
     inc = solved()
     lenders = {
         "stack": solved(th=theta[None]),
         "reloaded": strategy_from_doc(strategy_to_doc(inc), p, mp),
         "plant": solved(plant=dataclasses.replace(p, sigma_x=4 * p.sigma_x)),
-        "protocol": solved(proto=dataclasses.replace(mp)),
-        "rtol": solved(rtol=1e-8)}
+        "protocol": solved(proto=dataclasses.replace(mp))}
     for what, lender in list(lenders.items()) + [("incumbent", inc)]:
         got, starts = _sweep_starts(
-            lambda: forward_riccati(cs, DEFAULT_RTOL, lender))
+            lambda: forward_riccati(cs, lender))
         assert starts == [p.T if what == "incumbent" else 1], what
         for a, b in zip(got, full, strict=True):
             assert a.tobytes() == b.tobytes(), what
@@ -677,32 +674,32 @@ def _window_cases(rng):
     return p, mp, 0.3 * rng.standard_normal(batch + (size,))
 
 
-def _kept(values, rtol):
-    """Count of ``values`` (last axis) above ``rtol`` times their largest,
-    and the distance in decades of the nearest nonzero one from that cut."""
-    cut = rtol * values[..., -1:]
+def _kept(values):
+    """Count of ``values`` (last axis) above ``DEFAULT_RTOL`` times their
+    largest, and the distance in decades of the nearest nonzero one from
+    that cut."""
+    cut = DEFAULT_RTOL * values[..., -1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         decades = np.abs(np.log10(values / cut))
     return (values > cut).sum(axis=-1), np.min(
         decades, where=(values > 0) & (cut > 0), initial=np.inf)
 
 
-def _window_and_sweep(ss, rtol=DEFAULT_RTOL):
+def _window_and_sweep(ss):
     """The square-root sweep's (P~, K) on a window-path solve ``ss``, the
     kept ranks at t = 1..T-1 of the window (eigenvalues of C P~ C' +
     N_v N_v') and of the sweep (squared singular values of its pre-array
     [C R, N_v]), and the distance in decades of the value nearest either
     cutoff."""
     cs, d, T = ss.cs, ss.cs.d_state, ss.cs.T
-    P, K, R = solver_mod._filter_sweep(cs.A, cs.C, cs.noise, cs.init_root,
-                                       rtol)
+    P, K, R = solver_mod._filter_sweep(cs.A, cs.C, cs.noise, cs.init_root)
     nv = cs.noise[..., :T - 1, d:, :]
     pre = np.concatenate([cs.C @ R[..., :T - 1, :, :], nv], axis=-1)
     s = np.linalg.svd(pre, compute_uv=False)[..., ::-1]
-    rank_sweep, margin_sweep = _kept(s * s, rtol)
+    rank_sweep, margin_sweep = _kept(s * s)
     M = (cs.C @ ss.Ptilde[..., :-1, :, :] @ cs.C.swapaxes(-1, -2)
          + nv @ nv.swapaxes(-1, -2))
-    rank_window, margin_window = _kept(np.linalg.eigvalsh(M), rtol)
+    rank_window, margin_window = _kept(np.linalg.eigvalsh(M))
     return P, K, rank_window, rank_sweep, min(margin_sweep, margin_window)
 
 
@@ -766,8 +763,7 @@ def test_forward_riccati_outside_the_window_class_is_the_sweep(name, p, mp):
     thetas = 0.3 * np.random.default_rng(len(name)).standard_normal((2, size))
     cs = build(p, mp, LocalGains.from_vector(p, mp, thetas))
     got = forward_riccati(cs)
-    want = solver_mod._filter_sweep(cs.A, cs.C, cs.noise, cs.init_root,
-                                    DEFAULT_RTOL)
+    want = solver_mod._filter_sweep(cs.A, cs.C, cs.noise, cs.init_root)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 

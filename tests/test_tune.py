@@ -352,8 +352,8 @@ def test_window_stacks_in_tune_give_each_candidates_J_bitwise(monkeypatch):
     assert mp.window == 2
     stacks, inner = [], tune_mod.solve
 
-    def recording(plant, mp, gains, rtol, incumbent=None):
-        out = inner(plant, mp, gains, rtol, incumbent)
+    def recording(plant, mp, gains, incumbent=None):
+        out = inner(plant, mp, gains, incumbent)
         if gains.theta.ndim > 1:
             stacks.append((gains.theta.copy(), out.J.copy()))
         return out
@@ -371,8 +371,8 @@ def _forward_sweeps(monkeypatch, run):
     """(gains vectors, start step) of every forward pass ``run`` makes."""
     seen, first = [], solver_mod._first_changed_step
 
-    def recording(cs, rtol, inc):
-        theta, start = cs.gains.theta, first(cs, rtol, inc)
+    def recording(cs, inc):
+        theta, start = cs.gains.theta, first(cs, inc)
         seen.append((theta.reshape(-1, theta.shape[-1]).copy(), start))
         return start
 

@@ -25,8 +25,8 @@ BLAS is pinned to one thread.  It covers:
   ``closed_loop_cost_exact`` and the ``strategy_to_doc(dump_matrices=True)``
   JSON;
 * per demo, 1 000 rows of ``draw_primitives``, the scaled noise, and the
-  plant predictor's covariances and gains, ``PlantModel.predictor`` at
-  ``DEFAULT_RTOL`` (as lists of per-step matrices, so a tuple and an array
+  plant predictor's covariances and gains, the ``PlantModel.predictor``
+  property (as lists of per-step matrices, so a tuple and an array
   of the same matrices hash alike), under the key of the
   ``plant_kalman_covariances`` wrapper that once returned them;
 * per demo, at random gains and under random observation-history maps
@@ -226,7 +226,7 @@ def main() -> int:
         out[f"demo.{name}.draw_primitives"] = digest(
             [prims.x1, prims.w0, prims.wy])
         out[f"demo.{name}.plant_kalman_covariances"] = digest(
-            [list(seq) for seq in plant.predictor(dq.DEFAULT_RTOL)[:2]])
+            [list(seq) for seq in plant.predictor[:2]])
     for seed in (0, 901):
         wl = SolveLarge(seed, tiny=False)
         wl.setup(Recorder())
